@@ -14,6 +14,7 @@ from .errors import (
     AssemblyError,
     DegenerateFitError,
     GridMismatchError,
+    InvariantError,
     ParameterError,
     PositivityError,
     RegimeError,
@@ -39,7 +40,6 @@ from .spectral import (
     PeriodicGrid,
     VerticalNodes,
     dealiased_product,
-    mean_value,
     spectral_derivative,
     vertical_integral,
 )
@@ -59,7 +59,6 @@ from .fsi import (
     FsiSolver,
     FsiState,
     FsiTrajectory,
-    assemble_mode_system,
     harmonic_ramp_forcing,
     run_fsi,
     step_fsi,

@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import thinfilm, verify
-from .errors import ParameterError, PositivityError, UsageError
+from .errors import (AssemblyError, DegenerateFitError, ParameterError,
+                     PositivityError, UsageError)
 from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
@@ -565,12 +566,13 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PositivityError as exc:
+    except (PositivityError, AssemblyError, DegenerateFitError) as exc:
         outdir = args.output or "."
         os.makedirs(outdir, exist_ok=True)
         diag = {"error": "numerical breakdown", "detail": str(exc)}
-        if exc.last_state is not None:
-            diag["last_valid_time"] = exc.last_state.t
+        last_state = getattr(exc, "last_state", None)
+        if last_state is not None:
+            diag["last_valid_time"] = last_state.t
         _write_json(os.path.join(outdir, "breakdown.json"), diag)
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3

@@ -22,6 +22,14 @@ class AssemblyError(RuntimeError):
     """
 
 
+class InvariantError(AssertionError):
+    """A discrete invariant of a computed state does not hold.
+
+    Raised explicitly, so the checks survive `python -O`; it derives from
+    AssertionError for callers that catch that.
+    """
+
+
 class PositivityError(RuntimeError):
     """Film height dropped below the positivity floor and internal time-step
     halving could not recover.  Carries the last valid state."""

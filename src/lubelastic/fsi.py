@@ -28,16 +28,12 @@ from __future__ import annotations
 
 import csv
 import logging
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import AssemblyError, ParameterError, RegimeError
+from .errors import AssemblyError, InvariantError, ParameterError, RegimeError
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
 
@@ -102,7 +98,7 @@ class FsiState:
 
     def check_invariants(self, params: "FsiParams", div_tol: float = 1e-9,
                          trace_tol: float = 1e-13) -> dict:
-        """Verify the discrete constraints; raises AssertionError on failure.
+        """Verify the discrete constraints; raises InvariantError on failure.
 
         Returns the measured quantities for reporting.
         """
@@ -131,26 +127,28 @@ class FsiState:
         grad_norm = np.sqrt(grad_sq)
         # absolute floor covers force-balanced steady states with no flow
         div_floor = div_tol * grad_norm + 1e-15 * max(1.0, grad_norm)
-        assert div_norm <= div_floor, (
-            f"scaled divergence {div_norm:.3e} exceeds {div_tol:.1e} * {grad_norm:.3e}"
-        )
-        # kinematic trace: top vertical velocity is eps**-tau * eta_t
+        if not div_norm <= div_floor:
+            raise InvariantError(
+                f"scaled divergence {div_norm:.3e} exceeds {div_tol:.1e} * {grad_norm:.3e}"
+            )
+        v_scale = max(max(np.max(np.abs(c.values)) for c in self.v), 1e-300)
+        # kinematic trace: top vertical velocity is eps**-tau * eta_t; the
+        # tolerance follows the whole velocity field because the top trace
+        # itself tends to zero once the plate settles
         t_scale = eps_power(eps, -params.model.tau)
         top = self.v[dh].values[..., -1]
         kin_gap = np.max(np.abs(top - t_scale * self.eta_t.values))
-        kin_scale = max(np.max(np.abs(top)), 1e-300)
-        assert kin_gap <= 1e-10 * kin_scale + 1e-300, (
-            f"kinematic trace violated by {kin_gap:.3e}"
-        )
+        kin_scale = max(np.max(np.abs(top)), v_scale)
+        if not kin_gap <= 1e-10 * kin_scale + 1e-300:
+            raise InvariantError(f"kinematic trace violated by {kin_gap:.3e}")
         # plate moves vertically only: horizontal top traces vanish
         horiz_top = max(np.max(np.abs(self.v[a].values[..., -1])) for a in range(dh))
-        v_scale = max(max(np.max(np.abs(c.values)) for c in self.v), 1e-300)
-        assert horiz_top <= trace_tol * max(v_scale, 1.0), (
-            f"horizontal top trace {horiz_top:.3e} not zero"
-        )
+        if not horiz_top <= trace_tol * max(v_scale, 1.0):
+            raise InvariantError(f"horizontal top trace {horiz_top:.3e} not zero")
         mean_eta = abs(self.eta.mean())
         eta_scale = max(np.max(np.abs(self.eta.values)), 1e-300)
-        assert mean_eta <= 1e-12 * max(eta_scale, 1.0), f"eta mean {mean_eta:.3e} not zero"
+        if not mean_eta <= 1e-12 * max(eta_scale, 1.0):
+            raise InvariantError(f"eta mean {mean_eta:.3e} not zero")
         return {
             "div_norm": div_norm,
             "grad_norm": grad_norm,
@@ -273,10 +271,12 @@ def _xi_stack(grid: PeriodicGrid) -> np.ndarray:
 
 
 class _Assembled:
-    """Stacked per-mode matrices and the factorized step operator for one dt."""
+    """Stacked per-mode matrices of the step operator for params.dt, with
+    its per-mode inverse."""
 
-    def __init__(self, solver: "FsiSolver", dt: float):
+    def __init__(self, solver: "FsiSolver"):
         p = solver.params
+        dt = p.dt
         dh = p.grid.dim
         mi = p.vnodes.m - 2
         s = dh * mi
@@ -327,47 +327,24 @@ class _Assembled:
             + eps * visc
             + plate_coef[:, None, None] * (g[:, :, None] * g[:, None, :])
         )
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
+            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
+        Linv = np.linalg.inv(L)
 
-        self.dt = dt
-        self.s = s
-        self.K = K
+        self.A = A
         self.mass = mass
         self.visc = visc
         self.g = g
-        self.xi2 = xi2
         self.xi4 = xi4
-        try:
-            blocks = scipy.sparse.block_diag([A[k] for k in range(K)], format="csc")
-            self.lu = scipy.sparse.linalg.splu(blocks)
-        except RuntimeError as exc:  # pragma: no cover - signals a bug
-            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
-        self.A = A
+        self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the block system for a stacked complex right-hand side (K, s)."""
-        b = rhs.reshape(self.K * self.s)
-        sol = self.lu.solve(np.stack([b.real, b.imag], axis=1))
-        return (sol[:, 0] + 1j * sol[:, 1]).reshape(self.K, self.s)
-
-
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """Factorized backward-Euler operator for a single wavenumber."""
-
-    k: tuple[int, ...]
-    xi: np.ndarray
-    dt: float
-    matrix: np.ndarray
-    mass_block: np.ndarray
-    viscous_block: np.ndarray
-    trace_vector: np.ndarray
-    plate_coef: float
-    _cho: tuple = None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        re = scipy.linalg.cho_solve(self._cho, rhs.real)
-        im = scipy.linalg.cho_solve(self._cho, rhs.imag)
-        return re + 1j * im
+        """Solve every mode's system for a stacked complex right-hand side
+        (K, s); the real and imaginary parts share one batched product."""
+        sol = self.inv @ np.stack([rhs.real, rhs.imag], axis=2)
+        return sol[:, :, 0] + 1j * sol[:, :, 1]
 
 
 class _SpectralState:
@@ -384,7 +361,12 @@ class _SpectralState:
 
 
 class FsiSolver:
-    """Backward-Euler integrator for the coupled channel/plate system."""
+    """Backward-Euler integrator for the coupled channel/plate system.
+
+    The per-mode step operator is assembled and factored once per solver, so
+    repeated stepping with the same params should hold one solver rather
+    than call step_fsi in a loop.
+    """
 
     def __init__(self, params: FsiParams):
         self.params = params
@@ -414,8 +396,7 @@ class FsiSolver:
             "bend": mdl.B * e(-kappa),
             "viscoelastic": mdl.theta * e(-tau),
         }
-        self._assembled: dict[float, _Assembled] = {}
-        self._mode_ops: dict[tuple, ModeOperator] = {}
+        self._assembled: _Assembled | None = None
         ops = params.vnodes.ops
         sl = slice(1, -1)
         self._Mint = ops.M[sl, :]
@@ -424,46 +405,11 @@ class FsiSolver:
 
     # -- assembly ------------------------------------------------------
 
-    def assembled(self, dt: float) -> _Assembled:
-        if dt not in self._assembled:
-            self._assembled[dt] = _Assembled(self, dt)
-        return self._assembled[dt]
-
-    def mode_operator(self, k, dt: float) -> ModeOperator:
-        key = (tuple(np.atleast_1d(k)), dt)
-        if key not in self._mode_ops:
-            asm = self.assembled(dt)
-            idx = self._mode_index(key[0])
-            A = asm.A[idx]
-            try:
-                cho = scipy.linalg.cho_factor(A)
-            except scipy.linalg.LinAlgError as exc:
-                raise AssemblyError(f"mode {key[0]} factorization failed: {exc}") from exc
-            self._mode_ops[key] = ModeOperator(
-                k=key[0], xi=self.xi[idx], dt=dt, matrix=A,
-                mass_block=asm.mass[idx], viscous_block=asm.visc[idx],
-                trace_vector=asm.g[idx], plate_coef=float(
-                    self.coef["rho_s_mass"] / dt
-                    + self.coef["theta_rank1"] * asm.xi4[idx]
-                    + self.coef["bending_rank1"] * dt * asm.xi4[idx]
-                ),
-                _cho=cho,
-            )
-        return self._mode_ops[key]
-
-    def _mode_index(self, k: tuple[int, ...]) -> int:
-        grid = self.params.grid
-        if grid.dim == 1:
-            (kx,) = k
-            if not (0 <= kx <= grid.n // 2):
-                raise ParameterError(f"wavenumber {kx} not in the stored lattice")
-            return kx
-        k1, k2 = k
-        n = grid.n
-        if not (0 <= k2 <= n // 2):
-            raise ParameterError(f"wavenumber {k} not in the stored lattice")
-        row = k1 % n
-        return row * (n // 2 + 1) + k2
+    def assembled(self) -> _Assembled:
+        """Per-mode step operator for params.dt, built on first use."""
+        if self._assembled is None:
+            self._assembled = _Assembled(self)
+        return self._assembled
 
     # -- state conversion ----------------------------------------------
 
@@ -538,12 +484,11 @@ class FsiSolver:
 
     # -- stepping --------------------------------------------------------
 
-    def advance(self, spec: _SpectralState, dt: float | None = None,
-                t_new: float | None = None):
+    def advance(self, spec: _SpectralState, t_new: float | None = None):
         """One backward-Euler step.  Returns (new_state, ledger_increments)."""
         p = self.params
-        dt = p.dt if dt is None else dt
-        asm = self.assembled(dt)
+        dt = p.dt
+        asm = self.assembled()
         dh = p.grid.dim
         eps = p.model.eps
         if t_new is None:
@@ -602,7 +547,7 @@ class FsiSolver:
         dv = dt * coef["work"] * visc_q
         dve = dt * coef["viscoelastic"] * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2)
         work = dt * coef["work"] * np.sum(w * (Fq * np.conj(new.c)).sum(axis=1).real)
-        return dict(fluid_kinetic=ef, plate_kinetic=float(epk), bending=float(eb),
+        return dict(fluid_kinetic=float(ef), plate_kinetic=float(epk), bending=float(eb),
                     numerical=float(dn), viscous=float(dv), viscoelastic=float(dve),
                     work=float(work))
 
@@ -693,29 +638,13 @@ class FsiSolver:
 # module-level operations
 # ----------------------------------------------------------------------
 
-_solvers: "weakref.WeakKeyDictionary[FsiParams, FsiSolver]" = weakref.WeakKeyDictionary()
-
-
-def _solver_for(params: FsiParams) -> FsiSolver:
-    solver = _solvers.get(params)
-    if solver is None:
-        solver = FsiSolver(params)
-        _solvers[params] = solver
-    return solver
-
-
-def assemble_mode_system(params: FsiParams, k, dt: float | None = None) -> ModeOperator:
-    """Factorized one-step operator for a single horizontal wavenumber.
-
-    Factorizations are cached per (k, dt) on the solver attached to params.
-    """
-    solver = _solver_for(params)
-    return solver.mode_operator(k, params.dt if dt is None else dt)
-
-
 def step_fsi(params: FsiParams, state: FsiState) -> FsiState:
-    """Advance a coupled state by one backward-Euler step of params.dt."""
-    solver = _solver_for(params)
+    """Advance a coupled state by one backward-Euler step of params.dt.
+
+    Builds and factors a new solver on every call; to take many steps, hold
+    one FsiSolver instead.
+    """
+    solver = FsiSolver(params)
     spec = solver.from_state(state)
     new, _ = solver.advance(spec)
     fhat = solver._forcing_hat(new.t)
@@ -726,8 +655,8 @@ def step_fsi(params: FsiParams, state: FsiState) -> FsiState:
 def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1,
             with_pressure: bool = True) -> FsiTrajectory:
     """Run from trivial initial data to t_end; returns trajectory and ledger."""
-    solver = _solver_for(params)
-    return solver.run(t_end, snapshot_stride=snapshot_stride, with_pressure=with_pressure)
+    return FsiSolver(params).run(t_end, snapshot_stride=snapshot_stride,
+                                 with_pressure=with_pressure)
 
 
 # ----------------------------------------------------------------------
@@ -749,6 +678,12 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
+    if any(abs(k) >= grid.n // 2 for k in wavevector):
+        # larger wavenumbers alias on the grid; k = n/2 samples sin to zero
+        raise ParameterError(
+            f"wavevector {wavevector} is not resolved on n = {grid.n}: "
+            f"every |k| must be below {grid.n // 2}"
+        )
     phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.meshes))
     profile = amplitude * np.sin(phase)[..., None] * np.ones(vnodes.m)
     zero = np.zeros(grid.shape + (vnodes.m,))

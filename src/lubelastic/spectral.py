@@ -28,7 +28,6 @@ __all__ = [
     "ChannelField",
     "spectral_derivative",
     "vertical_integral",
-    "mean_value",
     "dealiased_product",
 ]
 
@@ -226,11 +225,6 @@ def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> Periodic
                 sym[:, -1] = 0.0
         out = hat * sym
     return PeriodicField.from_hat(f.grid, out)
-
-
-def mean_value(f: PeriodicField) -> float:
-    """Spectral mean (zeroth Fourier coefficient)."""
-    return f.mean()
 
 
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from lubelastic import cli
-from lubelastic.errors import UsageError
+from lubelastic import cli, verify
+from lubelastic.errors import AssemblyError, DegenerateFitError, UsageError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -104,6 +104,37 @@ class TestBreakdownPath:
         assert diag["error"] == "numerical breakdown"
 
 
+    def test_factorization_failure_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssemblyError("step operator factorization failed")
+
+        monkeypatch.setattr(cli, "run_fsi", fail)
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"n": 8, "m": 12, "dt": 1e-3, "t_end": 0.01})
+        out = tmp_path / "out"
+        rc = cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 3
+        diag = json.loads((out / "breakdown.json").read_text())
+        assert diag["error"] == "numerical breakdown"
+        assert "factorization" in diag["detail"]
+
+    def test_degenerate_fit_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DegenerateFitError("all errors are exactly zero")
+
+        monkeypatch.setattr(verify, "run_rate_study", fail)
+        doc = cli.preset_config("theorem-e0-kappa2")
+        doc.update({"eps_list": [0.125, 0.0625, 0.03125], "n": 8, "m": 10,
+                    "dt": 1e-3, "t_end": 0.05, "snapshot_stride": 10})
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "rates", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 3
+        diag = json.loads((out / "breakdown.json").read_text())
+        assert "zero" in diag["detail"]
+
+
 class TestReynoldsCommand:
     def test_solve_writes_artifacts(self, tmp_path):
         path = write_config(tmp_path, cli.preset_config("reynolds-slider"))
@@ -179,6 +210,18 @@ class TestFsiCommand:
         assert (out / "energy_ledger.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "energy_ledger.csv" in manifest["files"]
+
+
+    def test_unresolved_wavevector_exits_2(self, tmp_path, capsys):
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"n": 16, "m": 12, "dt": 1e-3, "t_end": 0.01,
+                    "forcing": {"kind": "harmonic-ramp", "wavevector": [9]}})
+        out = tmp_path / "out"
+        rc = cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 2
+        assert "not resolved" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestRatesCommand:
