@@ -26,8 +26,6 @@ from .scaling import (
     NonlinearScalingPreset,
     RegimeCheck,
     eps_power,
-    model_params_from_dict,
-    model_params_from_json,
     reduced_coefficient_e0,
     reduced_coefficient_eh,
     reynolds_number,

@@ -1,10 +1,11 @@
 """Experiment runner: configuration, presets, batch ladders, artifact output.
 
-Configurations are strict JSON documents with a ``version`` field; unknown
-keys are rejected because a silently ignored typo in an exponent would
-invalidate a rate study.  All artifacts are written atomically (temp file
-plus rename) and a manifest records the files together with a hash of the
-canonical configuration, so identical configs produce byte-identical runs.
+Configurations are strict JSON documents with a ``version`` field.  Each
+mode's keys, types and defaults are the fields of its dataclass in
+MODE_CONFIGS; `decode` rejects unknown or missing keys and mistyped values,
+since a silently ignored typo in an exponent would invalidate a rate study.
+Artifacts are written atomically (temp file plus rename) with a manifest of
+the files and a hash of the canonical configuration, so reruns are identical.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 breakdown (a diagnostic JSON is written in that case).
@@ -18,7 +19,10 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,8 +32,6 @@ from .errors import (AssemblyError, DegenerateFitError, ParameterError,
 from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
-
-logger = logging.getLogger("lubelastic.cli")
 
 CONFIG_VERSION = 1
 
@@ -48,6 +50,12 @@ _THINFILM_BASE = {
     "linearized": False,
     "potential": None,
     "c": 1.0,
+}
+
+_LADDER_BASE = {
+    "eps_list": [0.125, 0.0625, 0.03125, 0.015625], "n": 16, "m": 20, "dt": 5e-5,
+    "t_end": 0.5, "snapshot_stride": 200, "amplitude": 1.0, "ramp_time": 0.1,
+    "dim": 1, "rho_f": 40.0, "rho_s": 40.0, "B": 1.0, "nu": 1.0, "theta": 20.0,
 }
 
 PRESETS: dict[str, dict] = {
@@ -77,32 +85,20 @@ PRESETS: dict[str, dict] = {
     "theorem-e0-kappa1": {
         "mode": "rates",
         "summary": "thickness ladder at rigidity exponent kappa = 1",
-        "config": {"kappa": "1", "eps_list": [0.125, 0.0625, 0.03125, 0.015625],
-                   "n": 16, "m": 20, "dt": 5e-5, "t_end": 0.5,
-                   "snapshot_stride": 200, "amplitude": 1.0, "ramp_time": 0.1,
-                   "dim": 1, "rho_f": 40.0, "rho_s": 40.0, "B": 1.0, "nu": 1.0,
-                   "theta": 20.0},
+        "config": {**_LADDER_BASE, "kappa": "1"},
     },
     "theorem-e0-kappa2": {
         "mode": "rates",
         "summary": "thickness ladder at rigidity exponent kappa = 2 "
                    "(rate targets 3, 1, 2.5)",
-        "config": {"kappa": "2", "eps_list": [0.125, 0.0625, 0.03125, 0.015625],
-                   "n": 16, "m": 20, "dt": 5e-5, "t_end": 0.5,
-                   "snapshot_stride": 200, "amplitude": 1.0, "ramp_time": 0.1,
-                   "dim": 1, "rho_f": 40.0, "rho_s": 40.0, "B": 1.0, "nu": 1.0,
-                   "theta": 20.0},
+        "config": {**_LADDER_BASE, "kappa": "2"},
     },
     "theorem-e0-kappa52": {
         "mode": "rates",
         "summary": "thickness ladder at the boundary exponent kappa = 5/2 "
                    "(displacement rate is sharp here; the pressure error is "
                    "pre-asymptotic on this ladder)",
-        "config": {"kappa": "5/2", "eps_list": [0.125, 0.0625, 0.03125, 0.015625],
-                   "n": 16, "m": 20, "dt": 5e-5, "t_end": 0.5,
-                   "snapshot_stride": 200, "amplitude": 1.0, "ramp_time": 0.1,
-                   "dim": 1, "rho_f": 40.0, "rho_s": 40.0, "B": 1.0, "nu": 1.0,
-                   "theta": 20.0},
+        "config": {**_LADDER_BASE, "kappa": "5/2"},
     },
     "fsi-single-mode": {
         "mode": "fsi",
@@ -122,17 +118,6 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_MODE_KEYS = {
-    "thinfilm": {"alpha", "c", "mobility_scale", "potential", "v_D",
-                 "drift_prefactor", "linearized", "n", "dt", "steps",
-                 "snapshot_stride", "eta0", "nonlinear_scaling"},
-    "fsi": {"kappa", "eps", "n", "m", "dt", "t_end", "snapshot_stride", "dim",
-            "rho_f", "rho_s", "B", "nu", "theta", "forcing"},
-    "reynolds": {"n", "v_D", "nu", "eta0"},
-    "rates": {"kappa", "eps_list", "n", "m", "dt", "t_end", "snapshot_stride",
-              "amplitude", "ramp_time", "dim", "rho_f", "rho_s", "B", "nu",
-              "theta", "wavevector", "component"},
-}
 _COMMON_KEYS = {"version", "mode", "preset", "output_dir"}
 
 
@@ -143,7 +128,7 @@ def list_presets() -> dict[str, dict]:
 
 
 def preset_config(name: str) -> dict:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise UsageError(f"unknown preset id {name!r}; known: {sorted(PRESETS)}")
     spec = PRESETS[name]
     doc = {"version": CONFIG_VERSION, "mode": spec["mode"], "preset": name}
@@ -152,15 +137,193 @@ def preset_config(name: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# configuration handling
+# typed configuration
 # ----------------------------------------------------------------------
 
-def validate_config(doc: dict) -> dict:
-    """Strict-mode validation: version pinned, mode known, no unknown keys.
+@dataclass(frozen=True)
+class WaveProfile:
+    """Initial height 1 + a sin(2 pi k x) (one-plus-sin) or a cos(2 pi k x)."""
 
-    A ``preset`` key pulls in that preset's values as defaults; explicit
-    keys override them.
-    """
+    kind: Literal["one-plus-sin", "cosine"]
+    amplitude: float
+    wavenumber: int = 1
+
+    def sample(self, grid: PeriodicGrid) -> PeriodicField:
+        arg = 2.0 * np.pi * self.wavenumber * grid.meshes[0]
+        if self.kind == "cosine":
+            return PeriodicField(grid, self.amplitude * np.cos(arg))
+        return PeriodicField(grid, 1.0 + self.amplitude * np.sin(arg))
+
+
+@dataclass(frozen=True)
+class ConstantProfile:
+    kind: Literal["constant"]
+    value: float
+
+    def sample(self, grid: PeriodicGrid) -> PeriodicField:
+        return PeriodicField(grid, np.full(grid.shape, self.value))
+
+
+@dataclass(frozen=True)
+class PowerPotential:
+    """Potential derivative Phi'(eta) = strength * eta**exponent."""
+
+    kind: Literal["power"]
+    strength: float
+    exponent: float
+
+    def __call__(self, eta):
+        return self.strength * eta**self.exponent
+
+
+@dataclass(frozen=True)
+class HarmonicRampForcing:
+    """Arguments of `fsi.harmonic_ramp_forcing` (wavevector default: all ones)."""
+
+    kind: Literal["harmonic-ramp"]
+    amplitude: float = 1.0
+    wavevector: tuple[int, ...] | None = None
+    component: int = 0
+    ramp_time: float = 0.1
+
+
+@dataclass(frozen=True)
+class NonlinearScaling:
+    """Thickness and hatted constants of a `NonlinearScalingPreset`."""
+
+    eps: float
+    B_hat: float
+    D_hat: float
+    rho_s_hat: float
+
+
+@dataclass(frozen=True)
+class ThinFilmRun:
+    """Keys of a ``thinfilm`` document: film model, initial height, mesh and steps."""
+
+    alpha: int
+    n: int
+    dt: float
+    steps: int
+    eta0: WaveProfile | ConstantProfile
+    c: float = 1.0
+    mobility_scale: float = 1.0
+    potential: PowerPotential | None = None
+    v_D: float = 0.0
+    drift_prefactor: float = 6.0
+    linearized: bool = False
+    snapshot_stride: int | None = None  # None: max(1, steps // 10)
+    nonlinear_scaling: NonlinearScaling | None = None
+
+    def __post_init__(self):
+        if self.snapshot_stride is None:
+            object.__setattr__(self, "snapshot_stride", max(1, self.steps // 10))
+        elif self.snapshot_stride < 1:
+            raise ParameterError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
+
+
+@dataclass(frozen=True)
+class FsiRun:
+    """Keys of an ``fsi`` document: model parameters, mesh, step and forcing."""
+
+    kappa: Fraction
+    eps: float
+    n: int
+    m: int
+    dt: float
+    t_end: float
+    snapshot_stride: int = 1
+    dim: int = 1
+    rho_f: float = 1.0
+    rho_s: float = 1.0
+    B: float = 1.0
+    nu: float = 1.0
+    theta: float = 0.0
+    forcing: HarmonicRampForcing | None = None
+
+
+@dataclass(frozen=True)
+class ReynoldsRun:
+    """Keys of a ``reynolds`` document."""
+
+    n: int
+    eta0: WaveProfile | ConstantProfile
+    v_D: float = 1.0
+    nu: float = 1.0
+
+
+MODE_CONFIGS = {"thinfilm": ThinFilmRun, "fsi": FsiRun, "reynolds": ReynoldsRun,
+                "rates": verify.RateStudyConfig}
+
+_SCALARS = {  # JSON values accepted for each scalar annotation
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+}
+
+
+def decode(cls, doc, prefix: str = ""):
+    """Build the dataclass `cls` from a JSON object whose keys are its init
+    fields, each value checked against the field's annotation (see _SCALARS;
+    Fraction, tuple[T, ...], Literal, X | None, nested dataclasses, and
+    unions of dataclasses told apart by their ``kind``).  Unknown or missing
+    keys and wrong types raise UsageError; range checks are left to `cls`."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{prefix.rstrip('.') or cls.__name__} must be a JSON object, got {doc!r}")
+    params = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(set(doc) - set(params))
+    if unknown:
+        raise UsageError(f"unknown configuration keys: {[prefix + k for k in unknown]}")
+    missing = [prefix + name for name, f in params.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise UsageError(f"missing configuration keys: {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{k: _decode_value(hints[k], v, prefix + k) for k, v in doc.items()})
+
+
+def _decode_value(tp, value, key: str):
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        options = [a for a in args if a is not type(None)]
+        if len(options) == 1:
+            return _decode_value(options[0], value, key)
+        kinds = {kind: a for a in options for kind in get_args(get_type_hints(a)["kind"])}
+        kind = value.get("kind") if isinstance(value, dict) else None
+        cls = kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise UsageError(f"{key} must be an object with kind in {sorted(kinds)}, got {value!r}")
+        return decode(cls, value, key + ".")
+    if origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+        raise UsageError(f"{key} must be one of {list(args)}, got {value!r}")
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise UsageError(f"{key} must be an array, got {value!r}")
+        return tuple(_decode_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(tp):
+        return decode(tp, value, key + ".")
+    if tp is Fraction:
+        if type(value) is int or isinstance(value, str):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise UsageError(f'{key} must be an integer or a "p/q" string, got {value!r}')
+    accepts, expected = _SCALARS[tp]
+    if accepts(value):
+        return tp(value)
+    raise UsageError(f"{key} must be {expected}, got {value!r}")
+
+
+def parse_config(doc: dict) -> tuple[dict, object]:
+    """Strict validation: version pinned, mode known, the other keys decoded
+    into the mode's dataclass in MODE_CONFIGS.  A ``preset`` key pulls in that
+    preset's values as defaults; explicit keys override them.  Returns the
+    merged document and the decoded run configuration."""
     if not isinstance(doc, dict):
         raise UsageError("configuration must be a JSON object")
     if doc.get("version") != CONFIG_VERSION:
@@ -175,13 +338,17 @@ def validate_config(doc: dict) -> dict:
             )
         merged = {**base, **doc, "mode": base["mode"]}
     mode = merged.get("mode")
-    if mode not in _MODE_KEYS:
-        raise UsageError(f"mode must be one of {sorted(_MODE_KEYS)}, got {mode!r}")
-    allowed = _MODE_KEYS[mode] | _COMMON_KEYS
-    unknown = set(merged) - allowed
-    if unknown:
-        raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
-    return merged
+    if not isinstance(mode, str) or mode not in MODE_CONFIGS:
+        raise UsageError(f"mode must be one of {sorted(MODE_CONFIGS)}, got {mode!r}")
+    if not isinstance(merged.get("output_dir", ""), (str, type(None))):
+        raise UsageError(f"output_dir must be a string, got {merged['output_dir']!r}")
+    params = {k: v for k, v in merged.items() if k not in _COMMON_KEYS}
+    return merged, decode(MODE_CONFIGS[mode], params)
+
+
+def validate_config(doc: dict) -> dict:
+    """`parse_config`, returning only the merged document."""
+    return parse_config(doc)[0]
 
 
 def load_config(path: str) -> dict:
@@ -191,30 +358,6 @@ def load_config(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read configuration {path}: {exc}") from exc
     return validate_config(doc)
-
-
-class ExperimentConfig:
-    """A validated experiment: mode, parameter document, output directory.
-
-    Thin wrapper over the strict JSON schema so callers can hold a checked
-    configuration object instead of a raw dict.
-    """
-
-    def __init__(self, document: dict):
-        merged = validate_config(document)
-        self.mode: str = merged["mode"]
-        self.preset: str | None = merged.get("preset")
-        self.output_dir: str | None = merged.get("output_dir")
-        self.params: dict = {k: v for k, v in merged.items() if k not in _COMMON_KEYS}
-        self.document: dict = merged
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        return cls(load_config(path))
-
-    @classmethod
-    def from_preset(cls, name: str) -> "ExperimentConfig":
-        return cls(preset_config(name))
 
 
 def config_hash(doc: dict) -> str:
@@ -244,59 +387,29 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, writer)
 
 
-def _profile_field(grid: PeriodicGrid, spec: dict) -> PeriodicField:
-    kind = spec.get("kind")
-    x = grid.meshes[0]
-    if kind == "constant":
-        return PeriodicField(grid, np.full(grid.shape, float(spec["value"])))
-    if kind == "one-plus-sin":
-        a, k = float(spec["amplitude"]), int(spec.get("wavenumber", 1))
-        return PeriodicField(grid, 1.0 + a * np.sin(2.0 * np.pi * k * x))
-    if kind == "cosine":
-        a, k = float(spec["amplitude"]), int(spec.get("wavenumber", 1))
-        return PeriodicField(grid, a * np.cos(2.0 * np.pi * k * x))
-    raise UsageError(f"unknown profile kind {kind!r}")
-
-
-def _potential_fn(spec):
-    if spec is None:
-        return None
-    if spec.get("kind") != "power":
-        raise UsageError(f"unknown potential kind {spec.get('kind')!r}")
-    strength, exponent = float(spec["strength"]), float(spec["exponent"])
-    return lambda eta: strength * eta**exponent
-
-
 # ----------------------------------------------------------------------
 # command implementations
 # ----------------------------------------------------------------------
 
-def _run_thinfilm(doc: dict, outdir: str) -> list[str]:
-    grid = PeriodicGrid(dim=1, n=int(doc["n"]))
+def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
+    grid = PeriodicGrid(dim=1, n=cfg.n)
     model = thinfilm.ThinFilmModel(
-        alpha=int(doc["alpha"]),
-        c=float(doc.get("c", 1.0)),
-        mobility_scale=float(doc.get("mobility_scale", 1.0)),
-        potential_dPhi=_potential_fn(doc.get("potential")),
-        v_D=float(doc.get("v_D", 0.0)),
-        drift_prefactor=float(doc.get("drift_prefactor", 6.0)),
-        linearized=bool(doc.get("linearized", False)),
+        alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
+        potential_dPhi=cfg.potential, v_D=cfg.v_D,
+        drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized,
     )
-    state = thinfilm.FilmState(_profile_field(grid, doc["eta0"]), 0.0)
-    dt = float(doc["dt"])
-    steps = int(doc["steps"])
-    stride = int(doc.get("snapshot_stride", max(1, steps // 10)))
+    state = thinfilm.FilmState(cfg.eta0.sample(grid), 0.0)
     mass0 = state.eta.mean()
     rows = [(0.0, state.eta.values.copy())]
     energy = [thinfilm.film_energy(model, state.eta)]
     energy_t = [0.0]
     min_eta = float(state.eta.values.min())
-    for i in range(steps):
-        state = thinfilm.step(model, state, dt)
+    for i in range(cfg.steps):
+        state = thinfilm.step(model, state, cfg.dt)
         min_eta = min(min_eta, float(state.eta.values.min()))
         energy.append(thinfilm.film_energy(model, state.eta))
         energy_t.append(state.t)
-        if (i + 1) % stride == 0 or i == steps - 1:
+        if (i + 1) % cfg.snapshot_stride == 0 or i == cfg.steps - 1:
             rows.append((state.t, state.eta.values.copy()))
     mass1 = state.eta.mean()
 
@@ -318,46 +431,28 @@ def _run_thinfilm(doc: dict, outdir: str) -> list[str]:
         "min_eta": min_eta,
         "energy": {"t": energy_t, "value": energy},
     }
-    if "nonlinear_scaling" in doc and doc["nonlinear_scaling"] is not None:
-        ns = doc["nonlinear_scaling"]
-        preset = NonlinearScalingPreset(B_hat=float(ns["B_hat"]),
-                                        D_hat=float(ns["D_hat"]),
-                                        rho_s_hat=float(ns["rho_s_hat"]))
-        summary["scaling_targets"] = preset.coefficients(float(ns["eps"]))
+    ns = cfg.nonlinear_scaling
+    if ns is not None:
+        preset = NonlinearScalingPreset(B_hat=ns.B_hat, D_hat=ns.D_hat,
+                                        rho_s_hat=ns.rho_s_hat)
+        summary["scaling_targets"] = preset.coefficients(ns.eps)
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, summary)
     return [traj_path, summary_path]
 
 
-def _forcing_from_doc(doc: dict, grid: PeriodicGrid, vnodes: VerticalNodes):
-    spec = doc.get("forcing") or {"kind": "harmonic-ramp", "amplitude": 1.0,
-                                   "wavevector": [1] * grid.dim, "component": 0,
-                                   "ramp_time": 0.1}
-    if spec.get("kind") != "harmonic-ramp":
-        raise UsageError(f"unknown forcing kind {spec.get('kind')!r}")
-    return harmonic_ramp_forcing(
-        grid, vnodes, amplitude=float(spec.get("amplitude", 1.0)),
-        wavevector=tuple(int(k) for k in spec.get("wavevector", [1] * grid.dim)),
-        component=int(spec.get("component", 0)),
-        ramp_time=float(spec.get("ramp_time", 0.1)),
-    )
-
-
-def _run_fsi(doc: dict, outdir: str) -> list[str]:
-    dim = int(doc.get("dim", 1))
-    grid = PeriodicGrid(dim=dim, n=int(doc["n"]))
-    vnodes = VerticalNodes(int(doc["m"]))
-    model = ModelParams(
-        rho_f=float(doc.get("rho_f", 1.0)), nu=float(doc.get("nu", 1.0)),
-        rho_s=float(doc.get("rho_s", 1.0)), B=float(doc.get("B", 1.0)),
-        theta=float(doc.get("theta", 0.0)), eps=float(doc["eps"]),
-        kappa=Fraction(str(doc["kappa"])), dim=dim,
-    )
-    params = FsiParams(model=model, grid=grid, vnodes=vnodes,
-                       dt=float(doc["dt"]),
-                       forcing=_forcing_from_doc(doc, grid, vnodes))
-    traj = run_fsi(params, float(doc["t_end"]),
-                   snapshot_stride=int(doc.get("snapshot_stride", 1)))
+def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
+    grid = PeriodicGrid(dim=cfg.dim, n=cfg.n)
+    vnodes = VerticalNodes(cfg.m)
+    model = ModelParams(rho_f=cfg.rho_f, nu=cfg.nu, rho_s=cfg.rho_s, B=cfg.B,
+                        theta=cfg.theta, eps=cfg.eps, kappa=cfg.kappa, dim=cfg.dim)
+    spec = cfg.forcing or HarmonicRampForcing("harmonic-ramp")
+    forcing = harmonic_ramp_forcing(
+        grid, vnodes, amplitude=spec.amplitude, component=spec.component,
+        ramp_time=spec.ramp_time,
+        wavevector=(1,) * cfg.dim if spec.wavevector is None else spec.wavevector)
+    params = FsiParams(model=model, grid=grid, vnodes=vnodes, dt=cfg.dt, forcing=forcing)
+    traj = run_fsi(params, cfg.t_end, snapshot_stride=cfg.snapshot_stride)
     written = traj.save(outdir)
     audit = verify.energy_audit(traj.ledger, params)
     summary_path = os.path.join(outdir, "summary.json")
@@ -372,19 +467,16 @@ def _run_fsi(doc: dict, outdir: str) -> list[str]:
     return written
 
 
-def _run_reynolds(doc: dict, outdir: str) -> list[str]:
-    grid = PeriodicGrid(dim=1, n=int(doc["n"]))
-    eta = _profile_field(grid, doc["eta0"])
-    v_D = float(doc.get("v_D", 1.0))
-    nu = float(doc.get("nu", 1.0))
-    p = thinfilm.solve_reynolds_stationary(eta, v_D, nu)
-    residual = thinfilm.reynolds_residual(eta, p, v_D, nu)
+def _run_reynolds(cfg: ReynoldsRun, outdir: str) -> list[str]:
+    eta = cfg.eta0.sample(PeriodicGrid(dim=1, n=cfg.n))
+    p = thinfilm.solve_reynolds_stationary(eta, cfg.v_D, cfg.nu)
+    residual = thinfilm.reynolds_residual(eta, p, cfg.v_D, cfg.nu)
     p_path = os.path.join(outdir, "pressure.csv")
     _atomic_write(p_path, lambda tmp: p.to_csv(tmp))
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {"residual_l2": residual,
                                "pressure_mean": p.mean(),
-                               "v_D": v_D, "nu": nu})
+                               "v_D": cfg.v_D, "nu": cfg.nu})
     return [p_path, summary_path]
 
 
@@ -392,26 +484,7 @@ RATE_THRESHOLDS = {"velocity": 2.7, "pressure": 0.6}
 R2_THRESHOLD = 0.98
 
 
-def _run_rates(doc: dict, outdir: str, jobs: int) -> list[str]:
-    eps_list = tuple(float(e) for e in doc.get("eps_list", ()))
-    if not eps_list:
-        raise UsageError("eps_list must not be empty")
-    try:
-        cfg = verify.RateStudyConfig(
-            kappa=Fraction(str(doc["kappa"])), eps_list=eps_list,
-            dim=int(doc.get("dim", 1)), n=int(doc["n"]), m=int(doc["m"]),
-            dt=float(doc["dt"]), t_end=float(doc["t_end"]),
-            snapshot_stride=int(doc.get("snapshot_stride", 1)),
-            amplitude=float(doc.get("amplitude", 1.0)),
-            ramp_time=float(doc.get("ramp_time", 0.1)),
-            wavevector=tuple(int(k) for k in doc.get("wavevector", [1])),
-            component=int(doc.get("component", 0)),
-            rho_f=float(doc.get("rho_f", 1.0)), rho_s=float(doc.get("rho_s", 1.0)),
-            B=float(doc.get("B", 1.0)), nu=float(doc.get("nu", 1.0)),
-            theta=float(doc.get("theta", 1.0)),
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+def _run_rates(cfg: verify.RateStudyConfig, outdir: str, jobs: int) -> list[str]:
     result = verify.run_rate_study(cfg, jobs=jobs)
 
     reports_path = os.path.join(outdir, "reports.csv")
@@ -450,25 +523,20 @@ def _run_rates(doc: dict, outdir: str, jobs: int) -> list[str]:
     return [reports_path, rates_path]
 
 
-def run(doc, output_dir: str | None = None, jobs: int = 1) -> dict:
-    """Execute a configuration (dict or ExperimentConfig); returns the
-    artifact manifest."""
-    if isinstance(doc, ExperimentConfig):
-        doc = doc.document
-    doc = validate_config(doc)
+def run(doc: dict, output_dir: str | None = None, jobs: int = 1) -> dict:
+    """Execute a configuration document; returns the artifact manifest."""
+    doc, config = parse_config(doc)
     outdir = output_dir or doc.get("output_dir") or "."
     os.makedirs(outdir, exist_ok=True)
     mode = doc["mode"]
     if mode == "thinfilm":
-        files = _run_thinfilm(doc, outdir)
+        files = _run_thinfilm(config, outdir)
     elif mode == "fsi":
-        files = _run_fsi(doc, outdir)
+        files = _run_fsi(config, outdir)
     elif mode == "reynolds":
-        files = _run_reynolds(doc, outdir)
-    elif mode == "rates":
-        files = _run_rates(doc, outdir, jobs)
-    else:  # pragma: no cover - validate_config guards this
-        raise UsageError(f"unhandled mode {mode!r}")
+        files = _run_reynolds(config, outdir)
+    else:
+        files = _run_rates(config, outdir, jobs)
     manifest = {
         "config_hash": config_hash(doc),
         "mode": mode,
@@ -491,32 +559,26 @@ def _add_common(parser):
                         help="override resolution as n or n,m")
 
 
+_COMMANDS = {  # command: (help, subcommand, subcommand help)
+    "thinfilm": ("film-height evolution runs", "run", "integrate a film model"),
+    "fsi": ("coupled channel/plate runs", "run", "run the coupled solver"),
+    "reynolds": ("stationary pressure problems", "solve", "solve the stationary pressure equation"),
+    "verify": ("verification studies", "rates", "run a thickness ladder and fit rates"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lubelastic",
         description="thin-film models, coupled channel/plate runs and rate studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tf = sub.add_parser("thinfilm", help="film-height evolution runs")
-    tf_sub = p_tf.add_subparsers(dest="subcommand", required=True)
-    _add_common(tf_sub.add_parser("run", help="integrate a film model"))
-
-    p_fsi = sub.add_parser("fsi", help="coupled channel/plate runs")
-    fsi_sub = p_fsi.add_subparsers(dest="subcommand", required=True)
-    _add_common(fsi_sub.add_parser("run", help="run the coupled solver"))
-
-    p_rey = sub.add_parser("reynolds", help="stationary pressure problems")
-    rey_sub = p_rey.add_subparsers(dest="subcommand", required=True)
-    _add_common(rey_sub.add_parser("solve", help="solve the stationary pressure equation"))
-
-    p_ver = sub.add_parser("verify", help="verification studies")
-    ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
-    _add_common(ver_sub.add_parser("rates", help="run a thickness ladder and fit rates"))
-
-    p_pre = sub.add_parser("presets", help="preset catalog")
-    pre_sub = p_pre.add_subparsers(dest="subcommand", required=True)
-    pre_sub.add_parser("list", help="list documented preset ids")
+    for command, (help_, subcommand, sub_help) in _COMMANDS.items():
+        group = sub.add_parser(command, help=help_).add_subparsers(dest="subcommand", required=True)
+        _add_common(group.add_parser(subcommand, help=sub_help))
+    group = sub.add_parser("presets", help="preset catalog").add_subparsers(
+        dest="subcommand", required=True)
+    group.add_parser("list", help="list documented preset ids")
     return parser
 
 
@@ -527,19 +589,11 @@ def _apply_resolution(doc: dict, resolution: str | None) -> dict:
     try:
         doc = dict(doc)
         doc["n"] = int(parts[0])
-        if len(parts) > 1 and "m" in _MODE_KEYS[doc["mode"]]:
+        if len(parts) > 1 and "m" in {f.name for f in fields(MODE_CONFIGS[doc["mode"]])}:
             doc["m"] = int(parts[1])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad --resolution value {resolution!r}") from exc
     return doc
-
-
-def _config_for(args) -> dict:
-    if args.config:
-        doc = load_config(args.config)
-    else:
-        raise UsageError("--config is required (point it at a preset-based JSON)")
-    return _apply_resolution(doc, args.resolution)
 
 
 def main(argv=None) -> int:
@@ -552,9 +606,10 @@ def main(argv=None) -> int:
             for name, info in list_presets().items():
                 print(f"{name:22s} [{info['mode']}] {info['summary']}")
             return 0
-        doc = _config_for(args)
-        expected = {"thinfilm": "thinfilm", "fsi": "fsi",
-                    "reynolds": "reynolds", "verify": "rates"}[args.command]
+        if not args.config:
+            raise UsageError("--config is required (point it at a preset-based JSON)")
+        doc = _apply_resolution(load_config(args.config), args.resolution)
+        expected = "rates" if args.command == "verify" else args.command
         if doc["mode"] != expected:
             raise UsageError(
                 f"configuration mode {doc['mode']!r} does not match the "

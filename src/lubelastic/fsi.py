@@ -607,6 +607,8 @@ class FsiSolver:
         nsteps = int(round(t_end / dt))
         if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
             raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+        if snapshot_stride < 1:
+            raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
         ledger = EnergyLedger()
         spec = self.zero_state()
         states = [self.materialize(spec)]

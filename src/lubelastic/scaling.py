@@ -6,9 +6,8 @@ film thicknesses are swept over a ladder of powers of two.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -17,21 +16,13 @@ from .errors import ParameterError, RegimeError
 Exponent = Union[int, float, str, Fraction]
 
 
-def _as_fraction(x: Exponent) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)  # exact for ints and binary floats
-
-
 def time_scale_exponent(kappa: Exponent) -> Fraction:
     """Time-scale exponent tau matched to a plate-rigidity exponent kappa.
 
     The coupled thin-channel/plate dynamics is nontrivial in the slow time
     scale T = eps**tau exactly when tau = kappa - 3.
     """
-    k = _as_fraction(kappa)
+    k = Fraction(kappa)
     if k <= 0:
         raise RegimeError(f"rigidity exponent kappa must be positive, got {k}")
     return k - 3
@@ -56,7 +47,7 @@ def validate_theorem_regime(kappa: Exponent) -> RegimeCheck:
     is not an error: the solver still runs outside this range, only the rate
     guarantee is void (callers emit a warning instead of refusing).
     """
-    k = _as_fraction(kappa)
+    k = Fraction(kappa)
     if k <= 0:
         raise RegimeError(f"rigidity exponent kappa must be positive, got {k}")
     if k <= Fraction(5, 2):
@@ -105,7 +96,7 @@ def eps_power(eps: float, exponent: Exponent) -> float:
     """
     if eps <= 0:
         raise ParameterError(f"need eps > 0, got {eps}")
-    e = _as_fraction(exponent)
+    e = Fraction(exponent)
     log2eps = math.log2(eps)
     if log2eps == int(log2eps):
         return 2.0 ** float(int(log2eps) * e)
@@ -155,11 +146,11 @@ class ModelParams:
     dim: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", _as_fraction(self.kappa))
+        object.__setattr__(self, "kappa", Fraction(self.kappa))
         if self.tau is None:
             object.__setattr__(self, "tau", self.kappa - 3)
         else:
-            object.__setattr__(self, "tau", _as_fraction(self.tau))
+            object.__setattr__(self, "tau", Fraction(self.tau))
         if not (0.0 < self.eps < 1.0):
             raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
         if self.kappa <= 0:
@@ -181,48 +172,9 @@ class ModelParams:
         model carries a fluid-plate coupling."""
         return self.tau == self.kappa - 3
 
-    def eps_to(self, exponent: Exponent) -> float:
-        return eps_power(self.eps, exponent)
-
-    @property
-    def time_scale(self) -> float:
-        """T = eps**tau, the slow time unit."""
-        return self.eps_to(self.tau)
-
     @property
     def reduced_coefficient(self) -> float:
         return reduced_coefficient_e0(self.B, self.nu)
-
-    def with_eps(self, eps: float) -> "ModelParams":
-        return ModelParams(
-            rho_f=self.rho_f, nu=self.nu, rho_s=self.rho_s, B=self.B,
-            theta=self.theta, eps=eps, kappa=self.kappa, tau=None if self.coupled_regime else self.tau,
-            v_D=self.v_D, dim=self.dim,
-        )
-
-
-_MODEL_PARAM_NAMES = {f.name for f in fields(ModelParams)}
-
-
-def model_params_from_dict(doc: dict) -> ModelParams:
-    """Build ModelParams from a flat key/value mapping; unknown keys error."""
-    unknown = set(doc) - _MODEL_PARAM_NAMES
-    if unknown:
-        raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    for key in ("kappa", "tau"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = _as_fraction(kwargs[key])
-    return ModelParams(**kwargs)
-
-
-def model_params_from_json(text_or_path) -> ModelParams:
-    """Load ModelParams from a JSON document (path or raw string)."""
-    text = str(text_or_path)
-    if not text.lstrip().startswith("{"):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return model_params_from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

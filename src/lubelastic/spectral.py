@@ -53,10 +53,6 @@ class PeriodicGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
     @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
         x = np.arange(self.n) / self.n
@@ -153,10 +149,6 @@ class PeriodicField:
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def l2(self) -> float:
-        """L2 norm over the unit torus."""
-        return float(np.sqrt(np.mean(self.values**2)))
 
     def derivative(self, order: int, axis: int = 0) -> "PeriodicField":
         return spectral_derivative(self, order, axis)

@@ -189,10 +189,6 @@ def film_energy(model: ThinFilmModel, eta: PeriodicField) -> float:
     return float(0.5 * np.sum(w * sym * np.abs(hat) ** 2))
 
 
-def mass(eta: PeriodicField) -> float:
-    return eta.mean()
-
-
 def solve_linear_sixth(
     c: float,
     F,
@@ -223,6 +219,8 @@ def solve_linear_sixth(
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
         raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+    if snapshot_stride < 1:
+        raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
     grid = eta0.grid
     lam = c * (-laplacian_symbol(grid)) ** 3  # decay rate per mode, >= 0
     z = -lam * dt

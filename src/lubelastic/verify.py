@@ -309,6 +309,8 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     Ladder points are independent; with jobs > 1 they run in separate
     processes.  Results are ordered by the configured ladder either way.
     """
+    if len(config.eps_list) < 3:
+        raise ParameterError("need at least three ladder points for a rate fit")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_ladder_point, config, eps) for eps in config.eps_list]

@@ -4,6 +4,8 @@ Everything here is deliberately built from different algorithms than the
 library paths it checks: fixed-point iteration instead of the closed-form
 flux balance, raw FFT arithmetic instead of the field classes.
 """
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -131,3 +133,20 @@ class CollocationModeOracle:
     @property
     def v1(self) -> np.ndarray:
         return self.state[self.sl_v1]
+
+
+def hand_built_rate_config(doc: dict):
+    """RateStudyConfig copied key by key from a rates document, the way the
+    CLI and the acceptance fixture built it before configurations were
+    decoded from the dataclass fields."""
+    from lubelastic import verify
+
+    return verify.RateStudyConfig(
+        kappa=Fraction(doc["kappa"]),
+        eps_list=tuple(doc["eps_list"]),
+        dim=doc["dim"], n=doc["n"], m=doc["m"], dt=doc["dt"],
+        t_end=doc["t_end"], snapshot_stride=doc["snapshot_stride"],
+        amplitude=doc["amplitude"], ramp_time=doc["ramp_time"],
+        rho_f=doc["rho_f"], rho_s=doc["rho_s"], B=doc["B"], nu=doc["nu"],
+        theta=doc["theta"],
+    )

@@ -22,16 +22,7 @@ def _report(criterion, ok, detail):
 
 
 def ladder_config():
-    doc = cli.preset_config("theorem-e0-kappa2")
-    return verify.RateStudyConfig(
-        kappa=Fraction(doc["kappa"]),
-        eps_list=tuple(doc["eps_list"]),
-        dim=doc["dim"], n=doc["n"], m=doc["m"], dt=doc["dt"],
-        t_end=doc["t_end"], snapshot_stride=doc["snapshot_stride"],
-        amplitude=doc["amplitude"], ramp_time=doc["ramp_time"],
-        rho_f=doc["rho_f"], rho_s=doc["rho_s"], B=doc["B"], nu=doc["nu"],
-        theta=doc["theta"],
-    )
+    return cli.parse_config(cli.preset_config("theorem-e0-kappa2"))[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 import json
-import os
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from lubelastic import cli, verify
+from lubelastic import cli, scaling, verify
 from lubelastic.errors import AssemblyError, DegenerateFitError, UsageError
+
+from oracles import hand_built_rate_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -73,21 +74,121 @@ class TestConfigValidation:
         assert rc == 2
 
 
-class TestExperimentConfig:
-    def test_from_preset(self):
-        cfg = cli.ExperimentConfig.from_preset("reynolds-slider")
-        assert cfg.mode == "reynolds"
-        assert cfg.params["n"] == 256
-        assert "version" not in cfg.params
+# config_hash of validate_config(preset_config(name)), recorded before the
+# configuration schema was derived from the dataclasses
+PRESET_HASHES = {
+    "fsi-single-mode": "841e018b43a49100d8cee90672512981a5b39b60a2caff5043d4bf3cd714012d",
+    "nonlinear-3.3": "d6161a296960ee2cf75e70af70ac989d8efd34756f33c6ed63fbfb682103a07e",
+    "pm-paper": "d4c60d911f35200f9070f168fe58429a1714e6afc8306e3c207a37e72c692d21",
+    "reynolds-slider": "7ba4ea6853a0181f58947b377bfa651181bd5ec9db5de254b313ab7a16866847",
+    "stf-bending": "a739094b2abbc57ca4e145419705d7df3961b21f8aed1df797a15ed41cfcd74c",
+    "tf-surface-tension": "e61a56cf3268a567ca961d704aa0f8ee598274f2a4884e0f0c7a1252a220d75d",
+    "theorem-e0-kappa1": "26f04d65ffec93de174257f73eaaf201b68fe3aae0c8499fd204ff406861aaf3",
+    "theorem-e0-kappa2": "abc709253f11078e590414346c526bb6a4aebb607b2eb05f364f787b53132bc2",
+    "theorem-e0-kappa52": "5f78dccc93a088934482c1f4690e288e89b1246237df4ff9f79e367956a8ba4e",
+}
 
-    def test_run_accepts_config_object(self, tmp_path):
-        cfg = cli.ExperimentConfig.from_preset("reynolds-slider")
-        manifest = cli.run(cfg, output_dir=str(tmp_path / "out"))
-        assert "pressure.csv" in manifest["files"]
 
-    def test_invalid_document_rejected(self):
-        with pytest.raises(UsageError):
-            cli.ExperimentConfig({"version": 1, "mode": "reynolds", "bogus": 1})
+def preset_with(name, **overrides):
+    doc = cli.preset_config(name)
+    doc.update(overrides)
+    return doc
+
+
+# Documents that must exit 2 with a one-line error: mistyped, non-finite or
+# missing values, malformed nested specs, and ranges the library rejects.
+BAD_DOCUMENTS = {
+    "n-string": preset_with("reynolds-slider", n="abc"),
+    "n-fractional": preset_with("reynolds-slider", n=64.7),
+    "bool-string": preset_with("stf-bending", linearized="no"),
+    "v_D-infinite": preset_with("reynolds-slider", v_D=float("inf")),
+    "fsi-missing-keys": {"version": 1, "mode": "fsi"},
+    "rates-two-points": {"version": 1, "mode": "rates", "eps_list": [0.125, 0.0625]},
+    "kappa-word": preset_with("fsi-single-mode", kappa="two"),
+    "theta-null": preset_with("fsi-single-mode", theta=None),
+    "dt-nan": preset_with("fsi-single-mode", dt=float("nan")),
+    "forcing-string": preset_with("fsi-single-mode", forcing="sin"),
+    "eps_list-string": preset_with("theorem-e0-kappa2", eps_list="0.125"),
+    "eta0-string": preset_with("reynolds-slider", eta0="sin"),
+    "eta0-no-amplitude": preset_with("reynolds-slider", eta0={"kind": "one-plus-sin"}),
+    "potential-incomplete": preset_with("stf-bending", potential={"kind": "power"}),
+    "scaling-incomplete": preset_with("nonlinear-3.3", nonlinear_scaling={"eps": 0.1}),
+    "fsi-stride-zero": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01,
+                                   snapshot_stride=0),
+    "thinfilm-stride-zero": preset_with("stf-bending", n=32, steps=5, snapshot_stride=0),
+}
+_COMMAND = {"thinfilm": ["thinfilm", "run"], "fsi": ["fsi", "run"],
+            "reynolds": ["reynolds", "solve"], "rates": ["verify", "rates"]}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_DOCUMENTS))
+def test_bad_document_exits_2(label, tmp_path, capsys):
+    doc = BAD_DOCUMENTS[label]
+    out = tmp_path / "out"
+    rc = cli.main(_COMMAND[doc["mode"]] + ["--config", write_config(tmp_path, doc),
+                                           "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+class TestDecode:
+    def test_reynolds_preset_decodes(self):
+        cfg = cli.parse_config(cli.preset_config("reynolds-slider"))[1]
+        assert cfg == cli.ReynoldsRun(n=256, eta0=cli.WaveProfile("one-plus-sin", 0.5, 1),
+                                      v_D=1.0, nu=1.0)
+
+    def test_unknown_key_without_preset_rejected(self):
+        with pytest.raises(UsageError, match="bogus"):
+            cli.validate_config({"version": 1, "mode": "reynolds", "bogus": 1})
+
+    def test_preset_hashes_unchanged(self):
+        assert set(PRESET_HASHES) == set(cli.PRESETS)
+        for name, digest in PRESET_HASHES.items():
+            assert cli.config_hash(cli.validate_config(cli.preset_config(name))) == digest
+
+    @pytest.mark.parametrize("name", ["theorem-e0-kappa1", "theorem-e0-kappa2",
+                                      "theorem-e0-kappa52"])
+    def test_rates_preset_matches_hand_built_config(self, name):
+        doc = cli.preset_config(name)
+        assert cli.parse_config(doc)[1] == hand_built_rate_config(doc)
+
+    def test_mode_defaults(self):
+        fsi = cli.decode(cli.FsiRun, {"kappa": "2", "eps": 0.125, "n": 16, "m": 20,
+                                      "dt": 1e-3, "t_end": 0.1})
+        assert (fsi.theta, fsi.snapshot_stride, fsi.forcing) == (0.0, 1, None)
+        film = {"alpha": 5, "n": 32, "dt": 1e-7, "steps": 35,
+                "eta0": {"kind": "cosine", "amplitude": 0.1}}
+        cfg = cli.decode(cli.ThinFilmRun, film)
+        assert (cfg.v_D, cfg.snapshot_stride, cfg.eta0.wavenumber) == (0.0, 3, 1)
+        assert cli.decode(cli.ThinFilmRun, {**film, "steps": 5}).snapshot_stride == 1
+        assert cli.decode(cli.ReynoldsRun, {"n": 64, "eta0": film["eta0"]}).v_D == 1.0
+        assert cli.parse_config({"version": 1, "mode": "rates"})[1] == verify.RateStudyConfig()
+
+    def test_scalar_types(self):
+        flat = {"kind": "constant", "value": 1}
+        ok = cli.decode(cli.ReynoldsRun, {"n": 64, "v_D": 2, "nu": 0.5, "eta0": flat})
+        assert ok.v_D == 2.0 and isinstance(ok.v_D, float)
+        assert ok.eta0 == cli.ConstantProfile("constant", 1.0)
+        for bad in (True, "1", 1e400, float("-inf")):
+            with pytest.raises(UsageError, match="v_D must be a finite number"):
+                cli.decode(cli.ReynoldsRun, {"n": 64, "v_D": bad, "eta0": flat})
+        with pytest.raises(UsageError, match="n must be an integer"):
+            cli.decode(cli.ReynoldsRun, {"n": True, "eta0": flat})
+        for eta0 in ({"kind": "square"}, {"kind": ["constant"]}, {"value": 1.0}):
+            with pytest.raises(UsageError, match="eta0 must be an object with kind in"):
+                cli.decode(cli.ReynoldsRun, {"n": 64, "eta0": eta0})
+        with pytest.raises(UsageError, match=r"forcing.wavevector\[1\] must be an integer"):
+            cli.decode(cli.FsiRun, {"kappa": 2, "eps": 0.125, "n": 8, "m": 8, "dt": 1e-3,
+                                    "t_end": 0.01, "forcing": {"kind": "harmonic-ramp",
+                                                                "wavevector": [1, 2.0]}})
+        for kappa, want in (("5/2", Fraction(5, 2)), (3, Fraction(3))):
+            assert cli.decode(scaling.ModelParams, {"kappa": kappa}).kappa == want
+        for kappa in (2.5, "1/0", True):
+            with pytest.raises(UsageError, match="kappa"):
+                cli.decode(scaling.ModelParams, {"kappa": kappa})
 
 
 class TestBreakdownPath:
@@ -241,6 +342,15 @@ class TestRatesCommand:
         assert rates["energy_audit_ok"] is True
         for entry in rates["rates"].values():
             assert "slope" in entry and "r2" in entry and "pass" in entry
+
+    def test_two_point_ladder_rejected_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625])
+        rc = cli.main(["verify", "rates", "--config", write_config(tmp_path, doc),
+                       "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert len(calls) == 0
 
     def test_manifest_hash_stable(self, tmp_path):
         doc = cli.preset_config("theorem-e0-kappa2")

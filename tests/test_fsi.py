@@ -260,6 +260,10 @@ class TestInvariantsAndRuns:
         with pytest.raises(ParameterError):
             lb.run_fsi(params, 0.01)
 
+    def test_run_rejects_zero_snapshot_stride(self):
+        with pytest.raises(ParameterError, match="snapshot_stride"):
+            lb.FsiSolver(make_params(dt=1e-3)).run(0.01, snapshot_stride=0)
+
     def test_ledger_csv(self, tmp_path):
         params = make_params(dt=1e-3)
         traj = lb.run_fsi(params, 0.01, snapshot_stride=5)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lubelastic import scaling
-from lubelastic.errors import ParameterError, RegimeError
+from lubelastic import cli, scaling
+from lubelastic.errors import ParameterError, RegimeError, UsageError
 
 
 class TestTimeScaleExponent:
@@ -110,24 +110,17 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             scaling.ModelParams(eps=0.0)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         doc = {"rho_f": 2.0, "nu": 0.5, "B": 3.0, "eps": 0.0625,
                "kappa": "5/2", "v_D": 1.0, "dim": 2}
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps(doc))
-        p = scaling.model_params_from_json(path)
+        p = cli.decode(scaling.ModelParams, json.loads(json.dumps(doc)))
         assert p.kappa == Fraction(5, 2)
         assert p.tau == Fraction(-1, 2)
         assert p.dim == 2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ParameterError, match="unknown"):
-            scaling.model_params_from_dict({"eps": 0.5, "rigidity": 1.0})
-
-    def test_json_accepts_raw_string(self):
-        p = scaling.model_params_from_json('{"eps": 0.25, "kappa": 2, "theta": 0.5}')
-        assert p.eps == 0.25
-        assert p.theta == 0.5
+        with pytest.raises(UsageError, match="unknown.*rigidity"):
+            cli.decode(scaling.ModelParams, json.loads('{"eps": 0.5, "rigidity": 1.0}'))
 
     def test_eps_power_exact_for_powers_of_two(self):
         assert scaling.eps_power(2.0**-4, Fraction(-3)) == 2.0**12

@@ -176,6 +176,12 @@ class TestSolveLinearSixth:
         traj = tf.solve_linear_sixth(0.5, None, PeriodicField.zeros(grid), 0.1, 1e-3)
         assert all(np.max(np.abs(s.eta.values)) == 0.0 for s in traj.states)
 
+    def test_rejects_zero_snapshot_stride(self):
+        grid = PeriodicGrid(dim=1, n=32)
+        with pytest.raises(ParameterError, match="snapshot_stride"):
+            tf.solve_linear_sixth(0.5, None, PeriodicField.zeros(grid), 0.1, 1e-3,
+                                  snapshot_stride=0)
+
     def test_zero_mean_preserved(self):
         grid = PeriodicGrid(dim=1, n=32)
         source = PeriodicField.from_function(grid, lambda x: np.sin(4 * np.pi * x))
