@@ -1,0 +1,60 @@
+"""Atomic artifact files and the one CSV format every artifact uses.
+
+A file is written to a fresh temp file in its target directory and renamed
+over the target, so a reader never sees a partial artifact.  The temp file
+is created like any other file, so the artifact keeps the umask's default
+mode.  A CSV artifact is one header row, then one row per sample, each value
+its shortest round-trip ``repr`` (integers as integers), with ``\\n`` line
+ends.
+"""
+from __future__ import annotations
+
+import os
+from typing import Iterable
+
+import numpy as np
+
+
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the concatenated text chunks to `path` atomically."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    try:
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:  # the temp file is gone after a successful rename
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the columns, broadcast together and flattened in C order, as a
+    CSV artifact under `header`."""
+    cols = [c.ravel() for c in np.broadcast_arrays(*map(np.asarray, columns))]
+
+    def chunks():  # a block of rows at a time keeps the Python objects few
+        yield ",".join(header) + "\n"
+        for start in range(0, cols[0].size, 1024):
+            block = [c[start:start + 1024].tolist() for c in cols]
+            yield "".join(",".join(map(repr, row)) + "\n" for row in zip(*block))
+
+    write_atomic(path, chunks())
+
+
+def velocity_named(v) -> list:
+    """(name, field) pairs v1[, v2], v3 of one velocity snapshot."""
+    return [(f"v{a + 1}" if a < len(v) - 1 else "v3", f) for a, f in enumerate(v)]
+
+
+def save_snapshots(outdir, snapshots, prefix: str = "") -> list[str]:
+    """Write a snapshot series: each snapshot is a sequence of (name, field)
+    pairs, and field `name` of snapshot i goes to ``<prefix><name>_<i:04d>.csv``
+    through its ``to_csv``.  Returns the paths in the order written."""
+    written = []
+    for idx, named in enumerate(snapshots):
+        for name, fld in named:
+            written.append(os.path.join(outdir, f"{prefix}{name}_{idx:04d}.csv"))
+            fld.to_csv(written[-1])
+    return written

@@ -4,8 +4,9 @@ Configurations are strict JSON documents with a ``version`` field.  Each
 mode's keys, types and defaults are the fields of its dataclass in
 MODE_CONFIGS; `decode` rejects unknown or missing keys and mistyped values,
 since a silently ignored typo in an exponent would invalidate a rate study.
-Artifacts are written atomically (temp file plus rename) with a manifest of
-the files and a hash of the canonical configuration, so reruns are identical.
+Every artifact is written atomically (temp file plus rename, see `artifacts`),
+with a manifest of the files and a hash of the canonical configuration, so
+reruns are identical.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 breakdown (a diagnostic JSON is written in that case).
@@ -18,7 +19,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from types import UnionType
@@ -27,6 +27,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import thinfilm, verify
+from .artifacts import write_atomic, write_csv
 from .errors import (AssemblyError, DegenerateFitError, ParameterError,
                      PositivityError, UsageError)
 from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
@@ -149,6 +150,9 @@ class WaveProfile:
     wavenumber: int = 1
 
     def sample(self, grid: PeriodicGrid) -> PeriodicField:
+        if abs(self.wavenumber) >= grid.n // 2:  # the same rule as a forcing wavevector
+            raise ParameterError(f"wavenumber {self.wavenumber} is not resolved on "
+                                 f"n = {grid.n}: |k| must be below {grid.n // 2}")
         arg = 2.0 * np.pi * self.wavenumber * grid.meshes[0]
         if self.kind == "cosine":
             return PeriodicField(grid, self.amplitude * np.cos(arg))
@@ -365,26 +369,8 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _atomic_write(path: str, writer) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload) -> None:
-    def writer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    _atomic_write(path, writer)
+    write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 # ----------------------------------------------------------------------
@@ -414,15 +400,9 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     mass1 = state.eta.mean()
 
     traj_path = os.path.join(outdir, "trajectory.csv")
-
-    def write_traj(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            header = ["t"] + [f"eta_{i:04d}" for i in range(grid.n)]
-            fh.write(",".join(header) + "\n")
-            for t, vals in rows:
-                fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in vals]) + "\n")
-
-    _atomic_write(traj_path, write_traj)
+    times, etas = zip(*rows)
+    write_csv(traj_path, ["t"] + [f"eta_{i:04d}" for i in range(grid.n)],
+              [np.array(times), *np.array(etas).T])
 
     summary = {
         "mass_initial": mass0,
@@ -472,7 +452,7 @@ def _run_reynolds(cfg: ReynoldsRun, outdir: str) -> list[str]:
     p = thinfilm.solve_reynolds_stationary(eta, cfg.v_D, cfg.nu)
     residual = thinfilm.reynolds_residual(eta, p, cfg.v_D, cfg.nu)
     p_path = os.path.join(outdir, "pressure.csv")
-    _atomic_write(p_path, lambda tmp: p.to_csv(tmp))
+    p.to_csv(p_path)
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {"residual_l2": residual,
                                "pressure_mean": p.mean(),
@@ -488,16 +468,10 @@ def _run_rates(cfg: verify.RateStudyConfig, outdir: str, jobs: int) -> list[str]
     result = verify.run_rate_study(cfg, jobs=jobs)
 
     reports_path = os.path.join(outdir, "reports.csv")
-
-    def write_reports(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write("eps,kappa,err_velocity,err_pressure,err_displacement,energy_ratio\n")
-            for r in result.reports:
-                fh.write(",".join(repr(float(v)) for v in (
-                    r.eps, r.kappa, r.err_velocity, r.err_pressure,
-                    r.err_displacement, r.energy_ratio)) + "\n")
-
-    _atomic_write(reports_path, write_reports)
+    header = ["eps", "kappa", "err_velocity", "err_pressure", "err_displacement",
+              "energy_ratio"]
+    write_csv(reports_path, header,
+              [[float(getattr(r, h)) for r in result.reports] for h in header])
 
     disp_threshold = float(cfg.kappa) + 0.5 - 0.3
     thresholds = dict(RATE_THRESHOLDS, displacement=disp_threshold)

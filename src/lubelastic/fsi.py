@@ -26,13 +26,14 @@ plate row.
 """
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import save_snapshots, velocity_named, write_csv
 from .errors import AssemblyError, InvariantError, ParameterError, RegimeError
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
@@ -212,22 +213,10 @@ class EnergyLedger:
                 + np.array(self.bending))
 
     def to_csv(self, path) -> None:
-        cols = ["step", "t", "fluid_kinetic", "plate_kinetic", "bending",
-                "viscous_dissipation", "viscoelastic_dissipation",
-                "numerical_dissipation", "work", "slack"]
-        slack = self.slack()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for i in range(len(self)):
-                writer.writerow([
-                    i + 1, repr(self.t[i]), repr(self.fluid_kinetic[i]),
-                    repr(self.plate_kinetic[i]), repr(self.bending[i]),
-                    repr(self.viscous_dissipation[i]),
-                    repr(self.viscoelastic_dissipation[i]),
-                    repr(self.numerical_dissipation[i]),
-                    repr(self.work[i]), repr(float(slack[i])),
-                ])
+        """Write one row per step: its number, every entry and the slack."""
+        names = [f.name for f in fields(self)]
+        write_csv(path, ["step", *names, "slack"],
+                  [np.arange(1, len(self) + 1), *(getattr(self, n) for n in names), self.slack()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,23 +227,13 @@ class FsiTrajectory:
     ledger: EnergyLedger
 
     def save(self, outdir) -> list[str]:
-        import os
-
-        written = []
-        for idx, state in enumerate(self.states):
-            for name, fld in [("eta", state.eta), ("eta_t", state.eta_t)]:
-                path = os.path.join(outdir, f"{name}_{idx:04d}.csv")
-                fld.to_csv(path)
-                written.append(path)
-            comps = [f"v{a + 1}" for a in range(len(state.v) - 1)] + ["v3"]
-            for name, fld in list(zip(comps, state.v)) + [("p", state.p)]:
-                path = os.path.join(outdir, f"{name}_{idx:04d}.csv")
-                fld.to_csv(path)
-                written.append(path)
+        """Write every snapshot's fields and the energy ledger as CSV files."""
+        written = save_snapshots(outdir, [
+            [("eta", s.eta), ("eta_t", s.eta_t), *velocity_named(s.v), ("p", s.p)]
+            for s in self.states])
         path = os.path.join(outdir, "energy_ledger.csv")
         self.ledger.to_csv(path)
-        written.append(path)
-        return written
+        return written + [path]
 
 
 # ----------------------------------------------------------------------
@@ -680,6 +659,10 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
+    if not 0 <= component <= grid.dim:
+        raise ParameterError(f"component must lie in 0..{grid.dim}, got {component}")
+    if not ramp_time > 0:
+        raise ParameterError(f"ramp_time must be positive, got {ramp_time}")
     if any(abs(k) >= grid.n // 2 for k in wavevector):
         # larger wavenumbers alias on the grid; k = n/2 samples sin to zero
         raise ParameterError(

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import save_snapshots, velocity_named
 from .errors import GridMismatchError, ParameterError
 from .scaling import ModelParams, eps_power
 from .spectral import (
@@ -59,23 +60,10 @@ class ApproxTriple:
     eta: tuple[PeriodicField, ...]
 
     def save(self, outdir) -> list[str]:
-        import os
-
-        written = []
-        for idx in range(len(self.times)):
-            comps = self.v[idx]
-            names = [f"v{a + 1}" for a in range(len(comps) - 1)] + ["v3"]
-            for name, fld in zip(names, comps):
-                path = os.path.join(outdir, f"approx_{name}_{idx:04d}.csv")
-                fld.to_csv(path)
-                written.append(path)
-            path = os.path.join(outdir, f"approx_p_{idx:04d}.csv")
-            self.p[idx].to_csv(path)
-            written.append(path)
-            path = os.path.join(outdir, f"approx_eta_{idx:04d}.csv")
-            self.eta[idx].to_csv(path)
-            written.append(path)
-        return written
+        """Write every snapshot's fields as approx_*.csv files."""
+        return save_snapshots(outdir, [
+            [*velocity_named(v), ("p", p), ("eta", eta)]
+            for v, p, eta in zip(self.v, self.p, self.eta)], prefix="approx_")
 
 
 def limit_pressure(eta: PeriodicField, B: float) -> PeriodicField:

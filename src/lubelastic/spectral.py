@@ -3,22 +3,25 @@
 Horizontal directions live on the unit torus (0,1)^dim sampled at n uniform
 nodes per direction, with derivatives applied through the Fourier symbol
 (2*pi*i*k)**order.  The vertical direction lives on (-1, 0) sampled at
-Chebyshev-Gauss-Lobatto points; differentiation, antiderivatives and Gram
-matrices are assembled exactly in Chebyshev coefficient space, so quadrature
-is exact for every polynomial the solvers produce.
+Chebyshev-Gauss-Lobatto points.  `ChebOps` inverts the Vandermonde matrix
+once, differentiates and integrates all cardinal polynomials together in
+Chebyshev coefficient space, and evaluates the results through Vandermonde
+matrices; the Gram matrices are sums over one (m+1)-point Gauss-Legendre
+rule, which is exact for every product of two profiles, so quadrature is
+exact for every polynomial the solvers produce.
 
 Nonlinear products are formed nodally on a 3/2 zero-padded grid; the cubic
 mobility of the film models aliases badly at marginal resolution otherwise.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .artifacts import write_csv
 from .errors import GridMismatchError, ParameterError
 
 __all__ = [
@@ -176,17 +179,9 @@ class PeriodicField:
             raise GridMismatchError("fields live on different grids")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if self.grid.dim == 1:
-                writer.writerow(["x", "value"])
-                for x, v in zip(self.grid.nodes[0], self.values):
-                    writer.writerow([repr(float(x)), repr(float(v))])
-            else:
-                writer.writerow(["x1", "x2", "value"])
-                X, Y = self.grid.meshes
-                for x, y, v in zip(X.ravel(), Y.ravel(), self.values.ravel()):
-                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+        """Write x (or x1, x2) and value, one row per node."""
+        names = ["x", "value"] if self.grid.dim == 1 else ["x1", "x2", "value"]
+        write_csv(path, names, [*self.grid.meshes, self.values])
 
 
 def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> PeriodicField:
@@ -199,24 +194,10 @@ def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> Periodic
         raise ParameterError(f"derivative order must lie in [1, 6], got {order}")
     if not (0 <= axis < f.grid.dim):
         raise ParameterError(f"axis {axis} out of range for dim {f.grid.dim}")
-    hat = f.hat
-    xi = f.grid.xi[axis]
-    if f.grid.dim == 1:
-        sym = (1j * xi) ** order
-        if order % 2 == 1:
-            sym[-1] = 0.0
-        out = hat * sym
-    else:
-        sym = (1j * xi) ** order
-        if order % 2 == 1:
-            if axis == 0:
-                sym = sym.copy()
-                sym[f.grid.n // 2, :] = 0.0
-            else:
-                sym = sym.copy()
-                sym[:, -1] = 0.0
-        out = hat * sym
-    return PeriodicField.from_hat(f.grid, out)
+    sym = (1j * f.grid.xi[axis]) ** order
+    if order % 2 == 1:  # the Nyquist mode sits at index n/2 along every axis
+        np.moveaxis(sym, axis, 0)[f.grid.n // 2] = 0.0
+    return PeriodicField.from_hat(f.grid, f.hat * sym)
 
 
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
@@ -300,52 +281,38 @@ class VerticalNodes:
 class ChebOps:
     """Exact collocation operators for profiles sampled at mapped CGL nodes.
 
-    Everything is assembled in Chebyshev coefficient space on the reference
-    variable u in [-1, 1] with y = (u - 1)/2, so differentiation matrices,
-    antiderivative matrices and Gram matrices are exact for polynomials up to
-    the representable degree.
+    Built as the module docstring says, on the reference variable u in
+    [-1, 1] with y = (u - 1)/2.  The columns of the inverse Vandermonde
+    matrix are the cardinal polynomials l_j (degree m-1); their
+    antiderivatives A_j have degree m, so the (m+1)-point Gauss-Legendre
+    rule, exact to degree 2m+1, integrates every Gram product.
     """
 
     def __init__(self, u_nodes: np.ndarray):
         self.u = np.asarray(u_nodes, dtype=float)
-        self.m = len(self.u)
-        m = self.m
-        V = C.chebvander(self.u, m - 1)            # values of T_k at nodes
-        self.coeff = np.linalg.solve(V, np.eye(m))  # nodal values -> coefficients
-        # cardinal polynomial coefficient columns
-        cols = [self.coeff[:, j] for j in range(m)]
-        # d/dy = 2 d/du
-        self.D = np.stack(
-            [C.chebval(self.u, 2.0 * C.chebder(c)) for c in cols], axis=1
-        )
+        self.m = m = len(self.u)
+        coeff = np.linalg.inv(C.chebvander(self.u, m - 1))  # nodal values -> coefficients
+        dcoeff = 2.0 * C.chebder(coeff, axis=0)             # d/dy = 2 d/du
         # first and second antiderivatives with lower bound y = -1 (u = -1)
-        int1 = [C.chebint(c, m=1, lbnd=-1, scl=0.5) for c in cols]
-        int2 = [C.chebint(c, m=2, lbnd=-1, scl=0.5) for c in cols]
-        self.Q = np.stack([C.chebval(self.u, c) for c in int1], axis=1)
-        self.Q2 = np.stack([C.chebval(self.u, c) for c in int2], axis=1)
+        int1 = C.chebint(coeff, m=1, lbnd=-1, scl=0.5, axis=0)
+        int2 = C.chebint(coeff, m=2, lbnd=-1, scl=0.5, axis=0)
+        self.D = C.chebvander(self.u, m - 2) @ dcoeff
+        self.Q = C.chebvander(self.u, m) @ int1
+        self.Q2 = C.chebvander(self.u, m + 1) @ int2
         self.Q[0, :] = 0.0   # running integrals start at the bottom wall
         self.Q2[0, :] = 0.0
-        self.weights = np.array([C.chebval(1.0, c) for c in int1])
-        # first moment row: integral of y * l_j(y) dy over (-1, 0)
-        ymul = np.array([-0.5, 0.5])  # y = (u - 1)/2 as a Chebyshev series
-        self.moment1 = np.array(
-            [C.chebval(1.0, C.chebint(C.chebmul(ymul, c), m=1, lbnd=-1, scl=0.5)) for c in cols]
-        )
-        # Gram matrices over (-1, 0), exact in coefficient space
-        self.M = self._gram(cols, cols)
-        dcols = [2.0 * C.chebder(c) for c in cols]
-        self.K = self._gram(dcols, dcols)
-        self.MA = self._gram(int1, int1)
-        self.C_dA = self._gram(dcols, int1)   # int l_i' * A_j
-        self.M_Al = self._gram(int1, cols)    # int A_i * l_j
-
-    @staticmethod
-    def _gram(rows, cols) -> np.ndarray:
-        out = np.empty((len(rows), len(cols)))
-        for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                out[i, j] = C.chebval(1.0, C.chebint(C.chebmul(a, b), m=1, lbnd=-1, scl=0.5))
-        return out
+        self.weights = int1.sum(axis=0)  # T_k(1) = 1
+        # first moment, integral of y * l_j over (-1, 0); by parts -int A_j
+        self.moment1 = -int2.sum(axis=0)
+        # Gram matrices over (-1, 0): dy = du / 2
+        g, w = np.polynomial.legendre.leggauss(m + 1)
+        L, dL, A = (C.chebvander(g, c.shape[0] - 1) @ c for c in (coeff, dcoeff, int1))
+        wL, wdL, wA = ((0.5 * w[:, None]) * v for v in (L, dL, A))
+        self.M = wL.T @ L
+        self.K = wdL.T @ dL
+        self.MA = wA.T @ A
+        self.C_dA = wdL.T @ A   # int l_i' * A_j
+        self.M_Al = wA.T @ L    # int A_i * l_j
 
     def integrate(self, profile: np.ndarray) -> np.ndarray:
         """Integral over (-1, 0) along the last axis."""
@@ -438,20 +405,7 @@ class ChannelField:
     __rmul__ = __mul__
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            y = self.vnodes.nodes
-            if self.grid.dim == 1:
-                writer.writerow(["x", "y3", "value"])
-                for i, x in enumerate(self.grid.nodes[0]):
-                    for k in range(self.vnodes.m):
-                        writer.writerow([repr(float(x)), repr(float(y[k])), repr(float(self.values[i, k]))])
-            else:
-                writer.writerow(["x1", "x2", "y3", "value"])
-                X, Y = self.grid.meshes
-                for idx in np.ndindex(*self.grid.shape):
-                    for k in range(self.vnodes.m):
-                        writer.writerow([
-                            repr(float(X[idx])), repr(float(Y[idx])),
-                            repr(float(y[k])), repr(float(self.values[idx + (k,)])),
-                        ])
+        """Write x (or x1, x2), y3 and value, one row per node, y3 fastest."""
+        names = ["x", "y3", "value"] if self.grid.dim == 1 else ["x1", "x2", "y3", "value"]
+        write_csv(path, names,
+                  [*(X[..., None] for X in self.grid.meshes), self.vnodes.nodes, self.values])

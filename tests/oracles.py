@@ -150,3 +150,125 @@ def hand_built_rate_config(doc: dict):
         rho_f=doc["rho_f"], rho_s=doc["rho_s"], B=doc["B"], nu=doc["nu"],
         theta=doc["theta"],
     )
+
+
+class LoopChebOps:
+    """The Chebyshev operators built entry by entry through per-column
+    `chebint`/`chebmul` loops, the way `spectral.ChebOps` assembled them
+    before it moved to matrix algebra and one Gauss-Legendre rule."""
+
+    def __init__(self, u_nodes: np.ndarray):
+        from numpy.polynomial import chebyshev as C
+
+        self.u = np.asarray(u_nodes, dtype=float)
+        self.m = m = len(self.u)
+        V = C.chebvander(self.u, m - 1)
+        coeff = np.linalg.solve(V, np.eye(m))
+        cols = [coeff[:, j] for j in range(m)]
+        self.D = np.stack([C.chebval(self.u, 2.0 * C.chebder(c)) for c in cols], axis=1)
+        int1 = [C.chebint(c, m=1, lbnd=-1, scl=0.5) for c in cols]
+        int2 = [C.chebint(c, m=2, lbnd=-1, scl=0.5) for c in cols]
+        self.Q = np.stack([C.chebval(self.u, c) for c in int1], axis=1)
+        self.Q2 = np.stack([C.chebval(self.u, c) for c in int2], axis=1)
+        self.Q[0, :] = 0.0
+        self.Q2[0, :] = 0.0
+        self.weights = np.array([C.chebval(1.0, c) for c in int1])
+        ymul = np.array([-0.5, 0.5])
+        self.moment1 = np.array(
+            [C.chebval(1.0, C.chebint(C.chebmul(ymul, c), m=1, lbnd=-1, scl=0.5)) for c in cols]
+        )
+
+        def gram(rows, columns):
+            out = np.empty((len(rows), len(columns)))
+            for i, a in enumerate(rows):
+                for j, b in enumerate(columns):
+                    out[i, j] = C.chebval(1.0, C.chebint(C.chebmul(a, b), m=1, lbnd=-1, scl=0.5))
+            return out
+
+        dcols = [2.0 * C.chebder(c) for c in cols]
+        self.M = gram(cols, cols)
+        self.K = gram(dcols, dcols)
+        self.MA = gram(int1, int1)
+        self.C_dA = gram(dcols, int1)
+        self.M_Al = gram(int1, cols)
+
+
+# The row-loop CSV writers the field, ledger and CLI artifacts used before
+# they shared one writer.  The `csv` module ends rows with "\r\n".
+
+def periodic_field_csv(f, path) -> None:
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if f.grid.dim == 1:
+            writer.writerow(["x", "value"])
+            for x, v in zip(f.grid.nodes[0], f.values):
+                writer.writerow([repr(float(x)), repr(float(v))])
+        else:
+            writer.writerow(["x1", "x2", "value"])
+            X, Y = f.grid.meshes
+            for x, y, v in zip(X.ravel(), Y.ravel(), f.values.ravel()):
+                writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+
+
+def channel_field_csv(f, path) -> None:
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        y = f.vnodes.nodes
+        if f.grid.dim == 1:
+            writer.writerow(["x", "y3", "value"])
+            for i, x in enumerate(f.grid.nodes[0]):
+                for k in range(f.vnodes.m):
+                    writer.writerow([repr(float(x)), repr(float(y[k])), repr(float(f.values[i, k]))])
+        else:
+            writer.writerow(["x1", "x2", "y3", "value"])
+            X, Y = f.grid.meshes
+            for idx in np.ndindex(*f.grid.shape):
+                for k in range(f.vnodes.m):
+                    writer.writerow([
+                        repr(float(X[idx])), repr(float(Y[idx])),
+                        repr(float(y[k])), repr(float(f.values[idx + (k,)])),
+                    ])
+
+
+def ledger_csv(ledger, path) -> None:
+    import csv
+
+    cols = ["step", "t", "fluid_kinetic", "plate_kinetic", "bending",
+            "viscous_dissipation", "viscoelastic_dissipation",
+            "numerical_dissipation", "work", "slack"]
+    slack = ledger.slack()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for i in range(len(ledger)):
+            writer.writerow([
+                i + 1, repr(ledger.t[i]), repr(ledger.fluid_kinetic[i]),
+                repr(ledger.plate_kinetic[i]), repr(ledger.bending[i]),
+                repr(ledger.viscous_dissipation[i]),
+                repr(ledger.viscoelastic_dissipation[i]),
+                repr(ledger.numerical_dissipation[i]),
+                repr(ledger.work[i]), repr(float(slack[i])),
+            ])
+
+
+def trajectory_csv(rows, n: int, path) -> None:
+    """thinfilm `trajectory.csv` from (t, eta values) snapshot rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        header = ["t"] + [f"eta_{i:04d}" for i in range(n)]
+        fh.write(",".join(header) + "\n")
+        for t, vals in rows:
+            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in vals]) + "\n")
+
+
+def reports_csv(reports, path) -> None:
+    """rates `reports.csv` from the ladder's error reports."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("eps,kappa,err_velocity,err_pressure,err_displacement,energy_ratio\n")
+        for r in reports:
+            fh.write(",".join(repr(float(v)) for v in (
+                r.eps, r.kappa, r.err_velocity, r.err_pressure,
+                r.err_displacement, r.energy_ratio)) + "\n")

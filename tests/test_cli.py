@@ -1,12 +1,13 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from lubelastic import cli, scaling, verify
+from lubelastic import cli, scaling, thinfilm, verify
 from lubelastic.errors import AssemblyError, DegenerateFitError, UsageError
 
-from oracles import hand_built_rate_config
+from oracles import hand_built_rate_config, reports_csv, trajectory_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -116,6 +117,16 @@ BAD_DOCUMENTS = {
     "fsi-stride-zero": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01,
                                    snapshot_stride=0),
     "thinfilm-stride-zero": preset_with("stf-bending", n=32, steps=5, snapshot_stride=0),
+    "fsi-ramp-time-zero": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01, forcing={
+        "kind": "harmonic-ramp", "ramp_time": 0.0}),
+    "fsi-component-above-dim": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01, forcing={
+        "kind": "harmonic-ramp", "component": 5}),
+    "fsi-component-negative": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01, forcing={
+        "kind": "harmonic-ramp", "component": -1}),
+    "rates-ramp-time-zero": preset_with("theorem-e0-kappa2", ramp_time=0.0),
+    "rates-component-above-dim": preset_with("theorem-e0-kappa2", component=2),
+    "eta0-wavenumber-aliased": preset_with("reynolds-slider", n=64, eta0={
+        "kind": "one-plus-sin", "amplitude": 0.5, "wavenumber": 100}),
 }
 _COMMAND = {"thinfilm": ["thinfilm", "run"], "fsi": ["fsi", "run"],
             "reynolds": ["reynolds", "solve"], "rates": ["verify", "rates"]}
@@ -326,7 +337,11 @@ class TestFsiCommand:
 
 
 class TestRatesCommand:
-    def test_mini_ladder(self, tmp_path):
+    def test_mini_ladder(self, tmp_path, monkeypatch):
+        studies = []
+        study = verify.run_rate_study
+        monkeypatch.setattr(verify, "run_rate_study",
+                            lambda *a, **kw: studies.append(study(*a, **kw)) or studies[-1])
         doc = cli.preset_config("theorem-e0-kappa2")
         doc.update({"eps_list": [0.125, 0.0625, 0.03125], "n": 8, "m": 10,
                     "dt": 1e-3, "t_end": 0.05, "snapshot_stride": 10})
@@ -342,6 +357,8 @@ class TestRatesCommand:
         assert rates["energy_audit_ok"] is True
         for entry in rates["rates"].values():
             assert "slope" in entry and "r2" in entry and "pass" in entry
+        reports_csv(studies[0].reports, tmp_path / "oracle.csv")
+        assert (out / "reports.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_two_point_ladder_rejected_before_any_work(self, tmp_path, monkeypatch):
         calls = []
@@ -365,3 +382,61 @@ class TestRatesCommand:
         assert m1 == m2
         assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
         assert (out1 / "rates.json").read_bytes() == (out2 / "rates.json").read_bytes()
+
+
+# One small document per mode that writes snapshot series, plus a 2D fsi run.
+ARTIFACT_DOCUMENTS = {
+    "fsi-1d": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01, snapshot_stride=5),
+    "fsi-2d": preset_with("fsi-single-mode", dim=2, n=8, m=10, t_end=0.004,
+                          snapshot_stride=2, forcing={"kind": "harmonic-ramp"}),
+    "thinfilm": preset_with("stf-bending", n=32, steps=6, snapshot_stride=3),
+    "reynolds": preset_with("reynolds-slider", n=64),
+}
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("label", sorted(ARTIFACT_DOCUMENTS))
+    def test_every_file_is_renamed_into_place(self, label, tmp_path, monkeypatch):
+        targets = []
+        rename = os.replace
+
+        def recording_replace(src, dst):
+            targets.append(os.path.basename(dst))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        manifest = cli.run(ARTIFACT_DOCUMENTS[label], output_dir=str(tmp_path / "out"))
+        assert sorted(targets) == sorted(manifest["files"] + ["manifest.json"])
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(targets)  # no temp files left
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["022", "027"])
+    def test_files_keep_umask_mode(self, umask, mode, tmp_path):
+        previous = os.umask(umask)
+        try:
+            cli.run(ARTIFACT_DOCUMENTS["fsi-1d"], output_dir=str(tmp_path / "out"))
+        finally:
+            os.umask(previous)
+        modes = {f.name: f.stat().st_mode & 0o777 for f in (tmp_path / "out").iterdir()}
+        assert len(modes) > 10
+        assert set(modes.values()) == {mode}, modes
+
+    def test_trajectory_csv_matches_row_writer(self, tmp_path, monkeypatch):
+        # record the initial state and every state the integrator returns, then
+        # rebuild the rows the way the CLI selects them: every third one
+        states = []
+        step = thinfilm.step
+
+        def recording_step(model, state, dt):
+            if not states:
+                states.append(state)
+            states.append(step(model, state, dt))
+            return states[-1]
+
+        monkeypatch.setattr(thinfilm, "step", recording_step)
+        cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
+        assert len(states) == 7
+        rows = [(s.t, s.eta.values) for s in states[::3]]
+        trajectory_csv(rows, 32, tmp_path / "oracle.csv")
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())

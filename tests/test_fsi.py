@@ -13,6 +13,8 @@ import pytest
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError, RegimeError
 
+from oracles import ledger_csv
+
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
 
@@ -277,6 +279,13 @@ class TestInvariantsAndRuns:
             assert len(row) == len(rows[0])
             for value in row:
                 float(value)  # plain numbers, no numpy reprs
+
+    def test_ledger_csv_matches_row_writer(self, tmp_path):
+        traj = lb.run_fsi(make_params(dt=1e-3), 0.01, snapshot_stride=5)
+        traj.ledger.to_csv(tmp_path / "new.csv")
+        ledger_csv(traj.ledger, tmp_path / "old.csv")
+        want = (tmp_path / "old.csv").read_bytes().replace(b"\r\n", b"\n")
+        assert (tmp_path / "new.csv").read_bytes() == want
 
     def test_settled_plate_passes_invariants(self):
         # the top velocity decays once the plate settles; the kinematic gap is

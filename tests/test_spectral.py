@@ -15,6 +15,8 @@ from lubelastic.spectral import (
     vertical_integral,
 )
 
+from oracles import LoopChebOps, channel_field_csv, periodic_field_csv
+
 
 @pytest.fixture
 def grid1():
@@ -200,6 +202,42 @@ class TestVerticalNodes:
         assert out.shape == (2,)
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(-0.5)
+
+
+class TestChebOpsOracle:
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 20, 24, 32, 48])
+    def test_matches_loop_build(self, m):
+        u = VerticalNodes(m)._u
+        ops, ref = spectral.ChebOps(u), LoopChebOps(u)
+        for name in ("D", "Q", "Q2", "weights", "moment1", "M", "K", "MA", "C_dA", "M_Al"):
+            want = getattr(ref, name)
+            got = getattr(ops, name)
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _oracle_bytes(oracle, fld, path):
+    oracle(fld, path)
+    return path.read_bytes().replace(b"\r\n", b"\n")
+
+
+class TestCsvOracle:
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_periodic_field(self, dim, n, tmp_path):
+        rng = np.random.default_rng(3)
+        f = PeriodicField(PeriodicGrid(dim=dim, n=n), rng.standard_normal((n,) * dim))
+        f.to_csv(tmp_path / "new.csv")
+        want = _oracle_bytes(periodic_field_csv, f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_channel_field(self, dim, n, tmp_path):
+        rng = np.random.default_rng(4)
+        grid, vn = PeriodicGrid(dim=dim, n=n), VerticalNodes(6)
+        f = ChannelField(grid, vn, rng.standard_normal(grid.shape + (vn.m,)))
+        f.to_csv(tmp_path / "new.csv")
+        want = _oracle_bytes(channel_field_csv, f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == want
 
 
 class TestChannelField:
