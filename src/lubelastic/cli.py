@@ -435,9 +435,13 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
     traj = run_fsi(params, cfg.t_end, snapshot_stride=cfg.snapshot_stride)
     written = traj.save(outdir)
     audit = verify.energy_audit(traj.ledger, params)
+    slack_rel = traj.ledger.slack() / traj.ledger.scale()
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {
         "energy_audit_ok": bool(audit.ok),
+        "max_identity_residual_rel": float(np.max(traj.ledger.identity_residual_rel())),
+        "min_slack_rel": float(np.min(slack_rel)),
+        "min_slack_step": int(np.argmin(slack_rel)) + 1,
         "terminal_energy": float(traj.ledger.total_energy()[-1]),
         "terminal_lhs": float(traj.ledger.lhs()[-1]),
         "terminal_work": float(traj.ledger.work[-1]),

@@ -19,10 +19,12 @@ discrete system with its own solution yields the discrete energy identity
     E(t_n) + sum(viscous + plate dissipation + numerical dissipation)
         = sum(work of forcing)
 
-to roundoff, with every dissipation term nonnegative.  The pressure is not a
-primal unknown; it is recovered from the horizontal momentum balance per
-mode, and for the zero mode from the vertical momentum balance pinned by the
-plate row.
+to roundoff, with every dissipation term nonnegative.  The step's mass
+product and the ledger's quadratic forms are batched real products of the
+stored per-mode matrices with the coefficients' real and imaginary parts.
+The pressure is not a primal unknown; it is recovered from the horizontal
+momentum balance per mode, and for the zero mode from the vertical momentum
+balance pinned by the plate row.
 """
 from __future__ import annotations
 
@@ -208,6 +210,14 @@ class EnergyLedger:
         """lhs including numerical dissipation minus work; zero to roundoff."""
         return self.lhs(include_numerical=True) - np.array(self.work)
 
+    def scale(self) -> np.ndarray:
+        """Per-step max(|lhs including numerical dissipation|, |work|, 1e-300)."""
+        return np.maximum(np.abs(self.lhs(True)), np.maximum(np.abs(self.work), 1e-300))
+
+    def identity_residual_rel(self) -> np.ndarray:
+        """|identity_residual| relative to the step's scale()."""
+        return np.abs(self.identity_residual()) / self.scale()
+
     def total_energy(self) -> np.ndarray:
         return (np.array(self.fluid_kinetic) + np.array(self.plate_kinetic)
                 + np.array(self.bending))
@@ -281,9 +291,11 @@ class _Assembled:
             blk = coef_ab[:, :, None, :, None] * mat[None, None, :, None, :]
             return blk.reshape(K, s, s)
 
-        mass = blockify(np.broadcast_to(eye, (K, dh, dh)).copy(), Mi) \
+        # one buffer holds mass and viscosity, so one product applies both
+        mass, visc = mass_visc = np.empty((2, K, s, s))
+        mass[...] = blockify(np.broadcast_to(eye, (K, dh, dh)).copy(), Mi) \
             + eps**2 * blockify(outer, MAi)
-        visc = (
+        visc[...] = (
             blockify(0.5 * xi2[:, None, None] * eye, Mi)
             + blockify(1.5 * outer, Mi)
             + 0.5 * (
@@ -313,17 +325,26 @@ class _Assembled:
         Linv = np.linalg.inv(L)
 
         self.A = A
-        self.mass = mass
-        self.visc = visc
+        self.mass_visc = mass_visc
+        self.mass, self.visc = mass_visc
         self.g = g
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every mode's system for a stacked complex right-hand side
-        (K, s); the real and imaginary parts share one batched product."""
-        sol = self.inv @ np.stack([rhs.real, rhs.imag], axis=2)
-        return sol[:, :, 0] + 1j * sol[:, :, 1]
+        """Solve every mode's system for a stacked complex right-hand side (K, s)."""
+        return _apply(self.inv, rhs)
+
+
+def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Real stacked matrices (..., K, r, s) times complex vectors (K, s): one
+    real matmul on the interleaved real and imaginary parts, without copies."""
+    return (mats @ c.view(float).reshape(c.shape + (2,))).view(complex)[..., 0]
+
+
+def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum_k w_k Re(conj(a_k) . b_k) for complex stacks (K, s)."""
+    return float(w @ (a.view(float) * b.view(float)).sum(axis=1))
 
 
 class _SpectralState:
@@ -453,12 +474,14 @@ class FsiSolver:
         return FsiState(v=tuple(comps), p=p, eta=eta, eta_t=eta_t, t=spec.t)
 
     def _forcing_hat(self, t: float) -> np.ndarray:
+        """Forcing coefficients; a component that carries no load stays zero."""
         comps = self.params.forcing(t)
         grid = self.params.grid
         m = self.params.vnodes.m
-        out = np.empty((len(comps), self.K, m), dtype=complex)
+        out = np.zeros((len(comps), self.K, m), dtype=complex)
         for i, comp in enumerate(comps):
-            out[i] = grid.rfft(np.asarray(comp, dtype=float)).reshape(self.K, m)
+            if np.any(comp):
+                out[i] = grid.rfft(np.asarray(comp, dtype=float)).reshape(self.K, m)
         return out
 
     # -- stepping --------------------------------------------------------
@@ -483,34 +506,32 @@ class FsiSolver:
                 + 1j * eps * self.xi[:, a][:, None] * f3q
             )
 
-        mass_cn = np.einsum("kij,kj->ki", asm.mass, spec.c)
+        mass_old = _apply(asm.mass, spec.c)
         plate_rhs = (1j * self.coef["plate_test"]) * (
             self.coef["plate_kin"] * spec.eta_t / dt
             - self.coef["bend"] * asm.xi4 * spec.eta
         )
         rhs = (
-            (self.coef["fluid_mass"] / dt) * mass_cn
+            (self.coef["fluid_mass"] / dt) * mass_old
             + eps * Fq
             + plate_rhs[:, None] * asm.g
         )
         c_new = asm.solve(rhs)
-        eta_t_new = -1j * self.coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new)
+        eta_t_new = -1j * self.coef["trace"] * (asm.g * c_new).sum(axis=1)
         eta_new = spec.eta + dt * eta_t_new
 
         new = _SpectralState(c_new, eta_new, eta_t_new, t_new)
-        inc = self._ledger_increments(asm, spec, new, Fq, dt)
-        return new, inc
+        mass_new, visc_new = _apply(asm.mass_visc, c_new)
+        return new, self._ledger_increments(asm, spec, new, Fq, dt, mass_old, mass_new, visc_new)
 
-    def _ledger_increments(self, asm, old, new, Fq, dt):
+    def _ledger_increments(self, asm, old, new, Fq, dt, mass_old, mass_new, visc_new):
         w = self._w
         coef = self.coef
-        mass_q = lambda c: np.einsum("ks,kst,kt->", w[:, None] * np.conj(c), asm.mass, c).real
-        visc_q = np.einsum("ks,kst,kt->", w[:, None] * np.conj(new.c), asm.visc, new.c).real
         eps = self.params.model.eps
         dc = new.c - old.c
         d_eta = new.eta - old.eta
         d_eta_t = new.eta_t - old.eta_t
-        ef = 0.5 * self.params.model.rho_f * eps * mass_q(new.c)
+        ef = 0.5 * self.params.model.rho_f * eps * _re_inner(w, new.c, mass_new)
         epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(new.eta_t) ** 2)
         eb = 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(new.eta) ** 2)
         if min(ef, epk, eb) < -1e-12 * max(ef, epk, eb, 1e-300):
@@ -518,14 +539,14 @@ class FsiSolver:
                 f"negative energy encountered (fluid {ef:.3e}, plate {epk:.3e}, "
                 f"bending {eb:.3e}); quadratic-form assembly is inconsistent"
             )
-        dn = (
-            0.5 * self.params.model.rho_f * eps * mass_q(dc)
+        dn = (  # M dc is the difference of the two mass products
+            0.5 * self.params.model.rho_f * eps * _re_inner(w, dc, mass_new - mass_old)
             + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(d_eta_t) ** 2)
             + 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(d_eta) ** 2)
         )
-        dv = dt * coef["work"] * visc_q
+        dv = dt * coef["work"] * _re_inner(w, new.c, visc_new)
         dve = dt * coef["viscoelastic"] * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2)
-        work = dt * coef["work"] * np.sum(w * (Fq * np.conj(new.c)).sum(axis=1).real)
+        work = dt * coef["work"] * _re_inner(w, new.c, Fq)
         return dict(fluid_kinetic=float(ef), plate_kinetic=float(epk), bending=float(eb),
                     numerical=float(dn), viscous=float(dv), viscoelastic=float(dve),
                     work=float(work))
@@ -628,8 +649,7 @@ def step_fsi(params: FsiParams, state: FsiState) -> FsiState:
     solver = FsiSolver(params)
     spec = solver.from_state(state)
     new, _ = solver.advance(spec)
-    fhat = solver._forcing_hat(new.t)
-    phat = solver.pressure_hat(spec, new, fhat, params.dt)
+    phat = solver.pressure_hat(spec, new, solver._forcing_hat(new.t), params.dt)
     return solver.materialize(new, phat)
 
 

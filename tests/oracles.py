@@ -272,3 +272,71 @@ def reports_csv(reports, path) -> None:
             fh.write(",".join(repr(float(v)) for v in (
                 r.eps, r.kappa, r.err_velocity, r.err_pressure,
                 r.err_displacement, r.energy_ratio)) + "\n")
+
+
+# The coupled step as `fsi.FsiSolver.advance` took it before the mass
+# product and the ledger's quadratic forms became batched real products:
+# every forcing component transformed, M c and the three quadratic forms by
+# `einsum`, and the solve on stacked real and imaginary parts.
+
+def einsum_forcing_hat(solver, t):
+    comps = solver.params.forcing(t)
+    grid = solver.params.grid
+    m = solver.params.vnodes.m
+    out = np.empty((len(comps), solver.K, m), dtype=complex)
+    for i, comp in enumerate(comps):
+        out[i] = grid.rfft(np.asarray(comp, dtype=float)).reshape(solver.K, m)
+    return out
+
+
+def einsum_ledger_increments(solver, asm, old, new, Fq, dt):
+    w = solver._w
+    coef = solver.coef
+    rho_f = solver.params.model.rho_f
+    eps = solver.params.model.eps
+    mass_q = lambda c: np.einsum("ks,kst,kt->", w[:, None] * np.conj(c), asm.mass, c).real
+    visc_q = np.einsum("ks,kst,kt->", w[:, None] * np.conj(new.c), asm.visc, new.c).real
+    dc = new.c - old.c
+    d_eta = new.eta - old.eta
+    d_eta_t = new.eta_t - old.eta_t
+    return dict(
+        fluid_kinetic=float(0.5 * rho_f * eps * mass_q(new.c)),
+        plate_kinetic=float(0.5 * coef["plate_kin"] * np.sum(w * np.abs(new.eta_t) ** 2)),
+        bending=float(0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(new.eta) ** 2)),
+        numerical=float(
+            0.5 * rho_f * eps * mass_q(dc)
+            + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(d_eta_t) ** 2)
+            + 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(d_eta) ** 2)),
+        viscous=float(dt * coef["work"] * visc_q),
+        viscoelastic=float(dt * coef["viscoelastic"]
+                           * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2)),
+        work=float(dt * coef["work"] * np.sum(w * (Fq * np.conj(new.c)).sum(axis=1).real)),
+    )
+
+
+def einsum_advance(solver, spec, t_new):
+    """One backward-Euler step of `solver` from `spec`; returns
+    (new_state, ledger_increments) like `FsiSolver.advance`."""
+    from lubelastic.fsi import _SpectralState
+
+    dt = solver.params.dt
+    asm = solver.assembled()
+    dh = solver.params.grid.dim
+    eps = solver.params.model.eps
+    coef = solver.coef
+    mi = solver.mi
+    fhat = einsum_forcing_hat(solver, t_new)
+    Fq = np.empty((solver.K, solver.s), dtype=complex)
+    f3q = fhat[dh] @ solver._MAint.T
+    for a in range(dh):
+        Fq[:, a * mi:(a + 1) * mi] = (fhat[a] @ solver._Mint.T
+                                      + 1j * eps * solver.xi[:, a][:, None] * f3q)
+    mass_cn = np.einsum("kij,kj->ki", asm.mass, spec.c)
+    plate_rhs = (1j * coef["plate_test"]) * (
+        coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
+    rhs = (coef["fluid_mass"] / dt) * mass_cn + eps * Fq + plate_rhs[:, None] * asm.g
+    sol = asm.inv @ np.stack([rhs.real, rhs.imag], axis=2)
+    c_new = sol[:, :, 0] + 1j * sol[:, :, 1]
+    eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new)
+    new = _SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
+    return new, einsum_ledger_increments(solver, asm, spec, new, Fq, dt)

@@ -323,6 +323,25 @@ class TestFsiCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "energy_ledger.csv" in manifest["files"]
 
+    @pytest.mark.parametrize("update", [
+        {"n": 8, "m": 12, "dt": 1e-3, "t_end": 0.01, "snapshot_stride": 5},
+        {"dim": 2, "n": 8, "m": 10, "dt": 1e-3, "t_end": 0.01, "snapshot_stride": 5,
+         "forcing": {"kind": "harmonic-ramp", "wavevector": [1, 2], "component": 2,
+                     "ramp_time": 0.02}},
+    ])
+    def test_summary_health_fields(self, tmp_path, update):
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update(update)
+        out = tmp_path / "out"
+        assert cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                         "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert 0.0 <= summary["max_identity_residual_rel"] <= 1e-12
+        # the slack equals the numerical dissipation up to roundoff, so it is
+        # positive once the load moves the fluid
+        assert 0.0 < summary["min_slack_rel"] <= 1.0
+        assert summary["min_slack_step"] in range(1, 11)  # t_end / dt steps
+
 
     def test_unresolved_wavevector_exits_2(self, tmp_path, capsys):
         doc = cli.preset_config("fsi-single-mode")

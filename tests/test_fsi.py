@@ -393,3 +393,91 @@ class TestSparseLuOracle:
                     <= 1e-12 * v_scale)
             assert (np.max(np.abs(a.p.values - b.p.values))
                     <= 1e-11 * np.max(np.abs(a.p.values)))
+
+
+def _bump_forcing(grid, vn, component, ramp_time=0.02):
+    """A localized 2D load with a depth-varying profile in one component."""
+    X, Y = grid.meshes
+    bump = np.exp((np.cos(2 * np.pi * (X - 0.3)) + np.cos(2 * np.pi * (Y - 0.7)) - 2.0)
+                  / (2 * np.pi**2 * 0.08**2))
+    profile = bump[..., None] * (1.0 + vn.nodes)
+    zero = np.zeros(grid.shape + (vn.m,))
+
+    def forcing(t):
+        r = lb.fsi.smooth_ramp(t, ramp_time)
+        return tuple(r * profile if i == component else zero for i in range(grid.dim + 1))
+
+    return forcing
+
+
+class TestEinsumLedgerOracle:
+    @pytest.mark.parametrize("dim, eps, component", [
+        (1, 2.0**-3, 0), (1, 2.0**-3, 1),
+        (2, 2.0**-3, 0), (2, 2.0**-3, 2), (2, 2.0**-6, 0), (2, 2.0**-6, 2),
+    ])
+    def test_batched_step_matches_einsum_step(self, dim, eps, component):
+        # the mass product and the ledger's quadratic forms used to be
+        # einsum contractions, and every forcing component was transformed;
+        # step the same state through both paths
+        from oracles import einsum_advance
+
+        grid = lb.PeriodicGrid(dim=dim, n=16)
+        vn = lb.VerticalNodes(20 if dim == 1 else 12)
+        if dim == 1:
+            forcing = lb.harmonic_ramp_forcing(grid, vn, component=component, ramp_time=0.02)
+        else:
+            forcing = _bump_forcing(grid, vn, component)
+        model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
+        solver = lb.FsiSolver(params)
+        asm = solver.assembled()
+        spec = solver.zero_state()
+        for i in range(25):
+            t_new = (i + 1) * params.dt
+            new, inc = solver.advance(spec, t_new=t_new)
+            ref, ref_inc = einsum_advance(solver, spec, t_new)
+            scale = max(abs(v) for v in ref_inc.values())
+            assert scale > 0
+            assert inc.keys() == ref_inc.keys()
+            for key in inc:
+                assert abs(inc[key] - ref_inc[key]) <= 1e-12 * scale, key
+            for a, b in ((new.c, ref.c), (new.eta, ref.eta)):
+                assert np.max(np.abs(b)) > 0
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            # the plate velocity is a strongly cancelling sum g . c: any
+            # float64 summation of it, the einsum's included, lies ~1e-12
+            # relative from the exact sum, so its roundoff is measured
+            # against the size of the summands
+            terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
+            assert np.max(np.abs(new.eta_t - ref.eta_t)) <= 1e-13 * terms
+            spec = new
+
+
+class TestForcingTransforms:
+    @staticmethod
+    def _count_transforms(monkeypatch, params, nsteps):
+        calls = []
+        rfft = lb.PeriodicGrid.rfft
+
+        def counting(grid, values):
+            calls.append(1)
+            return rfft(grid, values)
+
+        monkeypatch.setattr(lb.PeriodicGrid, "rfft", counting)
+        traj = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=nsteps,
+                          with_pressure=False)
+        return len(calls), traj
+
+    def test_only_loaded_component_transformed(self, monkeypatch):
+        params = make_params(dim=2, n=8, m=10, dt=1e-3)
+        count, traj = self._count_transforms(monkeypatch, params, 10)
+        assert count == 10
+        assert traj.ledger.work[-1] > 0
+
+    def test_zero_forcing_makes_no_transform(self, monkeypatch):
+        grid = lb.PeriodicGrid(dim=2, n=8)
+        vn = lb.VerticalNodes(10)
+        params = make_params(dim=2, n=8, m=10, dt=1e-3, forcing=lb.zero_forcing(grid, vn))
+        count, traj = self._count_transforms(monkeypatch, params, 10)
+        assert count == 0
+        assert all(w == 0.0 for w in traj.ledger.work)
