@@ -220,6 +220,8 @@ class ThinFilmRun:
     nonlinear_scaling: NonlinearScaling | None = None
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ParameterError(f"steps must be at least 1, got {self.steps}")
         if self.snapshot_stride is None:
             object.__setattr__(self, "snapshot_stride", max(1, self.steps // 10))
         elif self.snapshot_stride < 1:
@@ -384,16 +386,20 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
         potential_dPhi=cfg.potential, v_D=cfg.v_D,
         drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized,
     )
-    state = thinfilm.FilmState(cfg.eta0.sample(grid), 0.0)
+    eta0 = cfg.eta0.sample(grid)
+    if not cfg.linearized and eta0.values.min() <= 0.0:
+        raise ParameterError("initial height must be positive under cubic mobility, "
+                             f"min is {eta0.values.min():.3e}")
+    state = thinfilm.FilmState(eta0, 0.0)
     mass0 = state.eta.mean()
     rows = [(0.0, state.eta.values.copy())]
-    energy = [thinfilm.film_energy(model, state.eta)]
+    energy = [thinfilm.film_energy(model, state)]
     energy_t = [0.0]
     min_eta = float(state.eta.values.min())
     for i in range(cfg.steps):
         state = thinfilm.step(model, state, cfg.dt)
         min_eta = min(min_eta, float(state.eta.values.min()))
-        energy.append(thinfilm.film_energy(model, state.eta))
+        energy.append(thinfilm.film_energy(model, state))
         energy_t.append(state.t)
         if (i + 1) % cfg.snapshot_stride == 0 or i == cfg.steps - 1:
             rows.append((state.t, state.eta.values.copy()))

@@ -10,13 +10,16 @@ matrices; the Gram matrices are sums over one (m+1)-point Gauss-Legendre
 rule, which is exact for every product of two profiles, so quadrature is
 exact for every polynomial the solvers produce.
 
-Nonlinear products are formed nodally on a 3/2 zero-padded grid; the cubic
-mobility of the film models aliases badly at marginal resolution otherwise.
+Nonlinear products are formed nodally on a 3/2 zero-padded grid (Orszag's
+rule); the cubic mobility of the film models aliases badly at marginal
+resolution otherwise.  `padded_values` and `truncated_hat` are the two halves
+of that rule and work on coefficients, so a caller that holds a field's
+coefficients pads each distinct factor once, with one transform each way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -190,14 +193,20 @@ def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> Periodic
     Odd orders zero the Nyquist mode (its derivative is not representable on
     the grid) and always return a zero-mean field.
     """
+    return PeriodicField.from_hat(f.grid, f.hat * derivative_symbol(f.grid, order, axis))
+
+
+def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarray:
+    """(i xi)**order along one axis; odd orders zero the Nyquist mode, whose
+    imaginary part no real grid function has."""
     if not (1 <= order <= 6):
         raise ParameterError(f"derivative order must lie in [1, 6], got {order}")
-    if not (0 <= axis < f.grid.dim):
-        raise ParameterError(f"axis {axis} out of range for dim {f.grid.dim}")
-    sym = (1j * f.grid.xi[axis]) ** order
+    if not (0 <= axis < grid.dim):
+        raise ParameterError(f"axis {axis} out of range for dim {grid.dim}")
+    sym = (1j * grid.xi[axis]) ** order
     if order % 2 == 1:  # the Nyquist mode sits at index n/2 along every axis
-        np.moveaxis(sym, axis, 0)[f.grid.n // 2] = 0.0
-    return PeriodicField.from_hat(f.grid, f.hat * sym)
+        sym[(slice(None),) * axis + (grid.n // 2,)] = 0.0
+    return sym
 
 
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
@@ -208,35 +217,36 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
 
 
 def dealiased_product(*factors: PeriodicField) -> PeriodicField:
-    """Nodal product of fields formed on a 3/2 zero-padded grid."""
+    """Nodal product of fields on a 3/2 zero-padded grid; a repeated factor is padded once."""
     if not factors:
         raise ParameterError("need at least one factor")
     grid = factors[0].grid
+    distinct = {id(f): f for f in factors}
+    padded = {key: padded_values(grid, f.hat) for key, f in distinct.items()}
+    prod = reduce(np.multiply, (padded[id(f)] for f in factors))
+    return PeriodicField.from_hat(grid, truncated_hat(grid, prod))
+
+
+def padded_values(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
+    """Nodal values on the 3/2 grid of the field with coefficients hat."""
     n, dim = grid.n, grid.dim
     npad = 3 * n // 2
-    axes = tuple(range(dim))
-    prod = None
-    for f in factors:
-        padded = _pad_hat(f.hat, n, npad, dim)
-        vals = np.fft.irfftn(padded * npad**dim, s=(npad,) * dim, axes=axes)
-        prod = vals if prod is None else prod * vals
-    hat_pad = np.fft.rfftn(prod, axes=axes) / npad**dim
-    return PeriodicField.from_hat(grid, _truncate_hat(hat_pad, n, npad, dim))
-
-
-def _pad_hat(hat: np.ndarray, n: int, npad: int, dim: int) -> np.ndarray:
     if dim == 1:
-        out = np.zeros(npad // 2 + 1, dtype=complex)
-        out[: n // 2 + 1] = hat
-        return out
-    out = np.zeros((npad, npad // 2 + 1), dtype=complex)
-    half = n // 2
-    out[: half + 1, : half + 1] = hat[: half + 1, :]
-    out[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
-    return out
+        pad = np.zeros(npad // 2 + 1, dtype=complex)
+        pad[: n // 2 + 1] = hat
+    else:
+        half = n // 2
+        pad = np.zeros((npad, npad // 2 + 1), dtype=complex)
+        pad[: half + 1, : half + 1] = hat[: half + 1, :]
+        pad[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
+    return np.fft.irfftn(pad * npad**dim, s=(npad,) * dim, axes=tuple(range(dim)))
 
 
-def _truncate_hat(hat_pad: np.ndarray, n: int, npad: int, dim: int) -> np.ndarray:
+def truncated_hat(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Coefficients on the grid of a nodal field sampled on its 3/2 grid."""
+    n, dim = grid.n, grid.dim
+    npad = 3 * n // 2
+    hat_pad = np.fft.rfftn(values, axes=tuple(range(dim))) / npad**dim
     if dim == 1:
         return hat_pad[: n // 2 + 1].copy()
     half = n // 2

@@ -13,7 +13,12 @@ the cubic mobility by the constant coefficient c.
 Time stepping is semi-implicit: the leading operator with the mobility
 frozen at its maximum is inverted through its Fourier symbol, everything
 else is explicit.  The divergence form is applied spectrally as the last
-operation, so the mean of eta is conserved to roundoff.
+operation, so the mean of eta is conserved to roundoff.  A `FilmState`
+carries the Fourier coefficients of eta beside its nodal values, so a step
+transforms each distinct factor once: one padded inverse transform each for
+eta and d^alpha eta, one forward transform of the padded flux, and one
+inverse transform of the new coefficients for the positivity check.
+`film_energy` reads the coefficients the state holds.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -22,7 +27,7 @@ closed form through the periodic flux balance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,8 +36,11 @@ from .errors import ParameterError, PositivityError
 from .spectral import (
     PeriodicField,
     dealiased_product,
+    derivative_symbol,
     laplacian_symbol,
+    padded_values,
     spectral_derivative,
+    truncated_hat,
 )
 
 POSITIVITY_FLOOR = 1e-6
@@ -72,8 +80,16 @@ class ThinFilmModel:
 
 @dataclass(frozen=True)
 class FilmState:
+    """Film height at time t; hat holds its coefficients, computed from eta
+    when omitted."""
+
     eta: PeriodicField
     t: float = 0.0
+    hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.hat is None:
+            object.__setattr__(self, "hat", self.eta.hat)
 
 
 @dataclass(frozen=True)
@@ -94,35 +110,38 @@ class FilmTrajectory:
 
 def rhs(model: ThinFilmModel, eta: PeriodicField) -> PeriodicField:
     """Spatial right-hand side of the model; zero mean by divergence form."""
+    return PeriodicField.from_hat(eta.grid, _rhs_hat(model, FilmState(eta)))
+
+
+def _rhs_hat(model: ThinFilmModel, state: FilmState) -> np.ndarray:
+    eta, hat = state.eta, state.hat
     if eta.grid.dim != 1:
         raise ParameterError("the film family is one-dimensional")
     if not np.all(np.isfinite(eta.values)):
         raise ParameterError("film height contains non-finite values")
-    xi = eta.grid.xi[0]
-    hat = eta.hat
-    out = np.zeros_like(hat)
+    grid = eta.grid
+    div = derivative_symbol(grid, 1)  # d/dx with the Nyquist mode zeroed
 
     if model.linearized:
-        out += model.sign * model.c * (1j * xi) ** (model.alpha + 1) * hat
+        out = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) * hat
     else:
         if eta.values.min() <= 0.0:
             raise PositivityError(
                 f"nonpositive film height (min {eta.values.min():.3e}) under cubic mobility",
-                last_state=FilmState(eta),
+                last_state=state,
             )
-        d_alpha = spectral_derivative(eta, model.alpha)
-        flux = dealiased_product(eta, eta, eta, d_alpha)
-        out += model.sign * model.mobility_scale * (1j * xi) * flux.hat
+        gain = model.sign * model.mobility_scale
+        slope = gain * padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
         if model.potential_dPhi is not None:
-            dphi = PeriodicField(eta.grid, np.asarray(model.potential_dPhi(eta.values), dtype=float))
-            dphi_x = spectral_derivative(dphi, 1)
-            pot_flux = dealiased_product(eta, eta, eta, dphi_x)
-            out += (1j * xi) * pot_flux.hat
+            dphi = grid.rfft(np.asarray(model.potential_dPhi(eta.values), dtype=float))
+            slope = slope + padded_values(grid, div * dphi)
+        e = padded_values(grid, hat)
+        out = div * truncated_hat(grid, e * e * e * slope)
 
     if model.v_D != 0.0:
-        out -= model.drift_prefactor * model.v_D * (1j * xi) * hat
+        out -= model.drift_prefactor * model.v_D * div * hat
     out[0] = 0.0
-    return PeriodicField.from_hat(eta.grid, out)
+    return out
 
 
 def _frozen_symbol(model: ThinFilmModel, eta: PeriodicField) -> np.ndarray:
@@ -135,14 +154,6 @@ def _frozen_symbol(model: ThinFilmModel, eta: PeriodicField) -> np.ndarray:
     return -gain * xi ** (model.alpha + 1)
 
 
-def _imex_step(model: ThinFilmModel, eta: PeriodicField, dt: float) -> PeriodicField:
-    L = _frozen_symbol(model, eta)
-    n_hat = rhs(model, eta).hat
-    hat = eta.hat
-    new_hat = (hat + dt * (n_hat - L * hat)) / (1.0 - dt * L)
-    return PeriodicField.from_hat(eta.grid, new_hat)
-
-
 def step(model: ThinFilmModel, state: FilmState, dt: float,
          floor: float = POSITIVITY_FLOOR) -> FilmState:
     """Advance the state by dt with one semi-implicit step.
@@ -153,40 +164,42 @@ def step(model: ThinFilmModel, state: FilmState, dt: float,
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    eta = state.eta
+    grid = state.eta.grid
+    cur = state
     remaining = dt
     sub = dt
     halvings = 0
     while remaining > 1e-14 * dt:
         sub = min(sub, remaining)
-        candidate = _imex_step(model, eta, sub)
-        if not model.linearized and candidate.values.min() < floor:
+        L = _frozen_symbol(model, cur.eta)
+        hat = (cur.hat + sub * (_rhs_hat(model, cur) - L * cur.hat)) / (1.0 - sub * L)
+        eta = PeriodicField.from_hat(grid, hat)
+        if not model.linearized and eta.values.min() < floor:
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise PositivityError(
                     f"positivity floor {floor} unreachable after {MAX_HALVINGS} halvings",
-                    last_state=FilmState(eta, state.t + (dt - remaining)),
+                    last_state=cur,
                 )
             sub *= 0.5
             continue
-        eta = candidate
         remaining -= sub
-    return FilmState(eta, state.t + dt)
+        cur = FilmState(eta, state.t + (dt - remaining), hat)
+    return FilmState(cur.eta, state.t + dt, cur.hat)
 
 
-def film_energy(model: ThinFilmModel, eta: PeriodicField) -> float:
+def film_energy(model: ThinFilmModel, state: FilmState) -> float:
     """Diagnostic energy: 1/2 |Lap' eta|^2 for alpha=5, 1/2 |d/dx eta|^2 for
     alpha=3, 1/2 |eta|^2 for alpha=1 and for linearized runs."""
-    hat = eta.hat
-    w = eta.grid.mode_weights
-    xi2 = -laplacian_symbol(eta.grid)
+    grid = state.eta.grid
+    xi2 = -laplacian_symbol(grid)
     if model.linearized or model.alpha == 1:
         sym = np.ones_like(xi2)
     elif model.alpha == 3:
         sym = xi2
     else:
         sym = xi2**2
-    return float(0.5 * np.sum(w * sym * np.abs(hat) ** 2))
+    return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(state.hat) ** 2))
 
 
 def solve_linear_sixth(
@@ -234,9 +247,9 @@ def solve_linear_sixth(
         f = F(t) if callable(F) else F
         return f.hat
 
-    hat = eta0.hat.copy()
-    s_old = source_hat(0.0)
     states = [FilmState(eta0, 0.0)]
+    hat = states[0].hat
+    s_old = source_hat(0.0)
     for i in range(nsteps):
         t_next = (i + 1) * dt
         hat = decay * hat
@@ -245,7 +258,7 @@ def solve_linear_sixth(
             hat = hat + dt * ((phi1 - phi2) * s_old + phi2 * s_new)
             s_old = s_new
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-            states.append(FilmState(PeriodicField.from_hat(grid, hat), t_next))
+            states.append(FilmState(PeriodicField.from_hat(grid, hat), t_next, hat))
     return FilmTrajectory(tuple(states))
 
 

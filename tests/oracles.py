@@ -340,3 +340,89 @@ def einsum_advance(solver, spec, t_new):
     eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new)
     new = _SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
     return new, einsum_ledger_increments(solver, asm, spec, new, Fq, dt)
+
+
+# The film step as `thinfilm.step` took it before the state carried its
+# Fourier coefficients: every sub-step transforms the nodal height afresh,
+# differentiates through a nodal field, and pads every factor of a product
+# separately; every `.hat` is a new forward transform.
+
+def nodal_dealiased_product(*factors):
+    """1D product of fields on the 3/2 grid, each factor padded on its own."""
+    from lubelastic.spectral import PeriodicField
+
+    grid = factors[0].grid
+    n = grid.n
+    npad = 3 * n // 2
+    prod = np.ones(npad)
+    for f in factors:
+        pad = np.zeros(npad // 2 + 1, dtype=complex)
+        pad[: n // 2 + 1] = np.fft.rfft(f.values) / n
+        prod = prod * np.fft.irfft(pad * npad, npad)
+    hat = np.fft.rfft(prod)[: n // 2 + 1] / npad
+    return PeriodicField.from_hat(grid, hat)
+
+
+def nodal_film_rhs(model, eta):
+    from lubelastic.spectral import PeriodicField, spectral_derivative
+
+    xi = eta.grid.xi[0]
+    hat = eta.hat
+    out = np.zeros_like(hat)
+    if model.linearized:
+        out += model.sign * model.c * (1j * xi) ** (model.alpha + 1) * hat
+    else:
+        if eta.values.min() <= 0.0:
+            raise ValueError("nonpositive film height under cubic mobility")
+        d_alpha = spectral_derivative(eta, model.alpha)
+        flux = nodal_dealiased_product(eta, eta, eta, d_alpha)
+        out += model.sign * model.mobility_scale * (1j * xi) * flux.hat
+        if model.potential_dPhi is not None:
+            dphi = PeriodicField(eta.grid, np.asarray(model.potential_dPhi(eta.values), dtype=float))
+            dphi_x = spectral_derivative(dphi, 1)
+            pot_flux = nodal_dealiased_product(eta, eta, eta, dphi_x)
+            out += (1j * xi) * pot_flux.hat
+    if model.v_D != 0.0:
+        out -= model.drift_prefactor * model.v_D * (1j * xi) * hat
+    out[0] = 0.0
+    return PeriodicField.from_hat(eta.grid, out)
+
+
+def nodal_film_step(model, eta, t, dt, floor=1e-6, max_halvings=20):
+    """Advance (eta, t) by dt; returns (eta, t, number of sub-steps tried)."""
+    from lubelastic.spectral import PeriodicField
+
+    xi = eta.grid.xi[0]
+    remaining = dt
+    sub = dt
+    halvings = 0
+    tried = 0
+    while remaining > 1e-14 * dt:
+        tried += 1
+        sub = min(sub, remaining)
+        gain = model.c if model.linearized else model.mobility_scale * float(eta.values.max()) ** 3
+        L = -gain * xi ** (model.alpha + 1)
+        hat = eta.hat
+        new_hat = (hat + sub * (nodal_film_rhs(model, eta).hat - L * hat)) / (1.0 - sub * L)
+        candidate = PeriodicField.from_hat(eta.grid, new_hat)
+        if not model.linearized and candidate.values.min() < floor:
+            halvings += 1
+            if halvings > max_halvings:
+                raise ValueError("positivity floor unreachable")
+            sub *= 0.5
+            continue
+        eta = candidate
+        remaining -= sub
+    return eta, t + dt, tried
+
+
+def nodal_film_energy(model, eta):
+    w = eta.grid.mode_weights
+    xi2 = eta.grid.xi[0] ** 2
+    if model.linearized or model.alpha == 1:
+        sym = np.ones_like(xi2)
+    elif model.alpha == 3:
+        sym = xi2
+    else:
+        sym = xi2**2
+    return float(0.5 * np.sum(w * sym * np.abs(eta.hat) ** 2))

@@ -106,12 +106,12 @@ def test_criterion_4_conservation_and_dissipation():
             model = tf.ThinFilmModel(alpha=alpha, v_D=v_D)
             state = tf.FilmState(eta0, 0.0)
             mass0 = state.eta.mean()
-            energy = tf.film_energy(model, state.eta)
+            energy = tf.film_energy(model, state)
             check_energy = alpha == 5 and v_D == 0.0
             for _ in range(1000):
                 state = tf.step(model, state, dts[alpha])
                 if check_energy:
-                    new_energy = tf.film_energy(model, state.eta)
+                    new_energy = tf.film_energy(model, state)
                     assert new_energy <= energy + 1e-10 * (1 + abs(energy)), \
                         f"energy increased at alpha=5, v_D=0"
                     assert state.eta.values.min() >= 0.1

@@ -127,6 +127,11 @@ BAD_DOCUMENTS = {
     "rates-component-above-dim": preset_with("theorem-e0-kappa2", component=2),
     "eta0-wavenumber-aliased": preset_with("reynolds-slider", n=64, eta0={
         "kind": "one-plus-sin", "amplitude": 0.5, "wavenumber": 100}),
+    "eta0-dips-below-zero": preset_with("tf-surface-tension", eta0={
+        "kind": "one-plus-sin", "amplitude": 1.2, "wavenumber": 1}),
+    "eta0-negative-constant": preset_with("pm-paper", eta0={"kind": "constant", "value": -1.0}),
+    "thinfilm-steps-zero": preset_with("stf-bending", steps=0),
+    "thinfilm-steps-negative": preset_with("stf-bending", steps=-5),
 }
 _COMMAND = {"thinfilm": ["thinfilm", "run"], "fsi": ["fsi", "run"],
             "reynolds": ["reynolds", "solve"], "rates": ["verify", "rates"]}
@@ -203,17 +208,28 @@ class TestDecode:
 
 
 class TestBreakdownPath:
-    def test_nonpositive_initial_profile_exits_3(self, tmp_path):
-        doc = cli.preset_config("stf-bending")
+    def test_height_below_positivity_floor_exits_3(self, tmp_path):
+        # positive, so the document is valid, but no step can keep the 1e-6 floor
+        doc = cli.preset_config("pm-paper")
         doc.update({"n": 32, "steps": 5, "snapshot_stride": 1,
-                    "eta0": {"kind": "one-plus-sin", "amplitude": 1.5,
-                             "wavenumber": 1}})
+                    "eta0": {"kind": "constant", "value": 5e-7}})
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
         rc = cli.main(["thinfilm", "run", "--config", path, "--output", str(out)])
         assert rc == 3
         diag = json.loads((out / "breakdown.json").read_text())
         assert diag["error"] == "numerical breakdown"
+        assert diag["last_valid_time"] == 0.0
+        assert not (out / "manifest.json").exists()
+
+    def test_linearized_run_may_start_nonpositive(self, tmp_path):
+        doc = cli.preset_config("stf-bending")
+        doc.update({"n": 32, "steps": 2, "linearized": True,
+                    "eta0": {"kind": "cosine", "amplitude": 0.3, "wavenumber": 1}})
+        out = tmp_path / "out"
+        rc = cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 0
 
 
     def test_factorization_failure_exits_3(self, tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from lubelastic import cli
 from lubelastic import thinfilm as tf
 from lubelastic.errors import ParameterError, PositivityError
 from lubelastic.spectral import PeriodicField, PeriodicGrid, dealiased_product, spectral_derivative
 
-from oracles import reynolds_fixed_point
+from oracles import nodal_film_energy, nodal_film_step, reynolds_fixed_point
 
 
 @pytest.fixture
@@ -104,6 +105,104 @@ class TestStep:
         with pytest.raises(ParameterError):
             tf.step(model, tf.FilmState(one_plus_sin(grid), 0.0), 0.0)
 
+    def test_nonpositive_state_reports_its_time(self, grid):
+        eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
+        with pytest.raises(PositivityError) as ei:
+            tf.step(tf.ThinFilmModel(alpha=3), tf.FilmState(eta, 2.0), 1e-6)
+        assert ei.value.last_state.t == 2.0
+        assert ei.value.last_state.eta is eta
+
+
+def halving_case():
+    # a deep trough under a floor close to its minimum forces step halving
+    grid = PeriodicGrid(dim=1, n=64)
+    eta0 = PeriodicField.from_function(
+        grid, lambda x: 1.0 - 0.9 * np.exp(-(((x - 0.5) / 0.1) ** 2)))
+    return tf.ThinFilmModel(alpha=3, v_D=1.0), eta0, 1e-4
+
+
+def oracle_case(label):
+    grid = PeriodicGrid(dim=1, n=64)
+    if label == "alpha3-potential":
+        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=lambda eta: 0.3 * eta**2)
+        return model, one_plus_sin(grid), 1e-6, 200, tf.POSITIVITY_FLOOR
+    if label == "linearized-alpha5":
+        eta0 = PeriodicField.from_function(
+            grid, lambda x: 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x))
+        model = tf.ThinFilmModel(alpha=5, c=1.0, v_D=1.0, linearized=True)
+        return model, eta0, 1e-7, 200, tf.POSITIVITY_FLOOR
+    if label == "halving":
+        return (*halving_case(), 3, 0.095)
+    cfg = cli.parse_config(cli.preset_config(label))[1]  # a film preset at n = 64
+    model = tf.ThinFilmModel(
+        alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
+        potential_dPhi=cfg.potential, v_D=cfg.v_D,
+        drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized)
+    return model, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
+
+
+class TestFilmStepOracle:
+    """The coefficient-carrying step against the nodal step it replaced."""
+
+    @pytest.mark.parametrize("label", ["pm-paper", "tf-surface-tension", "stf-bending",
+                                       "nonlinear-3.3", "alpha3-potential",
+                                       "linearized-alpha5", "halving"])
+    def test_matches_nodal_step(self, label):
+        model, eta0, dt, steps, floor = oracle_case(label)
+        state = tf.FilmState(eta0, 0.0)
+        eta, t = eta0, 0.0
+        for _ in range(steps):
+            state = tf.step(model, state, dt, floor=floor)
+            eta, t, _ = nodal_film_step(model, eta, t, dt, floor=floor)
+            assert state.t == t
+            scale = np.max(np.abs(eta.values))
+            assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12 * scale
+            energy = nodal_film_energy(model, eta)
+            assert abs(tf.film_energy(model, state) - energy) <= 1e-12 * abs(energy)
+            assert state.hat[0] == tf.FilmState(eta0).hat[0]
+
+    def test_halving_reaches_the_horizon(self):
+        model, eta0, dt = halving_case()
+        state = tf.FilmState(eta0, 0.0)
+        eta, t, tried = eta0, 0.0, 0
+        for _ in range(3):
+            state = tf.step(model, state, dt, floor=0.095)
+            eta, t, n = nodal_film_step(model, eta, t, dt, floor=0.095)
+            tried += n
+        assert tried == 25  # 3 requested steps, each halved at least once
+        assert state.t == pytest.approx(3e-4, rel=1e-12)
+        assert state.eta.values.min() >= 0.095
+        assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12
+
+
+FFT_NAMES = ["fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"]
+
+
+class TestFilmTransforms:
+    """Transforms per accepted sub-step: each distinct factor is padded once."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        for name in FFT_NAMES:
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("potential, per_step", [(None, 4), (lambda eta: 0.3 * eta**2, 6)])
+    def test_transforms_per_step(self, grid, monkeypatch, potential, per_step):
+        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=potential)
+        state = tf.FilmState(one_plus_sin(grid), 0.0)
+        calls = self._counting(monkeypatch)
+        for _ in range(10):
+            state = tf.step(model, state, 1e-6)
+        assert len(calls) == 10 * per_step
+        del calls[:]
+        tf.film_energy(model, state)
+        assert len(calls) == 0
+
 
 MASS_CONFIGS = [
     dict(alpha=1, v_D=0.0, potential=None, dt=1e-5),
@@ -126,10 +225,10 @@ class TestInvariants:
     def test_dissipation_bending_regime(self, grid):
         model = tf.ThinFilmModel(alpha=5)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
-        energy = tf.film_energy(model, state.eta)
+        energy = tf.film_energy(model, state)
         for _ in range(200):
             state = tf.step(model, state, 1e-7)
-            new_energy = tf.film_energy(model, state.eta)
+            new_energy = tf.film_energy(model, state)
             assert new_energy <= energy + 1e-10 * (1 + abs(energy))
             assert state.eta.values.min() >= 0.1
             energy = new_energy
@@ -233,16 +332,17 @@ class TestStationaryPressure:
 
 class TestFilmEnergy:
     def test_zero_field(self, grid):
-        assert tf.film_energy(tf.ThinFilmModel(alpha=5), PeriodicField.zeros(grid)) == 0.0
+        state = tf.FilmState(PeriodicField.zeros(grid))
+        assert tf.film_energy(tf.ThinFilmModel(alpha=5), state) == 0.0
 
     def test_bending_energy_of_cosine(self, grid):
         model = tf.ThinFilmModel(alpha=5)
         eta = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
-        assert tf.film_energy(model, eta) == pytest.approx((2 * np.pi) ** 4 / 4, rel=1e-12)
+        assert tf.film_energy(model, tf.FilmState(eta)) == pytest.approx((2 * np.pi) ** 4 / 4, rel=1e-12)
 
     def test_translation_invariance(self, grid):
         model = tf.ThinFilmModel(alpha=3)
         x = grid.nodes[0]
-        e1 = tf.film_energy(model, PeriodicField(grid, np.sin(2 * np.pi * x)))
-        e2 = tf.film_energy(model, PeriodicField(grid, np.sin(2 * np.pi * (x - 0.3))))
+        e1 = tf.film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * x))))
+        e2 = tf.film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * (x - 0.3)))))
         assert e1 == pytest.approx(e2, rel=1e-12)
