@@ -28,8 +28,6 @@ from .scaling import (
     eps_power,
     reduced_coefficient_e0,
     reduced_coefficient_eh,
-    reynolds_number,
-    time_scale_exponent,
     validate_theorem_regime,
 )
 from .spectral import (
@@ -39,7 +37,6 @@ from .spectral import (
     VerticalNodes,
     dealiased_product,
     spectral_derivative,
-    vertical_integral,
 )
 from .thinfilm import (
     FilmState,
@@ -59,8 +56,6 @@ from .fsi import (
     FsiTrajectory,
     harmonic_ramp_forcing,
     run_fsi,
-    step_fsi,
-    zero_forcing,
 )
 from .reconstruction import (
     ApproxTriple,

@@ -1,11 +1,11 @@
 """Atomic artifact files and the one CSV format every artifact uses.
 
 A file is written to a fresh temp file in its target directory and renamed
-over the target, so a reader never sees a partial artifact.  The temp file
-is created like any other file, so the artifact keeps the umask's default
-mode.  A CSV artifact is one header row, then one row per sample, each value
-its shortest round-trip ``repr`` (integers as integers), with ``\\n`` line
-ends.
+over the target, so a reader never sees a partial artifact; the directory is
+created with its first artifact.  The temp file is created like any other
+file, so the artifact keeps the umask's default mode.  A CSV artifact is one
+header row, then one row per sample, each value its shortest round-trip
+``repr`` (integers as integers), with ``\\n`` line ends.
 """
 from __future__ import annotations
 
@@ -16,10 +16,12 @@ import numpy as np
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
-    """Write the concatenated text chunks to `path` atomically."""
+    """Write the concatenated text chunks to `path` atomically, creating its
+    directory if needed."""
     path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path),
-                       f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    parent = os.path.dirname(path)
+    os.makedirs(parent or ".", exist_ok=True)
+    tmp = os.path.join(parent, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
     try:
         with open(tmp, "x", newline="", encoding="utf-8") as fh:
             fh.writelines(chunks)

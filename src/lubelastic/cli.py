@@ -511,7 +511,6 @@ def run(doc: dict, output_dir: str | None = None, jobs: int = 1) -> dict:
     """Execute a configuration document; returns the artifact manifest."""
     doc, config = parse_config(doc)
     outdir = output_dir or doc.get("output_dir") or "."
-    os.makedirs(outdir, exist_ok=True)
     mode = doc["mode"]
     if mode == "thinfilm":
         files = _run_thinfilm(config, outdir)
@@ -537,8 +536,8 @@ def run(doc: dict, output_dir: str | None = None, jobs: int = 1) -> dict:
 
 def _add_common(parser):
     parser.add_argument("--config", required=False, help="path to a JSON configuration")
-    parser.add_argument("--output", default=None, help="artifact directory")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent batch items")
+    parser.add_argument("--output", default=None,
+                        help="artifact directory, created with the first artifact")
     parser.add_argument("--resolution", default=None,
                         help="override resolution as n or n,m")
 
@@ -559,7 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_, subcommand, sub_help) in _COMMANDS.items():
         group = sub.add_parser(command, help=help_).add_subparsers(dest="subcommand", required=True)
-        _add_common(group.add_parser(subcommand, help=sub_help))
+        leaf = group.add_parser(subcommand, help=sub_help)
+        _add_common(leaf)
+        if command == "verify":
+            leaf.add_argument("--jobs", type=int, default=1,
+                              help="ladder points run in parallel processes")
     group = sub.add_parser("presets", help="preset catalog").add_subparsers(
         dest="subcommand", required=True)
     group.add_parser("list", help="list documented preset ids")
@@ -569,15 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_resolution(doc: dict, resolution: str | None) -> dict:
     if resolution is None:
         return doc
+    names = ("n", "m") if "m" in {f.name for f in fields(MODE_CONFIGS[doc["mode"]])} else ("n",)
     parts = resolution.split(",")
+    if len(parts) > len(names):
+        raise UsageError(f"--resolution {resolution!r} has {len(parts)} parts; "
+                         f"a {doc['mode']} run takes {','.join(names)}")
     try:
-        doc = dict(doc)
-        doc["n"] = int(parts[0])
-        if len(parts) > 1 and "m" in {f.name for f in fields(MODE_CONFIGS[doc["mode"]])}:
-            doc["m"] = int(parts[1])
+        return {**doc, **{name: int(part) for name, part in zip(names, parts)}}
     except ValueError as exc:
         raise UsageError(f"bad --resolution value {resolution!r}") from exc
-    return doc
 
 
 def main(argv=None) -> int:
@@ -599,7 +602,7 @@ def main(argv=None) -> int:
                 f"configuration mode {doc['mode']!r} does not match the "
                 f"{args.command} command (expected {expected!r})"
             )
-        manifest = run(doc, output_dir=args.output, jobs=args.jobs)
+        manifest = run(doc, output_dir=args.output, jobs=getattr(args, "jobs", 1))
         print(json.dumps(manifest, sort_keys=True))
         return 0
     except (UsageError, ParameterError) as exc:
@@ -607,7 +610,6 @@ def main(argv=None) -> int:
         return 2
     except (PositivityError, AssemblyError, DegenerateFitError) as exc:
         outdir = args.output or "."
-        os.makedirs(outdir, exist_ok=True)
         diag = {"error": "numerical breakdown", "detail": str(exc)}
         last_state = getattr(exc, "last_state", None)
         if last_state is not None:

@@ -363,9 +363,8 @@ class _SpectralState:
 class FsiSolver:
     """Backward-Euler integrator for the coupled channel/plate system.
 
-    The per-mode step operator is assembled and factored once per solver, so
-    repeated stepping with the same params should hold one solver rather
-    than call step_fsi in a loop.
+    The per-mode step operator is assembled and factored once per solver, on
+    first use, and every step of a run reuses it.
     """
 
     def __init__(self, params: FsiParams):
@@ -421,21 +420,6 @@ class FsiSolver:
             0.0,
         )
 
-    def from_state(self, state: FsiState) -> _SpectralState:
-        grid = self.params.grid
-        m = self.params.vnodes.m
-        dh = grid.dim
-        c = np.empty((self.K, self.s), dtype=complex)
-        for a in range(dh):
-            prof = state.v[a].hat.reshape(self.K, m)
-            c[:, a * self.mi:(a + 1) * self.mi] = prof[:, 1:-1]
-        return _SpectralState(
-            c,
-            state.eta.hat.ravel().astype(complex),
-            state.eta_t.hat.ravel().astype(complex),
-            state.t,
-        )
-
     def _profiles(self, c: np.ndarray) -> np.ndarray:
         """Embed interior coefficients into full vertical profiles,
         shape (K, dh, m)."""
@@ -486,15 +470,14 @@ class FsiSolver:
 
     # -- stepping --------------------------------------------------------
 
-    def advance(self, spec: _SpectralState, t_new: float | None = None):
-        """One backward-Euler step.  Returns (new_state, ledger_increments)."""
+    def advance(self, spec: _SpectralState, t_new: float):
+        """One backward-Euler step to time t_new.  Returns (new_state,
+        ledger_increments)."""
         p = self.params
         dt = p.dt
         asm = self.assembled()
         dh = p.grid.dim
         eps = p.model.eps
-        if t_new is None:
-            t_new = spec.t + dt
         fhat = self._forcing_hat(t_new)
 
         # forcing quadrature against the velocity basis
@@ -600,8 +583,7 @@ class FsiSolver:
 
     # -- full run ---------------------------------------------------------
 
-    def run(self, t_end: float, snapshot_stride: int = 1,
-            with_pressure: bool = True) -> FsiTrajectory:
+    def run(self, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
         p = self.params
         dt = p.dt
         nsteps = int(round(t_end / dt))
@@ -625,10 +607,8 @@ class FsiSolver:
                 cum["viscous"], cum["viscoelastic"], cum["numerical"], cum["work"],
             )
             if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-                phat = None
-                if with_pressure:
-                    phat = self.pressure_hat(prev, spec, self._forcing_hat(spec.t),
-                                             dt, older=prev2)
+                phat = self.pressure_hat(prev, spec, self._forcing_hat(spec.t),
+                                         dt, older=prev2)
                 states.append(self.materialize(spec, phat))
                 times.append(spec.t)
             prev2 = prev
@@ -640,24 +620,9 @@ class FsiSolver:
 # module-level operations
 # ----------------------------------------------------------------------
 
-def step_fsi(params: FsiParams, state: FsiState) -> FsiState:
-    """Advance a coupled state by one backward-Euler step of params.dt.
-
-    Builds and factors a new solver on every call; to take many steps, hold
-    one FsiSolver instead.
-    """
-    solver = FsiSolver(params)
-    spec = solver.from_state(state)
-    new, _ = solver.advance(spec)
-    phat = solver.pressure_hat(spec, new, solver._forcing_hat(new.t), params.dt)
-    return solver.materialize(new, phat)
-
-
-def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1,
-            with_pressure: bool = True) -> FsiTrajectory:
+def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
     """Run from trivial initial data to t_end; returns trajectory and ledger."""
-    return FsiSolver(params).run(t_end, snapshot_stride=snapshot_stride,
-                                 with_pressure=with_pressure)
+    return FsiSolver(params).run(t_end, snapshot_stride=snapshot_stride)
 
 
 # ----------------------------------------------------------------------
@@ -697,15 +662,5 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     def force(t: float):
         r = smooth_ramp(t, ramp_time)
         return tuple(profile * r if i == component else zero for i in range(ncomp))
-
-    return force
-
-
-def zero_forcing(grid: PeriodicGrid, vnodes: VerticalNodes) -> Forcing:
-    zero = np.zeros(grid.shape + (vnodes.m,))
-    ncomp = grid.dim + 1
-
-    def force(t: float):
-        return (zero,) * ncomp
 
     return force

@@ -26,19 +26,18 @@ from .spectral import (
     PeriodicField,
     PeriodicGrid,
     VerticalNodes,
+    laplacian_symbol,
     spectral_derivative,
 )
-from .thinfilm import FilmTrajectory, solve_linear_sixth
+from .thinfilm import solve_linear_sixth
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedSolution:
-    """Trajectory of the reduced displacement with its driving source."""
+    """Snapshots of the reduced displacement."""
 
     times: np.ndarray
     eta: tuple[PeriodicField, ...]
-    source: tuple[PeriodicField, ...]
-    c: float
 
     def __post_init__(self):
         if len(self.eta) != len(self.times):
@@ -68,13 +67,8 @@ class ApproxTriple:
 
 def limit_pressure(eta: PeriodicField, B: float) -> PeriodicField:
     """Limit pressure B * (Lap')^2 eta; independent of the vertical variable."""
-    hat = eta.hat
     grid = eta.grid
-    if grid.dim == 1:
-        sym = grid.xi[0] ** 4
-    else:
-        sym = (grid.xi[0] ** 2 + grid.xi[1] ** 2) ** 2
-    return PeriodicField.from_hat(grid, B * sym * hat)
+    return PeriodicField.from_hat(grid, B * laplacian_symbol(grid) ** 2 * eta.hat)
 
 
 def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np.ndarray:
@@ -154,16 +148,12 @@ def flux_rate(v_components: Sequence[ChannelField]) -> PeriodicField:
 
 def forcing_F(f_horizontal, nu: float, grid: PeriodicGrid,
               vnodes: VerticalNodes) -> PeriodicField:
-    """Zero-mean source of the reduced evolution:
-    F = -int_{-1}^0 div'(F_1, F_2) dy3."""
+    """Zero-mean source of the reduced evolution, the flux rate of the force
+    profiles: F = -int_{-1}^0 div'(F_1, F_2) dy3."""
     if f_horizontal is None:
         return PeriodicField.zeros(grid)
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        prof = _force_profiles(np.asarray(f_horizontal[a]), nu, vnodes)
-        depth = prof @ vnodes.weights
-        out -= spectral_derivative(PeriodicField(grid, depth), 1, axis=a).values
-    return PeriodicField(grid, out)
+    return flux_rate([ChannelField(grid, vnodes, _force_profiles(np.asarray(f), nu, vnodes))
+                      for f in f_horizontal])
 
 
 def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes,
@@ -171,22 +161,13 @@ def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes
                   snapshot_stride: int = 1) -> ReducedSolution:
     """Drive the reduced evolution d/dt eta - c (Lap')^3 eta = F(t) by the
     depth-integrated force of the full-order problem."""
-    c = params.reduced_coefficient
-
     def source(t: float) -> PeriodicField:
         comps = forcing(t)
         return forcing_F(comps[: grid.dim], params.nu, grid, vnodes)
 
-    eta0 = PeriodicField.zeros(grid)
-    traj: FilmTrajectory = solve_linear_sixth(c, source, eta0, t_end, dt,
-                                              snapshot_stride=snapshot_stride)
-    times = traj.times
-    return ReducedSolution(
-        times=times,
-        eta=tuple(traj.fields),
-        source=tuple(source(t) for t in times),
-        c=c,
-    )
+    traj = solve_linear_sixth(params.reduced_coefficient, source, PeriodicField.zeros(grid),
+                              t_end, dt, snapshot_stride=snapshot_stride)
+    return ReducedSolution(times=traj.times, eta=tuple(traj.fields))
 
 
 def assemble_approx(reduced: ReducedSolution, params: ModelParams,

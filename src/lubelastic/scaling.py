@@ -16,18 +16,6 @@ from .errors import ParameterError, RegimeError
 Exponent = Union[int, float, str, Fraction]
 
 
-def time_scale_exponent(kappa: Exponent) -> Fraction:
-    """Time-scale exponent tau matched to a plate-rigidity exponent kappa.
-
-    The coupled thin-channel/plate dynamics is nontrivial in the slow time
-    scale T = eps**tau exactly when tau = kappa - 3.
-    """
-    k = Fraction(kappa)
-    if k <= 0:
-        raise RegimeError(f"rigidity exponent kappa must be positive, got {k}")
-    return k - 3
-
-
 @dataclass(frozen=True)
 class RegimeCheck:
     """Outcome of a rate-guarantee regime validation."""
@@ -77,14 +65,6 @@ def reduced_coefficient_eh(lame: "LameParams", nu: float) -> float:
         raise ParameterError(f"need nu > 0, got nu={nu}")
     mu, lam = lame.mu, lame.lam
     return 2.0 * mu * (mu + lam) / (9.0 * nu * (2.0 * mu + lam))
-
-
-def reynolds_number(rho_f: float, L: float, mu: float, T: float) -> float:
-    """Reynolds number rho_f * L**2 / (mu * T)."""
-    for name, val in (("rho_f", rho_f), ("L", L), ("mu", mu), ("T", T)):
-        if val <= 0:
-            raise ParameterError(f"need {name} > 0, got {val}")
-    return rho_f * L * L / (mu * T)
 
 
 def eps_power(eps: float, exponent: Exponent) -> float:

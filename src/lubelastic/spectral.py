@@ -33,7 +33,6 @@ __all__ = [
     "VerticalNodes",
     "ChannelField",
     "spectral_derivative",
-    "vertical_integral",
     "dealiased_product",
 ]
 
@@ -155,9 +154,6 @@ class PeriodicField:
 
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def derivative(self, order: int, axis: int = 0) -> "PeriodicField":
-        return spectral_derivative(self, order, axis)
 
     def __add__(self, other):
         self._check(other)
@@ -324,10 +320,6 @@ class ChebOps:
         self.C_dA = wdL.T @ A   # int l_i' * A_j
         self.M_Al = wA.T @ L    # int A_i * l_j
 
-    def integrate(self, profile: np.ndarray) -> np.ndarray:
-        """Integral over (-1, 0) along the last axis."""
-        return np.asarray(profile) @ self.weights
-
     def antiderivative(self, profile: np.ndarray) -> np.ndarray:
         """Running integral from -1, applied along the last axis."""
         return np.asarray(profile) @ self.Q.T
@@ -337,25 +329,6 @@ class ChebOps:
 
     def differentiate(self, profile: np.ndarray) -> np.ndarray:
         return np.asarray(profile) @ self.D.T
-
-
-def vertical_integral(vnodes: VerticalNodes, profile: np.ndarray, weight=None) -> np.ndarray:
-    """Quadrature over (-1, 0) of profile * weight(y), along the last axis.
-
-    Exact for polynomial integrands of degree <= m-1.  Returns a scalar for a
-    single profile, otherwise one value per horizontal node.
-    """
-    profile = np.asarray(profile)
-    if profile.shape[-1] != vnodes.m:
-        raise GridMismatchError(
-            f"profile has {profile.shape[-1]} vertical samples, node set has {vnodes.m}"
-        )
-    if weight is not None:
-        profile = profile * weight(vnodes.nodes)
-    out = profile @ vnodes.weights
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -390,18 +363,6 @@ class ChannelField:
     def hat(self) -> np.ndarray:
         """Per-mode vertical profiles, shape spectral_shape + (m,)."""
         return self.grid.rfft(self.values)
-
-    def top_trace(self) -> PeriodicField:
-        return PeriodicField(self.grid, self.values[..., -1])
-
-    def bottom_trace(self) -> PeriodicField:
-        return PeriodicField(self.grid, self.values[..., 0])
-
-    def l2(self) -> float:
-        """L2 norm over the unit-depth reference channel."""
-        sq = self.values**2
-        vertical = sq @ self.vnodes.weights
-        return float(np.sqrt(np.mean(vertical)))
 
     def __sub__(self, other: "ChannelField") -> "ChannelField":
         return ChannelField(self.grid, self.vnodes, self.values - other.values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,7 +28,8 @@ from .fsi import (
 )
 from .reconstruction import ApproxTriple, assemble_approx, solve_reduced
 from .scaling import ModelParams, eps_power
-from .spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
+from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
+                       laplacian_symbol)
 
 logger = logging.getLogger("lubelastic.verify")
 
@@ -70,13 +71,9 @@ def thin_norm_L2L2(snapshots: Sequence, eps: float, times: np.ndarray) -> float:
 def h2_norm(field: PeriodicField) -> float:
     """Full H2 norm: L2 of the value, the gradient and all second derivatives."""
     grid = field.grid
-    hat = field.hat
-    if grid.dim == 1:
-        xi2 = grid.xi[0] ** 2
-    else:
-        xi2 = grid.xi[0] ** 2 + grid.xi[1] ** 2
+    xi2 = -laplacian_symbol(grid)
     sym = 1.0 + xi2 + xi2**2
-    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(hat) ** 2)))
+    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(field.hat) ** 2)))
 
 
 def norm_LinfH2(snapshots: Sequence[PeriodicField]) -> float:
@@ -307,12 +304,15 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     """Run the full ladder and fit the three rates.
 
     Ladder points are independent; with jobs > 1 they run in separate
-    processes.  Results are ordered by the configured ladder either way.
+    processes, at most one per point.  Results are ordered by the configured
+    ladder either way.
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
             futures = [pool.submit(_ladder_point, config, eps) for eps in config.eps_list]
             outcomes = [f.result() for f in futures]
     else:
@@ -323,24 +323,3 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     fits = {which: fit_rate(reports, which) for which in _NORM_FIELDS}
     return RateStudyResult(config=config, reports=reports, fits=fits,
                            audits=audits, ledgers=ledgers)
-
-
-def resolution_guard(config: RateStudyConfig, factor: float = 0.1) -> dict:
-    """Refinement pre-pass at the smallest thickness.
-
-    Halving dt and raising the vertical resolution must move each error norm
-    by at most `factor` of its value, so discretization error sits well
-    below the model error a rate fit measures.
-    """
-    eps = config.eps_list[-1]
-    base, _, _ = _ladder_point(config, eps)
-    fine_dt, _, _ = _ladder_point(replace(config, dt=config.dt / 2), eps)
-    fine_m, _, _ = _ladder_point(replace(config, m=config.m + 8), eps)
-    out = {}
-    for which, attr in _NORM_FIELDS.items():
-        b = getattr(base, attr)
-        shifts = [abs(getattr(fine_dt, attr) - b) / b, abs(getattr(fine_m, attr) - b) / b]
-        out[which] = {"error": b, "dt_shift": shifts[0], "m_shift": shifts[1],
-                      "ok": max(shifts) <= factor}
-    out["ok"] = all(v["ok"] for v in out.values() if isinstance(v, dict))
-    return out

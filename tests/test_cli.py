@@ -147,7 +147,7 @@ def test_bad_document_exits_2(label, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 class TestDecode:
@@ -284,6 +284,29 @@ class TestReynoldsCommand:
             rows = fh.readlines()
         assert len(rows) == 65  # header + 64 nodes
 
+    @pytest.mark.parametrize("preset,resolution", [
+        ("reynolds-slider", "64,12"),      # reynolds has no m
+        ("pm-paper", "32,12"),             # nor has thinfilm
+        ("fsi-single-mode", "8,12,4"),     # fsi takes n,m and no more
+    ])
+    def test_resolution_parts_beyond_mode_exit_2(self, preset, resolution, tmp_path, capsys):
+        doc = cli.preset_config(preset)
+        out = tmp_path / "out"
+        rc = cli.main(_COMMAND[doc["mode"]] + ["--config", write_config(tmp_path, doc),
+                                               "--output", str(out),
+                                               "--resolution", resolution])
+        assert rc == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["reynolds", "solve"], ["thinfilm", "run"],
+                                         ["fsi", "run"]])
+    def test_jobs_only_on_verify_rates(self, command, tmp_path):
+        path = write_config(tmp_path, cli.preset_config("reynolds-slider"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--config", path, "--jobs", "1"])
+        assert exc.value.code == 2
+
 
 class TestThinfilmCommand:
     def _tiny_config(self, preset="pm-paper", steps=50):
@@ -403,6 +426,17 @@ class TestRatesCommand:
                        "--output", str(tmp_path / "out")])
         assert rc == 2
         assert len(calls) == 0
+
+    def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "rates", "--jobs", "0", "--output", str(out), "--config",
+                       write_config(tmp_path, cli.preset_config("theorem-e0-kappa2"))])
+        assert rc == 2
+        assert "jobs" in capsys.readouterr().err
+        assert len(calls) == 0
+        assert not out.exists()
 
     def test_manifest_hash_stable(self, tmp_path):
         doc = cli.preset_config("theorem-e0-kappa2")

@@ -143,7 +143,7 @@ class TestAssembleApprox:
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         times = np.array([0.0, 0.1, 0.2])
         zeros = tuple(PeriodicField.zeros(grid) for _ in times)
-        red = rc.ReducedSolution(times=times, eta=zeros, source=zeros, c=1.0)
+        red = rc.ReducedSolution(times=times, eta=zeros)
         triple = rc.assemble_approx(red, model, None, vnodes)
         for comps, p, eta in zip(triple.v, triple.p, triple.eta):
             assert all(np.max(np.abs(c.values)) == 0.0 for c in comps)
@@ -155,11 +155,10 @@ class TestAssembleApprox:
         times = np.array([0.0, 0.05, 0.1])
         rng = np.random.default_rng(8)
         etas = tuple(band_limited(grid, rng, kmax=4) for _ in times)
-        zeros = tuple(PeriodicField.zeros(grid) for _ in times)
         triples = {}
         for eps in (0.25, 0.5):
             model = lb.ModelParams(eps=eps, kappa=2, dim=1)
-            red = rc.ReducedSolution(times=times, eta=etas, source=zeros, c=1.0)
+            red = rc.ReducedSolution(times=times, eta=etas)
             triples[eps] = rc.assemble_approx(red, model, None, vnodes)
         v_small = triples[0.25].v[1][0].values
         v_big = triples[0.5].v[1][0].values
@@ -170,8 +169,7 @@ class TestAssembleApprox:
         rng = np.random.default_rng(12)
         eta = band_limited(grid, rng, kmax=4)
         times = np.array([0.0, 0.1, 0.2])
-        zeros = tuple(PeriodicField.zeros(grid) for _ in times)
-        red = rc.ReducedSolution(times=times, eta=(eta, eta, eta), source=zeros, c=1.0)
+        red = rc.ReducedSolution(times=times, eta=(eta, eta, eta))
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
         assert np.max(np.abs(triple.eta[0].values - 0.0625 * eta.values)) < 1e-15
@@ -182,8 +180,7 @@ class TestAssembleApprox:
         rng = np.random.default_rng(14)
         eta = band_limited(grid, rng, kmax=4)
         times = np.array([0.0, 0.1])
-        zeros = (PeriodicField.zeros(grid),) * 2
-        red = rc.ReducedSolution(times=times, eta=(eta, eta), source=zeros, c=1.0)
+        red = rc.ReducedSolution(times=times, eta=(eta, eta))
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
         spread = np.max(triple.p[0].values, axis=-1) - np.min(triple.p[0].values, axis=-1)
@@ -194,8 +191,7 @@ class TestAssembleApprox:
         rng = np.random.default_rng(15)
         eta = band_limited(grid, rng, kmax=4)
         times = np.array([0.0, 0.1])
-        zeros = (PeriodicField.zeros(grid),) * 2
-        red = rc.ReducedSolution(times=times, eta=(eta, eta), source=zeros, c=1.0)
+        red = rc.ReducedSolution(times=times, eta=(eta, eta))
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
         written = triple.save(tmp_path)

@@ -9,22 +9,25 @@ from lubelastic.errors import ParameterError, RegimeError, UsageError
 
 
 class TestTimeScaleExponent:
+    """tau = kappa - 3, derived by ModelParams when tau is not given."""
+
     @pytest.mark.parametrize("kappa,tau", [(3, 0), (1, -2), (2, -1)])
     def test_values_exact(self, kappa, tau):
-        assert scaling.time_scale_exponent(kappa) == Fraction(tau)
+        t = scaling.ModelParams(kappa=kappa).tau
+        assert t == Fraction(tau) and isinstance(t, Fraction)
 
     def test_affine(self):
         ks = [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(10)]
         for k1 in ks:
             for k2 in ks:
-                assert (scaling.time_scale_exponent(k1)
-                        - scaling.time_scale_exponent(k2)) == k1 - k2
+                assert (scaling.ModelParams(kappa=k1).tau
+                        - scaling.ModelParams(kappa=k2).tau) == k1 - k2
 
     def test_nonpositive_kappa_rejected(self):
-        with pytest.raises(RegimeError):
-            scaling.time_scale_exponent(0)
-        with pytest.raises(RegimeError):
-            scaling.time_scale_exponent(-1.5)
+        with pytest.raises(ParameterError):
+            scaling.ModelParams(kappa=0)
+        with pytest.raises(ParameterError):
+            scaling.ModelParams(kappa=-1.5)
 
 
 class TestRegimeValidation:
@@ -84,18 +87,6 @@ class TestCoefficients:
             scaling.LameParams(0.0, 1.0)
         with pytest.raises(ParameterError):
             scaling.LameParams(1.0, -0.1)
-
-
-class TestReynoldsNumber:
-    def test_values(self):
-        assert scaling.reynolds_number(1, 1, 1, 1) == 1.0
-        assert scaling.reynolds_number(2, 3, 1, 2) == 9.0
-        # slow-time preset T = eps**-2 at eps = 0.1
-        assert scaling.reynolds_number(1, 1, 1, 0.1**-2) == pytest.approx(0.01, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            scaling.reynolds_number(1, 0, 1, 1)
 
 
 class TestModelParams:

