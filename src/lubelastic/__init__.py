@@ -63,7 +63,6 @@ from .reconstruction import (
     assemble_approx,
     chain_closure_error,
     flux_rate,
-    forcing_F,
     horizontal_velocity,
     limit_pressure,
     solve_reduced,

@@ -427,6 +427,17 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     return [traj_path, summary_path]
 
 
+def _ledger_health(ledger) -> dict:
+    """The largest per-step identity residual and the smallest slack, both
+    relative to the step's scale, and the step of that slack."""
+    slack_rel = ledger.slack() / ledger.scale()
+    return {
+        "max_identity_residual_rel": float(np.max(ledger.identity_residual_rel())),
+        "min_slack_rel": float(np.min(slack_rel)),
+        "min_slack_step": int(np.argmin(slack_rel)) + 1,
+    }
+
+
 def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
     grid = PeriodicGrid(dim=cfg.dim, n=cfg.n)
     vnodes = VerticalNodes(cfg.m)
@@ -441,13 +452,10 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
     traj = run_fsi(params, cfg.t_end, snapshot_stride=cfg.snapshot_stride)
     written = traj.save(outdir)
     audit = verify.energy_audit(traj.ledger, params)
-    slack_rel = traj.ledger.slack() / traj.ledger.scale()
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {
         "energy_audit_ok": bool(audit.ok),
-        "max_identity_residual_rel": float(np.max(traj.ledger.identity_residual_rel())),
-        "min_slack_rel": float(np.min(slack_rel)),
-        "min_slack_step": int(np.argmin(slack_rel)) + 1,
+        **_ledger_health(traj.ledger),
         "terminal_energy": float(traj.ledger.total_energy()[-1]),
         "terminal_lhs": float(traj.ledger.lhs()[-1]),
         "terminal_work": float(traj.ledger.work[-1]),
@@ -499,6 +507,8 @@ def _run_rates(cfg: verify.RateStudyConfig, outdir: str, jobs: int) -> list[str]
         "r2_threshold": R2_THRESHOLD,
         "energy_audit_ok": bool(all(a.ok for a in result.audits)),
         "energy_ratio_spread": max(ratios) / min(ratios) if ratios else None,
+        "points": [{"eps": r.eps, **_ledger_health(ledger)}
+                   for r, ledger in zip(result.reports, result.ledgers)],
         "pass": bool(all(v["pass"] for v in rates.values())
                      and all(a.ok for a in result.audits)),
     }
@@ -507,10 +517,16 @@ def _run_rates(cfg: verify.RateStudyConfig, outdir: str, jobs: int) -> list[str]
     return [reports_path, rates_path]
 
 
+def _output_dir(doc: dict, output_dir: str | None) -> str:
+    """Artifact directory: output_dir if given, else the document's
+    output_dir, else the working directory."""
+    return output_dir or doc.get("output_dir") or "."
+
+
 def run(doc: dict, output_dir: str | None = None, jobs: int = 1) -> dict:
     """Execute a configuration document; returns the artifact manifest."""
     doc, config = parse_config(doc)
-    outdir = output_dir or doc.get("output_dir") or "."
+    outdir = _output_dir(doc, output_dir)
     mode = doc["mode"]
     if mode == "thinfilm":
         files = _run_thinfilm(config, outdir)
@@ -588,6 +604,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    doc: dict = {}
     try:
         if args.command == "presets" and args.subcommand == "list":
             for name, info in list_presets().items():
@@ -609,7 +626,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PositivityError, AssemblyError, DegenerateFitError) as exc:
-        outdir = args.output or "."
+        outdir = _output_dir(doc, args.output)
         diag = {"error": "numerical breakdown", "detail": str(exc)}
         last_state = getattr(exc, "last_state", None)
         if last_state is not None:

@@ -25,6 +25,16 @@ stored per-mode matrices with the coefficients' real and imaginary parts.
 The pressure is not a primal unknown; it is recovered from the horizontal
 momentum balance per mode, and for the zero mode from the vertical momentum
 balance pinned by the plate row.
+
+A run advances in blocks of steps whose stacked states take about 64 KiB
+(25 steps at K = 9 modes with s = 18 unknowns, one step in 2D at n = 32).
+Per block the forcing is sampled at every step time and its loaded
+components are transformed together; the steps then run one after another
+in the order of a single step, and the block's ledger rows and snapshot
+pressures come from the stored states and forcing coefficients.  The
+ledger's mass product of a block's last state is the next step's M c, so
+a one-step block makes one mass product, one viscosity product and one
+solve.
 """
 from __future__ import annotations
 
@@ -38,7 +48,8 @@ import numpy as np
 from .artifacts import save_snapshots, velocity_named, write_csv
 from .errors import AssemblyError, InvariantError, ParameterError, RegimeError
 from .scaling import ModelParams, eps_power, validate_theorem_regime
-from .spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
+from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
+                       _steps_per_block)
 
 logger = logging.getLogger("lubelastic.fsi")
 
@@ -55,7 +66,9 @@ class FsiParams:
 
     forcing(t) must return d = dim + 1 arrays of shape grid.shape + (m,),
     the volume-force components sampled on the reference channel; it must be
-    bounded in time.  The coupled scaling regime tau = kappa - 3 is enforced.
+    bounded in time.  Only forcing(0.0) is checked here; a run rejects the
+    first step time whose forcing is not finite.  The coupled scaling regime
+    tau = kappa - 3 is enforced.
     """
 
     model: ModelParams
@@ -179,15 +192,10 @@ class EnergyLedger:
     numerical_dissipation: list[float] = field(default_factory=list)
     work: list[float] = field(default_factory=list)
 
-    def append(self, t, ef, epk, eb, dv, dve, dn, w):
-        self.t.append(t)
-        self.fluid_kinetic.append(ef)
-        self.plate_kinetic.append(epk)
-        self.bending.append(eb)
-        self.viscous_dissipation.append(dv)
-        self.viscoelastic_dissipation.append(dve)
-        self.numerical_dissipation.append(dn)
-        self.work.append(w)
+    def extend(self, t, ef, epk, eb, dv, dve, dn, w):
+        """Append one row per step from equally long arrays, in field order."""
+        for f, values in zip(fields(self), (t, ef, epk, eb, dv, dve, dn, w)):
+            getattr(self, f.name).extend(np.asarray(values, dtype=float).tolist())
 
     def __len__(self) -> int:
         return len(self.t)
@@ -331,40 +339,35 @@ class _Assembled:
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every mode's system for a stacked complex right-hand side (K, s)."""
-        return _apply(self.inv, rhs)
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve every mode's system for a stacked complex right-hand side
+        (K, s), into `out`."""
+        return _apply(self.inv, rhs, out)
 
 
-def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Real stacked matrices (..., K, r, s) times complex vectors (K, s): one
-    real matmul on the interleaved real and imaginary parts, without copies."""
-    return (mats @ c.view(float).reshape(c.shape + (2,))).view(complex)[..., 0]
+def _apply(mats: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real stacked matrices (..., K, r, s) times complex vectors (..., K, s):
+    one real matmul on the interleaved real and imaginary parts, without
+    copies; a contiguous complex `out` receives the product in place."""
+    x = c.view(float).reshape(c.shape + (2,))
+    if out is None:
+        return (mats @ x).view(complex)[..., 0]
+    np.matmul(mats, x, out=out.view(float).reshape(out.shape + (2,)))
+    return out
 
 
-def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum_k w_k Re(conj(a_k) . b_k) for complex stacks (K, s)."""
-    return float(w @ (a.view(float) * b.view(float)).sum(axis=1))
-
-
-class _SpectralState:
-    """Internal evolving state: interior profile coefficients per mode plus
-    plate harmonics."""
-
-    __slots__ = ("c", "eta", "eta_t", "t")
-
-    def __init__(self, c, eta, eta_t, t):
-        self.c = c          # (K, s) complex
-        self.eta = eta      # (K,) complex
-        self.eta_t = eta_t  # (K,) complex
-        self.t = t
+def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k w_k Re(conj(a_k) . b_k) per step, for complex stacks (B, K, s)."""
+    return (a.view(float) * b.view(float)).sum(axis=-1) @ w
 
 
 class FsiSolver:
     """Backward-Euler integrator for the coupled channel/plate system.
 
     The per-mode step operator is assembled and factored once per solver, on
-    first use, and every step of a run reuses it.
+    first use, and every step of a run reuses it.  `run` is the one way to
+    step: it advances in blocks of steps, so the forcing is sampled and
+    transformed once per block and the ledger is filled a block at a time.
     """
 
     def __init__(self, params: FsiParams):
@@ -412,14 +415,6 @@ class FsiSolver:
 
     # -- state conversion ----------------------------------------------
 
-    def zero_state(self) -> _SpectralState:
-        return _SpectralState(
-            np.zeros((self.K, self.s), dtype=complex),
-            np.zeros(self.K, dtype=complex),
-            np.zeros(self.K, dtype=complex),
-            0.0,
-        )
-
     def _profiles(self, c: np.ndarray) -> np.ndarray:
         """Embed interior coefficients into full vertical profiles,
         shape (K, dh, m)."""
@@ -438,112 +433,99 @@ class FsiSolver:
         div_h = np.einsum("ka,kam->km", self.xi, full)  # xi . v', times -i below
         return -1j * eps * ops.antiderivative(div_h)
 
-    def materialize(self, spec: _SpectralState, pressure_hat: np.ndarray | None = None) -> FsiState:
+    def materialize(self, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray, t: float,
+                    pressure_hat: np.ndarray | None = None) -> FsiState:
+        """The fields of the state with interior coefficients c (K, s) and
+        plate harmonics eta, eta_t (K,) at time t."""
         grid = self.params.grid
         vn = self.params.vnodes
         dh = grid.dim
-        full = self._profiles(spec.c)
+        full = self._profiles(c)
         spectral_shape = grid.spectral_shape
         comps = []
         for a in range(dh):
             comps.append(ChannelField.from_hat(grid, vn, full[:, a, :].reshape(spectral_shape + (vn.m,))))
-        v3 = self.vertical_profile(spec.c)
+        v3 = self.vertical_profile(c)
         comps.append(ChannelField.from_hat(grid, vn, v3.reshape(spectral_shape + (vn.m,))))
         if pressure_hat is None:
             p = ChannelField.zeros(grid, vn)
         else:
             p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(spectral_shape + (vn.m,)))
-        eta = PeriodicField.from_hat(grid, spec.eta.reshape(spectral_shape))
-        eta_t = PeriodicField.from_hat(grid, spec.eta_t.reshape(spectral_shape))
-        return FsiState(v=tuple(comps), p=p, eta=eta, eta_t=eta_t, t=spec.t)
+        return FsiState(v=tuple(comps), p=p, t=t,
+                        eta=PeriodicField.from_hat(grid, eta.reshape(spectral_shape)),
+                        eta_t=PeriodicField.from_hat(grid, eta_t.reshape(spectral_shape)))
 
-    def _forcing_hat(self, t: float) -> np.ndarray:
-        """Forcing coefficients; a component that carries no load stays zero."""
-        comps = self.params.forcing(t)
-        grid = self.params.grid
-        m = self.params.vnodes.m
-        out = np.zeros((len(comps), self.K, m), dtype=complex)
-        for i, comp in enumerate(comps):
-            if np.any(comp):
-                out[i] = grid.rfft(np.asarray(comp, dtype=float)).reshape(self.K, m)
-        return out
-
-    # -- stepping --------------------------------------------------------
-
-    def advance(self, spec: _SpectralState, t_new: float):
-        """One backward-Euler step to time t_new.  Returns (new_state,
-        ledger_increments)."""
-        p = self.params
-        dt = p.dt
-        asm = self.assembled()
-        dh = p.grid.dim
-        eps = p.model.eps
-        fhat = self._forcing_hat(t_new)
-
-        # forcing quadrature against the velocity basis
-        Fq = np.empty((self.K, self.s), dtype=complex)
-        f3q = fhat[dh] @ self._MAint.T  # (K, mi): integrals of A_i * f3 profile
-        for a in range(dh):
-            Fq[:, a * self.mi:(a + 1) * self.mi] = (
-                fhat[a] @ self._Mint.T
-                + 1j * eps * self.xi[:, a][:, None] * f3q
-            )
-
-        mass_old = _apply(asm.mass, spec.c)
-        plate_rhs = (1j * self.coef["plate_test"]) * (
-            self.coef["plate_kin"] * spec.eta_t / dt
-            - self.coef["bend"] * asm.xi4 * spec.eta
-        )
-        rhs = (
-            (self.coef["fluid_mass"] / dt) * mass_old
-            + eps * Fq
-            + plate_rhs[:, None] * asm.g
-        )
-        c_new = asm.solve(rhs)
-        eta_t_new = -1j * self.coef["trace"] * (asm.g * c_new).sum(axis=1)
-        eta_new = spec.eta + dt * eta_t_new
-
-        new = _SpectralState(c_new, eta_new, eta_t_new, t_new)
-        mass_new, visc_new = _apply(asm.mass_visc, c_new)
-        return new, self._ledger_increments(asm, spec, new, Fq, dt, mass_old, mass_new, visc_new)
-
-    def _ledger_increments(self, asm, old, new, Fq, dt, mass_old, mass_new, visc_new):
-        w = self._w
-        coef = self.coef
+    def _quadrature(self, fhat: dict, nb: int) -> np.ndarray:
+        """Forcing quadrature against the velocity basis, (B, K, s), from
+        the loaded components' coefficients (B, K, m)."""
+        dh = self.params.grid.dim
         eps = self.params.model.eps
-        dc = new.c - old.c
-        d_eta = new.eta - old.eta
-        d_eta_t = new.eta_t - old.eta_t
-        ef = 0.5 * self.params.model.rho_f * eps * _re_inner(w, new.c, mass_new)
-        epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(new.eta_t) ** 2)
-        eb = 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(new.eta) ** 2)
-        if min(ef, epk, eb) < -1e-12 * max(ef, epk, eb, 1e-300):
+        Fq = np.zeros((nb, self.K, self.s), dtype=complex)
+        # integrals of A_i * f3 profile
+        f3q = fhat[dh] @ self._MAint.T if dh in fhat else None
+        for a in range(dh):
+            part = Fq[..., a * self.mi:(a + 1) * self.mi]
+            if a in fhat:
+                part += fhat[a] @ self._Mint.T
+            if f3q is not None:
+                part += 1j * eps * self.xi[:, a][:, None] * f3q
+        return Fq
+
+    def _record(self, ledger: EnergyLedger, totals: np.ndarray, t, c, eta, eta_t,
+                Fq, mass_old) -> np.ndarray:
+        """Append a block's ledger rows.  c, eta and eta_t stack the state
+        before the block and the block's B states, and mass_old holds M c of
+        the state before each step; totals holds the running viscous,
+        viscoelastic, numerical and work integrals and is updated.  Returns
+        M c of the block's last state."""
+        asm = self.assembled()
+        w = self._w
+        wx = w * asm.xi4
+        coef = self.coef
+        dt = self.params.dt
+        fluid = 0.5 * self.params.model.rho_f * self.params.model.eps
+        mass, visc = _apply(asm.mass_visc[:, None], c[1:])
+        ef = fluid * _re_inner(w, c[1:], mass)
+        epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:]) ** 2, axis=-1)
+        eb = 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:]) ** 2, axis=-1)
+        bad = (np.minimum(ef, np.minimum(epk, eb))
+               < -1e-12 * np.maximum(np.maximum(ef, epk), np.maximum(eb, 1e-300)))
+        if bad.any():
+            i = int(np.argmax(bad))
             raise AssemblyError(
-                f"negative energy encountered (fluid {ef:.3e}, plate {epk:.3e}, "
-                f"bending {eb:.3e}); quadratic-form assembly is inconsistent"
+                f"negative energy encountered at t = {t[i]} (fluid {ef[i]:.3e}, "
+                f"plate {epk[i]:.3e}, bending {eb[i]:.3e}); quadratic-form "
+                f"assembly is inconsistent"
             )
         dn = (  # M dc is the difference of the two mass products
-            0.5 * self.params.model.rho_f * eps * _re_inner(w, dc, mass_new - mass_old)
-            + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(d_eta_t) ** 2)
-            + 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(d_eta) ** 2)
+            fluid * _re_inner(w, c[1:] - c[:-1], mass - mass_old)
+            + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:] - eta_t[:-1]) ** 2, axis=-1)
+            + 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:] - eta[:-1]) ** 2, axis=-1)
         )
-        dv = dt * coef["work"] * _re_inner(w, new.c, visc_new)
-        dve = dt * coef["viscoelastic"] * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2)
-        work = dt * coef["work"] * _re_inner(w, new.c, Fq)
-        return dict(fluid_kinetic=float(ef), plate_kinetic=float(epk), bending=float(eb),
-                    numerical=float(dn), viscous=float(dv), viscoelastic=float(dve),
-                    work=float(work))
+        dv = dt * coef["work"] * _re_inner(w, c[1:], visc)
+        dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
+        work = dt * coef["work"] * _re_inner(w, c[1:], Fq)
+        # running sums added one step at a time, as the integrals accumulate
+        running = np.stack([dv, dve, dn, work])
+        running[:, 0] += totals
+        np.cumsum(running, axis=1, out=running)
+        totals[:] = running[:, -1]
+        ledger.extend(t, ef, epk, eb, *running)
+        return mass[-1]
 
     # -- pressure recovery ----------------------------------------------
 
-    def pressure_hat(self, old: _SpectralState, new: _SpectralState,
-                     fhat: np.ndarray, dt: float,
-                     older: _SpectralState | None = None) -> np.ndarray:
+    def pressure_hat(self, c_old: np.ndarray, c_new: np.ndarray,
+                     fhat: dict, dt: float,
+                     c_older: np.ndarray | None = None) -> np.ndarray:
         """Pressure profiles per mode from the horizontal momentum balance;
         the zero mode comes from the vertical balance pinned by the plate.
 
-        With two history states the inertia term uses the second-order
-        backward quotient, otherwise the first-order one.
+        c_old and c_new are the interior coefficients before and after the
+        step; fhat maps each loaded forcing component to its coefficients
+        (K, m) at the step's end.  With the state before c_old as well, the
+        inertia term uses the second-order backward quotient, otherwise the
+        first-order one.
         """
         p = self.params
         ops = p.vnodes.ops
@@ -551,9 +533,9 @@ class FsiSolver:
         nu = p.model.nu
         dh = p.grid.dim
         m = p.vnodes.m
-        full_new = self._profiles(new.c)
-        full_old = self._profiles(old.c)
-        full_older = None if older is None else self._profiles(older.c)
+        full_new = self._profiles(c_new)
+        full_old = self._profiles(c_old)
+        full_older = None if c_older is None else self._profiles(c_older)
         inert = p.model.rho_f * eps_power(eps, -p.model.tau)
         xi2 = np.einsum("ka,ka->k", self.xi, self.xi)
         D2 = ops.D @ ops.D
@@ -565,7 +547,7 @@ class FsiSolver:
             else:
                 dva = (3.0 * va - 4.0 * va_old + full_older[:, a, :]) / (2.0 * dt)
             rhs_h[:, a, :] = (
-                fhat[a]
+                fhat.get(a, 0.0)
                 + nu * (-xi2[:, None] * va + (va @ D2.T) / eps**2)
                 - inert * dva
             )
@@ -575,15 +557,27 @@ class FsiSolver:
         phat[nz] = -1j * proj[nz] / xi2[nz, None]
         # zero mode: d/dy3 p = eps * f3, level pinned by the plate row, which
         # reads zero because the mean plate harmonic never moves
-        f3_0 = fhat[dh][~nz]
-        if f3_0.size:
-            anti = ops.antiderivative(f3_0)
+        if dh in fhat and not nz.all():
+            anti = ops.antiderivative(fhat[dh][~nz])
             phat[~nz] = eps * (anti - anti[:, -1][:, None])
         return phat
 
     # -- full run ---------------------------------------------------------
 
     def run(self, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
+        """Step from the zero state to t_end, keeping every
+        snapshot_stride-th state and the last one, and the energy ledger.
+
+        Each step solves
+
+            A c_new = (coef["fluid_mass"] / dt) M c + eps Fq + plate_rhs g,
+
+        where plate_rhs carries the plate's velocity and bending terms, then
+        sets eta_t from g . c_new and eta by one Euler step.  Steps run
+        in blocks (see the module docstring): the forcing of a whole block is
+        sampled and transformed together, and a forcing that is not finite
+        at some step time raises ParameterError naming that time.
+        """
         p = self.params
         dt = p.dt
         nsteps = int(round(t_end / dt))
@@ -591,27 +585,56 @@ class FsiSolver:
             raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
         if snapshot_stride < 1:
             raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+        asm = self.assembled()
+        K, coef = self.K, self.coef
+        block = _steps_per_block(16 * K * self.s)
+        # rows 0 and 1 hold the two states before a block, row j + 1 its
+        # j-th state
+        c = np.zeros((block + 2, K, self.s), dtype=complex)
+        eta = np.zeros((block + 2, K), dtype=complex)
+        eta_t = np.zeros((block + 2, K), dtype=complex)
+        # M c of the state before each step; the block's first comes from the
+        # previous block's ledger product
+        mass_old = np.zeros((block, K, self.s), dtype=complex)
+        totals = np.zeros(4)
         ledger = EnergyLedger()
-        spec = self.zero_state()
-        states = [self.materialize(spec)]
+        states = [self.materialize(c[1], eta[1], eta_t[1], 0.0)]
         times = [0.0]
-        cum = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
-        prev2 = None
-        for i in range(nsteps):
-            prev = spec
-            spec, inc = self.advance(spec, t_new=(i + 1) * dt)
-            for key in cum:
-                cum[key] += inc[key]
-            ledger.append(
-                spec.t, inc["fluid_kinetic"], inc["plate_kinetic"], inc["bending"],
-                cum["viscous"], cum["viscoelastic"], cum["numerical"], cum["work"],
-            )
-            if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-                phat = self.pressure_hat(prev, spec, self._forcing_hat(spec.t),
-                                         dt, older=prev2)
-                states.append(self.materialize(spec, phat))
-                times.append(spec.t)
-            prev2 = prev
+        mass, g = asm.mass, asm.g
+        fluid = coef["fluid_mass"] / dt
+        plate_test = 1j * coef["plate_test"]
+        plate_kin = coef["plate_kin"]
+        bend = coef["bend"] * asm.xi4
+        trace = -1j * coef["trace"]
+        for n0 in range(0, nsteps, block):
+            nb = min(block, nsteps - n0)
+            t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
+            fhat = {i: h.reshape(nb, K, -1)
+                    for i, h in sample_forcing(p.forcing, p.grid, t).items()}
+            Fq = self._quadrature(fhat, nb)
+            load = p.model.eps * Fq
+            for j in range(1, nb + 1):
+                if j > 1:
+                    _apply(mass, c[j], out=mass_old[j - 1])
+                plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
+                rhs = fluid * mass_old[j - 1] + load[j - 1] + plate_rhs[:, None] * g
+                asm.solve(rhs, out=c[j + 1])
+                eta_t[j + 1] = trace * (g * c[j + 1]).sum(axis=1)
+                eta[j + 1] = eta[j] + dt * eta_t[j + 1]
+            rows = slice(1, nb + 2)
+            mass_old[0] = self._record(ledger, totals, t, c[rows], eta[rows], eta_t[rows],
+                                       Fq, mass_old[:nb])
+            for j in range(nb):
+                n = n0 + j + 1
+                if n % snapshot_stride == 0 or n == nsteps:
+                    phat = self.pressure_hat(c[j + 1], c[j + 2],
+                                             {i: h[j] for i, h in fhat.items()}, dt,
+                                             None if n == 1 else c[j])
+                    states.append(self.materialize(c[j + 2], eta[j + 2], eta_t[j + 2],
+                                                   t[j], phat))
+                    times.append(t[j])
+            for buf in (c, eta, eta_t):
+                buf[:2] = buf[nb:nb + 2]
         return FsiTrajectory(params=p, times=np.array(times),
                              states=tuple(states), ledger=ledger)
 
@@ -628,6 +651,31 @@ def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTra
 # ----------------------------------------------------------------------
 # forcing helpers
 # ----------------------------------------------------------------------
+
+def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.ndarray]:
+    """Coefficients of the loaded forcing components at each of the given
+    times: component index -> array (len(times),) + grid.spectral_shape + (m,).
+
+    The forcing is called once per time.  The components that carry load at
+    any of the times are transformed together, in one batched transform;
+    the others are left out.  Raises ParameterError naming the first time
+    whose forcing is not finite.
+    """
+    times = [float(t) for t in times]
+    samples = [forcing(t) for t in times]
+    loaded = [i for i in range(grid.dim + 1)
+              if any(np.count_nonzero(f[i]) for f in samples)]
+    if not loaded:
+        return {}
+    stack = np.array([[f[i] for i in loaded] for f in samples], dtype=float)
+    # time and component axes go behind the horizontal and vertical ones
+    hats = grid.rfft(np.moveaxis(stack, (0, 1), (-1, -2)))
+    finite = np.isfinite(hats).reshape(-1, len(times)).all(axis=0)
+    if not finite.all():
+        raise ParameterError(f"forcing is not finite at t = {times[np.argmin(finite)]}")
+    hats = np.moveaxis(hats, (-2, -1), (0, 1))
+    return dict(zip(loaded, hats))
+
 
 def smooth_ramp(t: float, ramp_time: float) -> float:
     """C-infinity ramp 1 - exp(-(t/ramp_time)^2), flat at t = 0."""

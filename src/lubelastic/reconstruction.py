@@ -20,12 +20,15 @@ import numpy as np
 
 from .artifacts import save_snapshots, velocity_named
 from .errors import GridMismatchError, ParameterError
+from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
     ChannelField,
     PeriodicField,
     PeriodicGrid,
     VerticalNodes,
+    _steps_per_block,
+    derivative_symbol,
     laplacian_symbol,
     spectral_derivative,
 )
@@ -146,14 +149,31 @@ def flux_rate(v_components: Sequence[ChannelField]) -> PeriodicField:
     return PeriodicField(grid, out)
 
 
-def forcing_F(f_horizontal, nu: float, grid: PeriodicGrid,
-              vnodes: VerticalNodes) -> PeriodicField:
+def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
     """Zero-mean source of the reduced evolution, the flux rate of the force
-    profiles: F = -int_{-1}^0 div'(F_1, F_2) dy3."""
-    if f_horizontal is None:
-        return PeriodicField.zeros(grid)
-    return flux_rate([ChannelField(grid, vnodes, _force_profiles(np.asarray(f), nu, vnodes))
-                      for f in f_horizontal])
+    profiles F = -int_{-1}^0 div'(F_1, F_2) dy3, as a map from an array of
+    times to its coefficients, shape (len(times),) + grid.spectral_shape.
+
+    The profile map is linear along the depth, so F^ = -sum_a (i xi_a)
+    (f^_a . u), where u holds the depth integrals of the profiles of the
+    nodal basis vectors and f^_a the coefficients of the horizontal force
+    components from `sample_forcing`.
+    """
+    u = _force_profiles(np.eye(vnodes.m), nu, vnodes) @ vnodes.weights
+    symbols = [derivative_symbol(grid, 1, axis=a) for a in range(grid.dim)]
+    # one call transforms as many times as one component's coefficients
+    # fill a block
+    chunk = _steps_per_block(16 * vnodes.m * int(np.prod(grid.spectral_shape)))
+
+    def source(times) -> np.ndarray:
+        out = np.zeros((len(times),) + grid.spectral_shape, dtype=complex)
+        for lo in range(0, len(times), chunk):
+            for a, fhat in sample_forcing(forcing, grid, times[lo:lo + chunk]).items():
+                if a < grid.dim:
+                    out[lo:lo + chunk] -= symbols[a] * (fhat @ u)
+        return out
+
+    return source
 
 
 def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes,
@@ -161,10 +181,7 @@ def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes
                   snapshot_stride: int = 1) -> ReducedSolution:
     """Drive the reduced evolution d/dt eta - c (Lap')^3 eta = F(t) by the
     depth-integrated force of the full-order problem."""
-    def source(t: float) -> PeriodicField:
-        comps = forcing(t)
-        return forcing_F(comps[: grid.dim], params.nu, grid, vnodes)
-
+    source = reduced_source(forcing, params.nu, grid, vnodes)
     traj = solve_linear_sixth(params.reduced_coefficient, source, PeriodicField.zeros(grid),
                               t_end, dt, snapshot_stride=snapshot_stride)
     return ReducedSolution(times=traj.times, eta=tuple(traj.fields))

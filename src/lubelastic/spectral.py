@@ -205,6 +205,15 @@ def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarr
     return sym
 
 
+_BLOCK_BYTES = 64 * 1024
+
+
+def _steps_per_block(step_bytes: int) -> int:
+    """Time steps a solver batches together when one step's stacked data
+    takes step_bytes: a block stays near 64 KiB, and at least one step."""
+    return max(1, _BLOCK_BYTES // step_bytes)
+
+
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     """Symbol of the horizontal Laplacian, -|xi|^2, on the spectral layout."""
     if grid.dim == 1:

@@ -11,8 +11,9 @@ passes.
 from __future__ import annotations
 
 import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -162,12 +163,18 @@ def energy_audit(ledger: EnergyLedger, params, rel_tol: float = 1e-12) -> AuditR
     terms involved, and each dissipation integral must be nonnegative and
     nondecreasing.  The ratio series reports lhs(t) / (t_physical * eps^3),
     with t_physical = eps^tau * t, the combination the energy bound keeps
-    of order one.
+    of order one.  A ledger entry that is not finite fails the audit at its
+    step.
     """
     model = params.model if isinstance(params, FsiParams) else params
     n = len(ledger)
     if n == 0:
         return AuditResult(ok=True, first_violation=None, ratios=np.array([]))
+    finite = np.isfinite([getattr(ledger, f.name) for f in fields(ledger)]).all(axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        return AuditResult(ok=False, first_violation=step, ratios=np.array([]),
+                           message=f"ledger entry not finite at step {step}")
     lhs = ledger.lhs()
     work = np.array(ledger.work)
     for name in ("viscous_dissipation", "viscoelastic_dissipation", "numerical_dissipation"):
@@ -282,6 +289,7 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
 
 def _ladder_point(config: RateStudyConfig, eps: float):
     """Run one thickness: full-order solve, reconstruction, error norms."""
+    start = time.perf_counter()
     grid, vnodes, forcing = _study_pieces(config)
     model = config.model_for(eps)
     params = FsiParams(model=model, grid=grid, vnodes=vnodes, dt=config.dt,
@@ -297,6 +305,8 @@ def _ladder_point(config: RateStudyConfig, eps: float):
     report = ErrorReport(eps=eps, kappa=float(model.kappa), err_velocity=err_v,
                          err_pressure=err_p, err_displacement=err_eta,
                          energy_ratio=ratio)
+    logger.info("ladder point eps = %g: %.3f s, errors velocity %.6e, pressure %.6e, "
+                "displacement %.6e", eps, time.perf_counter() - start, err_v, err_p, err_eta)
     return report, traj.ledger, audit
 
 

@@ -4,6 +4,7 @@ Everything here is deliberately built from different algorithms than the
 library paths it checks: fixed-point iteration instead of the closed-form
 flux balance, raw FFT arithmetic instead of the field classes.
 """
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +275,18 @@ def reports_csv(reports, path) -> None:
                 r.err_displacement, r.energy_ratio)) + "\n")
 
 
+# The coupled solver's evolving state: interior profile coefficients per
+# mode (K, s) and plate harmonics (K,), as `fsi.FsiSolver.materialize` takes
+# them.
+SpectralState = namedtuple("SpectralState", "c eta eta_t t")
+
+
+def zero_state(solver):
+    K = solver.K
+    return SpectralState(np.zeros((K, solver.s), dtype=complex), np.zeros(K, dtype=complex),
+                         np.zeros(K, dtype=complex), 0.0)
+
+
 # The coupled step as `fsi.FsiSolver.advance` took it before the mass
 # product and the ledger's quadratic forms became batched real products:
 # every forcing component transformed, M c and the three quadratic forms by
@@ -317,8 +330,6 @@ def einsum_ledger_increments(solver, asm, old, new, Fq, dt):
 def einsum_advance(solver, spec, t_new):
     """One backward-Euler step of `solver` from `spec`; returns
     (new_state, ledger_increments) like `FsiSolver.advance`."""
-    from lubelastic.fsi import _SpectralState
-
     dt = solver.params.dt
     asm = solver.assembled()
     dh = solver.params.grid.dim
@@ -338,7 +349,7 @@ def einsum_advance(solver, spec, t_new):
     sol = asm.inv @ np.stack([rhs.real, rhs.imag], axis=2)
     c_new = sol[:, :, 0] + 1j * sol[:, :, 1]
     eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new)
-    new = _SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
+    new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
     return new, einsum_ledger_increments(solver, asm, spec, new, Fq, dt)
 
 
@@ -426,3 +437,117 @@ def nodal_film_energy(model, eta):
     else:
         sym = xi2**2
     return float(0.5 * np.sum(w * sym * np.abs(eta.hat) ** 2))
+
+
+# The coupled run as `fsi.FsiSolver.run` took it before it stepped in
+# blocks: every step samples and transforms the forcing on its own
+# (`_forcing_hat`), `advance` takes one step and returns its ledger
+# increments, and a snapshot transforms the forcing again for its pressure.
+
+def stepwise_forcing_hat(solver, t):
+    """Forcing coefficients (d, K, m); an unloaded component stays zero."""
+    comps = solver.params.forcing(t)
+    grid = solver.params.grid
+    m = solver.params.vnodes.m
+    out = np.zeros((len(comps), solver.K, m), dtype=complex)
+    for i, comp in enumerate(comps):
+        if np.any(comp):
+            out[i] = grid.rfft(np.asarray(comp, dtype=float)).reshape(solver.K, m)
+    return out
+
+
+def stepwise_advance(solver, spec, t_new):
+    """One backward-Euler step to t_new; returns (new_state, increments)."""
+    from lubelastic.fsi import _apply
+
+    def _re_inner(w, a, b):
+        return float(w @ (a.view(float) * b.view(float)).sum(axis=1))
+
+    p = solver.params
+    dt = p.dt
+    asm = solver.assembled()
+    dh = p.grid.dim
+    eps = p.model.eps
+    coef = solver.coef
+    fhat = stepwise_forcing_hat(solver, t_new)
+    Fq = np.empty((solver.K, solver.s), dtype=complex)
+    f3q = fhat[dh] @ solver._MAint.T
+    for a in range(dh):
+        Fq[:, a * solver.mi:(a + 1) * solver.mi] = (
+            fhat[a] @ solver._Mint.T + 1j * eps * solver.xi[:, a][:, None] * f3q)
+    mass_old = _apply(asm.mass, spec.c)
+    plate_rhs = (1j * coef["plate_test"]) * (
+        coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
+    rhs = (coef["fluid_mass"] / dt) * mass_old + eps * Fq + plate_rhs[:, None] * asm.g
+    c_new = _apply(asm.inv, rhs)
+    eta_t_new = -1j * coef["trace"] * (asm.g * c_new).sum(axis=1)
+    new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
+    mass_new, visc_new = _apply(asm.mass_visc, c_new)
+
+    w = solver._w
+    rho_f = p.model.rho_f
+    dc = new.c - spec.c
+    d_eta = new.eta - spec.eta
+    d_eta_t = new.eta_t - spec.eta_t
+    inc = dict(
+        fluid_kinetic=0.5 * rho_f * eps * _re_inner(w, new.c, mass_new),
+        plate_kinetic=0.5 * coef["plate_kin"] * np.sum(w * np.abs(new.eta_t) ** 2),
+        bending=0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(new.eta) ** 2),
+        numerical=(0.5 * rho_f * eps * _re_inner(w, dc, mass_new - mass_old)
+                   + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(d_eta_t) ** 2)
+                   + 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(d_eta) ** 2)),
+        viscous=dt * coef["work"] * _re_inner(w, new.c, visc_new),
+        viscoelastic=dt * coef["viscoelastic"] * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2),
+        work=dt * coef["work"] * _re_inner(w, new.c, Fq),
+    )
+    return new, {key: float(value) for key, value in inc.items()}
+
+
+def stepwise_run(solver, t_end, snapshot_stride=1):
+    """Run step by step from the zero state; returns the trajectory and the
+    spectral states of its snapshots after the initial one."""
+    from lubelastic.fsi import EnergyLedger, FsiTrajectory
+
+    dt = solver.params.dt
+    nsteps = int(round(t_end / dt))
+    ledger = EnergyLedger()
+    spec = zero_state(solver)
+    states = [solver.materialize(*spec)]
+    times = [0.0]
+    spectral = []
+    cum = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
+    prev2 = None
+    for i in range(nsteps):
+        prev = spec
+        spec, inc = stepwise_advance(solver, spec, (i + 1) * dt)
+        for key in cum:
+            cum[key] += inc[key]
+        ledger.extend([spec.t], [inc["fluid_kinetic"]], [inc["plate_kinetic"]],
+                      [inc["bending"]], [cum["viscous"]], [cum["viscoelastic"]],
+                      [cum["numerical"]], [cum["work"]])
+        if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
+            fhat = dict(enumerate(stepwise_forcing_hat(solver, spec.t)))
+            phat = solver.pressure_hat(prev.c, spec.c, fhat, dt,
+                                       None if prev2 is None else prev2.c)
+            states.append(solver.materialize(*spec, phat))
+            times.append(spec.t)
+            spectral.append(spec)
+        prev2 = prev
+    return FsiTrajectory(params=solver.params, times=np.array(times),
+                         states=tuple(states), ledger=ledger), spectral
+
+
+# The reduced source as `reconstruction.forcing_F` built it at every step:
+# force profiles on the nodal grid, their depth integral, and a spectral
+# derivative of each horizontal component.
+
+def forcing_F(f_horizontal, nu, grid, vnodes):
+    """Zero-mean source F = -int_{-1}^0 div'(F_1, F_2) dy3 of the force
+    profiles, as a PeriodicField."""
+    from lubelastic.reconstruction import _force_profiles, flux_rate
+    from lubelastic.spectral import ChannelField, PeriodicField
+
+    if f_horizontal is None:
+        return PeriodicField.zeros(grid)
+    return flux_rate([ChannelField(grid, vnodes, _force_profiles(np.asarray(f), nu, vnodes))
+                      for f in f_horizontal])

@@ -222,6 +222,18 @@ class TestBreakdownPath:
         assert diag["last_valid_time"] == 0.0
         assert not (out / "manifest.json").exists()
 
+    def test_breakdown_goes_to_document_output_dir(self, tmp_path, monkeypatch):
+        # without --output, breakdown.json lands where the artifacts would
+        monkeypatch.chdir(tmp_path)
+        doc = cli.preset_config("stf-bending")
+        doc.update({"n": 32, "steps": 5, "output_dir": "want",
+                    "eta0": {"kind": "constant", "value": 5e-7}})
+        rc = cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc)])
+        assert rc == 3
+        diag = json.loads((tmp_path / "want" / "breakdown.json").read_text())
+        assert diag["error"] == "numerical breakdown"
+        assert not (tmp_path / "breakdown.json").exists()
+
     def test_linearized_run_may_start_nonpositive(self, tmp_path):
         doc = cli.preset_config("stf-bending")
         doc.update({"n": 32, "steps": 2, "linearized": True,
@@ -415,6 +427,16 @@ class TestRatesCommand:
         assert rates["energy_audit_ok"] is True
         for entry in rates["rates"].values():
             assert "slope" in entry and "r2" in entry and "pass" in entry
+        # per ladder point, the ledger health that `fsi run` reports
+        points = rates["points"]
+        assert [p["eps"] for p in points] == [0.125, 0.0625, 0.03125]
+        for point, ledger in zip(points, studies[0].ledgers):
+            assert 0.0 <= point["max_identity_residual_rel"] <= 1e-12
+            assert point["max_identity_residual_rel"] == max(ledger.identity_residual_rel())
+            slack_rel = ledger.slack() / ledger.scale()
+            assert point["min_slack_rel"] == min(slack_rel) >= 0.0
+            assert 1 <= point["min_slack_step"] <= len(ledger)
+            assert slack_rel[point["min_slack_step"] - 1] == point["min_slack_rel"]
         reports_csv(studies[0].reports, tmp_path / "oracle.csv")
         assert (out / "reports.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 

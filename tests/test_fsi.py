@@ -337,6 +337,22 @@ class TestDependencies:
         assert out.stdout.strip() == "False"
 
 
+def _loaded_bump_forcing(grid, vn):
+    """A localized 2D load with depth-varying profiles in all three components."""
+    X, Y = grid.meshes
+    bump = np.exp((np.cos(2 * np.pi * (X - 0.3)) + np.cos(2 * np.pi * (Y - 0.7)) - 2.0)
+                  / (2 * np.pi**2 * 0.08**2))
+    depth = 1.0 + vn.nodes
+    profiles = (bump[..., None] * depth, 0.5 * bump[..., None] * depth**2,
+                -bump[..., None] * np.ones(vn.m))
+
+    def forcing(t):
+        r = lb.fsi.smooth_ramp(t, 0.02)
+        return tuple(r * prof for prof in profiles)
+
+    return forcing
+
+
 class TestSparseLuOracle:
     def test_batched_solve_matches_sparse_lu(self):
         # the block solve used to run through one sparse LU of the
@@ -347,28 +363,19 @@ class TestSparseLuOracle:
 
         grid = lb.PeriodicGrid(dim=2, n=16)
         vn = lb.VerticalNodes(12)
-        X, Y = grid.meshes
-        bump = np.exp((np.cos(2 * np.pi * (X - 0.3)) + np.cos(2 * np.pi * (Y - 0.7)) - 2.0)
-                      / (2 * np.pi**2 * 0.08**2))
-        depth = 1.0 + vn.nodes
-        profiles = (bump[..., None] * depth, 0.5 * bump[..., None] * depth**2,
-                    -bump[..., None] * np.ones(vn.m))
-
-        def forcing(t):
-            r = lb.fsi.smooth_ramp(t, 0.02)
-            return tuple(r * prof for prof in profiles)
-
         model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
-        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
+                              forcing=_loaded_bump_forcing(grid, vn))
 
         oracle = lb.FsiSolver(params)
         asm = oracle.assembled()
         lu = scipy.sparse.linalg.splu(scipy.sparse.block_diag(list(asm.A), format="csc"))
 
-        def lu_solve(rhs):
+        def lu_solve(rhs, out):
             b = rhs.reshape(-1)
             sol = lu.solve(np.stack([b.real, b.imag], axis=1))
-            return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
+            out[...] = (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
+            return out
 
         asm.solve = lu_solve
         t_scale = lb.eps_power(model.eps, -model.tau)
@@ -409,6 +416,59 @@ def _bump_forcing(grid, vn, component, ramp_time=0.02):
     return forcing
 
 
+def _spectral(solver, state):
+    """(c, eta, eta_t) of a materialized state, back in coefficient space.
+
+    In 2D the round trip through nodal values keeps only the Hermitian part
+    of the modes the half spectrum stores twice, so compare two states only
+    after both made it."""
+    K = solver.K
+    dh = solver.params.grid.dim
+    c = np.concatenate([state.v[a].hat.reshape(K, -1)[:, 1:-1] for a in range(dh)], axis=1)
+    return c, state.eta.hat.reshape(K), state.eta_t.hat.reshape(K)
+
+
+def _assert_states_match(solver, states, ref_states):
+    """Materialized states against reference spectral states, within 1e-13
+    of the references' largest entry."""
+    asm = solver.assembled()
+    c_scale = max(np.max(np.abs(r.c)) for r in ref_states)
+    eta_scale = max(np.max(np.abs(r.eta)) for r in ref_states)
+    assert c_scale > 0 and eta_scale > 0
+    assert len(states) == len(ref_states)
+    for state, ref in zip(states, ref_states):
+        assert state.t == ref.t
+        c, eta, eta_t = _spectral(solver, state)
+        c_ref, eta_ref, eta_t_ref = _spectral(solver, solver.materialize(*ref))
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * c_scale
+        assert np.max(np.abs(eta - eta_ref)) <= 1e-13 * eta_scale
+        # the plate velocity is a strongly cancelling sum g . c: any
+        # float64 summation of it lies ~1e-12 relative from the exact sum,
+        # so its roundoff is measured against the size of the summands
+        terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
+        assert np.max(np.abs(eta_t - eta_t_ref)) <= 1e-13 * terms
+
+
+def _assert_matches_steps(solver, traj, ref_states, ref_increments):
+    """The run's snapshots and ledger against per-step reference states and
+    ledger increments (fluid_kinetic, ..., work), one per snapshot."""
+    _assert_states_match(solver, traj.states[1:], ref_states)
+    led = traj.ledger
+    running = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
+    for i, inc in enumerate(ref_increments):
+        for key in running:
+            running[key] += inc[key]
+        want = dict(fluid_kinetic=inc["fluid_kinetic"], plate_kinetic=inc["plate_kinetic"],
+                    bending=inc["bending"], viscous_dissipation=running["viscous"],
+                    viscoelastic_dissipation=running["viscoelastic"],
+                    numerical_dissipation=running["numerical"], work=running["work"])
+        scale = max(abs(v) for v in want.values())
+        assert scale > 0
+        for name, value in want.items():
+            assert abs(getattr(led, name)[i] - value) <= 1e-12 * scale, name
+    assert np.max(led.identity_residual_rel()) <= 1e-12
+
+
 class TestEinsumLedgerOracle:
     @pytest.mark.parametrize("dim, eps, component", [
         (1, 2.0**-3, 0), (1, 2.0**-3, 1),
@@ -417,8 +477,8 @@ class TestEinsumLedgerOracle:
     def test_batched_step_matches_einsum_step(self, dim, eps, component):
         # the mass product and the ledger's quadratic forms used to be
         # einsum contractions, and every forcing component was transformed;
-        # step the same state through both paths
-        from oracles import einsum_advance
+        # run the same steps through the blocked run and the einsum step
+        from oracles import einsum_advance, zero_state
 
         grid = lb.PeriodicGrid(dim=dim, n=16)
         vn = lb.VerticalNodes(20 if dim == 1 else 12)
@@ -429,32 +489,92 @@ class TestEinsumLedgerOracle:
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
         solver = lb.FsiSolver(params)
-        asm = solver.assembled()
-        spec = solver.zero_state()
+        traj = solver.run(25 * params.dt, snapshot_stride=1)
+        spec = zero_state(solver)
+        states, increments = [], []
         for i in range(25):
-            t_new = (i + 1) * params.dt
-            new, inc = solver.advance(spec, t_new=t_new)
-            ref, ref_inc = einsum_advance(solver, spec, t_new)
-            scale = max(abs(v) for v in ref_inc.values())
-            assert scale > 0
-            assert inc.keys() == ref_inc.keys()
-            for key in inc:
-                assert abs(inc[key] - ref_inc[key]) <= 1e-12 * scale, key
-            for a, b in ((new.c, ref.c), (new.eta, ref.eta)):
-                assert np.max(np.abs(b)) > 0
-                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-            # the plate velocity is a strongly cancelling sum g . c: any
-            # float64 summation of it, the einsum's included, lies ~1e-12
-            # relative from the exact sum, so its roundoff is measured
-            # against the size of the summands
-            terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
-            assert np.max(np.abs(new.eta_t - ref.eta_t)) <= 1e-13 * terms
-            spec = new
+            spec, inc = einsum_advance(solver, spec, (i + 1) * params.dt)
+            states.append(spec)
+            increments.append(inc)
+        _assert_matches_steps(solver, traj, states, increments)
+
+
+class TestBlockedRunOracle:
+    """The blocked run against the per-step loop it replaced
+    (`oracles.stepwise_run`: one `advance` and one forcing transform per
+    step, and another transform for each snapshot's pressure)."""
+
+    @staticmethod
+    def _compare(params, nsteps, stride):
+        from oracles import stepwise_run
+
+        solver = lb.FsiSolver(params)
+        traj = solver.run(nsteps * params.dt, snapshot_stride=stride)
+        ref, ref_states = stepwise_run(lb.FsiSolver(params), nsteps * params.dt, stride)
+        np.testing.assert_array_equal(traj.times, ref.times)
+        _assert_states_match(solver, traj.states[1:], ref_states)
+        for state, want in zip(traj.states[1:], ref.states[1:]):
+            p_scale = np.max(np.abs(want.p.values))
+            assert p_scale > 0
+            assert np.max(np.abs(state.p.values - want.p.values)) <= 1e-12 * p_scale
+        for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
+                     "viscoelastic_dissipation", "numerical_dissipation", "work"):
+            got, want = np.array(getattr(traj.ledger, name)), np.array(getattr(ref.ledger, name))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+        assert np.max(traj.ledger.identity_residual_rel()) <= 1e-12
+        return solver, traj
+
+    @staticmethod
+    def _block(solver):
+        from lubelastic.spectral import _steps_per_block
+
+        return _steps_per_block(16 * solver.K * solver.s)
+
+    def test_stride_across_blocks_and_partial_last_block(self):
+        params = make_params(n=16, m=20, dt=2e-3, theta=0.5)
+        solver, traj = self._compare(params, 60, 7)
+        block = self._block(solver)
+        assert block > 7 and block % 7 and 60 % block
+        assert len(traj.states) == 1 + 60 // 7 + 1
+
+    def test_snapshot_on_first_step_of_block(self):
+        # its second-order pressure quotient reaches two states back, into
+        # the previous block
+        params = make_params(n=16, m=20, dt=2e-3)
+        solver, traj = self._compare(params, 52, 13)
+        block = self._block(solver)
+        steps = np.rint(traj.times / params.dt).astype(int)
+        assert any(n > 1 and (n - 1) % block == 0 for n in steps)
+
+    def test_two_dimensional_one_step_blocks(self):
+        grid = lb.PeriodicGrid(dim=2, n=16)
+        vn = lb.VerticalNodes(12)
+        model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
+                              forcing=_loaded_bump_forcing(grid, vn))
+        # every step starts a block; the snapshot at step 2 is the first
+        # whose pressure reaches two states back
+        solver, traj = self._compare(params, 11, 2)
+        assert self._block(solver) == 1
+        assert traj.times[1] == 2 * params.dt
+
+    def test_forcing_that_turns_nan_names_its_time(self):
+        grid = lb.PeriodicGrid(dim=1, n=16)
+        vn = lb.VerticalNodes(12)
+        ramp = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.05)
+
+        def forcing(t):
+            comps = ramp(t)
+            return comps if t <= 0.005 else (comps[0] * np.nan, comps[1])
+
+        params = make_params(n=16, m=12, dt=1e-3, forcing=forcing)
+        with pytest.raises(ParameterError, match="not finite at t = 0.006"):
+            lb.run_fsi(params, 0.02)
 
 
 class TestForcingTransforms:
     @staticmethod
-    def _count_transforms(monkeypatch, params, nsteps):
+    def _count_transforms(monkeypatch, params, nsteps, stride=None):
         calls = []
         rfft = lb.PeriodicGrid.rfft
 
@@ -463,14 +583,21 @@ class TestForcingTransforms:
             return rfft(grid, values)
 
         monkeypatch.setattr(lb.PeriodicGrid, "rfft", counting)
-        traj = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=nsteps)
+        traj = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=stride or nsteps)
         return len(calls), traj
 
     def test_only_loaded_component_transformed(self, monkeypatch):
+        from lubelastic.spectral import _steps_per_block
+
         params = make_params(dim=2, n=8, m=10, dt=1e-3)
-        count, traj = self._count_transforms(monkeypatch, params, 10)
-        assert count == 10 + 1  # one per step, one for the final snapshot's pressure
-        assert traj.ledger.work[-1] > 0
+        solver = lb.FsiSolver(params)
+        block = _steps_per_block(16 * solver.K * solver.s)
+        assert 1 < block < 10
+        # one per block; snapshot pressures reuse the block's coefficients
+        for stride in (10, 1):
+            count, traj = self._count_transforms(monkeypatch, params, 10, stride)
+            assert count == -(-10 // block)
+            assert traj.ledger.work[-1] > 0
 
     def test_zero_forcing_makes_no_transform(self, monkeypatch):
         grid = lb.PeriodicGrid(dim=2, n=8)

@@ -107,26 +107,57 @@ class TestVerticalVelocity:
             rc.vertical_velocity(v1, v1, eps=0.5)  # dim 1 grid, two components
 
 
+def _loads(grid, vnodes, *profiles):
+    """A forcing with the given horizontal profiles, in order, times a ramp."""
+    zero = np.zeros(grid.shape + (vnodes.m,))
+    comps = list(profiles) + [zero] * (grid.dim + 1 - len(profiles))
+    return lambda t: tuple(lb.fsi.smooth_ramp(t, 0.1) * c for c in comps)
+
+
 class TestForcingSource:
+    times = np.array([0.0, 0.05, 0.1, 0.3])
+
     def test_zero_force(self, grid, vnodes):
-        assert np.max(np.abs(rc.forcing_F(None, 1.0, grid, vnodes).values)) == 0.0
+        source = rc.reduced_source(_loads(grid, vnodes), 1.0, grid, vnodes)
+        assert np.max(np.abs(source(self.times))) == 0.0
 
     def test_single_harmonic_value(self, grid, vnodes):
         # depth-constant f1 = sin(2 pi x): source is -(1/12 nu) d/dx f1
         nu = 1.5
         x = grid.nodes[0]
         f1 = np.sin(2 * np.pi * x)[:, None] * np.ones(vnodes.m)
-        F = rc.forcing_F((f1,), nu, grid, vnodes)
-        ref = -(2 * np.pi / (12 * nu)) * np.cos(2 * np.pi * x)
+        hat = rc.reduced_source(_loads(grid, vnodes, f1), nu, grid, vnodes)(np.array([1.0]))[0]
+        F = PeriodicField.from_hat(grid, hat)
+        ref = -(2 * np.pi / (12 * nu)) * np.cos(2 * np.pi * x) * lb.fsi.smooth_ramp(1.0, 0.1)
         assert np.max(np.abs(F.values - ref)) < 1e-12
         assert abs(F.mean()) < 1e-14
 
     def test_linearity(self, grid, vnodes):
         rng = np.random.default_rng(4)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
-        Fa = rc.forcing_F((f1,), 1.0, grid, vnodes)
-        Fb = rc.forcing_F((2.5 * f1,), 1.0, grid, vnodes)
-        assert np.max(np.abs(Fb.values - 2.5 * Fa.values)) < 1e-12 * max(1, np.max(np.abs(Fb.values)))
+        Fa = rc.reduced_source(_loads(grid, vnodes, f1), 1.0, grid, vnodes)(self.times)
+        Fb = rc.reduced_source(_loads(grid, vnodes, 2.5 * f1), 1.0, grid, vnodes)(self.times)
+        assert np.max(np.abs(Fb - 2.5 * Fa)) < 1e-12 * max(1, np.max(np.abs(Fb)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_nodal_flux_rate(self, dim):
+        # the source used to be rebuilt at every step as the flux rate of
+        # the nodal force profiles (`oracles.forcing_F`)
+        from oracles import forcing_F
+
+        grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
+        vnodes = VerticalNodes(12)
+        rng = np.random.default_rng(11 + dim)
+        profiles = [rng.standard_normal(grid.shape + (vnodes.m,)) for _ in range(dim)]
+        forcing = _loads(grid, vnodes, *profiles)
+        nu = 0.7
+        # more times than one transform takes, so the source works in chunks
+        times = np.linspace(0.0, 0.5, 301)
+        got = rc.reduced_source(forcing, nu, grid, vnodes)(times)
+        assert got.shape == (len(times),) + grid.spectral_shape
+        want = np.array([forcing_F(forcing(t)[:dim], nu, grid, vnodes).hat for t in times])
+        assert np.max(np.abs(want)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def criterion_preset(eps=0.125):

@@ -261,7 +261,8 @@ class TestSolveLinearSixth:
         grid = PeriodicGrid(dim=1, n=32)
         c = 1.0 / 3600.0
         lam = c * (2 * np.pi) ** 6
-        source = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        hat = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x)).hat
+        source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(c, source, PeriodicField.zeros(grid), 1.0,
                                      1e-3, snapshot_stride=100)
         for state in traj.states[1:]:
@@ -269,6 +270,28 @@ class TestSolveLinearSixth:
             ref = (1.0 - np.exp(-lam * state.t)) / lam
             got = state.eta.hat[1] * 2.0  # cosine amplitude
             assert got.real == pytest.approx(ref, rel=1e-10)
+
+    def test_linear_in_time_source_is_exact_across_blocks(self):
+        # the exponential trapezoidal rule is exact for a source linear in
+        # time; 1000 steps span several blocks of source samples
+        grid = PeriodicGrid(dim=1, n=32)
+        c = 1.0 / 3600.0
+        lam = c * (2 * np.pi) ** 6
+        a, b = 1.0, -3.0
+        hat = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x)).hat
+        calls = []
+
+        def source(times):
+            calls.append(len(times))
+            return (a + b * np.asarray(times))[:, None] * hat
+
+        traj = tf.solve_linear_sixth(c, source, PeriodicField.zeros(grid), 1.0,
+                                     1e-3, snapshot_stride=7)
+        assert len(calls) > 2 and sum(calls) == 1001
+        for state in traj.states[1:]:
+            t = state.t
+            ref = (a / lam - b / lam**2) * (1.0 - np.exp(-lam * t)) + b * t / lam
+            assert (state.eta.hat[1] * 2.0).real == pytest.approx(ref, rel=1e-11)
 
     def test_zero_data_zero_source(self):
         grid = PeriodicGrid(dim=1, n=32)
@@ -283,7 +306,8 @@ class TestSolveLinearSixth:
 
     def test_zero_mean_preserved(self):
         grid = PeriodicGrid(dim=1, n=32)
-        source = PeriodicField.from_function(grid, lambda x: np.sin(4 * np.pi * x))
+        hat = PeriodicField.from_function(grid, lambda x: np.sin(4 * np.pi * x)).hat
+        source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(1e-4, source, PeriodicField.zeros(grid), 0.2,
                                      1e-3, snapshot_stride=20)
         for s in traj.states:

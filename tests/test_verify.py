@@ -1,3 +1,4 @@
+import logging
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -144,26 +145,39 @@ class TestRateFit:
 
 
 def synthetic_ledger(nsteps=5, dissipative=True):
-    led = EnergyLedger()
+    rows = []
     work = 0.0
     dv = 0.0
     for i in range(nsteps):
         work += 1.0
         dv += 0.3 if dissipative else -0.3
         # energies chosen so lhs stays below cumulative work
-        led.append(0.01 * (i + 1), 0.2, 0.1, 0.1, dv, 0.0,
-                   max(work - (0.4 + dv), 0.0), work)
+        rows.append((0.01 * (i + 1), 0.2, 0.1, 0.1, dv, 0.0,
+                     max(work - (0.4 + dv), 0.0), work))
+    led = EnergyLedger()
+    led.extend(*np.array(rows).T)
     return led
 
 
 class TestEnergyAudit:
     def test_zero_run_passes(self):
         led = EnergyLedger()
-        for i in range(4):
-            led.append(0.01 * (i + 1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        led.extend(0.01 * np.arange(1, 5), *np.zeros((7, 4)))
         model = lb.ModelParams(eps=0.125, kappa=2)
         result = verify.energy_audit(led, model)
         assert result.ok
+
+    @pytest.mark.parametrize("name", ["work", "fluid_kinetic", "numerical_dissipation"])
+    def test_non_finite_entry_fails_at_its_step(self, name):
+        # comparisons with NaN are all false, so a NaN ledger used to pass
+        led = synthetic_ledger(nsteps=6)
+        values = getattr(led, name)
+        values[2:] = [np.nan] * (len(values) - 2)
+        model = lb.ModelParams(eps=0.125, kappa=2)
+        result = verify.energy_audit(led, model)
+        assert not result.ok
+        assert result.first_violation == 3
+        assert "not finite" in result.message
 
     def test_negated_dissipation_fails_at_first_step(self):
         led = synthetic_ledger(dissipative=False)
@@ -203,6 +217,19 @@ class TestLadderConfig:
             verify.RateStudyConfig(eps_list=(0.0625, 0.125))
         with pytest.raises(ParameterError):
             verify.RateStudyConfig(eps_list=())
+
+    def test_info_log_line_per_ladder_point(self, caplog):
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            dt=1e-3, t_end=0.02, snapshot_stride=10, theta=1.0)
+        caplog.set_level(logging.INFO, logger="lubelastic.verify")
+        result = verify.run_rate_study(cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "lubelastic.verify"]
+        assert len(lines) == 3
+        for line, report in zip(lines, result.reports):
+            assert line.startswith(f"ladder point eps = {report.eps:g}: ")
+            for err in (report.err_velocity, report.err_pressure, report.err_displacement):
+                assert f"{err:.6e}" in line
 
     def test_mini_ladder_pipeline(self):
         cfg = verify.RateStudyConfig(
