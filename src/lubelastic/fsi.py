@@ -339,21 +339,16 @@ class _Assembled:
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solve every mode's system for a stacked complex right-hand side
-        (K, s), into `out`."""
-        return _apply(self.inv, rhs, out)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve every mode's system for a stacked complex right-hand side (K, s)."""
+        return _apply(self.inv, rhs)
 
 
-def _apply(mats: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real stacked matrices (..., K, r, s) times complex vectors (..., K, s):
     one real matmul on the interleaved real and imaginary parts, without
-    copies; a contiguous complex `out` receives the product in place."""
-    x = c.view(float).reshape(c.shape + (2,))
-    if out is None:
-        return (mats @ x).view(complex)[..., 0]
-    np.matmul(mats, x, out=out.view(float).reshape(out.shape + (2,)))
-    return out
+    copies."""
+    return (mats @ c.view(float).reshape(c.shape + (2,))).view(complex)[..., 0]
 
 
 def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -615,10 +610,10 @@ class FsiSolver:
             load = p.model.eps * Fq
             for j in range(1, nb + 1):
                 if j > 1:
-                    _apply(mass, c[j], out=mass_old[j - 1])
+                    mass_old[j - 1] = _apply(mass, c[j])
                 plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
                 rhs = fluid * mass_old[j - 1] + load[j - 1] + plate_rhs[:, None] * g
-                asm.solve(rhs, out=c[j + 1])
+                c[j + 1] = asm.solve(rhs)
                 eta_t[j + 1] = trace * (g * c[j + 1]).sum(axis=1)
                 eta[j + 1] = eta[j] + dt * eta_t[j + 1]
             rows = slice(1, nb + 2)

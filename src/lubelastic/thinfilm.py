@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ParameterError, PositivityError
 from .spectral import (
     PeriodicField,
-    _steps_per_block,
     dealiased_product,
     derivative_symbol,
     laplacian_symbol,
@@ -218,8 +217,8 @@ def solve_linear_sixth(
     c : positive coefficient of the sixth-order operator.
     F : source; None, or a callable mapping an array of times to the stack
         of the source's coefficients at those times, shape
-        (len(times),) + grid.spectral_shape.  Sampled at the step endpoints,
-        a block of steps per call, and integrated by the exponential
+        (len(times),) + grid.spectral_shape.  Sampled at all step endpoints
+        in one call and integrated by the exponential
         trapezoidal rule, which is exact for sources at most linear in time
         at any stiffness, second-order accurate otherwise.
     eta0 : initial height.
@@ -247,23 +246,16 @@ def solve_linear_sixth(
     states = [FilmState(eta0, 0.0)]
     hat = states[0].hat
     times = dt * np.arange(nsteps + 1)
-    block = _steps_per_block(16 * hat.size)
-    s_old = None if F is None else F(times[:1])[0]
-    for n0 in range(0, nsteps, block):
-        nb = min(block, nsteps - n0)
-        gain = None
-        if F is not None:
-            s_new = F(times[n0 + 1:n0 + nb + 1])
-            s_prev = np.concatenate([s_old[None], s_new[:-1]])
-            gain = dt * ((phi1 - phi2) * s_prev + phi2 * s_new)
-            s_old = s_new[-1]
-        for j in range(nb):
-            hat = decay * hat
-            if gain is not None:
-                hat = hat + gain[j]
-            n = n0 + j + 1
-            if n % snapshot_stride == 0 or n == nsteps:
-                states.append(FilmState(PeriodicField.from_hat(grid, hat), float(times[n]), hat))
+    gain = None
+    if F is not None:
+        s = F(times)
+        gain = dt * ((phi1 - phi2) * s[:-1] + phi2 * s[1:])
+    for i in range(nsteps):
+        hat = decay * hat
+        if gain is not None:
+            hat = hat + gain[i]
+        if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
+            states.append(FilmState(PeriodicField.from_hat(grid, hat), float(times[i + 1]), hat))
     return FilmTrajectory(tuple(states))
 
 

@@ -371,11 +371,10 @@ class TestSparseLuOracle:
         asm = oracle.assembled()
         lu = scipy.sparse.linalg.splu(scipy.sparse.block_diag(list(asm.A), format="csc"))
 
-        def lu_solve(rhs, out):
+        def lu_solve(rhs):
             b = rhs.reshape(-1)
             sol = lu.solve(np.stack([b.real, b.imag], axis=1))
-            out[...] = (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
-            return out
+            return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
 
         asm.solve = lu_solve
         t_scale = lb.eps_power(model.eps, -model.tau)
@@ -416,57 +415,36 @@ def _bump_forcing(grid, vn, component, ramp_time=0.02):
     return forcing
 
 
-def _spectral(solver, state):
-    """(c, eta, eta_t) of a materialized state, back in coefficient space.
+def _record_spectral_states(solver):
+    """The coefficients (c, eta, eta_t, t) of every state `solver.run`
+    materializes, copied before the run's buffers move on; the list fills
+    as the run goes."""
+    from oracles import SpectralState
 
-    In 2D the round trip through nodal values keeps only the Hermitian part
-    of the modes the half spectrum stores twice, so compare two states only
-    after both made it."""
-    K = solver.K
-    dh = solver.params.grid.dim
-    c = np.concatenate([state.v[a].hat.reshape(K, -1)[:, 1:-1] for a in range(dh)], axis=1)
-    return c, state.eta.hat.reshape(K), state.eta_t.hat.reshape(K)
+    seen = []
+    materialize = solver.materialize
+
+    def spy(c, eta, eta_t, t, pressure_hat=None):
+        seen.append(SpectralState(c.copy(), eta.copy(), eta_t.copy(), t))
+        return materialize(c, eta, eta_t, t, pressure_hat)
+
+    solver.materialize = spy
+    return seen
 
 
-def _assert_states_match(solver, states, ref_states):
-    """Materialized states against reference spectral states, within 1e-13
-    of the references' largest entry."""
+def _assert_state_matches(solver, got, ref):
+    """A spectral state against a reference one, within 1e-13 of the
+    reference's largest entry."""
     asm = solver.assembled()
-    c_scale = max(np.max(np.abs(r.c)) for r in ref_states)
-    eta_scale = max(np.max(np.abs(r.eta)) for r in ref_states)
-    assert c_scale > 0 and eta_scale > 0
-    assert len(states) == len(ref_states)
-    for state, ref in zip(states, ref_states):
-        assert state.t == ref.t
-        c, eta, eta_t = _spectral(solver, state)
-        c_ref, eta_ref, eta_t_ref = _spectral(solver, solver.materialize(*ref))
-        assert np.max(np.abs(c - c_ref)) <= 1e-13 * c_scale
-        assert np.max(np.abs(eta - eta_ref)) <= 1e-13 * eta_scale
-        # the plate velocity is a strongly cancelling sum g . c: any
-        # float64 summation of it lies ~1e-12 relative from the exact sum,
-        # so its roundoff is measured against the size of the summands
-        terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
-        assert np.max(np.abs(eta_t - eta_t_ref)) <= 1e-13 * terms
-
-
-def _assert_matches_steps(solver, traj, ref_states, ref_increments):
-    """The run's snapshots and ledger against per-step reference states and
-    ledger increments (fluid_kinetic, ..., work), one per snapshot."""
-    _assert_states_match(solver, traj.states[1:], ref_states)
-    led = traj.ledger
-    running = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
-    for i, inc in enumerate(ref_increments):
-        for key in running:
-            running[key] += inc[key]
-        want = dict(fluid_kinetic=inc["fluid_kinetic"], plate_kinetic=inc["plate_kinetic"],
-                    bending=inc["bending"], viscous_dissipation=running["viscous"],
-                    viscoelastic_dissipation=running["viscoelastic"],
-                    numerical_dissipation=running["numerical"], work=running["work"])
-        scale = max(abs(v) for v in want.values())
-        assert scale > 0
-        for name, value in want.items():
-            assert abs(getattr(led, name)[i] - value) <= 1e-12 * scale, name
-    assert np.max(led.identity_residual_rel()) <= 1e-12
+    assert got.t == ref.t
+    for a, b in ((got.c, ref.c), (got.eta, ref.eta)):
+        assert np.max(np.abs(b)) > 0
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    # the plate velocity is a strongly cancelling sum g . c: any float64
+    # summation of it, the einsum's included, lies ~1e-12 relative from the
+    # exact sum, so its roundoff is measured against the size of the summands
+    terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
+    assert np.max(np.abs(got.eta_t - ref.eta_t)) <= 1e-13 * terms
 
 
 class TestEinsumLedgerOracle:
@@ -477,8 +455,9 @@ class TestEinsumLedgerOracle:
     def test_batched_step_matches_einsum_step(self, dim, eps, component):
         # the mass product and the ledger's quadratic forms used to be
         # einsum contractions, and every forcing component was transformed;
-        # run the same steps through the blocked run and the einsum step
-        from oracles import einsum_advance, zero_state
+        # step each state of the blocked run through the einsum step and
+        # compare with the run's next state and ledger increments
+        from oracles import einsum_advance
 
         grid = lb.PeriodicGrid(dim=dim, n=16)
         vn = lb.VerticalNodes(20 if dim == 1 else 12)
@@ -489,14 +468,27 @@ class TestEinsumLedgerOracle:
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
         solver = lb.FsiSolver(params)
-        traj = solver.run(25 * params.dt, snapshot_stride=1)
-        spec = zero_state(solver)
-        states, increments = [], []
+        states = _record_spectral_states(solver)
+        led = solver.run(25 * params.dt, snapshot_stride=1).ledger
+        assert len(states) == 26
+        # the run's per-step increments: the energies as they stand, the
+        # integrals as differences of their running sums
+        inc = dict(fluid_kinetic=np.array(led.fluid_kinetic),
+                   plate_kinetic=np.array(led.plate_kinetic),
+                   bending=np.array(led.bending))
+        for key, name in (("viscous", "viscous_dissipation"),
+                          ("viscoelastic", "viscoelastic_dissipation"),
+                          ("numerical", "numerical_dissipation"), ("work", "work")):
+            inc[key] = np.diff(getattr(led, name), prepend=0.0)
         for i in range(25):
-            spec, inc = einsum_advance(solver, spec, (i + 1) * params.dt)
-            states.append(spec)
-            increments.append(inc)
-        _assert_matches_steps(solver, traj, states, increments)
+            ref, ref_inc = einsum_advance(solver, states[i], (i + 1) * params.dt)
+            _assert_state_matches(solver, states[i + 1], ref)
+            scale = max(abs(v) for v in ref_inc.values())
+            assert scale > 0
+            assert inc.keys() == ref_inc.keys()
+            for key in inc:
+                assert abs(inc[key][i] - ref_inc[key]) <= 1e-12 * scale, key
+        assert np.max(led.identity_residual_rel()) <= 1e-12
 
 
 class TestBlockedRunOracle:
@@ -509,10 +501,13 @@ class TestBlockedRunOracle:
         from oracles import stepwise_run
 
         solver = lb.FsiSolver(params)
+        states = _record_spectral_states(solver)
         traj = solver.run(nsteps * params.dt, snapshot_stride=stride)
         ref, ref_states = stepwise_run(lb.FsiSolver(params), nsteps * params.dt, stride)
         np.testing.assert_array_equal(traj.times, ref.times)
-        _assert_states_match(solver, traj.states[1:], ref_states)
+        assert len(states) == len(ref_states) + 1
+        for got, want in zip(states[1:], ref_states):
+            _assert_state_matches(solver, got, want)
         for state, want in zip(traj.states[1:], ref.states[1:]):
             p_scale = np.max(np.abs(want.p.values))
             assert p_scale > 0
