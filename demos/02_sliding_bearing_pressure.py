@@ -13,6 +13,7 @@ import numpy as np
 
 from lubelastic import PeriodicField, PeriodicGrid
 from lubelastic import thinfilm as tf
+from lubelastic.artifacts import write_grid
 
 grid = PeriodicGrid(dim=1, n=256)
 x = grid.nodes[0]
@@ -29,6 +30,9 @@ for amp in (0.2, 0.5, 0.8):
 eta = PeriodicField(grid, 1.0 + 0.5 * np.sin(2 * np.pi * x))
 p = tf.solve_reynolds_stationary(eta, v_D=1.0, nu=1.0)
 p.to_csv("bearing_pressure.csv")
-print("\nwrote bearing_pressure.csv (x, pressure) for the 0.5-amplitude gap")
+write_grid(".", grid)
+print("\nwrote bearing_pressure.csv: the pressure under the 0.5-amplitude gap, "
+      "one value per node in the order of grid.csv")
+print("wrote grid.csv: the coordinate x of each node, one row per node")
 print("doubling the sliding speed doubles the pressure:",
       np.allclose(tf.solve_reynolds_stationary(eta, v_D=2.0).values, 2.0 * p.values))

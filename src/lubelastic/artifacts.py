@@ -6,6 +6,10 @@ created with its first artifact.  The temp file is created like any other
 file, so the artifact keeps the umask's default mode.  A CSV artifact is one
 header row, then one row per sample, each value its shortest round-trip
 ``repr`` (integers as integers), with ``\\n`` line ends.
+
+A field file holds values only, one ``value`` row per node in C order over
+``(x[, x2][, y3])``, y3 fastest.  The node coordinates of a run go once to
+its ``grid.csv`` (`write_grid`).
 """
 from __future__ import annotations
 
@@ -39,10 +43,23 @@ def write_csv(path, header, columns) -> None:
     def chunks():  # a block of rows at a time keeps the Python objects few
         yield ",".join(header) + "\n"
         for start in range(0, cols[0].size, 1024):
-            block = [c[start:start + 1024].tolist() for c in cols]
-            yield "".join(",".join(map(repr, row)) + "\n" for row in zip(*block))
+            block = [map(repr, c[start:start + 1024].tolist()) for c in cols]
+            yield "\n".join(map(",".join, zip(*block))) + "\n"
 
     write_atomic(path, chunks())
+
+
+def write_grid(outdir, grid, vnodes=None) -> str:
+    """Write a run's node coordinates to ``<outdir>/grid.csv`` and return the
+    path.  Rows are ``axis,coordinate``, one per node in node order: x (or x1
+    then x2) of the periodic `grid`, then y3 of `vnodes` when given."""
+    named = list(zip(["x"] if grid.dim == 1 else ["x1", "x2"], grid.nodes))
+    if vnodes is not None:
+        named.append(("y3", vnodes.nodes))
+    path = os.path.join(outdir, "grid.csv")
+    write_atomic(path, ["axis,coordinate\n",
+                        *(f"{axis},{c!r}\n" for axis, nodes in named for c in nodes.tolist())])
+    return path
 
 
 def velocity_named(v) -> list:
@@ -50,13 +67,14 @@ def velocity_named(v) -> list:
     return [(f"v{a + 1}" if a < len(v) - 1 else "v3", f) for a, f in enumerate(v)]
 
 
-def save_snapshots(outdir, snapshots, prefix: str = "") -> list[str]:
-    """Write a snapshot series: each snapshot is a sequence of (name, field)
-    pairs, and field `name` of snapshot i goes to ``<prefix><name>_<i:04d>.csv``
-    through its ``to_csv``.  Returns the paths in the order written."""
-    written = []
+def save_snapshots(outdir, grid, vnodes, snapshots) -> list[str]:
+    """Write the run's ``grid.csv`` (`write_grid`), then a snapshot series:
+    each snapshot is a sequence of (name, field) pairs, and field `name` of
+    snapshot i goes to ``<name>_<i:04d>.csv`` through its ``to_csv``.
+    Returns the paths in the order written."""
+    written = [write_grid(outdir, grid, vnodes)]
     for idx, named in enumerate(snapshots):
         for name, fld in named:
-            written.append(os.path.join(outdir, f"{prefix}{name}_{idx:04d}.csv"))
+            written.append(os.path.join(outdir, f"{name}_{idx:04d}.csv"))
             fld.to_csv(written[-1])
     return written

@@ -27,7 +27,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import thinfilm, verify
-from .artifacts import write_atomic, write_csv
+from .artifacts import write_atomic, write_csv, write_grid
 from .errors import (AssemblyError, DegenerateFitError, ParameterError,
                      PositivityError, UsageError)
 from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
@@ -460,22 +460,25 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         "terminal_lhs": float(traj.ledger.lhs()[-1]),
         "terminal_work": float(traj.ledger.work[-1]),
         "snapshots": len(traj.states),
+        "steps": len(traj.ledger),
     })
     written.append(summary_path)
     return written
 
 
 def _run_reynolds(cfg: ReynoldsRun, outdir: str) -> list[str]:
-    eta = cfg.eta0.sample(PeriodicGrid(dim=1, n=cfg.n))
+    grid = PeriodicGrid(dim=1, n=cfg.n)
+    eta = cfg.eta0.sample(grid)
     p = thinfilm.solve_reynolds_stationary(eta, cfg.v_D, cfg.nu)
     residual = thinfilm.reynolds_residual(eta, p, cfg.v_D, cfg.nu)
+    grid_path = write_grid(outdir, grid)
     p_path = os.path.join(outdir, "pressure.csv")
     p.to_csv(p_path)
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {"residual_l2": residual,
                                "pressure_mean": p.mean(),
                                "v_D": cfg.v_D, "nu": cfg.nu})
-    return [p_path, summary_path]
+    return [grid_path, p_path, summary_path]
 
 
 RATE_THRESHOLDS = {"velocity": 2.7, "pressure": 0.6}

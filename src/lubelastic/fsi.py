@@ -245,8 +245,9 @@ class FsiTrajectory:
     ledger: EnergyLedger
 
     def save(self, outdir) -> list[str]:
-        """Write every snapshot's fields and the energy ledger as CSV files."""
-        written = save_snapshots(outdir, [
+        """Write the grid, every snapshot's fields and the energy ledger as
+        CSV files."""
+        written = save_snapshots(outdir, self.params.grid, self.params.vnodes, [
             [("eta", s.eta), ("eta_t", s.eta_t), *velocity_named(s.v), ("p", s.p)]
             for s in self.states])
         path = os.path.join(outdir, "energy_ledger.csv")

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import save_snapshots, velocity_named
 from .errors import GridMismatchError, ParameterError
 from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
@@ -60,12 +59,6 @@ class ApproxTriple:
     v: tuple[tuple[ChannelField, ...], ...]
     p: tuple[ChannelField, ...]
     eta: tuple[PeriodicField, ...]
-
-    def save(self, outdir) -> list[str]:
-        """Write every snapshot's fields as approx_*.csv files."""
-        return save_snapshots(outdir, [
-            [*velocity_named(v), ("p", p), ("eta", eta)]
-            for v, p, eta in zip(self.v, self.p, self.eta)], prefix="approx_")
 
 
 def limit_pressure(eta: PeriodicField, B: float) -> PeriodicField:

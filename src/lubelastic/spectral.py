@@ -178,9 +178,9 @@ class PeriodicField:
             raise GridMismatchError("fields live on different grids")
 
     def to_csv(self, path) -> None:
-        """Write x (or x1, x2) and value, one row per node."""
-        names = ["x", "value"] if self.grid.dim == 1 else ["x1", "x2", "value"]
-        write_csv(path, names, [*self.grid.meshes, self.values])
+        """Write the values, one row per node in C order over (x[, x2]); the
+        run's ``grid.csv`` holds the coordinates (`artifacts.write_grid`)."""
+        write_csv(path, ["value"], [self.values])
 
 
 def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> PeriodicField:
@@ -385,7 +385,7 @@ class ChannelField:
     __rmul__ = __mul__
 
     def to_csv(self, path) -> None:
-        """Write x (or x1, x2), y3 and value, one row per node, y3 fastest."""
-        names = ["x", "y3", "value"] if self.grid.dim == 1 else ["x1", "x2", "y3", "value"]
-        write_csv(path, names,
-                  [*(X[..., None] for X in self.grid.meshes), self.vnodes.nodes, self.values])
+        """Write the values, one row per node in C order over (x[, x2], y3),
+        y3 fastest; the run's ``grid.csv`` holds the coordinates
+        (`artifacts.write_grid`)."""
+        write_csv(path, ["value"], [self.values])

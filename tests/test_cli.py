@@ -285,6 +285,7 @@ class TestReynoldsCommand:
         assert summary["residual_l2"] < 1e-8
         manifest = json.loads((out / "manifest.json").read_text())
         assert "pressure.csv" in manifest["files"]
+        assert "grid.csv" in manifest["files"]
 
     def test_resolution_override(self, tmp_path):
         path = write_config(tmp_path, cli.preset_config("reynolds-slider"))
@@ -374,6 +375,28 @@ class TestFsiCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "energy_ledger.csv" in manifest["files"]
 
+    def test_determinism_byte_identical(self, tmp_path):
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"dim": 2, "n": 8, "m": 10, "dt": 1e-3, "t_end": 0.004,
+                    "snapshot_stride": 2, "forcing": {"kind": "harmonic-ramp"}})
+        path = write_config(tmp_path, doc)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert cli.main(["fsi", "run", "--config", path, "--output", str(out)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["files"].count("grid.csv") == 1
+        for name in manifest["files"] + ["manifest.json"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        axes = [row.split(",")[0] for row in (out1 / "grid.csv").read_text().splitlines()]
+        assert axes == ["axis"] + ["x1"] * 8 + ["x2"] * 8 + ["y3"] * 10
+        # snapshots at steps 0, 2 and 4; eta and eta_t live on the plate,
+        # v1, v2, v3 and p on the channel
+        fields = [f for f in manifest["files"] if f.endswith(("_0000.csv", "_0001.csv", "_0002.csv"))]
+        assert len(fields) == 3 * 6
+        for name in fields:
+            nodes = 8 * 8 * (1 if name.startswith("eta") else 10)
+            assert len((out1 / name).read_text().splitlines()) == nodes + 1, name
+
     @pytest.mark.parametrize("update", [
         {"n": 8, "m": 12, "dt": 1e-3, "t_end": 0.01, "snapshot_stride": 5},
         {"dim": 2, "n": 8, "m": 10, "dt": 1e-3, "t_end": 0.01, "snapshot_stride": 5,
@@ -392,6 +415,7 @@ class TestFsiCommand:
         # positive once the load moves the fluid
         assert 0.0 < summary["min_slack_rel"] <= 1.0
         assert summary["min_slack_step"] in range(1, 11)  # t_end / dt steps
+        assert summary["steps"] == 10
 
 
     def test_unresolved_wavevector_exits_2(self, tmp_path, capsys):

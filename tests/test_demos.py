@@ -12,8 +12,8 @@ import lubelastic as lb
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 # the directory lubelastic was imported from, for the subprocesses
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
-WRITES = {"02_sliding_bearing_pressure.py": "bearing_pressure.csv",
-          "03_plate_channel_coupling.py": "energy_ledger.csv"}
+WRITES = {"02_sliding_bearing_pressure.py": ["bearing_pressure.csv", "grid.csv"],
+          "03_plate_channel_coupling.py": ["energy_ledger.csv"]}
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
@@ -24,7 +24,9 @@ def test_demo_runs(script, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == ([WRITES[script]] if script in WRITES else [])
-    if script in WRITES:
-        data = np.loadtxt(tmp_path / WRITES[script], delimiter=",", skiprows=1, ndmin=2)
+    assert written == WRITES.get(script, [])
+    for name in written:
+        # grid.csv rows are axis,coordinate: the coordinates are the numbers
+        data = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2,
+                          usecols=[1] if name == "grid.csv" else None)
         assert data.shape[0] > 1 and np.all(np.isfinite(data))

@@ -217,20 +217,6 @@ class TestAssembleApprox:
         spread = np.max(triple.p[0].values, axis=-1) - np.min(triple.p[0].values, axis=-1)
         assert np.max(np.abs(spread)) < 1e-12 * max(1, np.max(np.abs(triple.p[0].values)))
 
-    def test_snapshot_csv_output(self, vnodes, tmp_path):
-        grid = PeriodicGrid(dim=1, n=16)
-        rng = np.random.default_rng(15)
-        eta = band_limited(grid, rng, kmax=4)
-        times = np.array([0.0, 0.1])
-        red = rc.ReducedSolution(times=times, eta=(eta, eta))
-        model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
-        triple = rc.assemble_approx(red, model, None, vnodes)
-        written = triple.save(tmp_path)
-        names = {p.split("/")[-1] for p in written}
-        assert "approx_v1_0000.csv" in names
-        assert "approx_p_0001.csv" in names
-        assert "approx_eta_0000.csv" in names
-
 
 class TestChainClosure:
     def test_time_derivative_exact_for_quadratic(self, grid):

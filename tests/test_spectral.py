@@ -1,9 +1,11 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
 from lubelastic import spectral
+from lubelastic.artifacts import write_grid
 from lubelastic.errors import GridMismatchError, ParameterError
 from lubelastic.spectral import (
     ChannelField,
@@ -125,9 +127,9 @@ class TestFieldBasics:
         f.to_csv(path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "value"]
+        assert rows[0] == ["value"]
         assert len(rows) == grid1.n + 1
-        assert float(rows[1][1]) == f.values[0]
+        assert float(rows[1][0]) == f.values[0]
 
 
 class TestDealiasing:
@@ -211,23 +213,40 @@ def _oracle_bytes(oracle, fld, path):
     return path.read_bytes().replace(b"\r\n", b"\n")
 
 
+def _rebuilt_rows(fld, outdir, vnodes=None) -> bytes:
+    """The old ``x[,x2][,y3],value`` rows of a field, rebuilt from the
+    ``grid.csv`` and the value file it writes now; every number keeps its
+    written text."""
+    write_grid(outdir, fld.grid, vnodes)
+    fld.to_csv(outdir / "value.csv")
+    grid_rows = (outdir / "grid.csv").read_text().splitlines()
+    assert grid_rows[0] == "axis,coordinate"
+    axes = {}
+    for row in grid_rows[1:]:
+        axis, coordinate = row.split(",")
+        axes.setdefault(axis, []).append(coordinate)
+    values = (outdir / "value.csv").read_text().splitlines()
+    assert values[0] == "value"
+    rows = [",".join(coords + (v,))
+            for coords, v in zip(itertools.product(*axes.values()), values[1:], strict=True)]
+    return "".join(f"{row}\n" for row in [",".join([*axes, "value"]), *rows]).encode()
+
+
 class TestCsvOracle:
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_periodic_field(self, dim, n, tmp_path):
         rng = np.random.default_rng(3)
         f = PeriodicField(PeriodicGrid(dim=dim, n=n), rng.standard_normal((n,) * dim))
-        f.to_csv(tmp_path / "new.csv")
         want = _oracle_bytes(periodic_field_csv, f, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == want
+        assert _rebuilt_rows(f, tmp_path) == want
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_channel_field(self, dim, n, tmp_path):
         rng = np.random.default_rng(4)
         grid, vn = PeriodicGrid(dim=dim, n=n), VerticalNodes(6)
         f = ChannelField(grid, vn, rng.standard_normal(grid.shape + (vn.m,)))
-        f.to_csv(tmp_path / "new.csv")
         want = _oracle_bytes(channel_field_csv, f, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == want
+        assert _rebuilt_rows(f, tmp_path, vn) == want
 
 
 class TestChannelField:
@@ -247,4 +266,4 @@ class TestChannelField:
         f.to_csv(path)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ["x", "y3", "value"]
+        assert header == ["value"]
