@@ -26,15 +26,13 @@ settings = {
 
 for alpha, cfg in settings.items():
     model = tf.ThinFilmModel(alpha=alpha, v_D=1.0)
-    state = tf.FilmState(eta0, 0.0)
-    mass0 = state.eta.mean()
-    energy0 = tf.film_energy(model, state)
-    for _ in range(400):
-        state = tf.step(model, state, cfg["dt"])
+    run = tf.evolve(model, tf.FilmState(eta0, 0.0), cfg["dt"], 400, snapshot_stride=400)
+    state = run.snapshots.states[-1]
+    mass0 = eta0.mean()
     drift = abs(state.eta.mean() - mass0) / (1 + abs(mass0))
     print(f"alpha={alpha} ({cfg['label']})")
     print(f"  mass drift over 400 steps: {drift:.2e}")
-    print(f"  energy: {energy0:.4f} -> {tf.film_energy(model, state):.4f}")
+    print(f"  energy: {run.energy[0]:.4f} -> {run.energy[-1]:.4f}")
     print(f"  height range: [{state.eta.values.min():.4f}, {state.eta.values.max():.4f}]")
 
 # the linearized sixth-order member decays each mode at exactly c * (2 pi k)^6

@@ -39,9 +39,11 @@ from .spectral import (
     spectral_derivative,
 )
 from .thinfilm import (
+    FilmRun,
     FilmState,
     FilmTrajectory,
     ThinFilmModel,
+    evolve,
     film_energy,
     rhs,
     solve_linear_sixth,

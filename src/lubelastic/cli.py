@@ -390,32 +390,23 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     if not cfg.linearized and eta0.values.min() <= 0.0:
         raise ParameterError("initial height must be positive under cubic mobility, "
                              f"min is {eta0.values.min():.3e}")
-    state = thinfilm.FilmState(eta0, 0.0)
-    mass0 = state.eta.mean()
-    rows = [(0.0, state.eta.values.copy())]
-    energy = [thinfilm.film_energy(model, state)]
-    energy_t = [0.0]
-    min_eta = float(state.eta.values.min())
-    for i in range(cfg.steps):
-        state = thinfilm.step(model, state, cfg.dt)
-        min_eta = min(min_eta, float(state.eta.values.min()))
-        energy.append(thinfilm.film_energy(model, state))
-        energy_t.append(state.t)
-        if (i + 1) % cfg.snapshot_stride == 0 or i == cfg.steps - 1:
-            rows.append((state.t, state.eta.values.copy()))
-    mass1 = state.eta.mean()
+    run = thinfilm.evolve(model, thinfilm.FilmState(eta0, 0.0), cfg.dt, cfg.steps,
+                          snapshot_stride=cfg.snapshot_stride)
+    mass0 = eta0.mean()
+    mass1 = run.snapshots.states[-1].eta.mean()
 
     traj_path = os.path.join(outdir, "trajectory.csv")
-    times, etas = zip(*rows)
     write_csv(traj_path, ["t"] + [f"eta_{i:04d}" for i in range(grid.n)],
-              [np.array(times), *np.array(etas).T])
+              [run.snapshots.times, *np.array([f.values for f in run.snapshots.fields]).T])
 
     summary = {
         "mass_initial": mass0,
         "mass_final": mass1,
         "mass_drift_rel": abs(mass1 - mass0) / (1.0 + abs(mass0)),
-        "min_eta": min_eta,
-        "energy": {"t": energy_t, "value": energy},
+        "min_eta": run.min_eta,
+        "energy": {"t": run.t.tolist(), "value": run.energy.tolist()},
+        "steps": len(run.t) - 1,
+        "substeps": run.substeps,
     }
     ns = cfg.nonlinear_scaling
     if ns is not None:

@@ -49,7 +49,7 @@ from .artifacts import save_snapshots, velocity_named, write_csv
 from .errors import AssemblyError, InvariantError, ParameterError, RegimeError
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
-                       _steps_per_block)
+                       _steps_per_block, nyquist_index)
 
 logger = logging.getLogger("lubelastic.fsi")
 
@@ -654,8 +654,11 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
 
     The forcing is called once per time.  The components that carry load at
     any of the times are transformed together, in one batched transform;
-    the others are left out.  Raises ParameterError naming the first time
-    whose forcing is not finite.
+    the others are left out.  The coefficients at the Nyquist index n/2 of
+    every horizontal axis are zeroed: the solver steps each stored mode on
+    its own, and only a load without them keeps the stored (k1, n/2) and
+    (n - k1, n/2) pairs complex conjugate.  Raises ParameterError naming
+    the first time whose forcing is not finite.
     """
     times = [float(t) for t in times]
     samples = [forcing(t) for t in times]
@@ -669,6 +672,8 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
     finite = np.isfinite(hats).reshape(-1, len(times)).all(axis=0)
     if not finite.all():
         raise ParameterError(f"forcing is not finite at t = {times[np.argmin(finite)]}")
+    for axis in range(grid.dim):
+        hats[nyquist_index(grid, axis)] = 0.0
     hats = np.moveaxis(hats, (-2, -1), (0, 1))
     return dict(zip(loaded, hats))
 

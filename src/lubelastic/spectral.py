@@ -15,6 +15,14 @@ rule); the cubic mobility of the film models aliases badly at marginal
 resolution otherwise.  `padded_values` and `truncated_hat` are the two halves
 of that rule and work on coefficients, so a caller that holds a field's
 coefficients pads each distinct factor once, with one transform each way.
+
+A grid transforms along the leading (horizontal) axes of an array; trailing
+axes, such as the vertical nodes of a channel field, are transformed
+independently, and on a 1D grid so are the trailing axes of a stack of
+coefficients handed to `padded_values` or `truncated_hat`.  A 1D grid calls
+`np.fft.rfft`/`irfft`, whose inverse zero-pads a short spectrum itself.
+The arrays a grid caches (`nodes`, `meshes`, `wavenumbers`, `xi`,
+`mode_weights`) are shared by every user of the grid and are read-only.
 """
 from __future__ import annotations
 
@@ -41,6 +49,11 @@ __all__ = [
 # horizontal grids and fields
 # ----------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicGrid:
     """Uniform periodic grid on (0,1)^dim with power-of-two resolution."""
@@ -60,33 +73,33 @@ class PeriodicGrid:
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
-        x = np.arange(self.n) / self.n
+        x = _read_only(np.arange(self.n) / self.n)
         return (x,) * self.dim
 
     @cached_property
     def meshes(self) -> tuple[np.ndarray, ...]:
         if self.dim == 1:
             return (self.nodes[0],)
-        return tuple(np.meshgrid(*self.nodes, indexing="ij"))
+        return tuple(map(_read_only, np.meshgrid(*self.nodes, indexing="ij")))
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Integer wavenumbers for each axis of the half-spectrum layout."""
         full = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-        half = np.arange(self.n // 2 + 1)
+        half = _read_only(np.arange(self.n // 2 + 1))
         if self.dim == 1:
             return (half,)
-        return (full, half)
+        return (_read_only(full), half)
 
     @cached_property
     def xi(self) -> tuple[np.ndarray, ...]:
         """Angular wavenumbers 2*pi*k broadcast over the spectral layout."""
         ks = self.wavenumbers
         if self.dim == 1:
-            return (2.0 * np.pi * ks[0],)
+            return (_read_only(2.0 * np.pi * ks[0]),)
         return (
-            2.0 * np.pi * ks[0][:, None].astype(float),
-            2.0 * np.pi * ks[1][None, :].astype(float),
+            _read_only(2.0 * np.pi * ks[0][:, None].astype(float)),
+            _read_only(2.0 * np.pi * ks[1][None, :].astype(float)),
         )
 
     @cached_property
@@ -101,8 +114,8 @@ class PeriodicGrid:
         wlast[0] = 1.0
         wlast[-1] = 1.0
         if self.dim == 1:
-            return wlast
-        return np.broadcast_to(wlast[None, :], (n, n // 2 + 1)).copy()
+            return _read_only(wlast)
+        return _read_only(np.broadcast_to(wlast[None, :], (n, n // 2 + 1)).copy())
 
     @property
     def spectral_shape(self) -> tuple[int, ...]:
@@ -112,13 +125,14 @@ class PeriodicGrid:
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Forward real transform over the horizontal axes, normalized."""
-        axes = tuple(range(self.dim))
-        return np.fft.rfftn(values, axes=axes) / self.n**self.dim
+        if self.dim == 1:
+            return np.fft.rfft(values, axis=0) / self.n
+        return np.fft.rfftn(values, axes=(0, 1)) / self.n**2
 
     def irfft(self, coeffs: np.ndarray) -> np.ndarray:
-        axes = tuple(range(self.dim))
-        shape = self.shape
-        return np.fft.irfftn(coeffs * self.n**self.dim, s=shape, axes=axes)
+        if self.dim == 1:
+            return np.fft.irfft(coeffs * self.n, n=self.n, axis=0)
+        return np.fft.irfftn(coeffs * self.n**2, s=self.shape, axes=(0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +214,15 @@ def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarr
     if not (0 <= axis < grid.dim):
         raise ParameterError(f"axis {axis} out of range for dim {grid.dim}")
     sym = (1j * grid.xi[axis]) ** order
-    if order % 2 == 1:  # the Nyquist mode sits at index n/2 along every axis
-        sym[(slice(None),) * axis + (grid.n // 2,)] = 0.0
+    if order % 2 == 1:
+        sym[nyquist_index(grid, axis)] = 0.0
     return sym
+
+
+def nyquist_index(grid: PeriodicGrid, axis: int) -> tuple:
+    """Index of the Nyquist modes of the spectral layout, n/2 along the
+    given horizontal axis."""
+    return (slice(None),) * axis + (grid.n // 2,)
 
 
 _BLOCK_BYTES = 64 * 1024
@@ -237,13 +257,11 @@ def padded_values(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
     n, dim = grid.n, grid.dim
     npad = 3 * n // 2
     if dim == 1:
-        pad = np.zeros(npad // 2 + 1, dtype=complex)
-        pad[: n // 2 + 1] = hat
-    else:
-        half = n // 2
-        pad = np.zeros((npad, npad // 2 + 1), dtype=complex)
-        pad[: half + 1, : half + 1] = hat[: half + 1, :]
-        pad[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
+        return np.fft.irfft(hat * npad, n=npad, axis=0)
+    half = n // 2
+    pad = np.zeros((npad, npad // 2 + 1), dtype=complex)
+    pad[: half + 1, : half + 1] = hat[: half + 1, :]
+    pad[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
     return np.fft.irfftn(pad * npad**dim, s=(npad,) * dim, axes=tuple(range(dim)))
 
 
@@ -251,9 +269,9 @@ def truncated_hat(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """Coefficients on the grid of a nodal field sampled on its 3/2 grid."""
     n, dim = grid.n, grid.dim
     npad = 3 * n // 2
-    hat_pad = np.fft.rfftn(values, axes=tuple(range(dim))) / npad**dim
     if dim == 1:
-        return hat_pad[: n // 2 + 1].copy()
+        return np.fft.rfft(values, axis=0)[: n // 2 + 1] / npad
+    hat_pad = np.fft.rfftn(values, axes=tuple(range(dim))) / npad**dim
     half = n // 2
     out = np.zeros((n, half + 1), dtype=complex)
     out[: half + 1, :] = hat_pad[: half + 1, : half + 1]

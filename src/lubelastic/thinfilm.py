@@ -14,11 +14,13 @@ Time stepping is semi-implicit: the leading operator with the mobility
 frozen at its maximum is inverted through its Fourier symbol, everything
 else is explicit.  The divergence form is applied spectrally as the last
 operation, so the mean of eta is conserved to roundoff.  A `FilmState`
-carries the Fourier coefficients of eta beside its nodal values, so a step
-transforms each distinct factor once: one padded inverse transform each for
-eta and d^alpha eta, one forward transform of the padded flux, and one
-inverse transform of the new coefficients for the positivity check.
-`film_energy` reads the coefficients the state holds.
+carries the Fourier coefficients of eta beside its nodal values.  `evolve`
+integrates a whole run in one call: it builds the run's symbols once,
+steps raw (values, coefficients) arrays with three transforms per accepted
+sub-step, reads the finiteness of the height off the minimum and maximum
+that the positivity check and the frozen mobility take anyway, and makes a
+`FilmState` only for a snapshot.  `step` is `evolve` for one step, and
+`film_energy` reads the coefficients a state holds.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -35,6 +37,7 @@ import numpy as np
 from .errors import ParameterError, PositivityError
 from .spectral import (
     PeriodicField,
+    PeriodicGrid,
     dealiased_product,
     derivative_symbol,
     laplacian_symbol,
@@ -108,90 +111,183 @@ class FilmTrajectory:
         return len(self.states)
 
 
+@dataclass(frozen=True)
+class FilmRun:
+    """What `evolve` returns.
+
+    snapshots holds the initial state and every snapshot_stride-th step (the
+    last step always); t and energy hold the time and the `film_energy`
+    after every step, the initial ones first; min_eta is the smallest height
+    at the initial state and the step ends; substeps counts accepted
+    sub-steps, which exceed the steps exactly when the positivity floor
+    halved a step.
+    """
+
+    snapshots: FilmTrajectory
+    t: np.ndarray
+    energy: np.ndarray
+    min_eta: float
+    substeps: int
+
+
+class _FilmOperator:
+    """The symbols of one model on one grid, built once per run, and the
+    spatial right-hand side on raw (values, coefficients) arrays."""
+
+    def __init__(self, model: ThinFilmModel, grid: PeriodicGrid):
+        if grid.dim != 1:
+            raise ParameterError("the film family is one-dimensional")
+        self.model, self.grid = model, grid
+        xi = grid.xi[0]
+        self.div = derivative_symbol(grid, 1)  # d/dx with the Nyquist mode zeroed
+        self.xi_power = xi ** (model.alpha + 1)
+        self.drift = None
+        if model.v_D != 0.0:
+            self.drift = model.drift_prefactor * model.v_D * self.div
+        self.energy_weights = _energy_weights(model, grid)
+        if model.linearized:
+            self.leading = model.sign * model.c * (1j * xi) ** (model.alpha + 1)
+            self.linear_L = -model.c * self.xi_power
+        else:
+            self.d_alpha = derivative_symbol(grid, model.alpha)
+            # rows: eta, d^alpha eta[, d/dx Phi'(eta)], padded in one transform
+            rows = 2 if model.potential_dPhi is None else 3
+            self.stack = np.empty((rows, len(xi)), dtype=complex)
+
+    def frozen_symbol(self, hi: float) -> np.ndarray:
+        """Fourier symbol of the leading operator with the mobility frozen
+        at the largest height hi."""
+        if self.model.linearized:
+            return self.linear_L
+        return -(self.model.mobility_scale * float(hi) ** 3) * self.xi_power
+
+    def rhs(self, values: np.ndarray, hat: np.ndarray) -> np.ndarray:
+        """Coefficients of the right-hand side; zero mean by divergence form."""
+        model, grid = self.model, self.grid
+        if model.linearized:
+            out = self.leading * hat
+        else:
+            stack = self.stack
+            stack[0] = hat
+            np.multiply(self.d_alpha, hat, out=stack[1])
+            if model.potential_dPhi is not None:
+                dphi = grid.rfft(np.asarray(model.potential_dPhi(values), dtype=float))
+                stack[2] = self.div * dphi
+            e, slope, *potential = padded_values(grid, stack.T).T
+            slope = model.sign * model.mobility_scale * slope
+            if potential:
+                slope = slope + potential[0]
+            out = self.div * truncated_hat(grid, e * e * e * slope)
+        if self.drift is not None:
+            out -= self.drift * hat
+        out[0] = 0.0
+        return out
+
+    def energy(self, hat: np.ndarray) -> float:
+        return 0.5 * np.sum(self.energy_weights * np.abs(hat) ** 2)
+
+
+def _check_height(model: ThinFilmModel, lo, hi, current) -> None:
+    """Reject a height whose smallest and largest values are lo and hi:
+    non-finite, or nonpositive under cubic mobility (current() gives the
+    state to report)."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ParameterError("film height contains non-finite values")
+    if not model.linearized and lo <= 0.0:
+        raise PositivityError(
+            f"nonpositive film height (min {lo:.3e}) under cubic mobility",
+            last_state=current(),
+        )
+
+
 def rhs(model: ThinFilmModel, eta: PeriodicField) -> PeriodicField:
     """Spatial right-hand side of the model; zero mean by divergence form."""
-    return PeriodicField.from_hat(eta.grid, _rhs_hat(model, FilmState(eta)))
+    op = _FilmOperator(model, eta.grid)
+    state = FilmState(eta)
+    _check_height(model, eta.values.min(), eta.values.max(), lambda: state)
+    return PeriodicField.from_hat(eta.grid, op.rhs(eta.values, state.hat))
 
 
-def _rhs_hat(model: ThinFilmModel, state: FilmState) -> np.ndarray:
-    eta, hat = state.eta, state.hat
-    if eta.grid.dim != 1:
-        raise ParameterError("the film family is one-dimensional")
-    if not np.all(np.isfinite(eta.values)):
-        raise ParameterError("film height contains non-finite values")
-    grid = eta.grid
-    div = derivative_symbol(grid, 1)  # d/dx with the Nyquist mode zeroed
+def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
+           snapshot_stride: int = 1, floor: float = POSITIVITY_FLOOR) -> FilmRun:
+    """Advance the state by steps semi-implicit steps of size dt.
 
-    if model.linearized:
-        out = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) * hat
-    else:
-        if eta.values.min() <= 0.0:
-            raise PositivityError(
-                f"nonpositive film height (min {eta.values.min():.3e}) under cubic mobility",
-                last_state=state,
-            )
-        gain = model.sign * model.mobility_scale
-        slope = gain * padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
-        if model.potential_dPhi is not None:
-            dphi = grid.rfft(np.asarray(model.potential_dPhi(eta.values), dtype=float))
-            slope = slope + padded_values(grid, div * dphi)
-        e = padded_values(grid, hat)
-        out = div * truncated_hat(grid, e * e * e * slope)
+    The run's symbols are built once; the loop carries raw (values,
+    coefficients) arrays and makes a `FilmState` only for a snapshot.  An
+    accepted sub-step makes three transforms (four with a potential): one
+    stacked padded inverse transform of eta and d^alpha eta (and of the
+    potential's gradient, after one forward transform of Phi'(eta)), one
+    forward transform of the padded flux, and one inverse transform of the
+    new coefficients for the positivity check.  If the candidate height
+    dips below the positivity floor the sub-step is halved (at most 20
+    times within a step) and integration continues from the last valid
+    height until the step's end is reached.
+    """
+    if dt <= 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    if steps < 1:
+        raise ParameterError(f"steps must be at least 1, got {steps}")
+    if snapshot_stride < 1:
+        raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+    grid = state.eta.grid
+    op = _FilmOperator(model, grid)
+    values, hat, t = state.eta.values, state.hat, state.t
+    lo, hi = values.min(), values.max()
+    times = np.empty(steps + 1)
+    energy = np.empty(steps + 1)
+    times[0], energy[0] = t, op.energy(hat)
+    min_eta = float(lo)
+    snapshots = [state]
+    substeps = 0
 
-    if model.v_D != 0.0:
-        out -= model.drift_prefactor * model.v_D * div * hat
-    out[0] = 0.0
-    return out
+    def current():
+        """The last accepted state, for an error report."""
+        if substeps == 0:
+            return state
+        return FilmState(PeriodicField(grid, values), t + (dt - remaining), hat)
 
-
-def _frozen_symbol(model: ThinFilmModel, eta: PeriodicField) -> np.ndarray:
-    """Fourier symbol of the leading operator with mobility frozen at max."""
-    xi = eta.grid.xi[0]
-    if model.linearized:
-        gain = model.c
-    else:
-        gain = model.mobility_scale * float(eta.values.max()) ** 3
-    return -gain * xi ** (model.alpha + 1)
+    for i in range(steps):
+        remaining = sub = dt
+        halvings = 0
+        while remaining > 1e-14 * dt:
+            _check_height(model, lo, hi, current)
+            L = op.frozen_symbol(hi)
+            drive = op.rhs(values, hat) - L * hat
+            sub = min(sub, remaining)
+            while True:
+                new_hat = (hat + sub * drive) / (1.0 - sub * L)
+                new_values = grid.irfft(new_hat)
+                new_lo = new_values.min()
+                if model.linearized or not new_lo < floor:
+                    break
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise PositivityError(
+                        f"positivity floor {floor} unreachable after {MAX_HALVINGS} halvings",
+                        last_state=current(),
+                    )
+                sub *= 0.5
+            remaining -= sub
+            substeps += 1
+            values, hat, lo, hi = new_values, new_hat, new_lo, new_values.max()
+        t = t + dt
+        times[i + 1], energy[i + 1] = t, op.energy(hat)
+        min_eta = min(min_eta, float(lo))
+        if (i + 1) % snapshot_stride == 0 or i == steps - 1:
+            snapshots.append(FilmState(PeriodicField(grid, values), t, hat))
+    return FilmRun(FilmTrajectory(tuple(snapshots)), times, energy, min_eta, substeps)
 
 
 def step(model: ThinFilmModel, state: FilmState, dt: float,
          floor: float = POSITIVITY_FLOOR) -> FilmState:
-    """Advance the state by dt with one semi-implicit step.
-
-    If the candidate height dips below the positivity floor the internal
-    step is halved (at most 20 times from the requested dt) and integration
-    continues from the last valid height until t + dt is reached.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    grid = state.eta.grid
-    cur = state
-    remaining = dt
-    sub = dt
-    halvings = 0
-    while remaining > 1e-14 * dt:
-        sub = min(sub, remaining)
-        L = _frozen_symbol(model, cur.eta)
-        hat = (cur.hat + sub * (_rhs_hat(model, cur) - L * cur.hat)) / (1.0 - sub * L)
-        eta = PeriodicField.from_hat(grid, hat)
-        if not model.linearized and eta.values.min() < floor:
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise PositivityError(
-                    f"positivity floor {floor} unreachable after {MAX_HALVINGS} halvings",
-                    last_state=cur,
-                )
-            sub *= 0.5
-            continue
-        remaining -= sub
-        cur = FilmState(eta, state.t + (dt - remaining), hat)
-    return FilmState(cur.eta, state.t + dt, cur.hat)
+    """Advance the state by dt with one semi-implicit step: `evolve` for
+    one step."""
+    return evolve(model, state, dt, 1, floor=floor).snapshots.states[-1]
 
 
-def film_energy(model: ThinFilmModel, state: FilmState) -> float:
-    """Diagnostic energy: 1/2 |Lap' eta|^2 for alpha=5, 1/2 |d/dx eta|^2 for
-    alpha=3, 1/2 |eta|^2 for alpha=1 and for linearized runs."""
-    grid = state.eta.grid
+def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
+    """Parseval weights times the energy symbol |xi|^(alpha-1); 1 for
+    linearized runs."""
     xi2 = -laplacian_symbol(grid)
     if model.linearized or model.alpha == 1:
         sym = np.ones_like(xi2)
@@ -199,7 +295,14 @@ def film_energy(model: ThinFilmModel, state: FilmState) -> float:
         sym = xi2
     else:
         sym = xi2**2
-    return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(state.hat) ** 2))
+    return grid.mode_weights * sym
+
+
+def film_energy(model: ThinFilmModel, state: FilmState) -> float:
+    """Diagnostic energy: 1/2 |Lap' eta|^2 for alpha=5, 1/2 |d/dx eta|^2 for
+    alpha=3, 1/2 |eta|^2 for alpha=1 and for linearized runs."""
+    weights = _energy_weights(model, state.eta.grid)
+    return float(0.5 * np.sum(weights * np.abs(state.hat) ** 2))
 
 
 def solve_linear_sixth(

@@ -439,6 +439,144 @@ def nodal_film_energy(model, eta):
     return float(0.5 * np.sum(w * sym * np.abs(eta.hat) ** 2))
 
 
+# The transforms as `spectral` made them before 1D grids called
+# `np.fft.rfft`/`irfft`: every grid through `rfftn`/`irfftn`, and the 3/2
+# pad through an explicit zero buffer.
+
+def rfftn_rfft(grid, values):
+    return np.fft.rfftn(values, axes=tuple(range(grid.dim))) / grid.n**grid.dim
+
+
+def rfftn_irfft(grid, coeffs):
+    return np.fft.irfftn(coeffs * grid.n**grid.dim, s=grid.shape, axes=tuple(range(grid.dim)))
+
+
+def rfftn_padded_values(grid, hat):
+    n, dim = grid.n, grid.dim
+    npad = 3 * n // 2
+    if dim == 1:
+        pad = np.zeros((npad // 2 + 1,) + hat.shape[1:], dtype=complex)
+        pad[: n // 2 + 1] = hat
+    else:
+        half = n // 2
+        pad = np.zeros((npad, npad // 2 + 1), dtype=complex)
+        pad[: half + 1, : half + 1] = hat[: half + 1, :]
+        pad[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
+    return np.fft.irfftn(pad * npad**dim, s=(npad,) * dim, axes=tuple(range(dim)))
+
+
+def rfftn_truncated_hat(grid, values):
+    n, dim = grid.n, grid.dim
+    npad = 3 * n // 2
+    hat_pad = np.fft.rfftn(values, axes=tuple(range(dim))) / npad**dim
+    if dim == 1:
+        return hat_pad[: n // 2 + 1].copy()
+    half = n // 2
+    out = np.zeros((n, half + 1), dtype=complex)
+    out[: half + 1, :] = hat_pad[: half + 1, : half + 1]
+    out[half + 1:, :] = hat_pad[npad - (n - half - 1):, : half + 1]
+    return out
+
+
+# The film step as `thinfilm.step` took it before runs were integrated in
+# one call: every sub-step rebuilds the symbols, transforms through the
+# `rfftn` helpers above, pads each factor into a fresh buffer and makes a
+# new `PeriodicField` and `FilmState`; the energy is a separate call.
+
+def spectral_film_rhs_hat(model, state):
+    from lubelastic.errors import ParameterError, PositivityError
+    from lubelastic.spectral import derivative_symbol
+
+    eta, hat = state.eta, state.hat
+    if eta.grid.dim != 1:
+        raise ParameterError("the film family is one-dimensional")
+    if not np.all(np.isfinite(eta.values)):
+        raise ParameterError("film height contains non-finite values")
+    grid = eta.grid
+    div = derivative_symbol(grid, 1)
+    if model.linearized:
+        out = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) * hat
+    else:
+        if eta.values.min() <= 0.0:
+            raise PositivityError("nonpositive film height under cubic mobility",
+                                  last_state=state)
+        gain = model.sign * model.mobility_scale
+        slope = gain * rfftn_padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
+        if model.potential_dPhi is not None:
+            dphi = rfftn_rfft(grid, np.asarray(model.potential_dPhi(eta.values), dtype=float))
+            slope = slope + rfftn_padded_values(grid, div * dphi)
+        e = rfftn_padded_values(grid, hat)
+        out = div * rfftn_truncated_hat(grid, e * e * e * slope)
+    if model.v_D != 0.0:
+        out -= model.drift_prefactor * model.v_D * div * hat
+    out[0] = 0.0
+    return out
+
+
+def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
+    """Advance a `FilmState` by dt; returns (new state, accepted sub-steps)."""
+    from lubelastic.errors import PositivityError
+    from lubelastic.spectral import PeriodicField
+    from lubelastic.thinfilm import FilmState
+
+    grid = state.eta.grid
+    xi = grid.xi[0]
+    cur = state
+    remaining = dt
+    sub = dt
+    halvings = 0
+    accepted = 0
+    while remaining > 1e-14 * dt:
+        sub = min(sub, remaining)
+        if model.linearized:
+            gain = model.c
+        else:
+            gain = model.mobility_scale * float(cur.eta.values.max()) ** 3
+        L = -gain * xi ** (model.alpha + 1)
+        hat = (cur.hat + sub * (spectral_film_rhs_hat(model, cur) - L * cur.hat)) / (1.0 - sub * L)
+        eta = PeriodicField(grid, rfftn_irfft(grid, hat))
+        if not model.linearized and eta.values.min() < floor:
+            halvings += 1
+            if halvings > max_halvings:
+                raise PositivityError("positivity floor unreachable", last_state=cur)
+            sub *= 0.5
+            continue
+        remaining -= sub
+        accepted += 1
+        cur = FilmState(eta, state.t + (dt - remaining), hat)
+    return FilmState(cur.eta, state.t + dt, cur.hat), accepted
+
+
+def spectral_film_energy(model, state):
+    grid = state.eta.grid
+    xi2 = grid.xi[0] ** 2
+    if model.linearized or model.alpha == 1:
+        sym = np.ones_like(xi2)
+    elif model.alpha == 3:
+        sym = xi2
+    else:
+        sym = xi2**2
+    return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(state.hat) ** 2))
+
+
+# `fsi.sample_forcing` zeroes a load's coefficients at index n/2 of every
+# horizontal axis.  The old coupled paths above transform the load
+# themselves, so they are fed a load filtered by the same rule.
+
+def without_nyquist(grid, values):
+    """A nodal load (horizontal axes first) less its Nyquist coefficients."""
+    axes = tuple(range(grid.dim))
+    hat = np.fft.rfftn(values, axes=axes)
+    for axis in axes:
+        hat[(slice(None),) * axis + (grid.n // 2,)] = 0.0
+    return np.fft.irfftn(hat, s=grid.shape, axes=axes)
+
+
+def nyquist_free(grid, forcing):
+    """The forcing callable with every component filtered by `without_nyquist`."""
+    return lambda t: tuple(without_nyquist(grid, np.asarray(f, dtype=float)) for f in forcing(t))
+
+
 # The coupled run as `fsi.FsiSolver.run` took it before it stepped in
 # blocks: every step samples and transforms the forcing on its own
 # (`_forcing_hat`), `advance` takes one step and returns its ledger

@@ -6,6 +6,7 @@ import pytest
 
 from lubelastic import cli, scaling, thinfilm, verify
 from lubelastic.errors import AssemblyError, DegenerateFitError, UsageError
+from lubelastic.spectral import PeriodicGrid
 
 from oracles import hand_built_rate_config, reports_csv, trajectory_csv
 
@@ -335,6 +336,8 @@ class TestThinfilmCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mass_drift_rel"] < 1e-10
         assert summary["min_eta"] > 0
+        assert summary["steps"] == summary["substeps"] == 50  # no step halved
+        assert len(summary["energy"]["value"]) == 51
         with open(out / "trajectory.csv") as fh:
             header = fh.readline().split(",")
         assert header[0] == "t"
@@ -536,19 +539,18 @@ class TestArtifacts:
         assert len(modes) > 10
         assert set(modes.values()) == {mode}, modes
 
-    def test_trajectory_csv_matches_row_writer(self, tmp_path, monkeypatch):
-        # record the initial state and every state the integrator returns, then
-        # rebuild the rows the way the CLI selects them: every third one
-        states = []
-        step = thinfilm.step
-
-        def recording_step(model, state, dt):
-            if not states:
-                states.append(state)
-            states.append(step(model, state, dt))
-            return states[-1]
-
-        monkeypatch.setattr(thinfilm, "step", recording_step)
+    def test_trajectory_csv_matches_row_writer(self, tmp_path):
+        # step the document's film one step at a time, keep the initial state
+        # and every state `step` returns, then rebuild the rows the way the
+        # CLI selects them: every third one
+        cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
+        model = thinfilm.ThinFilmModel(
+            alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
+            potential_dPhi=cfg.potential, v_D=cfg.v_D,
+            drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized)
+        states = [thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)]
+        for _ in range(cfg.steps):
+            states.append(thinfilm.step(model, states[-1], cfg.dt))
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         assert len(states) == 7
         rows = [(s.t, s.eta.values) for s in states[::3]]

@@ -13,7 +13,7 @@ import pytest
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError, RegimeError
 
-from oracles import ledger_csv
+from oracles import ledger_csv, nyquist_free
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -353,6 +353,32 @@ def _loaded_bump_forcing(grid, vn):
     return forcing
 
 
+class TestNyquistLoad:
+    def test_materialized_fields_hold_the_solver_coefficients(self):
+        # a load's coefficients at the Nyquist indices are zeroed, so the
+        # (k1, n/2) and (n - k1, n/2) pairs of the half spectrum stay complex
+        # conjugate and the fields carry the coefficients the solver stepped
+        grid = lb.PeriodicGrid(dim=2, n=16)
+        vn = lb.VerticalNodes(12)
+        model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
+                              forcing=_loaded_bump_forcing(grid, vn))
+        solver = lb.FsiSolver(params)
+        spectral = _record_spectral_states(solver)
+        traj = solver.run(10 * params.dt, snapshot_stride=1)
+        assert len(traj.states) == len(spectral) == 11
+        shape = grid.spectral_shape + (vn.m,)
+        for state, spec in zip(traj.states[1:], spectral[1:]):
+            profiles = solver._profiles(spec.c)
+            want = [profiles[:, a] for a in range(grid.dim)] + [solver.vertical_profile(spec.c)]
+            scale = max(np.max(np.abs(w)) for w in want)
+            assert scale > 0
+            for field, coeffs in zip(state.v, want):
+                assert np.max(np.abs(field.hat - coeffs.reshape(shape))) <= 1e-12 * scale
+            eta = spec.eta.reshape(grid.spectral_shape)
+            assert np.max(np.abs(state.eta.hat - eta)) <= 1e-12 * np.max(np.abs(eta))
+
+
 class TestSparseLuOracle:
     def test_batched_solve_matches_sparse_lu(self):
         # the block solve used to run through one sparse LU of the
@@ -464,7 +490,7 @@ class TestEinsumLedgerOracle:
         if dim == 1:
             forcing = lb.harmonic_ramp_forcing(grid, vn, component=component, ramp_time=0.02)
         else:
-            forcing = _bump_forcing(grid, vn, component)
+            forcing = nyquist_free(grid, _bump_forcing(grid, vn, component))
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
         solver = lb.FsiSolver(params)
@@ -546,7 +572,7 @@ class TestBlockedRunOracle:
         vn = lb.VerticalNodes(12)
         model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
-                              forcing=_loaded_bump_forcing(grid, vn))
+                              forcing=nyquist_free(grid, _loaded_bump_forcing(grid, vn)))
         # every step starts a block; the snapshot at step 2 is the first
         # whose pressure reaches two states back
         solver, traj = self._compare(params, 11, 2)

@@ -143,12 +143,13 @@ class TestForcingSource:
     def test_matches_nodal_flux_rate(self, dim):
         # the source used to be rebuilt at every step as the flux rate of
         # the nodal force profiles (`oracles.forcing_F`)
-        from oracles import forcing_F
+        from oracles import forcing_F, without_nyquist
 
         grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
         vnodes = VerticalNodes(12)
         rng = np.random.default_rng(11 + dim)
-        profiles = [rng.standard_normal(grid.shape + (vnodes.m,)) for _ in range(dim)]
+        profiles = [without_nyquist(grid, rng.standard_normal(grid.shape + (vnodes.m,)))
+                    for _ in range(dim)]
         forcing = _loads(grid, vnodes, *profiles)
         nu = 0.7
         # more times than one transform takes, so the source works in chunks

@@ -13,11 +13,21 @@ from lubelastic.spectral import (
     PeriodicGrid,
     VerticalNodes,
     dealiased_product,
+    padded_values,
     spectral_derivative,
+    truncated_hat,
 )
 from lubelastic.verify import _snapshot_channel_sq
 
-from oracles import LoopChebOps, channel_field_csv, periodic_field_csv
+from oracles import (
+    LoopChebOps,
+    channel_field_csv,
+    periodic_field_csv,
+    rfftn_irfft,
+    rfftn_padded_values,
+    rfftn_rfft,
+    rfftn_truncated_hat,
+)
 
 
 @pytest.fixture
@@ -48,6 +58,21 @@ class TestGrid:
             PeriodicGrid(dim=1, n=24)
         with pytest.raises(ParameterError):
             PeriodicGrid(dim=3, n=16)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_arrays_are_read_only(self, dim):
+        # every user of a grid shares these arrays; a write must not corrupt
+        # later energies and norms
+        grid = PeriodicGrid(dim=dim, n=16)
+        with pytest.raises(ValueError):
+            grid.mode_weights[0] = 5.0
+        with pytest.raises(ValueError):
+            grid.xi[0][0] = 1.0
+        with pytest.raises(ValueError):
+            grid.xi[0] *= 2.0
+        for arrays in (grid.nodes, grid.meshes, grid.wavenumbers, grid.xi):
+            assert not any(a.flags.writeable for a in arrays)
+        assert grid.mode_weights.flat[0] == 1.0
 
     def test_wavenumber_lattice_symmetric(self, grid2):
         k1 = grid2.wavenumbers[0]
@@ -130,6 +155,32 @@ class TestFieldBasics:
         assert rows[0] == ["value"]
         assert len(rows) == grid1.n + 1
         assert float(rows[1][0]) == f.values[0]
+
+
+class TestOneDimensionalTransforms:
+    """1D grids call `np.fft.rfft`/`irfft`, and the 3/2 pad lets `irfft`
+    zero-pad; the results equal the `rfftn`/`irfftn` calls bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 5)], ids=["alone", "3", "2x5"])
+    def test_bitwise_equal_to_rfftn(self, n, trailing):
+        grid = PeriodicGrid(dim=1, n=n)
+        rng = np.random.default_rng(n + len(trailing))
+        values = rng.standard_normal(grid.shape + trailing)
+        hat = rfftn_rfft(grid, values)
+        padded = rng.standard_normal((3 * n // 2,) + trailing)
+        assert np.array_equal(grid.rfft(values), hat)
+        assert np.array_equal(grid.irfft(hat), rfftn_irfft(grid, hat))
+        assert np.array_equal(padded_values(grid, hat), rfftn_padded_values(grid, hat))
+        assert np.array_equal(truncated_hat(grid, padded), rfftn_truncated_hat(grid, padded))
+
+    def test_stacked_pad_equals_one_at_a_time(self):
+        grid = PeriodicGrid(dim=1, n=64)
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3, 33)) + 1j * rng.standard_normal((3, 33))
+        rows = padded_values(grid, stack.T).T
+        for row, hat in zip(rows, stack):
+            assert np.array_equal(row, padded_values(grid, hat))
 
 
 class TestDealiasing:

@@ -6,7 +6,14 @@ from lubelastic import thinfilm as tf
 from lubelastic.errors import ParameterError, PositivityError
 from lubelastic.spectral import PeriodicField, PeriodicGrid, dealiased_product, spectral_derivative
 
-from oracles import nodal_film_energy, nodal_film_step, reynolds_fixed_point
+from oracles import (
+    nodal_film_energy,
+    nodal_film_step,
+    reynolds_fixed_point,
+    rfftn_rfft,
+    spectral_film_energy,
+    spectral_film_step,
+)
 
 
 @pytest.fixture
@@ -105,6 +112,13 @@ class TestStep:
         with pytest.raises(ParameterError):
             tf.step(model, tf.FilmState(one_plus_sin(grid), 0.0), 0.0)
 
+    @pytest.mark.parametrize("steps, stride", [(0, 1), (3, 0)])
+    def test_run_counts_must_be_positive(self, grid, steps, stride):
+        model = tf.ThinFilmModel(alpha=1)
+        with pytest.raises(ParameterError):
+            tf.evolve(model, tf.FilmState(one_plus_sin(grid), 0.0), 1e-5, steps,
+                      snapshot_stride=stride)
+
     def test_nonpositive_state_reports_its_time(self, grid):
         eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
         with pytest.raises(PositivityError) as ei:
@@ -141,12 +155,16 @@ def oracle_case(label):
     return model, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
 
 
-class TestFilmStepOracle:
-    """The coefficient-carrying step against the nodal step it replaced."""
+ORACLE_CASES = ["pm-paper", "tf-surface-tension", "stf-bending", "nonlinear-3.3",
+                "alpha3-potential", "linearized-alpha5", "halving"]
 
-    @pytest.mark.parametrize("label", ["pm-paper", "tf-surface-tension", "stf-bending",
-                                       "nonlinear-3.3", "alpha3-potential",
-                                       "linearized-alpha5", "halving"])
+
+class TestFilmStepOracle:
+    """The coefficient-carrying step against the nodal step it replaced, and
+    the run-level integrator against the per-step spectral-state step it
+    replaced (`oracles.spectral_film_step`)."""
+
+    @pytest.mark.parametrize("label", ORACLE_CASES)
     def test_matches_nodal_step(self, label):
         model, eta0, dt, steps, floor = oracle_case(label)
         state = tf.FilmState(eta0, 0.0)
@@ -161,6 +179,31 @@ class TestFilmStepOracle:
             assert abs(tf.film_energy(model, state) - energy) <= 1e-12 * abs(energy)
             assert state.hat[0] == tf.FilmState(eta0).hat[0]
 
+    @pytest.mark.parametrize("label", ORACLE_CASES)
+    def test_integrator_bitwise_equal_to_spectral_step(self, label):
+        model, eta0, dt, _, floor = oracle_case(label)
+        steps = 200
+        run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, steps, floor=floor)
+        assert len(run.snapshots) == steps + 1
+        assert (run.substeps > steps) == (label == "halving")
+        state = tf.FilmState(eta0, 0.0, rfftn_rfft(eta0.grid, eta0.values))
+        times, energies, accepted = [0.0], [spectral_film_energy(model, state)], 0
+        for got in run.snapshots.states[1:]:
+            state, n = spectral_film_step(model, state, dt, floor=floor)
+            accepted += n
+            assert got.t == state.t
+            assert np.array_equal(got.eta.values, state.eta.values)
+            assert np.array_equal(got.hat, state.hat)
+            times.append(state.t)
+            energies.append(spectral_film_energy(model, state))
+        assert np.array_equal(run.t, times)
+        assert np.array_equal(run.energy, energies)
+        assert run.substeps == accepted
+        assert run.min_eta == min(s.eta.values.min() for s in run.snapshots.states)
+        # `step` is the integrator for one step
+        one = tf.step(model, tf.FilmState(eta0, 0.0), dt, floor=floor)
+        assert np.array_equal(one.hat, run.snapshots.states[1].hat)
+
     def test_halving_reaches_the_horizon(self):
         model, eta0, dt = halving_case()
         state = tf.FilmState(eta0, 0.0)
@@ -173,6 +216,9 @@ class TestFilmStepOracle:
         assert state.t == pytest.approx(3e-4, rel=1e-12)
         assert state.eta.values.min() >= 0.095
         assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12
+        run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, 3, floor=0.095)
+        assert run.substeps > 3
+        assert np.array_equal(run.snapshots.states[-1].hat, state.hat)
 
 
 FFT_NAMES = ["fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"]
@@ -191,16 +237,16 @@ class TestFilmTransforms:
             monkeypatch.setattr(np.fft, name, counted)
         return calls
 
-    @pytest.mark.parametrize("potential, per_step", [(None, 4), (lambda eta: 0.3 * eta**2, 6)])
+    @pytest.mark.parametrize("potential, per_step", [(None, 3), (lambda eta: 0.3 * eta**2, 4)])
     def test_transforms_per_step(self, grid, monkeypatch, potential, per_step):
         model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=potential)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         calls = self._counting(monkeypatch)
-        for _ in range(10):
-            state = tf.step(model, state, 1e-6)
+        run = tf.evolve(model, state, 1e-6, 10)
+        assert run.substeps == 10
         assert len(calls) == 10 * per_step
         del calls[:]
-        tf.film_energy(model, state)
+        tf.film_energy(model, run.snapshots.states[-1])
         assert len(calls) == 0
 
 
