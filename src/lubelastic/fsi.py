@@ -19,15 +19,24 @@ discrete system with its own solution yields the discrete energy identity
     E(t_n) + sum(viscous + plate dissipation + numerical dissipation)
         = sum(work of forcing)
 
-to roundoff, with every dissipation term nonnegative.  The step's mass
-product and the ledger's quadratic forms are batched real products of the
-stored per-mode matrices with the coefficients' real and imaginary parts.
-The pressure is not a primal unknown; it is recovered from the horizontal
-momentum balance per mode, and for the zero mode from the vertical momentum
-balance pinned by the plate row.
+to roundoff, with every dissipation term nonnegative.
+
+The frame.  Each mode's horizontal velocity is held in the frame
+e0 = xi/|xi| (the first axis at xi = 0; e0 = 1 in 1D), e1 = e0 turned by a
+right angle.  The operator is made of I and xi xi^T only, so the part along
+xi is the 1D problem at xi_L = e0 . xi and alone meets the plate, the
+pressure and the vertical load, while the part across xi is a decoupled
+diffusion.  A state is P*K rows of mi interior coefficients (P = dim): rows
+:K hold the parts along xi, in 2D rows K: those across.  The forcing rotates
+into the frame in the quadrature, the velocity back in `materialize`.  Mass
+products and the ledger's quadratic forms are batched real products of the
+per-row matrices with the coefficients' real and imaginary parts.  The
+pressure is not a primal unknown; it comes from the along-xi momentum
+balance, and for the zero mode from the vertical balance pinned by the
+plate row.
 
 A run advances in blocks of steps whose stacked states take about 64 KiB
-(25 steps at K = 9 modes with s = 18 unknowns, one step in 2D at n = 32).
+(25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
 Per block the forcing is sampled at every step time and its loaded
 components are transformed together; the steps then run one after another
 in the order of a single step, and the block's ledger rows and snapshot
@@ -261,25 +270,19 @@ class FsiTrajectory:
 
 def _xi_stack(grid: PeriodicGrid) -> np.ndarray:
     """Angular wavenumber vectors for every stored mode, shape (K, dim)."""
-    if grid.dim == 1:
-        return (2.0 * np.pi * grid.wavenumbers[0].astype(float))[:, None]
-    k1, k2 = grid.wavenumbers
-    K1, K2 = np.meshgrid(k1.astype(float), k2.astype(float), indexing="ij")
-    return 2.0 * np.pi * np.stack([K1.ravel(), K2.ravel()], axis=1)
+    mesh = np.meshgrid(*(k.astype(float) for k in grid.wavenumbers), indexing="ij")
+    return 2.0 * np.pi * np.stack([k.ravel() for k in mesh], axis=1)
 
 
 class _Assembled:
-    """Stacked per-mode matrices of the step operator for params.dt, with
-    its per-mode inverse."""
+    """Per-row matrices (P*K, mi, mi) of the step operator for params.dt,
+    with their inverses.  lam is |xi|^2 on the along-xi rows and 0 on the
+    across-xi rows; the plate's rank-one term g g^T enters rows :K only."""
 
     def __init__(self, solver: "FsiSolver"):
         p = solver.params
         dt = p.dt
-        dh = p.grid.dim
-        mi = p.vnodes.m - 2
-        s = dh * mi
-        xi = solver.xi
-        K = xi.shape[0]
+        K, P = solver.K, solver.P
         ops = p.vnodes.ops
         sl = slice(1, -1)
         Mi = ops.M[sl, sl]
@@ -291,42 +294,25 @@ class _Assembled:
         eps = p.model.eps
         nu = p.model.nu
 
-        outer = xi[:, :, None] * xi[:, None, :]          # (K, dh, dh)
-        xi2 = np.einsum("ka,ka->k", xi, xi)              # |xi|^2
-        eye = np.eye(dh)
-
-        def blockify(coef_ab, mat):
-            # coef_ab: (K, dh, dh); mat: (mi, mi) -> (K, s, s)
-            blk = coef_ab[:, :, None, :, None] * mat[None, None, :, None, :]
-            return blk.reshape(K, s, s)
-
+        xi2 = np.tile(solver.xi2, P)[:, None, None]   # |xi|^2 on every row
+        lam = np.zeros_like(xi2)
+        lam[:K] = xi2[:K]
         # one buffer holds mass and viscosity, so one product applies both
-        mass, visc = mass_visc = np.empty((2, K, s, s))
-        mass[...] = blockify(np.broadcast_to(eye, (K, dh, dh)).copy(), Mi) \
-            + eps**2 * blockify(outer, MAi)
-        visc[...] = (
-            blockify(0.5 * xi2[:, None, None] * eye, Mi)
-            + blockify(1.5 * outer, Mi)
-            + 0.5 * (
-                blockify(np.broadcast_to(eye, (K, dh, dh)).copy(), Ki) / eps**2
-                + blockify(outer, Csym)
-                + eps**2 * blockify(xi2[:, None, None] * outer, MAi)
-            )
-        )
+        mass, visc = mass_visc = np.empty((2, P * K) + Mi.shape)
+        mass[...] = Mi + eps**2 * (lam * MAi)
+        visc[...] = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
+            Ki / eps**2 + lam * Csym + eps**2 * ((xi2 * lam) * MAi))
         visc *= 2.0 * nu
-        g = (xi[:, :, None] * a0[None, None, :]).reshape(K, s)
+        g = solver.xi_L[:, None] * a0
 
-        xi4 = xi2**2
+        xi4 = solver.xi2**2
         plate_coef = (
             solver.coef["rho_s_mass"] / dt
             + solver.coef["theta_rank1"] * xi4
             + solver.coef["bending_rank1"] * dt * xi4
         )
-        A = (
-            (solver.coef["fluid_mass"] / dt) * mass
-            + eps * visc
-            + plate_coef[:, None, None] * (g[:, :, None] * g[:, None, :])
-        )
+        A = (solver.coef["fluid_mass"] / dt) * mass + eps * visc
+        A[:K] += plate_coef[:, None, None] * (g[:, :, None] * g[:, None, :])
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
@@ -341,7 +327,8 @@ class _Assembled:
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every mode's system for a stacked complex right-hand side (K, s)."""
+        """Solve every row's system for a stacked complex right-hand side
+        (P*K, mi)."""
         return _apply(self.inv, rhs)
 
 
@@ -360,8 +347,9 @@ def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FsiSolver:
     """Backward-Euler integrator for the coupled channel/plate system.
 
-    The per-mode step operator is assembled and factored once per solver, on
-    first use, and every step of a run reuses it.  `run` is the one way to
+    frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
+    e_p . v', and xi_L = e0 . xi.  The per-row step operator is assembled
+    and factored once per solver, on first use.  `run` is the one way to
     step: it advances in blocks of steps, so the forcing is sampled and
     transformed once per block and the ledger is filled a block at a time.
     """
@@ -371,10 +359,17 @@ class FsiSolver:
         check = validate_theorem_regime(params.model.kappa)
         if not check.ok:
             logger.warning("running outside the guaranteed-rate regime: %s", check.reason)
-        self.xi = _xi_stack(params.grid)
-        self.K = self.xi.shape[0]
+        xi = _xi_stack(params.grid)
+        self.K = xi.shape[0]
+        self.P = params.grid.dim
         self.mi = params.vnodes.m - 2
-        self.s = params.grid.dim * self.mi
+        self.xi2 = np.einsum("ka,ka->k", xi, xi)
+        e0 = np.zeros_like(xi)
+        e0[:, 0] = 1.0
+        np.divide(xi, np.sqrt(self.xi2)[:, None], out=e0, where=self.xi2[:, None] > 0)
+        across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if self.P == 2 else []
+        self.frame = np.stack([e0, *across])
+        self.xi_L = np.einsum("ka,ka->k", e0, xi)
         mdl = params.model
         eps, kappa, tau = mdl.eps, mdl.kappa, mdl.tau
         e = lambda expo: eps_power(eps, expo)
@@ -404,7 +399,7 @@ class FsiSolver:
     # -- assembly ------------------------------------------------------
 
     def assembled(self) -> _Assembled:
-        """Per-mode step operator for params.dt, built on first use."""
+        """Per-row step operator for params.dt, built on first use."""
         if self._assembled is None:
             self._assembled = _Assembled(self)
         return self._assembled
@@ -412,59 +407,66 @@ class FsiSolver:
     # -- state conversion ----------------------------------------------
 
     def _profiles(self, c: np.ndarray) -> np.ndarray:
-        """Embed interior coefficients into full vertical profiles,
-        shape (K, dh, m)."""
-        dh = self.params.grid.dim
-        m = self.params.vnodes.m
-        full = np.zeros((self.K, dh, m), dtype=complex)
-        for a in range(dh):
-            full[:, a, 1:-1] = c[:, a * self.mi:(a + 1) * self.mi]
+        """Embed interior coefficients (..., mi) into full vertical profiles
+        (..., m)."""
+        full = np.zeros(c.shape[:-1] + (self.params.vnodes.m,), dtype=complex)
+        full[..., 1:-1] = c
         return full
 
+    def _in_frame(self, fhat: dict) -> np.ndarray | None:
+        """The loaded horizontal forcing components, coefficients (..., K, m)
+        each, rotated into the frame: rows (..., P*K, m), or None when no
+        horizontal component is loaded."""
+        # the frame is real: scale the interleaved real and imaginary parts
+        parts = [(self.frame[:, :, a, None]
+                  * np.ascontiguousarray(fhat[a]).view(float)[..., None, :, :]).view(complex)
+                 for a in range(self.P) if a in fhat]
+        if not parts:
+            return None
+        rows = sum(parts[1:], parts[0])
+        return rows.reshape(rows.shape[:-3] + (self.P * self.K, -1))
+
     def vertical_profile(self, c: np.ndarray) -> np.ndarray:
-        """Reconstructed vertical velocity profiles, shape (K, m)."""
+        """Reconstructed vertical velocity profiles, shape (K, m), from the
+        divergence xi . v' = xi_L v_L."""
         ops = self.params.vnodes.ops
         eps = self.params.model.eps
-        full = self._profiles(c)
-        div_h = np.einsum("ka,kam->km", self.xi, full)  # xi . v', times -i below
+        div_h = self.xi_L[:, None] * self._profiles(c[:self.K])  # times -i below
         return -1j * eps * ops.antiderivative(div_h)
 
     def materialize(self, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray, t: float,
                     pressure_hat: np.ndarray | None = None) -> FsiState:
-        """The fields of the state with interior coefficients c (K, s) and
-        plate harmonics eta, eta_t (K,) at time t."""
+        """The fields of the state with rows c (P*K, mi) and plate harmonics
+        eta, eta_t (K,) at time t."""
         grid = self.params.grid
         vn = self.params.vnodes
-        dh = grid.dim
-        full = self._profiles(c)
-        spectral_shape = grid.spectral_shape
-        comps = []
-        for a in range(dh):
-            comps.append(ChannelField.from_hat(grid, vn, full[:, a, :].reshape(spectral_shape + (vn.m,))))
-        v3 = self.vertical_profile(c)
-        comps.append(ChannelField.from_hat(grid, vn, v3.reshape(spectral_shape + (vn.m,))))
+        shape = grid.spectral_shape + (vn.m,)
+        rows = self._profiles(c).reshape(self.P, self.K, vn.m)
+        # back to Cartesian components: v_a = sum_p (e_p)_a v_p
+        cart = (self.frame[..., None] * rows[:, :, None, :]).sum(axis=0)
+        comps = [ChannelField.from_hat(grid, vn, cart[:, a].reshape(shape))
+                 for a in range(grid.dim)]
+        comps.append(ChannelField.from_hat(grid, vn, self.vertical_profile(c).reshape(shape)))
         if pressure_hat is None:
             p = ChannelField.zeros(grid, vn)
         else:
-            p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(spectral_shape + (vn.m,)))
+            p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(shape))
         return FsiState(v=tuple(comps), p=p, t=t,
-                        eta=PeriodicField.from_hat(grid, eta.reshape(spectral_shape)),
-                        eta_t=PeriodicField.from_hat(grid, eta_t.reshape(spectral_shape)))
+                        eta=PeriodicField.from_hat(grid, eta.reshape(grid.spectral_shape)),
+                        eta_t=PeriodicField.from_hat(grid, eta_t.reshape(grid.spectral_shape)))
 
     def _quadrature(self, fhat: dict, nb: int) -> np.ndarray:
-        """Forcing quadrature against the velocity basis, (B, K, s), from
-        the loaded components' coefficients (B, K, m)."""
-        dh = self.params.grid.dim
-        eps = self.params.model.eps
-        Fq = np.zeros((nb, self.K, self.s), dtype=complex)
-        # integrals of A_i * f3 profile
-        f3q = fhat[dh] @ self._MAint.T if dh in fhat else None
-        for a in range(dh):
-            part = Fq[..., a * self.mi:(a + 1) * self.mi]
-            if a in fhat:
-                part += fhat[a] @ self._Mint.T
-            if f3q is not None:
-                part += 1j * eps * self.xi[:, a][:, None] * f3q
+        """Forcing quadrature against the velocity basis, rows (B, P*K, mi),
+        from the loaded components' coefficients (B, K, m)."""
+        Fq = np.zeros((nb, self.P * self.K, self.mi), dtype=complex)
+        rows = self._in_frame(fhat)
+        if rows is not None:
+            Fq += rows @ self._Mint.T
+        if self.P in fhat:
+            # integrals of A_i * f3 profile; the vertical load works on the
+            # along-xi part only
+            Fq[:, :self.K] += (1j * self.params.model.eps * self.xi_L[:, None]
+                               * (fhat[self.P] @ self._MAint.T))
         return Fq
 
     def _record(self, ledger: EnergyLedger, totals: np.ndarray, t, c, eta, eta_t,
@@ -476,12 +478,13 @@ class FsiSolver:
         M c of the block's last state."""
         asm = self.assembled()
         w = self._w
+        wr = np.tile(w, self.P)  # the rows' weights
         wx = w * asm.xi4
         coef = self.coef
         dt = self.params.dt
         fluid = 0.5 * self.params.model.rho_f * self.params.model.eps
         mass, visc = _apply(asm.mass_visc[:, None], c[1:])
-        ef = fluid * _re_inner(w, c[1:], mass)
+        ef = fluid * _re_inner(wr, c[1:], mass)
         epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:]) ** 2, axis=-1)
         eb = 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:]) ** 2, axis=-1)
         bad = (np.minimum(ef, np.minimum(epk, eb))
@@ -494,13 +497,13 @@ class FsiSolver:
                 f"assembly is inconsistent"
             )
         dn = (  # M dc is the difference of the two mass products
-            fluid * _re_inner(w, c[1:] - c[:-1], mass - mass_old)
+            fluid * _re_inner(wr, c[1:] - c[:-1], mass - mass_old)
             + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:] - eta_t[:-1]) ** 2, axis=-1)
             + 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:] - eta[:-1]) ** 2, axis=-1)
         )
-        dv = dt * coef["work"] * _re_inner(w, c[1:], visc)
+        dv = dt * coef["work"] * _re_inner(wr, c[1:], visc)
         dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
-        work = dt * coef["work"] * _re_inner(w, c[1:], Fq)
+        work = dt * coef["work"] * _re_inner(wr, c[1:], Fq)
         # running sums added one step at a time, as the integrals accumulate
         running = np.stack([dv, dve, dn, work])
         running[:, 0] += totals
@@ -514,47 +517,38 @@ class FsiSolver:
     def pressure_hat(self, c_old: np.ndarray, c_new: np.ndarray,
                      fhat: dict, dt: float,
                      c_older: np.ndarray | None = None) -> np.ndarray:
-        """Pressure profiles per mode from the horizontal momentum balance;
+        """Pressure profiles per mode from the along-xi momentum balance;
         the zero mode comes from the vertical balance pinned by the plate.
 
-        c_old and c_new are the interior coefficients before and after the
-        step; fhat maps each loaded forcing component to its coefficients
-        (K, m) at the step's end.  With the state before c_old as well, the
-        inertia term uses the second-order backward quotient, otherwise the
-        first-order one.
+        c_old and c_new are the rows before and after the step; fhat maps
+        each loaded forcing component to its coefficients (K, m) at the
+        step's end.  With the state before c_old as well, the inertia term
+        uses the second-order backward quotient, otherwise the first-order
+        one.
         """
         p = self.params
         ops = p.vnodes.ops
         eps = p.model.eps
-        nu = p.model.nu
-        dh = p.grid.dim
-        m = p.vnodes.m
-        full_new = self._profiles(c_new)
-        full_old = self._profiles(c_old)
-        full_older = None if c_older is None else self._profiles(c_older)
+        K = self.K
+        xi2 = self.xi2
+        v, v_old = self._profiles(c_new[:K]), self._profiles(c_old[:K])
+        if c_older is None:
+            dv = (v - v_old) / dt
+        else:
+            dv = (3.0 * v - 4.0 * v_old + self._profiles(c_older[:K])) / (2.0 * dt)
+        force = self._in_frame(fhat)
         inert = p.model.rho_f * eps_power(eps, -p.model.tau)
-        xi2 = np.einsum("ka,ka->k", self.xi, self.xi)
         D2 = ops.D @ ops.D
-        rhs_h = np.empty((self.K, dh, m), dtype=complex)
-        for a in range(dh):
-            va, va_old = full_new[:, a, :], full_old[:, a, :]
-            if full_older is None:
-                dva = (va - va_old) / dt
-            else:
-                dva = (3.0 * va - 4.0 * va_old + full_older[:, a, :]) / (2.0 * dt)
-            rhs_h[:, a, :] = (
-                fhat.get(a, 0.0)
-                + nu * (-xi2[:, None] * va + (va @ D2.T) / eps**2)
-                - inert * dva
-            )
-        phat = np.zeros((self.K, m), dtype=complex)
+        rhs = ((0.0 if force is None else force[:K])
+               + p.model.nu * (-xi2[:, None] * v + (v @ D2.T) / eps**2)
+               - inert * dv)
+        phat = np.zeros((K, p.vnodes.m), dtype=complex)
         nz = xi2 > 0
-        proj = np.einsum("ka,kam->km", self.xi, rhs_h)
-        phat[nz] = -1j * proj[nz] / xi2[nz, None]
+        phat[nz] = -1j * (self.xi_L[:, None] * rhs)[nz] / xi2[nz, None]
         # zero mode: d/dy3 p = eps * f3, level pinned by the plate row, which
         # reads zero because the mean plate harmonic never moves
-        if dh in fhat and not nz.all():
-            anti = ops.antiderivative(fhat[dh][~nz])
+        if self.P in fhat and not nz.all():
+            anti = ops.antiderivative(fhat[self.P][~nz])
             phat[~nz] = eps * (anti - anti[:, -1][:, None])
         return phat
 
@@ -564,15 +558,16 @@ class FsiSolver:
         """Step from the zero state to t_end, keeping every
         snapshot_stride-th state and the last one, and the energy ledger.
 
-        Each step solves
+        Each step solves, row by row,
 
             A c_new = (coef["fluid_mass"] / dt) M c + eps Fq + plate_rhs g,
 
-        where plate_rhs carries the plate's velocity and bending terms, then
-        sets eta_t from g . c_new and eta by one Euler step.  Steps run
-        in blocks (see the module docstring): the forcing of a whole block is
-        sampled and transformed together, and a forcing that is not finite
-        at some step time raises ParameterError naming that time.
+        where plate_rhs carries the plate's velocity and bending terms and
+        enters the along-xi rows only, then sets eta_t from g . c_new and eta
+        by one Euler step.  Steps run in blocks (see the module docstring):
+        the forcing of a whole block is sampled and transformed together,
+        and a forcing that is not finite at some step time raises
+        ParameterError naming that time.
         """
         p = self.params
         dt = p.dt
@@ -583,15 +578,16 @@ class FsiSolver:
             raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
         asm = self.assembled()
         K, coef = self.K, self.coef
-        block = _steps_per_block(16 * K * self.s)
+        rows = (self.P * K, self.mi)
+        block = _steps_per_block(16 * rows[0] * rows[1])
         # rows 0 and 1 hold the two states before a block, row j + 1 its
         # j-th state
-        c = np.zeros((block + 2, K, self.s), dtype=complex)
+        c = np.zeros((block + 2,) + rows, dtype=complex)
         eta = np.zeros((block + 2, K), dtype=complex)
         eta_t = np.zeros((block + 2, K), dtype=complex)
         # M c of the state before each step; the block's first comes from the
         # previous block's ledger product
-        mass_old = np.zeros((block, K, self.s), dtype=complex)
+        mass_old = np.zeros((block,) + rows, dtype=complex)
         totals = np.zeros(4)
         ledger = EnergyLedger()
         states = [self.materialize(c[1], eta[1], eta_t[1], 0.0)]
@@ -613,12 +609,13 @@ class FsiSolver:
                 if j > 1:
                     mass_old[j - 1] = _apply(mass, c[j])
                 plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
-                rhs = fluid * mass_old[j - 1] + load[j - 1] + plate_rhs[:, None] * g
+                rhs = fluid * mass_old[j - 1] + load[j - 1]
+                rhs[:K] += plate_rhs[:, None] * g
                 c[j + 1] = asm.solve(rhs)
-                eta_t[j + 1] = trace * (g * c[j + 1]).sum(axis=1)
+                eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
                 eta[j + 1] = eta[j] + dt * eta_t[j + 1]
-            rows = slice(1, nb + 2)
-            mass_old[0] = self._record(ledger, totals, t, c[rows], eta[rows], eta_t[rows],
+            span = slice(1, nb + 2)
+            mass_old[0] = self._record(ledger, totals, t, c[span], eta[span], eta_t[span],
                                        Fq, mass_old[:nb])
             for j in range(nb):
                 n = n0 + j + 1

@@ -275,22 +275,71 @@ def reports_csv(reports, path) -> None:
                 r.err_displacement, r.energy_ratio)) + "\n")
 
 
-# The coupled solver's evolving state: interior profile coefficients per
-# mode (K, s) and plate harmonics (K,), as `fsi.FsiSolver.materialize` takes
-# them.
+# The coupled solver's evolving state: interior profile coefficients in the
+# solver's row layout (P*K, mi) and plate harmonics (K,), as
+# `fsi.FsiSolver.materialize` takes them.
 SpectralState = namedtuple("SpectralState", "c eta eta_t t")
 
 
 def zero_state(solver):
     K = solver.K
-    return SpectralState(np.zeros((K, solver.s), dtype=complex), np.zeros(K, dtype=complex),
-                         np.zeros(K, dtype=complex), 0.0)
+    return SpectralState(np.zeros((solver.P * K, solver.mi), dtype=complex),
+                         np.zeros(K, dtype=complex), np.zeros(K, dtype=complex), 0.0)
+
+
+def cartesian_frame(grid):
+    """Each mode's unit vectors (e0, e1), shape (P, K, dim), built apart from
+    the solver: e0 = xi/|xi| (the first axis at xi = 0), e1 = e0 turned by a
+    right angle."""
+    from lubelastic.fsi import _xi_stack
+
+    xi = _xi_stack(grid)
+    norm = np.linalg.norm(xi, axis=1)
+    e0 = np.eye(grid.dim)[np.zeros(len(xi), dtype=int)]
+    e0[norm > 0] = xi[norm > 0] / norm[norm > 0, None]
+    if grid.dim == 1:
+        return e0[None]
+    return np.stack([e0, e0 @ np.array([[0.0, 1.0], [-1.0, 0.0]])])
+
+
+def to_rows(frame, cart):
+    """Cartesian coefficients (..., K, dim * mi) to rows (..., P*K, mi)."""
+    P, K, dim = frame.shape
+    parts = cart.reshape(cart.shape[:-2] + (K, dim, -1))
+    rows = np.einsum("pka,...kam->...pkm", frame, parts)
+    return rows.reshape(rows.shape[:-3] + (P * K, -1))
+
+
+def to_cartesian(frame, rows):
+    """Rows (..., P*K, mi) to Cartesian coefficients (..., K, dim * mi)."""
+    P, K = frame.shape[:2]
+    parts = rows.reshape(rows.shape[:-2] + (P, K, -1))
+    cart = np.einsum("pka,...pkm->...kam", frame, parts)
+    return cart.reshape(cart.shape[:-3] + (K, -1))
+
+
+def cartesian_quadrature(solver, fhat):
+    """The forcing quadrature in Cartesian components, (K, dim * mi), from
+    every component's coefficients fhat (d, K, m)."""
+    from lubelastic.fsi import _xi_stack
+
+    dh = solver.P
+    mi = solver.mi
+    eps = solver.params.model.eps
+    xi = _xi_stack(solver.params.grid)
+    Fq = np.empty((solver.K, dh * mi), dtype=complex)
+    f3q = fhat[dh] @ solver._MAint.T
+    for a in range(dh):
+        Fq[:, a * mi:(a + 1) * mi] = fhat[a] @ solver._Mint.T + 1j * eps * xi[:, a][:, None] * f3q
+    return Fq
 
 
 # The coupled step as `fsi.FsiSolver.advance` took it before the mass
 # product and the ledger's quadratic forms became batched real products:
 # every forcing component transformed, M c and the three quadratic forms by
-# `einsum`, and the solve on stacked real and imaginary parts.
+# `einsum`, and the solve on stacked real and imaginary parts.  It works on
+# the solver's rows; the forcing quadrature is taken in Cartesian components
+# and rotated by `cartesian_frame`.
 
 def einsum_forcing_hat(solver, t):
     comps = solver.params.forcing(t)
@@ -303,12 +352,15 @@ def einsum_forcing_hat(solver, t):
 
 
 def einsum_ledger_increments(solver, asm, old, new, Fq, dt):
+    """Ledger increments of the step old -> new.  The coefficients may be
+    rows or Cartesian stacks, with asm's mass and viscosity to match."""
     w = solver._w
+    wc = np.tile(w, len(new.c) // len(w))
     coef = solver.coef
     rho_f = solver.params.model.rho_f
     eps = solver.params.model.eps
-    mass_q = lambda c: np.einsum("ks,kst,kt->", w[:, None] * np.conj(c), asm.mass, c).real
-    visc_q = np.einsum("ks,kst,kt->", w[:, None] * np.conj(new.c), asm.visc, new.c).real
+    mass_q = lambda c: np.einsum("ks,kst,kt->", wc[:, None] * np.conj(c), asm.mass, c).real
+    visc_q = np.einsum("ks,kst,kt->", wc[:, None] * np.conj(new.c), asm.visc, new.c).real
     dc = new.c - old.c
     d_eta = new.eta - old.eta
     d_eta_t = new.eta_t - old.eta_t
@@ -323,7 +375,7 @@ def einsum_ledger_increments(solver, asm, old, new, Fq, dt):
         viscous=float(dt * coef["work"] * visc_q),
         viscoelastic=float(dt * coef["viscoelastic"]
                            * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2)),
-        work=float(dt * coef["work"] * np.sum(w * (Fq * np.conj(new.c)).sum(axis=1).real)),
+        work=float(dt * coef["work"] * np.sum(wc * (Fq * np.conj(new.c)).sum(axis=1).real)),
     )
 
 
@@ -332,25 +384,157 @@ def einsum_advance(solver, spec, t_new):
     (new_state, ledger_increments) like `FsiSolver.advance`."""
     dt = solver.params.dt
     asm = solver.assembled()
-    dh = solver.params.grid.dim
-    eps = solver.params.model.eps
+    K = solver.K
     coef = solver.coef
-    mi = solver.mi
     fhat = einsum_forcing_hat(solver, t_new)
-    Fq = np.empty((solver.K, solver.s), dtype=complex)
-    f3q = fhat[dh] @ solver._MAint.T
-    for a in range(dh):
-        Fq[:, a * mi:(a + 1) * mi] = (fhat[a] @ solver._Mint.T
-                                      + 1j * eps * solver.xi[:, a][:, None] * f3q)
+    Fq = to_rows(cartesian_frame(solver.params.grid), cartesian_quadrature(solver, fhat))
     mass_cn = np.einsum("kij,kj->ki", asm.mass, spec.c)
     plate_rhs = (1j * coef["plate_test"]) * (
         coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
-    rhs = (coef["fluid_mass"] / dt) * mass_cn + eps * Fq + plate_rhs[:, None] * asm.g
+    rhs = (coef["fluid_mass"] / dt) * mass_cn + solver.params.model.eps * Fq
+    rhs[:K] += plate_rhs[:, None] * asm.g
     sol = asm.inv @ np.stack([rhs.real, rhs.imag], axis=2)
     c_new = sol[:, :, 0] + 1j * sol[:, :, 1]
-    eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new)
+    eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new[:K])
     new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
     return new, einsum_ledger_increments(solver, asm, spec, new, Fq, dt)
+
+
+# The coupled step as `fsi._Assembled` built it before each 2D mode was
+# split into its parts along and across xi: one (K, dim*mi, dim*mi) block per
+# mode in Cartesian components, coupled by the coefficient stacks I and
+# xi xi^T (`blockify`), and the pressure from the momentum balance of every
+# horizontal component.
+
+class StackedStep:
+    """The stacked Cartesian step operator of a solver's params, and the
+    step equation, ledger increments and pressure in Cartesian components."""
+
+    def __init__(self, solver):
+        from lubelastic.fsi import _xi_stack
+
+        p = solver.params
+        self.solver = solver
+        self.frame = cartesian_frame(p.grid)
+        dt = p.dt
+        dh = p.grid.dim
+        mi = p.vnodes.m - 2
+        s = dh * mi
+        xi = self.xi = _xi_stack(p.grid)
+        K = xi.shape[0]
+        ops = p.vnodes.ops
+        sl = slice(1, -1)
+        Mi, Ki, MAi = ops.M[sl, sl], ops.K[sl, sl], ops.MA[sl, sl]
+        Ci = ops.C_dA[sl, sl]
+        Csym = Ci + Ci.T
+        a0 = ops.weights[sl]
+        eps = p.model.eps
+        nu = p.model.nu
+        outer = xi[:, :, None] * xi[:, None, :]
+        xi2 = np.einsum("ka,ka->k", xi, xi)
+        eye = np.broadcast_to(np.eye(dh), (K, dh, dh))
+
+        def blockify(coef_ab, mat):
+            blk = coef_ab[:, :, None, :, None] * mat[None, None, :, None, :]
+            return blk.reshape(K, s, s)
+
+        self.mass = blockify(eye, Mi) + eps**2 * blockify(outer, MAi)
+        self.visc = 2.0 * nu * (
+            blockify(0.5 * xi2[:, None, None] * eye, Mi) + blockify(1.5 * outer, Mi)
+            + 0.5 * (blockify(eye, Ki) / eps**2 + blockify(outer, Csym)
+                     + eps**2 * blockify(xi2[:, None, None] * outer, MAi)))
+        self.g = (xi[:, :, None] * a0[None, None, :]).reshape(K, s)
+        self.xi4 = xi2**2
+        coef = solver.coef
+        plate_coef = (coef["rho_s_mass"] / dt + coef["theta_rank1"] * self.xi4
+                      + coef["bending_rank1"] * dt * self.xi4)
+        self.A = ((coef["fluid_mass"] / dt) * self.mass + eps * self.visc
+                  + plate_coef[:, None, None] * (self.g[:, :, None] * self.g[:, None, :]))
+
+    def cartesian(self, spec):
+        """The state with its coefficients in Cartesian components."""
+        return spec._replace(c=to_cartesian(self.frame, spec.c))
+
+    def forcing_hat(self, t):
+        """Every forcing component's coefficients (d, K, m) at time t, less
+        the Nyquist ones, which the solver's load leaves out."""
+        from lubelastic.spectral import nyquist_index
+
+        grid = self.solver.params.grid
+        fhat = einsum_forcing_hat(self.solver, t)
+        spectral = fhat.reshape(fhat.shape[:1] + grid.spectral_shape + fhat.shape[-1:])
+        for axis in range(grid.dim):
+            spectral[(slice(None),) + nyquist_index(grid, axis)] = 0.0
+        return fhat
+
+    def step_equation(self, old, t_new):
+        """A and the right-hand side of the step from the Cartesian state old
+        to t_new, with the forcing quadrature."""
+        solver = self.solver
+        dt = solver.params.dt
+        coef = solver.coef
+        Fq = cartesian_quadrature(solver, self.forcing_hat(t_new))
+        plate_rhs = (1j * coef["plate_test"]) * (
+            coef["plate_kin"] * old.eta_t / dt - coef["bend"] * self.xi4 * old.eta)
+        rhs = ((coef["fluid_mass"] / dt) * np.einsum("kij,kj->ki", self.mass, old.c)
+               + solver.params.model.eps * Fq + plate_rhs[:, None] * self.g)
+        return rhs, Fq
+
+    def backward_errors(self, old, new):
+        """Per mode |A c - b| / (|A| |c| + |b|) in 2-norms, for Cartesian
+        states old and new, and the norms |b|."""
+        b, _ = self.step_equation(old, new.t)
+        r = np.einsum("kij,kj->ki", self.A, new.c) - b
+        a_norm = np.linalg.norm(self.A, ord=2, axis=(1, 2))
+        b_norm = np.linalg.norm(b, axis=1)
+        scale = a_norm * np.linalg.norm(new.c, axis=1) + b_norm
+        err = np.divide(np.linalg.norm(r, axis=1), scale, out=np.zeros_like(scale),
+                        where=scale > 0)
+        return err, b_norm
+
+    def increments(self, old, new):
+        """Ledger increments of the step between Cartesian states."""
+        _, Fq = self.step_equation(old, new.t)
+        return einsum_ledger_increments(self.solver, self, old, new, Fq,
+                                        self.solver.params.dt)
+
+    def pressure_hat(self, c_old, c_new, fhat, dt, c_older=None):
+        """Pressure profiles (K, m) from the horizontal momentum balance of
+        every Cartesian component, for Cartesian coefficients."""
+        from lubelastic.scaling import eps_power
+
+        p = self.solver.params
+        ops = p.vnodes.ops
+        eps, nu = p.model.eps, p.model.nu
+        dh, m, mi = p.grid.dim, p.vnodes.m, p.vnodes.m - 2
+        K = self.xi.shape[0]
+
+        def profiles(c):
+            full = np.zeros((K, dh, m), dtype=complex)
+            full[:, :, 1:-1] = c.reshape(K, dh, mi)
+            return full
+
+        full_new, full_old = profiles(c_new), profiles(c_old)
+        inert = p.model.rho_f * eps_power(eps, -p.model.tau)
+        xi2 = np.einsum("ka,ka->k", self.xi, self.xi)
+        D2 = ops.D @ ops.D
+        rhs_h = np.empty((K, dh, m), dtype=complex)
+        for a in range(dh):
+            va, va_old = full_new[:, a], full_old[:, a]
+            if c_older is None:
+                dva = (va - va_old) / dt
+            else:
+                dva = (3.0 * va - 4.0 * va_old + profiles(c_older)[:, a]) / (2.0 * dt)
+            rhs_h[:, a] = (fhat.get(a, 0.0) + nu * (-xi2[:, None] * va + (va @ D2.T) / eps**2)
+                           - inert * dva)
+        phat = np.zeros((K, m), dtype=complex)
+        nz = xi2 > 0
+        proj = np.einsum("ka,kam->km", self.xi, rhs_h)
+        phat[nz] = -1j * proj[nz] / xi2[nz, None]
+        if dh in fhat and not nz.all():
+            anti = ops.antiderivative(fhat[dh][~nz])
+            phat[~nz] = eps * (anti - anti[:, -1][:, None])
+        return phat
 
 
 # The film step as `thinfilm.step` took it before the state carried its
@@ -604,39 +788,37 @@ def stepwise_advance(solver, spec, t_new):
     p = solver.params
     dt = p.dt
     asm = solver.assembled()
-    dh = p.grid.dim
+    K = solver.K
     eps = p.model.eps
     coef = solver.coef
     fhat = stepwise_forcing_hat(solver, t_new)
-    Fq = np.empty((solver.K, solver.s), dtype=complex)
-    f3q = fhat[dh] @ solver._MAint.T
-    for a in range(dh):
-        Fq[:, a * solver.mi:(a + 1) * solver.mi] = (
-            fhat[a] @ solver._Mint.T + 1j * eps * solver.xi[:, a][:, None] * f3q)
+    Fq = to_rows(cartesian_frame(p.grid), cartesian_quadrature(solver, fhat))
     mass_old = _apply(asm.mass, spec.c)
     plate_rhs = (1j * coef["plate_test"]) * (
         coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
-    rhs = (coef["fluid_mass"] / dt) * mass_old + eps * Fq + plate_rhs[:, None] * asm.g
+    rhs = (coef["fluid_mass"] / dt) * mass_old + eps * Fq
+    rhs[:K] += plate_rhs[:, None] * asm.g
     c_new = _apply(asm.inv, rhs)
-    eta_t_new = -1j * coef["trace"] * (asm.g * c_new).sum(axis=1)
+    eta_t_new = -1j * coef["trace"] * (asm.g * c_new[:K]).sum(axis=1)
     new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
     mass_new, visc_new = _apply(asm.mass_visc, c_new)
 
     w = solver._w
+    wr = np.tile(w, solver.P)
     rho_f = p.model.rho_f
     dc = new.c - spec.c
     d_eta = new.eta - spec.eta
     d_eta_t = new.eta_t - spec.eta_t
     inc = dict(
-        fluid_kinetic=0.5 * rho_f * eps * _re_inner(w, new.c, mass_new),
+        fluid_kinetic=0.5 * rho_f * eps * _re_inner(wr, new.c, mass_new),
         plate_kinetic=0.5 * coef["plate_kin"] * np.sum(w * np.abs(new.eta_t) ** 2),
         bending=0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(new.eta) ** 2),
-        numerical=(0.5 * rho_f * eps * _re_inner(w, dc, mass_new - mass_old)
+        numerical=(0.5 * rho_f * eps * _re_inner(wr, dc, mass_new - mass_old)
                    + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(d_eta_t) ** 2)
                    + 0.5 * coef["bend"] * np.sum(w * asm.xi4 * np.abs(d_eta) ** 2)),
-        viscous=dt * coef["work"] * _re_inner(w, new.c, visc_new),
+        viscous=dt * coef["work"] * _re_inner(wr, new.c, visc_new),
         viscoelastic=dt * coef["viscoelastic"] * np.sum(w * asm.xi4 * np.abs(new.eta_t) ** 2),
-        work=dt * coef["work"] * _re_inner(w, new.c, Fq),
+        work=dt * coef["work"] * _re_inner(wr, new.c, Fq),
     )
     return new, {key: float(value) for key, value in inc.items()}
 

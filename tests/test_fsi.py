@@ -13,7 +13,7 @@ import pytest
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError, RegimeError
 
-from oracles import ledger_csv, nyquist_free
+from oracles import cartesian_frame, ledger_csv, nyquist_free, to_cartesian
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -87,7 +87,7 @@ class TestModeOperator:
         solver = lb.FsiSolver(params)
         asm = solver.assembled()
         assert solver.assembled() is asm
-        eye = np.broadcast_to(np.eye(solver.s), asm.A.shape)
+        eye = np.broadcast_to(np.eye(solver.mi), asm.A.shape)
         assert np.max(np.abs(asm.inv @ asm.A - eye)) < 1e-10
 
     def test_wavenumber_outside_lattice(self):
@@ -368,8 +368,10 @@ class TestNyquistLoad:
         traj = solver.run(10 * params.dt, snapshot_stride=1)
         assert len(traj.states) == len(spectral) == 11
         shape = grid.spectral_shape + (vn.m,)
+        frame = cartesian_frame(grid)
         for state, spec in zip(traj.states[1:], spectral[1:]):
-            profiles = solver._profiles(spec.c)
+            profiles = np.zeros((solver.K, grid.dim, vn.m), dtype=complex)
+            profiles[..., 1:-1] = to_cartesian(frame, spec.c).reshape(solver.K, grid.dim, -1)
             want = [profiles[:, a] for a in range(grid.dim)] + [solver.vertical_profile(spec.c)]
             scale = max(np.max(np.abs(w)) for w in want)
             assert scale > 0
@@ -377,6 +379,68 @@ class TestNyquistLoad:
                 assert np.max(np.abs(field.hat - coeffs.reshape(shape))) <= 1e-12 * scale
             eta = spec.eta.reshape(grid.spectral_shape)
             assert np.max(np.abs(state.eta.hat - eta)) <= 1e-12 * np.max(np.abs(eta))
+
+
+class TestPressureRecovery:
+    @staticmethod
+    def _run(dim):
+        if dim == 1:
+            params = make_params(n=16, m=16, dt=2e-3, theta=0.5)
+        else:
+            grid = lb.PeriodicGrid(dim=2, n=16)
+            vn = lb.VerticalNodes(12)
+            model = lb.ModelParams(eps=2.0**-3, kappa=Fraction(2), theta=1.0, dim=2)
+            params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
+                                  forcing=_loaded_bump_forcing(grid, vn))
+        solver = lb.FsiSolver(params)
+        states = _record_spectral_states(solver)
+        traj = solver.run(4 * params.dt, snapshot_stride=1)
+        return params, solver, states, traj
+
+    @staticmethod
+    def _fhat(params, solver, t):
+        return {a: h[0].reshape(solver.K, -1)
+                for a, h in lb.fsi.sample_forcing(params.forcing, params.grid, [t]).items()}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_previous_state_balances_momentum(self, dim):
+        # from one previous state the pressure must satisfy the step's
+        # momentum balance along xi, with v' from the materialized fields:
+        #   |xi|^2 p = -i xi . (f + nu (-|xi|^2 v + d2 v / eps^2)
+        #                       - rho_f eps^-tau (v - v_old) / dt)
+        params, solver, states, traj = self._run(dim)
+        grid, vn, model, dt = params.grid, params.vnodes, params.model, params.dt
+        shape = grid.spectral_shape + (vn.m,)
+        xi = [np.broadcast_to(x, grid.spectral_shape)[..., None] for x in grid.xi]
+        xi2 = sum(x**2 for x in xi)
+        D2 = vn.ops.D @ vn.ops.D
+        inert = model.rho_f * lb.eps_power(model.eps, -model.tau) / dt
+        for i in (1, 2, 3):
+            assert np.max(np.abs(states[i].c)) > 0
+            fhat = self._fhat(params, solver, states[i + 1].t)
+            p = solver.pressure_hat(states[i].c, states[i + 1].c, fhat, dt).reshape(shape)
+            balance, scale = 0.0, 0.0
+            for a in range(dim):
+                v = traj.states[i + 1].v[a].hat
+                v_old = traj.states[i].v[a].hat
+                f = fhat[a].reshape(shape) if a in fhat else np.zeros(shape)
+                terms = (f, -model.nu * xi2 * v, model.nu * (v @ D2.T) / model.eps**2,
+                         -inert * (v - v_old))
+                balance = balance + xi[a] * sum(terms)
+                scale = max(scale, *(np.max(np.abs(xi[a] * term)) for term in terms))
+            assert scale > 0
+            assert np.max(np.abs(xi2 * p + 1j * balance)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_steady_state_quotients_agree(self, dim):
+        # with c_old == c_new both backward quotients vanish
+        params, solver, states, _ = self._run(dim)
+        c = states[3].c
+        fhat = self._fhat(params, solver, states[3].t)
+        first = solver.pressure_hat(c, c, fhat, params.dt)
+        second = solver.pressure_hat(c, c, fhat, params.dt, c_older=c)
+        assert np.max(np.abs(first)) > 0
+        assert np.max(np.abs(first - second)) <= 1e-14 * np.max(np.abs(first))
 
 
 class TestSparseLuOracle:
@@ -469,8 +533,21 @@ def _assert_state_matches(solver, got, ref):
     # the plate velocity is a strongly cancelling sum g . c: any float64
     # summation of it, the einsum's included, lies ~1e-12 relative from the
     # exact sum, so its roundoff is measured against the size of the summands
-    terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c), axis=1))
+    terms = solver.coef["trace"] * np.max(np.sum(np.abs(asm.g * ref.c[:solver.K]), axis=1))
     assert np.max(np.abs(got.eta_t - ref.eta_t)) <= 1e-13 * terms
+
+
+def _ledger_increments(led):
+    """A run's per-step ledger increments: the energies as they stand, the
+    integrals as differences of their running sums."""
+    inc = dict(fluid_kinetic=np.array(led.fluid_kinetic),
+               plate_kinetic=np.array(led.plate_kinetic),
+               bending=np.array(led.bending))
+    for key, name in (("viscous", "viscous_dissipation"),
+                      ("viscoelastic", "viscoelastic_dissipation"),
+                      ("numerical", "numerical_dissipation"), ("work", "work")):
+        inc[key] = np.diff(getattr(led, name), prepend=0.0)
+    return inc
 
 
 class TestEinsumLedgerOracle:
@@ -497,15 +574,7 @@ class TestEinsumLedgerOracle:
         states = _record_spectral_states(solver)
         led = solver.run(25 * params.dt, snapshot_stride=1).ledger
         assert len(states) == 26
-        # the run's per-step increments: the energies as they stand, the
-        # integrals as differences of their running sums
-        inc = dict(fluid_kinetic=np.array(led.fluid_kinetic),
-                   plate_kinetic=np.array(led.plate_kinetic),
-                   bending=np.array(led.bending))
-        for key, name in (("viscous", "viscous_dissipation"),
-                          ("viscoelastic", "viscoelastic_dissipation"),
-                          ("numerical", "numerical_dissipation"), ("work", "work")):
-            inc[key] = np.diff(getattr(led, name), prepend=0.0)
+        inc = _ledger_increments(led)
         for i in range(25):
             ref, ref_inc = einsum_advance(solver, states[i], (i + 1) * params.dt)
             _assert_state_matches(solver, states[i + 1], ref)
@@ -515,6 +584,84 @@ class TestEinsumLedgerOracle:
             for key in inc:
                 assert abs(inc[key][i] - ref_inc[key]) <= 1e-12 * scale, key
         assert np.max(led.identity_residual_rel()) <= 1e-12
+
+
+class TestStackedCartesianOracle:
+    """The split row layout against the stacked Cartesian step it replaced
+    (`oracles.StackedStep`: one (K, 2mi, 2mi) block per 2D mode)."""
+
+    @staticmethod
+    def _params(eps):
+        grid = lb.PeriodicGrid(dim=2, n=16)
+        vn = lb.VerticalNodes(12)
+        model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=2)
+        return lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
+                            forcing=nyquist_free(grid, _loaded_bump_forcing(grid, vn)))
+
+    def test_frame(self):
+        # in 1D e0 = 1, so the along-xi rows see xi itself, bit for bit
+        params = make_params(m=12)
+        solver = lb.FsiSolver(params)
+        assert np.all(solver.frame == 1.0)
+        assert np.array_equal(solver.xi_L, lb.fsi._xi_stack(params.grid)[:, 0])
+        solver = lb.FsiSolver(self._params(2.0**-3))
+        e0, e1 = solver.frame
+        assert np.max(np.abs(np.einsum("ka,ka->k", e0, e1))) <= 1e-15
+        for e in (e0, e1):
+            assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-15
+        np.testing.assert_allclose(solver.xi_L, np.sqrt(solver.xi2), rtol=1e-15)
+        assert np.array_equal(solver.frame[:, 0], np.eye(2))
+
+    @pytest.mark.parametrize("eps", [2.0**-3, 2.0**-6])
+    def test_rotated_stacked_operator_is_the_split_one(self, eps):
+        from oracles import StackedStep
+
+        solver = lb.FsiSolver(self._params(eps))
+        asm, stacked = solver.assembled(), StackedStep(solver)
+        K, mi = solver.K, solver.mi
+        # R maps the rows of one mode, (along, across), to Cartesian
+        # components, so R^T X R is the stacked matrix X in the frame
+        R = np.einsum("pka,ij->kaipj", stacked.frame, np.eye(mi)).reshape(K, 2 * mi, 2 * mi)
+        for mat, split in ((stacked.A, asm.A), (stacked.mass, asm.mass), (stacked.visc, asm.visc)):
+            rot = (np.swapaxes(R, 1, 2) @ mat @ R).reshape(K, 2, mi, 2, mi)
+            scale = np.max(np.abs(mat), axis=(1, 2))[:, None, None]
+            for p in range(2):
+                assert np.max(np.abs(rot[:, p, :, p] - split[p * K:(p + 1) * K]) / scale) <= 1e-14
+            assert np.max(np.abs(rot[:, 0, :, 1]) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [2.0**-3, 2.0**-6])
+    def test_split_run_solves_the_stacked_steps(self, eps):
+        # from each recorded state, the split step's solution must satisfy
+        # the stacked step equation to roundoff, and the ledger increments and
+        # pressures must agree; forward states are not compared, as cond(A)
+        # reaches 2e7 and the two factorizations differ at that level
+        from oracles import StackedStep
+
+        params = self._params(eps)
+        solver = lb.FsiSolver(params)
+        states = _record_spectral_states(solver)
+        nsteps = 25
+        led = solver.run(nsteps * params.dt, snapshot_stride=1).ledger
+        assert len(states) == nsteps + 1
+        stacked = StackedStep(solver)
+        cart = [stacked.cartesian(s) for s in states]
+        inc = _ledger_increments(led)
+        for i in range(nsteps):
+            err, b_norm = stacked.backward_errors(cart[i], cart[i + 1])
+            loaded = b_norm > 0
+            assert loaded.sum() > solver.K // 2
+            assert np.max(err[loaded]) <= 1e-14
+            ref = stacked.increments(cart[i], cart[i + 1])
+            scale = max(abs(v) for v in ref.values())
+            for key in inc:
+                assert abs(inc[key][i] - ref[key]) <= 1e-12 * scale, key
+            fhat = dict(enumerate(stacked.forcing_hat(states[i + 1].t)))
+            older = None if i == 0 else states[i - 1].c
+            got = solver.pressure_hat(states[i].c, states[i + 1].c, fhat, params.dt, older)
+            want = stacked.pressure_hat(cart[i].c, cart[i + 1].c, fhat, params.dt,
+                                        None if i == 0 else cart[i - 1].c)
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestBlockedRunOracle:
@@ -549,7 +696,7 @@ class TestBlockedRunOracle:
     def _block(solver):
         from lubelastic.spectral import _steps_per_block
 
-        return _steps_per_block(16 * solver.K * solver.s)
+        return _steps_per_block(16 * solver.P * solver.K * solver.mi)
 
     def test_stride_across_blocks_and_partial_last_block(self):
         params = make_params(n=16, m=20, dt=2e-3, theta=0.5)
@@ -612,7 +759,7 @@ class TestForcingTransforms:
 
         params = make_params(dim=2, n=8, m=10, dt=1e-3)
         solver = lb.FsiSolver(params)
-        block = _steps_per_block(16 * solver.K * solver.s)
+        block = _steps_per_block(16 * solver.P * solver.K * solver.mi)
         assert 1 < block < 10
         # one per block; snapshot pressures reuse the block's coefficients
         for stride in (10, 1):

@@ -161,6 +161,28 @@ class TestForcingSource:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_vertical_load_adds_no_source(self, dim):
+        # F comes from the horizontal components only: a load in f3 next to
+        # them leaves it unchanged, and a load in f3 alone gives none
+        grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
+        vnodes = VerticalNodes(12)
+        rng = np.random.default_rng(5 + dim)
+        horizontal = [rng.standard_normal(grid.shape + (vnodes.m,)) for _ in range(dim)]
+        f3 = rng.standard_normal(grid.shape + (vnodes.m,))
+        zero = np.zeros_like(f3)
+
+        def source(*comps):
+            forcing = lambda t: tuple(lb.fsi.smooth_ramp(t, 0.1) * c for c in comps)
+            return rc.reduced_source(forcing, 0.7, grid, vnodes)(self.times)
+
+        want = source(*horizontal, zero)
+        assert np.max(np.abs(want)) > 0
+        got = source(*horizontal, f3)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(source(*[zero] * dim, f3))) == 0.0
+
+
 def criterion_preset(eps=0.125):
     grid = PeriodicGrid(dim=1, n=16)
     vnodes = VerticalNodes(20)

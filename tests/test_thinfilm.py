@@ -36,6 +36,18 @@ class TestModelValidation:
             tf.ThinFilmModel(alpha=5, linearized=True, potential_dPhi=lambda e: e)
 
 
+    def test_leading_coefficient_may_vanish(self, grid):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            tf.ThinFilmModel(alpha=5, c=-1e-12, linearized=True)
+        # with c = 0 and no drift the linearized right-hand side vanishes
+        model = tf.ThinFilmModel(alpha=5, c=0.0, linearized=True)
+        state = tf.FilmState(one_plus_sin(grid), 0.0)
+        run = tf.evolve(model, state, 1e-3, 5)
+        last = run.snapshots.states[-1]
+        assert np.array_equal(last.hat, state.hat)
+        assert np.max(np.abs(last.eta.values - state.eta.values)) <= 1e-15
+
+
 class TestRhs:
     def test_constant_profile_is_stationary(self, grid):
         model = tf.ThinFilmModel(alpha=3, v_D=2.0)
@@ -118,6 +130,21 @@ class TestStep:
         with pytest.raises(ParameterError):
             tf.evolve(model, tf.FilmState(one_plus_sin(grid), 0.0), 1e-5, steps,
                       snapshot_stride=stride)
+
+    def test_last_step_is_a_snapshot_off_the_stride(self, grid):
+        model = tf.ThinFilmModel(alpha=5, c=1e-5, linearized=True)
+        state = tf.FilmState(one_plus_sin(grid), 0.0)
+        dt = 1e-3
+        run = tf.evolve(model, state, dt, 10, snapshot_stride=3)
+        every = tf.evolve(model, state, dt, 10)
+        assert np.array_equal(run.snapshots.times, run.t[[0, 3, 6, 9, 10]])
+        np.testing.assert_allclose(run.snapshots.times, dt * np.array([0, 3, 6, 9, 10]),
+                                   rtol=1e-14)
+        last, want = run.snapshots.states[-1], every.snapshots.states[-1]
+        assert last.t == want.t
+        assert np.array_equal(last.eta.values, want.eta.values)
+        assert np.array_equal(last.hat, want.hat)
+
 
     def test_nonpositive_state_reports_its_time(self, grid):
         eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
