@@ -44,11 +44,8 @@ from .thinfilm import (
     FilmTrajectory,
     ThinFilmModel,
     evolve,
-    film_energy,
-    rhs,
     solve_linear_sixth,
     solve_reynolds_stationary,
-    step,
 )
 from .fsi import (
     EnergyLedger,

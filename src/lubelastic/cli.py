@@ -352,18 +352,13 @@ def parse_config(doc: dict) -> tuple[dict, object]:
     return merged, decode(MODE_CONFIGS[mode], params)
 
 
-def validate_config(doc: dict) -> dict:
-    """`parse_config`, returning only the merged document."""
-    return parse_config(doc)[0]
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read configuration {path}: {exc}") from exc
-    return validate_config(doc)
+    return parse_config(doc)[0]
 
 
 def config_hash(doc: dict) -> str:

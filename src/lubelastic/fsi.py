@@ -121,10 +121,13 @@ class FsiState:
     eta_t: PeriodicField
     t: float
 
-    def check_invariants(self, params: "FsiParams", div_tol: float = 1e-9,
-                         trace_tol: float = 1e-13) -> dict:
+    def check_invariants(self, params: "FsiParams") -> dict:
         """Verify the discrete constraints; raises InvariantError on failure.
 
+        The bounds: the scaled divergence is within 1e-9 of the velocity
+        gradient's norm, the top vertical velocity matches eps**-tau * eta_t
+        within 1e-10 of the velocity scale, and the horizontal top traces and
+        the mean of eta are within 1e-13 and 1e-12 of their scales.
         Returns the measured quantities for reporting.
         """
         eps = params.model.eps
@@ -151,10 +154,10 @@ class FsiState:
                 grad_sq += np.sum(w * (np.abs(dh_ab) ** 2 @ quad)).real
         grad_norm = np.sqrt(grad_sq)
         # absolute floor covers force-balanced steady states with no flow
-        div_floor = div_tol * grad_norm + 1e-15 * max(1.0, grad_norm)
+        div_floor = 1e-9 * grad_norm + 1e-15 * max(1.0, grad_norm)
         if not div_norm <= div_floor:
             raise InvariantError(
-                f"scaled divergence {div_norm:.3e} exceeds {div_tol:.1e} * {grad_norm:.3e}"
+                f"scaled divergence {div_norm:.3e} exceeds 1.0e-09 * {grad_norm:.3e}"
             )
         v_scale = max(max(np.max(np.abs(c.values)) for c in self.v), 1e-300)
         # kinematic trace: top vertical velocity is eps**-tau * eta_t; the
@@ -168,7 +171,7 @@ class FsiState:
             raise InvariantError(f"kinematic trace violated by {kin_gap:.3e}")
         # plate moves vertically only: horizontal top traces vanish
         horiz_top = max(np.max(np.abs(self.v[a].values[..., -1])) for a in range(dh))
-        if not horiz_top <= trace_tol * max(v_scale, 1.0):
+        if not horiz_top <= 1e-13 * max(v_scale, 1.0):
             raise InvariantError(f"horizontal top trace {horiz_top:.3e} not zero")
         mean_eta = abs(self.eta.mean())
         eta_scale = max(np.max(np.abs(self.eta.values)), 1e-300)

@@ -197,8 +197,7 @@ def assemble_approx(reduced: ReducedSolution, params: ModelParams,
         f_comps = forcing(float(t)) if forcing is not None else None
         f_h = None if f_comps is None else f_comps[: grid.dim]
         v_h = horizontal_velocity(p, f_h, params.nu, vnodes)
-        v3 = vertical_velocity(*v_h, eps=eps) if grid.dim == 2 else vertical_velocity(
-            v_h[0], eps=eps)
+        v3 = vertical_velocity(*v_h, eps=eps)
         comps = tuple(eps**2 * c for c in v_h) + (eps**2 * v3,)
         p_ext = ChannelField(grid, vnodes,
                              np.repeat(p.values[..., None], vnodes.m, axis=-1))

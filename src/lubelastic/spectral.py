@@ -151,10 +151,6 @@ class PeriodicField:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "PeriodicField":
-        return cls(grid, np.asarray(fn(*grid.meshes), dtype=float))
-
-    @classmethod
     def from_hat(cls, grid: PeriodicGrid, coeffs: np.ndarray) -> "PeriodicField":
         return cls(grid, grid.irfft(coeffs))
 
@@ -181,9 +177,6 @@ class PeriodicField:
         return PeriodicField(self.grid, self.values * a)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return PeriodicField(self.grid, -self.values)
 
     def _check(self, other):
         if not isinstance(other, PeriodicField) or other.grid is not self.grid:

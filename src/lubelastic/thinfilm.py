@@ -19,8 +19,7 @@ integrates a whole run in one call: it builds the run's symbols once,
 steps raw (values, coefficients) arrays with three transforms per accepted
 sub-step, reads the finiteness of the height off the minimum and maximum
 that the positivity check and the frozen mobility take anyway, and makes a
-`FilmState` only for a snapshot.  `step` is `evolve` for one step, and
-`film_energy` reads the coefficients a state holds.
+`FilmState` only for a snapshot.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -116,11 +115,12 @@ class FilmRun:
     """What `evolve` returns.
 
     snapshots holds the initial state and every snapshot_stride-th step (the
-    last step always); t and energy hold the time and the `film_energy`
-    after every step, the initial ones first; min_eta is the smallest height
-    at the initial state and the step ends; substeps counts accepted
-    sub-steps, which exceed the steps exactly when the positivity floor
-    halved a step.
+    last step always); t and energy hold the time and the film energy after
+    every step, the initial ones first: 1/2 |Lap' eta|^2 for alpha = 5,
+    1/2 |d/dx eta|^2 for alpha = 3, 1/2 |eta|^2 for alpha = 1 and linearized
+    runs.  min_eta is the smallest height at the initial state and the step
+    ends; substeps counts accepted sub-steps, which exceed the steps exactly
+    when the positivity floor halved a step.
     """
 
     snapshots: FilmTrajectory
@@ -200,14 +200,6 @@ def _check_height(model: ThinFilmModel, lo, hi, current) -> None:
         )
 
 
-def rhs(model: ThinFilmModel, eta: PeriodicField) -> PeriodicField:
-    """Spatial right-hand side of the model; zero mean by divergence form."""
-    op = _FilmOperator(model, eta.grid)
-    state = FilmState(eta)
-    _check_height(model, eta.values.min(), eta.values.max(), lambda: state)
-    return PeriodicField.from_hat(eta.grid, op.rhs(eta.values, state.hat))
-
-
 def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
            snapshot_stride: int = 1, floor: float = POSITIVITY_FLOOR) -> FilmRun:
     """Advance the state by steps semi-implicit steps of size dt.
@@ -278,13 +270,6 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     return FilmRun(FilmTrajectory(tuple(snapshots)), times, energy, min_eta, substeps)
 
 
-def step(model: ThinFilmModel, state: FilmState, dt: float,
-         floor: float = POSITIVITY_FLOOR) -> FilmState:
-    """Advance the state by dt with one semi-implicit step: `evolve` for
-    one step."""
-    return evolve(model, state, dt, 1, floor=floor).snapshots.states[-1]
-
-
 def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
     """Parseval weights times the energy symbol |xi|^(alpha-1); 1 for
     linearized runs."""
@@ -296,13 +281,6 @@ def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
     else:
         sym = xi2**2
     return grid.mode_weights * sym
-
-
-def film_energy(model: ThinFilmModel, state: FilmState) -> float:
-    """Diagnostic energy: 1/2 |Lap' eta|^2 for alpha=5, 1/2 |d/dx eta|^2 for
-    alpha=3, 1/2 |eta|^2 for alpha=1 and for linearized runs."""
-    weights = _energy_weights(model, state.eta.grid)
-    return float(0.5 * np.sum(weights * np.abs(state.hat) ** 2))
 
 
 def solve_linear_sixth(

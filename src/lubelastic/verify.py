@@ -155,11 +155,11 @@ class AuditResult:
         return self.ok
 
 
-def energy_audit(ledger: EnergyLedger, params, rel_tol: float = 1e-12) -> AuditResult:
+def energy_audit(ledger: EnergyLedger, params) -> AuditResult:
     """Check the discrete energy inequality at every step.
 
     The left side (energies plus accumulated dissipation) must not exceed
-    the accumulated work of forcing beyond rel_tol times the scale of the
+    the accumulated work of forcing beyond 1e-12 times the scale of the
     terms involved, and each dissipation integral must be nonnegative and
     nondecreasing.  The ratio series reports lhs(t) / (t_physical * eps^3),
     with t_physical = eps^tau * t, the combination the energy bound keeps
@@ -180,7 +180,7 @@ def energy_audit(ledger: EnergyLedger, params, rel_tol: float = 1e-12) -> AuditR
     for name in ("viscous_dissipation", "viscoelastic_dissipation", "numerical_dissipation"):
         arr = np.array(getattr(ledger, name))
         increments = np.diff(np.concatenate([[0.0], arr]))
-        bad = np.nonzero(increments < -rel_tol * np.maximum.accumulate(np.abs(arr) + 1e-300))[0]
+        bad = np.nonzero(increments < -1e-12 * np.maximum.accumulate(np.abs(arr) + 1e-300))[0]
         if bad.size:
             return AuditResult(
                 ok=False, first_violation=int(bad[0] + 1), ratios=np.array([]),
@@ -192,7 +192,7 @@ def energy_audit(ledger: EnergyLedger, params, rel_tol: float = 1e-12) -> AuditR
     ])
     scale = np.maximum(scale, 1e-300)
     slack = work - lhs
-    bad = np.nonzero(slack < -rel_tol * scale)[0]
+    bad = np.nonzero(slack < -1e-12 * scale)[0]
     t = np.array(ledger.t)
     denom = t * eps_power(model.eps, model.tau + 3)
     ratios = ledger.lhs() / np.maximum(denom, 1e-300)
@@ -256,16 +256,6 @@ class RateStudyResult:
     ledgers: tuple[EnergyLedger, ...]
 
 
-def _study_pieces(config: RateStudyConfig):
-    grid = PeriodicGrid(dim=config.dim, n=config.n)
-    vnodes = VerticalNodes(config.m)
-    forcing = harmonic_ramp_forcing(
-        grid, vnodes, amplitude=config.amplitude, wavevector=config.wavevector,
-        component=config.component, ramp_time=config.ramp_time,
-    )
-    return grid, vnodes, forcing
-
-
 def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[float, float, float]:
     """Error-norm distances between a full-order trajectory and a
     reconstructed triple on matching snapshot times."""
@@ -290,7 +280,12 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
 def _ladder_point(config: RateStudyConfig, eps: float):
     """Run one thickness: full-order solve, reconstruction, error norms."""
     start = time.perf_counter()
-    grid, vnodes, forcing = _study_pieces(config)
+    grid = PeriodicGrid(dim=config.dim, n=config.n)
+    vnodes = VerticalNodes(config.m)
+    forcing = harmonic_ramp_forcing(
+        grid, vnodes, amplitude=config.amplitude, wavevector=config.wavevector,
+        component=config.component, ramp_time=config.ramp_time,
+    )
     model = config.model_for(eps)
     params = FsiParams(model=model, grid=grid, vnodes=vnodes, dt=config.dt,
                        forcing=forcing)

@@ -537,7 +537,7 @@ class StackedStep:
         return phat
 
 
-# The film step as `thinfilm.step` took it before the state carried its
+# The film step as it was taken before the state carried its
 # Fourier coefficients: every sub-step transforms the nodal height afresh,
 # differentiates through a nodal field, and pads every factor of a product
 # separately; every `.hat` is a new forward transform.
@@ -662,7 +662,7 @@ def rfftn_truncated_hat(grid, values):
     return out
 
 
-# The film step as `thinfilm.step` took it before runs were integrated in
+# The film step as it was taken before runs were integrated in
 # one call: every sub-step rebuilds the symbols, transforms through the
 # `rfftn` helpers above, pads each factor into a fresh buffer and makes a
 # new `PeriodicField` and `FilmState`; the energy is a separate call.

@@ -41,7 +41,7 @@ class TestPresets:
     def test_presets_round_trip_validation(self):
         for name in cli.PRESETS:
             doc = cli.preset_config(name)
-            merged = cli.validate_config(doc)
+            merged = cli.parse_config(doc)[0]
             assert merged["mode"] == cli.PRESETS[name]["mode"]
 
 
@@ -50,16 +50,16 @@ class TestConfigValidation:
         doc = cli.preset_config("reynolds-slider")
         doc["vD"] = 2.0  # typo for v_D
         with pytest.raises(UsageError, match="unknown configuration keys"):
-            cli.validate_config(doc)
+            cli.parse_config(doc)[0]
 
     def test_version_required(self):
         with pytest.raises(UsageError, match="version"):
-            cli.validate_config({"mode": "reynolds"})
+            cli.parse_config({"mode": "reynolds"})
 
     def test_mode_preset_conflict(self):
         doc = {"version": 1, "mode": "fsi", "preset": "reynolds-slider"}
         with pytest.raises(UsageError):
-            cli.validate_config(doc)
+            cli.parse_config(doc)[0]
 
     def test_empty_eps_list_is_usage_error(self, tmp_path):
         doc = cli.preset_config("theorem-e0-kappa2")
@@ -76,7 +76,7 @@ class TestConfigValidation:
         assert rc == 2
 
 
-# config_hash of validate_config(preset_config(name)), recorded before the
+# config_hash of parse_config(preset_config(name))[0], recorded before the
 # configuration schema was derived from the dataclasses
 PRESET_HASHES = {
     "fsi-single-mode": "841e018b43a49100d8cee90672512981a5b39b60a2caff5043d4bf3cd714012d",
@@ -159,12 +159,12 @@ class TestDecode:
 
     def test_unknown_key_without_preset_rejected(self):
         with pytest.raises(UsageError, match="bogus"):
-            cli.validate_config({"version": 1, "mode": "reynolds", "bogus": 1})
+            cli.parse_config({"version": 1, "mode": "reynolds", "bogus": 1})
 
     def test_preset_hashes_unchanged(self):
         assert set(PRESET_HASHES) == set(cli.PRESETS)
         for name, digest in PRESET_HASHES.items():
-            assert cli.config_hash(cli.validate_config(cli.preset_config(name))) == digest
+            assert cli.config_hash(cli.parse_config(cli.preset_config(name))[0]) == digest
 
     @pytest.mark.parametrize("name", ["theorem-e0-kappa1", "theorem-e0-kappa2",
                                       "theorem-e0-kappa52"])
@@ -540,17 +540,16 @@ class TestArtifacts:
         assert set(modes.values()) == {mode}, modes
 
     def test_trajectory_csv_matches_row_writer(self, tmp_path):
-        # step the document's film one step at a time, keep the initial state
-        # and every state `step` returns, then rebuild the rows the way the
-        # CLI selects them: every third one
+        # integrate the document's film keeping the initial state and every
+        # step, then rebuild the rows the way the CLI selects them: every
+        # third one
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
         model = thinfilm.ThinFilmModel(
             alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
             potential_dPhi=cfg.potential, v_D=cfg.v_D,
             drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized)
-        states = [thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)]
-        for _ in range(cfg.steps):
-            states.append(thinfilm.step(model, states[-1], cfg.dt))
+        state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
+        states = thinfilm.evolve(model, state, cfg.dt, cfg.steps).snapshots.states
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         assert len(states) == 7
         rows = [(s.t, s.eta.values) for s in states[::3]]

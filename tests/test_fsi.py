@@ -301,6 +301,33 @@ class TestInvariantsAndRuns:
         with pytest.raises(InvariantError, match="eta mean"):
             bad.check_invariants(params)
 
+    @pytest.mark.parametrize("branch", ["scaled divergence", "kinematic trace",
+                                        "horizontal top trace"])
+    def test_corrupted_velocity_raises(self, branch):
+        # each corruption is 1e-6 of the velocity scale and trips only its own
+        # bound: a wall-free horizontal wave breaks the divergence, a plate
+        # velocity off the top trace breaks the kinematic condition, and a
+        # uniform horizontal shift moves only the horizontal top trace
+        params = make_params(dt=1e-3)
+        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
+        grid, vn = params.grid, params.vnodes
+        x, y = grid.meshes[0][:, None], vn.nodes
+        v_scale = max(np.max(np.abs(c.values)) for c in state.v)
+        v1, v3 = state.v
+        if branch == "scaled divergence":
+            wave = np.sin(2 * np.pi * x) * y * (1.0 + y)
+            bad = replace(state, v=(replace(v1, values=v1.values + 1e-6 * v_scale * wave), v3))
+        elif branch == "kinematic trace":
+            lift = 1e-6 * v_scale / lb.eps_power(params.model.eps, -params.model.tau)
+            eta_t = state.eta_t.values + lift * np.cos(2 * np.pi * grid.meshes[0])
+            bad = replace(state, eta_t=lb.PeriodicField(grid, eta_t))
+        else:
+            shift = 1e-6 * max(v_scale, 1.0)
+            bad = replace(state, v=(replace(v1, values=v1.values + shift), v3))
+        state.check_invariants(params)
+        with pytest.raises(InvariantError, match=branch):
+            bad.check_invariants(params)
+
     def test_invariant_checks_survive_optimize_flag(self):
         script = textwrap.dedent("""
             import dataclasses

@@ -29,7 +29,7 @@ def band_limited(grid, rng, kmax=6):
 
 class TestLimitPressure:
     def test_biharmonic_symbol(self, grid):
-        eta = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         p = rc.limit_pressure(eta, B=1.0)
         ref = (2 * np.pi) ** 4 * np.cos(2 * np.pi * grid.nodes[0])
         assert np.max(np.abs(p.values - ref)) < 1e-9 * np.max(np.abs(ref))
@@ -55,7 +55,7 @@ class TestLimitPressure:
 class TestHorizontalVelocity:
     def test_pressure_driven_profile(self, grid, vnodes):
         nu = 2.0
-        p = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        p = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         (v1,) = rc.horizontal_velocity(p, None, nu, vnodes)
         x = grid.nodes[0]
         y = vnodes.nodes
@@ -244,7 +244,7 @@ class TestAssembleApprox:
 class TestChainClosure:
     def test_time_derivative_exact_for_quadratic(self, grid):
         times = np.linspace(0.0, 1.0, 11)
-        base = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
+        base = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         fields = [PeriodicField(grid, (2.0 + 3.0 * t + 0.5 * t**2) * base.values)
                   for t in times]
         dots = rc.trajectory_time_derivative(times, fields)

@@ -26,6 +26,21 @@ def one_plus_sin(grid, amp=0.3, k=1):
     return PeriodicField(grid, 1.0 + amp * np.sin(2 * np.pi * k * x))
 
 
+def film_rhs(model, eta):
+    """The model's spatial right-hand side at eta, as a field."""
+    op = tf._FilmOperator(model, eta.grid)
+    return PeriodicField.from_hat(eta.grid, op.rhs(eta.values, eta.hat))
+
+
+def film_energy(model, state):
+    return tf._FilmOperator(model, state.eta.grid).energy(state.hat)
+
+
+def last_state(model, state, dt, steps=1):
+    """The state after steps steps of `evolve`."""
+    return tf.evolve(model, state, dt, steps).snapshots.states[-1]
+
+
 class TestModelValidation:
     def test_alpha_restricted(self):
         with pytest.raises(ParameterError):
@@ -52,13 +67,13 @@ class TestRhs:
     def test_constant_profile_is_stationary(self, grid):
         model = tf.ThinFilmModel(alpha=3, v_D=2.0)
         eta = PeriodicField(grid, np.full(grid.shape, 1.5))
-        assert np.max(np.abs(tf.rhs(model, eta).values)) < 1e-12
+        assert np.max(np.abs(film_rhs(model, eta).values)) < 1e-12
 
     def test_linearized_symbol(self):
         grid = PeriodicGrid(dim=1, n=16)
         model = tf.ThinFilmModel(alpha=5, c=2.0, linearized=True)
-        eta = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
-        r = tf.rhs(model, eta)
+        eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        r = film_rhs(model, eta)
         ref = -2.0 * (2 * np.pi) ** 6 * np.cos(2 * np.pi * grid.nodes[0])
         assert np.max(np.abs(r.values - ref)) < 1e-9 * np.max(np.abs(ref))
 
@@ -66,7 +81,7 @@ class TestRhs:
         # with mobility scale 4 the alpha=1 member is exactly d2/dx2(eta^4)
         model = tf.ThinFilmModel(alpha=1, mobility_scale=4.0)
         eta = one_plus_sin(grid, amp=0.1)
-        r = tf.rhs(model, eta)
+        r = film_rhs(model, eta)
         eta4 = dealiased_product(eta, eta, eta, eta)
         oracle = spectral_derivative(eta4, 2)
         assert np.max(np.abs(r.values - oracle.values)) < 1e-10
@@ -74,14 +89,14 @@ class TestRhs:
     def test_rhs_zero_mean(self, grid):
         model = tf.ThinFilmModel(alpha=5, v_D=1.0,
                                  potential_dPhi=lambda eta: 0.3 * eta**2)
-        r = tf.rhs(model, one_plus_sin(grid))
+        r = film_rhs(model, one_plus_sin(grid))
         assert abs(r.mean()) < 1e-13
 
     def test_positivity_guard(self, grid):
         model = tf.ThinFilmModel(alpha=3)
-        eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
+        eta = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         with pytest.raises(PositivityError):
-            tf.rhs(model, eta)
+            tf.evolve(model, tf.FilmState(eta), 1e-6, 1)
 
 
 class TestStep:
@@ -90,8 +105,8 @@ class TestStep:
         grid = PeriodicGrid(dim=1, n=32)
         c = 1e-5
         model = tf.ThinFilmModel(alpha=5, c=c, linearized=True)
-        eta0 = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
-        new = tf.step(model, tf.FilmState(eta0, 0.0), dt)
+        eta0 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        new = last_state(model, tf.FilmState(eta0, 0.0), dt)
         factor = np.exp(-c * (2 * np.pi) ** 6 * dt)
         err = np.max(np.abs(new.eta.values - factor * eta0.values))
         assert err <= 10 * dt**2
@@ -99,15 +114,14 @@ class TestStep:
     def test_zero_state_stays_zero(self, grid):
         model = tf.ThinFilmModel(alpha=5, c=1.0, linearized=True)
         state = tf.FilmState(PeriodicField.zeros(grid), 0.0)
-        for _ in range(5):
-            state = tf.step(model, state, 1e-3)
+        state = last_state(model, state, 1e-3, 5)
         assert np.max(np.abs(state.eta.values)) == 0.0
 
     def test_mass_conserved_per_step(self, grid):
         model = tf.ThinFilmModel(alpha=5, v_D=1.0)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         m0 = state.eta.mean()
-        state = tf.step(model, state, 1e-7)
+        state = last_state(model, state, 1e-7)
         assert abs(state.eta.mean() - m0) <= 1e-12 * (1 + abs(m0))
 
     def test_breakdown_reports_last_state(self, grid):
@@ -115,14 +129,14 @@ class TestStep:
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         # a floor above the profile minimum can never be honored
         with pytest.raises(PositivityError) as ei:
-            tf.step(model, state, 1e-6, floor=0.9)
+            tf.evolve(model, state, 1e-6, 1, floor=0.9)
         assert ei.value.last_state is not None
         assert ei.value.last_state.eta.values.min() >= 0.5
 
     def test_dt_must_be_positive(self, grid):
         model = tf.ThinFilmModel(alpha=1)
         with pytest.raises(ParameterError):
-            tf.step(model, tf.FilmState(one_plus_sin(grid), 0.0), 0.0)
+            tf.evolve(model, tf.FilmState(one_plus_sin(grid), 0.0), 0.0, 1)
 
     @pytest.mark.parametrize("steps, stride", [(0, 1), (3, 0)])
     def test_run_counts_must_be_positive(self, grid, steps, stride):
@@ -147,9 +161,9 @@ class TestStep:
 
 
     def test_nonpositive_state_reports_its_time(self, grid):
-        eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
+        eta = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         with pytest.raises(PositivityError) as ei:
-            tf.step(tf.ThinFilmModel(alpha=3), tf.FilmState(eta, 2.0), 1e-6)
+            tf.evolve(tf.ThinFilmModel(alpha=3), tf.FilmState(eta, 2.0), 1e-6, 1)
         assert ei.value.last_state.t == 2.0
         assert ei.value.last_state.eta is eta
 
@@ -157,8 +171,7 @@ class TestStep:
 def halving_case():
     # a deep trough under a floor close to its minimum forces step halving
     grid = PeriodicGrid(dim=1, n=64)
-    eta0 = PeriodicField.from_function(
-        grid, lambda x: 1.0 - 0.9 * np.exp(-(((x - 0.5) / 0.1) ** 2)))
+    eta0 = PeriodicField(grid, 1.0 - 0.9 * np.exp(-(((grid.meshes[0] - 0.5) / 0.1) ** 2)))
     return tf.ThinFilmModel(alpha=3, v_D=1.0), eta0, 1e-4
 
 
@@ -168,8 +181,8 @@ def oracle_case(label):
         model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=lambda eta: 0.3 * eta**2)
         return model, one_plus_sin(grid), 1e-6, 200, tf.POSITIVITY_FLOOR
     if label == "linearized-alpha5":
-        eta0 = PeriodicField.from_function(
-            grid, lambda x: 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x))
+        x = grid.meshes[0]
+        eta0 = PeriodicField(grid, 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x))
         model = tf.ThinFilmModel(alpha=5, c=1.0, v_D=1.0, linearized=True)
         return model, eta0, 1e-7, 200, tf.POSITIVITY_FLOOR
     if label == "halving":
@@ -194,16 +207,15 @@ class TestFilmStepOracle:
     @pytest.mark.parametrize("label", ORACLE_CASES)
     def test_matches_nodal_step(self, label):
         model, eta0, dt, steps, floor = oracle_case(label)
-        state = tf.FilmState(eta0, 0.0)
+        run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, steps, floor=floor)
         eta, t = eta0, 0.0
-        for _ in range(steps):
-            state = tf.step(model, state, dt, floor=floor)
+        for state, got_energy in zip(run.snapshots.states[1:], run.energy[1:]):
             eta, t, _ = nodal_film_step(model, eta, t, dt, floor=floor)
             assert state.t == t
             scale = np.max(np.abs(eta.values))
             assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12 * scale
             energy = nodal_film_energy(model, eta)
-            assert abs(tf.film_energy(model, state) - energy) <= 1e-12 * abs(energy)
+            assert abs(got_energy - energy) <= 1e-12 * abs(energy)
             assert state.hat[0] == tf.FilmState(eta0).hat[0]
 
     @pytest.mark.parametrize("label", ORACLE_CASES)
@@ -227,25 +239,20 @@ class TestFilmStepOracle:
         assert np.array_equal(run.energy, energies)
         assert run.substeps == accepted
         assert run.min_eta == min(s.eta.values.min() for s in run.snapshots.states)
-        # `step` is the integrator for one step
-        one = tf.step(model, tf.FilmState(eta0, 0.0), dt, floor=floor)
-        assert np.array_equal(one.hat, run.snapshots.states[1].hat)
 
     def test_halving_reaches_the_horizon(self):
         model, eta0, dt = halving_case()
-        state = tf.FilmState(eta0, 0.0)
+        run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, 3, floor=0.095)
+        state = run.snapshots.states[-1]
         eta, t, tried = eta0, 0.0, 0
         for _ in range(3):
-            state = tf.step(model, state, dt, floor=0.095)
             eta, t, n = nodal_film_step(model, eta, t, dt, floor=0.095)
             tried += n
         assert tried == 25  # 3 requested steps, each halved at least once
         assert state.t == pytest.approx(3e-4, rel=1e-12)
         assert state.eta.values.min() >= 0.095
         assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12
-        run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, 3, floor=0.095)
         assert run.substeps > 3
-        assert np.array_equal(run.snapshots.states[-1].hat, state.hat)
 
 
 FFT_NAMES = ["fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"]
@@ -273,7 +280,7 @@ class TestFilmTransforms:
         assert run.substeps == 10
         assert len(calls) == 10 * per_step
         del calls[:]
-        tf.film_energy(model, run.snapshots.states[-1])
+        assert run.energy[-1] == film_energy(model, run.snapshots.states[-1])
         assert len(calls) == 0
 
 
@@ -291,27 +298,22 @@ class TestInvariants:
                                  potential_dPhi=cfg["potential"])
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         m0 = state.eta.mean()
-        for _ in range(300):
-            state = tf.step(model, state, cfg["dt"])
+        state = last_state(model, state, cfg["dt"], 300)
         assert abs(state.eta.mean() - m0) <= 1e-10 * (1 + abs(m0))
 
     def test_dissipation_bending_regime(self, grid):
         model = tf.ThinFilmModel(alpha=5)
-        state = tf.FilmState(one_plus_sin(grid), 0.0)
-        energy = tf.film_energy(model, state)
-        for _ in range(200):
-            state = tf.step(model, state, 1e-7)
-            new_energy = tf.film_energy(model, state)
-            assert new_energy <= energy + 1e-10 * (1 + abs(energy))
-            assert state.eta.values.min() >= 0.1
-            energy = new_energy
+        run = tf.evolve(model, tf.FilmState(one_plus_sin(grid), 0.0), 1e-7, 200)
+        energy = run.energy
+        assert np.all(energy[1:] <= energy[:-1] + 1e-10 * (1 + np.abs(energy[:-1])))
+        assert run.min_eta >= 0.1
 
     def test_linearized_decay_rate_matches_symbol(self):
         # window chosen so the mode stays far above the transform noise floor
         grid = PeriodicGrid(dim=1, n=32)
         c = 1e-6
         k = 2
-        eta0 = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * k * x))
+        eta0 = PeriodicField(grid, np.cos(2 * np.pi * k * grid.meshes[0]))
         traj = tf.solve_linear_sixth(c, None, eta0, 0.5, 1e-3, snapshot_stride=100)
         amps = [abs(s.eta.hat[k]) for s in traj.states]
         times = traj.times
@@ -324,7 +326,7 @@ class TestSolveLinearSixth:
         grid = PeriodicGrid(dim=1, n=32)
         c = 1.0 / 3600.0
         lam = c * (2 * np.pi) ** 6
-        eta0 = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        eta0 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         traj = tf.solve_linear_sixth(c, None, eta0, 0.5, 1e-3, snapshot_stride=500)
         ref = np.exp(-lam * 0.5) * eta0.values
         got = traj.states[-1].eta.values
@@ -334,7 +336,7 @@ class TestSolveLinearSixth:
         grid = PeriodicGrid(dim=1, n=32)
         c = 1.0 / 3600.0
         lam = c * (2 * np.pi) ** 6
-        hat = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x)).hat
+        hat = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0])).hat
         source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(c, source, PeriodicField.zeros(grid), 1.0,
                                      1e-3, snapshot_stride=100)
@@ -351,7 +353,7 @@ class TestSolveLinearSixth:
         c = 1.0 / 3600.0
         lam = c * (2 * np.pi) ** 6
         a, b = 1.0, -3.0
-        hat = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x)).hat
+        hat = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0])).hat
         calls = []
 
         def source(times):
@@ -379,7 +381,7 @@ class TestSolveLinearSixth:
 
     def test_zero_mean_preserved(self):
         grid = PeriodicGrid(dim=1, n=32)
-        hat = PeriodicField.from_function(grid, lambda x: np.sin(4 * np.pi * x)).hat
+        hat = PeriodicField(grid, np.sin(4 * np.pi * grid.meshes[0])).hat
         source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(1e-4, source, PeriodicField.zeros(grid), 0.2,
                                      1e-3, snapshot_stride=20)
@@ -422,7 +424,7 @@ class TestStationaryPressure:
         assert rel < 1e-8
 
     def test_rejects_nonpositive_profile(self, grid):
-        eta = PeriodicField.from_function(grid, lambda x: np.sin(2 * np.pi * x))
+        eta = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         with pytest.raises(ParameterError):
             tf.solve_reynolds_stationary(eta, 1.0)
 
@@ -430,16 +432,16 @@ class TestStationaryPressure:
 class TestFilmEnergy:
     def test_zero_field(self, grid):
         state = tf.FilmState(PeriodicField.zeros(grid))
-        assert tf.film_energy(tf.ThinFilmModel(alpha=5), state) == 0.0
+        assert film_energy(tf.ThinFilmModel(alpha=5), state) == 0.0
 
     def test_bending_energy_of_cosine(self, grid):
         model = tf.ThinFilmModel(alpha=5)
-        eta = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
-        assert tf.film_energy(model, tf.FilmState(eta)) == pytest.approx((2 * np.pi) ** 4 / 4, rel=1e-12)
+        eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        assert film_energy(model, tf.FilmState(eta)) == pytest.approx((2 * np.pi) ** 4 / 4, rel=1e-12)
 
     def test_translation_invariance(self, grid):
         model = tf.ThinFilmModel(alpha=3)
         x = grid.nodes[0]
-        e1 = tf.film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * x))))
-        e2 = tf.film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * (x - 0.3)))))
+        e1 = film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * x))))
+        e2 = film_energy(model, tf.FilmState(PeriodicField(grid, np.sin(2 * np.pi * (x - 0.3)))))
         assert e1 == pytest.approx(e2, rel=1e-12)

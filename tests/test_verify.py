@@ -73,12 +73,12 @@ class TestH2Norm:
         assert verify.norm_LinfH2([PeriodicField.zeros(grid)] * 3) == 0.0
 
     def test_single_cosine(self, grid):
-        f = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        f = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         ref = np.sqrt(0.5 * (1 + (2 * np.pi) ** 2 + (2 * np.pi) ** 4))
         assert verify.norm_LinfH2([f]) == pytest.approx(ref, rel=1e-12)
 
     def test_monotone_under_more_snapshots(self, grid):
-        f1 = PeriodicField.from_function(grid, lambda x: np.cos(2 * np.pi * x))
+        f1 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         f2 = 2.0 * f1
         assert verify.norm_LinfH2([f1, f2]) >= verify.norm_LinfH2([f1])
 
@@ -159,7 +159,37 @@ def synthetic_ledger(nsteps=5, dissipative=True):
     return led
 
 
+def edge_ledger(work, viscous):
+    """Steps with unit fluid energy and the given viscous dissipation
+    integrals and work; every other entry zero."""
+    n = len(work)
+    zero = np.zeros(n)
+    led = EnergyLedger()
+    led.extend(0.01 * np.arange(1, n + 1), np.ones(n), zero, zero, viscous, zero, zero, work)
+    return led
+
+
 class TestEnergyAudit:
+    @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
+    def test_slack_tolerance_edge(self, shortfall, ok):
+        # the scale is 1 at every step, so step 2's slack is -shortfall
+        led = edge_ledger(work=[1.0, 1.0 - shortfall, 1.0], viscous=[0.0, 0.0, 0.0])
+        result = verify.energy_audit(led, lb.ModelParams(eps=0.125, kappa=2))
+        assert result.ok is ok
+        if not ok:
+            assert result.first_violation == 2
+            assert "energy inequality violated at step 2" in result.message
+
+    @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
+    def test_dissipation_increment_tolerance_edge(self, shortfall, ok):
+        # the running largest dissipation is 1, so step 2's increment is -shortfall
+        led = edge_ledger(work=[3.0, 3.0, 3.0], viscous=[1.0, 1.0 - shortfall, 1.0 - shortfall])
+        result = verify.energy_audit(led, lb.ModelParams(eps=0.125, kappa=2))
+        assert result.ok is ok
+        if not ok:
+            assert result.first_violation == 2
+            assert "negative viscous_dissipation increment at step 2" in result.message
+
     def test_zero_run_passes(self):
         led = EnergyLedger()
         led.extend(0.01 * np.arange(1, 5), *np.zeros((7, 4)))
