@@ -61,11 +61,7 @@ from .reconstruction import (
     ReducedSolution,
     assemble_approx,
     chain_closure_error,
-    flux_rate,
-    horizontal_velocity,
-    limit_pressure,
     solve_reduced,
-    vertical_velocity,
 )
 from .verify import (
     AuditResult,

@@ -9,7 +9,13 @@ triple scaled back to the thin channel,
     v = eps^2 * (v_1, v_2, v3_inner),   p(x) = p(x'),   eta_eps = eps^kappa * eta,
 
 is the object whose distance to the full-order solution the rate study
-measures.
+measures.  One map in coefficient space, `_limit_map`, takes every
+snapshot's displacement coefficients and the forcing coefficients from
+`fsi.sample_forcing` to the pressure and horizontal velocity coefficients;
+`assemble_approx` adds the vertical velocity and transforms the triple to
+the nodes, and `chain_closure_error` takes the flux rate of the same
+velocities.  Like the solver and the reduced source, both read the load
+without its Nyquist modes.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import ParameterError
 from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
@@ -29,7 +35,6 @@ from .spectral import (
     _steps_per_block,
     derivative_symbol,
     laplacian_symbol,
-    spectral_derivative,
 )
 from .thinfilm import solve_linear_sixth
 
@@ -61,12 +66,6 @@ class ApproxTriple:
     eta: tuple[PeriodicField, ...]
 
 
-def limit_pressure(eta: PeriodicField, B: float) -> PeriodicField:
-    """Limit pressure B * (Lap')^2 eta; independent of the vertical variable."""
-    grid = eta.grid
-    return PeriodicField.from_hat(grid, B * laplacian_symbol(grid) ** 2 * eta.hat)
-
-
 def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np.ndarray:
     """Channel profile driven by one horizontal force component: the unique
     solution of nu * F_a'' = -f_a vanishing at both walls,
@@ -77,69 +76,39 @@ def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np
     so that v_a = y(y+1)/(2 nu) * d_a p + F_a solves the depth-wise momentum
     balance -nu * v_a'' + d_a p = f_a.  The running integral is evaluated as
     an exact double antiderivative, which makes F_a vanish identically at
-    both walls for any sampled profile.
+    both walls for any sampled profile.  The map is linear along the last
+    axis, so it takes nodal profiles and their complex coefficients alike.
     """
     ops = vnodes.ops
     y = vnodes.nodes
-    f = np.asarray(f_alpha, dtype=float)
+    f = np.asarray(f_alpha)
     moment = f @ ops.moment1
     return -((y + 1.0) * moment[..., None] + ops.second_antiderivative(f)) / nu
 
 
-def horizontal_velocity(p: PeriodicField, f_horizontal, nu: float,
-                        vnodes: VerticalNodes) -> tuple[ChannelField, ...]:
-    """Limit horizontal velocity profiles
+def _limit_map(reduced: ReducedSolution, params: ModelParams, forcing,
+               vnodes: VerticalNodes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Coefficients of the limit pressure and of the horizontal velocity
+    profiles at every snapshot of the reduced solution:
 
-        v_a = 1/(2 nu) * y (y+1) * d_a p + F_a,
+        p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
 
-    vanishing at the bottom wall and at the plate (which moves vertically
-    only).  f_horizontal is a sequence of horizontal force components sampled
-    on grid.shape + (m,), or None for an unforced channel.
+    with f^_a the coefficients of the horizontal force components from
+    `sample_forcing` (None: an unforced channel).  Shapes (S,) +
+    spectral_shape for p^ and (S,) + spectral_shape + (m,) for each v^_a.
     """
-    grid = p.grid
+    grid = reduced.eta[0].grid
+    p_hat = params.B * laplacian_symbol(grid) ** 2 * np.array([f.hat for f in reduced.eta])
     y = vnodes.nodes
-    poise = y * (y + 1.0) / (2.0 * nu)
-    out = []
+    poise = y * (y + 1.0) / (2.0 * params.nu)
+    fhat = {} if forcing is None else sample_forcing(forcing, grid, reduced.times)
+    v_hat = []
     for a in range(grid.dim):
-        dp = spectral_derivative(p, 1, axis=a)
-        vals = dp.values[..., None] * poise
-        if f_horizontal is not None:
-            vals = vals + _force_profiles(np.asarray(f_horizontal[a]), nu, vnodes)
-        out.append(ChannelField(grid, vnodes, vals))
-    return tuple(out)
-
-
-def vertical_velocity(v1: ChannelField, v2: ChannelField | None = None,
-                      eps: float = 1.0) -> ChannelField:
-    """Inner vertical velocity -eps * int_{-1}^{y} div'(v') of the profile pair;
-    zero at the bottom wall by construction."""
-    grid = v1.grid
-    vnodes = v1.vnodes
-    comps = [v1] if v2 is None else [v1, v2]
-    if grid.dim != len(comps):
-        raise GridMismatchError(
-            f"{len(comps)} horizontal components supplied for dim {grid.dim}"
-        )
-    div = np.zeros(grid.shape + (vnodes.m,))
-    for a, comp in enumerate(comps):
-        if comp.grid is not grid and comp.grid.shape != grid.shape:
-            raise GridMismatchError("components live on different grids")
-        hat = comp.hat
-        xi = grid.xi[a]
-        div += grid.irfft(1j * xi[..., None] * hat)
-    anti = vnodes.ops.antiderivative(div)
-    return ChannelField(grid, vnodes, -eps * anti)
-
-
-def flux_rate(v_components: Sequence[ChannelField]) -> PeriodicField:
-    """Rate of displacement implied by the depth flux:
-    -sum_a d_a int_{-1}^0 v_a dy3."""
-    grid = v_components[0].grid
-    out = np.zeros(grid.shape)
-    for a, comp in enumerate(v_components):
-        depth = comp.values @ comp.vnodes.weights
-        out -= spectral_derivative(PeriodicField(grid, depth), 1, axis=a).values
-    return PeriodicField(grid, out)
+        vh = (derivative_symbol(grid, 1, axis=a) * p_hat)[..., None] * poise
+        if a in fhat:
+            vh = vh + _force_profiles(fhat[a], params.nu, vnodes)
+        v_hat.append(vh)
+    return p_hat, v_hat
 
 
 def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
@@ -184,28 +153,23 @@ def assemble_approx(reduced: ReducedSolution, params: ModelParams,
                     forcing, vnodes: VerticalNodes) -> ApproxTriple:
     """Scale the reduced solution back to the thin channel.
 
-    Velocity components carry the common eps^2 prefactor, the pressure is
+    Velocity components carry the common eps^2 prefactor, the vertical one
+    is v^_3 = -eps * int_{-1}^{y} sum_a (i xi_a v^_a), the pressure is
     extended constant in the vertical, and the displacement is eps^kappa
     times the reduced one.
     """
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
     grid = reduced.eta[0].grid
-    v_all, p_all, eta_all = [], [], []
-    for t, eta in zip(reduced.times, reduced.eta):
-        p = limit_pressure(eta, params.B)
-        f_comps = forcing(float(t)) if forcing is not None else None
-        f_h = None if f_comps is None else f_comps[: grid.dim]
-        v_h = horizontal_velocity(p, f_h, params.nu, vnodes)
-        v3 = vertical_velocity(*v_h, eps=eps)
-        comps = tuple(eps**2 * c for c in v_h) + (eps**2 * v3,)
-        p_ext = ChannelField(grid, vnodes,
-                             np.repeat(p.values[..., None], vnodes.m, axis=-1))
-        v_all.append(comps)
-        p_all.append(p_ext)
-        eta_all.append(eps_kappa * eta)
-    return ApproxTriple(times=reduced.times, v=tuple(v_all), p=tuple(p_all),
-                        eta=tuple(eta_all))
+    p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
+    div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
+    v_hat.append(-eps * vnodes.ops.antiderivative(div))
+    v = tuple(tuple(ChannelField.from_hat(grid, vnodes, eps**2 * vh[j]) for vh in v_hat)
+              for j in range(len(reduced.times)))
+    p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
+              for ph in p_hat)
+    return ApproxTriple(times=reduced.times, v=v, p=p,
+                        eta=tuple(eps_kappa * eta for eta in reduced.eta))
 
 
 def trajectory_time_derivative(times: np.ndarray,
@@ -231,17 +195,13 @@ def trajectory_time_derivative(times: np.ndarray,
 def chain_closure_error(reduced: ReducedSolution, params: ModelParams,
                         forcing, vnodes: VerticalNodes) -> float:
     """Distance, in L2 of time and space, between the displacement rate
-    implied by pressure -> velocity -> flux and the stored trajectory's own
-    time derivative.  Closes the derivation loop of the reduced model."""
+    implied by pressure -> velocity -> flux, -sum_a i xi_a int_{-1}^0 v^_a dy3,
+    and the stored trajectory's own time derivative.  Closes the derivation
+    loop of the reduced model."""
     grid = reduced.eta[0].grid
     eta_dot = trajectory_time_derivative(reduced.times, reduced.eta)
-    sq = np.empty(len(reduced.times))
-    for j, (t, eta) in enumerate(zip(reduced.times, reduced.eta)):
-        p = limit_pressure(eta, params.B)
-        f_comps = forcing(float(t)) if forcing is not None else None
-        f_h = None if f_comps is None else f_comps[: grid.dim]
-        v_h = horizontal_velocity(p, f_h, params.nu, vnodes)
-        rate = flux_rate(v_h)
-        diff = rate.values - eta_dot[j].values
-        sq[j] = np.mean(diff**2)
+    _, v_hat = _limit_map(reduced, params, forcing, vnodes)
+    rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
+                for a, vh in enumerate(v_hat))
+    sq = [np.mean((grid.irfft(r) - d.values) ** 2) for r, d in zip(rate, eta_dot)]
     return float(np.sqrt(np.trapezoid(sq, reduced.times)))

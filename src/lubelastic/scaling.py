@@ -108,10 +108,9 @@ class ModelParams:
     eps : film thickness ratio, in (0, 1).
     kappa : plate rigidity exponent (> 0); the plate coefficients scale like
         B * eps**(-kappa) and rho_s * eps**(-kappa).
-    tau : time-scale exponent; defaults to kappa - 3, the value at which the
-        fluid pressure balances plate bending in the reduced model.
-    v_D : bottom-wall drift speed.
     dim : number of horizontal directions (1 or 2).
+    tau : time-scale exponent kappa - 3 (derived), the value at which the
+        fluid pressure balances plate bending in the reduced model.
     """
 
     rho_f: float = 1.0
@@ -121,16 +120,10 @@ class ModelParams:
     theta: float = 0.0
     eps: float = 0.125
     kappa: Fraction = field(default=Fraction(2))
-    tau: Fraction | None = None
-    v_D: float = 0.0
     dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", Fraction(self.kappa))
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.kappa - 3)
-        else:
-            object.__setattr__(self, "tau", Fraction(self.tau))
         if not (0.0 < self.eps < 1.0):
             raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
         if self.kappa <= 0:
@@ -147,10 +140,8 @@ class ModelParams:
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
 
     @property
-    def coupled_regime(self) -> bool:
-        """True when tau = kappa - 3, the scaling regime in which the reduced
-        model carries a fluid-plate coupling."""
-        return self.tau == self.kappa - 3
+    def tau(self) -> Fraction:
+        return self.kappa - 3
 
     @property
     def reduced_coefficient(self) -> float:

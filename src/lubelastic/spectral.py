@@ -227,6 +227,19 @@ def _steps_per_block(step_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // step_bytes)
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Steps of size dt from 0 to t_end.  Raises ParameterError unless t_end,
+    dt and their ratio are positive and finite and t_end is a whole number
+    of steps, within 1e-9 of the larger of the two."""
+    if not (0 < t_end < np.inf and 0 < dt < np.inf and t_end / dt < np.inf):
+        raise ParameterError(f"t_end = {t_end} and dt = {dt} must be positive and finite, "
+                             "with a finite ratio")
+    nsteps = int(round(t_end / dt))
+    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
+        raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+    return nsteps
+
+
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     """Symbol of the horizontal Laplacian, -|xi|^2, on the spectral layout."""
     if grid.dim == 1:

@@ -37,6 +37,7 @@ from .errors import ParameterError, PositivityError
 from .spectral import (
     PeriodicField,
     PeriodicGrid,
+    _step_count,
     dealiased_product,
     derivative_symbol,
     laplacian_symbol,
@@ -312,9 +313,7 @@ def solve_linear_sixth(
     """
     if c <= 0:
         raise ParameterError(f"need c > 0, got {c}")
-    nsteps = int(round(t_end / dt))
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * t_end:
-        raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+    nsteps = _step_count(t_end, dt)
     if snapshot_stride < 1:
         raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
     grid = eta0.grid

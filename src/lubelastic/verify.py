@@ -244,7 +244,7 @@ class RateStudyConfig:
     def model_for(self, eps: float) -> ModelParams:
         return ModelParams(rho_f=self.rho_f, nu=self.nu, rho_s=self.rho_s,
                            B=self.B, theta=self.theta, eps=eps, kappa=self.kappa,
-                           v_D=0.0, dim=self.dim)
+                           dim=self.dim)
 
 
 @dataclass(frozen=True)

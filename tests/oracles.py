@@ -857,6 +857,106 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
                          states=tuple(states), ledger=ledger), spectral
 
 
+# The reconstruction as `reconstruction.assemble_approx` and
+# `chain_closure_error` built it before they worked in coefficient space:
+# per snapshot, the limit pressure on the nodes, the forcing callable
+# sampled again, nodal force profiles and spectral derivatives of each
+# nodal field.
+
+def limit_pressure(eta, B):
+    """Limit pressure B * (Lap')^2 eta; independent of the vertical variable."""
+    from lubelastic.spectral import PeriodicField, laplacian_symbol
+
+    grid = eta.grid
+    return PeriodicField.from_hat(grid, B * laplacian_symbol(grid) ** 2 * eta.hat)
+
+
+def horizontal_velocity(p, f_horizontal, nu, vnodes):
+    """Limit horizontal velocity profiles v_a = y (y+1)/(2 nu) * d_a p + F_a,
+    from the nodal horizontal force components (None: unforced)."""
+    from lubelastic.reconstruction import _force_profiles
+    from lubelastic.spectral import ChannelField, spectral_derivative
+
+    grid = p.grid
+    y = vnodes.nodes
+    poise = y * (y + 1.0) / (2.0 * nu)
+    out = []
+    for a in range(grid.dim):
+        vals = spectral_derivative(p, 1, axis=a).values[..., None] * poise
+        if f_horizontal is not None:
+            vals = vals + _force_profiles(np.asarray(f_horizontal[a], dtype=float), nu, vnodes)
+        out.append(ChannelField(grid, vnodes, vals))
+    return tuple(out)
+
+
+def vertical_velocity(v1, v2=None, eps=1.0):
+    """Inner vertical velocity -eps * int_{-1}^{y} div'(v') of the profile
+    pair; zero at the bottom wall by construction."""
+    from lubelastic.errors import GridMismatchError
+    from lubelastic.spectral import ChannelField
+
+    grid = v1.grid
+    vnodes = v1.vnodes
+    comps = [v1] if v2 is None else [v1, v2]
+    if grid.dim != len(comps):
+        raise GridMismatchError(f"{len(comps)} horizontal components supplied for dim {grid.dim}")
+    div = np.zeros(grid.shape + (vnodes.m,))
+    for a, comp in enumerate(comps):
+        div += grid.irfft(1j * grid.xi[a][..., None] * comp.hat)
+    return ChannelField(grid, vnodes, -eps * vnodes.ops.antiderivative(div))
+
+
+def flux_rate(v_components):
+    """Rate of displacement implied by the depth flux:
+    -sum_a d_a int_{-1}^0 v_a dy3."""
+    from lubelastic.spectral import PeriodicField, spectral_derivative
+
+    grid = v_components[0].grid
+    out = np.zeros(grid.shape)
+    for a, comp in enumerate(v_components):
+        depth = comp.values @ comp.vnodes.weights
+        out -= spectral_derivative(PeriodicField(grid, depth), 1, axis=a).values
+    return PeriodicField(grid, out)
+
+
+def _nodal_horizontal(t, eta, params, forcing, vnodes):
+    p = limit_pressure(eta, params.B)
+    f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
+    return p, horizontal_velocity(p, f_h, params.nu, vnodes)
+
+
+def nodal_assemble_approx(reduced, params, forcing, vnodes):
+    """The reconstructed triple, one snapshot at a time on the nodes."""
+    from lubelastic.reconstruction import ApproxTriple
+    from lubelastic.scaling import eps_power
+    from lubelastic.spectral import ChannelField
+
+    eps = params.eps
+    eps_kappa = eps_power(eps, params.kappa)
+    v_all, p_all, eta_all = [], [], []
+    for t, eta in zip(reduced.times, reduced.eta):
+        p, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
+        v3 = vertical_velocity(*v_h, eps=eps)
+        v_all.append(tuple(eps**2 * c for c in v_h) + (eps**2 * v3,))
+        p_all.append(ChannelField(eta.grid, vnodes,
+                                  np.repeat(p.values[..., None], vnodes.m, axis=-1)))
+        eta_all.append(eps_kappa * eta)
+    return ApproxTriple(times=reduced.times, v=tuple(v_all), p=tuple(p_all),
+                        eta=tuple(eta_all))
+
+
+def nodal_chain_closure_error(reduced, params, forcing, vnodes):
+    """The chain closure with the flux rate of the nodal velocities."""
+    from lubelastic.reconstruction import trajectory_time_derivative
+
+    eta_dot = trajectory_time_derivative(reduced.times, reduced.eta)
+    sq = np.empty(len(reduced.times))
+    for j, (t, eta) in enumerate(zip(reduced.times, reduced.eta)):
+        _, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
+        sq[j] = np.mean((flux_rate(v_h).values - eta_dot[j].values) ** 2)
+    return float(np.sqrt(np.trapezoid(sq, reduced.times)))
+
+
 # The reduced source as `reconstruction.forcing_F` built it at every step:
 # force profiles on the nodal grid, their depth integral, and a spectral
 # derivative of each horizontal component.
@@ -864,7 +964,7 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
 def forcing_F(f_horizontal, nu, grid, vnodes):
     """Zero-mean source F = -int_{-1}^0 div'(F_1, F_2) dy3 of the force
     profiles, as a PeriodicField."""
-    from lubelastic.reconstruction import _force_profiles, flux_rate
+    from lubelastic.reconstruction import _force_profiles
     from lubelastic.spectral import ChannelField, PeriodicField
 
     if f_horizontal is None:

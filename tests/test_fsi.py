@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lubelastic as lb
-from lubelastic.errors import InvariantError, ParameterError, RegimeError
+from lubelastic.errors import InvariantError, ParameterError
 
 from oracles import cartesian_frame, ledger_csv, nyquist_free, to_cartesian
 
@@ -38,13 +38,16 @@ def make_params(eps=0.125, kappa=2, n=16, m=16, dt=1e-3, dim=1, theta=1.0,
 
 
 class TestParams:
-    def test_coupled_regime_enforced(self):
-        grid = lb.PeriodicGrid(dim=1, n=16)
-        vn = lb.VerticalNodes(12)
-        model = lb.ModelParams(eps=0.25, kappa=2, tau=Fraction(0), dim=1)
-        with pytest.raises(RegimeError):
-            lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3,
-                         forcing=unloaded_forcing(grid, vn))
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ParameterError, match="dt must be positive and finite"):
+            make_params(dt=dt)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, t_end):
+        solver = lb.FsiSolver(make_params(n=8, m=8))
+        with pytest.raises(ParameterError, match="positive and finite"):
+            solver.run(t_end)
 
     def test_forcing_shape_checked(self):
         grid = lb.PeriodicGrid(dim=1, n=16)
@@ -298,6 +301,25 @@ class TestInvariantsAndRuns:
         params = make_params(dt=1e-3)
         state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
         bad = replace(state, eta=lb.PeriodicField(params.grid, state.eta.values + 1.0))
+        with pytest.raises(InvariantError, match="eta mean"):
+            bad.check_invariants(params)
+
+    # the state of test_corrupted_state_raises has a velocity scale of
+    # 4.5e-7 and max|eta| 3.9e-9: both bounds are relative to those scales,
+    # so a corruption far below 1 still trips them
+    def test_small_horizontal_top_trace_raises(self):
+        params = make_params(dt=1e-3)
+        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
+        v1, v3 = state.v
+        bad = replace(state, v=(replace(v1, values=v1.values + 0.9e-13), v3))
+        state.check_invariants(params)
+        with pytest.raises(InvariantError, match="horizontal top trace"):
+            bad.check_invariants(params)
+
+    def test_small_eta_mean_raises(self):
+        params = make_params(dt=1e-3)
+        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
+        bad = replace(state, eta=lb.PeriodicField(params.grid, state.eta.values + 0.9e-12))
         with pytest.raises(InvariantError, match="eta mean"):
             bad.check_invariants(params)
 

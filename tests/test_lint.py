@@ -1,0 +1,15 @@
+"""Static checks on the library source."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lubelastic"
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert, and the library's checks must survive it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert list(SRC.glob("*.py")) and not found, f"assert statements at {found}"

@@ -8,7 +8,9 @@ from lubelastic import reconstruction as rc
 from lubelastic.errors import ParameterError
 from lubelastic.spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
 
-from oracles import quadrature_inner
+from oracles import (horizontal_velocity, limit_pressure, nodal_assemble_approx,
+                     nodal_chain_closure_error, quadrature_inner, vertical_velocity,
+                     without_nyquist)
 
 
 @pytest.fixture
@@ -27,25 +29,41 @@ def band_limited(grid, rng, kmax=6):
     return PeriodicField.from_hat(grid, hat)
 
 
+def rebuilt(grid, vnodes, etas, forcing=None, eps=0.5, kappa=2, **model_kw):
+    """The reconstructed triple of the given displacement snapshots, taken
+    0.1 apart; eps = 1/2, so dividing a velocity by eps^2 is exact."""
+    model = lb.ModelParams(eps=eps, kappa=kappa, dim=grid.dim, **model_kw)
+    red = rc.ReducedSolution(times=0.1 * np.arange(len(etas)), eta=tuple(etas))
+    return rc.assemble_approx(red, model, forcing, vnodes)
+
+
+def steady(*comps):
+    """A forcing constant in time with the given components."""
+    return lambda t: comps
+
+
 class TestLimitPressure:
-    def test_biharmonic_symbol(self, grid):
+    """The pressure of the rebuilt triple, B * (Lap')^2 eta at every depth."""
+
+    def test_biharmonic_symbol(self, grid, vnodes):
         eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
-        p = rc.limit_pressure(eta, B=1.0)
+        p = rebuilt(grid, vnodes, [eta], B=1.0).p[0]
         ref = (2 * np.pi) ** 4 * np.cos(2 * np.pi * grid.nodes[0])
-        assert np.max(np.abs(p.values - ref)) < 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(p.values - ref[:, None])) < 1e-9 * np.max(np.abs(ref))
 
-    def test_zero(self, grid):
-        assert np.max(np.abs(rc.limit_pressure(PeriodicField.zeros(grid), 2.0).values)) == 0.0
+    def test_zero(self, grid, vnodes):
+        p = rebuilt(grid, vnodes, [PeriodicField.zeros(grid)], B=2.0).p[0]
+        assert np.max(np.abs(p.values)) == 0.0
 
-    def test_weak_form_against_quadrature(self, grid):
+    def test_weak_form_against_quadrature(self, grid, vnodes):
         rng = np.random.default_rng(21)
         eta = band_limited(grid, rng)
         B = 1.7
-        p = rc.limit_pressure(eta, B)
+        p = rebuilt(grid, vnodes, [eta], B=B).p[0].values[..., 0]
         lap_eta = lb.spectral_derivative(eta, 2)
         for _ in range(20):
             psi = band_limited(grid, rng)
-            lhs = quadrature_inner(p.values, psi.values)
+            lhs = quadrature_inner(p, psi.values)
             rhs = B * quadrature_inner(lap_eta.values,
                                        lb.spectral_derivative(psi, 2).values)
             scale = max(abs(lhs), abs(rhs), 1.0)
@@ -53,58 +71,70 @@ class TestLimitPressure:
 
 
 class TestHorizontalVelocity:
-    def test_pressure_driven_profile(self, grid, vnodes):
+    """The horizontal velocity of the rebuilt triple over eps^2,
+    y (y+1)/(2 nu) * d_a p + F_a."""
+
+    def test_pressure_driven_profile(self, vnodes):
+        # B (2 pi)^4 = 1 makes the pressure cos(2 pi x).  The pressure
+        # gradient is the fifth derivative of eta, which lifts the roundoff
+        # of eta's transform by (2 pi k)^5 at mode k, so the grid is coarse
+        # (2e-11 at n = 32, 5e-15 at n = 8)
+        grid = PeriodicGrid(dim=1, n=8)
         nu = 2.0
-        p = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
-        (v1,) = rc.horizontal_velocity(p, None, nu, vnodes)
+        eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        triple = rebuilt(grid, vnodes, [eta], nu=nu, B=(2 * np.pi) ** -4)
+        v1 = triple.v[0][0].values / 0.25
         x = grid.nodes[0]
         y = vnodes.nodes
         ref = -(2 * np.pi / (2 * nu)) * np.sin(2 * np.pi * x)[:, None] * (y * (y + 1.0))
-        assert np.max(np.abs(v1.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(v1 - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_force_driven_profile(self, grid, vnodes):
         # depth-constant force: the profile solves nu F'' = -f with wall zeros
         nu = 0.5
         f_const = 2.0
         f1 = np.full(grid.shape + (vnodes.m,), f_const)
-        (v1,) = rc.horizontal_velocity(PeriodicField.zeros(grid), (f1,), nu, vnodes)
+        triple = rebuilt(grid, vnodes, [PeriodicField.zeros(grid)],
+                         steady(f1, np.zeros_like(f1)), nu=nu)
+        v1 = triple.v[0][0].values / 0.25
         y = vnodes.nodes
         ref = -(f_const / (2 * nu)) * y * (y + 1.0)
-        assert np.max(np.abs(v1.values - ref[None, :])) < 1e-13
+        assert np.max(np.abs(v1 - ref[None, :])) < 1e-13
 
     def test_wall_traces_vanish(self, grid, vnodes):
         rng = np.random.default_rng(3)
-        p = band_limited(grid, rng)
+        eta = band_limited(grid, rng)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
-        (v1,) = rc.horizontal_velocity(p, (f1,), 1.0, vnodes)
-        scale = max(1.0, np.max(np.abs(v1.values)))
-        assert np.max(np.abs(v1.values[..., 0])) <= 1e-13 * scale
-        assert np.max(np.abs(v1.values[..., -1])) <= 1e-13 * scale
+        triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), nu=1.0)
+        v1 = triple.v[0][0].values / 0.25
+        scale = max(1.0, np.max(np.abs(v1)))
+        assert np.max(np.abs(v1[..., 0])) <= 1e-13 * scale
+        assert np.max(np.abs(v1[..., -1])) <= 1e-13 * scale
 
 
 class TestVerticalVelocity:
+    """The vertical velocity of the rebuilt triple over eps^2,
+    -eps * int_{-1}^{y} div'(v')."""
+
     def test_divergence_free_pair_gives_zero(self):
+        # with no pressure, a horizontally divergence-free force
+        # (d2 psi, -d1 psi) drives a divergence-free pair
         grid = PeriodicGrid(dim=2, n=16)
         vn = VerticalNodes(10)
         x1, x2 = grid.meshes
         prof = np.ones(vn.m)
-        # v = (d2 psi, -d1 psi) is horizontally divergence free
-        psi = np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-        v1 = ChannelField(grid, vn, (2 * np.pi * np.sin(2 * np.pi * x1) * -np.sin(2 * np.pi * x2))[..., None] * prof)
-        v2 = ChannelField(grid, vn, (-2 * np.pi * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))[..., None] * prof)
-        w = rc.vertical_velocity(v1, v2, eps=0.5)
-        assert np.max(np.abs(w.values)) < 1e-10
+        f1 = (2 * np.pi * np.sin(2 * np.pi * x1) * -np.sin(2 * np.pi * x2))[..., None] * prof
+        f2 = (-2 * np.pi * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))[..., None] * prof
+        triple = rebuilt(grid, vn, [PeriodicField.zeros(grid)],
+                         steady(f1, f2, np.zeros_like(f1)))
+        assert np.max(np.abs(triple.v[0][-1].values / 0.25)) < 1e-10
 
     def test_bottom_trace_zero(self, grid, vnodes):
         rng = np.random.default_rng(9)
-        vals = rng.standard_normal(grid.shape + (vnodes.m,))
-        w = rc.vertical_velocity(ChannelField(grid, vnodes, vals), eps=0.25)
-        assert np.max(np.abs(w.values[..., 0])) == 0.0
-
-    def test_component_count_checked(self, grid, vnodes):
-        v1 = ChannelField.zeros(grid, vnodes)
-        with pytest.raises(Exception):
-            rc.vertical_velocity(v1, v1, eps=0.5)  # dim 1 grid, two components
+        eta = band_limited(grid, rng)
+        f1 = rng.standard_normal(grid.shape + (vnodes.m,))
+        triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), eps=0.25)
+        assert np.max(np.abs(triple.v[0][-1].values[..., 0])) == 0.0
 
 
 def _loads(grid, vnodes, *profiles):
@@ -183,6 +213,79 @@ class TestForcingSource:
         assert np.max(np.abs(source(*[zero] * dim, f3))) == 0.0
 
 
+class TestNodalOracle:
+    """assemble_approx and chain_closure_error against the per-snapshot
+    nodal rebuild they replaced (`oracles.nodal_assemble_approx`)."""
+
+    @staticmethod
+    def case(dim, forced):
+        grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
+        vnodes = VerticalNodes(12)
+        model = lb.ModelParams(eps=0.125, kappa=2, dim=dim, nu=0.7, B=1.3)
+        rng = np.random.default_rng(31 + dim)
+        if forced:
+            profiles = [without_nyquist(grid, rng.standard_normal(grid.shape + (vnodes.m,)))
+                        for _ in range(dim)]
+            forcing = _loads(grid, vnodes, *profiles)
+            red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-3, snapshot_stride=20)
+        else:
+            forcing = None
+            etas = []
+            for _ in range(5):
+                vals = without_nyquist(grid, rng.standard_normal(grid.shape))
+                etas.append(PeriodicField(grid, vals - vals.mean()))
+            red = rc.ReducedSolution(times=0.05 * np.arange(5), eta=tuple(etas))
+        return grid, vnodes, model, forcing, red
+
+    @staticmethod
+    def term_scales(grid, vnodes, model, forcing, t, eta):
+        """Per field of the triple, the largest of the terms it sums: the
+        pressure- and force-driven parts of each horizontal velocity, and
+        the vertical velocity of each of those parts alone."""
+        eps2 = model.eps**2
+        p = limit_pressure(eta, model.B)
+        parts = [horizontal_velocity(p, None, model.nu, vnodes)]
+        if forcing is not None:
+            parts.append(horizontal_velocity(PeriodicField.zeros(grid),
+                                             forcing(t)[:grid.dim], model.nu, vnodes))
+        zero = ChannelField.zeros(grid, vnodes)
+        vertical = 0.0
+        for part in parts:
+            for a in range(grid.dim):
+                alone = [zero] * grid.dim
+                alone[a] = part[a]
+                w = vertical_velocity(*alone, eps=model.eps)
+                vertical = max(vertical, eps2 * np.max(np.abs(w.values)))
+        horizontal = [eps2 * max(np.max(np.abs(part[a].values)) for part in parts)
+                      for a in range(grid.dim)]
+        return horizontal + [vertical], np.max(np.abs(p.values))
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_triple_matches_nodal_rebuild(self, dim, forced):
+        grid, vnodes, model, forcing, red = self.case(dim, forced)
+        got = rc.assemble_approx(red, model, forcing, vnodes)
+        want = nodal_assemble_approx(red, model, forcing, vnodes)
+        assert np.array_equal(got.times, want.times)
+        for j, (t, eta) in enumerate(zip(red.times, red.eta)):
+            v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t, eta)
+            # a forced run starts from rest under no load
+            assert min(v_scales) > 0 or (forced and j == 0)
+            for g, w, scale in zip(got.v[j], want.v[j], v_scales):
+                assert np.max(np.abs(g.values - w.values)) <= 1e-13 * scale
+            assert np.max(np.abs(got.p[j].values - want.p[j].values)) <= 1e-13 * p_scale
+            assert np.array_equal(got.eta[j].values, want.eta[j].values)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_closure_matches_nodal_rebuild(self, dim, forced):
+        grid, vnodes, model, forcing, red = self.case(dim, forced)
+        got = rc.chain_closure_error(red, model, forcing, vnodes)
+        want = nodal_chain_closure_error(red, model, forcing, vnodes)
+        assert want > 0
+        assert abs(got - want) <= 1e-9 * want
+
+
 def criterion_preset(eps=0.125):
     grid = PeriodicGrid(dim=1, n=16)
     vnodes = VerticalNodes(20)
@@ -190,6 +293,21 @@ def criterion_preset(eps=0.125):
                            rho_s=40.0, dim=1)
     forcing = lb.harmonic_ramp_forcing(grid, vnodes, ramp_time=0.1)
     return grid, vnodes, model, forcing
+
+
+class TestReducedSolution:
+    def test_repeated_time_rejected(self, grid):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            rc.ReducedSolution(times=np.array([0.0, 0.1, 0.1]),
+                               eta=(PeriodicField.zeros(grid),) * 3)
+
+    def test_mean_tolerance_follows_the_size(self, grid):
+        # the bound is 1e-10 of the size: on a displacement of size 1e3 a mean
+        # of 1e-9 passes and one of 1e-6 does not
+        wave = 1e3 * np.sin(2 * np.pi * grid.meshes[0])
+        rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 1e-9),))
+        with pytest.raises(ParameterError, match="zero mean"):
+            rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 1e-6),))
 
 
 class TestAssembleApprox:
@@ -229,6 +347,11 @@ class TestAssembleApprox:
         assert np.max(np.abs(triple.eta[0].values - 0.0625 * eta.values)) < 1e-15
         assert abs(triple.eta[0].mean()) < 1e-16
 
+    def test_displacement_scaling_follows_kappa(self, grid, vnodes):
+        eta = band_limited(grid, np.random.default_rng(13), kmax=4)
+        triple = rebuilt(grid, vnodes, [eta], eps=0.25, kappa=Fraction(3, 2))
+        assert np.array_equal(triple.eta[0].values, 0.125 * eta.values)
+
     def test_pressure_constant_in_vertical(self, vnodes):
         grid = PeriodicGrid(dim=1, n=16)
         rng = np.random.default_rng(14)
@@ -256,6 +379,21 @@ class TestChainClosure:
         times = np.array([0.0, 0.1, 0.25])
         fields = [PeriodicField.zeros(grid)] * 3
         with pytest.raises(ParameterError):
+            rc.trajectory_time_derivative(times, fields)
+
+    def test_three_snapshots_suffice(self, grid):
+        times = np.array([0.0, 0.1, 0.2])
+        base = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
+        fields = [PeriodicField(grid, (1.0 + t**2) * base.values) for t in times]
+        dots = rc.trajectory_time_derivative(times, fields)
+        for t, d in zip(times, dots):
+            assert np.max(np.abs(d.values - 2.0 * t * base.values)) < 1e-12
+
+    def test_spacing_tolerance_follows_the_step(self, grid):
+        # spacing off by 2e-9 of a step of 0.01 is not uniform
+        times = np.array([0.0, 0.01, 0.02 + 2e-11])
+        fields = [PeriodicField.zeros(grid)] * 3
+        with pytest.raises(ParameterError, match="uniformly spaced"):
             rc.trajectory_time_derivative(times, fields)
 
     def test_closure_on_reduced_trajectory(self):

@@ -93,7 +93,6 @@ class TestModelParams:
     def test_tau_defaults_to_coupled_regime(self):
         p = scaling.ModelParams(eps=0.25, kappa=2)
         assert p.tau == Fraction(-1)
-        assert p.coupled_regime
 
     def test_eps_range_enforced(self):
         with pytest.raises(ParameterError):
@@ -103,7 +102,7 @@ class TestModelParams:
 
     def test_json_round_trip(self):
         doc = {"rho_f": 2.0, "nu": 0.5, "B": 3.0, "eps": 0.0625,
-               "kappa": "5/2", "v_D": 1.0, "dim": 2}
+               "kappa": "5/2", "dim": 2}
         p = cli.decode(scaling.ModelParams, json.loads(json.dumps(doc)))
         assert p.kappa == Fraction(5, 2)
         assert p.tau == Fraction(-1, 2)

@@ -393,6 +393,15 @@ class TestSolveLinearSixth:
         with pytest.raises(ParameterError):
             tf.solve_linear_sixth(1.0, None, PeriodicField.zeros(grid), 1.0, 0.3)
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (0.1, 0.0), (0.1, -0.0), (0.1, np.nan), (np.nan, 1e-3), (np.inf, 1e-3),
+        (1e300, 1e-300),  # finite, but the step count is not
+    ])
+    def test_bad_horizon_or_step_rejected(self, t_end, dt):
+        grid = PeriodicGrid(dim=1, n=8)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            tf.solve_linear_sixth(1.0, None, PeriodicField.zeros(grid), t_end, dt)
+
 
 class TestStationaryPressure:
     def test_flat_profile_no_pressure(self, grid):
