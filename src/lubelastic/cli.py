@@ -2,8 +2,9 @@
 
 Configurations are strict JSON documents with a ``version`` field.  Each
 mode's keys, types and defaults are the fields of its dataclass in
-MODE_CONFIGS; `decode` rejects unknown or missing keys and mistyped values,
-since a silently ignored typo in an exponent would invalidate a rate study.
+MODE_CONFIGS, an INLINE field's class adding its own; `decode` rejects
+unknown or missing keys and mistyped values, since a silently ignored typo
+in an exponent would invalidate a rate study.
 Every artifact is written atomically (temp file plus rename, see `artifacts`),
 with a manifest of the files and a hash of the canonical configuration, so
 reruns are identical.
@@ -19,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
@@ -35,6 +36,7 @@ from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
 
 CONFIG_VERSION = 1
+INLINE = {"inline": True}  # field metadata: the field's dataclass keys sit in the same object
 
 # ----------------------------------------------------------------------
 # presets
@@ -169,18 +171,6 @@ class ConstantProfile:
 
 
 @dataclass(frozen=True)
-class PowerPotential:
-    """Potential derivative Phi'(eta) = strength * eta**exponent."""
-
-    kind: Literal["power"]
-    strength: float
-    exponent: float
-
-    def __call__(self, eta):
-        return self.strength * eta**self.exponent
-
-
-@dataclass(frozen=True)
 class HarmonicRampForcing:
     """Arguments of `fsi.harmonic_ramp_forcing` (wavevector default: all ones)."""
 
@@ -192,32 +182,16 @@ class HarmonicRampForcing:
 
 
 @dataclass(frozen=True)
-class NonlinearScaling:
-    """Thickness and hatted constants of a `NonlinearScalingPreset`."""
-
-    eps: float
-    B_hat: float
-    D_hat: float
-    rho_s_hat: float
-
-
-@dataclass(frozen=True)
 class ThinFilmRun:
     """Keys of a ``thinfilm`` document: film model, initial height, mesh and steps."""
 
-    alpha: int
+    model: thinfilm.ThinFilmModel = field(metadata=INLINE)
     n: int
     dt: float
     steps: int
     eta0: WaveProfile | ConstantProfile
-    c: float = 1.0
-    mobility_scale: float = 1.0
-    potential: PowerPotential | None = None
-    v_D: float = 0.0
-    drift_prefactor: float = 6.0
-    linearized: bool = False
     snapshot_stride: int | None = None  # None: max(1, steps // 10)
-    nonlinear_scaling: NonlinearScaling | None = None
+    nonlinear_scaling: NonlinearScalingPreset | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -232,19 +206,12 @@ class ThinFilmRun:
 class FsiRun:
     """Keys of an ``fsi`` document: model parameters, mesh, step and forcing."""
 
-    kappa: Fraction
-    eps: float
+    model: ModelParams = field(metadata=INLINE)
     n: int
     m: int
     dt: float
     t_end: float
     snapshot_stride: int = 1
-    dim: int = 1
-    rho_f: float = 1.0
-    rho_s: float = 1.0
-    B: float = 1.0
-    nu: float = 1.0
-    theta: float = 0.0
     forcing: HarmonicRampForcing | None = None
 
 
@@ -268,24 +235,44 @@ _SCALARS = {  # JSON values accepted for each scalar annotation
 }
 
 
+def _keys(cls) -> dict:
+    """Document key -> (annotation, required) for the init fields of `cls`,
+    where an INLINE field contributes its own dataclass's keys in its place."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if f.metadata.get("inline"):
+            keys.update(_keys(hints[f.name]))
+        elif f.init:
+            keys[f.name] = (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+    return keys
+
+
+def _build(cls, values: dict):
+    """`cls` from decoded values keyed as in `_keys`."""
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _build(hints[f.name], values) if f.metadata.get("inline")
+                  else values[f.name] for f in fields(cls)
+                  if f.metadata.get("inline") or f.name in values})
+
+
 def decode(cls, doc, prefix: str = ""):
     """Build the dataclass `cls` from a JSON object whose keys are its init
-    fields, each value checked against the field's annotation (see _SCALARS;
+    fields (an INLINE field's dataclass takes its keys from the same object),
+    each value checked against the field's annotation (see _SCALARS;
     Fraction, tuple[T, ...], Literal, X | None, nested dataclasses, and
     unions of dataclasses told apart by their ``kind``).  Unknown or missing
     keys and wrong types raise UsageError; range checks are left to `cls`."""
     if not isinstance(doc, dict):
         raise UsageError(f"{prefix.rstrip('.') or cls.__name__} must be a JSON object, got {doc!r}")
-    params = {f.name: f for f in fields(cls) if f.init}
-    unknown = sorted(set(doc) - set(params))
+    keys = _keys(cls)
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise UsageError(f"unknown configuration keys: {[prefix + k for k in unknown]}")
-    missing = [prefix + name for name, f in params.items() if name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
+    missing = [prefix + k for k, (_, required) in keys.items() if required and k not in doc]
     if missing:
         raise UsageError(f"missing configuration keys: {missing}")
-    hints = get_type_hints(cls)
-    return cls(**{k: _decode_value(hints[k], v, prefix + k) for k, v in doc.items()})
+    return _build(cls, {k: _decode_value(keys[k][0], v, prefix + k) for k, v in doc.items()})
 
 
 def _decode_value(tp, value, key: str):
@@ -376,16 +363,11 @@ def _write_json(path: str, payload) -> None:
 
 def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     grid = PeriodicGrid(dim=1, n=cfg.n)
-    model = thinfilm.ThinFilmModel(
-        alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
-        potential_dPhi=cfg.potential, v_D=cfg.v_D,
-        drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized,
-    )
     eta0 = cfg.eta0.sample(grid)
-    if not cfg.linearized and eta0.values.min() <= 0.0:
+    if not cfg.model.linearized and eta0.values.min() <= 0.0:
         raise ParameterError("initial height must be positive under cubic mobility, "
                              f"min is {eta0.values.min():.3e}")
-    run = thinfilm.evolve(model, thinfilm.FilmState(eta0, 0.0), cfg.dt, cfg.steps,
+    run = thinfilm.evolve(cfg.model, thinfilm.FilmState(eta0, 0.0), cfg.dt, cfg.steps,
                           snapshot_stride=cfg.snapshot_stride)
     mass0 = eta0.mean()
     mass1 = run.snapshots.states[-1].eta.mean()
@@ -403,11 +385,8 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
         "steps": len(run.t) - 1,
         "substeps": run.substeps,
     }
-    ns = cfg.nonlinear_scaling
-    if ns is not None:
-        preset = NonlinearScalingPreset(B_hat=ns.B_hat, D_hat=ns.D_hat,
-                                        rho_s_hat=ns.rho_s_hat)
-        summary["scaling_targets"] = preset.coefficients(ns.eps)
+    if cfg.nonlinear_scaling is not None:
+        summary["scaling_targets"] = cfg.nonlinear_scaling.coefficients()
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, summary)
     return [traj_path, summary_path]
@@ -425,16 +404,14 @@ def _ledger_health(ledger) -> dict:
 
 
 def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
-    grid = PeriodicGrid(dim=cfg.dim, n=cfg.n)
+    grid = PeriodicGrid(dim=cfg.model.dim, n=cfg.n)
     vnodes = VerticalNodes(cfg.m)
-    model = ModelParams(rho_f=cfg.rho_f, nu=cfg.nu, rho_s=cfg.rho_s, B=cfg.B,
-                        theta=cfg.theta, eps=cfg.eps, kappa=cfg.kappa, dim=cfg.dim)
     spec = cfg.forcing or HarmonicRampForcing("harmonic-ramp")
     forcing = harmonic_ramp_forcing(
         grid, vnodes, amplitude=spec.amplitude, component=spec.component,
         ramp_time=spec.ramp_time,
-        wavevector=(1,) * cfg.dim if spec.wavevector is None else spec.wavevector)
-    params = FsiParams(model=model, grid=grid, vnodes=vnodes, dt=cfg.dt, forcing=forcing)
+        wavevector=(1,) * grid.dim if spec.wavevector is None else spec.wavevector)
+    params = FsiParams(model=cfg.model, grid=grid, vnodes=vnodes, dt=cfg.dt, forcing=forcing)
     traj = run_fsi(params, cfg.t_end, snapshot_stride=cfg.snapshot_stride)
     written = traj.save(outdir)
     audit = verify.energy_audit(traj.ledger, params)
@@ -517,14 +494,8 @@ def run(doc: dict, output_dir: str | None = None, jobs: int = 1) -> dict:
     doc, config = parse_config(doc)
     outdir = _output_dir(doc, output_dir)
     mode = doc["mode"]
-    if mode == "thinfilm":
-        files = _run_thinfilm(config, outdir)
-    elif mode == "fsi":
-        files = _run_fsi(config, outdir)
-    elif mode == "reynolds":
-        files = _run_reynolds(config, outdir)
-    else:
-        files = _run_rates(config, outdir, jobs)
+    runners = {"thinfilm": _run_thinfilm, "fsi": _run_fsi, "reynolds": _run_reynolds}
+    files = _run_rates(config, outdir, jobs) if mode == "rates" else runners[mode](config, outdir)
     manifest = {
         "config_hash": config_hash(doc),
         "mode": mode,
@@ -577,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_resolution(doc: dict, resolution: str | None) -> dict:
     if resolution is None:
         return doc
-    names = ("n", "m") if "m" in {f.name for f in fields(MODE_CONFIGS[doc["mode"]])} else ("n",)
+    names = ("n", "m") if "m" in _keys(MODE_CONFIGS[doc["mode"]]) else ("n",)
     parts = resolution.split(",")
     if len(parts) > len(names):
         raise UsageError(f"--resolution {resolution!r} has {len(parts)} parts; "

@@ -52,7 +52,7 @@ class ReducedSolution:
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("snapshot times must be strictly increasing")
         for f in self.eta:
-            if abs(f.mean()) > 1e-10 * (1.0 + np.max(np.abs(f.values))):
+            if abs(f.mean()) > 1e-10 * np.max(np.abs(f.values)):
                 raise ParameterError("reduced displacement snapshots must have zero mean")
 
 

@@ -7,7 +7,7 @@ film thicknesses are swept over a ladder of powers of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -103,23 +103,23 @@ class ModelParams:
 
     Attributes
     ----------
-    rho_f, nu : fluid density and viscosity.
-    rho_s, B, theta : plate density, bending rigidity and visco-elasticity.
-    eps : film thickness ratio, in (0, 1).
     kappa : plate rigidity exponent (> 0); the plate coefficients scale like
         B * eps**(-kappa) and rho_s * eps**(-kappa).
+    eps : film thickness ratio, in (0, 1).
+    rho_f, nu : fluid density and viscosity.
+    rho_s, B, theta : plate density, bending rigidity and visco-elasticity.
     dim : number of horizontal directions (1 or 2).
     tau : time-scale exponent kappa - 3 (derived), the value at which the
         fluid pressure balances plate bending in the reduced model.
     """
 
+    kappa: Fraction
+    eps: float
     rho_f: float = 1.0
     nu: float = 1.0
     rho_s: float = 1.0
     B: float = 1.0
     theta: float = 0.0
-    eps: float = 0.125
-    kappa: Fraction = field(default=Fraction(2))
     dim: int = 1
 
     def __post_init__(self):
@@ -159,24 +159,25 @@ class NonlinearScalingPreset:
     targets a run summary documents.
     """
 
-    B_hat: float = 1.0
-    D_hat: float = 1.0
-    rho_s_hat: float = 1.0
+    eps: float
+    B_hat: float
+    D_hat: float
+    rho_s_hat: float
 
     def __post_init__(self):
+        if not (0.0 < self.eps < 1.0):
+            raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
         for name in ("B_hat", "D_hat", "rho_s_hat"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
 
-    def coefficients(self, eps: float) -> dict:
-        if not (0.0 < eps < 1.0):
-            raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    def coefficients(self) -> dict:
         return {
-            "eps": eps,
-            "B": self.B_hat / eps,
-            "D": self.D_hat / eps**2,
-            "rho_s": self.rho_s_hat / eps,
-            "time_scale": eps**-2,
+            "eps": self.eps,
+            "B": self.B_hat / self.eps,
+            "D": self.D_hat / self.eps**2,
+            "rho_s": self.rho_s_hat / self.eps,
+            "time_scale": self.eps**-2,
             "energy_bound_exponent": 3,      # total energy <= C * t * eps**3
             "displacement_bound_exponent": 1,  # sup |eta| <= C * eps
         }

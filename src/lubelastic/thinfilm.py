@@ -29,7 +29,7 @@ closed form through the periodic flux balance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -51,6 +51,18 @@ MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
+class PowerPotential:
+    """Potential derivative Phi'(eta) = strength * eta**exponent; kind tags it in a document."""
+
+    kind: Literal["power"]
+    strength: float
+    exponent: float
+
+    def __call__(self, eta):
+        return self.strength * eta**self.exponent
+
+
+@dataclass(frozen=True)
 class ThinFilmModel:
     """One member of the film-height model family.
 
@@ -60,10 +72,10 @@ class ThinFilmModel:
     the leading coefficient; a potential is not meaningful in that case.
     """
 
-    alpha: int = 5
+    alpha: int
     c: float = 1.0
     mobility_scale: float = 1.0
-    potential_dPhi: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential: Optional[PowerPotential] = None
     v_D: float = 0.0
     drift_prefactor: float = 6.0
     linearized: bool = False
@@ -73,7 +85,7 @@ class ThinFilmModel:
             raise ParameterError(f"alpha must be one of 1, 3, 5, got {self.alpha}")
         if self.c < 0:
             raise ParameterError(f"leading coefficient must be nonnegative, got {self.c}")
-        if self.linearized and self.potential_dPhi is not None:
+        if self.linearized and self.potential is not None:
             raise ParameterError("a potential term is not defined for the linearized model")
 
     @property
@@ -152,7 +164,7 @@ class _FilmOperator:
         else:
             self.d_alpha = derivative_symbol(grid, model.alpha)
             # rows: eta, d^alpha eta[, d/dx Phi'(eta)], padded in one transform
-            rows = 2 if model.potential_dPhi is None else 3
+            rows = 2 if model.potential is None else 3
             self.stack = np.empty((rows, len(xi)), dtype=complex)
 
     def frozen_symbol(self, hi: float) -> np.ndarray:
@@ -171,9 +183,8 @@ class _FilmOperator:
             stack = self.stack
             stack[0] = hat
             np.multiply(self.d_alpha, hat, out=stack[1])
-            if model.potential_dPhi is not None:
-                dphi = grid.rfft(np.asarray(model.potential_dPhi(values), dtype=float))
-                stack[2] = self.div * dphi
+            if model.potential is not None:
+                stack[2] = self.div * grid.rfft(model.potential(values))
             e, slope, *potential = padded_values(grid, stack.T).T
             slope = model.sign * model.mobility_scale * slope
             if potential:

@@ -572,8 +572,8 @@ def nodal_film_rhs(model, eta):
         d_alpha = spectral_derivative(eta, model.alpha)
         flux = nodal_dealiased_product(eta, eta, eta, d_alpha)
         out += model.sign * model.mobility_scale * (1j * xi) * flux.hat
-        if model.potential_dPhi is not None:
-            dphi = PeriodicField(eta.grid, np.asarray(model.potential_dPhi(eta.values), dtype=float))
+        if model.potential is not None:
+            dphi = PeriodicField(eta.grid, np.asarray(model.potential(eta.values), dtype=float))
             dphi_x = spectral_derivative(dphi, 1)
             pot_flux = nodal_dealiased_product(eta, eta, eta, dphi_x)
             out += (1j * xi) * pot_flux.hat
@@ -686,8 +686,8 @@ def spectral_film_rhs_hat(model, state):
                                   last_state=state)
         gain = model.sign * model.mobility_scale
         slope = gain * rfftn_padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
-        if model.potential_dPhi is not None:
-            dphi = rfftn_rfft(grid, np.asarray(model.potential_dPhi(eta.values), dtype=float))
+        if model.potential is not None:
+            dphi = rfftn_rfft(grid, np.asarray(model.potential(eta.values), dtype=float))
             slope = slope + rfftn_padded_values(grid, div * dphi)
         e = rfftn_padded_values(grid, hat)
         out = div * rfftn_truncated_hat(grid, e * e * e * slope)

@@ -157,8 +157,8 @@ def test_criterion_6_derivation_chain_closure():
 
 def test_criterion_7_coefficient_maps():
     eh = lb.reduced_coefficient_eh(lb.LameParams(1.0, 1.0), 1.0)
-    t3 = lb.ModelParams(kappa=3).tau
-    t1 = lb.ModelParams(kappa=1).tau
+    t3 = lb.ModelParams(kappa=3, eps=0.125).tau
+    t1 = lb.ModelParams(kappa=1, eps=0.125).tau
     ok = eh == 4.0 / 27.0 and t3 == 0 and t1 == -2
     _report(7, ok, f"layer coefficient {eh} == 4/27; exponents tau(3)={t3}, tau(1)={t1}")
     assert eh == 4.0 / 27.0

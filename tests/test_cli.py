@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -138,9 +139,7 @@ _COMMAND = {"thinfilm": ["thinfilm", "run"], "fsi": ["fsi", "run"],
             "reynolds": ["reynolds", "solve"], "rates": ["verify", "rates"]}
 
 
-@pytest.mark.parametrize("label", sorted(BAD_DOCUMENTS))
-def test_bad_document_exits_2(label, tmp_path, capsys):
-    doc = BAD_DOCUMENTS[label]
+def assert_exits_2_without_output(doc, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(_COMMAND[doc["mode"]] + ["--config", write_config(tmp_path, doc),
                                            "--output", str(out)])
@@ -149,6 +148,38 @@ def test_bad_document_exits_2(label, tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", sorted(BAD_DOCUMENTS))
+def test_bad_document_exits_2(label, tmp_path, capsys):
+    assert_exits_2_without_output(BAD_DOCUMENTS[label], tmp_path, capsys)
+
+
+# One out-of-range value per library class that a document decodes into.
+# The class's own check runs at decode, so each is rejected before any work
+# or file.
+_SCALING = {"eps": 0.1, "B_hat": 1.0, "D_hat": 1.0, "rho_s_hat": 1.0}
+OUT_OF_RANGE_DOCUMENTS = {
+    "nonlinear_scaling-eps": preset_with("nonlinear-3.3",
+                                         nonlinear_scaling={**_SCALING, "eps": 2.0}),
+    "nonlinear_scaling-B_hat": preset_with("nonlinear-3.3",
+                                           nonlinear_scaling={**_SCALING, "B_hat": 0}),
+    "fsi-eps": preset_with("fsi-single-mode", eps=1.0),
+    "fsi-kappa": preset_with("fsi-single-mode", kappa=0),
+    "thinfilm-alpha": preset_with("stf-bending", alpha=2),
+    "thinfilm-c": preset_with("stf-bending", c=-1.0),
+    "linearized-potential": preset_with("stf-bending", linearized=True, potential={
+        "kind": "power", "strength": 1.0, "exponent": 1.0}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OUT_OF_RANGE_DOCUMENTS))
+def test_out_of_range_value_exits_2_before_any_work(label, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(thinfilm, "evolve", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cli, "run_fsi", lambda *args, **kwargs: calls.append(args))
+    assert_exits_2_without_output(OUT_OF_RANGE_DOCUMENTS[label], tmp_path, capsys)
+    assert calls == []
 
 
 class TestDecode:
@@ -160,6 +191,15 @@ class TestDecode:
     def test_unknown_key_without_preset_rejected(self):
         with pytest.raises(UsageError, match="bogus"):
             cli.parse_config({"version": 1, "mode": "reynolds", "bogus": 1})
+
+    def test_key_errors_name_inlined_keys(self):
+        # the keys of the inlined library class are checked in the same pass
+        with pytest.raises(UsageError, match=re.escape("['kappa', 'eps', 'n', 'm', 'dt', 't_end']")):
+            cli.parse_config({"version": 1, "mode": "fsi"})
+        with pytest.raises(UsageError, match=re.escape("['alpha', 'n', 'dt', 'steps', 'eta0']")):
+            cli.parse_config({"version": 1, "mode": "thinfilm"})
+        with pytest.raises(UsageError, match=re.escape("['alpha', 'bogus']")):
+            cli.parse_config(preset_with("fsi-single-mode", alpha=5, bogus=1))
 
     def test_preset_hashes_unchanged(self):
         assert set(PRESET_HASHES) == set(cli.PRESETS)
@@ -175,11 +215,11 @@ class TestDecode:
     def test_mode_defaults(self):
         fsi = cli.decode(cli.FsiRun, {"kappa": "2", "eps": 0.125, "n": 16, "m": 20,
                                       "dt": 1e-3, "t_end": 0.1})
-        assert (fsi.theta, fsi.snapshot_stride, fsi.forcing) == (0.0, 1, None)
+        assert (fsi.model.theta, fsi.snapshot_stride, fsi.forcing) == (0.0, 1, None)
         film = {"alpha": 5, "n": 32, "dt": 1e-7, "steps": 35,
                 "eta0": {"kind": "cosine", "amplitude": 0.1}}
         cfg = cli.decode(cli.ThinFilmRun, film)
-        assert (cfg.v_D, cfg.snapshot_stride, cfg.eta0.wavenumber) == (0.0, 3, 1)
+        assert (cfg.model.v_D, cfg.snapshot_stride, cfg.eta0.wavenumber) == (0.0, 3, 1)
         assert cli.decode(cli.ThinFilmRun, {**film, "steps": 5}).snapshot_stride == 1
         assert cli.decode(cli.ReynoldsRun, {"n": 64, "eta0": film["eta0"]}).v_D == 1.0
         assert cli.parse_config({"version": 1, "mode": "rates"})[1] == verify.RateStudyConfig()
@@ -202,10 +242,10 @@ class TestDecode:
                                     "t_end": 0.01, "forcing": {"kind": "harmonic-ramp",
                                                                 "wavevector": [1, 2.0]}})
         for kappa, want in (("5/2", Fraction(5, 2)), (3, Fraction(3))):
-            assert cli.decode(scaling.ModelParams, {"kappa": kappa}).kappa == want
+            assert cli.decode(scaling.ModelParams, {"kappa": kappa, "eps": 0.125}).kappa == want
         for kappa in (2.5, "1/0", True):
             with pytest.raises(UsageError, match="kappa"):
-                cli.decode(scaling.ModelParams, {"kappa": kappa})
+                cli.decode(scaling.ModelParams, {"kappa": kappa, "eps": 0.125})
 
 
 class TestBreakdownPath:
@@ -544,12 +584,8 @@ class TestArtifacts:
         # step, then rebuild the rows the way the CLI selects them: every
         # third one
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
-        model = thinfilm.ThinFilmModel(
-            alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
-            potential_dPhi=cfg.potential, v_D=cfg.v_D,
-            drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized)
         state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
-        states = thinfilm.evolve(model, state, cfg.dt, cfg.steps).snapshots.states
+        states = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps).snapshots.states
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         assert len(states) == 7
         rows = [(s.t, s.eta.values) for s in states[::3]]

@@ -309,6 +309,14 @@ class TestReducedSolution:
         with pytest.raises(ParameterError, match="zero mean"):
             rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 1e-6),))
 
+    def test_mean_tolerance_is_relative_below_unit_size(self, grid):
+        # reduced displacements are small: on a size of 1e-3 a mean of 9e-11
+        # is 9e-8 of the size and is rejected, one of 9e-14 passes
+        wave = 1e-3 * np.sin(2 * np.pi * grid.meshes[0])
+        rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 9e-14),))
+        with pytest.raises(ParameterError, match="zero mean"):
+            rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 9e-11),))
+
 
 class TestAssembleApprox:
     def test_zero_reduced_solution(self, grid, vnodes):

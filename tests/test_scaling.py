@@ -13,21 +13,21 @@ class TestTimeScaleExponent:
 
     @pytest.mark.parametrize("kappa,tau", [(3, 0), (1, -2), (2, -1)])
     def test_values_exact(self, kappa, tau):
-        t = scaling.ModelParams(kappa=kappa).tau
+        t = scaling.ModelParams(kappa=kappa, eps=0.125).tau
         assert t == Fraction(tau) and isinstance(t, Fraction)
 
     def test_affine(self):
         ks = [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7, 2), Fraction(10)]
         for k1 in ks:
             for k2 in ks:
-                assert (scaling.ModelParams(kappa=k1).tau
-                        - scaling.ModelParams(kappa=k2).tau) == k1 - k2
+                assert (scaling.ModelParams(kappa=k1, eps=0.125).tau
+                        - scaling.ModelParams(kappa=k2, eps=0.125).tau) == k1 - k2
 
     def test_nonpositive_kappa_rejected(self):
         with pytest.raises(ParameterError):
-            scaling.ModelParams(kappa=0)
+            scaling.ModelParams(kappa=0, eps=0.125)
         with pytest.raises(ParameterError):
-            scaling.ModelParams(kappa=-1.5)
+            scaling.ModelParams(kappa=-1.5, eps=0.125)
 
 
 class TestRegimeValidation:
@@ -96,9 +96,9 @@ class TestModelParams:
 
     def test_eps_range_enforced(self):
         with pytest.raises(ParameterError):
-            scaling.ModelParams(eps=1.0)
+            scaling.ModelParams(kappa=2, eps=1.0)
         with pytest.raises(ParameterError):
-            scaling.ModelParams(eps=0.0)
+            scaling.ModelParams(kappa=2, eps=0.0)
 
     def test_json_round_trip(self):
         doc = {"rho_f": 2.0, "nu": 0.5, "B": 3.0, "eps": 0.0625,
@@ -119,8 +119,8 @@ class TestModelParams:
 
 class TestNonlinearScalingPreset:
     def test_coefficient_map(self):
-        preset = scaling.NonlinearScalingPreset(B_hat=2.0, D_hat=3.0, rho_s_hat=4.0)
-        co = preset.coefficients(0.1)
+        preset = scaling.NonlinearScalingPreset(eps=0.1, B_hat=2.0, D_hat=3.0, rho_s_hat=4.0)
+        co = preset.coefficients()
         assert co["B"] == pytest.approx(20.0)
         assert co["D"] == pytest.approx(300.0)
         assert co["rho_s"] == pytest.approx(40.0)
@@ -128,4 +128,4 @@ class TestNonlinearScalingPreset:
 
     def test_positivity_enforced(self):
         with pytest.raises(ParameterError):
-            scaling.NonlinearScalingPreset(B_hat=0.0)
+            scaling.NonlinearScalingPreset(eps=0.1, B_hat=0.0, D_hat=1.0, rho_s_hat=1.0)

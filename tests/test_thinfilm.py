@@ -4,7 +4,8 @@ import pytest
 from lubelastic import cli
 from lubelastic import thinfilm as tf
 from lubelastic.errors import ParameterError, PositivityError
-from lubelastic.spectral import PeriodicField, PeriodicGrid, dealiased_product, spectral_derivative
+from lubelastic.spectral import (PeriodicField, PeriodicGrid, dealiased_product,
+                                 derivative_symbol, spectral_derivative)
 
 from oracles import (
     nodal_film_energy,
@@ -48,7 +49,8 @@ class TestModelValidation:
 
     def test_linearized_forbids_potential(self):
         with pytest.raises(ParameterError):
-            tf.ThinFilmModel(alpha=5, linearized=True, potential_dPhi=lambda e: e)
+            tf.ThinFilmModel(alpha=5, linearized=True,
+                              potential=tf.PowerPotential("power", 1.0, 1.0))
 
 
     def test_leading_coefficient_may_vanish(self, grid):
@@ -88,7 +90,7 @@ class TestRhs:
 
     def test_rhs_zero_mean(self, grid):
         model = tf.ThinFilmModel(alpha=5, v_D=1.0,
-                                 potential_dPhi=lambda eta: 0.3 * eta**2)
+                                 potential=tf.PowerPotential("power", 0.3, 2.0))
         r = film_rhs(model, one_plus_sin(grid))
         assert abs(r.mean()) < 1e-13
 
@@ -167,6 +169,47 @@ class TestStep:
         assert ei.value.last_state.t == 2.0
         assert ei.value.last_state.eta is eta
 
+    def test_zero_height_counts_as_nonpositive(self, grid):
+        eta = PeriodicField(grid, 1.0 - np.cos(2 * np.pi * grid.meshes[0]))  # exactly 0 at x = 0
+        with pytest.raises(PositivityError, match="nonpositive film height"):
+            tf.evolve(tf.ThinFilmModel(alpha=3), tf.FilmState(eta), 1e-6, 1)
+
+    def test_drift_speed_is_prefactor_times_v_D(self, grid):
+        # with c = 0 the linearized right-hand side is the drift alone, and
+        # a step is the explicit Euler step of -P v_D d/dx eta
+        model = tf.ThinFilmModel(alpha=5, c=0.0, v_D=0.5, drift_prefactor=6.0, linearized=True)
+        state = tf.FilmState(one_plus_sin(grid), 0.0)
+        new = last_state(model, state, 1e-3)
+        want = state.hat - 1e-3 * 3.0 * derivative_symbol(grid, 1) * state.hat
+        np.testing.assert_allclose(new.hat, want, rtol=0, atol=1e-15)
+
+
+def dipping_case():
+    # a sixth-order film whose minimum falls from 0.42 towards 0.2 over its
+    # first microsecond: under a floor of 0.35 later sub-steps of a step
+    # halve again, so a step needs three halvings in all
+    grid = PeriodicGrid(dim=1, n=64)
+    x = grid.meshes[0]
+    eta0 = PeriodicField(grid, 1.0 - 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x))
+    return tf.ThinFilmModel(alpha=5), tf.FilmState(eta0), 1e-7
+
+
+class TestHalvingBudget:
+    def test_a_step_may_halve_max_halvings_times(self, monkeypatch):
+        model, state, dt = dipping_case()
+        monkeypatch.setattr(tf, "MAX_HALVINGS", 3)
+        run = tf.evolve(model, state, dt, 40, floor=0.35)
+        assert run.substeps > 40 and run.min_eta >= 0.35
+
+    def test_breakdown_mid_step_reports_the_accepted_time(self, monkeypatch):
+        model, state, dt = dipping_case()
+        monkeypatch.setattr(tf, "MAX_HALVINGS", 2)
+        with pytest.raises(PositivityError, match="unreachable") as ei:
+            tf.evolve(model, state, dt, 40, floor=0.35)
+        # the second step accepted a quarter step, then ran out of halvings
+        assert ei.value.last_state.t == pytest.approx(1.25 * dt, rel=1e-12)
+        assert ei.value.last_state.eta.values.min() >= 0.35
+
 
 def halving_case():
     # a deep trough under a floor close to its minimum forces step halving
@@ -178,7 +221,7 @@ def halving_case():
 def oracle_case(label):
     grid = PeriodicGrid(dim=1, n=64)
     if label == "alpha3-potential":
-        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=lambda eta: 0.3 * eta**2)
+        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential=tf.PowerPotential("power", 0.3, 2.0))
         return model, one_plus_sin(grid), 1e-6, 200, tf.POSITIVITY_FLOOR
     if label == "linearized-alpha5":
         x = grid.meshes[0]
@@ -188,11 +231,7 @@ def oracle_case(label):
     if label == "halving":
         return (*halving_case(), 3, 0.095)
     cfg = cli.parse_config(cli.preset_config(label))[1]  # a film preset at n = 64
-    model = tf.ThinFilmModel(
-        alpha=cfg.alpha, c=cfg.c, mobility_scale=cfg.mobility_scale,
-        potential_dPhi=cfg.potential, v_D=cfg.v_D,
-        drift_prefactor=cfg.drift_prefactor, linearized=cfg.linearized)
-    return model, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
+    return cfg.model, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
 
 
 ORACLE_CASES = ["pm-paper", "tf-surface-tension", "stf-bending", "nonlinear-3.3",
@@ -271,9 +310,11 @@ class TestFilmTransforms:
             monkeypatch.setattr(np.fft, name, counted)
         return calls
 
-    @pytest.mark.parametrize("potential, per_step", [(None, 3), (lambda eta: 0.3 * eta**2, 4)])
+    @pytest.mark.parametrize("potential, per_step",
+                             [(None, 3), pytest.param(tf.PowerPotential("power", 0.3, 2.0), 4,
+                                                      id="power-4")])
     def test_transforms_per_step(self, grid, monkeypatch, potential, per_step):
-        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential_dPhi=potential)
+        model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential=potential)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         calls = self._counting(monkeypatch)
         run = tf.evolve(model, state, 1e-6, 10)
@@ -287,7 +328,7 @@ class TestFilmTransforms:
 MASS_CONFIGS = [
     dict(alpha=1, v_D=0.0, potential=None, dt=1e-5),
     dict(alpha=3, v_D=1.0, potential=None, dt=1e-6),
-    dict(alpha=5, v_D=1.0, potential=lambda eta: 0.2 * eta, dt=1e-7),
+    dict(alpha=5, v_D=1.0, potential=tf.PowerPotential("power", 0.2, 1.0), dt=1e-7),
 ]
 
 
@@ -295,7 +336,7 @@ class TestInvariants:
     @pytest.mark.parametrize("cfg", MASS_CONFIGS)
     def test_mass_conservation_along_run(self, grid, cfg):
         model = tf.ThinFilmModel(alpha=cfg["alpha"], v_D=cfg["v_D"],
-                                 potential_dPhi=cfg["potential"])
+                                 potential=cfg["potential"])
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         m0 = state.eta.mean()
         state = last_state(model, state, cfg["dt"], 300)
@@ -388,6 +429,17 @@ class TestSolveLinearSixth:
         for s in traj.states:
             assert abs(s.eta.mean()) < 1e-15
 
+    def test_rejects_zero_coefficient(self):
+        grid = PeriodicGrid(dim=1, n=8)
+        with pytest.raises(ParameterError, match="c > 0"):
+            tf.solve_linear_sixth(0.0, None, PeriodicField.zeros(grid), 0.1, 1e-3)
+
+    def test_small_argument_branches_match_taylor(self):
+        z = np.array([-1e-9, 1e-9])
+        np.testing.assert_allclose(tf._phi1(z), 1.0 + z / 2 + z**2 / 6, rtol=1e-14)
+        z = np.array([-1e-8, 1e-8])
+        np.testing.assert_allclose(tf._phi2(z), 0.5 + z / 6 + z**2 / 24, rtol=1e-14)
+
     def test_time_grid_validation(self):
         grid = PeriodicGrid(dim=1, n=32)
         with pytest.raises(ParameterError):
@@ -436,6 +488,20 @@ class TestStationaryPressure:
         eta = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         with pytest.raises(ParameterError):
             tf.solve_reynolds_stationary(eta, 1.0)
+
+    def test_rejects_zero_viscosity_and_a_touching_profile(self, grid):
+        with pytest.raises(ParameterError, match="nu > 0"):
+            tf.solve_reynolds_stationary(one_plus_sin(grid), 1.0, nu=0.0)
+        touching = PeriodicField(grid, 1.0 - np.cos(2 * np.pi * grid.meshes[0]))  # 0 at x = 0
+        with pytest.raises(ParameterError, match="strictly positive"):
+            tf.solve_reynolds_stationary(touching, 1.0)
+
+    def test_scales_with_viscosity_times_drift_speed(self, grid):
+        eta = one_plus_sin(grid, amp=0.5)
+        p = tf.solve_reynolds_stationary(eta, 1.5, nu=0.4)
+        unit = tf.solve_reynolds_stationary(eta, 1.0)
+        assert np.max(np.abs(p.values - 0.6 * unit.values)) <= 1e-12 * np.max(np.abs(p.values))
+        assert tf.reynolds_residual(eta, p, 1.5, nu=0.4) < 1e-8
 
 
 class TestFilmEnergy:
