@@ -39,17 +39,20 @@ A run advances in blocks of steps whose stacked states take about 64 KiB
 (25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
 Per block the forcing is sampled at every step time and its loaded
 components are transformed together; the steps then run one after another
-in the order of a single step, and the block's ledger rows and snapshot
+in the order of a single step, and the block's ledger columns and snapshot
 pressures come from the stored states and forcing coefficients.  The
 ledger's mass product of a block's last state is the next step's M c, so
 a one-step block makes one mass product, one viscosity product and one
-solve.
+solve.  The ledger holds one float array per entry, rows of one
+(8, steps) buffer that the run fills in place: each block writes the
+integrals as per-step increments, and one cumulative sum in step order
+after the last block turns them into running integrals.
 """
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,28 +183,27 @@ class FsiState:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyLedger:
-    """Per-step energy bookkeeping.
+    """Per-step energy bookkeeping, one float array per entry.
 
     Instantaneous entries (fluid_kinetic, plate_kinetic, bending) are state
     energies after the step; dissipation and work entries are running time
     integrals.  All entries are nonnegative except work.
     """
 
-    t: list[float] = field(default_factory=list)
-    fluid_kinetic: list[float] = field(default_factory=list)
-    plate_kinetic: list[float] = field(default_factory=list)
-    bending: list[float] = field(default_factory=list)
-    viscous_dissipation: list[float] = field(default_factory=list)
-    viscoelastic_dissipation: list[float] = field(default_factory=list)
-    numerical_dissipation: list[float] = field(default_factory=list)
-    work: list[float] = field(default_factory=list)
+    t: np.ndarray
+    fluid_kinetic: np.ndarray
+    plate_kinetic: np.ndarray
+    bending: np.ndarray
+    viscous_dissipation: np.ndarray
+    viscoelastic_dissipation: np.ndarray
+    numerical_dissipation: np.ndarray
+    work: np.ndarray
 
-    def extend(self, t, ef, epk, eb, dv, dve, dn, w):
-        """Append one row per step from equally long arrays, in field order."""
-        for f, values in zip(fields(self), (t, ef, epk, eb, dv, dve, dn, w)):
-            getattr(self, f.name).extend(np.asarray(values, dtype=float).tolist())
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -209,20 +211,19 @@ class EnergyLedger:
     def lhs(self, include_numerical: bool = False) -> np.ndarray:
         """Left side of the energy inequality at each step: energies plus
         accumulated dissipation."""
-        out = (np.array(self.fluid_kinetic) + np.array(self.plate_kinetic)
-               + np.array(self.bending) + np.array(self.viscous_dissipation)
-               + np.array(self.viscoelastic_dissipation))
+        out = (self.fluid_kinetic + self.plate_kinetic + self.bending
+               + self.viscous_dissipation + self.viscoelastic_dissipation)
         if include_numerical:
-            out = out + np.array(self.numerical_dissipation)
+            out = out + self.numerical_dissipation
         return out
 
     def slack(self) -> np.ndarray:
         """work - lhs, nonnegative for a dissipative scheme."""
-        return np.array(self.work) - self.lhs()
+        return self.work - self.lhs()
 
     def identity_residual(self) -> np.ndarray:
         """lhs including numerical dissipation minus work; zero to roundoff."""
-        return self.lhs(include_numerical=True) - np.array(self.work)
+        return self.lhs(include_numerical=True) - self.work
 
     def scale(self) -> np.ndarray:
         """Per-step max(|lhs including numerical dissipation|, |work|, 1e-300)."""
@@ -233,8 +234,7 @@ class EnergyLedger:
         return np.abs(self.identity_residual()) / self.scale()
 
     def total_energy(self) -> np.ndarray:
-        return (np.array(self.fluid_kinetic) + np.array(self.plate_kinetic)
-                + np.array(self.bending))
+        return self.fluid_kinetic + self.plate_kinetic + self.bending
 
     def to_csv(self, path) -> None:
         """Write one row per step: its number, every entry and the slack."""
@@ -348,7 +348,8 @@ class FsiSolver:
     e_p . v', and xi_L = e0 . xi.  The per-row step operator is assembled
     and factored once per solver, on first use.  `run` is the one way to
     step: it advances in blocks of steps, so the forcing is sampled and
-    transformed once per block and the ledger is filled a block at a time.
+    transformed once per block and the ledger's columns are written a block
+    at a time.
     """
 
     def __init__(self, params: FsiParams):
@@ -466,13 +467,12 @@ class FsiSolver:
                                * (fhat[self.P] @ self._MAint.T))
         return Fq
 
-    def _record(self, ledger: EnergyLedger, totals: np.ndarray, t, c, eta, eta_t,
-                Fq, mass_old) -> np.ndarray:
-        """Append a block's ledger rows.  c, eta and eta_t stack the state
-        before the block and the block's B states, and mass_old holds M c of
-        the state before each step; totals holds the running viscous,
-        viscoelastic, numerical and work integrals and is updated.  Returns
-        M c of the block's last state."""
+    def _record(self, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_old) -> np.ndarray:
+        """Write a block's ledger columns (8, B), in `EnergyLedger` field
+        order, with the viscous, viscoelastic, numerical and work integrals
+        as per-step increments.  c, eta and eta_t stack the state before the
+        block and the block's B states, and mass_old holds M c of the state
+        before each step.  Returns M c of the block's last state."""
         asm = self.assembled()
         w = self._w
         wr = np.tile(w, self.P)  # the rows' weights
@@ -501,12 +501,7 @@ class FsiSolver:
         dv = dt * coef["work"] * _re_inner(wr, c[1:], visc)
         dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
         work = dt * coef["work"] * _re_inner(wr, c[1:], Fq)
-        # running sums added one step at a time, as the integrals accumulate
-        running = np.stack([dv, dve, dn, work])
-        running[:, 0] += totals
-        np.cumsum(running, axis=1, out=running)
-        totals[:] = running[:, -1]
-        ledger.extend(t, ef, epk, eb, *running)
+        columns[:] = t, ef, epk, eb, dv, dve, dn, work
         return mass[-1]
 
     # -- pressure recovery ----------------------------------------------
@@ -564,7 +559,8 @@ class FsiSolver:
         by one Euler step.  Steps run in blocks (see the module docstring):
         the forcing of a whole block is sampled and transformed together,
         and a forcing that is not finite at some step time raises
-        ParameterError naming that time.
+        ParameterError naming that time.  The ledger's entries are the rows
+        of one buffer that the blocks fill in place.
         """
         p = self.params
         dt = p.dt
@@ -583,8 +579,8 @@ class FsiSolver:
         # M c of the state before each step; the block's first comes from the
         # previous block's ledger product
         mass_old = np.zeros((block,) + rows, dtype=complex)
-        totals = np.zeros(4)
-        ledger = EnergyLedger()
+        # one column per step, in EnergyLedger field order
+        ledger = np.empty((8, nsteps))
         states = [self.materialize(c[1], eta[1], eta_t[1], 0.0)]
         times = [0.0]
         mass, g = asm.mass, asm.g
@@ -610,8 +606,8 @@ class FsiSolver:
                 eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
                 eta[j + 1] = eta[j] + dt * eta_t[j + 1]
             span = slice(1, nb + 2)
-            mass_old[0] = self._record(ledger, totals, t, c[span], eta[span], eta_t[span],
-                                       Fq, mass_old[:nb])
+            mass_old[0] = self._record(ledger[:, n0:n0 + nb], t, c[span], eta[span],
+                                       eta_t[span], Fq, mass_old[:nb])
             for j in range(nb):
                 n = n0 + j + 1
                 if n % snapshot_stride == 0 or n == nsteps:
@@ -623,8 +619,10 @@ class FsiSolver:
                     times.append(t[j])
             for buf in (c, eta, eta_t):
                 buf[:2] = buf[nb:nb + 2]
+        # the integrals' increments summed in step order, in place
+        np.cumsum(ledger[4:], axis=1, out=ledger[4:])
         return FsiTrajectory(params=p, times=np.array(times),
-                             states=tuple(states), ledger=ledger)
+                             states=tuple(states), ledger=EnergyLedger(*ledger))
 
 
 # ----------------------------------------------------------------------

@@ -78,29 +78,20 @@ class PeriodicGrid:
 
     @cached_property
     def meshes(self) -> tuple[np.ndarray, ...]:
-        if self.dim == 1:
-            return (self.nodes[0],)
         return tuple(map(_read_only, np.meshgrid(*self.nodes, indexing="ij")))
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Integer wavenumbers for each axis of the half-spectrum layout."""
-        full = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-        half = _read_only(np.arange(self.n // 2 + 1))
-        if self.dim == 1:
-            return (half,)
-        return (_read_only(full), half)
+        """Integer wavenumbers for each axis of the half-spectrum layout: the
+        full set on the leading axes, the nonnegative half on the last."""
+        full = _read_only(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int))
+        return (full,) * (self.dim - 1) + (_read_only(np.arange(self.n // 2 + 1)),)
 
     @cached_property
     def xi(self) -> tuple[np.ndarray, ...]:
         """Angular wavenumbers 2*pi*k broadcast over the spectral layout."""
-        ks = self.wavenumbers
-        if self.dim == 1:
-            return (_read_only(2.0 * np.pi * ks[0]),)
-        return (
-            _read_only(2.0 * np.pi * ks[0][:, None].astype(float)),
-            _read_only(2.0 * np.pi * ks[1][None, :].astype(float)),
-        )
+        ks = np.meshgrid(*self.wavenumbers, indexing="ij", sparse=True)
+        return tuple(_read_only(2.0 * np.pi * k) for k in ks)
 
     @cached_property
     def mode_weights(self) -> np.ndarray:
@@ -109,19 +100,13 @@ class PeriodicGrid:
         With coefficients normalized by n**dim, the nodal mean of |g|^2
         equals sum(mode_weights * |ghat|^2).
         """
-        n = self.n
-        wlast = np.full(n // 2 + 1, 2.0)
-        wlast[0] = 1.0
-        wlast[-1] = 1.0
-        if self.dim == 1:
-            return _read_only(wlast)
-        return _read_only(np.broadcast_to(wlast[None, :], (n, n // 2 + 1)).copy())
+        w = np.full(self.spectral_shape, 2.0)
+        w[..., 0] = w[..., -1] = 1.0
+        return _read_only(w)
 
     @property
     def spectral_shape(self) -> tuple[int, ...]:
-        if self.dim == 1:
-            return (self.n // 2 + 1,)
-        return (self.n, self.n // 2 + 1)
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Forward real transform over the horizontal axes, normalized."""
@@ -242,9 +227,7 @@ def _step_count(t_end: float, dt: float) -> int:
 
 def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     """Symbol of the horizontal Laplacian, -|xi|^2, on the spectral layout."""
-    if grid.dim == 1:
-        return -grid.xi[0] ** 2
-    return -(grid.xi[0] ** 2 + grid.xi[1] ** 2)
+    return -sum(x**2 for x in grid.xi)
 
 
 def dealiased_product(*factors: PeriodicField) -> PeriodicField:

@@ -392,7 +392,6 @@ def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -
     inv3 = h**-3
     flux_const = -6.0 * nu * v_D * inv2.mean() / inv3.mean()
     dp = (6.0 * nu * v_D * h + flux_const) * inv3
-    dp -= dp.mean()  # zero to roundoff already; enforce exactly
     dp_hat = eta.grid.rfft(dp)
     xi = eta.grid.xi[0]
     p_hat = np.zeros_like(dp_hat)

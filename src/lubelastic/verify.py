@@ -176,9 +176,9 @@ def energy_audit(ledger: EnergyLedger, params) -> AuditResult:
         return AuditResult(ok=False, first_violation=step, ratios=np.array([]),
                            message=f"ledger entry not finite at step {step}")
     lhs = ledger.lhs()
-    work = np.array(ledger.work)
+    work = ledger.work
     for name in ("viscous_dissipation", "viscoelastic_dissipation", "numerical_dissipation"):
-        arr = np.array(getattr(ledger, name))
+        arr = getattr(ledger, name)
         increments = np.diff(np.concatenate([[0.0], arr]))
         bad = np.nonzero(increments < -1e-12 * np.maximum.accumulate(np.abs(arr) + 1e-300))[0]
         if bad.size:
@@ -186,16 +186,12 @@ def energy_audit(ledger: EnergyLedger, params) -> AuditResult:
                 ok=False, first_violation=int(bad[0] + 1), ratios=np.array([]),
                 message=f"negative {name} increment at step {int(bad[0] + 1)}",
             )
-    scale = np.maximum.reduce([
-        np.abs(lhs), np.abs(work),
-        np.array(ledger.numerical_dissipation),
-    ])
+    scale = np.maximum.reduce([np.abs(lhs), np.abs(work), ledger.numerical_dissipation])
     scale = np.maximum(scale, 1e-300)
     slack = work - lhs
     bad = np.nonzero(slack < -1e-12 * scale)[0]
-    t = np.array(ledger.t)
-    denom = t * eps_power(model.eps, model.tau + 3)
-    ratios = ledger.lhs() / np.maximum(denom, 1e-300)
+    denom = ledger.t * eps_power(model.eps, model.tau + 3)
+    ratios = lhs / np.maximum(denom, 1e-300)
     if bad.size:
         step = int(bad[0] + 1)
         return AuditResult(

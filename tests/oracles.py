@@ -247,12 +247,8 @@ def ledger_csv(ledger, path) -> None:
         writer.writerow(cols)
         for i in range(len(ledger)):
             writer.writerow([
-                i + 1, repr(ledger.t[i]), repr(ledger.fluid_kinetic[i]),
-                repr(ledger.plate_kinetic[i]), repr(ledger.bending[i]),
-                repr(ledger.viscous_dissipation[i]),
-                repr(ledger.viscoelastic_dissipation[i]),
-                repr(ledger.numerical_dissipation[i]),
-                repr(ledger.work[i]), repr(float(slack[i])),
+                i + 1, *(repr(float(getattr(ledger, name)[i])) for name in cols[1:-1]),
+                repr(float(slack[i])),
             ])
 
 
@@ -662,6 +658,37 @@ def rfftn_truncated_hat(grid, values):
     return out
 
 
+# The grid's cached arrays and the Laplacian symbol as `spectral` built
+# them with one branch per dimension, before each became one expression for
+# both.
+
+def branched_grid_arrays(grid):
+    """meshes, wavenumbers, xi, mode_weights, spectral_shape and the
+    Laplacian symbol of grid, by name."""
+    def read_only(a):
+        a.flags.writeable = False
+        return a
+
+    n = grid.n
+    x = read_only(np.arange(n) / n)
+    full = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    half = read_only(np.arange(n // 2 + 1))
+    wlast = np.full(n // 2 + 1, 2.0)
+    wlast[0] = 1.0
+    wlast[-1] = 1.0
+    if grid.dim == 1:
+        xi = (read_only(2.0 * np.pi * half),)
+        return dict(meshes=(x,), wavenumbers=(half,), xi=xi,
+                    mode_weights=read_only(wlast), spectral_shape=(n // 2 + 1,),
+                    laplacian=-xi[0] ** 2)
+    xi = (read_only(2.0 * np.pi * full[:, None].astype(float)),
+          read_only(2.0 * np.pi * half[None, :].astype(float)))
+    return dict(meshes=tuple(map(read_only, np.meshgrid(x, x, indexing="ij"))),
+                wavenumbers=(read_only(full), half), xi=xi,
+                mode_weights=read_only(np.broadcast_to(wlast[None, :], (n, n // 2 + 1)).copy()),
+                spectral_shape=(n, n // 2 + 1), laplacian=-(xi[0] ** 2 + xi[1] ** 2))
+
+
 # The film step as it was taken before runs were integrated in
 # one call: every sub-step rebuilds the symbols, transforms through the
 # `rfftn` helpers above, pads each factor into a fresh buffer and makes a
@@ -830,7 +857,7 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
 
     dt = solver.params.dt
     nsteps = int(round(t_end / dt))
-    ledger = EnergyLedger()
+    rows = []
     spec = zero_state(solver)
     states = [solver.materialize(*spec)]
     times = [0.0]
@@ -842,9 +869,8 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
         spec, inc = stepwise_advance(solver, spec, (i + 1) * dt)
         for key in cum:
             cum[key] += inc[key]
-        ledger.extend([spec.t], [inc["fluid_kinetic"]], [inc["plate_kinetic"]],
-                      [inc["bending"]], [cum["viscous"]], [cum["viscoelastic"]],
-                      [cum["numerical"]], [cum["work"]])
+        rows.append((spec.t, inc["fluid_kinetic"], inc["plate_kinetic"], inc["bending"],
+                     cum["viscous"], cum["viscoelastic"], cum["numerical"], cum["work"]))
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
             fhat = dict(enumerate(stepwise_forcing_hat(solver, spec.t)))
             phat = solver.pressure_hat(prev.c, spec.c, fhat, dt,
@@ -853,8 +879,8 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
             times.append(spec.t)
             spectral.append(spec)
         prev2 = prev
-    return FsiTrajectory(params=solver.params, times=np.array(times),
-                         states=tuple(states), ledger=ledger), spectral
+    return FsiTrajectory(params=solver.params, times=np.array(times), states=tuple(states),
+                         ledger=EnergyLedger(*np.array(rows).T)), spectral
 
 
 # The reconstruction as `reconstruction.assemble_approx` and

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,7 @@ def make_params(eps=0.125, kappa=2, n=16, m=16, dt=1e-3, dim=1, theta=1.0,
 
 
 class TestParams:
-    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ParameterError, match="dt must be positive and finite"):
             make_params(dt=dt)
@@ -73,6 +73,11 @@ class TestModeOperator:
             eig = np.linalg.eigvalsh(asm.visc[k])
             assert eig.min() > -1e-12 * max(1.0, eig.max())
 
+    def test_viscosity_operator_linear_in_nu(self):
+        base = lb.FsiSolver(make_params(m=12)).assembled().visc
+        visc = lb.FsiSolver(make_params(m=12, nu=2.5)).assembled().visc
+        assert np.max(np.abs(visc - 2.5 * base)) <= 1e-14 * np.max(np.abs(visc))
+
     def test_small_dt_limit_is_mass_structure(self):
         params = make_params(m=12)
         gaps = []
@@ -104,6 +109,12 @@ class TestModeOperator:
         with pytest.raises(ParameterError):
             lb.harmonic_ramp_forcing(grid2, vnodes, wavevector=(1, 4))
         lb.harmonic_ramp_forcing(grid2, vnodes, wavevector=(-3, 3))
+
+    def test_smooth_ramp_values(self):
+        assert lb.fsi.smooth_ramp(-0.1, 0.1) == 0.0
+        assert lb.fsi.smooth_ramp(0.0, 0.1) == 0.0
+        assert lb.fsi.smooth_ramp(0.1, 0.1) == pytest.approx(1.0 - np.exp(-1.0), rel=1e-15)
+        assert lb.fsi.smooth_ramp(0.2, 0.1) == pytest.approx(1.0 - np.exp(-4.0), rel=1e-15)
 
     def test_zero_mode_plate_harmonic_stays_zero(self):
         # zero-horizontal-mean forcing never moves the mean plate harmonic
@@ -229,6 +240,38 @@ class TestInvariantsAndRuns:
         info = traj.states[-1].check_invariants(params)
         assert info["horizontal_top_trace"] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_norm_matches_field_derivatives(self, dim):
+        # the scale of the divergence bound, against derivatives of the
+        # materialized fields and the channel quadrature of `verify`
+        params = make_params(dim=dim, n=8, m=10, dt=1e-3)
+        state = lb.run_fsi(params, 0.01, snapshot_stride=10).states[-1]
+        grid, vn, eps = params.grid, params.vnodes, params.model.eps
+        parts = []
+        for comp in state.v:
+            parts.append(lb.ChannelField(grid, vn, vn.ops.differentiate(comp.values) / eps))
+            for b in range(dim):
+                sym = lb.spectral.derivative_symbol(grid, 1, b)[..., None]
+                parts.append(lb.ChannelField.from_hat(grid, vn, comp.hat * sym))
+        want = np.sqrt(lb.verify._snapshot_channel_sq(parts))
+        assert state.check_invariants(params)["grad_norm"] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [Fraction(5, 2), 3])
+    def test_energy_identity_away_from_kappa_two(self, kappa, caplog):
+        # at kappa = 2 several of the ledger's and the step's eps powers are 1
+        caplog.set_level(logging.ERROR, logger="lubelastic.fsi")
+        params = make_params(kappa=kappa, n=8, m=12, dt=1e-3)
+        ledger = lb.run_fsi(params, 0.05, snapshot_stride=50).ledger
+        assert np.max(ledger.identity_residual_rel()) <= 1e-12
+        assert lb.verify.energy_audit(ledger, params).ok
+
+    def test_negative_energy_raises(self):
+        # a mass operator of the wrong sign makes the fluid energy negative
+        solver = lb.FsiSolver(make_params(dt=1e-3))
+        solver.assembled().mass_visc[0] *= -1.0
+        with pytest.raises(lb.AssemblyError, match="negative energy"):
+            solver.run(0.005)
+
     def test_dt_self_convergence_first_order(self):
         results = []
         for dt in (2e-3, 1e-3, 5e-4):
@@ -287,6 +330,19 @@ class TestInvariantsAndRuns:
         ledger_csv(traj.ledger, tmp_path / "old.csv")
         want = (tmp_path / "old.csv").read_bytes().replace(b"\r\n", b"\n")
         assert (tmp_path / "new.csv").read_bytes() == want
+
+    def test_ledger_from_lists_holds_float_arrays(self):
+        # lists are coerced, so the entries add instead of concatenating
+        led = lb.EnergyLedger([0.1, 0.2], [1, 2], [0.5, 0.5], [0.25, 0.25], [0.0, 1.0],
+                              [0.0, 0.0], [0.0, 0.125], [2.0, 4.0])
+        for f in fields(led):
+            value = getattr(led, f.name)
+            assert isinstance(value, np.ndarray) and value.dtype == float
+        assert isinstance(led.lhs(), np.ndarray)
+        np.testing.assert_array_equal(led.lhs(), [1.75, 3.75])
+        np.testing.assert_array_equal(led.identity_residual(), [-0.25, -0.125])
+        np.testing.assert_array_equal(led.identity_residual_rel(), [0.125, 0.03125])
+        np.testing.assert_array_equal(led.total_energy(), [1.75, 2.75])
 
     def test_settled_plate_passes_invariants(self):
         # the top velocity decays once the plate settles; the kinematic gap is

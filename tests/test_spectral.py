@@ -21,6 +21,7 @@ from lubelastic.verify import _snapshot_channel_sq
 
 from oracles import (
     LoopChebOps,
+    branched_grid_arrays,
     channel_field_csv,
     periodic_field_csv,
     rfftn_irfft,
@@ -73,6 +74,23 @@ class TestGrid:
         for arrays in (grid.nodes, grid.meshes, grid.wavenumbers, grid.xi):
             assert not any(a.flags.writeable for a in arrays)
         assert grid.mode_weights.flat[0] == 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_matches_branched_arrays(self, dim, n):
+        grid = PeriodicGrid(dim=dim, n=n)
+        want = branched_grid_arrays(grid)
+        assert grid.spectral_shape == want["spectral_shape"]
+        for name in ("meshes", "wavenumbers", "xi", "mode_weights"):
+            got = getattr(grid, name)
+            pairs = zip(got, want[name]) if isinstance(got, tuple) else [(got, want[name])]
+            assert isinstance(got, type(want[name])) and len(got) == len(want[name])
+            for g, w in pairs:
+                assert np.array_equal(g, w) and g.dtype == w.dtype and g.shape == w.shape
+                assert not g.flags.writeable
+        lap = spectral.laplacian_symbol(grid)
+        assert np.array_equal(lap, want["laplacian"]) and lap.dtype == want["laplacian"].dtype
+        assert lap.shape == want["laplacian"].shape
 
     def test_wavenumber_lattice_symmetric(self, grid2):
         k1 = grid2.wavenumbers[0]

@@ -49,6 +49,10 @@ class TestThinNorm:
         val = verify.thin_norm_L2L2(snaps, 1.0, [0.0, 0.5, 1.0])
         assert val == pytest.approx(1.0, rel=1e-12)
 
+    def test_two_samples(self, grid, vnodes):
+        snaps = [const_snapshot(grid, vnodes, 1.0)] * 2
+        assert verify.thin_norm_L2L2(snaps, 0.25, [0.0, 1.0]) == pytest.approx(0.5, rel=1e-15)
+
     def test_mismatched_lengths(self, grid, vnodes):
         with pytest.raises(GridMismatchError):
             verify.thin_norm_L2L2([const_snapshot(grid, vnodes, 1.0)], 0.5, [0.0, 1.0])
@@ -118,6 +122,13 @@ class TestRateFit:
         fit = verify.fit_rate(reports_from_errors(self.EPS, noisy), "displacement")
         assert 2.9 <= fit.slope <= 3.1
 
+    def test_r2_is_squared_correlation(self):
+        noisy = [e**3 * f for e, f in zip(self.EPS, (1.3, 0.8, 1.1, 0.9))]
+        fit = verify.fit_rate(reports_from_errors(self.EPS, noisy), "velocity")
+        r = np.corrcoef(np.log(self.EPS), np.log(noisy))[0, 1]
+        assert fit.r2 == pytest.approx(r**2, rel=1e-12)
+        assert fit.r2 < 0.999  # the points are off the line
+
     def test_scale_invariance_of_slope(self):
         errors = [e**2 for e in self.EPS]
         f1 = verify.fit_rate(reports_from_errors(self.EPS, errors), "velocity")
@@ -154,26 +165,24 @@ def synthetic_ledger(nsteps=5, dissipative=True):
         # energies chosen so lhs stays below cumulative work
         rows.append((0.01 * (i + 1), 0.2, 0.1, 0.1, dv, 0.0,
                      max(work - (0.4 + dv), 0.0), work))
-    led = EnergyLedger()
-    led.extend(*np.array(rows).T)
-    return led
+    return EnergyLedger(*np.array(rows).T)
 
 
-def edge_ledger(work, viscous):
-    """Steps with unit fluid energy and the given viscous dissipation
-    integrals and work; every other entry zero."""
+def edge_ledger(work, viscous, energy=1.0):
+    """Steps with the given fluid energy, viscous dissipation integrals and
+    work; every other entry zero."""
     n = len(work)
     zero = np.zeros(n)
-    led = EnergyLedger()
-    led.extend(0.01 * np.arange(1, n + 1), np.ones(n), zero, zero, viscous, zero, zero, work)
-    return led
+    return EnergyLedger(0.01 * np.arange(1, n + 1), np.full(n, energy), zero, zero, viscous,
+                        zero, zero, work)
 
 
 class TestEnergyAudit:
     @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
-    def test_slack_tolerance_edge(self, shortfall, ok):
-        # the scale is 1 at every step, so step 2's slack is -shortfall
-        led = edge_ledger(work=[1.0, 1.0 - shortfall, 1.0], viscous=[0.0, 0.0, 0.0])
+    def test_slack_tolerance_edge(self, shortfall, ok, size=1.0):
+        # the scale is size at every step, so step 2's slack is -shortfall * size
+        led = edge_ledger(work=[size, size * (1.0 - shortfall), size], viscous=[0.0, 0.0, 0.0],
+                          energy=size)
         result = verify.energy_audit(led, lb.ModelParams(eps=0.125, kappa=2))
         assert result.ok is ok
         if not ok:
@@ -181,18 +190,27 @@ class TestEnergyAudit:
             assert "energy inequality violated at step 2" in result.message
 
     @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
-    def test_dissipation_increment_tolerance_edge(self, shortfall, ok):
-        # the running largest dissipation is 1, so step 2's increment is -shortfall
-        led = edge_ledger(work=[3.0, 3.0, 3.0], viscous=[1.0, 1.0 - shortfall, 1.0 - shortfall])
+    def test_slack_tolerance_edge_is_relative(self, shortfall, ok):
+        self.test_slack_tolerance_edge(shortfall, ok, size=4.0)
+
+    @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
+    def test_dissipation_increment_tolerance_edge(self, shortfall, ok, size=1.0):
+        # the running largest dissipation is size, so step 2's increment is
+        # -shortfall * size
+        led = edge_ledger(work=[3.0 * size] * 3,
+                          viscous=[size, size * (1.0 - shortfall), size * (1.0 - shortfall)])
         result = verify.energy_audit(led, lb.ModelParams(eps=0.125, kappa=2))
         assert result.ok is ok
         if not ok:
             assert result.first_violation == 2
             assert "negative viscous_dissipation increment at step 2" in result.message
 
+    @pytest.mark.parametrize("shortfall, ok", [(0.5e-12, True), (2e-12, False)])
+    def test_dissipation_increment_tolerance_edge_is_relative(self, shortfall, ok):
+        self.test_dissipation_increment_tolerance_edge(shortfall, ok, size=4.0)
+
     def test_zero_run_passes(self):
-        led = EnergyLedger()
-        led.extend(0.01 * np.arange(1, 5), *np.zeros((7, 4)))
+        led = EnergyLedger(0.01 * np.arange(1, 5), *np.zeros((7, 4)))
         model = lb.ModelParams(eps=0.125, kappa=2)
         result = verify.energy_audit(led, model)
         assert result.ok
@@ -225,6 +243,13 @@ class TestEnergyAudit:
         assert not result.ok
         assert result.first_violation == 4
 
+    def test_ratios_follow_definition(self):
+        # lhs / (t * eps^(tau + 3)), and tau + 3 = kappa
+        led = synthetic_ledger()
+        result = verify.energy_audit(led, lb.ModelParams(eps=0.125, kappa=Fraction(5, 2)))
+        assert result.ok
+        np.testing.assert_allclose(result.ratios, led.lhs() / (led.t * 0.125**2.5), rtol=1e-14)
+
     def test_real_run_passes_and_reports_ratio(self):
         grid = PeriodicGrid(dim=1, n=16)
         vn = VerticalNodes(12)
@@ -247,6 +272,9 @@ class TestLadderConfig:
             verify.RateStudyConfig(eps_list=(0.0625, 0.125))
         with pytest.raises(ParameterError):
             verify.RateStudyConfig(eps_list=())
+        for eps_list in ((0.125, 0.125, 0.0625), (1.0, 0.5, 0.25), (0.125, 0.0)):
+            with pytest.raises(ParameterError):
+                verify.RateStudyConfig(eps_list=eps_list)
 
     def test_info_log_line_per_ladder_point(self, caplog):
         cfg = verify.RateStudyConfig(
@@ -333,3 +361,37 @@ class TestLadderConfig:
         assert audit.ok
         assert report.err_velocity > 0
         assert report.err_displacement > 0
+
+
+class TestCompareTrajectories:
+    @pytest.fixture(scope="class")
+    def traj(self):
+        grid = PeriodicGrid(dim=1, n=8)
+        vn = VerticalNodes(8)
+        model = lb.ModelParams(eps=0.125, kappa=2, dim=1)
+        forcing = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.05)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3, forcing=forcing)
+        return lb.run_fsi(params, 0.004)
+
+    @staticmethod
+    def own_triple(traj, times):
+        return lb.ApproxTriple(times=times, v=tuple(s.v for s in traj.states),
+                               p=tuple(s.p for s in traj.states),
+                               eta=tuple(s.eta for s in traj.states))
+
+    def test_own_states_have_zero_distance(self, traj):
+        assert verify.compare_trajectories(traj, self.own_triple(traj, traj.times)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("shift, ok", [(0.5e-8, True), (2e-8, False)])
+    def test_time_tolerance_is_relative_to_the_horizon(self, traj, shift, ok):
+        # the horizon is 0.004 and the first step 0.001
+        approx = self.own_triple(traj, traj.times + shift * traj.times[-1])
+        if ok:
+            verify.compare_trajectories(traj, approx)
+        else:
+            with pytest.raises(GridMismatchError, match="different times"):
+                verify.compare_trajectories(traj, approx)
+
+    def test_snapshot_count_mismatch(self, traj):
+        with pytest.raises(GridMismatchError, match="snapshot counts"):
+            verify.compare_trajectories(traj, self.own_triple(traj, traj.times[:-1]))
