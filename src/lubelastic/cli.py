@@ -30,7 +30,7 @@ import numpy as np
 from . import thinfilm, verify
 from .artifacts import write_atomic, write_csv, write_grid
 from .errors import (AssemblyError, DegenerateFitError, ParameterError,
-                     PositivityError, UsageError)
+                     PositivityError, UsageError, check_range)
 from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
@@ -194,12 +194,10 @@ class ThinFilmRun:
     nonlinear_scaling: NonlinearScalingPreset | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be at least 1, got {self.steps}")
+        check_range(1, closed=True, steps=self.steps)
         if self.snapshot_stride is None:
             object.__setattr__(self, "snapshot_stride", max(1, self.steps // 10))
-        elif self.snapshot_stride < 1:
-            raise ParameterError(f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
+        check_range(1, closed=True, snapshot_stride=self.snapshot_stride)
 
 
 @dataclass(frozen=True)
@@ -566,7 +564,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     doc: dict = {}
     try:
-        if args.command == "presets" and args.subcommand == "list":
+        if args.command == "presets":  # its one subcommand is list
             for name, info in list_presets().items():
                 print(f"{name:22s} [{info['mode']}] {info['summary']}")
             return 0

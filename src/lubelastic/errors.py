@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar range rule."""
+from math import inf
 
 
 class ParameterError(ValueError):
     """A physical or numerical parameter is outside its admissible range."""
+
+
+def check_range(low=0.0, high=inf, closed=False, **values) -> None:
+    """Raise ParameterError naming the first keyword value outside (low, high),
+    or [low, high) when closed.  The test is one a value must pass, so NaN and
+    inf fail it, and -inf too unless low is -inf and closed."""
+    for name, x in values.items():
+        if not ((low <= x if closed else low < x) and x < high):
+            raise ParameterError(f"{name} must lie in {'[' if closed else '('}{low:g}, "
+                                 f"{high:g}), got {x}")
 
 
 class RegimeError(ParameterError):

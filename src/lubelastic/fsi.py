@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .artifacts import save_snapshots, velocity_named, write_csv
-from .errors import AssemblyError, InvariantError, ParameterError
+from .errors import AssemblyError, InvariantError, ParameterError, check_range
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
                        _step_count, _steps_per_block, nyquist_index)
@@ -93,8 +93,7 @@ class FsiParams:
             raise ParameterError(
                 f"model dim {self.model.dim} does not match grid dim {self.grid.dim}"
             )
-        if not 0 < self.dt < np.inf:
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
+        check_range(dt=self.dt)
         f0 = self.forcing(0.0)
         if len(f0) != self.grid.dim + 1:
             raise ParameterError(
@@ -565,8 +564,7 @@ class FsiSolver:
         p = self.params
         dt = p.dt
         nsteps = _step_count(t_end, dt)
-        if snapshot_stride < 1:
-            raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+        check_range(1, closed=True, snapshot_stride=snapshot_stride)
         asm = self.assembled()
         K, coef = self.K, self.coef
         rows = (self.P * K, self.mi)
@@ -683,10 +681,8 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
-    if not 0 <= component <= grid.dim:
-        raise ParameterError(f"component must lie in 0..{grid.dim}, got {component}")
-    if not ramp_time > 0:
-        raise ParameterError(f"ramp_time must be positive, got {ramp_time}")
+    check_range(0, grid.dim + 1, closed=True, component=component)
+    check_range(ramp_time=ramp_time)
     if any(abs(k) >= grid.n // 2 for k in wavevector):
         # larger wavenumbers alias on the grid; k = n/2 samples sin to zero
         raise ParameterError(

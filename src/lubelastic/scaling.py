@@ -11,9 +11,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParameterError, RegimeError
+from .errors import ParameterError, RegimeError, check_range
 
 Exponent = Union[int, float, str, Fraction]
+
+
+def _fraction(name: str, value: Exponent) -> Fraction:
+    """value as an exact Fraction; ParameterError where Fraction rejects it."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
+        raise ParameterError(f"{name} must be a finite rational number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -35,8 +43,8 @@ def validate_theorem_regime(kappa: Exponent) -> RegimeCheck:
     is not an error: the solver still runs outside this range, only the rate
     guarantee is void (callers emit a warning instead of refusing).
     """
-    k = Fraction(kappa)
-    if k <= 0:
+    k = _fraction("kappa", kappa)
+    if not k > 0:
         raise RegimeError(f"rigidity exponent kappa must be positive, got {k}")
     if k <= Fraction(5, 2):
         return RegimeCheck(ok=True, kappa=k)
@@ -52,8 +60,7 @@ def reduced_coefficient_e0(B: float, nu: float) -> float:
     """Sixth-order coefficient B/(12 nu) of the reduced plate evolution
     driven through a plate already modeled as a lower-dimensional bending
     surface."""
-    if B <= 0 or nu <= 0:
-        raise ParameterError(f"need B > 0 and nu > 0, got B={B}, nu={nu}")
+    check_range(B=B, nu=nu)
     return B / (12.0 * nu)
 
 
@@ -61,8 +68,7 @@ def reduced_coefficient_eh(lame: "LameParams", nu: float) -> float:
     """Sixth-order coefficient 2*mu*(mu+lambda) / (9*nu*(2*mu+lambda)) of the
     reduced evolution obtained when the covering layer is a genuinely
     three-dimensional elastic plate."""
-    if nu <= 0:
-        raise ParameterError(f"need nu > 0, got nu={nu}")
+    check_range(nu=nu)
     mu, lam = lame.mu, lame.lam
     return 2.0 * mu * (mu + lam) / (9.0 * nu * (2.0 * mu + lam))
 
@@ -74,9 +80,8 @@ def eps_power(eps: float, exponent: Exponent) -> float:
     exponent) with the product carried out in rational arithmetic, so ladder
     sweeps reproduce bit-identical scalings.
     """
-    if eps <= 0:
-        raise ParameterError(f"need eps > 0, got {eps}")
-    e = Fraction(exponent)
+    check_range(eps=eps)
+    e = _fraction("exponent", exponent)
     log2eps = math.log2(eps)
     if log2eps == int(log2eps):
         return 2.0 ** float(int(log2eps) * e)
@@ -91,10 +96,8 @@ class LameParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError(f"first Lame constant must be positive, got {self.mu}")
-        if self.lam < 0:
-            raise ParameterError(f"second Lame constant must be nonnegative, got {self.lam}")
+        check_range(mu=self.mu)
+        check_range(closed=True, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -123,19 +126,10 @@ class ModelParams:
     dim: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
-        if not (0.0 < self.eps < 1.0):
-            raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.kappa <= 0:
-            raise ParameterError(f"kappa must be positive, got {self.kappa}")
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        if self.rho_f < 0 or self.rho_s < 0:
-            raise ParameterError("densities must be nonnegative")
-        if self.B <= 0:
-            raise ParameterError(f"B must be positive, got {self.B}")
-        if self.theta < 0:
-            raise ParameterError(f"theta must be nonnegative, got {self.theta}")
+        object.__setattr__(self, "kappa", _fraction("kappa", self.kappa))
+        check_range(0.0, 1.0, eps=self.eps)
+        check_range(kappa=self.kappa, nu=self.nu, B=self.B)
+        check_range(closed=True, rho_f=self.rho_f, rho_s=self.rho_s, theta=self.theta)
         if self.dim not in (1, 2):
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
 
@@ -165,11 +159,8 @@ class NonlinearScalingPreset:
     rho_s_hat: float
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        for name in ("B_hat", "D_hat", "rho_s_hat"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+        check_range(0.0, 1.0, eps=self.eps)
+        check_range(B_hat=self.B_hat, D_hat=self.D_hat, rho_s_hat=self.rho_s_hat)
 
     def coefficients(self) -> dict:
         return {

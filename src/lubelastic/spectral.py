@@ -10,16 +10,17 @@ matrices; the Gram matrices are sums over one (m+1)-point Gauss-Legendre
 rule, which is exact for every product of two profiles, so quadrature is
 exact for every polynomial the solvers produce.
 
-Nonlinear products are formed nodally on a 3/2 zero-padded grid (Orszag's
-rule); the cubic mobility of the film models aliases badly at marginal
-resolution otherwise.  `padded_values` and `truncated_hat` are the two halves
-of that rule and work on coefficients, so a caller that holds a field's
-coefficients pads each distinct factor once, with one transform each way.
+Nonlinear products of the 1D film and pressure models are formed nodally on
+a 3/2 zero-padded grid (Orszag's rule); the cubic mobility of the film models
+aliases badly at marginal resolution otherwise.  `padded_values` and
+`truncated_hat` are the two halves of that rule and work on the coefficients
+of a 1D grid, so a caller that holds a field's coefficients pads each
+distinct factor once, with one transform each way.
 
 A grid transforms along the leading (horizontal) axes of an array; trailing
 axes, such as the vertical nodes of a channel field, are transformed
-independently, and on a 1D grid so are the trailing axes of a stack of
-coefficients handed to `padded_values` or `truncated_hat`.  A 1D grid calls
+independently, and so are the trailing axes of a stack of coefficients
+handed to `padded_values` or `truncated_hat`.  A 1D grid calls
 `np.fft.rfft`/`irfft`, whose inverse zero-pads a short spectrum itself.
 The arrays a grid caches (`nodes`, `meshes`, `wavenumbers`, `xi`,
 `mode_weights`) are shared by every user of the grid and are read-only.
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .artifacts import write_csv
-from .errors import GridMismatchError, ParameterError
+from .errors import GridMismatchError, ParameterError, check_range
 
 __all__ = [
     "PeriodicGrid",
@@ -64,7 +65,7 @@ class PeriodicGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+        if not self.n >= 8 or (self.n & (self.n - 1)) != 0:
             raise ParameterError(f"n must be a power of two >= 8, got {self.n}")
 
     @property
@@ -164,9 +165,7 @@ class PeriodicField:
     __rmul__ = __mul__
 
     def _check(self, other):
-        if not isinstance(other, PeriodicField) or other.grid is not self.grid:
-            if isinstance(other, PeriodicField) and other.grid.shape == self.grid.shape:
-                return
+        if not (isinstance(other, PeriodicField) and other.grid.shape == self.grid.shape):
             raise GridMismatchError("fields live on different grids")
 
     def to_csv(self, path) -> None:
@@ -189,8 +188,7 @@ def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarr
     imaginary part no real grid function has."""
     if not (1 <= order <= 6):
         raise ParameterError(f"derivative order must lie in [1, 6], got {order}")
-    if not (0 <= axis < grid.dim):
-        raise ParameterError(f"axis {axis} out of range for dim {grid.dim}")
+    check_range(0, grid.dim, closed=True, axis=axis)
     sym = (1j * grid.xi[axis]) ** order
     if order % 2 == 1:
         sym[nyquist_index(grid, axis)] = 0.0
@@ -220,7 +218,7 @@ def _step_count(t_end: float, dt: float) -> int:
         raise ParameterError(f"t_end = {t_end} and dt = {dt} must be positive and finite, "
                              "with a finite ratio")
     nsteps = int(round(t_end / dt))
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
+    if not nsteps >= 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
         raise ParameterError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
     return nsteps
 
@@ -231,10 +229,12 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
 
 
 def dealiased_product(*factors: PeriodicField) -> PeriodicField:
-    """Nodal product of fields on a 3/2 zero-padded grid; a repeated factor is padded once."""
+    """Nodal product of fields on a 3/2 zero-padded 1D grid; a repeated factor is padded once."""
     if not factors:
         raise ParameterError("need at least one factor")
     grid = factors[0].grid
+    if grid.dim != 1:
+        raise ParameterError("the 3/2 dealiasing is one-dimensional")
     distinct = {id(f): f for f in factors}
     padded = {key: padded_values(grid, f.hat) for key, f in distinct.items()}
     prod = reduce(np.multiply, (padded[id(f)] for f in factors))
@@ -242,30 +242,15 @@ def dealiased_product(*factors: PeriodicField) -> PeriodicField:
 
 
 def padded_values(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
-    """Nodal values on the 3/2 grid of the field with coefficients hat."""
-    n, dim = grid.n, grid.dim
-    npad = 3 * n // 2
-    if dim == 1:
-        return np.fft.irfft(hat * npad, n=npad, axis=0)
-    half = n // 2
-    pad = np.zeros((npad, npad // 2 + 1), dtype=complex)
-    pad[: half + 1, : half + 1] = hat[: half + 1, :]
-    pad[npad - (n - half - 1):, : half + 1] = hat[half + 1:, :]
-    return np.fft.irfftn(pad * npad**dim, s=(npad,) * dim, axes=tuple(range(dim)))
+    """Nodal values on the 3/2 grid of the 1D field with coefficients hat."""
+    npad = 3 * grid.n // 2
+    return np.fft.irfft(hat * npad, n=npad, axis=0)
 
 
 def truncated_hat(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Coefficients on the grid of a nodal field sampled on its 3/2 grid."""
-    n, dim = grid.n, grid.dim
-    npad = 3 * n // 2
-    if dim == 1:
-        return np.fft.rfft(values, axis=0)[: n // 2 + 1] / npad
-    hat_pad = np.fft.rfftn(values, axes=tuple(range(dim))) / npad**dim
-    half = n // 2
-    out = np.zeros((n, half + 1), dtype=complex)
-    out[: half + 1, :] = hat_pad[: half + 1, : half + 1]
-    out[half + 1:, :] = hat_pad[npad - (n - half - 1):, : half + 1]
-    return out
+    """Coefficients on the 1D grid of a nodal field sampled on its 3/2 grid."""
+    npad = 3 * grid.n // 2
+    return np.fft.rfft(values, axis=0)[: grid.n // 2 + 1] / npad
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +271,7 @@ class VerticalNodes:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.m < 4:
-            raise ParameterError(f"need at least 4 vertical nodes, got {self.m}")
+        check_range(4, closed=True, m=self.m)
         u = -np.cos(np.pi * np.arange(self.m) / (self.m - 1))  # increasing on [-1, 1]
         y = (u - 1.0) / 2.0  # increasing on [-1, 0]
         y[0], y[-1] = -1.0, 0.0

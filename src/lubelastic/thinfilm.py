@@ -33,7 +33,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PositivityError
+from .errors import ParameterError, PositivityError, check_range
 from .spectral import (
     PeriodicField,
     PeriodicGrid,
@@ -57,6 +57,9 @@ class PowerPotential:
     kind: Literal["power"]
     strength: float
     exponent: float
+
+    def __post_init__(self):
+        check_range(-np.inf, np.inf, strength=self.strength, exponent=self.exponent)
 
     def __call__(self, eta):
         return self.strength * eta**self.exponent
@@ -83,8 +86,9 @@ class ThinFilmModel:
     def __post_init__(self):
         if self.alpha not in (1, 3, 5):
             raise ParameterError(f"alpha must be one of 1, 3, 5, got {self.alpha}")
-        if self.c < 0:
-            raise ParameterError(f"leading coefficient must be nonnegative, got {self.c}")
+        check_range(closed=True, c=self.c)
+        check_range(-np.inf, np.inf, mobility_scale=self.mobility_scale, v_D=self.v_D,
+                    drift_prefactor=self.drift_prefactor)
         if self.linearized and self.potential is not None:
             raise ParameterError("a potential term is not defined for the linearized model")
 
@@ -227,12 +231,8 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     times within a step) and integration continues from the last valid
     height until the step's end is reached.
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise ParameterError(f"steps must be at least 1, got {steps}")
-    if snapshot_stride < 1:
-        raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+    check_range(dt=dt)
+    check_range(1, closed=True, steps=steps, snapshot_stride=snapshot_stride)
     grid = state.eta.grid
     op = _FilmOperator(model, grid)
     values, hat, t = state.eta.values, state.hat, state.t
@@ -322,11 +322,9 @@ def solve_linear_sixth(
     The zero mode is untouched whenever F has zero mean, so a zero-mean eta
     stays zero-mean.
     """
-    if c <= 0:
-        raise ParameterError(f"need c > 0, got {c}")
+    check_range(c=c)
     nsteps = _step_count(t_end, dt)
-    if snapshot_stride < 1:
-        raise ParameterError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
+    check_range(1, closed=True, snapshot_stride=snapshot_stride)
     grid = eta0.grid
     lam = c * (-laplacian_symbol(grid)) ** 3  # decay rate per mode, >= 0
     z = -lam * dt
@@ -383,10 +381,9 @@ def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -
     """
     if eta.grid.dim != 1:
         raise ParameterError("the stationary pressure problem is one-dimensional")
-    if nu <= 0:
-        raise ParameterError(f"need nu > 0, got {nu}")
+    check_range(nu=nu)
     h = eta.values
-    if h.min() <= 0.0:
+    if not h.min() > 0.0:
         raise ParameterError(f"profile must be strictly positive, min is {h.min():.3e}")
     inv2 = h**-2
     inv3 = h**-3

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, GridMismatchError, ParameterError
+from .errors import DegenerateFitError, GridMismatchError, ParameterError, check_range
 from .fsi import (
     EnergyLedger,
     FsiParams,
@@ -126,9 +126,10 @@ def fit_rate(reports: Sequence[ErrorReport], which: str) -> RateFit:
         raise ParameterError(f"ladder mixes rigidity exponents: {sorted(kappas)}")
     pairs = tuple((r.eps, getattr(r, _NORM_FIELDS[which])) for r in reports)
     errs = np.array([e for _, e in pairs])
-    if np.any(errs <= 0.0) or np.any(errs < 1e-300):
+    if not np.all(np.isfinite(errs) & (errs >= 1e-300)):
         raise DegenerateFitError(
-            f"{which} errors contain machine-exact zeros; no rate can be fitted"
+            f"{which} errors contain machine-exact zeros or non-finite values; "
+            "no rate can be fitted"
         )
     x = np.log(np.array([e for e, _ in pairs]))
     y = np.log(errs)
@@ -310,8 +311,7 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    check_range(1, closed=True, jobs=jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
             futures = [pool.submit(_ladder_point, config, eps) for eps in config.eps_list]

@@ -1,12 +1,15 @@
 import json
 import os
 import re
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lubelastic import cli, scaling, thinfilm, verify
-from lubelastic.errors import AssemblyError, DegenerateFitError, UsageError
+from lubelastic.errors import AssemblyError, DegenerateFitError, ParameterError, UsageError
 from lubelastic.spectral import PeriodicGrid
 
 from oracles import hand_built_rate_config, reports_csv, trajectory_csv
@@ -25,6 +28,12 @@ class TestPresets:
         assert "pm-paper" in catalog
         assert "theorem-e0-kappa2" in catalog
         assert catalog["stf-bending"]["mode"] == "thinfilm"
+
+    def test_presets_list_command(self, capsys):
+        assert cli.main(["presets", "list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cli.PRESETS)
+        assert any(line.startswith("theorem-e0-kappa2 ") and "[rates]" in line for line in lines)
 
     def test_stf_bending_maps_to_sixth_order(self):
         doc = cli.preset_config("stf-bending")
@@ -61,6 +70,20 @@ class TestConfigValidation:
         doc = {"version": 1, "mode": "fsi", "preset": "reynolds-slider"}
         with pytest.raises(UsageError):
             cli.parse_config(doc)[0]
+
+    def test_preset_reference_takes_overrides(self):
+        merged, cfg = cli.parse_config({"version": 1, "preset": "fsi-single-mode",
+                                        "dt": 2e-3})
+        assert merged["mode"] == "fsi"
+        assert (cfg.dt, cfg.t_end, cfg.model.kappa) == (2e-3, 0.1, 2)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(UsageError, match="mode must be one of"):
+            cli.parse_config({"version": 1, "mode": "bogus"})
+
+    def test_kind_checked_when_a_spec_is_decoded_alone(self):
+        with pytest.raises(UsageError, match="kind must be one of"):
+            cli.decode(cli.WaveProfile, {"kind": "bogus", "amplitude": 1.0})
 
     def test_empty_eps_list_is_usage_error(self, tmp_path):
         doc = cli.preset_config("theorem-e0-kappa2")
@@ -229,7 +252,9 @@ class TestDecode:
         ok = cli.decode(cli.ReynoldsRun, {"n": 64, "v_D": 2, "nu": 0.5, "eta0": flat})
         assert ok.v_D == 2.0 and isinstance(ok.v_D, float)
         assert ok.eta0 == cli.ConstantProfile("constant", 1.0)
-        for bad in (True, "1", 1e400, float("-inf")):
+        edge = cli.decode(cli.ReynoldsRun, {"n": 64, "v_D": -sys.float_info.max, "eta0": flat})
+        assert edge.v_D == -sys.float_info.max  # the largest finite number is finite
+        for bad in (True, "1", 1e400, float("-inf"), float("nan")):
             with pytest.raises(UsageError, match="v_D must be a finite number"):
                 cli.decode(cli.ReynoldsRun, {"n": 64, "v_D": bad, "eta0": flat})
         with pytest.raises(UsageError, match="n must be an integer"):
@@ -246,6 +271,22 @@ class TestDecode:
         for kappa in (2.5, "1/0", True):
             with pytest.raises(UsageError, match="kappa"):
                 cli.decode(scaling.ModelParams, {"kappa": kappa, "eps": 0.125})
+
+
+class TestWaveProfile:
+    def test_samples_follow_their_formula(self):
+        grid = PeriodicGrid(dim=1, n=16)
+        arg = 2.0 * np.pi * 3 * grid.meshes[0]
+        one_plus_sin = cli.WaveProfile("one-plus-sin", 0.3, 3).sample(grid).values
+        assert np.array_equal(one_plus_sin, 1.0 + 0.3 * np.sin(arg))
+        cosine = cli.WaveProfile("cosine", 0.3, 3).sample(grid).values
+        assert np.array_equal(cosine, 0.3 * np.cos(arg))
+
+    def test_wavenumber_below_half_the_grid(self):
+        grid = PeriodicGrid(dim=1, n=16)
+        cli.WaveProfile("cosine", 1.0, 7).sample(grid)
+        with pytest.raises(ParameterError, match="not resolved"):
+            cli.WaveProfile("cosine", 1.0, -8).sample(grid)
 
 
 class TestBreakdownPath:
@@ -383,6 +424,16 @@ class TestThinfilmCommand:
         assert header[0] == "t"
         assert len(header) == 33
 
+    def test_touching_initial_height_exits_2(self, tmp_path):
+        # a zero of the height is rejected up front, not left to the
+        # positivity check of the run (exit 3)
+        doc = self._tiny_config(steps=2)
+        doc["eta0"] = {"kind": "one-plus-sin", "amplitude": 1.0}
+        out = tmp_path / "out"
+        assert cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc),
+                         "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_nonlinear_preset_documents_scaling_targets(self, tmp_path):
         doc = cli.preset_config("nonlinear-3.3")
         doc.update({"n": 32, "steps": 20, "snapshot_stride": 10})
@@ -459,6 +510,14 @@ class TestFsiCommand:
         assert 0.0 < summary["min_slack_rel"] <= 1.0
         assert summary["min_slack_step"] in range(1, 11)  # t_end / dt steps
         assert summary["steps"] == 10
+        # the terminal entries are the ledger's last row
+        rows = (out / "energy_ledger.csv").read_text().splitlines()
+        last = dict(zip(rows[0].split(","), map(float, rows[-1].split(","))))
+        energy = last["fluid_kinetic"] + last["plate_kinetic"] + last["bending"]
+        assert summary["terminal_energy"] == energy
+        assert summary["terminal_lhs"] == (energy + last["viscous_dissipation"]
+                                           + last["viscoelastic_dissipation"])
+        assert summary["terminal_work"] == last["work"]
 
 
     def test_unresolved_wavevector_exits_2(self, tmp_path, capsys):
@@ -494,6 +553,10 @@ class TestRatesCommand:
         assert rates["energy_audit_ok"] is True
         for entry in rates["rates"].values():
             assert "slope" in entry and "r2" in entry and "pass" in entry
+        # the displacement target kappa + 1/2, less a 0.3 margin
+        assert rates["rates"]["displacement"]["threshold"] == 2.0 + 0.5 - 0.3
+        ratios = [r.energy_ratio for r in studies[0].reports]
+        assert rates["energy_ratio_spread"] == max(ratios) / min(ratios)
         # per ladder point, the ledger health that `fsi run` reports
         points = rates["points"]
         assert [p["eps"] for p in points] == [0.125, 0.0625, 0.03125]
@@ -506,6 +569,35 @@ class TestRatesCommand:
             assert slack_rel[point["min_slack_step"] - 1] == point["min_slack_rel"]
         reports_csv(studies[0].reports, tmp_path / "oracle.csv")
         assert (out / "reports.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("velocity, audit_ok, passes", [
+        ((9.0, 0.5), True, [False, True, True]),  # steep enough, but r^2 too low
+        ((2.0, 1.0), True, [False, True, True]),  # on the line, but too shallow
+        ((9.0, 1.0), False, [True, True, True]),  # every rate passes, one audit fails
+        ((2.7, 0.98), True, [True, True, True]),  # both thresholds are inclusive
+    ])
+    def test_pass_needs_slope_r2_and_audit(self, velocity, audit_ok, passes, tmp_path,
+                                           monkeypatch):
+        study = verify.run_rate_study
+
+        def doctored(*args, **kwargs):
+            result = study(*args, **kwargs)
+            slope, r2 = velocity
+            fits = {"velocity": replace(result.fits["velocity"], slope=slope, r2=r2),
+                    "pressure": replace(result.fits["pressure"], slope=9.0, r2=1.0),
+                    "displacement": replace(result.fits["displacement"], slope=9.0, r2=1.0)}
+            audits = (replace(result.audits[0], ok=audit_ok),) + result.audits[1:]
+            return replace(result, fits=fits, audits=audits)
+
+        monkeypatch.setattr(verify, "run_rate_study", doctored)
+        doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
+                          dt=1e-3, t_end=0.05, snapshot_stride=10)
+        cli.run(doc, output_dir=str(tmp_path / "out"))
+        rates = json.loads((tmp_path / "out" / "rates.json").read_text())
+        assert [rates["rates"][w]["pass"] for w in ("velocity", "pressure",
+                                                    "displacement")] == passes
+        assert rates["energy_audit_ok"] is audit_ok
+        assert rates["pass"] is (all(passes) and audit_ok)
 
     def test_two_point_ladder_rejected_before_any_work(self, tmp_path, monkeypatch):
         calls = []
@@ -578,6 +670,13 @@ class TestArtifacts:
         modes = {f.name: f.stat().st_mode & 0o777 for f in (tmp_path / "out").iterdir()}
         assert len(modes) > 10
         assert set(modes.values()) == {mode}, modes
+
+    @pytest.mark.parametrize("label, names", [("fsi-1d", {"v1", "v3"}),
+                                              ("fsi-2d", {"v1", "v2", "v3"})])
+    def test_velocity_series_named_by_axis(self, label, names, tmp_path):
+        # the vertical component is v3 in 1D as in 2D
+        manifest = cli.run(ARTIFACT_DOCUMENTS[label], output_dir=str(tmp_path / "out"))
+        assert {f.split("_")[0] for f in manifest["files"] if f.startswith("v")} == names
 
     def test_trajectory_csv_matches_row_writer(self, tmp_path):
         # integrate the document's film keeping the initial state and every

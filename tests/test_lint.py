@@ -27,3 +27,55 @@ def test_cli_builds_no_library_parameter_class():
             if name in mirrored:
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"cli.py calls {found}"
+
+
+def _nan_passing_guards(tree) -> list[int]:
+    """Lines of `if x <= 0: raise ...`-style guards: an if whose body raises
+    and whose test, alone or as a term of an `or`, compares a name or a
+    self.<attr> with a number literal by <, <=, > or >=.  NaN fails every
+    such comparison, so it passes the guard; errors.check_range does not."""
+    def operand(node):
+        return isinstance(node, ast.Name) or (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+    def number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def bare(node):
+        if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))):
+            return False
+        a, b = node.left, node.comparators[0]
+        return (operand(a) and number(b)) or (number(a) and operand(b))
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+            test = node.test
+            terms = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) \
+                else [test]
+            lines += [node.lineno for t in terms if bare(t)]
+    return lines
+
+
+def test_guards_reject_nan():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _nan_passing_guards(tree)]
+    assert not found, f"NaN passes the guards at {found}; use errors.check_range"
+
+
+def test_nan_guard_lint_sees_each_form():
+    src = ("if x <= 0: raise E\n"
+           "if self.n < 8 or n & (n - 1): raise E\n"
+           "if a < 0 or self.b < 0.5: raise E\n"
+           "if 1 > x: raise E\n"
+           "if not x > 0: raise E\n"
+           "if len(x) < 3: raise E\n"
+           "if x.min() <= 0.0: raise E\n"
+           "if x <= 0: y = 1\n")
+    assert _nan_passing_guards(ast.parse(src)) == [1, 2, 3, 3, 4]

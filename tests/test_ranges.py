@@ -1,0 +1,116 @@
+"""Every scalar parameter is checked by `errors.check_range`: NaN and +-inf
+are out of range for all of them, and each range keeps its sign rule at 0."""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import lubelastic as lb
+from lubelastic import cli, scaling, spectral, thinfilm as tf, verify
+from lubelastic.errors import ParameterError, check_range
+
+GRID = lb.PeriodicGrid(dim=1, n=16)
+VNODES = lb.VerticalNodes(8)
+FILM = tf.FilmState(lb.PeriodicField(GRID, 1.0 + 0.3 * np.sin(2 * np.pi * GRID.meshes[0])))
+ZERO = lb.PeriodicField.zeros(GRID)
+
+
+def _model(**kw):
+    return scaling.ModelParams(**{"kappa": 2, "eps": 0.125, **kw})
+
+
+def _fsi_params(dt=1e-3):
+    forcing = lb.harmonic_ramp_forcing(GRID, VNODES)
+    return lb.FsiParams(model=_model(), grid=GRID, vnodes=VNODES, dt=dt, forcing=forcing)
+
+
+def _ladder(jobs):
+    config = verify.RateStudyConfig(kappa=Fraction(2), eps_list=(0.25, 0.125, 0.0625),
+                                    dim=1, n=8, m=8, dt=0.1, t_end=0.1, snapshot_stride=1)
+    return verify.run_rate_study(config, jobs=jobs)
+
+
+def _film_run(**kw):
+    return cli.ThinFilmRun(**{"model": tf.ThinFilmModel(alpha=5), "n": 16, "dt": 1e-6,
+                              "steps": 10, "eta0": cli.WaveProfile("one-plus-sin", 0.3),
+                              **kw})
+
+
+# one call per scalar parameter, taking the value under test
+SITES = {
+    **{f"ModelParams.{k}": (lambda k: lambda x: _model(**{k: x}))(k)
+       for k in ("kappa", "eps", "rho_f", "nu", "rho_s", "B", "theta")},
+    **{f"NonlinearScalingPreset.{k}": (lambda k: lambda x: scaling.NonlinearScalingPreset(
+        **{"eps": 0.1, "B_hat": 1.0, "D_hat": 1.0, "rho_s_hat": 1.0, k: x}))(k)
+       for k in ("eps", "B_hat", "D_hat", "rho_s_hat")},
+    "LameParams.mu": lambda x: scaling.LameParams(mu=x),
+    "LameParams.lam": lambda x: scaling.LameParams(mu=1.0, lam=x),
+    "reduced_coefficient_e0.B": lambda x: scaling.reduced_coefficient_e0(x, 1.0),
+    "reduced_coefficient_e0.nu": lambda x: scaling.reduced_coefficient_e0(1.0, x),
+    "reduced_coefficient_eh.nu": lambda x: scaling.reduced_coefficient_eh(
+        scaling.LameParams(mu=1.0), x),
+    "eps_power.eps": lambda x: scaling.eps_power(x, 2),
+    "eps_power.exponent": lambda x: scaling.eps_power(0.5, x),
+    **{f"ThinFilmModel.{k}": (lambda k: lambda x: tf.ThinFilmModel(alpha=5, **{k: x}))(k)
+       for k in ("c", "mobility_scale", "v_D", "drift_prefactor")},
+    "PowerPotential.strength": lambda x: tf.PowerPotential("power", x, 1.0),
+    "PowerPotential.exponent": lambda x: tf.PowerPotential("power", 1.0, x),
+    "evolve.dt": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, x, 3),
+    "evolve.steps": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, x),
+    "evolve.snapshot_stride": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, 3,
+                                                  snapshot_stride=x),
+    "solve_linear_sixth.c": lambda x: tf.solve_linear_sixth(x, None, ZERO, 0.1, 1e-2),
+    "solve_linear_sixth.snapshot_stride": lambda x: tf.solve_linear_sixth(
+        1.0, None, ZERO, 0.1, 1e-2, snapshot_stride=x),
+    "solve_reynolds_stationary.nu": lambda x: tf.solve_reynolds_stationary(FILM.eta, 1.0,
+                                                                           nu=x),
+    "FsiParams.dt": _fsi_params,
+    "FsiSolver.run.snapshot_stride": lambda x: lb.FsiSolver(_fsi_params()).run(
+        1e-3, snapshot_stride=x),
+    "harmonic_ramp_forcing.ramp_time": lambda x: lb.harmonic_ramp_forcing(
+        GRID, VNODES, ramp_time=x),
+    "harmonic_ramp_forcing.component": lambda x: lb.harmonic_ramp_forcing(
+        GRID, VNODES, component=x),
+    "derivative_symbol.axis": lambda x: spectral.derivative_symbol(GRID, 1, axis=x),
+    "VerticalNodes.m": lambda x: lb.VerticalNodes(x),
+    "run_rate_study.jobs": _ladder,
+    "ThinFilmRun.steps": lambda x: _film_run(steps=x),
+    "ThinFilmRun.snapshot_stride": lambda x: _film_run(snapshot_stride=x),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_non_finite_value_rejected(site, value):
+    with pytest.raises(ParameterError):
+        SITES[site](value)
+
+
+@pytest.mark.parametrize("site", ["ModelParams.nu", "ModelParams.B", "LameParams.mu",
+                                  "evolve.dt", "FsiParams.dt", "solve_linear_sixth.c"])
+def test_zero_rejected(site):
+    with pytest.raises(ParameterError, match="must lie in \\(0, inf\\), got 0"):
+        SITES[site](0.0)
+
+
+@pytest.mark.parametrize("site", ["ModelParams.rho_f", "ModelParams.rho_s",
+                                  "ModelParams.theta", "LameParams.lam", "ThinFilmModel.c"])
+def test_zero_accepted(site):
+    SITES[site](0.0)
+    with pytest.raises(ParameterError, match="must lie in \\[0, inf\\)"):
+        SITES[site](-1e-300)
+
+
+@pytest.mark.parametrize("kappa", ["1/0", "two", None])
+def test_kappa_that_is_no_fraction_rejected(kappa):
+    with pytest.raises(ParameterError, match="kappa must be a finite rational number"):
+        _model(kappa=kappa)
+
+
+def test_check_range_names_the_first_failure():
+    check_range(0.0, 1.0, a=0.5, b=0.25)
+    check_range(1, closed=True, steps=1)
+    with pytest.raises(ParameterError, match=r"^b must lie in \(0, 1\), got 1.0$"):
+        check_range(0.0, 1.0, a=0.5, b=1.0, c=np.nan)
+    with pytest.raises(ParameterError, match=r"^a must lie in \[0, 1\), got -0.5$"):
+        check_range(0.0, 1.0, closed=True, a=-0.5)

@@ -63,6 +63,11 @@ class TestCoefficients:
         assert scaling.reduced_coefficient_eh(scaling.LameParams(1.0, 1.0), 1.0) == 4.0 / 27.0
         assert scaling.reduced_coefficient_eh(scaling.LameParams(1.0, 0.0), 1.0) == 1.0 / 9.0
 
+    def test_layer_coefficient_off_unit_shear_modulus(self):
+        # 2 mu (mu + lam) / (9 nu (2 mu + lam)) at mu = 2, lam = 3, nu = 1/2
+        val = scaling.reduced_coefficient_eh(scaling.LameParams(2.0, 3.0), 0.5)
+        assert val == pytest.approx(20.0 / 31.5, rel=1e-15)
+
     def test_layer_coefficient_incompressible_limit(self):
         # symbolic limit lam -> inf is 2 mu / (9 nu)
         val = scaling.reduced_coefficient_eh(scaling.LameParams(1.0, 1e6), 1.0)
@@ -115,6 +120,10 @@ class TestModelParams:
     def test_eps_power_exact_for_powers_of_two(self):
         assert scaling.eps_power(2.0**-4, Fraction(-3)) == 2.0**12
         assert scaling.eps_power(0.125, Fraction(1, 2)) == 2.0 ** (-1.5)
+
+    def test_eps_power_off_powers_of_two(self):
+        assert scaling.eps_power(0.3, 2) == 0.3**2.0
+        assert scaling.eps_power(0.3, Fraction(-1, 2)) == 0.3**-0.5
 
 
 class TestNonlinearScalingPreset:

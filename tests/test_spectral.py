@@ -98,6 +98,12 @@ class TestGrid:
 
 
 class TestDerivatives:
+    def test_axis_must_be_a_grid_axis(self, grid1, grid2):
+        assert spectral.derivative_symbol(grid2, 1, axis=1).shape == grid2.xi[1].shape
+        for grid in (grid1, grid2):
+            with pytest.raises(ParameterError, match="axis"):
+                spectral.derivative_symbol(grid, 1, axis=grid.dim)
+
     def test_first_derivative_of_sine(self, grid1):
         f = PeriodicField(grid1, np.sin(2 * np.pi * grid1.meshes[0]))
         d = spectral_derivative(f, 1)
@@ -164,6 +170,23 @@ class TestFieldBasics:
         with pytest.raises(GridMismatchError):
             PeriodicField(grid1, np.zeros(16))
 
+    def test_arithmetic(self, grid1):
+        rng = np.random.default_rng(5)
+        a, b = (PeriodicField(grid1, rng.standard_normal(grid1.shape)) for _ in range(2))
+        assert np.array_equal((a + b).values, a.values + b.values)
+        assert np.array_equal((a - b).values, a.values - b.values)
+        assert np.array_equal((2.5 * a).values, 2.5 * a.values)
+
+    def test_arithmetic_needs_a_field_of_the_same_shape(self, grid1):
+        f = PeriodicField(grid1, np.cos(2 * np.pi * grid1.meshes[0]))
+        twin = PeriodicField.zeros(PeriodicGrid(dim=1, n=grid1.n))  # equal shape, other grid
+        assert np.array_equal((f + twin).values, f.values)
+        for other in (PeriodicField.zeros(PeriodicGrid(dim=1, n=2 * grid1.n)), 1.0):
+            with pytest.raises(GridMismatchError):
+                f + other
+            with pytest.raises(GridMismatchError):
+                f - other
+
     def test_csv_round_trip(self, grid1, tmp_path):
         f = PeriodicField(grid1, np.cos(2 * np.pi * grid1.meshes[0]))
         path = tmp_path / "field.csv"
@@ -201,6 +224,19 @@ class TestOneDimensionalTransforms:
             assert np.array_equal(row, padded_values(grid, hat))
 
 
+class TestStepCount:
+    @pytest.mark.parametrize("rel, ok", [(5e-10, True), (-5e-10, True),
+                                         (2e-9, False), (-2e-9, False)])
+    def test_whole_step_tolerance_is_relative(self, rel, ok):
+        # within 1e-9 of the larger of t_end and dt, at any scale
+        for t_end, dt in ((1e3, 1.0), (1e-3, 1e-6)):
+            if ok:
+                assert spectral._step_count(t_end * (1 + rel), dt) == round(t_end / dt)
+            else:
+                with pytest.raises(ParameterError, match="integer multiple"):
+                    spectral._step_count(t_end * (1 + rel), dt)
+
+
 class TestDealiasing:
     def test_quadratic_product_exact(self, grid1):
         # two fields band-limited to n/3 multiply alias-free on the 3/2 grid
@@ -211,13 +247,11 @@ class TestDealiasing:
         via = dealiased_product(a, b)
         assert np.max(np.abs(via.values - exact.values)) < 1e-12
 
-    def test_two_dimensional_product(self, grid2):
-        rng = np.random.default_rng(19)
-        a = band_limited(grid2, rng, kmax=3)
-        b = band_limited(grid2, rng, kmax=3)
-        exact = PeriodicField(grid2, a.values * b.values)
-        via = dealiased_product(a, b)
-        assert np.max(np.abs(via.values - exact.values)) < 1e-12
+    def test_two_dimensional_grid_rejected(self, grid2):
+        # the 3/2 rule serves the 1D film and pressure models only
+        a = band_limited(grid2, np.random.default_rng(19), kmax=3)
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            dealiased_product(a, a)
 
 
 class TestVerticalNodes:
@@ -319,6 +353,15 @@ class TestCsvOracle:
 
 
 class TestChannelField:
+    def test_arithmetic(self, grid1):
+        vn = VerticalNodes(8)
+        rng = np.random.default_rng(11)
+        a, b = (ChannelField(grid1, vn, rng.standard_normal(grid1.shape + (vn.m,)))
+                for _ in range(2))
+        assert np.array_equal((a + b).values, a.values + b.values)
+        assert np.array_equal((a - b).values, a.values - b.values)
+        assert np.array_equal((2.5 * a).values, 2.5 * a.values)
+
     def test_traces_and_norm(self, grid1):
         vn = VerticalNodes(12)
         vals = np.ones(grid1.shape + (vn.m,)) * (vn.nodes + 1.0)

@@ -54,7 +54,7 @@ class TestModelValidation:
 
 
     def test_leading_coefficient_may_vanish(self, grid):
-        with pytest.raises(ParameterError, match="nonnegative"):
+        with pytest.raises(ParameterError, match=r"c must lie in \[0, inf\)"):
             tf.ThinFilmModel(alpha=5, c=-1e-12, linearized=True)
         # with c = 0 and no drift the linearized right-hand side vanishes
         model = tf.ThinFilmModel(alpha=5, c=0.0, linearized=True)
@@ -431,7 +431,7 @@ class TestSolveLinearSixth:
 
     def test_rejects_zero_coefficient(self):
         grid = PeriodicGrid(dim=1, n=8)
-        with pytest.raises(ParameterError, match="c > 0"):
+        with pytest.raises(ParameterError, match=r"c must lie in \(0, inf\)"):
             tf.solve_linear_sixth(0.0, None, PeriodicField.zeros(grid), 0.1, 1e-3)
 
     def test_small_argument_branches_match_taylor(self):
@@ -448,6 +448,7 @@ class TestSolveLinearSixth:
     @pytest.mark.parametrize("t_end, dt", [
         (0.1, 0.0), (0.1, -0.0), (0.1, np.nan), (np.nan, 1e-3), (np.inf, 1e-3),
         (1e300, 1e-300),  # finite, but the step count is not
+        (0.0, 1e-3), (0.1, np.inf),
     ])
     def test_bad_horizon_or_step_rejected(self, t_end, dt):
         grid = PeriodicGrid(dim=1, n=8)
@@ -490,7 +491,7 @@ class TestStationaryPressure:
             tf.solve_reynolds_stationary(eta, 1.0)
 
     def test_rejects_zero_viscosity_and_a_touching_profile(self, grid):
-        with pytest.raises(ParameterError, match="nu > 0"):
+        with pytest.raises(ParameterError, match=r"nu must lie in \(0, inf\)"):
             tf.solve_reynolds_stationary(one_plus_sin(grid), 1.0, nu=0.0)
         touching = PeriodicField(grid, 1.0 - np.cos(2 * np.pi * grid.meshes[0]))  # 0 at x = 0
         with pytest.raises(ParameterError, match="strictly positive"):

@@ -140,6 +140,13 @@ class TestRateFit:
         with pytest.raises(DegenerateFitError):
             verify.fit_rate(reports_from_errors(self.EPS, [0.0] * 4), "velocity")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_error_rejected(self, bad):
+        # a NaN slope would reach rates.json as NaN, which is not JSON
+        with pytest.raises(DegenerateFitError, match="non-finite"):
+            verify.fit_rate(reports_from_errors(self.EPS, [1e-3, bad, 1e-5, 1e-6]),
+                            "velocity")
+
     def test_requires_three_points(self):
         with pytest.raises(ParameterError):
             verify.fit_rate(reports_from_errors(self.EPS[:2], [1e-3, 1e-4]), "velocity")
