@@ -37,16 +37,18 @@ plate row.
 
 A run advances in blocks of steps whose stacked states take about 64 KiB
 (25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
-Per block the forcing is sampled at every step time and its loaded
-components are transformed together; the steps then run one after another
-in the order of a single step, and the block's ledger columns and snapshot
-pressures come from the stored states and forcing coefficients.  The
-ledger's mass product of a block's last state is the next step's M c, so
-a one-step block makes one mass product, one viscosity product and one
-solve.  The ledger holds one float array per entry, rows of one
-(8, steps) buffer that the run fills in place: each block writes the
-integrals as per-step increments, and one cumulative sum in step order
-after the last block turns them into running integrals.
+Solvers that share the grid, dt and forcing, such as a thickness ladder's
+points, step together, their matrices stacked along a leading axis.  Per
+block the forcing is sampled at every step time and its loaded components
+are transformed together, once for all solvers; the steps then run one
+after another in the order of a single step, and each solver's ledger
+columns and snapshot pressures come from its stored states and forcing
+coefficients.  The ledger's mass product of a block's last state is the
+next step's M c, so a one-step block makes one mass product, one
+viscosity product and one solve.  The ledger holds one float array per
+entry, rows of one (8, steps) buffer that the run fills in place: each
+block writes the integrals as per-step increments, and one cumulative sum
+in step order after the last block turns them into running integrals.
 """
 from __future__ import annotations
 
@@ -322,11 +324,6 @@ class _Assembled:
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every row's system for a stacked complex right-hand side
-        (P*K, mi)."""
-        return _apply(self.inv, rhs)
-
 
 def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real stacked matrices (..., K, r, s) times complex vectors (..., K, s):
@@ -345,10 +342,10 @@ class FsiSolver:
 
     frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
     e_p . v', and xi_L = e0 . xi.  The per-row step operator is assembled
-    and factored once per solver, on first use.  `run` is the one way to
-    step: it advances in blocks of steps, so the forcing is sampled and
-    transformed once per block and the ledger's columns are written a block
-    at a time.
+    and factored once per solver, on first use.  `run_batch` is the one way
+    to step, and `run` calls it with this solver alone: it advances in
+    blocks of steps, so the forcing is sampled and transformed once per
+    block and the ledger's columns are written a block at a time.
     """
 
     def __init__(self, params: FsiParams):
@@ -546,86 +543,101 @@ class FsiSolver:
     # -- full run ---------------------------------------------------------
 
     def run(self, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
-        """Step from the zero state to t_end, keeping every
-        snapshot_stride-th state and the last one, and the energy ledger.
-
-        Each step solves, row by row,
-
-            A c_new = (coef["fluid_mass"] / dt) M c + eps Fq + plate_rhs g,
-
-        where plate_rhs carries the plate's velocity and bending terms and
-        enters the along-xi rows only, then sets eta_t from g . c_new and eta
-        by one Euler step.  Steps run in blocks (see the module docstring):
-        the forcing of a whole block is sampled and transformed together,
-        and a forcing that is not finite at some step time raises
-        ParameterError naming that time.  The ledger's entries are the rows
-        of one buffer that the blocks fill in place.
-        """
-        p = self.params
-        dt = p.dt
-        nsteps = _step_count(t_end, dt)
-        check_range(1, closed=True, snapshot_stride=snapshot_stride)
-        asm = self.assembled()
-        K, coef = self.K, self.coef
-        rows = (self.P * K, self.mi)
-        block = _steps_per_block(16 * rows[0] * rows[1])
-        # rows 0 and 1 hold the two states before a block, row j + 1 its
-        # j-th state
-        c = np.zeros((block + 2,) + rows, dtype=complex)
-        eta = np.zeros((block + 2, K), dtype=complex)
-        eta_t = np.zeros((block + 2, K), dtype=complex)
-        # M c of the state before each step; the block's first comes from the
-        # previous block's ledger product
-        mass_old = np.zeros((block,) + rows, dtype=complex)
-        # one column per step, in EnergyLedger field order
-        ledger = np.empty((8, nsteps))
-        states = [self.materialize(c[1], eta[1], eta_t[1], 0.0)]
-        times = [0.0]
-        mass, g = asm.mass, asm.g
-        fluid = coef["fluid_mass"] / dt
-        plate_test = 1j * coef["plate_test"]
-        plate_kin = coef["plate_kin"]
-        bend = coef["bend"] * asm.xi4
-        trace = -1j * coef["trace"]
-        for n0 in range(0, nsteps, block):
-            nb = min(block, nsteps - n0)
-            t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
-            fhat = {i: h.reshape(nb, K, -1)
-                    for i, h in sample_forcing(p.forcing, p.grid, t).items()}
-            Fq = self._quadrature(fhat, nb)
-            load = p.model.eps * Fq
-            for j in range(1, nb + 1):
-                if j > 1:
-                    mass_old[j - 1] = _apply(mass, c[j])
-                plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
-                rhs = fluid * mass_old[j - 1] + load[j - 1]
-                rhs[:K] += plate_rhs[:, None] * g
-                c[j + 1] = asm.solve(rhs)
-                eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
-                eta[j + 1] = eta[j] + dt * eta_t[j + 1]
-            span = slice(1, nb + 2)
-            mass_old[0] = self._record(ledger[:, n0:n0 + nb], t, c[span], eta[span],
-                                       eta_t[span], Fq, mass_old[:nb])
-            for j in range(nb):
-                n = n0 + j + 1
-                if n % snapshot_stride == 0 or n == nsteps:
-                    phat = self.pressure_hat(c[j + 1], c[j + 2],
-                                             {i: h[j] for i, h in fhat.items()}, dt,
-                                             None if n == 1 else c[j])
-                    states.append(self.materialize(c[j + 2], eta[j + 2], eta_t[j + 2],
-                                                   t[j], phat))
-                    times.append(t[j])
-            for buf in (c, eta, eta_t):
-                buf[:2] = buf[nb:nb + 2]
-        # the integrals' increments summed in step order, in place
-        np.cumsum(ledger[4:], axis=1, out=ledger[4:])
-        return FsiTrajectory(params=p, times=np.array(times),
-                             states=tuple(states), ledger=EnergyLedger(*ledger))
+        """`run_batch` with this solver alone."""
+        return run_batch([self], t_end, snapshot_stride)[0]
 
 
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
+
+def _stacked(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The arrays along a new axis; a single one as a view."""
+    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
+
+
+def run_batch(solvers: Sequence[FsiSolver], t_end: float,
+              snapshot_stride: int = 1) -> list[FsiTrajectory]:
+    """Step every solver from the zero state to t_end in one loop, keeping
+    every snapshot_stride-th state and the last one, and the energy ledger;
+    each trajectory is bitwise the one the solver makes alone.  The solvers
+    must share the grid, dt and forcing objects (ParameterError otherwise).
+    Each step solves, row by row,
+
+        A c_new = (coef["fluid_mass"] / dt) M c + eps Fq + plate_rhs g,
+
+    where plate_rhs carries the plate's velocity and bending terms and
+    enters the along-xi rows only, then sets eta_t from g . c_new and eta
+    by one Euler step.  A forcing that is not finite at some step time
+    raises ParameterError naming that time.
+    """
+    first = solvers[0].params
+    shared = lambda p: (p.grid, p.dt, p.forcing)  # the forcing's shape fixes m
+    if any(shared(s.params) != shared(first) for s in solvers):
+        raise ParameterError("solvers stepped together must share the grid, dt and forcing")
+    dt = first.dt
+    nsteps = _step_count(t_end, dt)
+    check_range(1, closed=True, snapshot_stride=snapshot_stride)
+    asms = [s.assembled() for s in solvers]
+    S, K, P, mi = len(solvers), solvers[0].K, solvers[0].P, solvers[0].mi
+    block = _steps_per_block(16 * P * K * mi)
+    # rows 0 and 1 hold the solvers' two states before a block, row j + 1
+    # their j-th states
+    c = np.zeros((block + 2, S, P * K, mi), dtype=complex)
+    eta = np.zeros((block + 2, S, K), dtype=complex)
+    eta_t = np.zeros((block + 2, S, K), dtype=complex)
+    # M c of the state before each step; the block's first comes from the
+    # previous block's ledger product
+    mass_old = np.zeros((block, S, P * K, mi), dtype=complex)
+    # one column per step, in EnergyLedger field order
+    ledgers = np.empty((S, 8, nsteps))
+    states = [[s.materialize(c[1, i], eta[1, i], eta_t[1, i], 0.0)]
+              for i, s in enumerate(solvers)]
+    times = [0.0]
+    mass, inv, g = (_stacked([getattr(a, name) for a in asms]) for name in ("mass", "inv", "g"))
+    column = lambda name: np.array([s.coef[name] for s in solvers])[:, None]
+    fluid = column("fluid_mass")[:, None] / dt
+    plate_test = 1j * column("plate_test")
+    plate_kin = column("plate_kin")
+    bend = _stacked([s.coef["bend"] * a.xi4 for s, a in zip(solvers, asms)])
+    trace = -1j * column("trace")
+    for n0 in range(0, nsteps, block):
+        nb = min(block, nsteps - n0)
+        t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
+        fhat = {i: h.reshape(nb, K, -1)
+                for i, h in sample_forcing(first.forcing, first.grid, t).items()}
+        Fq = [s._quadrature(fhat, nb) for s in solvers]
+        load = _stacked([s.params.model.eps * f for s, f in zip(solvers, Fq)], axis=1)
+        for j in range(1, nb + 1):
+            if j > 1:
+                mass_old[j - 1] = _apply(mass, c[j])
+            plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
+            rhs = fluid * mass_old[j - 1] + load[j - 1]
+            rhs[:, :K] += plate_rhs[..., None] * g
+            c[j + 1] = _apply(inv, rhs)
+            eta_t[j + 1] = trace * (g * c[j + 1, :, :K]).sum(axis=-1)
+            eta[j + 1] = eta[j] + dt * eta_t[j + 1]
+        span = slice(1, nb + 2)
+        snaps = [j for j in range(nb)
+                 if (n0 + j + 1) % snapshot_stride == 0 or n0 + j + 1 == nsteps]
+        times += [t[j] for j in snaps]
+        for i, s in enumerate(solvers):
+            mass_old[0, i] = s._record(ledgers[i, :, n0:n0 + nb], t, c[span, i], eta[span, i],
+                                       eta_t[span, i], Fq[i], mass_old[:nb, i])
+            for j in snaps:
+                phat = s.pressure_hat(c[j + 1, i], c[j + 2, i],
+                                      {a: h[j] for a, h in fhat.items()}, dt,
+                                      None if n0 + j == 0 else c[j, i])
+                states[i].append(s.materialize(c[j + 2, i], eta[j + 2, i], eta_t[j + 2, i],
+                                               t[j], phat))
+        for buf in (c, eta, eta_t):
+            buf[:2] = buf[nb:nb + 2]
+    # the integrals' increments summed in step order, in place
+    np.cumsum(ledgers[:, 4:], axis=2, out=ledgers[:, 4:])
+    return [FsiTrajectory(params=s.params, times=np.array(times), states=tuple(st),
+                          ledger=EnergyLedger(*led))
+            for s, st, led in zip(solvers, states, ledgers)]
+
 
 def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
     """Run from trivial initial data to t_end; returns trajectory and ledger."""

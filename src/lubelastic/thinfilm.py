@@ -233,6 +233,7 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     """
     check_range(dt=dt)
     check_range(1, closed=True, steps=steps, snapshot_stride=snapshot_stride)
+    check_range(-np.inf, np.inf, floor=floor)
     grid = state.eta.grid
     op = _FilmOperator(model, grid)
     values, hat, t = state.eta.values, state.hat, state.t
@@ -382,6 +383,7 @@ def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -
     if eta.grid.dim != 1:
         raise ParameterError("the stationary pressure problem is one-dimensional")
     check_range(nu=nu)
+    check_range(-np.inf, np.inf, v_D=v_D)
     h = eta.values
     if not h.min() > 0.0:
         raise ParameterError(f"profile must be strictly positive, min is {h.min():.3e}")
@@ -398,6 +400,7 @@ def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -
 
 def reynolds_residual(eta: PeriodicField, p: PeriodicField, v_D: float, nu: float = 1.0) -> float:
     """L2 residual of the stationary strong form for a candidate pressure."""
+    check_range(-np.inf, np.inf, v_D=v_D)
     dp = spectral_derivative(p, 1)
     flux = dealiased_product(eta, eta, eta, dp)
     lhs = -spectral_derivative(flux, 1).values

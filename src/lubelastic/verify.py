@@ -23,11 +23,12 @@ from .errors import DegenerateFitError, GridMismatchError, ParameterError, check
 from .fsi import (
     EnergyLedger,
     FsiParams,
+    FsiSolver,
     FsiTrajectory,
     harmonic_ramp_forcing,
-    run_fsi,
+    run_batch,
 )
-from .reconstruction import ApproxTriple, assemble_approx, solve_reduced
+from .reconstruction import ApproxTriple, ReducedSolution, assemble_approx, solve_reduced
 from .scaling import ModelParams, eps_power
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
                        laplacian_symbol)
@@ -230,6 +231,9 @@ class RateStudyConfig:
     theta: float = 1.0
 
     def __post_init__(self):
+        check_range(dt=self.dt, t_end=self.t_end, ramp_time=self.ramp_time)
+        check_range(-np.inf, np.inf, amplitude=self.amplitude)
+        check_range(1, closed=True, snapshot_stride=self.snapshot_stride)
         if len(self.eps_list) < 1:
             raise ParameterError("eps ladder must not be empty")
         if np.any(np.diff(self.eps_list) >= 0):
@@ -243,6 +247,16 @@ class RateStudyConfig:
                            B=self.B, theta=self.theta, eps=eps, kappa=self.kappa,
                            dim=self.dim)
 
+    def setting(self):
+        """The grid, vertical nodes and forcing that every thickness shares."""
+        grid = PeriodicGrid(dim=self.dim, n=self.n)
+        vnodes = VerticalNodes(self.m)
+        forcing = harmonic_ramp_forcing(
+            grid, vnodes, amplitude=self.amplitude, wavevector=self.wavevector,
+            component=self.component, ramp_time=self.ramp_time,
+        )
+        return grid, vnodes, forcing
+
 
 @dataclass(frozen=True)
 class RateStudyResult:
@@ -251,6 +265,7 @@ class RateStudyResult:
     fits: dict
     audits: tuple[AuditResult, ...]
     ledgers: tuple[EnergyLedger, ...]
+    reduced: ReducedSolution
 
 
 def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[float, float, float]:
@@ -274,53 +289,52 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
     return err_v, err_p, err_eta
 
 
-def _ladder_point(config: RateStudyConfig, eps: float):
-    """Run one thickness: full-order solve, reconstruction, error norms."""
+def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
+                   reduced: ReducedSolution) -> list:
+    """(report, ledger, audit) per thickness: the coupled runs step together,
+    then each point is reconstructed from the shared reduced solution."""
     start = time.perf_counter()
-    grid = PeriodicGrid(dim=config.dim, n=config.n)
-    vnodes = VerticalNodes(config.m)
-    forcing = harmonic_ramp_forcing(
-        grid, vnodes, amplitude=config.amplitude, wavevector=config.wavevector,
-        component=config.component, ramp_time=config.ramp_time,
-    )
-    model = config.model_for(eps)
-    params = FsiParams(model=model, grid=grid, vnodes=vnodes, dt=config.dt,
-                       forcing=forcing)
-    traj = run_fsi(params, config.t_end, snapshot_stride=config.snapshot_stride)
-    reduced = solve_reduced(model, grid, vnodes, forcing, config.t_end,
-                            config.dt, snapshot_stride=config.snapshot_stride)
-    approx = assemble_approx(reduced, model, forcing, vnodes)
-    err_v, err_p, err_eta = compare_trajectories(traj, approx)
-    audit = energy_audit(traj.ledger, params)
-    t_phys = config.t_end * eps_power(eps, model.tau)
-    ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
-    report = ErrorReport(eps=eps, kappa=float(model.kappa), err_velocity=err_v,
-                         err_pressure=err_p, err_displacement=err_eta,
-                         energy_ratio=ratio)
-    logger.info("ladder point eps = %g: %.3f s, errors velocity %.6e, pressure %.6e, "
-                "displacement %.6e", eps, time.perf_counter() - start, err_v, err_p, err_eta)
-    return report, traj.ledger, audit
+    grid, vnodes, forcing = config.setting()
+    params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
+                        forcing=forcing) for eps in eps_list]
+    trajs = run_batch([FsiSolver(p) for p in params], config.t_end, config.snapshot_stride)
+    outcomes = []
+    for eps, p, traj in zip(eps_list, params, trajs):
+        errs = compare_trajectories(traj, assemble_approx(reduced, p.model, forcing, vnodes))
+        t_phys = config.t_end * eps_power(eps, p.model.tau)
+        ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
+        report = ErrorReport(eps, float(p.model.kappa), *errs, energy_ratio=ratio)
+        audit = energy_audit(traj.ledger, p)
+        logger.info("ladder point eps = %g: %.3f s, errors velocity %.6e, pressure %.6e, "
+                    "displacement %.6e", eps, time.perf_counter() - start, *errs)
+        outcomes.append((report, traj.ledger, audit))
+    return outcomes
 
 
 def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     """Run the full ladder and fit the three rates.
 
-    Ladder points are independent; with jobs > 1 they run in separate
-    processes, at most one per point.  Results are ordered by the configured
-    ladder either way.
+    The reduced problem does not depend on eps, so it is solved once.  With
+    jobs = 1 the points' coupled runs step together in one loop
+    (`fsi.run_batch`); with jobs > 1 each point runs in its own process.
+    Results are ordered by the configured ladder either way.
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
     check_range(1, closed=True, jobs=jobs)
+    grid, vnodes, forcing = config.setting()
+    reduced = solve_reduced(config.model_for(config.eps_list[0]), grid, vnodes, forcing,
+                            config.t_end, config.dt, snapshot_stride=config.snapshot_stride)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
-            futures = [pool.submit(_ladder_point, config, eps) for eps in config.eps_list]
-            outcomes = [f.result() for f in futures]
+            futures = [pool.submit(_ladder_points, config, (eps,), reduced)
+                       for eps in config.eps_list]
+            outcomes = [o for f in futures for o in f.result()]
     else:
-        outcomes = [_ladder_point(config, eps) for eps in config.eps_list]
+        outcomes = _ladder_points(config, config.eps_list, reduced)
     reports = tuple(o[0] for o in outcomes)
     ledgers = tuple(o[1] for o in outcomes)
     audits = tuple(o[2] for o in outcomes)
     fits = {which: fit_rate(reports, which) for which in _NORM_FIELDS}
     return RateStudyResult(config=config, reports=reports, fits=fits,
-                           audits=audits, ledgers=ledgers)
+                           audits=audits, ledgers=ledgers, reduced=reduced)

@@ -883,6 +883,74 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
                          ledger=EnergyLedger(*np.array(rows).T)), spectral
 
 
+# The coupled run of one solver as `fsi.FsiSolver.run` took it before the
+# points of a thickness ladder stepped together in `fsi.run_batch`: the same
+# blocks, with one solver's matrices and Python scalar coefficients.  The
+# solve is a parameter, so a test can swap in another factorization.
+
+def single_run(solver, t_end, snapshot_stride=1, solve=None):
+    """The blocked run of one solver; returns its trajectory."""
+    from lubelastic.errors import check_range
+    from lubelastic.fsi import EnergyLedger, FsiTrajectory, _apply, sample_forcing
+    from lubelastic.spectral import _step_count, _steps_per_block
+
+    p = solver.params
+    dt = p.dt
+    nsteps = _step_count(t_end, dt)
+    check_range(1, closed=True, snapshot_stride=snapshot_stride)
+    asm = solver.assembled()
+    solve = solve or (lambda rhs: _apply(asm.inv, rhs))
+    K, coef = solver.K, solver.coef
+    rows = (solver.P * K, solver.mi)
+    block = _steps_per_block(16 * rows[0] * rows[1])
+    c = np.zeros((block + 2,) + rows, dtype=complex)
+    eta = np.zeros((block + 2, K), dtype=complex)
+    eta_t = np.zeros((block + 2, K), dtype=complex)
+    mass_old = np.zeros((block,) + rows, dtype=complex)
+    ledger = np.empty((8, nsteps))
+    states = [solver.materialize(c[1], eta[1], eta_t[1], 0.0)]
+    times = [0.0]
+    mass, g = asm.mass, asm.g
+    fluid = coef["fluid_mass"] / dt
+    plate_test = 1j * coef["plate_test"]
+    plate_kin = coef["plate_kin"]
+    bend = coef["bend"] * asm.xi4
+    trace = -1j * coef["trace"]
+    for n0 in range(0, nsteps, block):
+        nb = min(block, nsteps - n0)
+        t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
+        fhat = {i: h.reshape(nb, K, -1)
+                for i, h in sample_forcing(p.forcing, p.grid, t).items()}
+        Fq = solver._quadrature(fhat, nb)
+        load = p.model.eps * Fq
+        for j in range(1, nb + 1):
+            if j > 1:
+                mass_old[j - 1] = _apply(mass, c[j])
+            plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
+            rhs = fluid * mass_old[j - 1] + load[j - 1]
+            rhs[:K] += plate_rhs[:, None] * g
+            c[j + 1] = solve(rhs)
+            eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
+            eta[j + 1] = eta[j] + dt * eta_t[j + 1]
+        span = slice(1, nb + 2)
+        mass_old[0] = solver._record(ledger[:, n0:n0 + nb], t, c[span], eta[span],
+                                     eta_t[span], Fq, mass_old[:nb])
+        for j in range(nb):
+            n = n0 + j + 1
+            if n % snapshot_stride == 0 or n == nsteps:
+                phat = solver.pressure_hat(c[j + 1], c[j + 2],
+                                           {i: h[j] for i, h in fhat.items()}, dt,
+                                           None if n == 1 else c[j])
+                states.append(solver.materialize(c[j + 2], eta[j + 2], eta_t[j + 2],
+                                                 t[j], phat))
+                times.append(t[j])
+        for buf in (c, eta, eta_t):
+            buf[:2] = buf[nb:nb + 2]
+    np.cumsum(ledger[4:], axis=1, out=ledger[4:])
+    return FsiTrajectory(params=p, times=np.array(times),
+                         states=tuple(states), ledger=EnergyLedger(*ledger))
+
+
 # The reconstruction as `reconstruction.assemble_approx` and
 # `chain_closure_error` built it before they worked in coefficient space:
 # per snapshot, the limit pressure on the nodes, the forcing callable

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lubelastic as lb
 from lubelastic import cli, scaling, thinfilm, verify
 from lubelastic.errors import AssemblyError, DegenerateFitError, ParameterError, UsageError
 from lubelastic.spectral import PeriodicGrid
@@ -570,6 +571,31 @@ class TestRatesCommand:
         reports_csv(studies[0].reports, tmp_path / "oracle.csv")
         assert (out / "reports.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    def test_chain_closure_once_per_ladder(self, tmp_path):
+        # the reduced solution does not depend on eps, so neither does its
+        # closure: rates.json holds the one value, from a reduced solve of its own
+        doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
+                          dt=1e-3, t_end=0.05, snapshot_stride=10)
+        cli.run(doc, output_dir=str(tmp_path / "out"))
+        rates = json.loads((tmp_path / "out" / "rates.json").read_text())
+        grid, vn = lb.PeriodicGrid(dim=1, n=8), lb.VerticalNodes(10)
+        model = lb.ModelParams(rho_f=40.0, rho_s=40.0, theta=20.0, eps=0.03125,
+                               kappa=Fraction(2), dim=1)
+        forcing = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.1)
+        reduced = lb.solve_reduced(model, grid, vn, forcing, 0.05, 1e-3, snapshot_stride=10)
+        want = lb.chain_closure_error(reduced, model, forcing, vn)
+        assert 0.0 < want <= 1e-6
+        assert rates["chain_closure_error"] == want
+
+    def test_chain_closure_null_without_evenly_spaced_snapshots(self, tmp_path):
+        # 50 steps at stride 20 keep t = 0, 0.02, 0.04 and 0.05
+        doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
+                          dt=1e-3, t_end=0.05, snapshot_stride=20)
+        cli.run(doc, output_dir=str(tmp_path / "out"))
+        rates = json.loads((tmp_path / "out" / "rates.json").read_text())
+        assert rates["chain_closure_error"] is None
+        assert rates["energy_audit_ok"] is True
+
     @pytest.mark.parametrize("velocity, audit_ok, passes", [
         ((9.0, 0.5), True, [False, True, True]),  # steep enough, but r^2 too low
         ((2.0, 1.0), True, [False, True, True]),  # on the line, but too shallow
@@ -601,7 +627,7 @@ class TestRatesCommand:
 
     def test_two_point_ladder_rejected_before_any_work(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        monkeypatch.setattr(verify, "_ladder_points", lambda *args: calls.append(args))
         doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625])
         rc = cli.main(["verify", "rates", "--config", write_config(tmp_path, doc),
                        "--output", str(tmp_path / "out")])
@@ -610,7 +636,7 @@ class TestRatesCommand:
 
     def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        monkeypatch.setattr(verify, "_ladder_points", lambda *args: calls.append(args))
         out = tmp_path / "out"
         rc = cli.main(["verify", "rates", "--jobs", "0", "--output", str(out), "--config",
                        write_config(tmp_path, cli.preset_config("theorem-e0-kappa2"))])

@@ -555,6 +555,7 @@ class TestSparseLuOracle:
         # step the same broadband 2D load through both solves
         import scipy.sparse
         import scipy.sparse.linalg
+        from oracles import single_run
 
         grid = lb.PeriodicGrid(dim=2, n=16)
         vn = lb.VerticalNodes(12)
@@ -571,10 +572,9 @@ class TestSparseLuOracle:
             sol = lu.solve(np.stack([b.real, b.imag], axis=1))
             return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
 
-        asm.solve = lu_solve
         t_scale = lb.eps_power(model.eps, -model.tau)
         t_end = 0.06
-        old = oracle.run(t_end, snapshot_stride=10)
+        old = single_run(oracle, t_end, snapshot_stride=10, solve=lu_solve)
         new = lb.FsiSolver(params).run(t_end, snapshot_stride=10)
 
         for traj in (old, new):
@@ -843,6 +843,85 @@ class TestBlockedRunOracle:
         params = make_params(n=16, m=12, dt=1e-3, forcing=forcing)
         with pytest.raises(ParameterError, match="not finite at t = 0.006"):
             lb.run_fsi(params, 0.02)
+
+
+class TestRunBatch:
+    """Ladder points stepped together in `fsi.run_batch` against each point
+    run alone and against the one-solver loop it replaced
+    (`oracles.single_run`), all bit for bit."""
+
+    @staticmethod
+    def _ladder(dim):
+        grid = lb.PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
+        vn = lb.VerticalNodes(20 if dim == 1 else 10)
+        if dim == 1:
+            forcing = lb.harmonic_ramp_forcing(grid, vn, component=1, ramp_time=0.02)
+            eps_list = (2.0**-3, 2.0**-4, 2.0**-5)
+        else:
+            forcing = _loaded_bump_forcing(grid, vn)
+            eps_list = (2.0**-3, 2.0**-6)
+        return [lb.FsiParams(model=lb.ModelParams(eps=eps, kappa=Fraction(2), theta=0.5,
+                                                  dim=dim),
+                             grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
+                for eps in eps_list]
+
+    @staticmethod
+    def _assert_equal(got, want):
+        (traj, spectral), (ref, ref_spectral) = got, want
+        assert np.array_equal(traj.times, ref.times)
+        assert len(spectral) == len(ref_spectral) == len(traj.states)
+        for a, b in zip(spectral, ref_spectral):
+            assert a.t == b.t
+            for x, y in zip(a[:3], b[:3]):
+                assert np.array_equal(x, y)
+        for a, b in zip(traj.states, ref.states):
+            assert np.array_equal(a.p.values, b.p.values)
+        for f in fields(traj.ledger):
+            assert np.array_equal(getattr(traj.ledger, f.name), getattr(ref.ledger, f.name))
+
+    @staticmethod
+    def _spied(params):
+        solvers = [lb.FsiSolver(p) for p in params]
+        return solvers, [_record_spectral_states(s) for s in solvers]
+
+    @pytest.mark.parametrize("dim, nsteps, stride", [(1, 60, 7), (2, 15, 4)])
+    def test_together_equals_alone_and_the_oracle(self, dim, nsteps, stride):
+        from oracles import single_run
+        from lubelastic.spectral import _steps_per_block
+
+        params = self._ladder(dim)
+        t_end = nsteps * params[0].dt
+        solvers, seen = self._spied(params)
+        block = _steps_per_block(16 * solvers[0].P * solvers[0].K * solvers[0].mi)
+        assert 1 < block < nsteps and block % stride and nsteps % block
+        together = lb.fsi.run_batch(solvers, t_end, snapshot_stride=stride)
+        assert len(together) == len(params)
+        alone_solvers, alone_seen = self._spied(params)
+        oracle_solvers, oracle_seen = self._spied(params)
+        for i, p in enumerate(params):
+            assert together[i].params is p
+            assert np.max(np.abs(together[i].ledger.work)) > 0
+            alone = alone_solvers[i].run(t_end, snapshot_stride=stride)
+            oracle = single_run(oracle_solvers[i], t_end, snapshot_stride=stride)
+            self._assert_equal((together[i], seen[i]), (alone, alone_seen[i]))
+            self._assert_equal((together[i], seen[i]), (oracle, oracle_seen[i]))
+
+    @pytest.mark.parametrize("change", ["dt", "grid", "forcing"])
+    def test_solvers_must_share_the_setting(self, change):
+        # a grid or a forcing equal in every value is still another object
+        base = make_params(n=16, m=12, dt=1e-3)
+        other = {"dt": lambda: replace(base, dt=2e-3),
+                 "grid": lambda: replace(base, grid=lb.PeriodicGrid(dim=1, n=16)),
+                 "forcing": lambda: replace(base, forcing=lb.harmonic_ramp_forcing(
+                     base.grid, base.vnodes, ramp_time=0.05))}[change]()
+        with pytest.raises(ParameterError, match="must share"):
+            lb.fsi.run_batch([lb.FsiSolver(base), lb.FsiSolver(other)], 0.01)
+
+    def test_batch_of_one_stacks_views(self):
+        # a 2D n = 32 step matrix is 1.7 MB; a lone solver's is not copied
+        inv = lb.FsiSolver(make_params(m=12)).assembled().inv
+        assert lb.fsi._stacked([inv]).base is inv
+        assert lb.fsi._stacked([inv, inv]).shape == (2,) + inv.shape
 
 
 class TestForcingTransforms:

@@ -62,8 +62,11 @@ SITES = {
     "solve_linear_sixth.c": lambda x: tf.solve_linear_sixth(x, None, ZERO, 0.1, 1e-2),
     "solve_linear_sixth.snapshot_stride": lambda x: tf.solve_linear_sixth(
         1.0, None, ZERO, 0.1, 1e-2, snapshot_stride=x),
+    "evolve.floor": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, 3, floor=x),
     "solve_reynolds_stationary.nu": lambda x: tf.solve_reynolds_stationary(FILM.eta, 1.0,
                                                                            nu=x),
+    "solve_reynolds_stationary.v_D": lambda x: tf.solve_reynolds_stationary(FILM.eta, x),
+    "reynolds_residual.v_D": lambda x: tf.reynolds_residual(FILM.eta, ZERO, x),
     "FsiParams.dt": _fsi_params,
     "FsiSolver.run.snapshot_stride": lambda x: lb.FsiSolver(_fsi_params()).run(
         1e-3, snapshot_stride=x),
@@ -74,6 +77,8 @@ SITES = {
     "derivative_symbol.axis": lambda x: spectral.derivative_symbol(GRID, 1, axis=x),
     "VerticalNodes.m": lambda x: lb.VerticalNodes(x),
     "run_rate_study.jobs": _ladder,
+    **{f"RateStudyConfig.{k}": (lambda k: lambda x: verify.RateStudyConfig(**{k: x}))(k)
+       for k in ("dt", "t_end", "ramp_time", "amplitude", "snapshot_stride")},
     "ThinFilmRun.steps": lambda x: _film_run(steps=x),
     "ThinFilmRun.snapshot_stride": lambda x: _film_run(snapshot_stride=x),
 }
@@ -87,7 +92,9 @@ def test_non_finite_value_rejected(site, value):
 
 
 @pytest.mark.parametrize("site", ["ModelParams.nu", "ModelParams.B", "LameParams.mu",
-                                  "evolve.dt", "FsiParams.dt", "solve_linear_sixth.c"])
+                                  "evolve.dt", "FsiParams.dt", "solve_linear_sixth.c",
+                                  "RateStudyConfig.dt", "RateStudyConfig.t_end",
+                                  "RateStudyConfig.ramp_time"])
 def test_zero_rejected(site):
     with pytest.raises(ParameterError, match="must lie in \\(0, inf\\), got 0"):
         SITES[site](0.0)

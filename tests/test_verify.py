@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from concurrent.futures import Future
 from fractions import Fraction
@@ -296,11 +297,17 @@ class TestLadderConfig:
             for err in (report.err_velocity, report.err_pressure, report.err_displacement):
                 assert f"{err:.6e}" in line
 
-    def test_mini_ladder_pipeline(self):
+    def test_mini_ladder_pipeline(self, monkeypatch):
         cfg = verify.RateStudyConfig(
             kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
             dt=1e-3, t_end=0.05, snapshot_stride=10, theta=1.0)
+        solves = []
+        solve = verify.solve_reduced
+        monkeypatch.setattr(verify, "solve_reduced",
+                            lambda *a, **kw: solves.append(solve(*a, **kw)) or solves[-1])
         result = verify.run_rate_study(cfg)
+        # the reduced problem does not depend on eps: one solve per ladder
+        assert solves == [result.reduced]
         assert len(result.reports) == 3
         assert set(result.fits) == {"velocity", "pressure", "displacement"}
         assert all(a.ok for a in result.audits)
@@ -313,16 +320,23 @@ class TestLadderConfig:
             dt=1e-3, t_end=0.05, snapshot_stride=10, theta=1.0)
         seq = verify.run_rate_study(cfg, jobs=1)
         par = verify.run_rate_study(cfg, jobs=2)
-        for a, b in zip(seq.reports, par.reports):
-            assert a == b
+        assert seq.reports == par.reports
+        for which in seq.fits:
+            a, b = seq.fits[which], par.fits[which]
+            assert (a.slope.hex(), a.r2.hex()) == (b.slope.hex(), b.r2.hex())
+        assert len(seq.ledgers) == len(par.ledgers) == 3
+        for a, b in zip(seq.ledgers, par.ledgers):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
 
     @staticmethod
-    def _fake_point(config, eps):
-        report = verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
+    def _fake_points(config, eps_list, reduced):
+        assert reduced == "reduced"
+        return [(verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
                                     err_pressure=eps, err_displacement=eps**2.5,
-                                    energy_ratio=1.0)
-        return report, None, verify.AuditResult(ok=True, first_violation=None,
-                                                ratios=np.array([]))
+                                    energy_ratio=1.0),
+                 None, verify.AuditResult(ok=True, first_violation=None, ratios=np.array([])))
+                for eps in eps_list]
 
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
     def test_pool_capped_at_ladder_length(self, jobs, workers, monkeypatch):
@@ -344,16 +358,18 @@ class TestLadderConfig:
                 return future
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(verify, "_ladder_point", self._fake_point)
+        monkeypatch.setattr(verify, "_ladder_points", self._fake_points)
+        monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: "reduced")
         cfg = verify.RateStudyConfig(eps_list=(0.125, 0.0625, 0.03125))
         result = verify.run_rate_study(cfg, jobs=jobs)
         assert started == [workers]
         assert [r.eps for r in result.reports] == list(cfg.eps_list)
+        assert result.reduced == "reduced"
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
         calls = []
-        monkeypatch.setattr(verify, "_ladder_point", lambda *args: calls.append(args))
+        monkeypatch.setattr(verify, "_ladder_points", lambda *args: calls.append(args))
         with pytest.raises(ParameterError, match="jobs"):
             verify.run_rate_study(verify.RateStudyConfig(), jobs=jobs)
         assert calls == []
@@ -364,7 +380,10 @@ class TestLadderConfig:
             kappa=Fraction(2), eps_list=(0.125,), dim=2, n=8, m=10,
             dt=1e-3, t_end=0.02, snapshot_stride=5, theta=1.0,
             wavevector=(1, 0))
-        report, ledger, audit = verify._ladder_point(cfg, 0.125)
+        grid, vnodes, forcing = cfg.setting()
+        reduced = lb.solve_reduced(cfg.model_for(0.125), grid, vnodes, forcing, cfg.t_end,
+                                   cfg.dt, snapshot_stride=cfg.snapshot_stride)
+        [(report, ledger, audit)] = verify._ladder_points(cfg, (0.125,), reduced)
         assert audit.ok
         assert report.err_velocity > 0
         assert report.err_displacement > 0
