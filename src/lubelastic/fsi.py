@@ -38,17 +38,23 @@ plate row.
 A run advances in blocks of steps whose stacked states take about 64 KiB
 (25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
 Solvers that share the grid, dt and forcing, such as a thickness ladder's
-points, step together, their matrices stacked along a leading axis.  Per
-block the forcing is sampled at every step time and its loaded components
-are transformed together, once for all solvers; the steps then run one
-after another in the order of a single step, and each solver's ledger
-columns and snapshot pressures come from its stored states and forcing
-coefficients.  The ledger's mass product of a block's last state is the
-next step's M c, so a one-step block makes one mass product, one
-viscosity product and one solve.  The ledger holds one float array per
-entry, rows of one (8, steps) buffer that the run fills in place: each
-block writes the integrals as per-step increments, and one cumulative sum
-in step order after the last block turns them into running integrals.
+points, step together, their matrices stacked along a leading axis.  The
+step loop runs the steps one after another in the order of a single step;
+everything around it is one pass per block for all the solvers.  The
+forcing is sampled at every step time and its loaded components are
+transformed together.  The load quadrature is taken once, since the frame
+and the Gram matrices are the grid's; only the vertical load carries each
+solver's eps.  The ledger columns of every solver come from one pass over
+the stored states, forcing coefficients and the step loop's mass
+products, with the solvers' coefficients as columns; only the block's
+last states need a mass product of their own.  The block's snapshot
+pressures come from one `pressure_hat`, and `materialize` makes one
+inverse transform per field kind over every snapshot and solver, whose
+views the states hold.  The ledger
+holds one float array per entry, rows of one (8, steps) buffer per
+solver that the run fills in place: each block writes the integrals as
+per-step increments, and one cumulative sum in step order after the last
+block turns them into running integrals.
 """
 from __future__ import annotations
 
@@ -295,10 +301,8 @@ class _Assembled:
         xi2 = np.tile(solver.xi2, P)[:, None, None]   # |xi|^2 on every row
         lam = np.zeros_like(xi2)
         lam[:K] = xi2[:K]
-        # one buffer holds mass and viscosity, so one product applies both
-        mass, visc = mass_visc = np.empty((2, P * K) + Mi.shape)
-        mass[...] = Mi + eps**2 * (lam * MAi)
-        visc[...] = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
+        mass = Mi + eps**2 * (lam * MAi)
+        visc = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
             Ki / eps**2 + lam * Csym + eps**2 * ((xi2 * lam) * MAi))
         visc *= 2.0 * nu
         g = solver.xi_L[:, None] * a0
@@ -318,23 +322,29 @@ class _Assembled:
         Linv = np.linalg.inv(L)
 
         self.A = A
-        self.mass_visc = mass_visc
-        self.mass, self.visc = mass_visc
+        self.mass, self.visc = mass, visc
         self.g = g
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
+
+
+def _real(c: np.ndarray) -> np.ndarray:
+    """Complex vectors (..., s) as a view of their interleaved real and
+    imaginary parts, (..., s, 2)."""
+    return c.view(float).reshape(c.shape + (2,))
 
 
 def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real stacked matrices (..., K, r, s) times complex vectors (..., K, s):
     one real matmul on the interleaved real and imaginary parts, without
     copies."""
-    return (mats @ c.view(float).reshape(c.shape + (2,))).view(complex)[..., 0]
+    return (mats @ _real(c)).view(complex)[..., 0]
 
 
 def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k w_k Re(conj(a_k) . b_k) per step, for complex stacks (B, K, s)."""
-    return (a.view(float) * b.view(float)).sum(axis=-1) @ w
+    """sum_k w_k Re(conj(a_k) . b_k) for complex stacks (B, S, K, s) of B
+    steps and S solvers, shape (S, B): one product per solver."""
+    return (a.view(float) * b.view(float)).sum(axis=-1).swapaxes(0, 1) @ w
 
 
 class FsiSolver:
@@ -343,9 +353,7 @@ class FsiSolver:
     frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
     e_p . v', and xi_L = e0 . xi.  The per-row step operator is assembled
     and factored once per solver, on first use.  `run_batch` is the one way
-    to step, and `run` calls it with this solver alone: it advances in
-    blocks of steps, so the forcing is sampled and transformed once per
-    block and the ledger's columns are written a block at a time.
+    to step, and `run` calls it with this solver alone.
     """
 
     def __init__(self, params: FsiParams):
@@ -389,6 +397,7 @@ class FsiSolver:
         self._Mint = ops.M[sl, :]
         self._MAint = ops.M_Al[sl, :]
         self._w = params.grid.mode_weights.ravel()
+        self._wr = np.tile(self._w, self.P)  # the rows' weights
 
     # -- assembly ------------------------------------------------------
 
@@ -420,126 +429,6 @@ class FsiSolver:
         rows = sum(parts[1:], parts[0])
         return rows.reshape(rows.shape[:-3] + (self.P * self.K, -1))
 
-    def vertical_profile(self, c: np.ndarray) -> np.ndarray:
-        """Reconstructed vertical velocity profiles, shape (K, m), from the
-        divergence xi . v' = xi_L v_L."""
-        ops = self.params.vnodes.ops
-        eps = self.params.model.eps
-        div_h = self.xi_L[:, None] * self._profiles(c[:self.K])  # times -i below
-        return -1j * eps * ops.antiderivative(div_h)
-
-    def materialize(self, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray, t: float,
-                    pressure_hat: np.ndarray | None = None) -> FsiState:
-        """The fields of the state with rows c (P*K, mi) and plate harmonics
-        eta, eta_t (K,) at time t."""
-        grid = self.params.grid
-        vn = self.params.vnodes
-        shape = grid.spectral_shape + (vn.m,)
-        rows = self._profiles(c).reshape(self.P, self.K, vn.m)
-        # back to Cartesian components: v_a = sum_p (e_p)_a v_p
-        cart = (self.frame[..., None] * rows[:, :, None, :]).sum(axis=0)
-        comps = [ChannelField.from_hat(grid, vn, cart[:, a].reshape(shape))
-                 for a in range(grid.dim)]
-        comps.append(ChannelField.from_hat(grid, vn, self.vertical_profile(c).reshape(shape)))
-        if pressure_hat is None:
-            p = ChannelField.zeros(grid, vn)
-        else:
-            p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(shape))
-        return FsiState(v=tuple(comps), p=p, t=t,
-                        eta=PeriodicField.from_hat(grid, eta.reshape(grid.spectral_shape)),
-                        eta_t=PeriodicField.from_hat(grid, eta_t.reshape(grid.spectral_shape)))
-
-    def _quadrature(self, fhat: dict, nb: int) -> np.ndarray:
-        """Forcing quadrature against the velocity basis, rows (B, P*K, mi),
-        from the loaded components' coefficients (B, K, m)."""
-        Fq = np.zeros((nb, self.P * self.K, self.mi), dtype=complex)
-        rows = self._in_frame(fhat)
-        if rows is not None:
-            Fq += rows @ self._Mint.T
-        if self.P in fhat:
-            # integrals of A_i * f3 profile; the vertical load works on the
-            # along-xi part only
-            Fq[:, :self.K] += (1j * self.params.model.eps * self.xi_L[:, None]
-                               * (fhat[self.P] @ self._MAint.T))
-        return Fq
-
-    def _record(self, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_old) -> np.ndarray:
-        """Write a block's ledger columns (8, B), in `EnergyLedger` field
-        order, with the viscous, viscoelastic, numerical and work integrals
-        as per-step increments.  c, eta and eta_t stack the state before the
-        block and the block's B states, and mass_old holds M c of the state
-        before each step.  Returns M c of the block's last state."""
-        asm = self.assembled()
-        w = self._w
-        wr = np.tile(w, self.P)  # the rows' weights
-        wx = w * asm.xi4
-        coef = self.coef
-        dt = self.params.dt
-        fluid = 0.5 * self.params.model.rho_f * self.params.model.eps
-        mass, visc = _apply(asm.mass_visc[:, None], c[1:])
-        ef = fluid * _re_inner(wr, c[1:], mass)
-        epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:]) ** 2, axis=-1)
-        eb = 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:]) ** 2, axis=-1)
-        bad = (np.minimum(ef, np.minimum(epk, eb))
-               < -1e-12 * np.maximum(np.maximum(ef, epk), np.maximum(eb, 1e-300)))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise AssemblyError(
-                f"negative energy encountered at t = {t[i]} (fluid {ef[i]:.3e}, "
-                f"plate {epk[i]:.3e}, bending {eb[i]:.3e}); quadratic-form "
-                f"assembly is inconsistent"
-            )
-        dn = (  # M dc is the difference of the two mass products
-            fluid * _re_inner(wr, c[1:] - c[:-1], mass - mass_old)
-            + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:] - eta_t[:-1]) ** 2, axis=-1)
-            + 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:] - eta[:-1]) ** 2, axis=-1)
-        )
-        dv = dt * coef["work"] * _re_inner(wr, c[1:], visc)
-        dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
-        work = dt * coef["work"] * _re_inner(wr, c[1:], Fq)
-        columns[:] = t, ef, epk, eb, dv, dve, dn, work
-        return mass[-1]
-
-    # -- pressure recovery ----------------------------------------------
-
-    def pressure_hat(self, c_old: np.ndarray, c_new: np.ndarray,
-                     fhat: dict, dt: float,
-                     c_older: np.ndarray | None = None) -> np.ndarray:
-        """Pressure profiles per mode from the along-xi momentum balance;
-        the zero mode comes from the vertical balance pinned by the plate.
-
-        c_old and c_new are the rows before and after the step; fhat maps
-        each loaded forcing component to its coefficients (K, m) at the
-        step's end.  With the state before c_old as well, the inertia term
-        uses the second-order backward quotient, otherwise the first-order
-        one.
-        """
-        p = self.params
-        ops = p.vnodes.ops
-        eps = p.model.eps
-        K = self.K
-        xi2 = self.xi2
-        v, v_old = self._profiles(c_new[:K]), self._profiles(c_old[:K])
-        if c_older is None:
-            dv = (v - v_old) / dt
-        else:
-            dv = (3.0 * v - 4.0 * v_old + self._profiles(c_older[:K])) / (2.0 * dt)
-        force = self._in_frame(fhat)
-        inert = p.model.rho_f * eps_power(eps, -p.model.tau)
-        D2 = ops.D @ ops.D
-        rhs = ((0.0 if force is None else force[:K])
-               + p.model.nu * (-xi2[:, None] * v + (v @ D2.T) / eps**2)
-               - inert * dv)
-        phat = np.zeros((K, p.vnodes.m), dtype=complex)
-        nz = xi2 > 0
-        phat[nz] = -1j * (self.xi_L[:, None] * rhs)[nz] / xi2[nz, None]
-        # zero mode: d/dy3 p = eps * f3, level pinned by the plate row, which
-        # reads zero because the mean plate harmonic never moves
-        if self.P in fhat and not nz.all():
-            anti = ops.antiderivative(fhat[self.P][~nz])
-            phat[~nz] = eps * (anti - anti[:, -1][:, None])
-        return phat
-
     # -- full run ---------------------------------------------------------
 
     def run(self, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
@@ -554,6 +443,146 @@ class FsiSolver:
 def _stacked(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
     """The arrays along a new axis; a single one as a view."""
     return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
+
+
+def _per_solver(solvers: Sequence[FsiSolver], value, ndim: int = 1) -> np.ndarray:
+    """value(solver) for every solver, shaped (S,) + (1,) * ndim so that it
+    scales arrays whose solver axis lies ndim axes before the last."""
+    return np.array([value(s) for s in solvers]).reshape((-1,) + (1,) * ndim)
+
+
+def _quadrature(solvers: Sequence[FsiSolver], fhat: dict, nb: int) -> np.ndarray:
+    """Forcing quadrature against the velocity basis, rows (B, S, P*K, mi),
+    from the loaded components' coefficients (B, K, m).  The frame, xi_L and
+    the Gram matrices are the shared grid's, so every product is taken once;
+    only the vertical load's eps differs between the solvers."""
+    s0 = solvers[0]
+    Fq = np.zeros((nb, len(solvers), s0.P * s0.K, s0.mi), dtype=complex)
+    rows = s0._in_frame(fhat)
+    if rows is not None:
+        Fq += (rows @ s0._Mint.T)[:, None]
+    if s0.P in fhat:
+        # integrals of A_i * f3 profile; the vertical load works on the
+        # along-xi part only
+        eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
+        Fq[:, :, :s0.K] += (1j * eps * s0.xi_L[:, None]) * (fhat[s0.P] @ s0._MAint.T)[:, None]
+    return Fq
+
+
+def _record(solvers: Sequence[FsiSolver], columns: np.ndarray, t, c, eta, eta_t, Fq,
+            mass_c, mass, visc) -> None:
+    """Write a block's ledger columns (S, 8, B) for every solver, in
+    `EnergyLedger` field order, with the viscous, viscoelastic, numerical
+    and work integrals as per-step increments.  c, eta, eta_t and mass_c
+    stack the state before the block and the block's B states, (B + 1, S,
+    ...); mass_c holds their M c, which the step loop computed for all but
+    the last state, written here.  mass and visc stack the solvers'
+    matrices (S, P*K, mi, mi)."""
+    s0 = solvers[0]
+    w, wr = s0._w, s0._wr
+    wx = w * s0.assembled().xi4
+    dt = s0.params.dt
+    col = lambda value: _per_solver(solvers, value)
+    fluid = col(lambda s: 0.5 * s.params.model.rho_f * s.params.model.eps)
+    plate_kin = col(lambda s: 0.5 * s.coef["plate_kin"])
+    bend = col(lambda s: 0.5 * s.coef["bend"])
+    work = col(lambda s: dt * s.coef["work"])
+    viscoelastic = col(lambda s: dt * s.coef["viscoelastic"])
+    # sum_k weights_k |x_k|^2 per step and solver, as (S, B)
+    sq = lambda weights, x: np.sum(weights * np.abs(x) ** 2, axis=-1).T
+    np.matmul(mass, _real(c[-1]), out=_real(mass_c[-1]))
+    ef = fluid * _re_inner(wr, c[1:], mass_c[1:])
+    epk = plate_kin * sq(w, eta_t[1:])
+    eb = bend * sq(wx, eta[1:])
+    bad = (np.minimum(ef, np.minimum(epk, eb))
+           < -1e-12 * np.maximum(np.maximum(ef, epk), np.maximum(eb, 1e-300)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise AssemblyError(
+            f"negative energy encountered at t = {t[j]} (fluid {ef[i, j]:.3e}, "
+            f"plate {epk[i, j]:.3e}, bending {eb[i, j]:.3e}); quadratic-form "
+            f"assembly is inconsistent"
+        )
+    # M dc is the difference of the two mass products
+    dn = (fluid * _re_inner(wr, c[1:] - c[:-1], mass_c[1:] - mass_c[:-1])
+          + plate_kin * sq(w, eta_t[1:] - eta_t[:-1]) + bend * sq(wx, eta[1:] - eta[:-1]))
+    columns[:, 0] = t
+    columns[:, 1:] = np.stack([ef, epk, eb, work * _re_inner(wr, c[1:], _apply(visc, c[1:])),
+                               viscoelastic * sq(wx, eta_t[1:]), dn,
+                               work * _re_inner(wr, c[1:], Fq)], axis=1)
+
+
+def pressure_hat(solvers: Sequence[FsiSolver], c_old: np.ndarray, c_new: np.ndarray,
+                 fhat: dict, dt: float, c_older: np.ndarray | None = None) -> np.ndarray:
+    """Pressure profiles per mode, (..., S, K, m), from the along-xi
+    momentum balance; the zero mode comes from the vertical balance pinned
+    by the plate.
+
+    c_old and c_new stack the solvers' rows (..., S, P*K, mi) before and
+    after the step; fhat maps each loaded forcing component to its
+    coefficients (..., K, m) at the step's end.  With the states before
+    c_old as well, the inertia term uses the second-order backward quotient,
+    otherwise the first-order one.
+    """
+    s0 = solvers[0]
+    ops = s0.params.vnodes.ops
+    K = s0.K
+    xi2 = s0.xi2
+    col = lambda value: _per_solver(solvers, lambda s: value(s.params.model), 2)
+    eps, eps2, nu = col(lambda mdl: mdl.eps), col(lambda mdl: mdl.eps**2), col(lambda mdl: mdl.nu)
+    inert = col(lambda mdl: mdl.rho_f * eps_power(mdl.eps, -mdl.tau))
+    v, v_old = s0._profiles(c_new[..., :K, :]), s0._profiles(c_old[..., :K, :])
+    if c_older is None:
+        dv = (v - v_old) / dt
+    else:
+        dv = (3.0 * v - 4.0 * v_old + s0._profiles(c_older[..., :K, :])) / (2.0 * dt)
+    force = s0._in_frame(fhat)
+    D2 = ops.D @ ops.D
+    rhs = ((0.0 if force is None else force[..., None, :K, :])
+           + nu * (-xi2[:, None] * v + (v @ D2.T) / eps2)
+           - inert * dv)
+    phat = np.zeros(v.shape, dtype=complex)
+    nz = xi2 > 0
+    phat[..., nz, :] = -1j * (s0.xi_L[:, None] * rhs)[..., nz, :] / xi2[nz, None]
+    # zero mode: d/dy3 p = eps * f3, level pinned by the plate row, which
+    # reads zero because the mean plate harmonic never moves
+    if s0.P in fhat and not nz.all():
+        anti = ops.antiderivative(fhat[s0.P][..., ~nz, :])
+        phat[..., ~nz, :] = eps * (anti - anti[..., -1:])[..., None, :, :]
+    return phat
+
+
+def materialize(solvers: Sequence[FsiSolver], c: np.ndarray, eta: np.ndarray,
+                eta_t: np.ndarray, times: Sequence[float],
+                phat: np.ndarray | None = None) -> list[list[FsiState]]:
+    """The states with rows c (N, S, P*K, mi), plate harmonics eta, eta_t
+    (N, S, K) and pressure coefficients (N, S, K, m) (None: zero) at the N
+    given times, one list per solver.  Each field kind takes one transform
+    over all N * S states, and the states' fields are views of the results."""
+    s0 = solvers[0]
+    grid, vn = s0.params.grid, s0.params.vnodes
+    N, S = c.shape[:2]
+    full = s0._profiles(c)
+    # back to Cartesian components: v_a = sum_p (e_p)_a v_p
+    cart = (s0.frame[..., None] * full.reshape(N, S, s0.P, s0.K, 1, vn.m)).sum(axis=2)
+
+    def nodal(hat: np.ndarray) -> np.ndarray:
+        # the horizontal axes lead the transform, the states follow them
+        hat = hat.reshape((N, S) + grid.spectral_shape + hat.shape[3:])
+        return grid.irfft(np.moveaxis(hat, (0, 1), (grid.dim, grid.dim + 1)))
+
+    v = [nodal(cart[..., a, :]) for a in range(grid.dim)]
+    # the vertical velocity from the divergence xi . v' = xi_L v_L
+    eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
+    v.append(nodal((-1j * eps) * vn.ops.antiderivative(s0.xi_L[:, None] * full[:, :, :s0.K])))
+    p = None if phat is None else nodal(phat)
+    eta, eta_t = nodal(eta), nodal(eta_t)
+    return [[FsiState(v=tuple(ChannelField(grid, vn, f[..., j, i, :]) for f in v),
+                      p=(ChannelField.zeros(grid, vn) if p is None
+                         else ChannelField(grid, vn, p[..., j, i, :])),
+                      eta=PeriodicField(grid, eta[..., j, i]),
+                      eta_t=PeriodicField(grid, eta_t[..., j, i]), t=t)
+             for j, t in enumerate(times)] for i in range(S)]
 
 
 def run_batch(solvers: Sequence[FsiSolver], t_end: float,
@@ -586,52 +615,63 @@ def run_batch(solvers: Sequence[FsiSolver], t_end: float,
     c = np.zeros((block + 2, S, P * K, mi), dtype=complex)
     eta = np.zeros((block + 2, S, K), dtype=complex)
     eta_t = np.zeros((block + 2, S, K), dtype=complex)
-    # M c of the state before each step; the block's first comes from the
-    # previous block's ledger product
-    mass_old = np.zeros((block, S, P * K, mi), dtype=complex)
+    # M c of the state before a block (row 0) and of its states; the step
+    # loop fills all rows but the last, which the ledger pass writes
+    mass_c = np.zeros((block + 1, S, P * K, mi), dtype=complex)
     # one column per step, in EnergyLedger field order
     ledgers = np.empty((S, 8, nsteps))
-    states = [[s.materialize(c[1, i], eta[1, i], eta_t[1, i], 0.0)]
-              for i, s in enumerate(solvers)]
+    states = materialize(solvers, c[1:2], eta[1:2], eta_t[1:2], [0.0])
     times = [0.0]
-    mass, inv, g = (_stacked([getattr(a, name) for a in asms]) for name in ("mass", "inv", "g"))
-    column = lambda name: np.array([s.coef[name] for s in solvers])[:, None]
+    mass, visc, inv, g = (_stacked([getattr(a, name) for a in asms])
+                          for name in ("mass", "visc", "inv", "g"))
+    column = lambda name: _per_solver(solvers, lambda s: s.coef[name])
     fluid = column("fluid_mass")[:, None] / dt
+    eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
     plate_test = 1j * column("plate_test")
     plate_kin = column("plate_kin")
     bend = _stacked([s.coef["bend"] * a.xi4 for s, a in zip(solvers, asms)])
     trace = -1j * column("trace")
+    # the step's products write their results in place
+    c_re, mass_c_re = _real(c), _real(mass_c)
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
         fhat = {i: h.reshape(nb, K, -1)
                 for i, h in sample_forcing(first.forcing, first.grid, t).items()}
-        Fq = [s._quadrature(fhat, nb) for s in solvers]
-        load = _stacked([s.params.model.eps * f for s, f in zip(solvers, Fq)], axis=1)
+        Fq = _quadrature(solvers, fhat, nb)
+        load = eps * Fq
         for j in range(1, nb + 1):
             if j > 1:
-                mass_old[j - 1] = _apply(mass, c[j])
+                np.matmul(mass, c_re[j], out=mass_c_re[j - 1])
             plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
-            rhs = fluid * mass_old[j - 1] + load[j - 1]
+            rhs = fluid * mass_c[j - 1] + load[j - 1]
             rhs[:, :K] += plate_rhs[..., None] * g
-            c[j + 1] = _apply(inv, rhs)
+            np.matmul(inv, _real(rhs), out=c_re[j + 1])
             eta_t[j + 1] = trace * (g * c[j + 1, :, :K]).sum(axis=-1)
             eta[j + 1] = eta[j] + dt * eta_t[j + 1]
         span = slice(1, nb + 2)
+        _record(solvers, ledgers[:, :, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq,
+                mass_c[:nb + 1], mass, visc)
         snaps = [j for j in range(nb)
                  if (n0 + j + 1) % snapshot_stride == 0 or n0 + j + 1 == nsteps]
-        times += [t[j] for j in snaps]
-        for i, s in enumerate(solvers):
-            mass_old[0, i] = s._record(ledgers[i, :, n0:n0 + nb], t, c[span, i], eta[span, i],
-                                       eta_t[span, i], Fq[i], mass_old[:nb, i])
-            for j in snaps:
-                phat = s.pressure_hat(c[j + 1, i], c[j + 2, i],
-                                      {a: h[j] for a, h in fhat.items()}, dt,
-                                      None if n0 + j == 0 else c[j, i])
-                states[i].append(s.materialize(c[j + 2, i], eta[j + 2, i], eta_t[j + 2, i],
-                                               t[j], phat))
+        if snaps:
+            # rows k after each snapshot step's older state: views unless the
+            # run's last step breaks the stride
+            even = snaps == list(range(snaps[0], snaps[-1] + 1, snapshot_stride))
+            at = lambda k: (slice(snaps[0] + k, snaps[-1] + 1 + k, snapshot_stride) if even
+                            else np.array(snaps) + k)
+            phat = pressure_hat(solvers, c[at(1)], c[at(2)],
+                                {a: h[at(0)] for a, h in fhat.items()}, dt, c[at(0)])
+            if n0 + snaps[0] == 0:  # the first step has no state two back
+                phat[0] = pressure_hat(solvers, c[1], c[2], {a: h[0] for a, h in fhat.items()}, dt)
+            t_snaps = [t[j] for j in snaps]
+            new = materialize(solvers, c[at(2)], eta[at(2)], eta_t[at(2)], t_snaps, phat)
+            for st, more in zip(states, new):
+                st += more
+            times += t_snaps
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
+        mass_c[0] = mass_c[nb]
     # the integrals' increments summed in step order, in place
     np.cumsum(ledgers[:, 4:], axis=2, out=ledgers[:, 4:])
     return [FsiTrajectory(params=s.params, times=np.array(times), states=tuple(st),
@@ -653,20 +693,20 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
     times: component index -> array (len(times),) + grid.spectral_shape + (m,).
 
     The forcing is called once per time.  The components that carry load at
-    any of the times are transformed together, in one batched transform;
-    the others are left out.  The coefficients at the Nyquist index n/2 of
-    every horizontal axis are zeroed: the solver steps each stored mode on
-    its own, and only a load without them keeps the stored (k1, n/2) and
-    (n - k1, n/2) pairs complex conjugate.  Raises ParameterError naming
-    the first time whose forcing is not finite.
+    any of the times, found by one reduction over the stacked samples, are
+    transformed together, in one batched transform; the others are left
+    out.  The coefficients at the Nyquist index n/2 of every horizontal
+    axis are zeroed: the solver steps each stored mode on its own, and only
+    a load without them keeps the stored (k1, n/2) and (n - k1, n/2) pairs
+    complex conjugate.  Raises ParameterError naming the first time whose
+    forcing is not finite.
     """
     times = [float(t) for t in times]
-    samples = [forcing(t) for t in times]
-    loaded = [i for i in range(grid.dim + 1)
-              if any(np.count_nonzero(f[i]) for f in samples)]
+    samples = np.array([forcing(t) for t in times], dtype=float)
+    loaded = np.flatnonzero(samples.any(axis=(0, *range(2, samples.ndim)))).tolist()
     if not loaded:
         return {}
-    stack = np.array([[f[i] for i in loaded] for f in samples], dtype=float)
+    stack = samples[:, loaded]
     # time and component axes go behind the horizontal and vertical ones
     hats = grid.rfft(np.moveaxis(stack, (0, 1), (-1, -2)))
     finite = np.isfinite(hats).reshape(-1, len(times)).all(axis=0)

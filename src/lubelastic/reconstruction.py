@@ -11,11 +11,13 @@ triple scaled back to the thin channel,
 is the object whose distance to the full-order solution the rate study
 measures.  One map in coefficient space, `_limit_map`, takes every
 snapshot's displacement coefficients and the forcing coefficients from
-`fsi.sample_forcing` to the pressure and horizontal velocity coefficients;
-`assemble_approx` adds the vertical velocity and transforms the triple to
-the nodes, and `chain_closure_error` takes the flux rate of the same
-velocities.  Like the solver and the reduced source, both read the load
-without its Nyquist modes.
+`fsi.sample_forcing` to the pressure and horizontal velocity coefficients.
+It reads B and nu but not eps, so a thickness ladder builds it once.
+`assemble_approx` scales it to one thickness (`_approx_from_limit`): it
+adds the vertical velocity and transforms each component of the triple to
+the nodes, all snapshots together.  `chain_closure_error` takes the flux
+rate of the same velocities.  Like the solver and the reduced source, both
+read the load without its Nyquist modes.
 """
 from __future__ import annotations
 
@@ -149,6 +151,29 @@ def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes
     return ReducedSolution(times=traj.times, eta=tuple(traj.fields))
 
 
+def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
+                       vnodes: VerticalNodes) -> ApproxTriple:
+    """The limit map's coefficients (`_limit_map`, which does not depend on
+    eps) scaled back to the thin channel of params.eps, with one transform
+    per field component over all snapshots; each snapshot's fields are
+    views of the results."""
+    eps = params.eps
+    grid = reduced.eta[0].grid
+    p_hat, v_hat = limit
+    div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
+    v_hat = [*v_hat, -eps * vnodes.ops.antiderivative(div)]
+    # snapshots behind the horizontal axes, which the transforms lead with
+    v = [grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)) for vh in v_hat]
+    p = np.repeat(grid.irfft(np.moveaxis(p_hat, 0, -1))[..., None], vnodes.m, axis=-1)
+    eps_kappa = eps_power(eps, params.kappa)
+    return ApproxTriple(
+        times=reduced.times,
+        v=tuple(tuple(ChannelField(grid, vnodes, vals[..., j, :]) for vals in v)
+                for j in range(len(reduced.times))),
+        p=tuple(ChannelField(grid, vnodes, p[..., j, :]) for j in range(len(reduced.times))),
+        eta=tuple(eps_kappa * eta for eta in reduced.eta))
+
+
 def assemble_approx(reduced: ReducedSolution, params: ModelParams,
                     forcing, vnodes: VerticalNodes) -> ApproxTriple:
     """Scale the reduced solution back to the thin channel.
@@ -158,18 +183,8 @@ def assemble_approx(reduced: ReducedSolution, params: ModelParams,
     extended constant in the vertical, and the displacement is eps^kappa
     times the reduced one.
     """
-    eps = params.eps
-    eps_kappa = eps_power(eps, params.kappa)
-    grid = reduced.eta[0].grid
-    p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
-    div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
-    v_hat.append(-eps * vnodes.ops.antiderivative(div))
-    v = tuple(tuple(ChannelField.from_hat(grid, vnodes, eps**2 * vh[j]) for vh in v_hat)
-              for j in range(len(reduced.times)))
-    p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
-              for ph in p_hat)
-    return ApproxTriple(times=reduced.times, v=v, p=p,
-                        eta=tuple(eps_kappa * eta for eta in reduced.eta))
+    return _approx_from_limit(reduced, _limit_map(reduced, params, forcing, vnodes), params,
+                              vnodes)
 
 
 def trajectory_time_derivative(times: np.ndarray,

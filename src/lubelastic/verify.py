@@ -28,7 +28,8 @@ from .fsi import (
     harmonic_ramp_forcing,
     run_batch,
 )
-from .reconstruction import ApproxTriple, ReducedSolution, assemble_approx, solve_reduced
+from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit, _limit_map,
+                             solve_reduced)
 from .scaling import ModelParams, eps_power
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
                        laplacian_symbol)
@@ -40,18 +41,22 @@ logger = logging.getLogger("lubelastic.verify")
 # norms
 # ----------------------------------------------------------------------
 
-def _snapshot_channel_sq(snapshot) -> float:
-    """Integral of |.|^2 over the unit-depth reference channel, summed over
-    components when a snapshot is a sequence of fields."""
-    if isinstance(snapshot, ChannelField):
-        comps = (snapshot,)
-    else:
-        comps = tuple(snapshot)
-    total = 0.0
-    for comp in comps:
-        vertical = comp.values**2 @ comp.vnodes.weights
-        total += float(np.mean(vertical))
-    return total
+def _channel_sq(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integral of |.|^2 over the unit-depth reference channel for each of a
+    stack of channel fields' values (S,) + grid.shape + (m,), with the
+    vertical quadrature weights; shape (S,)."""
+    # equal-weight horizontal nodes: that integral is the mean
+    return np.mean(values**2 @ weights, axis=tuple(range(1, values.ndim - 1)))
+
+
+def _stacked(fields: Sequence) -> np.ndarray:
+    """The values of a sequence of fields, stacked along a new first axis."""
+    return np.stack([f.values for f in fields])
+
+
+def _l2l2(sq: np.ndarray, eps: float, times: np.ndarray) -> float:
+    """sqrt(eps * int |.|^2 dt), trapezoidal on the snapshot times."""
+    return float(np.sqrt(eps * np.trapezoid(sq, times)))
 
 
 def thin_norm_L2L2(snapshots: Sequence, eps: float, times: np.ndarray) -> float:
@@ -66,23 +71,27 @@ def thin_norm_L2L2(snapshots: Sequence, eps: float, times: np.ndarray) -> float:
         raise GridMismatchError("one snapshot per time sample is required")
     if len(times) < 2:
         raise ParameterError("need at least two time samples")
-    sq = np.array([_snapshot_channel_sq(s) for s in snapshots])
-    return float(np.sqrt(eps * np.trapezoid(sq, times)))
+    comps = [snapshots] if isinstance(snapshots[0], ChannelField) else list(zip(*snapshots))
+    return _l2l2(sum(_channel_sq(_stacked(c), c[0].vnodes.weights) for c in comps), eps, times)
 
 
-def h2_norm(field: PeriodicField) -> float:
-    """Full H2 norm: L2 of the value, the gradient and all second derivatives."""
-    grid = field.grid
+def _h2_norms(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Full H2 norms (L2 of the value, the gradient and all second
+    derivatives) of a stack of fields' values (S,) + grid.shape, shape (S,)."""
     xi2 = -laplacian_symbol(grid)
     sym = 1.0 + xi2 + xi2**2
-    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(field.hat) ** 2)))
+    # one transform, the horizontal axes leading; then each field's
+    # coefficients contiguous again
+    hat = np.ascontiguousarray(np.moveaxis(grid.rfft(np.moveaxis(values, 0, -1)), -1, 0))
+    return np.sqrt(np.sum(grid.mode_weights * sym * np.abs(hat) ** 2,
+                          axis=tuple(range(1, hat.ndim))))
 
 
 def norm_LinfH2(snapshots: Sequence[PeriodicField]) -> float:
     """Max over snapshots of the full H2 norm."""
     if not snapshots:
         raise ParameterError("need at least one snapshot")
-    return max(h2_norm(f) for f in snapshots)
+    return float(np.max(_h2_norms(snapshots[0].grid, _stacked(snapshots))))
 
 
 # ----------------------------------------------------------------------
@@ -270,37 +279,38 @@ class RateStudyResult:
 
 def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[float, float, float]:
     """Error-norm distances between a full-order trajectory and a
-    reconstructed triple on matching snapshot times."""
+    reconstructed triple on matching snapshot times, each a reduction over
+    the stacked snapshots."""
     if len(traj.states) != len(approx.times):
         raise GridMismatchError("trajectories have different snapshot counts")
     if np.max(np.abs(traj.times - approx.times)) > 1e-8 * max(traj.times[-1], 1e-300):
         raise GridMismatchError("trajectories sample different times")
     eps = traj.params.model.eps
-    v_diffs = []
-    p_diffs = []
-    eta_diffs = []
-    for state, comps, p_ap, eta_ap in zip(traj.states, approx.v, approx.p, approx.eta):
-        v_diffs.append(tuple(sv - av for sv, av in zip(state.v, comps)))
-        p_diffs.append(state.p - p_ap)
-        eta_diffs.append(state.eta - eta_ap)
-    err_v = thin_norm_L2L2(v_diffs, eps, traj.times)
-    err_p = thin_norm_L2L2(p_diffs, eps, traj.times)
-    err_eta = norm_LinfH2(eta_diffs)
-    return err_v, err_p, err_eta
+    states = traj.states
+    w = traj.params.vnodes.weights
+    v_sq = sum(_channel_sq(_stacked([s.v[a] for s in states]) - _stacked([v[a] for v in approx.v]),
+                           w) for a in range(len(approx.v[0])))
+    p_sq = _channel_sq(_stacked([s.p for s in states]) - _stacked(approx.p), w)
+    eta = _stacked([s.eta for s in states]) - _stacked(approx.eta)
+    return (_l2l2(v_sq, eps, traj.times), _l2l2(p_sq, eps, traj.times),
+            float(np.max(_h2_norms(traj.params.grid, eta))))
 
 
 def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
                    reduced: ReducedSolution) -> list:
     """(report, ledger, audit) per thickness: the coupled runs step together,
-    then each point is reconstructed from the shared reduced solution."""
+    then each point is reconstructed from the shared reduced solution and
+    its limit map, which is built once."""
     start = time.perf_counter()
     grid, vnodes, forcing = config.setting()
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
     trajs = run_batch([FsiSolver(p) for p in params], config.t_end, config.snapshot_stride)
+    # the limit map reads B and nu, which every point shares, but not eps
+    limit = _limit_map(reduced, params[0].model, forcing, vnodes)
     outcomes = []
     for eps, p, traj in zip(eps_list, params, trajs):
-        errs = compare_trajectories(traj, assemble_approx(reduced, p.model, forcing, vnodes))
+        errs = compare_trajectories(traj, _approx_from_limit(reduced, limit, p.model, vnodes))
         t_phys = config.t_end * eps_power(eps, p.model.tau)
         ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
         report = ErrorReport(eps, float(p.model.kappa), *errs, energy_ratio=ratio)

@@ -828,7 +828,7 @@ def stepwise_advance(solver, spec, t_new):
     c_new = _apply(asm.inv, rhs)
     eta_t_new = -1j * coef["trace"] * (asm.g * c_new[:K]).sum(axis=1)
     new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
-    mass_new, visc_new = _apply(asm.mass_visc, c_new)
+    mass_new, visc_new = _apply(np.stack([asm.mass, asm.visc]), c_new)
 
     w = solver._w
     wr = np.tile(w, solver.P)
@@ -859,7 +859,7 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
     nsteps = int(round(t_end / dt))
     rows = []
     spec = zero_state(solver)
-    states = [solver.materialize(*spec)]
+    states = [materialize(solver, *spec)]
     times = [0.0]
     spectral = []
     cum = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
@@ -873,14 +873,135 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
                      cum["viscous"], cum["viscoelastic"], cum["numerical"], cum["work"]))
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
             fhat = dict(enumerate(stepwise_forcing_hat(solver, spec.t)))
-            phat = solver.pressure_hat(prev.c, spec.c, fhat, dt,
-                                       None if prev2 is None else prev2.c)
-            states.append(solver.materialize(*spec, phat))
+            phat = pressure_hat(solver, prev.c, spec.c, fhat, dt,
+                                None if prev2 is None else prev2.c)
+            states.append(materialize(solver, *spec, phat))
             times.append(spec.t)
             spectral.append(spec)
         prev2 = prev
     return FsiTrajectory(params=solver.params, times=np.array(times), states=tuple(states),
                          ledger=EnergyLedger(*np.array(rows).T)), spectral
+
+
+# The per-solver work around the step loop as `fsi.FsiSolver` methods did
+# it before `fsi.run_batch` took it once per block for all its solvers: one
+# solver's load quadrature, ledger columns, snapshot pressure and fields, each
+# state's fields by their own transforms.
+
+def vertical_profile(solver, c):
+    """Reconstructed vertical velocity profiles, shape (K, m), from the
+    divergence xi . v' = xi_L v_L."""
+    ops = solver.params.vnodes.ops
+    eps = solver.params.model.eps
+    div_h = solver.xi_L[:, None] * solver._profiles(c[:solver.K])  # times -i below
+    return -1j * eps * ops.antiderivative(div_h)
+
+
+def materialize(solver, c, eta, eta_t, t, pressure_hat=None):
+    """The fields of the state with rows c (P*K, mi) and plate harmonics
+    eta, eta_t (K,) at time t."""
+    from lubelastic.fsi import FsiState
+    from lubelastic.spectral import ChannelField, PeriodicField
+
+    grid = solver.params.grid
+    vn = solver.params.vnodes
+    shape = grid.spectral_shape + (vn.m,)
+    rows = solver._profiles(c).reshape(solver.P, solver.K, vn.m)
+    # back to Cartesian components: v_a = sum_p (e_p)_a v_p
+    cart = (solver.frame[..., None] * rows[:, :, None, :]).sum(axis=0)
+    comps = [ChannelField.from_hat(grid, vn, cart[:, a].reshape(shape))
+             for a in range(grid.dim)]
+    comps.append(ChannelField.from_hat(grid, vn, vertical_profile(solver, c).reshape(shape)))
+    if pressure_hat is None:
+        p = ChannelField.zeros(grid, vn)
+    else:
+        p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(shape))
+    return FsiState(v=tuple(comps), p=p, t=t,
+                    eta=PeriodicField.from_hat(grid, eta.reshape(grid.spectral_shape)),
+                    eta_t=PeriodicField.from_hat(grid, eta_t.reshape(grid.spectral_shape)))
+
+
+def quadrature(solver, fhat, nb):
+    """Forcing quadrature against the velocity basis, rows (B, P*K, mi),
+    from the loaded components' coefficients (B, K, m)."""
+    Fq = np.zeros((nb, solver.P * solver.K, solver.mi), dtype=complex)
+    rows = solver._in_frame(fhat)
+    if rows is not None:
+        Fq += rows @ solver._Mint.T
+    if solver.P in fhat:
+        Fq[:, :solver.K] += (1j * solver.params.model.eps * solver.xi_L[:, None]
+                             * (fhat[solver.P] @ solver._MAint.T))
+    return Fq
+
+
+def record(solver, columns, t, c, eta, eta_t, Fq, mass_old):
+    """Write a block's ledger columns (8, B), with the integrals as per-step
+    increments, from the state before the block and the block's B states;
+    returns M c of the block's last state."""
+    from lubelastic.errors import AssemblyError
+    from lubelastic.fsi import _apply
+
+    def re_inner(w, a, b):
+        return (a.view(float) * b.view(float)).sum(axis=-1) @ w
+
+    asm = solver.assembled()
+    w = solver._w
+    wr = np.tile(w, solver.P)
+    wx = w * asm.xi4
+    coef = solver.coef
+    dt = solver.params.dt
+    fluid = 0.5 * solver.params.model.rho_f * solver.params.model.eps
+    mass, visc = _apply(np.stack([asm.mass, asm.visc])[:, None], c[1:])
+    ef = fluid * re_inner(wr, c[1:], mass)
+    epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:]) ** 2, axis=-1)
+    eb = 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:]) ** 2, axis=-1)
+    bad = (np.minimum(ef, np.minimum(epk, eb))
+           < -1e-12 * np.maximum(np.maximum(ef, epk), np.maximum(eb, 1e-300)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AssemblyError(
+            f"negative energy encountered at t = {t[i]} (fluid {ef[i]:.3e}, "
+            f"plate {epk[i]:.3e}, bending {eb[i]:.3e}); quadratic-form "
+            f"assembly is inconsistent"
+        )
+    dn = (fluid * re_inner(wr, c[1:] - c[:-1], mass - mass_old)
+          + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:] - eta_t[:-1]) ** 2, axis=-1)
+          + 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:] - eta[:-1]) ** 2, axis=-1))
+    dv = dt * coef["work"] * re_inner(wr, c[1:], visc)
+    dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
+    work = dt * coef["work"] * re_inner(wr, c[1:], Fq)
+    columns[:] = t, ef, epk, eb, dv, dve, dn, work
+    return mass[-1]
+
+
+def pressure_hat(solver, c_old, c_new, fhat, dt, c_older=None):
+    """Pressure profiles (K, m) of one solver from the along-xi momentum
+    balance, and for the zero mode from the vertical balance."""
+    from lubelastic.scaling import eps_power
+
+    p = solver.params
+    ops = p.vnodes.ops
+    eps = p.model.eps
+    K = solver.K
+    xi2 = solver.xi2
+    v, v_old = solver._profiles(c_new[:K]), solver._profiles(c_old[:K])
+    if c_older is None:
+        dv = (v - v_old) / dt
+    else:
+        dv = (3.0 * v - 4.0 * v_old + solver._profiles(c_older[:K])) / (2.0 * dt)
+    force = solver._in_frame(fhat)
+    inert = p.model.rho_f * eps_power(eps, -p.model.tau)
+    D2 = ops.D @ ops.D
+    rhs = ((0.0 if force is None else force[:K])
+           + p.model.nu * (-xi2[:, None] * v + (v @ D2.T) / eps**2)
+           - inert * dv)
+    phat = np.zeros((K, p.vnodes.m), dtype=complex)
+    nz = xi2 > 0
+    phat[nz] = -1j * (solver.xi_L[:, None] * rhs)[nz] / xi2[nz, None]
+    if solver.P in fhat and not nz.all():
+        anti = ops.antiderivative(fhat[solver.P][~nz])
+        phat[~nz] = eps * (anti - anti[:, -1][:, None])
+    return phat
 
 
 # The coupled run of one solver as `fsi.FsiSolver.run` took it before the
@@ -908,7 +1029,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
     eta_t = np.zeros((block + 2, K), dtype=complex)
     mass_old = np.zeros((block,) + rows, dtype=complex)
     ledger = np.empty((8, nsteps))
-    states = [solver.materialize(c[1], eta[1], eta_t[1], 0.0)]
+    states = [materialize(solver, c[1], eta[1], eta_t[1], 0.0)]
     times = [0.0]
     mass, g = asm.mass, asm.g
     fluid = coef["fluid_mass"] / dt
@@ -921,7 +1042,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
         fhat = {i: h.reshape(nb, K, -1)
                 for i, h in sample_forcing(p.forcing, p.grid, t).items()}
-        Fq = solver._quadrature(fhat, nb)
+        Fq = quadrature(solver, fhat, nb)
         load = p.model.eps * Fq
         for j in range(1, nb + 1):
             if j > 1:
@@ -933,22 +1054,86 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
             eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
             eta[j + 1] = eta[j] + dt * eta_t[j + 1]
         span = slice(1, nb + 2)
-        mass_old[0] = solver._record(ledger[:, n0:n0 + nb], t, c[span], eta[span],
-                                     eta_t[span], Fq, mass_old[:nb])
+        mass_old[0] = record(solver, ledger[:, n0:n0 + nb], t, c[span], eta[span],
+                             eta_t[span], Fq, mass_old[:nb])
         for j in range(nb):
             n = n0 + j + 1
             if n % snapshot_stride == 0 or n == nsteps:
-                phat = solver.pressure_hat(c[j + 1], c[j + 2],
-                                           {i: h[j] for i, h in fhat.items()}, dt,
-                                           None if n == 1 else c[j])
-                states.append(solver.materialize(c[j + 2], eta[j + 2], eta_t[j + 2],
-                                                 t[j], phat))
+                phat = pressure_hat(solver, c[j + 1], c[j + 2],
+                                    {i: h[j] for i, h in fhat.items()}, dt,
+                                    None if n == 1 else c[j])
+                states.append(materialize(solver, c[j + 2], eta[j + 2], eta_t[j + 2],
+                                          t[j], phat))
                 times.append(t[j])
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
     np.cumsum(ledger[4:], axis=1, out=ledger[4:])
     return FsiTrajectory(params=p, times=np.array(times),
                          states=tuple(states), ledger=EnergyLedger(*ledger))
+
+
+# The reconstruction and error norms of one ladder point as `verify` took
+# them before the limit map was built once per ladder and the norms became
+# reductions over the stacked snapshots: `assemble_approx` builds its own
+# limit map and transforms every snapshot's components one by one, and
+# `compare_trajectories` takes the norms snapshot by snapshot on differences
+# of fields.
+
+def snapshot_assemble_approx(reduced, params, forcing, vnodes):
+    """The reconstructed triple, one transform per snapshot and component."""
+    from lubelastic.reconstruction import ApproxTriple, _limit_map
+    from lubelastic.scaling import eps_power
+    from lubelastic.spectral import ChannelField, derivative_symbol
+
+    eps = params.eps
+    eps_kappa = eps_power(eps, params.kappa)
+    grid = reduced.eta[0].grid
+    p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
+    div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
+    v_hat.append(-eps * vnodes.ops.antiderivative(div))
+    v = tuple(tuple(ChannelField.from_hat(grid, vnodes, eps**2 * vh[j]) for vh in v_hat)
+              for j in range(len(reduced.times)))
+    p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
+              for ph in p_hat)
+    return ApproxTriple(times=reduced.times, v=v, p=p,
+                        eta=tuple(eps_kappa * eta for eta in reduced.eta))
+
+
+def snapshot_channel_sq(snapshot):
+    """Integral of |.|^2 over the unit-depth reference channel, summed over
+    components when a snapshot is a sequence of fields."""
+    from lubelastic.spectral import ChannelField
+
+    comps = (snapshot,) if isinstance(snapshot, ChannelField) else tuple(snapshot)
+    total = 0.0
+    for comp in comps:
+        vertical = comp.values**2 @ comp.vnodes.weights
+        total += float(np.mean(vertical))
+    return total
+
+
+def snapshot_h2_norm(field):
+    """Full H2 norm of one field."""
+    from lubelastic.spectral import laplacian_symbol
+
+    grid = field.grid
+    xi2 = -laplacian_symbol(grid)
+    sym = 1.0 + xi2 + xi2**2
+    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(field.hat) ** 2)))
+
+
+def snapshot_compare(traj, approx):
+    """The three error norms between a trajectory and a triple, snapshot by
+    snapshot."""
+    eps = traj.params.model.eps
+    v_diffs, p_diffs, eta_diffs = [], [], []
+    for state, comps, p_ap, eta_ap in zip(traj.states, approx.v, approx.p, approx.eta):
+        v_diffs.append(tuple(sv - av for sv, av in zip(state.v, comps)))
+        p_diffs.append(state.p - p_ap)
+        eta_diffs.append(state.eta - eta_ap)
+    l2l2 = lambda diffs: float(np.sqrt(eps * np.trapezoid(
+        np.array([snapshot_channel_sq(d) for d in diffs]), traj.times)))
+    return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(f) for f in eta_diffs)
 
 
 # The reconstruction as `reconstruction.assemble_approx` and

@@ -13,7 +13,7 @@ import pytest
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError
 
-from oracles import cartesian_frame, ledger_csv, nyquist_free, to_cartesian
+from oracles import cartesian_frame, ledger_csv, nyquist_free, to_cartesian, vertical_profile
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -253,7 +253,7 @@ class TestInvariantsAndRuns:
             for b in range(dim):
                 sym = lb.spectral.derivative_symbol(grid, 1, b)[..., None]
                 parts.append(lb.ChannelField.from_hat(grid, vn, comp.hat * sym))
-        want = np.sqrt(lb.verify._snapshot_channel_sq(parts))
+        want = np.sqrt(sum(lb.verify._channel_sq(f.values[None], vn.weights)[0] for f in parts))
         assert state.check_invariants(params)["grad_norm"] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("kappa", [Fraction(5, 2), 3])
@@ -268,7 +268,7 @@ class TestInvariantsAndRuns:
     def test_negative_energy_raises(self):
         # a mass operator of the wrong sign makes the fluid energy negative
         solver = lb.FsiSolver(make_params(dt=1e-3))
-        solver.assembled().mass_visc[0] *= -1.0
+        solver.assembled().mass[...] *= -1.0
         with pytest.raises(lb.AssemblyError, match="negative energy"):
             solver.run(0.005)
 
@@ -459,7 +459,7 @@ def _loaded_bump_forcing(grid, vn):
 
 
 class TestNyquistLoad:
-    def test_materialized_fields_hold_the_solver_coefficients(self):
+    def test_materialized_fields_hold_the_solver_coefficients(self, monkeypatch):
         # a load's coefficients at the Nyquist indices are zeroed, so the
         # (k1, n/2) and (n - k1, n/2) pairs of the half spectrum stay complex
         # conjugate and the fields carry the coefficients the solver stepped
@@ -469,7 +469,7 @@ class TestNyquistLoad:
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
                               forcing=_loaded_bump_forcing(grid, vn))
         solver = lb.FsiSolver(params)
-        spectral = _record_spectral_states(solver)
+        spectral = _record_spectral_states(monkeypatch, solver)
         traj = solver.run(10 * params.dt, snapshot_stride=1)
         assert len(traj.states) == len(spectral) == 11
         shape = grid.spectral_shape + (vn.m,)
@@ -477,7 +477,7 @@ class TestNyquistLoad:
         for state, spec in zip(traj.states[1:], spectral[1:]):
             profiles = np.zeros((solver.K, grid.dim, vn.m), dtype=complex)
             profiles[..., 1:-1] = to_cartesian(frame, spec.c).reshape(solver.K, grid.dim, -1)
-            want = [profiles[:, a] for a in range(grid.dim)] + [solver.vertical_profile(spec.c)]
+            want = [profiles[:, a] for a in range(grid.dim)] + [vertical_profile(solver, spec.c)]
             scale = max(np.max(np.abs(w)) for w in want)
             assert scale > 0
             for field, coeffs in zip(state.v, want):
@@ -488,7 +488,7 @@ class TestNyquistLoad:
 
 class TestPressureRecovery:
     @staticmethod
-    def _run(dim):
+    def _run(monkeypatch, dim):
         if dim == 1:
             params = make_params(n=16, m=16, dt=2e-3, theta=0.5)
         else:
@@ -498,9 +498,16 @@ class TestPressureRecovery:
             params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
                                   forcing=_loaded_bump_forcing(grid, vn))
         solver = lb.FsiSolver(params)
-        states = _record_spectral_states(solver)
+        states = _record_spectral_states(monkeypatch, solver)
         traj = solver.run(4 * params.dt, snapshot_stride=1)
         return params, solver, states, traj
+
+    @staticmethod
+    def _pressure(solver, c_old, c_new, fhat, dt, c_older=None):
+        """`fsi.pressure_hat` with batch axes of one: one state, one solver."""
+        one = lambda c: None if c is None else c[None, None]
+        return lb.fsi.pressure_hat([solver], one(c_old), one(c_new),
+                                   {a: h[None] for a, h in fhat.items()}, dt, one(c_older))[0, 0]
 
     @staticmethod
     def _fhat(params, solver, t):
@@ -508,12 +515,12 @@ class TestPressureRecovery:
                 for a, h in lb.fsi.sample_forcing(params.forcing, params.grid, [t]).items()}
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_single_previous_state_balances_momentum(self, dim):
+    def test_single_previous_state_balances_momentum(self, dim, monkeypatch):
         # from one previous state the pressure must satisfy the step's
         # momentum balance along xi, with v' from the materialized fields:
         #   |xi|^2 p = -i xi . (f + nu (-|xi|^2 v + d2 v / eps^2)
         #                       - rho_f eps^-tau (v - v_old) / dt)
-        params, solver, states, traj = self._run(dim)
+        params, solver, states, traj = self._run(monkeypatch, dim)
         grid, vn, model, dt = params.grid, params.vnodes, params.model, params.dt
         shape = grid.spectral_shape + (vn.m,)
         xi = [np.broadcast_to(x, grid.spectral_shape)[..., None] for x in grid.xi]
@@ -523,7 +530,7 @@ class TestPressureRecovery:
         for i in (1, 2, 3):
             assert np.max(np.abs(states[i].c)) > 0
             fhat = self._fhat(params, solver, states[i + 1].t)
-            p = solver.pressure_hat(states[i].c, states[i + 1].c, fhat, dt).reshape(shape)
+            p = self._pressure(solver, states[i].c, states[i + 1].c, fhat, dt).reshape(shape)
             balance, scale = 0.0, 0.0
             for a in range(dim):
                 v = traj.states[i + 1].v[a].hat
@@ -537,13 +544,13 @@ class TestPressureRecovery:
             assert np.max(np.abs(xi2 * p + 1j * balance)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_steady_state_quotients_agree(self, dim):
+    def test_steady_state_quotients_agree(self, dim, monkeypatch):
         # with c_old == c_new both backward quotients vanish
-        params, solver, states, _ = self._run(dim)
+        params, solver, states, _ = self._run(monkeypatch, dim)
         c = states[3].c
         fhat = self._fhat(params, solver, states[3].t)
-        first = solver.pressure_hat(c, c, fhat, params.dt)
-        second = solver.pressure_hat(c, c, fhat, params.dt, c_older=c)
+        first = self._pressure(solver, c, c, fhat, params.dt)
+        second = self._pressure(solver, c, c, fhat, params.dt, c_older=c)
         assert np.max(np.abs(first)) > 0
         assert np.max(np.abs(first - second)) <= 1e-14 * np.max(np.abs(first))
 
@@ -610,20 +617,23 @@ def _bump_forcing(grid, vn, component, ramp_time=0.02):
     return forcing
 
 
-def _record_spectral_states(solver):
-    """The coefficients (c, eta, eta_t, t) of every state `solver.run`
-    materializes, copied before the run's buffers move on; the list fills
-    as the run goes."""
+def _record_spectral_states(monkeypatch, solver):
+    """The coefficients (c, eta, eta_t, t) of every state of `solver` that
+    `fsi.materialize` builds, copied before the run's buffers move on; the
+    list fills as the run goes."""
     from oracles import SpectralState
 
     seen = []
-    materialize = solver.materialize
+    materialize = lb.fsi.materialize
 
-    def spy(c, eta, eta_t, t, pressure_hat=None):
-        seen.append(SpectralState(c.copy(), eta.copy(), eta_t.copy(), t))
-        return materialize(c, eta, eta_t, t, pressure_hat)
+    def spy(solvers, c, eta, eta_t, times, phat=None):
+        for i, s in enumerate(solvers):
+            if s is solver:
+                seen.extend(SpectralState(c[j, i].copy(), eta[j, i].copy(), eta_t[j, i].copy(), t)
+                            for j, t in enumerate(times))
+        return materialize(solvers, c, eta, eta_t, times, phat)
 
-    solver.materialize = spy
+    monkeypatch.setattr(lb.fsi, "materialize", spy)
     return seen
 
 
@@ -660,7 +670,7 @@ class TestEinsumLedgerOracle:
         (1, 2.0**-3, 0), (1, 2.0**-3, 1),
         (2, 2.0**-3, 0), (2, 2.0**-3, 2), (2, 2.0**-6, 0), (2, 2.0**-6, 2),
     ])
-    def test_batched_step_matches_einsum_step(self, dim, eps, component):
+    def test_batched_step_matches_einsum_step(self, dim, eps, component, monkeypatch):
         # the mass product and the ledger's quadratic forms used to be
         # einsum contractions, and every forcing component was transformed;
         # step each state of the blocked run through the einsum step and
@@ -676,7 +686,7 @@ class TestEinsumLedgerOracle:
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
         solver = lb.FsiSolver(params)
-        states = _record_spectral_states(solver)
+        states = _record_spectral_states(monkeypatch, solver)
         led = solver.run(25 * params.dt, snapshot_stride=1).ledger
         assert len(states) == 26
         inc = _ledger_increments(led)
@@ -735,7 +745,7 @@ class TestStackedCartesianOracle:
             assert np.max(np.abs(rot[:, 0, :, 1]) / scale) <= 1e-14
 
     @pytest.mark.parametrize("eps", [2.0**-3, 2.0**-6])
-    def test_split_run_solves_the_stacked_steps(self, eps):
+    def test_split_run_solves_the_stacked_steps(self, eps, monkeypatch):
         # from each recorded state, the split step's solution must satisfy
         # the stacked step equation to roundoff, and the ledger increments and
         # pressures must agree; forward states are not compared, as cond(A)
@@ -744,7 +754,7 @@ class TestStackedCartesianOracle:
 
         params = self._params(eps)
         solver = lb.FsiSolver(params)
-        states = _record_spectral_states(solver)
+        states = _record_spectral_states(monkeypatch, solver)
         nsteps = 25
         led = solver.run(nsteps * params.dt, snapshot_stride=1).ledger
         assert len(states) == nsteps + 1
@@ -762,7 +772,8 @@ class TestStackedCartesianOracle:
                 assert abs(inc[key][i] - ref[key]) <= 1e-12 * scale, key
             fhat = dict(enumerate(stacked.forcing_hat(states[i + 1].t)))
             older = None if i == 0 else states[i - 1].c
-            got = solver.pressure_hat(states[i].c, states[i + 1].c, fhat, params.dt, older)
+            got = TestPressureRecovery._pressure(solver, states[i].c, states[i + 1].c, fhat,
+                                                 params.dt, older)
             want = stacked.pressure_hat(cart[i].c, cart[i + 1].c, fhat, params.dt,
                                         None if i == 0 else cart[i - 1].c)
             assert np.max(np.abs(want)) > 0
@@ -775,11 +786,11 @@ class TestBlockedRunOracle:
     step, and another transform for each snapshot's pressure)."""
 
     @staticmethod
-    def _compare(params, nsteps, stride):
+    def _compare(monkeypatch, params, nsteps, stride):
         from oracles import stepwise_run
 
         solver = lb.FsiSolver(params)
-        states = _record_spectral_states(solver)
+        states = _record_spectral_states(monkeypatch, solver)
         traj = solver.run(nsteps * params.dt, snapshot_stride=stride)
         ref, ref_states = stepwise_run(lb.FsiSolver(params), nsteps * params.dt, stride)
         np.testing.assert_array_equal(traj.times, ref.times)
@@ -803,23 +814,30 @@ class TestBlockedRunOracle:
 
         return _steps_per_block(16 * solver.P * solver.K * solver.mi)
 
-    def test_stride_across_blocks_and_partial_last_block(self):
+    def test_stride_across_blocks_and_partial_last_block(self, monkeypatch):
         params = make_params(n=16, m=20, dt=2e-3, theta=0.5)
-        solver, traj = self._compare(params, 60, 7)
+        solver, traj = self._compare(monkeypatch, params, 60, 7)
         block = self._block(solver)
         assert block > 7 and block % 7 and 60 % block
         assert len(traj.states) == 1 + 60 // 7 + 1
 
-    def test_snapshot_on_first_step_of_block(self):
+    def test_snapshot_on_first_step_of_block(self, monkeypatch):
         # its second-order pressure quotient reaches two states back, into
         # the previous block
         params = make_params(n=16, m=20, dt=2e-3)
-        solver, traj = self._compare(params, 52, 13)
+        solver, traj = self._compare(monkeypatch, params, 52, 13)
         block = self._block(solver)
         steps = np.rint(traj.times / params.dt).astype(int)
         assert any(n > 1 and (n - 1) % block == 0 for n in steps)
 
-    def test_two_dimensional_one_step_blocks(self):
+    def test_snapshot_at_the_first_step(self, monkeypatch):
+        # the first step has no state two back: its pressure takes the
+        # first-order quotient
+        params = make_params(n=16, m=20, dt=2e-3)
+        _, traj = self._compare(monkeypatch, params, 3, 1)
+        assert traj.times[1] == params.dt
+
+    def test_two_dimensional_one_step_blocks(self, monkeypatch):
         grid = lb.PeriodicGrid(dim=2, n=16)
         vn = lb.VerticalNodes(12)
         model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
@@ -827,7 +845,7 @@ class TestBlockedRunOracle:
                               forcing=nyquist_free(grid, _loaded_bump_forcing(grid, vn)))
         # every step starts a block; the snapshot at step 2 is the first
         # whose pressure reaches two states back
-        solver, traj = self._compare(params, 11, 2)
+        solver, traj = self._compare(monkeypatch, params, 11, 2)
         assert self._block(solver) == 1
         assert traj.times[1] == 2 * params.dt
 
@@ -848,7 +866,8 @@ class TestBlockedRunOracle:
 class TestRunBatch:
     """Ladder points stepped together in `fsi.run_batch` against each point
     run alone and against the one-solver loop it replaced
-    (`oracles.single_run`), all bit for bit."""
+    (`oracles.single_run`: per-solver quadrature, ledger columns, pressures
+    and fields)."""
 
     @staticmethod
     def _ladder(dim):
@@ -866,45 +885,83 @@ class TestRunBatch:
                 for eps in eps_list]
 
     @staticmethod
-    def _assert_equal(got, want):
-        (traj, spectral), (ref, ref_spectral) = got, want
+    def _assert_states_equal(traj, ref):
+        """Times and every snapshot field, all bit for bit."""
         assert np.array_equal(traj.times, ref.times)
+        assert len(traj.states) == len(ref.states)
+        for a, b in zip(traj.states, ref.states):
+            assert a.t == b.t
+            for x, y in zip((*a.v, a.p, a.eta, a.eta_t), (*b.v, b.p, b.eta, b.eta_t)):
+                assert np.array_equal(x.values, y.values)
+
+    @classmethod
+    def _assert_equal(cls, got, want):
+        (traj, spectral), (ref, ref_spectral) = got, want
+        cls._assert_states_equal(traj, ref)
         assert len(spectral) == len(ref_spectral) == len(traj.states)
         for a, b in zip(spectral, ref_spectral):
             assert a.t == b.t
             for x, y in zip(a[:3], b[:3]):
                 assert np.array_equal(x, y)
-        for a, b in zip(traj.states, ref.states):
-            assert np.array_equal(a.p.values, b.p.values)
         for f in fields(traj.ledger):
             assert np.array_equal(getattr(traj.ledger, f.name), getattr(ref.ledger, f.name))
 
     @staticmethod
-    def _spied(params):
+    def _spied(monkeypatch, params):
         solvers = [lb.FsiSolver(p) for p in params]
-        return solvers, [_record_spectral_states(s) for s in solvers]
+        return solvers, [_record_spectral_states(monkeypatch, s) for s in solvers]
 
     @pytest.mark.parametrize("dim, nsteps, stride", [(1, 60, 7), (2, 15, 4)])
-    def test_together_equals_alone_and_the_oracle(self, dim, nsteps, stride):
+    def test_together_equals_alone_and_the_oracle(self, dim, nsteps, stride, monkeypatch):
         from oracles import single_run
         from lubelastic.spectral import _steps_per_block
 
         params = self._ladder(dim)
         t_end = nsteps * params[0].dt
-        solvers, seen = self._spied(params)
+        solvers, seen = self._spied(monkeypatch, params)
         block = _steps_per_block(16 * solvers[0].P * solvers[0].K * solvers[0].mi)
         assert 1 < block < nsteps and block % stride and nsteps % block
         together = lb.fsi.run_batch(solvers, t_end, snapshot_stride=stride)
         assert len(together) == len(params)
-        alone_solvers, alone_seen = self._spied(params)
-        oracle_solvers, oracle_seen = self._spied(params)
+        alone_solvers, alone_seen = self._spied(monkeypatch, params)
         for i, p in enumerate(params):
             assert together[i].params is p
             assert np.max(np.abs(together[i].ledger.work)) > 0
             alone = alone_solvers[i].run(t_end, snapshot_stride=stride)
-            oracle = single_run(oracle_solvers[i], t_end, snapshot_stride=stride)
             self._assert_equal((together[i], seen[i]), (alone, alone_seen[i]))
-            self._assert_equal((together[i], seen[i]), (oracle, oracle_seen[i]))
+            oracle = single_run(lb.FsiSolver(p), t_end, snapshot_stride=stride)
+            self._assert_states_equal(together[i], oracle)
+            for f in fields(oracle.ledger):
+                assert np.array_equal(getattr(together[i].ledger, f.name),
+                                      getattr(oracle.ledger, f.name))
+
+    def test_ladder_size_batch_matches_the_oracle(self):
+        # the bench ladder's four thicknesses and setting (n = 16, m = 20,
+        # dt = 5e-4, 25-step blocks) at its snapshot stride of 20, which
+        # crosses the blocks, with a partial last block
+        from oracles import single_run
+        from lubelastic.spectral import _steps_per_block
+
+        cfg = lb.verify.RateStudyConfig(kappa=Fraction(2), n=16, m=20, dt=5e-4,
+                                        t_end=0.055, snapshot_stride=20, theta=1.0)
+        grid, vnodes, forcing = cfg.setting()
+        params = [lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
+                               forcing=forcing) for eps in cfg.eps_list]
+        assert len(params) == 4
+        solvers = [lb.FsiSolver(p) for p in params]
+        block = _steps_per_block(16 * solvers[0].P * solvers[0].K * solvers[0].mi)
+        assert block == 25
+        together = lb.fsi.run_batch(solvers, cfg.t_end, cfg.snapshot_stride)
+        for p, traj in zip(params, together):
+            oracle = single_run(lb.FsiSolver(p), cfg.t_end, cfg.snapshot_stride)
+            self._assert_states_equal(traj, oracle)
+            assert len(traj.states) == 1 + 110 // 20 + 1
+            for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
+                         "viscoelastic_dissipation", "numerical_dissipation", "work"):
+                got, want = getattr(traj.ledger, name), getattr(oracle.ledger, name)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+            assert np.array_equal(traj.ledger.t, oracle.ledger.t)
+            assert np.max(traj.ledger.identity_residual_rel()) <= 1e-12
 
     @pytest.mark.parametrize("change", ["dt", "grid", "forcing"])
     def test_solvers_must_share_the_setting(self, change):

@@ -17,7 +17,7 @@ from lubelastic.spectral import (
     spectral_derivative,
     truncated_hat,
 )
-from lubelastic.verify import _snapshot_channel_sq
+from lubelastic.verify import _channel_sq
 
 from oracles import (
     LoopChebOps,
@@ -369,7 +369,7 @@ class TestChannelField:
         assert np.allclose(f.values[..., 0], 0.0)
         assert np.allclose(f.values[..., -1], 1.0)
         # integral of (y+1)^2 over (-1,0) is 1/3
-        assert _snapshot_channel_sq(f) == pytest.approx(1 / 3, rel=1e-12)
+        assert _channel_sq(f.values[None], vn.weights)[0] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_csv(self, grid1, tmp_path):
         vn = VerticalNodes(8)

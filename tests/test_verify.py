@@ -72,6 +72,18 @@ class TestThinNorm:
         n3a = verify.thin_norm_L2L2([3.0 * x for x in a], 0.25, times)
         assert n3a == pytest.approx(3.0 * na, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_reduction_is_the_per_snapshot_one(self, dim):
+        # the norms reduce the stacked snapshots; each snapshot's integral
+        # must be bitwise the per-field one (`oracles.snapshot_channel_sq`)
+        from oracles import snapshot_channel_sq
+
+        grid, vnodes = PeriodicGrid(dim=dim, n=16), VerticalNodes(12)
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal((7,) + grid.shape + (vnodes.m,))
+        want = [snapshot_channel_sq(ChannelField(grid, vnodes, v)) for v in values]
+        assert verify._channel_sq(values, vnodes.weights).tolist() == want
+
 
 class TestH2Norm:
     def test_zero_trajectory(self, grid):
@@ -87,13 +99,27 @@ class TestH2Norm:
         f2 = 2.0 * f1
         assert verify.norm_LinfH2([f1, f2]) >= verify.norm_LinfH2([f1])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_norms_are_the_per_field_ones(self, dim):
+        # one transform over the stacked fields, then each field's sum over
+        # its own contiguous coefficients, bitwise `oracles.snapshot_h2_norm`
+        from oracles import snapshot_h2_norm
+
+        grid = PeriodicGrid(dim=dim, n=32)
+        fields = [PeriodicField(grid, v)
+                  for v in np.random.default_rng(29).standard_normal((51,) + grid.shape)]
+        want = [snapshot_h2_norm(f) for f in fields]
+        assert verify._h2_norms(grid, np.stack([f.values for f in fields])).tolist() == want
+        assert verify.norm_LinfH2(fields) == max(want)
+
     def test_triangle_and_homogeneity(self, grid):
         rng = np.random.default_rng(6)
         a = PeriodicField(grid, rng.standard_normal(grid.shape))
         b = PeriodicField(grid, rng.standard_normal(grid.shape))
-        na, nb = verify.h2_norm(a), verify.h2_norm(b)
-        assert verify.h2_norm(a + b) <= na + nb + 1e-12 * (na + nb)
-        assert verify.h2_norm(3.0 * a) == pytest.approx(3.0 * na, rel=1e-12)
+        h2 = lambda f: verify.norm_LinfH2([f])
+        na, nb = h2(a), h2(b)
+        assert h2(a + b) <= na + nb + 1e-12 * (na + nb)
+        assert h2(3.0 * a) == pytest.approx(3.0 * na, rel=1e-12)
 
 
 def reports_from_errors(eps_list, errors, kappa=2.0):
@@ -328,6 +354,87 @@ class TestLadderConfig:
         for a, b in zip(seq.ledgers, par.ledgers):
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+
+    @staticmethod
+    def _oracle_report(cfg, eps, reduced):
+        """One point's report from the one-solver run and the per-snapshot
+        reconstruction and norms (`oracles.single_run`,
+        `oracles.snapshot_assemble_approx`, `oracles.snapshot_compare`)."""
+        from oracles import single_run, snapshot_assemble_approx, snapshot_compare
+
+        grid, vnodes, forcing = cfg.setting()
+        params = lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
+                              forcing=forcing)
+        traj = single_run(lb.FsiSolver(params), cfg.t_end, cfg.snapshot_stride)
+        errs = snapshot_compare(traj, snapshot_assemble_approx(reduced, params.model, forcing,
+                                                               vnodes))
+        t_phys = cfg.t_end * lb.eps_power(eps, params.model.tau)
+        ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
+        return verify.ErrorReport(eps, float(params.model.kappa), *errs, energy_ratio=ratio)
+
+    @staticmethod
+    def _hex(report):
+        return [float(getattr(report, f.name)).hex() for f in dataclasses.fields(report)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_match_the_per_snapshot_oracle(self, jobs):
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            dt=1e-3, t_end=0.05, snapshot_stride=10, theta=1.0)
+        result = verify.run_rate_study(cfg, jobs=jobs)
+        for report in result.reports:
+            want = self._oracle_report(cfg, report.eps, result.reduced)
+            assert self._hex(report) == self._hex(want)
+
+    def test_two_dimensional_reports_match_the_per_snapshot_oracle(self):
+        # the channel norms average over both horizontal axes at once
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625), dim=2, n=8, m=10,
+            dt=1e-3, t_end=0.02, snapshot_stride=5, theta=1.0, wavevector=(1, 2))
+        grid, vnodes, forcing = cfg.setting()
+        reduced = lb.solve_reduced(cfg.model_for(0.125), grid, vnodes, forcing, cfg.t_end,
+                                   cfg.dt, snapshot_stride=cfg.snapshot_stride)
+        points = verify._ladder_points(cfg, cfg.eps_list, reduced)
+        assert len(points) == 2
+        for eps, (report, _, _) in zip(cfg.eps_list, points):
+            assert report.err_velocity > 0 and report.err_pressure > 0
+            assert self._hex(report) == self._hex(self._oracle_report(cfg, eps, reduced))
+
+    def test_one_limit_map_and_one_pass_per_block(self, monkeypatch):
+        # the bench times the ladder but cannot see inside `fsi.run_batch`:
+        # a ladder builds one limit map, and each block of steps makes one
+        # quadrature, ledger, pressure and field pass for all its points, as
+        # many as one point alone
+        from lubelastic.spectral import _steps_per_block
+
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            dt=1e-3, t_end=0.5, snapshot_stride=50, theta=1.0)
+        counts = {}
+
+        def count(holder, name):
+            fn = getattr(holder, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(holder, name, counted)
+
+        count(verify, "_limit_map")
+        for name in ("_quadrature", "_record", "pressure_hat", "materialize"):
+            count(lb.fsi, name)
+        result = verify.run_rate_study(cfg)
+        # 1D rows: K = n/2 + 1 modes of m - 2 interior coefficients
+        blocks = -(-500 // _steps_per_block(16 * (cfg.n // 2 + 1) * (cfg.m - 2)))
+        assert 1 < blocks < 500 // cfg.snapshot_stride
+        # every block holds a snapshot, none of them at the first step
+        want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
+                "pressure_hat": blocks, "materialize": 1 + blocks}
+        assert counts == want
+        counts.clear()
+        verify._ladder_points(cfg, cfg.eps_list[:1], result.reduced)
+        assert counts == want
 
     @staticmethod
     def _fake_points(config, eps_list, reduced):
