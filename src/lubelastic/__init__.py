@@ -50,7 +50,6 @@ from .thinfilm import (
 from .fsi import (
     EnergyLedger,
     FsiParams,
-    FsiSolver,
     FsiState,
     FsiTrajectory,
     harmonic_ramp_forcing,

@@ -37,9 +37,12 @@ plate row.
 
 A run advances in blocks of steps whose stacked states take about 64 KiB
 (25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
-Solvers that share the grid, dt and forcing, such as a thickness ladder's
-points, step together, their matrices stacked along a leading axis.  The
-step loop runs the steps one after another in the order of a single step;
+Parameter sets that share the grid, dt and forcing, such as a thickness
+ladder's points, step together in `run_batch`, which builds their batch
+once per call: the grid's geometry once, each eps-dependent coefficient as
+an array over the points, and their matrices from one assembly stacked
+along a leading solver axis.  A run alone is a batch of one.  The step
+loop runs the steps one after another in the order of a single step;
 everything around it is one pass per block for all the solvers.  The
 forcing is sampled at every step time and its loaded components are
 transformed together.  The load quadrature is taken once, since the frame
@@ -269,63 +272,13 @@ class FsiTrajectory:
 
 
 # ----------------------------------------------------------------------
-# per-mode assembly
+# the batch's operator
 # ----------------------------------------------------------------------
 
 def _xi_stack(grid: PeriodicGrid) -> np.ndarray:
     """Angular wavenumber vectors for every stored mode, shape (K, dim)."""
     mesh = np.meshgrid(*(k.astype(float) for k in grid.wavenumbers), indexing="ij")
     return 2.0 * np.pi * np.stack([k.ravel() for k in mesh], axis=1)
-
-
-class _Assembled:
-    """Per-row matrices (P*K, mi, mi) of the step operator for params.dt,
-    with their inverses.  lam is |xi|^2 on the along-xi rows and 0 on the
-    across-xi rows; the plate's rank-one term g g^T enters rows :K only."""
-
-    def __init__(self, solver: "FsiSolver"):
-        p = solver.params
-        dt = p.dt
-        K, P = solver.K, solver.P
-        ops = p.vnodes.ops
-        sl = slice(1, -1)
-        Mi = ops.M[sl, sl]
-        Ki = ops.K[sl, sl]
-        MAi = ops.MA[sl, sl]
-        Ci = ops.C_dA[sl, sl]
-        Csym = Ci + Ci.T
-        a0 = ops.weights[sl]
-        eps = p.model.eps
-        nu = p.model.nu
-
-        xi2 = np.tile(solver.xi2, P)[:, None, None]   # |xi|^2 on every row
-        lam = np.zeros_like(xi2)
-        lam[:K] = xi2[:K]
-        mass = Mi + eps**2 * (lam * MAi)
-        visc = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
-            Ki / eps**2 + lam * Csym + eps**2 * ((xi2 * lam) * MAi))
-        visc *= 2.0 * nu
-        g = solver.xi_L[:, None] * a0
-
-        xi4 = solver.xi2**2
-        plate_coef = (
-            solver.coef["rho_s_mass"] / dt
-            + solver.coef["theta_rank1"] * xi4
-            + solver.coef["bending_rank1"] * dt * xi4
-        )
-        A = (solver.coef["fluid_mass"] / dt) * mass + eps * visc
-        A[:K] += plate_coef[:, None, None] * (g[:, :, None] * g[:, None, :])
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
-            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
-        Linv = np.linalg.inv(L)
-
-        self.A = A
-        self.mass, self.visc = mass, visc
-        self.g = g
-        self.xi4 = xi4
-        self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
 
 def _real(c: np.ndarray) -> np.ndarray:
@@ -347,76 +300,105 @@ def _re_inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(float) * b.view(float)).sum(axis=-1).swapaxes(0, 1) @ w
 
 
-class FsiSolver:
-    """Backward-Euler integrator for the coupled channel/plate system.
+class _Batch:
+    """The S parameter sets of one `run_batch` call, which share the grid, dt
+    and forcing (ParameterError otherwise): the grid's geometry once, and
+    every eps-dependent coefficient and step matrix stacked along a leading
+    solver axis.
 
     frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
-    e_p . v', and xi_L = e0 . xi.  The per-row step operator is assembled
-    and factored once per solver, on first use.  `run_batch` is the one way
-    to step, and `run` calls it with this solver alone.
+    e_p . v', and xi_L = e0 . xi.  The coefficients are (S,) arrays.  mass,
+    visc and the step operator A for dt are per-row matrices (S, P*K, mi,
+    mi), with A's inverse inv: lam is |xi|^2 on the along-xi rows and 0 on
+    the across-xi rows, and the plate's rank-one term g g^T enters rows :K
+    only.
     """
 
-    def __init__(self, params: FsiParams):
-        self.params = params
-        check = validate_theorem_regime(params.model.kappa)
-        if not check.ok:
-            logger.warning("running outside the guaranteed-rate regime: %s", check.reason)
-        xi = _xi_stack(params.grid)
-        self.K = xi.shape[0]
-        self.P = params.grid.dim
-        self.mi = params.vnodes.m - 2
+    def __init__(self, params: Sequence[FsiParams]):
+        first = params[0]
+        shared = lambda p: (p.grid, p.dt, p.forcing)  # the forcing's shape fixes m
+        if any(shared(p) != shared(first) for p in params):
+            raise ParameterError("runs stepped together must share the grid, dt and forcing")
+        for p in params:
+            check = validate_theorem_regime(p.model.kappa)
+            if not check.ok:
+                logger.warning("running outside the guaranteed-rate regime: %s", check.reason)
+        self.params = list(params)
+        self.grid, self.vnodes, self.dt = first.grid, first.vnodes, first.dt
+        xi = _xi_stack(self.grid)
+        K, P = self.K, self.P = xi.shape[0], self.grid.dim
+        self.mi = self.vnodes.m - 2
         self.xi2 = np.einsum("ka,ka->k", xi, xi)
+        self.xi4 = self.xi2**2
         e0 = np.zeros_like(xi)
         e0[:, 0] = 1.0
         np.divide(xi, np.sqrt(self.xi2)[:, None], out=e0, where=self.xi2[:, None] > 0)
-        across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if self.P == 2 else []
+        across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if P == 2 else []
         self.frame = np.stack([e0, *across])
         self.xi_L = np.einsum("ka,ka->k", e0, xi)
-        mdl = params.model
-        eps, kappa, tau = mdl.eps, mdl.kappa, mdl.tau
-        e = lambda expo: eps_power(eps, expo)
-        self.coef = {
-            # step-operator coefficients; the plate test function equals the
-            # vertical test trace, while the solution's plate velocity is
-            # eps^tau times its own vertical trace
-            "fluid_mass": mdl.rho_f * e(1 - tau),
-            "rho_s_mass": mdl.rho_s * e(2 - kappa - tau),
-            "theta_rank1": mdl.theta * e(2),
-            "bending_rank1": mdl.B * e(tau + 2 - kappa),
-            # trace relation and ledger coefficients
-            "trace": e(tau + 1),
-            "plate_test": e(1),
-            "work": e(tau + 1),
-            "plate_kin": mdl.rho_s * e(-kappa - 2 * tau),
-            "bend": mdl.B * e(-kappa),
-            "viscoelastic": mdl.theta * e(-tau),
-        }
-        self._assembled: _Assembled | None = None
-        ops = params.vnodes.ops
+        self.w = self.grid.mode_weights.ravel()
+        self.wr = np.tile(self.w, P)  # the rows' weights
+
+        models = [p.model for p in params]
+        col = lambda value: np.array([value(mdl) for mdl in models])
+        e = lambda expo: col(lambda mdl: eps_power(mdl.eps, expo(mdl)))
+        rho_f, rho_s = col(lambda mdl: mdl.rho_f), col(lambda mdl: mdl.rho_s)
+        theta, B = col(lambda mdl: mdl.theta), col(lambda mdl: mdl.B)
+        self.eps, self.eps2, self.nu = (col(lambda mdl: mdl.eps), col(lambda mdl: mdl.eps**2),
+                                        col(lambda mdl: mdl.nu))
+        # step-operator coefficients; the plate test function equals the
+        # vertical test trace, while the solution's plate velocity is
+        # eps^tau times its own vertical trace
+        self.fluid_mass = rho_f * e(lambda mdl: 1 - mdl.tau)
+        self.rho_s_mass = rho_s * e(lambda mdl: 2 - mdl.kappa - mdl.tau)
+        self.theta_rank1 = theta * e(lambda mdl: 2)
+        self.bending_rank1 = B * e(lambda mdl: mdl.tau + 2 - mdl.kappa)
+        # trace relation, ledger and pressure coefficients
+        self.trace = e(lambda mdl: mdl.tau + 1)
+        self.plate_test = e(lambda mdl: 1)
+        self.work = e(lambda mdl: mdl.tau + 1)
+        self.plate_kin = rho_s * e(lambda mdl: -mdl.kappa - 2 * mdl.tau)
+        self.bend = B * e(lambda mdl: -mdl.kappa)
+        self.viscoelastic = theta * e(lambda mdl: -mdl.tau)
+        self.fluid_kin = rho_f * self.eps
+        self.inert = rho_f * e(lambda mdl: -mdl.tau)
+
+        ops = self.vnodes.ops
         sl = slice(1, -1)
-        self._Mint = ops.M[sl, :]
-        self._MAint = ops.M_Al[sl, :]
-        self._w = params.grid.mode_weights.ravel()
-        self._wr = np.tile(self._w, self.P)  # the rows' weights
+        self.Mint, self.MAint = ops.M[sl, :], ops.M_Al[sl, :]
+        Mi, Ki, MAi, Ci = ops.M[sl, sl], ops.K[sl, sl], ops.MA[sl, sl], ops.C_dA[sl, sl]
+        Csym = Ci + Ci.T
+        xi2 = np.tile(self.xi2, P)[:, None, None]   # |xi|^2 on every row
+        lam = np.zeros_like(xi2)
+        lam[:K] = xi2[:K]
+        # the coefficients scale the solver axis of (S, P*K, mi, mi) stacks
+        eps, eps2 = self.eps[:, None, None, None], self.eps2[:, None, None, None]
+        self.mass = Mi + eps2 * (lam * MAi)
+        self.visc = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
+            Ki / eps2 + lam * Csym + eps2 * ((xi2 * lam) * MAi))
+        self.visc *= (2.0 * self.nu)[:, None, None, None]
+        self.g = self.xi_L[:, None] * ops.weights[sl]
+        dt = self.dt
+        plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * self.xi4
+                 + (self.bending_rank1 * dt)[:, None] * self.xi4)
+        A = (self.fluid_mass / dt)[:, None, None, None] * self.mass + eps * self.visc
+        A[:, :K] += plate[:, :, None, None] * (self.g[:, :, None] * self.g[:, None, :])
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
+            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
+        Linv = np.linalg.inv(L)
+        self.A = A
+        self.inv = np.swapaxes(Linv, -1, -2) @ Linv   # A^-1 = L^-T L^-1
 
-    # -- assembly ------------------------------------------------------
-
-    def assembled(self) -> _Assembled:
-        """Per-row step operator for params.dt, built on first use."""
-        if self._assembled is None:
-            self._assembled = _Assembled(self)
-        return self._assembled
-
-    # -- state conversion ----------------------------------------------
-
-    def _profiles(self, c: np.ndarray) -> np.ndarray:
+    def profiles(self, c: np.ndarray) -> np.ndarray:
         """Embed interior coefficients (..., mi) into full vertical profiles
         (..., m)."""
-        full = np.zeros(c.shape[:-1] + (self.params.vnodes.m,), dtype=complex)
+        full = np.zeros(c.shape[:-1] + (self.vnodes.m,), dtype=complex)
         full[..., 1:-1] = c
         return full
 
-    def _in_frame(self, fhat: dict) -> np.ndarray | None:
+    def in_frame(self, fhat: dict) -> np.ndarray | None:
         """The loaded horizontal forcing components, coefficients (..., K, m)
         each, rotated into the frame: rows (..., P*K, m), or None when no
         horizontal component is loaded."""
@@ -429,68 +411,45 @@ class FsiSolver:
         rows = sum(parts[1:], parts[0])
         return rows.reshape(rows.shape[:-3] + (self.P * self.K, -1))
 
-    # -- full run ---------------------------------------------------------
-
-    def run(self, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
-        """`run_batch` with this solver alone."""
-        return run_batch([self], t_end, snapshot_stride)[0]
-
 
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
 
-def _stacked(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-    """The arrays along a new axis; a single one as a view."""
-    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
-
-
-def _per_solver(solvers: Sequence[FsiSolver], value, ndim: int = 1) -> np.ndarray:
-    """value(solver) for every solver, shaped (S,) + (1,) * ndim so that it
-    scales arrays whose solver axis lies ndim axes before the last."""
-    return np.array([value(s) for s in solvers]).reshape((-1,) + (1,) * ndim)
-
-
-def _quadrature(solvers: Sequence[FsiSolver], fhat: dict, nb: int) -> np.ndarray:
+def _quadrature(batch: _Batch, fhat: dict, nb: int) -> np.ndarray:
     """Forcing quadrature against the velocity basis, rows (B, S, P*K, mi),
     from the loaded components' coefficients (B, K, m).  The frame, xi_L and
     the Gram matrices are the shared grid's, so every product is taken once;
     only the vertical load's eps differs between the solvers."""
-    s0 = solvers[0]
-    Fq = np.zeros((nb, len(solvers), s0.P * s0.K, s0.mi), dtype=complex)
-    rows = s0._in_frame(fhat)
+    K, P = batch.K, batch.P
+    Fq = np.zeros((nb, len(batch.params), P * K, batch.mi), dtype=complex)
+    rows = batch.in_frame(fhat)
     if rows is not None:
-        Fq += (rows @ s0._Mint.T)[:, None]
-    if s0.P in fhat:
+        Fq += (rows @ batch.Mint.T)[:, None]
+    if P in fhat:
         # integrals of A_i * f3 profile; the vertical load works on the
         # along-xi part only
-        eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
-        Fq[:, :, :s0.K] += (1j * eps * s0.xi_L[:, None]) * (fhat[s0.P] @ s0._MAint.T)[:, None]
+        eps = batch.eps[:, None, None]
+        Fq[:, :, :K] += (1j * eps * batch.xi_L[:, None]) * (fhat[P] @ batch.MAint.T)[:, None]
     return Fq
 
 
-def _record(solvers: Sequence[FsiSolver], columns: np.ndarray, t, c, eta, eta_t, Fq,
-            mass_c, mass, visc) -> None:
+def _record(batch: _Batch, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_c) -> None:
     """Write a block's ledger columns (S, 8, B) for every solver, in
     `EnergyLedger` field order, with the viscous, viscoelastic, numerical
     and work integrals as per-step increments.  c, eta, eta_t and mass_c
     stack the state before the block and the block's B states, (B + 1, S,
     ...); mass_c holds their M c, which the step loop computed for all but
-    the last state, written here.  mass and visc stack the solvers'
-    matrices (S, P*K, mi, mi)."""
-    s0 = solvers[0]
-    w, wr = s0._w, s0._wr
-    wx = w * s0.assembled().xi4
-    dt = s0.params.dt
-    col = lambda value: _per_solver(solvers, value)
-    fluid = col(lambda s: 0.5 * s.params.model.rho_f * s.params.model.eps)
-    plate_kin = col(lambda s: 0.5 * s.coef["plate_kin"])
-    bend = col(lambda s: 0.5 * s.coef["bend"])
-    work = col(lambda s: dt * s.coef["work"])
-    viscoelastic = col(lambda s: dt * s.coef["viscoelastic"])
+    the last state, written here."""
+    w, wr = batch.w, batch.wr
+    wx = w * batch.xi4
+    dt = batch.dt
+    fluid, plate_kin = 0.5 * batch.fluid_kin[:, None], 0.5 * batch.plate_kin[:, None]
+    bend = 0.5 * batch.bend[:, None]
+    work, viscoelastic = dt * batch.work[:, None], dt * batch.viscoelastic[:, None]
     # sum_k weights_k |x_k|^2 per step and solver, as (S, B)
     sq = lambda weights, x: np.sum(weights * np.abs(x) ** 2, axis=-1).T
-    np.matmul(mass, _real(c[-1]), out=_real(mass_c[-1]))
+    np.matmul(batch.mass, _real(c[-1]), out=_real(mass_c[-1]))
     ef = fluid * _re_inner(wr, c[1:], mass_c[1:])
     epk = plate_kin * sq(w, eta_t[1:])
     eb = bend * sq(wx, eta[1:])
@@ -507,13 +466,14 @@ def _record(solvers: Sequence[FsiSolver], columns: np.ndarray, t, c, eta, eta_t,
     dn = (fluid * _re_inner(wr, c[1:] - c[:-1], mass_c[1:] - mass_c[:-1])
           + plate_kin * sq(w, eta_t[1:] - eta_t[:-1]) + bend * sq(wx, eta[1:] - eta[:-1]))
     columns[:, 0] = t
-    columns[:, 1:] = np.stack([ef, epk, eb, work * _re_inner(wr, c[1:], _apply(visc, c[1:])),
+    columns[:, 1:] = np.stack([ef, epk, eb,
+                               work * _re_inner(wr, c[1:], _apply(batch.visc, c[1:])),
                                viscoelastic * sq(wx, eta_t[1:]), dn,
                                work * _re_inner(wr, c[1:], Fq)], axis=1)
 
 
-def pressure_hat(solvers: Sequence[FsiSolver], c_old: np.ndarray, c_new: np.ndarray,
-                 fhat: dict, dt: float, c_older: np.ndarray | None = None) -> np.ndarray:
+def pressure_hat(batch: _Batch, c_old: np.ndarray, c_new: np.ndarray, fhat: dict,
+                 c_older: np.ndarray | None = None) -> np.ndarray:
     """Pressure profiles per mode, (..., S, K, m), from the along-xi
     momentum balance; the zero mode comes from the vertical balance pinned
     by the plate.
@@ -524,47 +484,42 @@ def pressure_hat(solvers: Sequence[FsiSolver], c_old: np.ndarray, c_new: np.ndar
     c_old as well, the inertia term uses the second-order backward quotient,
     otherwise the first-order one.
     """
-    s0 = solvers[0]
-    ops = s0.params.vnodes.ops
-    K = s0.K
-    xi2 = s0.xi2
-    col = lambda value: _per_solver(solvers, lambda s: value(s.params.model), 2)
-    eps, eps2, nu = col(lambda mdl: mdl.eps), col(lambda mdl: mdl.eps**2), col(lambda mdl: mdl.nu)
-    inert = col(lambda mdl: mdl.rho_f * eps_power(mdl.eps, -mdl.tau))
-    v, v_old = s0._profiles(c_new[..., :K, :]), s0._profiles(c_old[..., :K, :])
+    ops = batch.vnodes.ops
+    K, dt, xi2 = batch.K, batch.dt, batch.xi2
+    eps, eps2, nu, inert = (x[:, None, None] for x in (batch.eps, batch.eps2, batch.nu,
+                                                       batch.inert))
+    v, v_old = batch.profiles(c_new[..., :K, :]), batch.profiles(c_old[..., :K, :])
     if c_older is None:
         dv = (v - v_old) / dt
     else:
-        dv = (3.0 * v - 4.0 * v_old + s0._profiles(c_older[..., :K, :])) / (2.0 * dt)
-    force = s0._in_frame(fhat)
+        dv = (3.0 * v - 4.0 * v_old + batch.profiles(c_older[..., :K, :])) / (2.0 * dt)
+    force = batch.in_frame(fhat)
     D2 = ops.D @ ops.D
     rhs = ((0.0 if force is None else force[..., None, :K, :])
            + nu * (-xi2[:, None] * v + (v @ D2.T) / eps2)
            - inert * dv)
     phat = np.zeros(v.shape, dtype=complex)
     nz = xi2 > 0
-    phat[..., nz, :] = -1j * (s0.xi_L[:, None] * rhs)[..., nz, :] / xi2[nz, None]
+    phat[..., nz, :] = -1j * (batch.xi_L[:, None] * rhs)[..., nz, :] / xi2[nz, None]
     # zero mode: d/dy3 p = eps * f3, level pinned by the plate row, which
     # reads zero because the mean plate harmonic never moves
-    if s0.P in fhat and not nz.all():
-        anti = ops.antiderivative(fhat[s0.P][..., ~nz, :])
+    if batch.P in fhat and not nz.all():
+        anti = ops.antiderivative(fhat[batch.P][..., ~nz, :])
         phat[..., ~nz, :] = eps * (anti - anti[..., -1:])[..., None, :, :]
     return phat
 
 
-def materialize(solvers: Sequence[FsiSolver], c: np.ndarray, eta: np.ndarray,
-                eta_t: np.ndarray, times: Sequence[float],
-                phat: np.ndarray | None = None) -> list[list[FsiState]]:
+def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray,
+                times: Sequence[float], phat: np.ndarray | None = None) -> list[list[FsiState]]:
     """The states with rows c (N, S, P*K, mi), plate harmonics eta, eta_t
     (N, S, K) and pressure coefficients (N, S, K, m) (None: zero) at the N
     given times, one list per solver.  Each field kind takes one transform
     over all N * S states, and the states' fields are views of the results."""
-    s0 = solvers[0]
-    grid, vn = s0.params.grid, s0.params.vnodes
+    grid, vn = batch.grid, batch.vnodes
     N, S = c.shape[:2]
-    full = s0._profiles(c)
+    full = batch.profiles(c)
     # back to Cartesian components: v_a = sum_p (e_p)_a v_p
-    cart = (s0.frame[..., None] * full.reshape(N, S, s0.P, s0.K, 1, vn.m)).sum(axis=2)
+    cart = (batch.frame[..., None] * full.reshape(N, S, batch.P, batch.K, 1, vn.m)).sum(axis=2)
 
     def nodal(hat: np.ndarray) -> np.ndarray:
         # the horizontal axes lead the transform, the states follow them
@@ -573,8 +528,8 @@ def materialize(solvers: Sequence[FsiSolver], c: np.ndarray, eta: np.ndarray,
 
     v = [nodal(cart[..., a, :]) for a in range(grid.dim)]
     # the vertical velocity from the divergence xi . v' = xi_L v_L
-    eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
-    v.append(nodal((-1j * eps) * vn.ops.antiderivative(s0.xi_L[:, None] * full[:, :, :s0.K])))
+    eps = batch.eps[:, None, None]
+    v.append(nodal((-1j * eps) * vn.ops.antiderivative(batch.xi_L[:, None] * full[:, :, :batch.K])))
     p = None if phat is None else nodal(phat)
     eta, eta_t = nodal(eta), nodal(eta_t)
     return [[FsiState(v=tuple(ChannelField(grid, vn, f[..., j, i, :]) for f in v),
@@ -585,30 +540,26 @@ def materialize(solvers: Sequence[FsiSolver], c: np.ndarray, eta: np.ndarray,
              for j, t in enumerate(times)] for i in range(S)]
 
 
-def run_batch(solvers: Sequence[FsiSolver], t_end: float,
+def run_batch(params: Sequence[FsiParams], t_end: float,
               snapshot_stride: int = 1) -> list[FsiTrajectory]:
-    """Step every solver from the zero state to t_end in one loop, keeping
-    every snapshot_stride-th state and the last one, and the energy ledger;
-    each trajectory is bitwise the one the solver makes alone.  The solvers
-    must share the grid, dt and forcing objects (ParameterError otherwise).
-    Each step solves, row by row,
+    """Step every parameter set from the zero state to t_end in one loop,
+    keeping every snapshot_stride-th state and the last one, and the energy
+    ledger; each trajectory is bitwise the one its parameters make alone.
+    The parameter sets must share the grid, dt and forcing objects
+    (ParameterError otherwise).  Each step solves, row by row,
 
-        A c_new = (coef["fluid_mass"] / dt) M c + eps Fq + plate_rhs g,
+        A c_new = (fluid_mass / dt) M c + eps Fq + plate_rhs g,
 
     where plate_rhs carries the plate's velocity and bending terms and
     enters the along-xi rows only, then sets eta_t from g . c_new and eta
     by one Euler step.  A forcing that is not finite at some step time
     raises ParameterError naming that time.
     """
-    first = solvers[0].params
-    shared = lambda p: (p.grid, p.dt, p.forcing)  # the forcing's shape fixes m
-    if any(shared(s.params) != shared(first) for s in solvers):
-        raise ParameterError("solvers stepped together must share the grid, dt and forcing")
-    dt = first.dt
-    nsteps = _step_count(t_end, dt)
+    nsteps = _step_count(t_end, params[0].dt)
     check_range(1, closed=True, snapshot_stride=snapshot_stride)
-    asms = [s.assembled() for s in solvers]
-    S, K, P, mi = len(solvers), solvers[0].K, solvers[0].P, solvers[0].mi
+    batch = _Batch(params)
+    dt, forcing = batch.dt, params[0].forcing
+    S, K, P, mi = len(params), batch.K, batch.P, batch.mi
     block = _steps_per_block(16 * P * K * mi)
     # rows 0 and 1 hold the solvers' two states before a block, row j + 1
     # their j-th states
@@ -620,25 +571,23 @@ def run_batch(solvers: Sequence[FsiSolver], t_end: float,
     mass_c = np.zeros((block + 1, S, P * K, mi), dtype=complex)
     # one column per step, in EnergyLedger field order
     ledgers = np.empty((S, 8, nsteps))
-    states = materialize(solvers, c[1:2], eta[1:2], eta_t[1:2], [0.0])
+    states = materialize(batch, c[1:2], eta[1:2], eta_t[1:2], [0.0])
     times = [0.0]
-    mass, visc, inv, g = (_stacked([getattr(a, name) for a in asms])
-                          for name in ("mass", "visc", "inv", "g"))
-    column = lambda name: _per_solver(solvers, lambda s: s.coef[name])
-    fluid = column("fluid_mass")[:, None] / dt
-    eps = _per_solver(solvers, lambda s: s.params.model.eps, 2)
-    plate_test = 1j * column("plate_test")
-    plate_kin = column("plate_kin")
-    bend = _stacked([s.coef["bend"] * a.xi4 for s, a in zip(solvers, asms)])
-    trace = -1j * column("trace")
+    mass, inv, g = batch.mass, batch.inv, batch.g
+    fluid = (batch.fluid_mass / dt)[:, None, None]
+    eps = batch.eps[:, None, None]
+    plate_test = 1j * batch.plate_test[:, None]
+    plate_kin = batch.plate_kin[:, None]
+    bend = batch.bend[:, None] * batch.xi4
+    trace = -1j * batch.trace[:, None]
     # the step's products write their results in place
     c_re, mass_c_re = _real(c), _real(mass_c)
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
         fhat = {i: h.reshape(nb, K, -1)
-                for i, h in sample_forcing(first.forcing, first.grid, t).items()}
-        Fq = _quadrature(solvers, fhat, nb)
+                for i, h in sample_forcing(forcing, batch.grid, t).items()}
+        Fq = _quadrature(batch, fhat, nb)
         load = eps * Fq
         for j in range(1, nb + 1):
             if j > 1:
@@ -650,8 +599,8 @@ def run_batch(solvers: Sequence[FsiSolver], t_end: float,
             eta_t[j + 1] = trace * (g * c[j + 1, :, :K]).sum(axis=-1)
             eta[j + 1] = eta[j] + dt * eta_t[j + 1]
         span = slice(1, nb + 2)
-        _record(solvers, ledgers[:, :, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq,
-                mass_c[:nb + 1], mass, visc)
+        _record(batch, ledgers[:, :, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq,
+                mass_c[:nb + 1])
         snaps = [j for j in range(nb)
                  if (n0 + j + 1) % snapshot_stride == 0 or n0 + j + 1 == nsteps]
         if snaps:
@@ -660,12 +609,12 @@ def run_batch(solvers: Sequence[FsiSolver], t_end: float,
             even = snaps == list(range(snaps[0], snaps[-1] + 1, snapshot_stride))
             at = lambda k: (slice(snaps[0] + k, snaps[-1] + 1 + k, snapshot_stride) if even
                             else np.array(snaps) + k)
-            phat = pressure_hat(solvers, c[at(1)], c[at(2)],
-                                {a: h[at(0)] for a, h in fhat.items()}, dt, c[at(0)])
+            phat = pressure_hat(batch, c[at(1)], c[at(2)],
+                                {a: h[at(0)] for a, h in fhat.items()}, c[at(0)])
             if n0 + snaps[0] == 0:  # the first step has no state two back
-                phat[0] = pressure_hat(solvers, c[1], c[2], {a: h[0] for a, h in fhat.items()}, dt)
+                phat[0] = pressure_hat(batch, c[1], c[2], {a: h[0] for a, h in fhat.items()})
             t_snaps = [t[j] for j in snaps]
-            new = materialize(solvers, c[at(2)], eta[at(2)], eta_t[at(2)], t_snaps, phat)
+            new = materialize(batch, c[at(2)], eta[at(2)], eta_t[at(2)], t_snaps, phat)
             for st, more in zip(states, new):
                 st += more
             times += t_snaps
@@ -674,14 +623,14 @@ def run_batch(solvers: Sequence[FsiSolver], t_end: float,
         mass_c[0] = mass_c[nb]
     # the integrals' increments summed in step order, in place
     np.cumsum(ledgers[:, 4:], axis=2, out=ledgers[:, 4:])
-    return [FsiTrajectory(params=s.params, times=np.array(times), states=tuple(st),
+    return [FsiTrajectory(params=p, times=np.array(times), states=tuple(st),
                           ledger=EnergyLedger(*led))
-            for s, st, led in zip(solvers, states, ledgers)]
+            for p, st, led in zip(params, states, ledgers)]
 
 
 def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:
     """Run from trivial initial data to t_end; returns trajectory and ledger."""
-    return FsiSolver(params).run(t_end, snapshot_stride=snapshot_stride)
+    return run_batch([params], t_end, snapshot_stride)[0]
 
 
 # ----------------------------------------------------------------------

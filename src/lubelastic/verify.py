@@ -23,7 +23,6 @@ from .errors import DegenerateFitError, GridMismatchError, ParameterError, check
 from .fsi import (
     EnergyLedger,
     FsiParams,
-    FsiSolver,
     FsiTrajectory,
     harmonic_ramp_forcing,
     run_batch,
@@ -49,7 +48,7 @@ def _channel_sq(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.mean(values**2 @ weights, axis=tuple(range(1, values.ndim - 1)))
 
 
-def _stacked(fields: Sequence) -> np.ndarray:
+def _values(fields: Sequence) -> np.ndarray:
     """The values of a sequence of fields, stacked along a new first axis."""
     return np.stack([f.values for f in fields])
 
@@ -72,7 +71,7 @@ def thin_norm_L2L2(snapshots: Sequence, eps: float, times: np.ndarray) -> float:
     if len(times) < 2:
         raise ParameterError("need at least two time samples")
     comps = [snapshots] if isinstance(snapshots[0], ChannelField) else list(zip(*snapshots))
-    return _l2l2(sum(_channel_sq(_stacked(c), c[0].vnodes.weights) for c in comps), eps, times)
+    return _l2l2(sum(_channel_sq(_values(c), c[0].vnodes.weights) for c in comps), eps, times)
 
 
 def _h2_norms(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ def norm_LinfH2(snapshots: Sequence[PeriodicField]) -> float:
     """Max over snapshots of the full H2 norm."""
     if not snapshots:
         raise ParameterError("need at least one snapshot")
-    return float(np.max(_h2_norms(snapshots[0].grid, _stacked(snapshots))))
+    return float(np.max(_h2_norms(snapshots[0].grid, _values(snapshots))))
 
 
 # ----------------------------------------------------------------------
@@ -288,24 +287,25 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
     eps = traj.params.model.eps
     states = traj.states
     w = traj.params.vnodes.weights
-    v_sq = sum(_channel_sq(_stacked([s.v[a] for s in states]) - _stacked([v[a] for v in approx.v]),
+    v_sq = sum(_channel_sq(_values([s.v[a] for s in states]) - _values([v[a] for v in approx.v]),
                            w) for a in range(len(approx.v[0])))
-    p_sq = _channel_sq(_stacked([s.p for s in states]) - _stacked(approx.p), w)
-    eta = _stacked([s.eta for s in states]) - _stacked(approx.eta)
+    p_sq = _channel_sq(_values([s.p for s in states]) - _values(approx.p), w)
+    eta = _values([s.eta for s in states]) - _values(approx.eta)
     return (_l2l2(v_sq, eps, traj.times), _l2l2(p_sq, eps, traj.times),
             float(np.max(_h2_norms(traj.params.grid, eta))))
 
 
 def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
-                   reduced: ReducedSolution) -> list:
+                   reduced: ReducedSolution, setting: tuple | None = None) -> list:
     """(report, ledger, audit) per thickness: the coupled runs step together,
     then each point is reconstructed from the shared reduced solution and
-    its limit map, which is built once."""
+    its limit map, which is built once.  setting is config.setting(), built
+    here when not given."""
     start = time.perf_counter()
-    grid, vnodes, forcing = config.setting()
+    grid, vnodes, forcing = setting or config.setting()
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
-    trajs = run_batch([FsiSolver(p) for p in params], config.t_end, config.snapshot_stride)
+    trajs = run_batch(params, config.t_end, config.snapshot_stride)
     # the limit map reads B and nu, which every point shares, but not eps
     limit = _limit_map(reduced, params[0].model, forcing, vnodes)
     outcomes = []
@@ -326,14 +326,16 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
 
     The reduced problem does not depend on eps, so it is solved once.  With
     jobs = 1 the points' coupled runs step together in one loop
-    (`fsi.run_batch`); with jobs > 1 each point runs in its own process.
-    Results are ordered by the configured ladder either way.
+    (`fsi.run_batch`) on the setting the reduced solve used; with jobs > 1
+    each point runs in its own process, which builds its own setting, as the
+    forcing closure does not pickle.  Results are ordered by the configured
+    ladder either way.
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
     check_range(1, closed=True, jobs=jobs)
-    grid, vnodes, forcing = config.setting()
-    reduced = solve_reduced(config.model_for(config.eps_list[0]), grid, vnodes, forcing,
+    setting = config.setting()
+    reduced = solve_reduced(config.model_for(config.eps_list[0]), *setting,
                             config.t_end, config.dt, snapshot_stride=config.snapshot_stride)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
@@ -341,7 +343,7 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
                        for eps in config.eps_list]
             outcomes = [o for f in futures for o in f.result()]
     else:
-        outcomes = _ladder_points(config, config.eps_list, reduced)
+        outcomes = _ladder_points(config, config.eps_list, reduced, setting)
     reports = tuple(o[0] for o in outcomes)
     ledgers = tuple(o[1] for o in outcomes)
     audits = tuple(o[2] for o in outcomes)

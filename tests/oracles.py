@@ -271,9 +271,136 @@ def reports_csv(reports, path) -> None:
                 r.err_displacement, r.energy_ratio)) + "\n")
 
 
+# One coupled solver's setup as `fsi.FsiSolver` and `fsi._Assembled` held it
+# before `fsi.run_batch` built the coefficients and step matrices of all its
+# points at once, stacked along a solver axis: the frame, a string-keyed
+# dict of Python scalar coefficients, and the per-row step operator
+# assembled and factored for this solver alone, on first use.  The oracles
+# below read a solver through this class.
+
+class Assembled:
+    """Per-row matrices (P*K, mi, mi) of the step operator for params.dt,
+    with their inverses.  lam is |xi|^2 on the along-xi rows and 0 on the
+    across-xi rows; the plate's rank-one term g g^T enters rows :K only."""
+
+    def __init__(self, solver):
+        p = solver.params
+        dt = p.dt
+        K, P = solver.K, solver.P
+        ops = p.vnodes.ops
+        sl = slice(1, -1)
+        Mi = ops.M[sl, sl]
+        Ki = ops.K[sl, sl]
+        MAi = ops.MA[sl, sl]
+        Ci = ops.C_dA[sl, sl]
+        Csym = Ci + Ci.T
+        a0 = ops.weights[sl]
+        eps = p.model.eps
+        nu = p.model.nu
+
+        xi2 = np.tile(solver.xi2, P)[:, None, None]   # |xi|^2 on every row
+        lam = np.zeros_like(xi2)
+        lam[:K] = xi2[:K]
+        mass = Mi + eps**2 * (lam * MAi)
+        visc = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
+            Ki / eps**2 + lam * Csym + eps**2 * ((xi2 * lam) * MAi))
+        visc *= 2.0 * nu
+        g = solver.xi_L[:, None] * a0
+
+        xi4 = solver.xi2**2
+        plate_coef = (
+            solver.coef["rho_s_mass"] / dt
+            + solver.coef["theta_rank1"] * xi4
+            + solver.coef["bending_rank1"] * dt * xi4
+        )
+        A = (solver.coef["fluid_mass"] / dt) * mass + eps * visc
+        A[:K] += plate_coef[:, None, None] * (g[:, :, None] * g[:, None, :])
+        L = np.linalg.cholesky(A)
+        Linv = np.linalg.inv(L)
+
+        self.A = A
+        self.mass, self.visc = mass, visc
+        self.g = g
+        self.xi4 = xi4
+        self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
+
+
+class FsiSolver:
+    """One solver's frame, coefficients and step operator.  frame[p, k] is
+    mode k's unit vector e_p, row p*K + k of a state holds e_p . v', and
+    xi_L = e0 . xi."""
+
+    def __init__(self, params):
+        from lubelastic.fsi import _xi_stack
+        from lubelastic.scaling import eps_power
+
+        self.params = params
+        xi = _xi_stack(params.grid)
+        self.K = xi.shape[0]
+        self.P = params.grid.dim
+        self.mi = params.vnodes.m - 2
+        self.xi2 = np.einsum("ka,ka->k", xi, xi)
+        e0 = np.zeros_like(xi)
+        e0[:, 0] = 1.0
+        np.divide(xi, np.sqrt(self.xi2)[:, None], out=e0, where=self.xi2[:, None] > 0)
+        across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if self.P == 2 else []
+        self.frame = np.stack([e0, *across])
+        self.xi_L = np.einsum("ka,ka->k", e0, xi)
+        mdl = params.model
+        eps, kappa, tau = mdl.eps, mdl.kappa, mdl.tau
+        e = lambda expo: eps_power(eps, expo)
+        self.coef = {
+            # step-operator coefficients; the plate test function equals the
+            # vertical test trace, while the solution's plate velocity is
+            # eps^tau times its own vertical trace
+            "fluid_mass": mdl.rho_f * e(1 - tau),
+            "rho_s_mass": mdl.rho_s * e(2 - kappa - tau),
+            "theta_rank1": mdl.theta * e(2),
+            "bending_rank1": mdl.B * e(tau + 2 - kappa),
+            # trace relation and ledger coefficients
+            "trace": e(tau + 1),
+            "plate_test": e(1),
+            "work": e(tau + 1),
+            "plate_kin": mdl.rho_s * e(-kappa - 2 * tau),
+            "bend": mdl.B * e(-kappa),
+            "viscoelastic": mdl.theta * e(-tau),
+        }
+        self._assembled = None
+        ops = params.vnodes.ops
+        sl = slice(1, -1)
+        self._Mint = ops.M[sl, :]
+        self._MAint = ops.M_Al[sl, :]
+        self._w = params.grid.mode_weights.ravel()
+
+    def assembled(self) -> Assembled:
+        """Per-row step operator for params.dt, built on first use."""
+        if self._assembled is None:
+            self._assembled = Assembled(self)
+        return self._assembled
+
+    def _profiles(self, c):
+        """Embed interior coefficients (..., mi) into full vertical profiles
+        (..., m)."""
+        full = np.zeros(c.shape[:-1] + (self.params.vnodes.m,), dtype=complex)
+        full[..., 1:-1] = c
+        return full
+
+    def _in_frame(self, fhat):
+        """The loaded horizontal forcing components, coefficients (..., K, m)
+        each, rotated into the frame: rows (..., P*K, m), or None when no
+        horizontal component is loaded."""
+        parts = [(self.frame[:, :, a, None]
+                  * np.ascontiguousarray(fhat[a]).view(float)[..., None, :, :]).view(complex)
+                 for a in range(self.P) if a in fhat]
+        if not parts:
+            return None
+        rows = sum(parts[1:], parts[0])
+        return rows.reshape(rows.shape[:-3] + (self.P * self.K, -1))
+
+
 # The coupled solver's evolving state: interior profile coefficients in the
 # solver's row layout (P*K, mi) and plate harmonics (K,), as
-# `fsi.FsiSolver.materialize` takes them.
+# `fsi.materialize` takes them.
 SpectralState = namedtuple("SpectralState", "c eta eta_t t")
 
 

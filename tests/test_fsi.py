@@ -13,7 +13,8 @@ import pytest
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError
 
-from oracles import cartesian_frame, ledger_csv, nyquist_free, to_cartesian, vertical_profile
+from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, to_cartesian,
+                     vertical_profile)
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -45,9 +46,8 @@ class TestParams:
 
     @pytest.mark.parametrize("t_end", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, t_end):
-        solver = lb.FsiSolver(make_params(n=8, m=8))
         with pytest.raises(ParameterError, match="positive and finite"):
-            solver.run(t_end)
+            lb.run_fsi(make_params(n=8, m=8), t_end)
 
     def test_forcing_shape_checked(self):
         grid = lb.PeriodicGrid(dim=1, n=16)
@@ -61,42 +61,52 @@ class TestParams:
 class TestModeOperator:
     def test_symmetric_positive_definite(self):
         params = make_params(m=12)
-        A = lb.FsiSolver(params).assembled().A[2]
+        A = lb.fsi._Batch([params]).A[0, 2]
         assert np.max(np.abs(A - A.T)) < 1e-10 * np.max(np.abs(A))
         assert np.min(np.linalg.eigvalsh(A)) > 0
 
     def test_viscous_block_positive_semidefinite(self):
         # dense eigensolve on a small vertical resolution
         params = make_params(m=12)
-        asm = lb.FsiSolver(params).assembled()
+        batch = lb.fsi._Batch([params])
         for k in (0, 1, 3, 8):
-            eig = np.linalg.eigvalsh(asm.visc[k])
+            eig = np.linalg.eigvalsh(batch.visc[0, k])
             assert eig.min() > -1e-12 * max(1.0, eig.max())
 
     def test_viscosity_operator_linear_in_nu(self):
-        base = lb.FsiSolver(make_params(m=12)).assembled().visc
-        visc = lb.FsiSolver(make_params(m=12, nu=2.5)).assembled().visc
+        base = lb.fsi._Batch([make_params(m=12)]).visc
+        visc = lb.fsi._Batch([make_params(m=12, nu=2.5)]).visc
         assert np.max(np.abs(visc - 2.5 * base)) <= 1e-14 * np.max(np.abs(visc))
 
     def test_small_dt_limit_is_mass_structure(self):
         params = make_params(m=12)
         gaps = []
         for dt in (1e-4, 1e-5, 1e-6):
-            solver = lb.FsiSolver(replace(params, dt=dt))
-            asm = solver.assembled()
-            limit = (solver.coef["fluid_mass"] * asm.mass[2]
-                     + solver.coef["rho_s_mass"] * np.outer(asm.g[2], asm.g[2]))
-            gaps.append(np.linalg.norm(dt * asm.A[2] - limit) / np.linalg.norm(limit))
+            batch = lb.fsi._Batch([replace(params, dt=dt)])
+            limit = (batch.fluid_mass[0] * batch.mass[0, 2]
+                     + batch.rho_s_mass[0] * np.outer(batch.g[2], batch.g[2]))
+            gaps.append(np.linalg.norm(dt * batch.A[0, 2] - limit) / np.linalg.norm(limit))
         assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.1)
         assert gaps[1] / gaps[2] == pytest.approx(10.0, rel=0.1)
 
-    def test_factorization_cached(self):
+    def test_factorization_cached(self, monkeypatch):
+        # a run assembles and factors the step operators of all its points
+        # once, in one batch
         params = make_params(m=12)
-        solver = lb.FsiSolver(params)
-        asm = solver.assembled()
-        assert solver.assembled() is asm
-        eye = np.broadcast_to(np.eye(solver.mi), asm.A.shape)
-        assert np.max(np.abs(asm.inv @ asm.A - eye)) < 1e-10
+        built = []
+        init = lb.fsi._Batch.__init__
+
+        def counting(batch, params):
+            built.append(batch)
+            init(batch, params)
+
+        monkeypatch.setattr(lb.fsi._Batch, "__init__", counting)
+        lb.fsi.run_batch([params, replace(params, model=replace(params.model, eps=0.0625))],
+                         0.005)
+        [batch] = built
+        assert batch.A.shape[0] == 2
+        eye = np.broadcast_to(np.eye(batch.mi), batch.A.shape)
+        assert np.max(np.abs(batch.inv @ batch.A - eye)) < 1e-10
 
     def test_wavenumber_outside_lattice(self):
         # |k| >= n/2 aliases on the grid, and k = n/2 samples sin to zero
@@ -265,12 +275,17 @@ class TestInvariantsAndRuns:
         assert np.max(ledger.identity_residual_rel()) <= 1e-12
         assert lb.verify.energy_audit(ledger, params).ok
 
-    def test_negative_energy_raises(self):
+    def test_negative_energy_raises(self, monkeypatch):
         # a mass operator of the wrong sign makes the fluid energy negative
-        solver = lb.FsiSolver(make_params(dt=1e-3))
-        solver.assembled().mass[...] *= -1.0
+        init = lb.fsi._Batch.__init__
+
+        def flipped(batch, params):
+            init(batch, params)
+            batch.mass *= -1.0
+
+        monkeypatch.setattr(lb.fsi._Batch, "__init__", flipped)
         with pytest.raises(lb.AssemblyError, match="negative energy"):
-            solver.run(0.005)
+            lb.run_fsi(make_params(dt=1e-3), 0.005)
 
     def test_dt_self_convergence_first_order(self):
         results = []
@@ -308,7 +323,7 @@ class TestInvariantsAndRuns:
 
     def test_run_rejects_zero_snapshot_stride(self):
         with pytest.raises(ParameterError, match="snapshot_stride"):
-            lb.FsiSolver(make_params(dt=1e-3)).run(0.01, snapshot_stride=0)
+            lb.run_fsi(make_params(dt=1e-3), 0.01, snapshot_stride=0)
 
     def test_ledger_csv(self, tmp_path):
         params = make_params(dt=1e-3)
@@ -468,9 +483,9 @@ class TestNyquistLoad:
         model = lb.ModelParams(eps=2.0**-6, kappa=Fraction(2), theta=1.0, dim=2)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
                               forcing=_loaded_bump_forcing(grid, vn))
-        solver = lb.FsiSolver(params)
-        spectral = _record_spectral_states(monkeypatch, solver)
-        traj = solver.run(10 * params.dt, snapshot_stride=1)
+        solver = FsiSolver(params)
+        spectral = _record_spectral_states(monkeypatch, params)
+        traj = lb.run_fsi(params, 10 * params.dt, snapshot_stride=1)
         assert len(traj.states) == len(spectral) == 11
         shape = grid.spectral_shape + (vn.m,)
         frame = cartesian_frame(grid)
@@ -497,21 +512,20 @@ class TestPressureRecovery:
             model = lb.ModelParams(eps=2.0**-3, kappa=Fraction(2), theta=1.0, dim=2)
             params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
                                   forcing=_loaded_bump_forcing(grid, vn))
-        solver = lb.FsiSolver(params)
-        states = _record_spectral_states(monkeypatch, solver)
-        traj = solver.run(4 * params.dt, snapshot_stride=1)
-        return params, solver, states, traj
+        states = _record_spectral_states(monkeypatch, params)
+        traj = lb.run_fsi(params, 4 * params.dt, snapshot_stride=1)
+        return params, states, traj
 
     @staticmethod
-    def _pressure(solver, c_old, c_new, fhat, dt, c_older=None):
+    def _pressure(params, c_old, c_new, fhat, c_older=None):
         """`fsi.pressure_hat` with batch axes of one: one state, one solver."""
         one = lambda c: None if c is None else c[None, None]
-        return lb.fsi.pressure_hat([solver], one(c_old), one(c_new),
-                                   {a: h[None] for a, h in fhat.items()}, dt, one(c_older))[0, 0]
+        return lb.fsi.pressure_hat(lb.fsi._Batch([params]), one(c_old), one(c_new),
+                                   {a: h[None] for a, h in fhat.items()}, one(c_older))[0, 0]
 
     @staticmethod
-    def _fhat(params, solver, t):
-        return {a: h[0].reshape(solver.K, -1)
+    def _fhat(params, t):
+        return {a: h[0].reshape(-1, params.vnodes.m)
                 for a, h in lb.fsi.sample_forcing(params.forcing, params.grid, [t]).items()}
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -520,7 +534,7 @@ class TestPressureRecovery:
         # momentum balance along xi, with v' from the materialized fields:
         #   |xi|^2 p = -i xi . (f + nu (-|xi|^2 v + d2 v / eps^2)
         #                       - rho_f eps^-tau (v - v_old) / dt)
-        params, solver, states, traj = self._run(monkeypatch, dim)
+        params, states, traj = self._run(monkeypatch, dim)
         grid, vn, model, dt = params.grid, params.vnodes, params.model, params.dt
         shape = grid.spectral_shape + (vn.m,)
         xi = [np.broadcast_to(x, grid.spectral_shape)[..., None] for x in grid.xi]
@@ -529,8 +543,8 @@ class TestPressureRecovery:
         inert = model.rho_f * lb.eps_power(model.eps, -model.tau) / dt
         for i in (1, 2, 3):
             assert np.max(np.abs(states[i].c)) > 0
-            fhat = self._fhat(params, solver, states[i + 1].t)
-            p = self._pressure(solver, states[i].c, states[i + 1].c, fhat, dt).reshape(shape)
+            fhat = self._fhat(params, states[i + 1].t)
+            p = self._pressure(params, states[i].c, states[i + 1].c, fhat).reshape(shape)
             balance, scale = 0.0, 0.0
             for a in range(dim):
                 v = traj.states[i + 1].v[a].hat
@@ -546,11 +560,11 @@ class TestPressureRecovery:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_steady_state_quotients_agree(self, dim, monkeypatch):
         # with c_old == c_new both backward quotients vanish
-        params, solver, states, _ = self._run(monkeypatch, dim)
+        params, states, _ = self._run(monkeypatch, dim)
         c = states[3].c
-        fhat = self._fhat(params, solver, states[3].t)
-        first = self._pressure(solver, c, c, fhat, params.dt)
-        second = self._pressure(solver, c, c, fhat, params.dt, c_older=c)
+        fhat = self._fhat(params, states[3].t)
+        first = self._pressure(params, c, c, fhat)
+        second = self._pressure(params, c, c, fhat, c_older=c)
         assert np.max(np.abs(first)) > 0
         assert np.max(np.abs(first - second)) <= 1e-14 * np.max(np.abs(first))
 
@@ -570,7 +584,7 @@ class TestSparseLuOracle:
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3,
                               forcing=_loaded_bump_forcing(grid, vn))
 
-        oracle = lb.FsiSolver(params)
+        oracle = FsiSolver(params)
         asm = oracle.assembled()
         lu = scipy.sparse.linalg.splu(scipy.sparse.block_diag(list(asm.A), format="csc"))
 
@@ -582,7 +596,7 @@ class TestSparseLuOracle:
         t_scale = lb.eps_power(model.eps, -model.tau)
         t_end = 0.06
         old = single_run(oracle, t_end, snapshot_stride=10, solve=lu_solve)
-        new = lb.FsiSolver(params).run(t_end, snapshot_stride=10)
+        new = lb.run_fsi(params, t_end, snapshot_stride=10)
 
         for traj in (old, new):
             led = traj.ledger
@@ -617,21 +631,21 @@ def _bump_forcing(grid, vn, component, ramp_time=0.02):
     return forcing
 
 
-def _record_spectral_states(monkeypatch, solver):
-    """The coefficients (c, eta, eta_t, t) of every state of `solver` that
-    `fsi.materialize` builds, copied before the run's buffers move on; the
-    list fills as the run goes."""
+def _record_spectral_states(monkeypatch, params):
+    """The coefficients (c, eta, eta_t, t) of every state of the run of
+    `params` that `fsi.materialize` builds, copied before the run's buffers
+    move on; the list fills as the run goes."""
     from oracles import SpectralState
 
     seen = []
     materialize = lb.fsi.materialize
 
-    def spy(solvers, c, eta, eta_t, times, phat=None):
-        for i, s in enumerate(solvers):
-            if s is solver:
+    def spy(batch, c, eta, eta_t, times, phat=None):
+        for i, p in enumerate(batch.params):
+            if p is params:
                 seen.extend(SpectralState(c[j, i].copy(), eta[j, i].copy(), eta_t[j, i].copy(), t)
                             for j, t in enumerate(times))
-        return materialize(solvers, c, eta, eta_t, times, phat)
+        return materialize(batch, c, eta, eta_t, times, phat)
 
     monkeypatch.setattr(lb.fsi, "materialize", spy)
     return seen
@@ -685,9 +699,9 @@ class TestEinsumLedgerOracle:
             forcing = nyquist_free(grid, _bump_forcing(grid, vn, component))
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=forcing)
-        solver = lb.FsiSolver(params)
-        states = _record_spectral_states(monkeypatch, solver)
-        led = solver.run(25 * params.dt, snapshot_stride=1).ledger
+        solver = FsiSolver(params)
+        states = _record_spectral_states(monkeypatch, params)
+        led = lb.run_fsi(params, 25 * params.dt, snapshot_stride=1).ledger
         assert len(states) == 26
         inc = _ledger_increments(led)
         for i in range(25):
@@ -716,28 +730,29 @@ class TestStackedCartesianOracle:
     def test_frame(self):
         # in 1D e0 = 1, so the along-xi rows see xi itself, bit for bit
         params = make_params(m=12)
-        solver = lb.FsiSolver(params)
-        assert np.all(solver.frame == 1.0)
-        assert np.array_equal(solver.xi_L, lb.fsi._xi_stack(params.grid)[:, 0])
-        solver = lb.FsiSolver(self._params(2.0**-3))
-        e0, e1 = solver.frame
+        batch = lb.fsi._Batch([params])
+        assert np.all(batch.frame == 1.0)
+        assert np.array_equal(batch.xi_L, lb.fsi._xi_stack(params.grid)[:, 0])
+        batch = lb.fsi._Batch([self._params(2.0**-3)])
+        e0, e1 = batch.frame
         assert np.max(np.abs(np.einsum("ka,ka->k", e0, e1))) <= 1e-15
         for e in (e0, e1):
             assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-15
-        np.testing.assert_allclose(solver.xi_L, np.sqrt(solver.xi2), rtol=1e-15)
-        assert np.array_equal(solver.frame[:, 0], np.eye(2))
+        np.testing.assert_allclose(batch.xi_L, np.sqrt(batch.xi2), rtol=1e-15)
+        assert np.array_equal(batch.frame[:, 0], np.eye(2))
 
     @pytest.mark.parametrize("eps", [2.0**-3, 2.0**-6])
     def test_rotated_stacked_operator_is_the_split_one(self, eps):
         from oracles import StackedStep
 
-        solver = lb.FsiSolver(self._params(eps))
-        asm, stacked = solver.assembled(), StackedStep(solver)
-        K, mi = solver.K, solver.mi
+        params = self._params(eps)
+        batch, stacked = lb.fsi._Batch([params]), StackedStep(FsiSolver(params))
+        K, mi = batch.K, batch.mi
         # R maps the rows of one mode, (along, across), to Cartesian
         # components, so R^T X R is the stacked matrix X in the frame
         R = np.einsum("pka,ij->kaipj", stacked.frame, np.eye(mi)).reshape(K, 2 * mi, 2 * mi)
-        for mat, split in ((stacked.A, asm.A), (stacked.mass, asm.mass), (stacked.visc, asm.visc)):
+        for mat, split in ((stacked.A, batch.A[0]), (stacked.mass, batch.mass[0]),
+                           (stacked.visc, batch.visc[0])):
             rot = (np.swapaxes(R, 1, 2) @ mat @ R).reshape(K, 2, mi, 2, mi)
             scale = np.max(np.abs(mat), axis=(1, 2))[:, None, None]
             for p in range(2):
@@ -753,10 +768,10 @@ class TestStackedCartesianOracle:
         from oracles import StackedStep
 
         params = self._params(eps)
-        solver = lb.FsiSolver(params)
-        states = _record_spectral_states(monkeypatch, solver)
+        solver = FsiSolver(params)
+        states = _record_spectral_states(monkeypatch, params)
         nsteps = 25
-        led = solver.run(nsteps * params.dt, snapshot_stride=1).ledger
+        led = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=1).ledger
         assert len(states) == nsteps + 1
         stacked = StackedStep(solver)
         cart = [stacked.cartesian(s) for s in states]
@@ -772,8 +787,8 @@ class TestStackedCartesianOracle:
                 assert abs(inc[key][i] - ref[key]) <= 1e-12 * scale, key
             fhat = dict(enumerate(stacked.forcing_hat(states[i + 1].t)))
             older = None if i == 0 else states[i - 1].c
-            got = TestPressureRecovery._pressure(solver, states[i].c, states[i + 1].c, fhat,
-                                                 params.dt, older)
+            got = TestPressureRecovery._pressure(params, states[i].c, states[i + 1].c, fhat,
+                                                 older)
             want = stacked.pressure_hat(cart[i].c, cart[i + 1].c, fhat, params.dt,
                                         None if i == 0 else cart[i - 1].c)
             assert np.max(np.abs(want)) > 0
@@ -789,10 +804,10 @@ class TestBlockedRunOracle:
     def _compare(monkeypatch, params, nsteps, stride):
         from oracles import stepwise_run
 
-        solver = lb.FsiSolver(params)
-        states = _record_spectral_states(monkeypatch, solver)
-        traj = solver.run(nsteps * params.dt, snapshot_stride=stride)
-        ref, ref_states = stepwise_run(lb.FsiSolver(params), nsteps * params.dt, stride)
+        solver = FsiSolver(params)
+        states = _record_spectral_states(monkeypatch, params)
+        traj = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=stride)
+        ref, ref_states = stepwise_run(FsiSolver(params), nsteps * params.dt, stride)
         np.testing.assert_array_equal(traj.times, ref.times)
         assert len(states) == len(ref_states) + 1
         for got, want in zip(states[1:], ref_states):
@@ -908,39 +923,97 @@ class TestRunBatch:
 
     @staticmethod
     def _spied(monkeypatch, params):
-        solvers = [lb.FsiSolver(p) for p in params]
-        return solvers, [_record_spectral_states(monkeypatch, s) for s in solvers]
+        return [_record_spectral_states(monkeypatch, p) for p in params]
+
+    @staticmethod
+    def _block(params):
+        from lubelastic.spectral import _steps_per_block
+
+        solver = FsiSolver(params)
+        return _steps_per_block(16 * solver.P * solver.K * solver.mi)
 
     @pytest.mark.parametrize("dim, nsteps, stride", [(1, 60, 7), (2, 15, 4)])
     def test_together_equals_alone_and_the_oracle(self, dim, nsteps, stride, monkeypatch):
         from oracles import single_run
-        from lubelastic.spectral import _steps_per_block
 
         params = self._ladder(dim)
         t_end = nsteps * params[0].dt
-        solvers, seen = self._spied(monkeypatch, params)
-        block = _steps_per_block(16 * solvers[0].P * solvers[0].K * solvers[0].mi)
+        seen = self._spied(monkeypatch, params)
+        block = self._block(params[0])
         assert 1 < block < nsteps and block % stride and nsteps % block
-        together = lb.fsi.run_batch(solvers, t_end, snapshot_stride=stride)
+        together = lb.fsi.run_batch(params, t_end, snapshot_stride=stride)
         assert len(together) == len(params)
-        alone_solvers, alone_seen = self._spied(monkeypatch, params)
+        # each point again alone, as a copy that the spies tell apart
+        alone_params = [replace(p) for p in params]
+        alone_seen = self._spied(monkeypatch, alone_params)
         for i, p in enumerate(params):
             assert together[i].params is p
             assert np.max(np.abs(together[i].ledger.work)) > 0
-            alone = alone_solvers[i].run(t_end, snapshot_stride=stride)
+            alone = lb.run_fsi(alone_params[i], t_end, snapshot_stride=stride)
             self._assert_equal((together[i], seen[i]), (alone, alone_seen[i]))
-            oracle = single_run(lb.FsiSolver(p), t_end, snapshot_stride=stride)
+            oracle = single_run(FsiSolver(p), t_end, snapshot_stride=stride)
             self._assert_states_equal(together[i], oracle)
             for f in fields(oracle.ledger):
                 assert np.array_equal(getattr(together[i].ledger, f.name),
                                       getattr(oracle.ledger, f.name))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_points_that_differ_beyond_eps(self, dim, caplog):
+        # every coefficient must be each point's own, not the first point's:
+        # the points differ in kappa, rho_s, theta and nu as well as eps
+        caplog.set_level(logging.ERROR, logger="lubelastic.fsi")
+        shared = self._ladder(dim)[0]
+        models = [dict(eps=2.0**-3, kappa=Fraction(2), rho_s=1.0, theta=0.5, nu=1.0),
+                  dict(eps=2.0**-4, kappa=Fraction(5, 2), rho_s=3.0, theta=2.0, nu=0.5),
+                  dict(eps=2.0**-5, kappa=Fraction(3), rho_s=0.25, theta=0.0, nu=4.0)]
+        params = [replace(shared, model=lb.ModelParams(dim=dim, **kw)) for kw in models]
+        nsteps = 2 * self._block(shared) + 3
+        together = lb.fsi.run_batch(params, nsteps * shared.dt, snapshot_stride=4)
+        for p, traj in zip(params, together):
+            alone = lb.run_fsi(p, nsteps * shared.dt, snapshot_stride=4)
+            self._assert_states_equal(traj, alone)
+            assert np.max(np.abs(traj.ledger.work)) > 0
+            for f in fields(traj.ledger):
+                assert np.array_equal(getattr(traj.ledger, f.name), getattr(alone.ledger, f.name))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_operator_is_the_per_solver_one(self, dim):
+        # the batch's coefficient arrays and stacked matrices against each
+        # point's own assembly (`oracles.FsiSolver`), bit for bit: the bench
+        # ladder's four thicknesses and setting in 1D, a pair in 2D
+        if dim == 1:
+            grid, vn = lb.PeriodicGrid(dim=1, n=16), lb.VerticalNodes(20)
+            eps_list = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
+            physics = dict(rho_f=40.0, rho_s=40.0, theta=20.0)
+        else:
+            grid, vn = lb.PeriodicGrid(dim=2, n=16), lb.VerticalNodes(12)
+            eps_list = (2.0**-3, 2.0**-6)
+            physics = dict(theta=1.0)
+        forcing = unloaded_forcing(grid, vn)
+        params = [lb.FsiParams(model=lb.ModelParams(eps=eps, kappa=Fraction(2), dim=dim,
+                                                    **physics),
+                               grid=grid, vnodes=vn, dt=5e-4, forcing=forcing)
+                  for eps in eps_list]
+        batch = lb.fsi._Batch(params)
+        for i, p in enumerate(params):
+            solver = FsiSolver(p)
+            asm = solver.assembled()
+            for name, value in solver.coef.items():
+                assert getattr(batch, name)[i] == value, name
+            mdl = p.model
+            assert (batch.eps[i], batch.eps2[i], batch.nu[i]) == (mdl.eps, mdl.eps**2, mdl.nu)
+            assert batch.inert[i] == mdl.rho_f * lb.eps_power(mdl.eps, -mdl.tau)
+            assert batch.fluid_kin[i] == mdl.rho_f * mdl.eps
+            assert np.array_equal(batch.g, asm.g)
+            assert np.array_equal(batch.xi4, asm.xi4)
+            for name in ("mass", "visc", "A", "inv"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(asm, name)), name
 
     def test_ladder_size_batch_matches_the_oracle(self):
         # the bench ladder's four thicknesses and setting (n = 16, m = 20,
         # dt = 5e-4, 25-step blocks) at its snapshot stride of 20, which
         # crosses the blocks, with a partial last block
         from oracles import single_run
-        from lubelastic.spectral import _steps_per_block
 
         cfg = lb.verify.RateStudyConfig(kappa=Fraction(2), n=16, m=20, dt=5e-4,
                                         t_end=0.055, snapshot_stride=20, theta=1.0)
@@ -948,12 +1021,10 @@ class TestRunBatch:
         params = [lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
                                forcing=forcing) for eps in cfg.eps_list]
         assert len(params) == 4
-        solvers = [lb.FsiSolver(p) for p in params]
-        block = _steps_per_block(16 * solvers[0].P * solvers[0].K * solvers[0].mi)
-        assert block == 25
-        together = lb.fsi.run_batch(solvers, cfg.t_end, cfg.snapshot_stride)
+        assert self._block(params[0]) == 25
+        together = lb.fsi.run_batch(params, cfg.t_end, cfg.snapshot_stride)
         for p, traj in zip(params, together):
-            oracle = single_run(lb.FsiSolver(p), cfg.t_end, cfg.snapshot_stride)
+            oracle = single_run(FsiSolver(p), cfg.t_end, cfg.snapshot_stride)
             self._assert_states_equal(traj, oracle)
             assert len(traj.states) == 1 + 110 // 20 + 1
             for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
@@ -972,13 +1043,7 @@ class TestRunBatch:
                  "forcing": lambda: replace(base, forcing=lb.harmonic_ramp_forcing(
                      base.grid, base.vnodes, ramp_time=0.05))}[change]()
         with pytest.raises(ParameterError, match="must share"):
-            lb.fsi.run_batch([lb.FsiSolver(base), lb.FsiSolver(other)], 0.01)
-
-    def test_batch_of_one_stacks_views(self):
-        # a 2D n = 32 step matrix is 1.7 MB; a lone solver's is not copied
-        inv = lb.FsiSolver(make_params(m=12)).assembled().inv
-        assert lb.fsi._stacked([inv]).base is inv
-        assert lb.fsi._stacked([inv, inv]).shape == (2,) + inv.shape
+            lb.fsi.run_batch([base, other], 0.01)
 
 
 class TestForcingTransforms:
@@ -999,7 +1064,7 @@ class TestForcingTransforms:
         from lubelastic.spectral import _steps_per_block
 
         params = make_params(dim=2, n=8, m=10, dt=1e-3)
-        solver = lb.FsiSolver(params)
+        solver = FsiSolver(params)
         block = _steps_per_block(16 * solver.P * solver.K * solver.mi)
         assert 1 < block < 10
         # one per block; snapshot pressures reuse the block's coefficients

@@ -68,8 +68,7 @@ SITES = {
     "solve_reynolds_stationary.v_D": lambda x: tf.solve_reynolds_stationary(FILM.eta, x),
     "reynolds_residual.v_D": lambda x: tf.reynolds_residual(FILM.eta, ZERO, x),
     "FsiParams.dt": _fsi_params,
-    "FsiSolver.run.snapshot_stride": lambda x: lb.FsiSolver(_fsi_params()).run(
-        1e-3, snapshot_stride=x),
+    "run_fsi.snapshot_stride": lambda x: lb.run_fsi(_fsi_params(), 1e-3, snapshot_stride=x),
     "harmonic_ramp_forcing.ramp_time": lambda x: lb.harmonic_ramp_forcing(
         GRID, VNODES, ramp_time=x),
     "harmonic_ramp_forcing.component": lambda x: lb.harmonic_ramp_forcing(

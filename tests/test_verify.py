@@ -360,12 +360,12 @@ class TestLadderConfig:
         """One point's report from the one-solver run and the per-snapshot
         reconstruction and norms (`oracles.single_run`,
         `oracles.snapshot_assemble_approx`, `oracles.snapshot_compare`)."""
-        from oracles import single_run, snapshot_assemble_approx, snapshot_compare
+        from oracles import FsiSolver, single_run, snapshot_assemble_approx, snapshot_compare
 
         grid, vnodes, forcing = cfg.setting()
         params = lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
                               forcing=forcing)
-        traj = single_run(lb.FsiSolver(params), cfg.t_end, cfg.snapshot_stride)
+        traj = single_run(FsiSolver(params), cfg.t_end, cfg.snapshot_stride)
         errs = snapshot_compare(traj, snapshot_assemble_approx(reduced, params.model, forcing,
                                                                vnodes))
         t_phys = cfg.t_end * lb.eps_power(eps, params.model.tau)
@@ -435,6 +435,23 @@ class TestLadderConfig:
         counts.clear()
         verify._ladder_points(cfg, cfg.eps_list[:1], result.reduced)
         assert counts == want
+
+    def test_one_setting_per_sequential_ladder(self, monkeypatch):
+        # a jobs = 1 ladder builds its grid, vertical nodes and forcing once,
+        # for the reduced solve and the coupled runs alike
+        builds = []
+        init = lb.spectral.ChebOps.__init__
+
+        def counting(ops, *args, **kwargs):
+            builds.append(ops)
+            init(ops, *args, **kwargs)
+
+        monkeypatch.setattr(lb.spectral.ChebOps, "__init__", counting)
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            dt=1e-3, t_end=0.02, snapshot_stride=10, theta=1.0)
+        verify.run_rate_study(cfg, jobs=1)
+        assert len(builds) == 1
 
     @staticmethod
     def _fake_points(config, eps_list, reduced):
