@@ -15,14 +15,15 @@ snapshot's displacement coefficients and the forcing coefficients from
 It reads B and nu but not eps, so a thickness ladder builds it once.
 `assemble_approx` scales it to one thickness (`_approx_from_limit`): it
 adds the vertical velocity and transforms each component of the triple to
-the nodes, all snapshots together.  `chain_closure_error` takes the flux
-rate of the same velocities.  Like the solver and the reduced source, both
-read the load without its Nyquist modes.
+the nodes, all snapshots together.  `chain_closure_error` compares the
+flux rate of the same velocities with the right side of the reduced
+equation, -c |xi|^6 eta^ + F^, at every snapshot (`_closure_from_limit`
+on the same map).  Like the solver and the reduced source, both read the
+load without its Nyquist modes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -187,36 +188,32 @@ def assemble_approx(reduced: ReducedSolution, params: ModelParams,
                               vnodes)
 
 
-def trajectory_time_derivative(times: np.ndarray,
-                               fields: Sequence[PeriodicField]) -> list[PeriodicField]:
-    """Second-order finite-difference time derivative of a snapshot sequence
-    (central inside, one-sided at the ends); uniform spacing required."""
-    times = np.asarray(times, dtype=float)
-    if len(times) < 3:
-        raise ParameterError("need at least three snapshots")
-    dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ParameterError("snapshots must be uniformly spaced in time")
-    h = float(dts[0])
-    grid = fields[0].grid
-    vals = np.stack([f.values for f in fields], axis=0)
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return [PeriodicField(grid, out[j]) for j in range(len(fields))]
+def _closure_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
+                        forcing, vnodes: VerticalNodes) -> float:
+    """The chain closure from the limit map's coefficients (`_limit_map`)."""
+    grid = reduced.eta[0].grid
+    _, v_hat = limit
+    rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
+                for a, vh in enumerate(v_hat))
+    # one transform, the snapshots behind the horizontal axes
+    eta_hat = np.moveaxis(grid.rfft(np.stack([f.values for f in reduced.eta], axis=-1)), -1, 0)
+    rhs = params.reduced_coefficient * laplacian_symbol(grid) ** 3 * eta_hat
+    if forcing is not None:
+        rhs = rhs + reduced_source(forcing, params.nu, grid, vnodes)(reduced.times)
+    # Parseval: the nodal mean of each snapshot's squared difference
+    sq = np.sum(grid.mode_weights * np.abs(rate - rhs) ** 2, axis=tuple(range(1, rate.ndim)))
+    return float(np.sqrt(np.trapezoid(sq, reduced.times)))
 
 
 def chain_closure_error(reduced: ReducedSolution, params: ModelParams,
                         forcing, vnodes: VerticalNodes) -> float:
     """Distance, in L2 of time and space, between the displacement rate
     implied by pressure -> velocity -> flux, -sum_a i xi_a int_{-1}^0 v^_a dy3,
-    and the stored trajectory's own time derivative.  Closes the derivation
+    and the right side of the reduced equation at the same snapshots,
+    -c |xi|^6 eta^ + F^(t), with c = B/(12 nu) and F the reduced source:
+    the rate that the reduced equation gives each snapshot.  It is roundoff
+    exactly when c and F are the flux of the limit velocity, and it reads no
+    time differences, so any snapshot times will do.  Closes the derivation
     loop of the reduced model."""
-    grid = reduced.eta[0].grid
-    eta_dot = trajectory_time_derivative(reduced.times, reduced.eta)
-    _, v_hat = _limit_map(reduced, params, forcing, vnodes)
-    rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
-                for a, vh in enumerate(v_hat))
-    sq = [np.mean((grid.irfft(r) - d.values) ** 2) for r, d in zip(rate, eta_dot)]
-    return float(np.sqrt(np.trapezoid(sq, reduced.times)))
+    return _closure_from_limit(reduced, _limit_map(reduced, params, forcing, vnodes), params,
+                               forcing, vnodes)

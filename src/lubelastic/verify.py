@@ -27,8 +27,8 @@ from .fsi import (
     harmonic_ramp_forcing,
     run_batch,
 )
-from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit, _limit_map,
-                             solve_reduced)
+from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit,
+                             _closure_from_limit, _limit_map, solve_reduced)
 from .scaling import ModelParams, eps_power
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
                        laplacian_symbol)
@@ -274,6 +274,7 @@ class RateStudyResult:
     audits: tuple[AuditResult, ...]
     ledgers: tuple[EnergyLedger, ...]
     reduced: ReducedSolution
+    chain_closure_error: float
 
 
 def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[float, float, float]:
@@ -296,18 +297,16 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
 
 
 def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
-                   reduced: ReducedSolution, setting: tuple | None = None) -> list:
+                   reduced: ReducedSolution, limit, setting: tuple | None = None) -> list:
     """(report, ledger, audit) per thickness: the coupled runs step together,
     then each point is reconstructed from the shared reduced solution and
-    its limit map, which is built once.  setting is config.setting(), built
-    here when not given."""
+    the ladder's limit map, limit (`_limit_map`).  setting is
+    config.setting(), built here when not given."""
     start = time.perf_counter()
     grid, vnodes, forcing = setting or config.setting()
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
     trajs = run_batch(params, config.t_end, config.snapshot_stride)
-    # the limit map reads B and nu, which every point shares, but not eps
-    limit = _limit_map(reduced, params[0].model, forcing, vnodes)
     outcomes = []
     for eps, p, traj in zip(eps_list, params, trajs):
         errs = compare_trajectories(traj, _approx_from_limit(reduced, limit, p.model, vnodes))
@@ -322,31 +321,36 @@ def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
 
 
 def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
-    """Run the full ladder and fit the three rates.
+    """Run the full ladder, fit the three rates and take the chain closure.
 
-    The reduced problem does not depend on eps, so it is solved once.  With
-    jobs = 1 the points' coupled runs step together in one loop
-    (`fsi.run_batch`) on the setting the reduced solve used; with jobs > 1
-    each point runs in its own process, which builds its own setting, as the
-    forcing closure does not pickle.  Results are ordered by the configured
-    ladder either way.
+    The reduced problem and its limit map do not depend on eps, so each is
+    built once, for every point and the closure.  With jobs = 1 the points'
+    coupled runs step together in one loop (`fsi.run_batch`) on the setting
+    the reduced solve used; with jobs > 1 each point runs in its own process,
+    which builds its own setting, as the forcing closure does not pickle.
+    Results are ordered by the configured ladder either way.
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
     check_range(1, closed=True, jobs=jobs)
     setting = config.setting()
-    reduced = solve_reduced(config.model_for(config.eps_list[0]), *setting,
-                            config.t_end, config.dt, snapshot_stride=config.snapshot_stride)
+    _, vnodes, forcing = setting
+    model = config.model_for(config.eps_list[0])
+    reduced = solve_reduced(model, *setting, config.t_end, config.dt,
+                            snapshot_stride=config.snapshot_stride)
+    limit = _limit_map(reduced, model, forcing, vnodes)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
-            futures = [pool.submit(_ladder_points, config, (eps,), reduced)
+            futures = [pool.submit(_ladder_points, config, (eps,), reduced, limit)
                        for eps in config.eps_list]
             outcomes = [o for f in futures for o in f.result()]
     else:
-        outcomes = _ladder_points(config, config.eps_list, reduced, setting)
+        outcomes = _ladder_points(config, config.eps_list, reduced, limit, setting)
     reports = tuple(o[0] for o in outcomes)
     ledgers = tuple(o[1] for o in outcomes)
     audits = tuple(o[2] for o in outcomes)
     fits = {which: fit_rate(reports, which) for which in _NORM_FIELDS}
-    return RateStudyResult(config=config, reports=reports, fits=fits,
-                           audits=audits, ledgers=ledgers, reduced=reduced)
+    return RateStudyResult(config=config, reports=reports, fits=fits, audits=audits,
+                           ledgers=ledgers, reduced=reduced,
+                           chain_closure_error=_closure_from_limit(reduced, limit, model,
+                                                                   forcing, vnodes))

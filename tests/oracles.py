@@ -1351,16 +1351,71 @@ def nodal_assemble_approx(reduced, params, forcing, vnodes):
                         eta=tuple(eta_all))
 
 
-def nodal_chain_closure_error(reduced, params, forcing, vnodes):
-    """The chain closure with the flux rate of the nodal velocities."""
-    from lubelastic.reconstruction import trajectory_time_derivative
+def nodal_laplacian(f):
+    """Lap' f, one spectral second derivative per horizontal axis."""
+    from lubelastic.spectral import spectral_derivative
 
-    eta_dot = trajectory_time_derivative(reduced.times, reduced.eta)
+    out = spectral_derivative(f, 2, axis=0)
+    for a in range(1, f.grid.dim):
+        out = out + spectral_derivative(f, 2, axis=a)
+    return out
+
+
+def nodal_chain_closure_error(reduced, params, forcing, vnodes):
+    """The chain closure on the nodes, one snapshot at a time: the flux rate
+    of the nodal velocities against the reduced equation's right side
+    c (Lap')^3 eta + F, with F the nodal source `forcing_F`."""
     sq = np.empty(len(reduced.times))
     for j, (t, eta) in enumerate(zip(reduced.times, reduced.eta)):
         _, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
-        sq[j] = np.mean((flux_rate(v_h).values - eta_dot[j].values) ** 2)
+        f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
+        rhs = (nodal_laplacian(nodal_laplacian(nodal_laplacian(eta))) * params.reduced_coefficient
+               + forcing_F(f_h, params.nu, eta.grid, vnodes))
+        sq[j] = np.mean((flux_rate(v_h).values - rhs.values) ** 2)
     return float(np.sqrt(np.trapezoid(sq, reduced.times)))
+
+
+def rhs_term_norms(red, model, forcing, vnodes):
+    """L2 norms in time and space of the two terms of the reduced equation's
+    right side at the snapshots: -c |xi|^6 eta^ and the source F^."""
+    from lubelastic.reconstruction import reduced_source
+    from lubelastic.spectral import laplacian_symbol
+
+    grid = red.eta[0].grid
+    bending = model.reduced_coefficient * laplacian_symbol(grid) ** 3 * np.array(
+        [f.hat for f in red.eta])
+    source = (np.zeros_like(bending) if forcing is None
+              else reduced_source(forcing, model.nu, grid, vnodes)(red.times))
+    axes = tuple(range(1, bending.ndim))
+    return [float(np.sqrt(np.trapezoid(np.sum(grid.mode_weights * np.abs(term) ** 2, axis=axes),
+                                       red.times)))
+            for term in (bending, source)]
+
+
+# The time derivative `reconstruction.chain_closure_error` compared the flux
+# rate with before it read the reduced equation's right side: second-order
+# finite differences of the snapshots.
+
+def trajectory_time_derivative(times, fields):
+    """Second-order finite-difference time derivative of a snapshot sequence
+    (central inside, one-sided at the ends); uniform spacing required."""
+    from lubelastic.errors import ParameterError
+    from lubelastic.spectral import PeriodicField
+
+    times = np.asarray(times, dtype=float)
+    if len(times) < 3:
+        raise ParameterError("need at least three snapshots")
+    dts = np.diff(times)
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+        raise ParameterError("snapshots must be uniformly spaced in time")
+    h = float(dts[0])
+    grid = fields[0].grid
+    vals = np.stack([f.values for f in fields], axis=0)
+    out = np.empty_like(vals)
+    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
+    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    return [PeriodicField(grid, out[j]) for j in range(len(fields))]
 
 
 # The reduced source as `reconstruction.forcing_F` built it at every step:

@@ -3,6 +3,7 @@
 The heavy thickness-ladder run is shared between the rate-reproduction and
 energy-inequality criteria through a module-scoped fixture.
 """
+import json
 import time
 from fractions import Fraction
 
@@ -54,6 +55,19 @@ def test_criterion_1_rate_reproduction(ladder_result):
         assert result.fits[which].slope >= minimum
         assert result.fits[which].r2 >= R2_MIN
     assert elapsed <= 600.0
+
+
+def test_criterion_1_rates_at_the_boundary_exponent(tmp_path):
+    # kappa = 5/2 closes the theorem regime; its preset gates with the
+    # kappa = 2 velocity and pressure thresholds
+    start = time.time()
+    cli.run({"version": 1, "preset": "theorem-e0-kappa52"}, output_dir=str(tmp_path))
+    elapsed = time.time() - start
+    rates = json.loads((tmp_path / "rates.json").read_text())
+    detail = "; ".join(f"{which} slope {r['slope']:.3f} (>= {r['threshold']}), r2 {r['r2']:.4f}"
+                       for which, r in rates["rates"].items())
+    _report("1 (kappa = 5/2)", rates["pass"], detail + f"; wall time {elapsed:.1f}s")
+    assert rates["pass"] is True
 
 
 def test_criterion_2_energy_inequality(ladder_result):

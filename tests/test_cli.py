@@ -13,7 +13,7 @@ from lubelastic import cli, scaling, thinfilm, verify
 from lubelastic.errors import AssemblyError, DegenerateFitError, ParameterError, UsageError
 from lubelastic.spectral import PeriodicGrid
 
-from oracles import hand_built_rate_config, reports_csv, trajectory_csv
+from oracles import hand_built_rate_config, reports_csv, rhs_term_norms, trajectory_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -112,7 +112,7 @@ PRESET_HASHES = {
     "tf-surface-tension": "e61a56cf3268a567ca961d704aa0f8ee598274f2a4884e0f0c7a1252a220d75d",
     "theorem-e0-kappa1": "26f04d65ffec93de174257f73eaaf201b68fe3aae0c8499fd204ff406861aaf3",
     "theorem-e0-kappa2": "abc709253f11078e590414346c526bb6a4aebb607b2eb05f364f787b53132bc2",
-    "theorem-e0-kappa52": "5f78dccc93a088934482c1f4690e288e89b1246237df4ff9f79e367956a8ba4e",
+    "theorem-e0-kappa52": "2d7fd3aa230d91c9133743006359fbb09de9376613ed81d9f264c0d0ea72d95f",
 }
 
 
@@ -573,28 +573,61 @@ class TestRatesCommand:
 
     def test_chain_closure_once_per_ladder(self, tmp_path):
         # the reduced solution does not depend on eps, so neither does its
-        # closure: rates.json holds the one value, from a reduced solve of its own
+        # closure: rates.json holds the one value, which a reduced solve of
+        # its own reproduces
         doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
                           dt=1e-3, t_end=0.05, snapshot_stride=10)
         cli.run(doc, output_dir=str(tmp_path / "out"))
         rates = json.loads((tmp_path / "out" / "rates.json").read_text())
-        grid, vn = lb.PeriodicGrid(dim=1, n=8), lb.VerticalNodes(10)
-        model = lb.ModelParams(rho_f=40.0, rho_s=40.0, theta=20.0, eps=0.03125,
-                               kappa=Fraction(2), dim=1)
-        forcing = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.1)
-        reduced = lb.solve_reduced(model, grid, vn, forcing, 0.05, 1e-3, snapshot_stride=10)
-        want = lb.chain_closure_error(reduced, model, forcing, vn)
-        assert 0.0 < want <= 1e-6
-        assert rates["chain_closure_error"] == want
+        assert rates["chain_closure_error"] == self.closure(stride=10)
 
-    def test_chain_closure_null_without_evenly_spaced_snapshots(self, tmp_path):
+    def test_chain_closure_at_an_uneven_stride(self, tmp_path):
         # 50 steps at stride 20 keep t = 0, 0.02, 0.04 and 0.05
         doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
                           dt=1e-3, t_end=0.05, snapshot_stride=20)
         cli.run(doc, output_dir=str(tmp_path / "out"))
         rates = json.loads((tmp_path / "out" / "rates.json").read_text())
-        assert rates["chain_closure_error"] is None
+        assert rates["chain_closure_error"] == self.closure(stride=20)
         assert rates["energy_audit_ok"] is True
+
+    @staticmethod
+    def closure(stride):
+        """The mini ladder's chain closure from a reduced solve of its own,
+        checked to be roundoff of the reduced source."""
+        grid, vn = lb.PeriodicGrid(dim=1, n=8), lb.VerticalNodes(10)
+        model = lb.ModelParams(rho_f=40.0, rho_s=40.0, theta=20.0, eps=0.03125,
+                               kappa=Fraction(2), dim=1)
+        forcing = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.1)
+        reduced = lb.solve_reduced(model, grid, vn, forcing, 0.05, 1e-3,
+                                   snapshot_stride=stride)
+        want = lb.chain_closure_error(reduced, model, forcing, vn)
+        _, source = rhs_term_norms(reduced, model, forcing, vn)
+        assert want <= 1e-12 * source
+        return want
+
+    def test_one_setting_and_one_limit_map_per_ladder(self, tmp_path, monkeypatch):
+        # a jobs = 1 ladder's points, reduced solve and chain closure share
+        # one set of vertical operators and one limit map
+        counts = {"ChebOps": 0, "_limit_map": 0}
+        init = lb.spectral.ChebOps.__init__
+
+        def counting_init(ops, *args, **kwargs):
+            counts["ChebOps"] += 1
+            init(ops, *args, **kwargs)
+
+        monkeypatch.setattr(lb.spectral.ChebOps, "__init__", counting_init)
+        for holder in (verify, lb.reconstruction):
+            build = holder._limit_map
+
+            def counting_map(*args, build=build):
+                counts["_limit_map"] += 1
+                return build(*args)
+
+            monkeypatch.setattr(holder, "_limit_map", counting_map)
+        doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
+                          dt=1e-3, t_end=0.05, snapshot_stride=10)
+        cli.run(doc, output_dir=str(tmp_path / "out"), jobs=1)
+        assert counts == {"ChebOps": 1, "_limit_map": 1}
 
     @pytest.mark.parametrize("velocity, audit_ok, passes", [
         ((9.0, 0.5), True, [False, True, True]),  # steep enough, but r^2 too low

@@ -1,10 +1,14 @@
-"""The README's "Library layout" table names only APIs that exist."""
+"""The README's "Library layout" table names only APIs that exist, and its
+`verify rates` paragraph names every key that `rates.json` holds."""
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from lubelastic import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
@@ -49,3 +53,14 @@ def test_layout_names_exist(module_name, names):
     missing = [n for n in names
                if not resolves(module, n) and not any(resolves(c, n) for c in classes)]
     assert not missing, f"{module_name} row names {missing}"
+
+
+def test_rates_paragraph_names_every_rates_json_key(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    [paragraph] = [p for p in text.split("\n\n") if p.startswith("`verify rates` writes")]
+    named = set(re.findall(r"`([^`]+)`", paragraph))
+    doc = {**cli.preset_config("theorem-e0-kappa2"), "eps_list": [0.125, 0.0625, 0.03125],
+           "n": 8, "m": 10, "dt": 1e-3, "t_end": 0.05, "snapshot_stride": 10}
+    cli.run(doc, output_dir=str(tmp_path))
+    keys = set(json.loads((tmp_path / "rates.json").read_text()))
+    assert keys - named == set()

@@ -82,7 +82,7 @@ def test_nan_guard_lint_sees_each_form():
 
 
 def test_library_stays_within_the_round_line_budget():
-    # ROADMAP item 8: the library holds no more than the 3137 lines it had
+    # ROADMAP item 11: the library holds no more than the 3137 lines it had
     # at the round's start, counted as `wc -l src/lubelastic/*.py` does
     total = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert total <= 3137, f"src/lubelastic/*.py holds {total} lines"

@@ -9,8 +9,8 @@ from lubelastic.errors import ParameterError
 from lubelastic.spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
 
 from oracles import (horizontal_velocity, limit_pressure, nodal_assemble_approx,
-                     nodal_chain_closure_error, quadrature_inner, vertical_velocity,
-                     without_nyquist)
+                     nodal_chain_closure_error, quadrature_inner, rhs_term_norms,
+                     trajectory_time_derivative, vertical_velocity, without_nyquist)
 
 
 @pytest.fixture
@@ -279,11 +279,15 @@ class TestNodalOracle:
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_closure_matches_nodal_rebuild(self, dim, forced):
+        # both sides are an identity, so both read roundoff of the right
+        # side's larger term
         grid, vnodes, model, forcing, red = self.case(dim, forced)
         got = rc.chain_closure_error(red, model, forcing, vnodes)
         want = nodal_chain_closure_error(red, model, forcing, vnodes)
-        assert want > 0
-        assert abs(got - want) <= 1e-9 * want
+        scale = max(rhs_term_norms(red, model, forcing, vnodes))
+        assert scale > 0
+        assert got <= 1e-12 * scale
+        assert want <= 1e-12 * scale
 
 
 def criterion_preset(eps=0.125):
@@ -378,7 +382,7 @@ class TestChainClosure:
         base = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         fields = [PeriodicField(grid, (2.0 + 3.0 * t + 0.5 * t**2) * base.values)
                   for t in times]
-        dots = rc.trajectory_time_derivative(times, fields)
+        dots = trajectory_time_derivative(times, fields)
         for t, d in zip(times, dots):
             ref = (3.0 + t) * base.values
             assert np.max(np.abs(d.values - ref)) < 1e-10
@@ -387,13 +391,13 @@ class TestChainClosure:
         times = np.array([0.0, 0.1, 0.25])
         fields = [PeriodicField.zeros(grid)] * 3
         with pytest.raises(ParameterError):
-            rc.trajectory_time_derivative(times, fields)
+            trajectory_time_derivative(times, fields)
 
     def test_three_snapshots_suffice(self, grid):
         times = np.array([0.0, 0.1, 0.2])
         base = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0]))
         fields = [PeriodicField(grid, (1.0 + t**2) * base.values) for t in times]
-        dots = rc.trajectory_time_derivative(times, fields)
+        dots = trajectory_time_derivative(times, fields)
         for t, d in zip(times, dots):
             assert np.max(np.abs(d.values - 2.0 * t * base.values)) < 1e-12
 
@@ -402,7 +406,7 @@ class TestChainClosure:
         times = np.array([0.0, 0.01, 0.02 + 2e-11])
         fields = [PeriodicField.zeros(grid)] * 3
         with pytest.raises(ParameterError, match="uniformly spaced"):
-            rc.trajectory_time_derivative(times, fields)
+            trajectory_time_derivative(times, fields)
 
     def test_closure_on_reduced_trajectory(self):
         grid, vnodes, model, forcing = criterion_preset()
@@ -421,6 +425,31 @@ class TestChainClosure:
                                snapshot_stride=10)
         assert rc.chain_closure_error(red, model, forcing, vnodes) <= 1e-5
 
+    @pytest.mark.parametrize("stride", [10, 7], ids=["even", "uneven"])
+    def test_closure_is_roundoff_at_any_stride(self, stride):
+        # 2500 steps at stride 7 end on a shorter last interval
+        grid, vnodes, model, forcing = criterion_preset()
+        red = rc.solve_reduced(model, grid, vnodes, forcing, 0.25, 1e-4,
+                               snapshot_stride=stride)
+        _, source = rhs_term_norms(red, model, forcing, vnodes)
+        assert source > 0
+        assert rc.chain_closure_error(red, model, forcing, vnodes) <= 1e-12 * source
+
+    @pytest.mark.parametrize("flaw", ["coefficient", "source"])
+    def test_closure_sees_a_wrong_coefficient_or_source(self, flaw, monkeypatch):
+        grid, vnodes, model, forcing = criterion_preset()
+        red = rc.solve_reduced(model, grid, vnodes, forcing, 0.25, 1e-4,
+                               snapshot_stride=10)
+        _, source = rhs_term_norms(red, model, forcing, vnodes)
+        if flaw == "coefficient":
+            c = 1.01 * model.reduced_coefficient
+            monkeypatch.setattr(lb.ModelParams, "reduced_coefficient", property(lambda _: c))
+        else:
+            build = rc.reduced_source
+            monkeypatch.setattr(rc, "reduced_source",
+                                lambda *args: lambda times: 0.5 * build(*args)(times))
+        assert rc.chain_closure_error(red, model, forcing, vnodes) >= 1e-3 * source
+
     def test_top_trace_matches_displacement_rate(self):
         # the reconstructed vertical velocity at the plate equals the slow-time
         # derivative of the scaled displacement
@@ -428,7 +457,7 @@ class TestChainClosure:
         red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-4,
                                snapshot_stride=1)
         triple = rc.assemble_approx(red, model, forcing, vnodes)
-        eta_dot = rc.trajectory_time_derivative(triple.times, list(triple.eta))
+        eta_dot = trajectory_time_derivative(triple.times, list(triple.eta))
         t_scale = lb.eps_power(model.eps, model.tau)
         worst = 0.0
         for j in range(len(triple.times)):

@@ -347,6 +347,7 @@ class TestLadderConfig:
         seq = verify.run_rate_study(cfg, jobs=1)
         par = verify.run_rate_study(cfg, jobs=2)
         assert seq.reports == par.reports
+        assert seq.chain_closure_error == par.chain_closure_error
         for which in seq.fits:
             a, b = seq.fits[which], par.fits[which]
             assert (a.slope.hex(), a.r2.hex()) == (b.slope.hex(), b.r2.hex())
@@ -394,7 +395,7 @@ class TestLadderConfig:
         grid, vnodes, forcing = cfg.setting()
         reduced = lb.solve_reduced(cfg.model_for(0.125), grid, vnodes, forcing, cfg.t_end,
                                    cfg.dt, snapshot_stride=cfg.snapshot_stride)
-        points = verify._ladder_points(cfg, cfg.eps_list, reduced)
+        points = self._points(cfg, cfg.eps_list, reduced)
         assert len(points) == 2
         for eps, (report, _, _) in zip(cfg.eps_list, points):
             assert report.err_velocity > 0 and report.err_pressure > 0
@@ -402,9 +403,10 @@ class TestLadderConfig:
 
     def test_one_limit_map_and_one_pass_per_block(self, monkeypatch):
         # the bench times the ladder but cannot see inside `fsi.run_batch`:
-        # a ladder builds one limit map, and each block of steps makes one
-        # quadrature, ledger, pressure and field pass for all its points, as
-        # many as one point alone
+        # a ladder builds one limit map, for its points and its chain
+        # closure, and each block of steps makes one quadrature, ledger,
+        # pressure and field pass for all its points, as many as one point
+        # alone
         from lubelastic.spectral import _steps_per_block
 
         cfg = verify.RateStudyConfig(
@@ -422,6 +424,7 @@ class TestLadderConfig:
             monkeypatch.setattr(holder, name, counted)
 
         count(verify, "_limit_map")
+        count(lb.reconstruction, "_limit_map")
         for name in ("_quadrature", "_record", "pressure_hat", "materialize"):
             count(lb.fsi, name)
         result = verify.run_rate_study(cfg)
@@ -432,8 +435,12 @@ class TestLadderConfig:
         want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
                 "pressure_hat": blocks, "materialize": 1 + blocks}
         assert counts == want
+        # the points take the ladder's map and build none of their own
+        grid, vnodes, forcing = cfg.setting()
+        limit = verify._limit_map(result.reduced, cfg.model_for(0.125), forcing, vnodes)
         counts.clear()
-        verify._ladder_points(cfg, cfg.eps_list[:1], result.reduced)
+        verify._ladder_points(cfg, cfg.eps_list[:1], result.reduced, limit)
+        del want["_limit_map"]
         assert counts == want
 
     def test_one_setting_per_sequential_ladder(self, monkeypatch):
@@ -454,8 +461,17 @@ class TestLadderConfig:
         assert len(builds) == 1
 
     @staticmethod
-    def _fake_points(config, eps_list, reduced):
-        assert reduced == "reduced"
+    def _points(cfg, eps_list, reduced):
+        """`verify._ladder_points` with the limit map that `run_rate_study`
+        builds for the ladder."""
+        grid, vnodes, forcing = cfg.setting()
+        limit = lb.reconstruction._limit_map(reduced, cfg.model_for(cfg.eps_list[0]), forcing,
+                                             vnodes)
+        return verify._ladder_points(cfg, eps_list, reduced, limit)
+
+    @staticmethod
+    def _fake_points(config, eps_list, reduced, limit):
+        assert (reduced, limit) == ("reduced", "limit")
         return [(verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
                                     err_pressure=eps, err_displacement=eps**2.5,
                                     energy_ratio=1.0),
@@ -484,6 +500,8 @@ class TestLadderConfig:
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(verify, "_ladder_points", self._fake_points)
         monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: "reduced")
+        monkeypatch.setattr(verify, "_limit_map", lambda *args: "limit")
+        monkeypatch.setattr(verify, "_closure_from_limit", lambda *args: 0.0)
         cfg = verify.RateStudyConfig(eps_list=(0.125, 0.0625, 0.03125))
         result = verify.run_rate_study(cfg, jobs=jobs)
         assert started == [workers]
@@ -507,7 +525,7 @@ class TestLadderConfig:
         grid, vnodes, forcing = cfg.setting()
         reduced = lb.solve_reduced(cfg.model_for(0.125), grid, vnodes, forcing, cfg.t_end,
                                    cfg.dt, snapshot_stride=cfg.snapshot_stride)
-        [(report, ledger, audit)] = verify._ladder_points(cfg, (0.125,), reduced)
+        [(report, ledger, audit)] = self._points(cfg, (0.125,), reduced)
         assert audit.ok
         assert report.err_velocity > 0
         assert report.err_displacement > 0
