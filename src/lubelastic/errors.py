@@ -6,11 +6,14 @@ class ParameterError(ValueError):
     """A physical or numerical parameter is outside its admissible range."""
 
 
-def check_range(low=0.0, high=inf, closed=False, **values) -> None:
+def check_range(low=0.0, high=inf, closed=False, integer=False, **values) -> None:
     """Raise ParameterError naming the first keyword value outside (low, high),
-    or [low, high) when closed.  The test is one a value must pass, so NaN and
-    inf fail it, and -inf too unless low is -inf and closed."""
+    or [low, high) when closed, or, with integer, one `operator.index` refuses.
+    The test is one a value must pass, so NaN and inf fail it, and -inf too
+    unless low is -inf and closed."""
     for name, x in values.items():
+        if integer and not hasattr(type(x), "__index__"):  # operator.index's test
+            raise ParameterError(f"{name} must be an integer, got {x!r}")
         if not ((low <= x if closed else low < x) and x < high):
             raise ParameterError(f"{name} must lie in {'[' if closed else '('}{low:g}, "
                                  f"{high:g}), got {x}")

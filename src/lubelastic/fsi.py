@@ -64,6 +64,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -308,10 +309,10 @@ class _Batch:
 
     frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
     e_p . v', and xi_L = e0 . xi.  The coefficients are (S,) arrays.  mass,
-    visc and the step operator A for dt are per-row matrices (S, P*K, mi,
-    mi), with A's inverse inv: lam is |xi|^2 on the along-xi rows and 0 on
-    the across-xi rows, and the plate's rank-one term g g^T enters rows :K
-    only.
+    visc and inv, the inverse of the step operator A for dt, are per-row
+    matrices (S, P*K, mi, mi): lam is |xi|^2 on the along-xi rows and 0 on
+    the across-xi rows, and the plate's rank-one term g g^T enters A's rows
+    :K only.  A dt so small that A overflows raises ParameterError.
     """
 
     def __init__(self, params: Sequence[FsiParams]):
@@ -353,10 +354,8 @@ class _Batch:
         self.rho_s_mass = rho_s * e(lambda mdl: 2 - mdl.kappa - mdl.tau)
         self.theta_rank1 = theta * e(lambda mdl: 2)
         self.bending_rank1 = B * e(lambda mdl: mdl.tau + 2 - mdl.kappa)
-        # trace relation, ledger and pressure coefficients
+        # trace relation (the work's factor too), ledger and pressure coefficients
         self.trace = e(lambda mdl: mdl.tau + 1)
-        self.plate_test = e(lambda mdl: 1)
-        self.work = e(lambda mdl: mdl.tau + 1)
         self.plate_kin = rho_s * e(lambda mdl: -mdl.kappa - 2 * mdl.tau)
         self.bend = B * e(lambda mdl: -mdl.kappa)
         self.viscoelastic = theta * e(lambda mdl: -mdl.tau)
@@ -379,16 +378,18 @@ class _Batch:
         self.visc *= (2.0 * self.nu)[:, None, None, None]
         self.g = self.xi_L[:, None] * ops.weights[sl]
         dt = self.dt
-        plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * self.xi4
-                 + (self.bending_rank1 * dt)[:, None] * self.xi4)
-        A = (self.fluid_mass / dt)[:, None, None, None] * self.mass + eps * self.visc
-        A[:, :K] += plate[:, :, None, None] * (self.g[:, :, None] * self.g[:, None, :])
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny dt: checked below
+            plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * self.xi4
+                     + (self.bending_rank1 * dt)[:, None] * self.xi4)
+            A = (self.fluid_mass / dt)[:, None, None, None] * self.mass + eps * self.visc
+            A[:, :K] += plate[:, :, None, None] * (self.g[:, :, None] * self.g[:, None, :])
+        if not np.isfinite(A).all():
+            raise ParameterError(f"dt = {dt} is so small that the step operator overflows")
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
             raise AssemblyError(f"step operator factorization failed: {exc}") from exc
         Linv = np.linalg.inv(L)
-        self.A = A
         self.inv = np.swapaxes(Linv, -1, -2) @ Linv   # A^-1 = L^-T L^-1
 
     def profiles(self, c: np.ndarray) -> np.ndarray:
@@ -446,7 +447,7 @@ def _record(batch: _Batch, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_c) ->
     dt = batch.dt
     fluid, plate_kin = 0.5 * batch.fluid_kin[:, None], 0.5 * batch.plate_kin[:, None]
     bend = 0.5 * batch.bend[:, None]
-    work, viscoelastic = dt * batch.work[:, None], dt * batch.viscoelastic[:, None]
+    work, viscoelastic = dt * batch.trace[:, None], dt * batch.viscoelastic[:, None]
     # sum_k weights_k |x_k|^2 per step and solver, as (S, B)
     sq = lambda weights, x: np.sum(weights * np.abs(x) ** 2, axis=-1).T
     np.matmul(batch.mass, _real(c[-1]), out=_real(mass_c[-1]))
@@ -510,11 +511,11 @@ def pressure_hat(batch: _Batch, c_old: np.ndarray, c_new: np.ndarray, fhat: dict
 
 
 def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray,
-                times: Sequence[float], phat: np.ndarray | None = None) -> list[list[FsiState]]:
+                times: Sequence[float], phat: np.ndarray) -> list[list[FsiState]]:
     """The states with rows c (N, S, P*K, mi), plate harmonics eta, eta_t
-    (N, S, K) and pressure coefficients (N, S, K, m) (None: zero) at the N
-    given times, one list per solver.  Each field kind takes one transform
-    over all N * S states, and the states' fields are views of the results."""
+    (N, S, K) and pressure coefficients phat (N, S, K, m) at the N given
+    times, one list per solver.  Each field kind takes one transform over all
+    N * S states, and the states' fields are views of the results."""
     grid, vn = batch.grid, batch.vnodes
     N, S = c.shape[:2]
     full = batch.profiles(c)
@@ -530,11 +531,9 @@ def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray
     # the vertical velocity from the divergence xi . v' = xi_L v_L
     eps = batch.eps[:, None, None]
     v.append(nodal((-1j * eps) * vn.ops.antiderivative(batch.xi_L[:, None] * full[:, :, :batch.K])))
-    p = None if phat is None else nodal(phat)
-    eta, eta_t = nodal(eta), nodal(eta_t)
+    p, eta, eta_t = nodal(phat), nodal(eta), nodal(eta_t)
     return [[FsiState(v=tuple(ChannelField(grid, vn, f[..., j, i, :]) for f in v),
-                      p=(ChannelField.zeros(grid, vn) if p is None
-                         else ChannelField(grid, vn, p[..., j, i, :])),
+                      p=ChannelField(grid, vn, p[..., j, i, :]),
                       eta=PeriodicField(grid, eta[..., j, i]),
                       eta_t=PeriodicField(grid, eta_t[..., j, i]), t=t)
              for j, t in enumerate(times)] for i in range(S)]
@@ -556,7 +555,7 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     raises ParameterError naming that time.
     """
     nsteps = _step_count(t_end, params[0].dt)
-    check_range(1, closed=True, snapshot_stride=snapshot_stride)
+    check_range(1, closed=True, integer=True, snapshot_stride=snapshot_stride)
     batch = _Batch(params)
     dt, forcing = batch.dt, params[0].forcing
     S, K, P, mi = len(params), batch.K, batch.P, batch.mi
@@ -571,12 +570,13 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     mass_c = np.zeros((block + 1, S, P * K, mi), dtype=complex)
     # one column per step, in EnergyLedger field order
     ledgers = np.empty((S, 8, nsteps))
-    states = materialize(batch, c[1:2], eta[1:2], eta_t[1:2], [0.0])
+    states = materialize(batch, c[1:2], eta[1:2], eta_t[1:2], [0.0],
+                         np.zeros((1, S, K, batch.vnodes.m), dtype=complex))
     times = [0.0]
     mass, inv, g = batch.mass, batch.inv, batch.g
     fluid = (batch.fluid_mass / dt)[:, None, None]
     eps = batch.eps[:, None, None]
-    plate_test = 1j * batch.plate_test[:, None]
+    plate_test = 1j * batch.eps[:, None]  # the plate test function's eps^1
     plate_kin = batch.plate_kin[:, None]
     bend = batch.bend[:, None] * batch.xi4
     trace = -1j * batch.trace[:, None]
@@ -604,17 +604,13 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
         snaps = [j for j in range(nb)
                  if (n0 + j + 1) % snapshot_stride == 0 or n0 + j + 1 == nsteps]
         if snaps:
-            # rows k after each snapshot step's older state: views unless the
-            # run's last step breaks the stride
-            even = snaps == list(range(snaps[0], snaps[-1] + 1, snapshot_stride))
-            at = lambda k: (slice(snaps[0] + k, snaps[-1] + 1 + k, snapshot_stride) if even
-                            else np.array(snaps) + k)
-            phat = pressure_hat(batch, c[at(1)], c[at(2)],
-                                {a: h[at(0)] for a, h in fhat.items()}, c[at(0)])
+            at = np.array(snaps)  # row j + 2 holds step j's state, j and j + 1 those before
+            phat = pressure_hat(batch, c[at + 1], c[at + 2],
+                                {a: h[at] for a, h in fhat.items()}, c[at])
             if n0 + snaps[0] == 0:  # the first step has no state two back
                 phat[0] = pressure_hat(batch, c[1], c[2], {a: h[0] for a, h in fhat.items()})
             t_snaps = [t[j] for j in snaps]
-            new = materialize(batch, c[at(2)], eta[at(2)], eta_t[at(2)], t_snaps, phat)
+            new = materialize(batch, c[at + 2], eta[at + 2], eta_t[at + 2], t_snaps, phat)
             for st, more in zip(states, new):
                 st += more
             times += t_snaps
@@ -682,21 +678,20 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
-    check_range(0, grid.dim + 1, closed=True, component=component)
+    check_range(0, grid.dim + 1, closed=True, integer=True, component=component)
     check_range(ramp_time=ramp_time)
-    if any(abs(k) >= grid.n // 2 for k in wavevector):
-        # larger wavenumbers alias on the grid; k = n/2 samples sin to zero
+    if any(abs(k) >= grid.n // 2 or not hasattr(type(k), "__index__") for k in wavevector):
+        # |k| > n/2 aliases, k = n/2 samples sin to zero, a fractional k is not periodic
         raise ParameterError(
             f"wavevector {wavevector} is not resolved on n = {grid.n}: "
-            f"every |k| must be below {grid.n // 2}"
+            f"every k must be an integer with |k| below {grid.n // 2}"
         )
     phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.meshes))
     profile = amplitude * np.sin(phase)[..., None] * np.ones(vnodes.m)
-    zero = np.zeros(grid.shape + (vnodes.m,))
-    ncomp = grid.dim + 1
+    return partial(_ramped, profile, np.zeros_like(profile), component, grid.dim + 1, ramp_time)
 
-    def force(t: float):
-        r = smooth_ramp(t, ramp_time)
-        return tuple(profile * r if i == component else zero for i in range(ncomp))
 
-    return force
+def _ramped(profile, zero, component: int, ncomp: int, ramp_time: float, t: float):
+    """`harmonic_ramp_forcing` at time t, at module level so that it pickles."""
+    r = smooth_ramp(t, ramp_time)
+    return tuple(profile * r if i == component else zero for i in range(ncomp))

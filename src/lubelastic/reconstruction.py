@@ -9,10 +9,10 @@ triple scaled back to the thin channel,
     v = eps^2 * (v_1, v_2, v3_inner),   p(x) = p(x'),   eta_eps = eps^kappa * eta,
 
 is the object whose distance to the full-order solution the rate study
-measures.  One map in coefficient space, `_limit_map`, takes every
-snapshot's displacement coefficients and the forcing coefficients from
-`fsi.sample_forcing` to the pressure and horizontal velocity coefficients.
-It reads B and nu but not eps, so a thickness ladder builds it once.
+measures.  One map in coefficient space, `_limit_map`, takes the displacement
+snapshots, in one transform, and the forcing coefficients from
+`fsi.sample_forcing` to the displacement, pressure and horizontal velocity
+coefficients.  It reads B and nu but not eps, so a ladder builds it once.
 `assemble_approx` scales it to one thickness (`_approx_from_limit`): it
 adds the vertical velocity and transforms each component of the triple to
 the nodes, all snapshots together.  `chain_closure_error` compares the
@@ -90,18 +90,20 @@ def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np
 
 
 def _limit_map(reduced: ReducedSolution, params: ModelParams, forcing,
-               vnodes: VerticalNodes) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Coefficients of the limit pressure and of the horizontal velocity
-    profiles at every snapshot of the reduced solution:
+               vnodes: VerticalNodes) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Coefficients of the displacement, the limit pressure and the horizontal
+    velocity profiles at every snapshot of the reduced solution:
 
-        p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
+        eta^,   p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
 
     with f^_a the coefficients of the horizontal force components from
     `sample_forcing` (None: an unforced channel).  Shapes (S,) +
-    spectral_shape for p^ and (S,) + spectral_shape + (m,) for each v^_a.
+    spectral_shape for eta^ and p^, (S,) + spectral_shape + (m,) for v^_a.
     """
     grid = reduced.eta[0].grid
-    p_hat = params.B * laplacian_symbol(grid) ** 2 * np.array([f.hat for f in reduced.eta])
+    # one transform, the snapshots behind the horizontal axes
+    eta_hat = np.moveaxis(grid.rfft(np.stack([f.values for f in reduced.eta], axis=-1)), -1, 0)
+    p_hat = params.B * laplacian_symbol(grid) ** 2 * eta_hat
     y = vnodes.nodes
     poise = y * (y + 1.0) / (2.0 * params.nu)
     fhat = {} if forcing is None else sample_forcing(forcing, grid, reduced.times)
@@ -111,7 +113,7 @@ def _limit_map(reduced: ReducedSolution, params: ModelParams, forcing,
         if a in fhat:
             vh = vh + _force_profiles(fhat[a], params.nu, vnodes)
         v_hat.append(vh)
-    return p_hat, v_hat
+    return eta_hat, p_hat, v_hat
 
 
 def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
@@ -160,7 +162,7 @@ def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
     views of the results."""
     eps = params.eps
     grid = reduced.eta[0].grid
-    p_hat, v_hat = limit
+    _, p_hat, v_hat = limit
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat = [*v_hat, -eps * vnodes.ops.antiderivative(div)]
     # snapshots behind the horizontal axes, which the transforms lead with
@@ -192,11 +194,9 @@ def _closure_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
                         forcing, vnodes: VerticalNodes) -> float:
     """The chain closure from the limit map's coefficients (`_limit_map`)."""
     grid = reduced.eta[0].grid
-    _, v_hat = limit
+    eta_hat, _, v_hat = limit
     rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
                 for a, vh in enumerate(v_hat))
-    # one transform, the snapshots behind the horizontal axes
-    eta_hat = np.moveaxis(grid.rfft(np.stack([f.values for f in reduced.eta], axis=-1)), -1, 0)
     rhs = params.reduced_coefficient * laplacian_symbol(grid) ** 3 * eta_hat
     if forcing is not None:
         rhs = rhs + reduced_source(forcing, params.nu, grid, vnodes)(reduced.times)

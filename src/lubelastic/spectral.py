@@ -188,7 +188,7 @@ def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarr
     imaginary part no real grid function has."""
     if not (1 <= order <= 6):
         raise ParameterError(f"derivative order must lie in [1, 6], got {order}")
-    check_range(0, grid.dim, closed=True, axis=axis)
+    check_range(0, grid.dim, closed=True, integer=True, axis=axis)
     sym = (1j * grid.xi[axis]) ** order
     if order % 2 == 1:
         sym[nyquist_index(grid, axis)] = 0.0
@@ -271,7 +271,7 @@ class VerticalNodes:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        check_range(4, closed=True, m=self.m)
+        check_range(4, closed=True, integer=True, m=self.m)
         u = -np.cos(np.pi * np.arange(self.m) / (self.m - 1))  # increasing on [-1, 1]
         y = (u - 1.0) / 2.0  # increasing on [-1, 0]
         y[0], y[-1] = -1.0, 0.0

@@ -232,7 +232,7 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     height until the step's end is reached.
     """
     check_range(dt=dt)
-    check_range(1, closed=True, steps=steps, snapshot_stride=snapshot_stride)
+    check_range(1, closed=True, integer=True, steps=steps, snapshot_stride=snapshot_stride)
     check_range(-np.inf, np.inf, floor=floor)
     grid = state.eta.grid
     op = _FilmOperator(model, grid)
@@ -325,7 +325,7 @@ def solve_linear_sixth(
     """
     check_range(c=c)
     nsteps = _step_count(t_end, dt)
-    check_range(1, closed=True, snapshot_stride=snapshot_stride)
+    check_range(1, closed=True, integer=True, snapshot_stride=snapshot_stride)
     grid = eta0.grid
     lam = c * (-laplacian_symbol(grid)) ** 3  # decay rate per mode, >= 0
     z = -lam * dt

@@ -241,7 +241,8 @@ class RateStudyConfig:
     def __post_init__(self):
         check_range(dt=self.dt, t_end=self.t_end, ramp_time=self.ramp_time)
         check_range(-np.inf, np.inf, amplitude=self.amplitude)
-        check_range(1, closed=True, snapshot_stride=self.snapshot_stride)
+        check_range(1, closed=True, integer=True, snapshot_stride=self.snapshot_stride)
+        check_range(0, closed=True, integer=True, component=self.component)
         if len(self.eps_list) < 1:
             raise ParameterError("eps ladder must not be empty")
         if np.any(np.diff(self.eps_list) >= 0):
@@ -296,14 +297,14 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
             float(np.max(_h2_norms(traj.params.grid, eta))))
 
 
-def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
-                   reduced: ReducedSolution, limit, setting: tuple | None = None) -> list:
-    """(report, ledger, audit) per thickness: the coupled runs step together,
-    then each point is reconstructed from the shared reduced solution and
-    the ladder's limit map, limit (`_limit_map`).  setting is
-    config.setting(), built here when not given."""
+def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[float],
+                   reduced: ReducedSolution, limit) -> list:
+    """(report, ledger, audit) per thickness: the coupled runs step together
+    on the study's setting (`RateStudyConfig.setting`), then each point is
+    reconstructed from the shared reduced solution and the ladder's limit
+    map, limit (`_limit_map`)."""
     start = time.perf_counter()
-    grid, vnodes, forcing = setting or config.setting()
+    grid, vnodes, forcing = setting
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
     trajs = run_batch(params, config.t_end, config.snapshot_stride)
@@ -323,16 +324,16 @@ def _ladder_points(config: RateStudyConfig, eps_list: Sequence[float],
 def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     """Run the full ladder, fit the three rates and take the chain closure.
 
-    The reduced problem and its limit map do not depend on eps, so each is
-    built once, for every point and the closure.  With jobs = 1 the points'
-    coupled runs step together in one loop (`fsi.run_batch`) on the setting
-    the reduced solve used; with jobs > 1 each point runs in its own process,
-    which builds its own setting, as the forcing closure does not pickle.
-    Results are ordered by the configured ladder either way.
+    The setting, the reduced problem and its limit map do not depend on
+    eps, so each is built once, for every point and the closure.  With
+    jobs = 1 the points' coupled runs step together in one loop
+    (`fsi.run_batch`); with jobs > 1 each point runs in its own process,
+    which takes the same setting, pickled.  Results are ordered by the
+    configured ladder either way.
     """
     if len(config.eps_list) < 3:
         raise ParameterError("need at least three ladder points for a rate fit")
-    check_range(1, closed=True, jobs=jobs)
+    check_range(1, closed=True, integer=True, jobs=jobs)
     setting = config.setting()
     _, vnodes, forcing = setting
     model = config.model_for(config.eps_list[0])
@@ -341,11 +342,11 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     limit = _limit_map(reduced, model, forcing, vnodes)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
-            futures = [pool.submit(_ladder_points, config, (eps,), reduced, limit)
+            futures = [pool.submit(_ladder_points, config, setting, (eps,), reduced, limit)
                        for eps in config.eps_list]
             outcomes = [o for f in futures for o in f.result()]
     else:
-        outcomes = _ladder_points(config, config.eps_list, reduced, limit, setting)
+        outcomes = _ladder_points(config, setting, config.eps_list, reduced, limit)
     reports = tuple(o[0] for o in outcomes)
     ledgers = tuple(o[1] for o in outcomes)
     audits = tuple(o[2] for o in outcomes)

@@ -1215,7 +1215,7 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
     grid = reduced.eta[0].grid
-    p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
+    _, p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat.append(-eps * vnodes.ops.antiderivative(div))
     v = tuple(tuple(ChannelField.from_hat(grid, vnodes, eps**2 * vh[j]) for vh in v_hat)

@@ -149,6 +149,9 @@ BAD_DOCUMENTS = {
         "kind": "harmonic-ramp", "component": 5}),
     "fsi-component-negative": preset_with("fsi-single-mode", n=8, m=12, t_end=0.01, forcing={
         "kind": "harmonic-ramp", "component": -1}),
+    # 1/dt times a mass coefficient overflows the step operator
+    "fsi-dt-overflows": preset_with("fsi-single-mode", dt=1e-308, t_end=10 * 1e-308),
+    "fsi-dt-subnormal": preset_with("fsi-single-mode", dt=5e-309, t_end=10 * 5e-309),
     "rates-ramp-time-zero": preset_with("theorem-e0-kappa2", ramp_time=0.0),
     "rates-component-above-dim": preset_with("theorem-e0-kappa2", component=2),
     "eta0-wavenumber-aliased": preset_with("reynolds-slider", n=64, eta0={

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -44,6 +45,23 @@ class TestParams:
         with pytest.raises(ParameterError, match=r"dt must lie in \(0, inf\)"):
             make_params(dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e-308, 5e-309])
+    def test_dt_that_overflows_the_step_operator_rejected(self, dt):
+        # 1/dt times the mass coefficients passes the largest float: the run
+        # used to end with a NaN ledger; now the batch names dt, warning-free
+        params = make_params(n=16, m=20, dt=dt, rho_f=1.0, rho_s=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"dt = {dt} is so small"):
+                lb.run_fsi(params, 10 * dt)
+
+    def test_tiny_dt_that_fits_runs_clean(self):
+        params = make_params(n=16, m=20, dt=1e-305, rho_f=1.0, rho_s=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ledger = lb.run_fsi(params, 1e-304).ledger
+        assert all(np.isfinite(getattr(ledger, f.name)).all() for f in fields(ledger))
+
     @pytest.mark.parametrize("t_end", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, t_end):
         with pytest.raises(ParameterError, match="positive and finite"):
@@ -60,8 +78,10 @@ class TestParams:
 
 class TestModeOperator:
     def test_symmetric_positive_definite(self):
+        # the batch keeps only the inverse; the operator is the oracle's
+        # assembly, whose inverse the batch holds bit for bit
         params = make_params(m=12)
-        A = lb.fsi._Batch([params]).A[0, 2]
+        A = FsiSolver(params).assembled().A[2]
         assert np.max(np.abs(A - A.T)) < 1e-10 * np.max(np.abs(A))
         assert np.min(np.linalg.eigvalsh(A)) > 0
 
@@ -85,7 +105,8 @@ class TestModeOperator:
             batch = lb.fsi._Batch([replace(params, dt=dt)])
             limit = (batch.fluid_mass[0] * batch.mass[0, 2]
                      + batch.rho_s_mass[0] * np.outer(batch.g[2], batch.g[2]))
-            gaps.append(np.linalg.norm(dt * batch.A[0, 2] - limit) / np.linalg.norm(limit))
+            A = FsiSolver(replace(params, dt=dt)).assembled().A[2]
+            gaps.append(np.linalg.norm(dt * A - limit) / np.linalg.norm(limit))
         assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.1)
         assert gaps[1] / gaps[2] == pytest.approx(10.0, rel=0.1)
 
@@ -101,12 +122,13 @@ class TestModeOperator:
             init(batch, params)
 
         monkeypatch.setattr(lb.fsi._Batch, "__init__", counting)
-        lb.fsi.run_batch([params, replace(params, model=replace(params.model, eps=0.0625))],
-                         0.005)
+        points = [params, replace(params, model=replace(params.model, eps=0.0625))]
+        lb.fsi.run_batch(points, 0.005)
         [batch] = built
-        assert batch.A.shape[0] == 2
-        eye = np.broadcast_to(np.eye(batch.mi), batch.A.shape)
-        assert np.max(np.abs(batch.inv @ batch.A - eye)) < 1e-10
+        A = np.stack([FsiSolver(p).assembled().A for p in points])
+        assert batch.inv.shape == A.shape
+        eye = np.broadcast_to(np.eye(batch.mi), A.shape)
+        assert np.max(np.abs(batch.inv @ A - eye)) < 1e-10
 
     def test_wavenumber_outside_lattice(self):
         # |k| >= n/2 aliases on the grid, and k = n/2 samples sin to zero
@@ -119,6 +141,16 @@ class TestModeOperator:
         with pytest.raises(ParameterError):
             lb.harmonic_ramp_forcing(grid2, vnodes, wavevector=(1, 4))
         lb.harmonic_ramp_forcing(grid2, vnodes, wavevector=(-3, 3))
+
+    def test_fractional_wavevector_rejected(self):
+        # sin(2 pi 1.5 x) is not periodic on the grid
+        grid, vnodes = lb.PeriodicGrid(dim=2, n=16), lb.VerticalNodes(12)
+        for k in ((1.5, 1), (1, 2.0)):
+            with pytest.raises(ParameterError, match="every k must be an integer"):
+                lb.harmonic_ramp_forcing(grid, vnodes, wavevector=k)
+        force = lb.harmonic_ramp_forcing(grid, vnodes, wavevector=(np.int64(1), 2),
+                                         component=np.int64(2))
+        assert np.any(force(1.0)[2])
 
     def test_smooth_ramp_values(self):
         assert lb.fsi.smooth_ramp(-0.1, 0.1) == 0.0
@@ -751,7 +783,8 @@ class TestStackedCartesianOracle:
         # R maps the rows of one mode, (along, across), to Cartesian
         # components, so R^T X R is the stacked matrix X in the frame
         R = np.einsum("pka,ij->kaipj", stacked.frame, np.eye(mi)).reshape(K, 2 * mi, 2 * mi)
-        for mat, split in ((stacked.A, batch.A[0]), (stacked.mass, batch.mass[0]),
+        split_A = FsiSolver(params).assembled().A  # the batch keeps only its inverse
+        for mat, split in ((stacked.A, split_A), (stacked.mass, batch.mass[0]),
                            (stacked.visc, batch.visc[0])):
             rot = (np.swapaxes(R, 1, 2) @ mat @ R).reshape(K, 2, mi, 2, mi)
             scale = np.max(np.abs(mat), axis=(1, 2))[:, None, None]
@@ -995,18 +1028,21 @@ class TestRunBatch:
                                grid=grid, vnodes=vn, dt=5e-4, forcing=forcing)
                   for eps in eps_list]
         batch = lb.fsi._Batch(params)
+        # the batch keeps one array per value: eps^1 is eps, and the work's
+        # eps^(tau + 1) is the trace's
+        kept_as = {"plate_test": "eps", "work": "trace"}
         for i, p in enumerate(params):
             solver = FsiSolver(p)
             asm = solver.assembled()
             for name, value in solver.coef.items():
-                assert getattr(batch, name)[i] == value, name
+                assert getattr(batch, kept_as.get(name, name))[i] == value, name
             mdl = p.model
             assert (batch.eps[i], batch.eps2[i], batch.nu[i]) == (mdl.eps, mdl.eps**2, mdl.nu)
             assert batch.inert[i] == mdl.rho_f * lb.eps_power(mdl.eps, -mdl.tau)
             assert batch.fluid_kin[i] == mdl.rho_f * mdl.eps
             assert np.array_equal(batch.g, asm.g)
             assert np.array_equal(batch.xi4, asm.xi4)
-            for name in ("mass", "visc", "A", "inv"):
+            for name in ("mass", "visc", "inv"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(asm, name)), name
 
     def test_ladder_size_batch_matches_the_oracle(self):

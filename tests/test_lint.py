@@ -86,3 +86,45 @@ def test_library_stays_within_the_round_line_budget():
     # at the round's start, counted as `wc -l src/lubelastic/*.py` does
     total = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert total <= 3137, f"src/lubelastic/*.py holds {total} lines"
+
+
+def _unread_private_attributes(trees) -> list[str]:
+    """`Class.attr` for each self.<attr> that a method of a private class (a
+    class whose name starts with an underscore) assigns but that no module
+    of trees reads, as `<anything>.attr`: state that nothing uses."""
+    read, assigned = set(), []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        assigned.append((node.name, sub.attr))
+    return sorted({f"{cls}.{attr}" for cls, attr in assigned if attr not in read})
+
+
+def test_private_classes_keep_no_unread_state():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    found = _unread_private_attributes(trees)
+    assert not found, f"assigned but never read in src/: {found}"
+
+
+def test_unread_state_lint_sees_each_form():
+    src = ("class _Held:\n"
+           "    def __init__(self, a):\n"
+           "        self.kept = a\n"
+           "        self.unread = a\n"
+           "        self.x, self.y = a, a\n"
+           "        self.z = self.w = a\n"
+           "        self.aug = 0\n"
+           "        self.aug += 1\n"
+           "class Public:\n"
+           "    def __init__(self):\n"
+           "        self.public_unread = 1\n"
+           "def use(h):\n"
+           "    return h.kept, h.x, h.w\n")
+    assert _unread_private_attributes([ast.parse(src)]) == [
+        "_Held.aug", "_Held.unread", "_Held.y", "_Held.z"]

@@ -77,7 +77,7 @@ SITES = {
     "VerticalNodes.m": lambda x: lb.VerticalNodes(x),
     "run_rate_study.jobs": _ladder,
     **{f"RateStudyConfig.{k}": (lambda k: lambda x: verify.RateStudyConfig(**{k: x}))(k)
-       for k in ("dt", "t_end", "ramp_time", "amplitude", "snapshot_stride")},
+       for k in ("dt", "t_end", "ramp_time", "amplitude", "snapshot_stride", "component")},
     "ThinFilmRun.steps": lambda x: _film_run(steps=x),
     "ThinFilmRun.snapshot_stride": lambda x: _film_run(snapshot_stride=x),
 }
@@ -88,6 +88,30 @@ SITES = {
 def test_non_finite_value_rejected(site, value):
     with pytest.raises(ParameterError):
         SITES[site](value)
+
+
+# the sites that take a count, an index or a stride
+INTEGER_SITES = ["evolve.steps", "evolve.snapshot_stride", "solve_linear_sixth.snapshot_stride",
+                 "run_fsi.snapshot_stride", "harmonic_ramp_forcing.component",
+                 "derivative_symbol.axis", "VerticalNodes.m", "run_rate_study.jobs",
+                 "RateStudyConfig.snapshot_stride", "RateStudyConfig.component"]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, 0.5])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_value_that_is_no_integer_rejected(site, value):
+    # operator.index's rule: 2.0 is refused like 2.5; 2.5 used to pass, and
+    # a stride of 2.5 kept every fifth step
+    with pytest.raises(ParameterError, match="must be an integer"):
+        SITES[site](value)
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_numpy_integer_accepted(site):
+    try:
+        SITES[site](np.int64(1))
+    except ParameterError as exc:  # a range the site keeps, not the type
+        assert "must be an integer" not in str(exc)
 
 
 @pytest.mark.parametrize("site", ["ModelParams.nu", "ModelParams.B", "LameParams.mu",

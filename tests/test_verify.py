@@ -310,6 +310,13 @@ class TestLadderConfig:
             with pytest.raises(ParameterError):
                 verify.RateStudyConfig(eps_list=eps_list)
 
+    def test_fractional_wavevector_rejected_before_any_work(self, monkeypatch):
+        # the ladder's forcing is built first, so (1.5,) stops the study
+        # before the reduced solve
+        monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: pytest.fail())
+        with pytest.raises(ParameterError, match="every k must be an integer"):
+            verify.run_rate_study(verify.RateStudyConfig(wavevector=(1.5,)))
+
     def test_info_log_line_per_ladder_point(self, caplog):
         cfg = verify.RateStudyConfig(
             kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
@@ -427,20 +434,48 @@ class TestLadderConfig:
         count(lb.reconstruction, "_limit_map")
         for name in ("_quadrature", "_record", "pressure_hat", "materialize"):
             count(lb.fsi, name)
+        # the reduced displacement's transforms: those inside the limit map
+        # and the chain closure of arrays without a depth axis, which the
+        # forcing samples have
+        inside = []
+        for name in ("_limit_map", "_closure_from_limit"):
+            fn = getattr(verify, name)
+
+            def during(*args, fn=fn, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(verify, name, during)
+        rfft = PeriodicGrid.rfft
+
+        def counting_rfft(grid, values):
+            if inside and np.ndim(values) <= grid.dim + 1:
+                counts["displacement rfft"] = counts.get("displacement rfft", 0) + 1
+            return rfft(grid, values)
+
+        monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
         result = verify.run_rate_study(cfg)
         # 1D rows: K = n/2 + 1 modes of m - 2 interior coefficients
         blocks = -(-500 // _steps_per_block(16 * (cfg.n // 2 + 1) * (cfg.m - 2)))
         assert 1 < blocks < 500 // cfg.snapshot_stride
-        # every block holds a snapshot, none of them at the first step
+        # every block holds a snapshot, none of them at the first step; one
+        # transform takes all 11 displacement snapshots, for the map and the
+        # closure
+        assert len(result.reduced.times) == 11
         want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
-                "pressure_hat": blocks, "materialize": 1 + blocks}
+                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1}
         assert counts == want
         # the points take the ladder's map and build none of their own
-        grid, vnodes, forcing = cfg.setting()
-        limit = verify._limit_map(result.reduced, cfg.model_for(0.125), forcing, vnodes)
+        setting = cfg.setting()
+        _, vnodes, forcing = setting
+        limit = lb.reconstruction._limit_map(result.reduced, cfg.model_for(0.125), forcing,
+                                             vnodes)
         counts.clear()
-        verify._ladder_points(cfg, cfg.eps_list[:1], result.reduced, limit)
-        del want["_limit_map"]
+        verify._ladder_points(cfg, setting, cfg.eps_list[:1], result.reduced, limit)
+        del want["_limit_map"], want["displacement rfft"]
         assert counts == want
 
     def test_one_setting_per_sequential_ladder(self, monkeypatch):
@@ -464,13 +499,14 @@ class TestLadderConfig:
     def _points(cfg, eps_list, reduced):
         """`verify._ladder_points` with the limit map that `run_rate_study`
         builds for the ladder."""
-        grid, vnodes, forcing = cfg.setting()
+        setting = cfg.setting()
+        _, vnodes, forcing = setting
         limit = lb.reconstruction._limit_map(reduced, cfg.model_for(cfg.eps_list[0]), forcing,
                                              vnodes)
-        return verify._ladder_points(cfg, eps_list, reduced, limit)
+        return verify._ladder_points(cfg, setting, eps_list, reduced, limit)
 
     @staticmethod
-    def _fake_points(config, eps_list, reduced, limit):
+    def _fake_points(config, setting, eps_list, reduced, limit):
         assert (reduced, limit) == ("reduced", "limit")
         return [(verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
                                     err_pressure=eps, err_displacement=eps**2.5,
@@ -478,11 +514,11 @@ class TestLadderConfig:
                  None, verify.AuditResult(ok=True, first_violation=None, ratios=np.array([])))
                 for eps in eps_list]
 
-    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
-    def test_pool_capped_at_ladder_length(self, jobs, workers, monkeypatch):
-        started = []
-
-        class RecordingPool:  # runs each point in this process; forks nothing
+    @staticmethod
+    def _in_process_pool(started, submitted):
+        """A pool class that runs each submitted call in this process, forking
+        nothing, and records its worker count and the submitted arguments."""
+        class RecordingPool:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
@@ -493,11 +529,17 @@ class TestLadderConfig:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(args)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
+    def test_pool_capped_at_ladder_length(self, jobs, workers, monkeypatch):
+        started = []
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", self._in_process_pool(started, []))
         monkeypatch.setattr(verify, "_ladder_points", self._fake_points)
         monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: "reduced")
         monkeypatch.setattr(verify, "_limit_map", lambda *args: "limit")
@@ -507,6 +549,44 @@ class TestLadderConfig:
         assert started == [workers]
         assert [r.eps for r in result.reports] == list(cfg.eps_list)
         assert result.reduced == "reduced"
+
+    def test_pool_workers_take_the_study_setting(self, monkeypatch):
+        # every call submitted to the pool carries the setting that the
+        # reduced solve used, so a jobs = 2 ladder builds its vertical
+        # operators once, and its reports are the jobs = 1 ones
+        builds, settings, submitted = [], [], []
+        init, setting = lb.spectral.ChebOps.__init__, verify.RateStudyConfig.setting
+
+        def counting(ops, *args, **kwargs):
+            builds.append(ops)
+            init(ops, *args, **kwargs)
+
+        monkeypatch.setattr(lb.spectral.ChebOps, "__init__", counting)
+        monkeypatch.setattr(verify.RateStudyConfig, "setting",
+                            lambda cfg: settings.append(setting(cfg)) or settings[-1])
+        monkeypatch.setattr(verify, "ProcessPoolExecutor",
+                            self._in_process_pool([], submitted))
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            dt=1e-3, t_end=0.02, snapshot_stride=10, theta=1.0)
+        result = verify.run_rate_study(cfg, jobs=2)
+        assert len(builds) == 1
+        [study_setting] = settings
+        assert len(submitted) == 3
+        assert all(any(arg is study_setting for arg in args) for args in submitted)
+        assert result.reports == verify.run_rate_study(cfg, jobs=1).reports
+
+    def test_pickled_forcing_samples_bitwise(self):
+        # the pool pickles the setting; its forcing must sample the same bits
+        import pickle
+
+        cfg = verify.RateStudyConfig(dim=2, n=8, m=10, wavevector=(1, 2), component=1,
+                                     amplitude=0.7, ramp_time=0.05)
+        grid, vnodes, forcing = cfg.setting()
+        again = pickle.loads(pickle.dumps((grid, vnodes, forcing)))[2]
+        for t in (0.0, 0.013, 0.05, 1.0):
+            for a, b in zip(forcing(t), again(t)):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
