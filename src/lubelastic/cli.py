@@ -31,7 +31,7 @@ from . import thinfilm, verify
 from .artifacts import write_atomic, write_csv, write_grid
 from .errors import (AssemblyError, DegenerateFitError, ParameterError,
                      PositivityError, UsageError, check_range)
-from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi
+from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi, stepped_modes
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
 
@@ -423,6 +423,8 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         "terminal_work": float(traj.ledger.work[-1]),
         "snapshots": len(traj.states),
         "steps": len(traj.ledger),
+        "modes": int(np.prod(grid.spectral_shape)),
+        "modes_stepped": len(stepped_modes(forcing, grid)),
     })
     written.append(summary_path)
     return written

@@ -35,36 +35,41 @@ pressure is not a primal unknown; it comes from the along-xi momentum
 balance, and for the zero mode from the vertical balance pinned by the
 plate row.
 
+The load.  A mode that is never loaded stays exactly zero, so a run under
+a `HarmonicLoad` (from `harmonic_ramp_forcing`) steps only its support, the
+K modes it loads, with its envelope times its coefficients as the load:
+no sampling, no transform.  `materialize` scatters those modes back into
+the full spectra.  Any other callable is sampled at every step time, its
+loaded components transformed together, and all K stored modes stepped.
+
 A run advances in blocks of steps whose stacked states take about 64 KiB
-(25 steps at K = 9 modes with 18 unknowns, one step in 2D at n = 32).
-Parameter sets that share the grid, dt and forcing, such as a thickness
-ladder's points, step together in `run_batch`, which builds their batch
-once per call: the grid's geometry once, each eps-dependent coefficient as
-an array over the points, and their matrices from one assembly stacked
-along a leading solver axis.  A run alone is a batch of one.  The step
-loop runs the steps one after another in the order of a single step;
-everything around it is one pass per block for all the solvers.  The
-forcing is sampled at every step time and its loaded components are
-transformed together.  The load quadrature is taken once, since the frame
-and the Gram matrices are the grid's; only the vertical load carries each
-solver's eps.  The ledger columns of every solver come from one pass over
-the stored states, forcing coefficients and the step loop's mass
-products, with the solvers' coefficients as columns; only the block's
-last states need a mass product of their own.  The block's snapshot
-pressures come from one `pressure_hat`, and `materialize` makes one
-inverse transform per field kind over every snapshot and solver, whose
-views the states hold.  The ledger
-holds one float array per entry, rows of one (8, steps) buffer per
-solver that the run fills in place: each block writes the integrals as
-per-step increments, and one cumulative sum in step order after the last
-block turns them into running integrals.
+(25 steps at K = 9 modes with 18 unknowns, 227 at K = 1, one step in 2D
+at n = 32 with every mode stepped).  Parameter sets that share the grid,
+dt and forcing, such as a thickness ladder's points, step together in
+`run_batch`, which builds their batch once per call: the grid's geometry
+once, each eps-dependent coefficient as an array over the points, and
+their matrices from one assembly stacked along a leading solver axis.  A
+run alone is a batch of one.  The step loop runs the steps one after
+another in the order of a single step; everything around it is one pass
+per block for all the solvers.  The load quadrature is taken once, since
+the frame and the Gram matrices are the grid's; only the vertical load
+carries each solver's eps.  The ledger columns of every solver come from
+one pass over the stored states, forcing coefficients and the step loop's
+mass products, with the solvers' coefficients as columns; only the
+block's last states need a mass product of their own.  The block's
+snapshot pressures come from one `pressure_hat`, and `materialize` makes
+one inverse transform per field kind over every snapshot and solver,
+whose views the states hold.  The ledger holds one float array per entry,
+rows of one (8, steps) buffer per solver that the run fills in place:
+each block writes the integrals as per-step increments, and one
+cumulative sum in step order after the last block turns them into running
+integrals.
 """
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,7 +96,8 @@ class FsiParams:
     forcing(t) must return d = dim + 1 arrays of shape grid.shape + (m,),
     the volume-force components sampled on the reference channel; it must be
     bounded in time.  Only forcing(0.0) is checked here; a run rejects the
-    first step time whose forcing is not finite.
+    first step time whose forcing is not finite.  A `HarmonicLoad` answers
+    the call too, but a run reads its coefficients instead.
     """
 
     model: ModelParams
@@ -307,12 +313,15 @@ class _Batch:
     every eps-dependent coefficient and step matrix stacked along a leading
     solver axis.
 
-    frame[p, k] is mode k's unit vector e_p, row p*K + k of a state holds
-    e_p . v', and xi_L = e0 . xi.  The coefficients are (S,) arrays.  mass,
-    visc and inv, the inverse of the step operator A for dt, are per-row
-    matrices (S, P*K, mi, mi): lam is |xi|^2 on the along-xi rows and 0 on
-    the across-xi rows, and the plate's rank-one term g g^T enters A's rows
-    :K only.  A dt so small that A overflows raises ParameterError.
+    The batch steps the K modes `stepped_modes` names, modes (their flat
+    indices, or slice(None) for all), and every per-mode array covers those
+    modes only.  frame[p, k] is stepped mode k's unit vector e_p, row p*K + k of a
+    state holds e_p . v', and xi_L = e0 . xi.  The coefficients are (S,)
+    arrays.  mass, visc and inv, the inverse of the step operator A for dt,
+    are per-row matrices (S, P*K, mi, mi): lam is |xi|^2 on the along-xi
+    rows and 0 on the across-xi rows, and the plate's rank-one term g g^T
+    enters A's rows :K only.  A dt so small that A overflows at any mode of
+    the grid raises ParameterError.
     """
 
     def __init__(self, params: Sequence[FsiParams]):
@@ -326,19 +335,23 @@ class _Batch:
                 logger.warning("running outside the guaranteed-rate regime: %s", check.reason)
         self.params = list(params)
         self.grid, self.vnodes, self.dt = first.grid, first.vnodes, first.dt
+        modes = stepped_modes(first.forcing, self.grid)
+        # the geometry and the operator are assembled on all the grid's Kg
+        # modes, for the overflow check, then only the stepped modes are kept
         xi = _xi_stack(self.grid)
-        K, P = self.K, self.P = xi.shape[0], self.grid.dim
-        self.mi = self.vnodes.m - 2
-        self.xi2 = np.einsum("ka,ka->k", xi, xi)
-        self.xi4 = self.xi2**2
+        Kg, P = xi.shape[0], self.grid.dim
+        self.K, self.P = len(modes), P
+        # all of them as a slice, so that what is kept is views, not copies
+        modes = self.modes = slice(None) if self.K == Kg else modes
+        mi = self.mi = self.vnodes.m - 2
+        xi2 = np.einsum("ka,ka->k", xi, xi)
+        xi4 = xi2**2
         e0 = np.zeros_like(xi)
         e0[:, 0] = 1.0
-        np.divide(xi, np.sqrt(self.xi2)[:, None], out=e0, where=self.xi2[:, None] > 0)
+        np.divide(xi, np.sqrt(xi2)[:, None], out=e0, where=xi2[:, None] > 0)
         across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if P == 2 else []
-        self.frame = np.stack([e0, *across])
-        self.xi_L = np.einsum("ka,ka->k", e0, xi)
-        self.w = self.grid.mode_weights.ravel()
-        self.wr = np.tile(self.w, P)  # the rows' weights
+        frame = np.stack([e0, *across])
+        xi_L = np.einsum("ka,ka->k", e0, xi)
 
         models = [p.model for p in params]
         col = lambda value: np.array([value(mdl) for mdl in models])
@@ -367,26 +380,34 @@ class _Batch:
         self.Mint, self.MAint = ops.M[sl, :], ops.M_Al[sl, :]
         Mi, Ki, MAi, Ci = ops.M[sl, sl], ops.K[sl, sl], ops.MA[sl, sl], ops.C_dA[sl, sl]
         Csym = Ci + Ci.T
-        xi2 = np.tile(self.xi2, P)[:, None, None]   # |xi|^2 on every row
-        lam = np.zeros_like(xi2)
-        lam[:K] = xi2[:K]
+        xi2_rows = np.tile(xi2, P)[:, None, None]   # |xi|^2 on every row
+        lam = np.zeros_like(xi2_rows)
+        lam[:Kg] = xi2_rows[:Kg]
         # the coefficients scale the solver axis of (S, P*K, mi, mi) stacks
         eps, eps2 = self.eps[:, None, None, None], self.eps2[:, None, None, None]
-        self.mass = Mi + eps2 * (lam * MAi)
-        self.visc = (0.5 * xi2) * Mi + (1.5 * lam) * Mi + 0.5 * (
-            Ki / eps2 + lam * Csym + eps2 * ((xi2 * lam) * MAi))
-        self.visc *= (2.0 * self.nu)[:, None, None, None]
-        self.g = self.xi_L[:, None] * ops.weights[sl]
+        mass = Mi + eps2 * (lam * MAi)
+        visc = (0.5 * xi2_rows) * Mi + (1.5 * lam) * Mi + 0.5 * (
+            Ki / eps2 + lam * Csym + eps2 * ((xi2_rows * lam) * MAi))
+        visc *= (2.0 * self.nu)[:, None, None, None]
+        g = xi_L[:, None] * ops.weights[sl]
         dt = self.dt
         with np.errstate(over="ignore", invalid="ignore"):  # a tiny dt: checked below
-            plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * self.xi4
-                     + (self.bending_rank1 * dt)[:, None] * self.xi4)
-            A = (self.fluid_mass / dt)[:, None, None, None] * self.mass + eps * self.visc
-            A[:, :K] += plate[:, :, None, None] * (self.g[:, :, None] * self.g[:, None, :])
+            plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * xi4
+                     + (self.bending_rank1 * dt)[:, None] * xi4)
+            A = (self.fluid_mass / dt)[:, None, None, None] * mass + eps * visc
+            A[:, :Kg] += plate[:, :, None, None] * (g[:, :, None] * g[:, None, :])
+        # whether dt is refused does not depend on the modes stepped
         if not np.isfinite(A).all():
             raise ParameterError(f"dt = {dt} is so small that the step operator overflows")
+        # the stepped modes' rows p*Kg + k of each stack, and their vectors
+        rows = lambda x: x.reshape(len(x), P, Kg, mi, mi)[:, :, modes].reshape(len(x), -1, mi, mi)
+        self.mass, self.visc = rows(mass), rows(visc)
+        self.xi2, self.xi4, self.xi_L, self.g = xi2[modes], xi4[modes], xi_L[modes], g[modes]
+        self.frame = frame[:, modes]
+        self.w = self.grid.mode_weights.ravel()[modes]
+        self.wr = np.tile(self.w, P)  # the rows' weights
         try:
-            L = np.linalg.cholesky(A)
+            L = np.linalg.cholesky(rows(A))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
             raise AssemblyError(f"step operator factorization failed: {exc}") from exc
         Linv = np.linalg.inv(L)
@@ -513,9 +534,11 @@ def pressure_hat(batch: _Batch, c_old: np.ndarray, c_new: np.ndarray, fhat: dict
 def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray,
                 times: Sequence[float], phat: np.ndarray) -> list[list[FsiState]]:
     """The states with rows c (N, S, P*K, mi), plate harmonics eta, eta_t
-    (N, S, K) and pressure coefficients phat (N, S, K, m) at the N given
-    times, one list per solver.  Each field kind takes one transform over all
-    N * S states, and the states' fields are views of the results."""
+    (N, S, K) and pressure coefficients phat (N, S, K, m) of the stepped
+    modes at the N given times, one list per solver.  Each field kind is
+    scattered into the grid's full spectrum, every other mode 0, and takes
+    one transform over all N * S states; the states' fields are views of the
+    results."""
     grid, vn = batch.grid, batch.vnodes
     N, S = c.shape[:2]
     full = batch.profiles(c)
@@ -523,9 +546,10 @@ def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray
     cart = (batch.frame[..., None] * full.reshape(N, S, batch.P, batch.K, 1, vn.m)).sum(axis=2)
 
     def nodal(hat: np.ndarray) -> np.ndarray:
+        spectrum = np.zeros((N, S) + grid.spectral_shape + hat.shape[3:], dtype=complex)
+        spectrum.reshape((N, S, -1) + hat.shape[3:])[:, :, batch.modes] = hat
         # the horizontal axes lead the transform, the states follow them
-        hat = hat.reshape((N, S) + grid.spectral_shape + hat.shape[3:])
-        return grid.irfft(np.moveaxis(hat, (0, 1), (grid.dim, grid.dim + 1)))
+        return grid.irfft(np.moveaxis(spectrum, (0, 1), (grid.dim, grid.dim + 1)))
 
     v = [nodal(cart[..., a, :]) for a in range(grid.dim)]
     # the vertical velocity from the divergence xi . v' = xi_L v_L
@@ -551,15 +575,17 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
 
     where plate_rhs carries the plate's velocity and bending terms and
     enters the along-xi rows only, then sets eta_t from g . c_new and eta
-    by one Euler step.  A forcing that is not finite at some step time
-    raises ParameterError naming that time.
+    by one Euler step.  Only the modes `stepped_modes` names are stepped,
+    and each block's load comes from one `sample_forcing` call.  A forcing
+    that is not finite at some step time raises ParameterError naming that
+    time.
     """
     nsteps = _step_count(t_end, params[0].dt)
     check_range(1, closed=True, integer=True, snapshot_stride=snapshot_stride)
     batch = _Batch(params)
     dt, forcing = batch.dt, params[0].forcing
     S, K, P, mi = len(params), batch.K, batch.P, batch.mi
-    block = _steps_per_block(16 * P * K * mi)
+    block = _steps_per_block(16 * P * max(K, 1) * mi)  # an unloaded run steps no mode
     # rows 0 and 1 hold the solvers' two states before a block, row j + 1
     # their j-th states
     c = np.zeros((block + 2, S, P * K, mi), dtype=complex)
@@ -585,7 +611,7 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
-        fhat = {i: h.reshape(nb, K, -1)
+        fhat = {i: h.reshape(nb, -1, batch.vnodes.m)[:, batch.modes]
                 for i, h in sample_forcing(forcing, batch.grid, t).items()}
         Fq = _quadrature(batch, fhat, nb)
         load = eps * Fq
@@ -633,19 +659,35 @@ def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTra
 # forcing helpers
 # ----------------------------------------------------------------------
 
+def stepped_modes(forcing: Forcing, grid: PeriodicGrid) -> np.ndarray:
+    """The flat indices of the grid's modes that a run under this forcing
+    steps: a `HarmonicLoad`'s support, every mode for any other callable.
+    The problem is linear, Fourier-diagonal and starts at rest, so a mode
+    that is never loaded stays exactly zero."""
+    if isinstance(forcing, HarmonicLoad):
+        return forcing.support
+    return np.arange(np.prod(grid.spectral_shape))
+
+
 def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.ndarray]:
     """Coefficients of the loaded forcing components at each of the given
     times: component index -> array (len(times),) + grid.spectral_shape + (m,).
 
-    The forcing is called once per time.  The components that carry load at
-    any of the times, found by one reduction over the stacked samples, are
-    transformed together, in one batched transform; the others are left
-    out.  The coefficients at the Nyquist index n/2 of every horizontal
-    axis are zeroed: the solver steps each stored mode on its own, and only
-    a load without them keeps the stored (k1, n/2) and (n - k1, n/2) pairs
-    complex conjugate.  Raises ParameterError naming the first time whose
-    forcing is not finite.
+    A `HarmonicLoad` gives its envelope at the times times its coefficients
+    (nothing when its support is empty).  Any other forcing is called once
+    per time.  The components that carry load at any of the times, found by
+    one reduction over the stacked samples, are transformed together, in one
+    batched transform; the others are left out.  The coefficients at the
+    Nyquist index n/2 of every horizontal axis are zeroed: the solver steps
+    each stored mode on its own, and only a load without them keeps the
+    stored (k1, n/2) and (n - k1, n/2) pairs complex conjugate.  Raises
+    ParameterError naming the first time whose forcing is not finite.
     """
+    if isinstance(forcing, HarmonicLoad):
+        if not forcing.support.size:
+            return {}
+        r = smooth_ramp(np.asarray(times, dtype=float), forcing.ramp_time)
+        return {forcing.component: r.reshape((-1,) + (1,) * forcing.hat.ndim) * forcing.hat}
     times = [float(t) for t in times]
     samples = np.array([forcing(t) for t in times], dtype=float)
     loaded = np.flatnonzero(samples.any(axis=(0, *range(2, samples.ndim)))).tolist()
@@ -663,35 +705,63 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
     return dict(zip(loaded, hats))
 
 
-def smooth_ramp(t: float, ramp_time: float) -> float:
-    """C-infinity ramp 1 - exp(-(t/ramp_time)^2), flat at t = 0."""
-    if t <= 0.0:
-        return 0.0
-    return -np.expm1(-((t / ramp_time) ** 2))
+def smooth_ramp(t, ramp_time: float):
+    """C-infinity ramp 1 - exp(-(t/ramp_time)^2) for t > 0, 0 before, flat
+    at t = 0; t is a time or an array of times."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t <= 0.0, 0.0, -np.expm1(-((t / ramp_time) ** 2)))[()]
+
+
+@dataclass(frozen=True, eq=False)
+class HarmonicLoad:
+    """A volume force held as data: one velocity component whose
+    coefficients are hat, shape grid.spectral_shape + (m,), times the
+    envelope smooth_ramp(t, ramp_time).  support holds the flat indices of
+    the modes whose coefficients are not all zero.  Called at t, the load
+    gives its d = dim + 1 nodal components, as any forcing callable does."""
+
+    grid: PeriodicGrid
+    component: int
+    hat: np.ndarray
+    ramp_time: float
+    support: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.hat.flags.writeable = False
+        per_mode = self.hat.reshape(-1, self.hat.shape[-1])
+        object.__setattr__(self, "support", np.flatnonzero(per_mode.any(axis=1)))
+
+    def __call__(self, t: float) -> tuple[np.ndarray, ...]:
+        profile = smooth_ramp(t, self.ramp_time) * self.grid.irfft(self.hat)
+        zero = np.zeros_like(profile)
+        return tuple(profile if i == self.component else zero
+                     for i in range(self.grid.dim + 1))
 
 
 def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
                           amplitude: float = 1.0, wavevector: Sequence[int] = (1,),
-                          component: int = 0, ramp_time: float = 0.1) -> Forcing:
+                          component: int = 0, ramp_time: float = 0.1) -> HarmonicLoad:
     """Volume force amplitude*sin(2*pi*k.x')*ramp(t) in one velocity component,
-    constant across the channel depth."""
+    constant across the channel depth.  The rule for its support: the
+    coefficients are set, not transformed from a sampled sine (which leaves
+    roundoff in every mode), at the stored entries of +-k, -i amplitude/2
+    at k and +i amplitude/2 at -k, each where the half spectrum holds it;
+    every other coefficient is exactly 0, so no threshold is needed."""
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
     check_range(0, grid.dim + 1, closed=True, integer=True, component=component)
     check_range(ramp_time=ramp_time)
+    check_range(-np.inf, np.inf, amplitude=amplitude)
     if any(abs(k) >= grid.n // 2 or not hasattr(type(k), "__index__") for k in wavevector):
         # |k| > n/2 aliases, k = n/2 samples sin to zero, a fractional k is not periodic
         raise ParameterError(
             f"wavevector {wavevector} is not resolved on n = {grid.n}: "
             f"every k must be an integer with |k| below {grid.n // 2}"
         )
-    phase = sum(2.0 * np.pi * k * x for k, x in zip(wavevector, grid.meshes))
-    profile = amplitude * np.sin(phase)[..., None] * np.ones(vnodes.m)
-    return partial(_ramped, profile, np.zeros_like(profile), component, grid.dim + 1, ramp_time)
-
-
-def _ramped(profile, zero, component: int, ncomp: int, ramp_time: float, t: float):
-    """`harmonic_ramp_forcing` at time t, at module level so that it pickles."""
-    r = smooth_ramp(t, ramp_time)
-    return tuple(profile * r if i == component else zero for i in range(ncomp))
+    hat = np.zeros(grid.spectral_shape + (vnodes.m,), dtype=complex)
+    for sign in (1, -1):
+        k = [sign * int(kk) for kk in wavevector]
+        if k[-1] >= 0:
+            hat[tuple(kk % grid.n for kk in k[:-1]) + (k[-1],)] += -0.5j * sign * amplitude
+    return HarmonicLoad(grid, component, hat, ramp_time)

@@ -124,7 +124,9 @@ def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes
     The profile map is linear along the depth, so F^ = -sum_a (i xi_a)
     (f^_a . u), where u holds the depth integrals of the profiles of the
     nodal basis vectors and f^_a the coefficients of the horizontal force
-    components from `sample_forcing`.
+    components from `sample_forcing`: for a `fsi.HarmonicLoad` its envelope
+    times its coefficients, with no sampling; a callable is sampled and
+    transformed, a block of times per call.
     """
     u = _force_profiles(np.eye(vnodes.m), nu, vnodes) @ vnodes.weights
     symbols = [derivative_symbol(grid, 1, axis=a) for a in range(grid.dim)]

@@ -63,9 +63,9 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.n >= 8 or (self.n & (self.n - 1)) != 0:
+        check_range(1, 3, closed=True, integer=True, dim=self.dim)
+        check_range(8, closed=True, integer=True, n=self.n)
+        if self.n & (self.n - 1):
             raise ParameterError(f"n must be a power of two >= 8, got {self.n}")
 
     @property

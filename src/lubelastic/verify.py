@@ -26,6 +26,7 @@ from .fsi import (
     FsiTrajectory,
     harmonic_ramp_forcing,
     run_batch,
+    stepped_modes,
 )
 from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit,
                              _closure_from_limit, _limit_map, solve_reduced)
@@ -308,6 +309,7 @@ def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[f
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
     trajs = run_batch(params, config.t_end, config.snapshot_stride)
+    modes = f"{len(stepped_modes(forcing, grid))} of {np.prod(grid.spectral_shape)} modes"
     outcomes = []
     for eps, p, traj in zip(eps_list, params, trajs):
         errs = compare_trajectories(traj, _approx_from_limit(reduced, limit, p.model, vnodes))
@@ -315,8 +317,9 @@ def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[f
         ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
         report = ErrorReport(eps, float(p.model.kappa), *errs, energy_ratio=ratio)
         audit = energy_audit(traj.ledger, p)
-        logger.info("ladder point eps = %g: %.3f s, errors velocity %.6e, pressure %.6e, "
-                    "displacement %.6e", eps, time.perf_counter() - start, *errs)
+        logger.info("ladder point eps = %g: %.3f s, %s stepped, errors velocity %.6e, "
+                    "pressure %.6e, displacement %.6e", eps, time.perf_counter() - start, modes,
+                    *errs)
         outcomes.append((report, traj.ledger, audit))
     return outcomes
 

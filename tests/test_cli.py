@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -522,6 +523,25 @@ class TestFsiCommand:
         assert summary["terminal_lhs"] == (energy + last["viscous_dissipation"]
                                            + last["viscoelastic_dissipation"])
         assert summary["terminal_work"] == last["work"]
+        # the harmonic load steps its one stored mode of the grid's
+        assert (summary["modes"], summary["modes_stepped"]) == (
+            (5, 1) if doc["dim"] == 1 else (40, 1))
+
+    def test_unloaded_run_exits_0_with_zero_ledger(self, tmp_path):
+        # amplitude 0 loads no mode: the run steps none and still writes
+        # every artifact
+        doc = cli.preset_config("fsi-single-mode")
+        doc["forcing"] = {**doc["forcing"], "amplitude": 0.0}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                             "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminal_work"] == 0.0
+        assert summary["terminal_energy"] == 0.0
+        assert (summary["modes"], summary["modes_stepped"]) == (9, 0)
+        assert summary["energy_audit_ok"]
 
 
     def test_unresolved_wavevector_exits_2(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError
+from lubelastic.spectral import _steps_per_block
 
 from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, to_cartesian,
                      vertical_profile)
@@ -37,6 +38,18 @@ def make_params(eps=0.125, kappa=2, n=16, m=16, dt=1e-3, dim=1, theta=1.0,
         forcing = lb.harmonic_ramp_forcing(grid, vnodes, wavevector=(1,) * dim,
                                            ramp_time=0.05)
     return lb.FsiParams(model=model, grid=grid, vnodes=vnodes, dt=dt, forcing=forcing)
+
+
+def plain(forcing):
+    """The same load as a plain callable, which a run samples and transforms
+    at every step, stepping every mode of the grid."""
+    return lambda t: forcing(t)
+
+
+def plain_params(**kw):
+    """`make_params` with its load as a plain callable."""
+    params = make_params(**kw)
+    return replace(params, forcing=plain(params.forcing))
 
 
 class TestParams:
@@ -86,8 +99,8 @@ class TestModeOperator:
         assert np.min(np.linalg.eigvalsh(A)) > 0
 
     def test_viscous_block_positive_semidefinite(self):
-        # dense eigensolve on a small vertical resolution
-        params = make_params(m=12)
+        # dense eigensolve on a small vertical resolution, every mode stepped
+        params = plain_params(m=12)
         batch = lb.fsi._Batch([params])
         for k in (0, 1, 3, 8):
             eig = np.linalg.eigvalsh(batch.visc[0, k])
@@ -99,7 +112,7 @@ class TestModeOperator:
         assert np.max(np.abs(visc - 2.5 * base)) <= 1e-14 * np.max(np.abs(visc))
 
     def test_small_dt_limit_is_mass_structure(self):
-        params = make_params(m=12)
+        params = plain_params(m=12)
         gaps = []
         for dt in (1e-4, 1e-5, 1e-6):
             batch = lb.fsi._Batch([replace(params, dt=dt)])
@@ -112,7 +125,7 @@ class TestModeOperator:
 
     def test_factorization_cached(self, monkeypatch):
         # a run assembles and factors the step operators of all its points
-        # once, in one batch
+        # once, in one batch, on the modes its load reaches
         params = make_params(m=12)
         built = []
         init = lb.fsi._Batch.__init__
@@ -125,7 +138,8 @@ class TestModeOperator:
         points = [params, replace(params, model=replace(params.model, eps=0.0625))]
         lb.fsi.run_batch(points, 0.005)
         [batch] = built
-        A = np.stack([FsiSolver(p).assembled().A for p in points])
+        assert batch.modes.tolist() == [1]
+        A = np.stack([FsiSolver(p).assembled().A[batch.modes] for p in points])
         assert batch.inv.shape == A.shape
         eye = np.broadcast_to(np.eye(batch.mi), A.shape)
         assert np.max(np.abs(batch.inv @ A - eye)) < 1e-10
@@ -537,7 +551,7 @@ class TestPressureRecovery:
     @staticmethod
     def _run(monkeypatch, dim):
         if dim == 1:
-            params = make_params(n=16, m=16, dt=2e-3, theta=0.5)
+            params = plain_params(n=16, m=16, dt=2e-3, theta=0.5)
         else:
             grid = lb.PeriodicGrid(dim=2, n=16)
             vn = lb.VerticalNodes(12)
@@ -726,7 +740,8 @@ class TestEinsumLedgerOracle:
         grid = lb.PeriodicGrid(dim=dim, n=16)
         vn = lb.VerticalNodes(20 if dim == 1 else 12)
         if dim == 1:
-            forcing = lb.harmonic_ramp_forcing(grid, vn, component=component, ramp_time=0.02)
+            forcing = plain(lb.harmonic_ramp_forcing(grid, vn, component=component,
+                                                     ramp_time=0.02))
         else:
             forcing = nyquist_free(grid, _bump_forcing(grid, vn, component))
         model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0, dim=dim)
@@ -764,7 +779,7 @@ class TestStackedCartesianOracle:
         params = make_params(m=12)
         batch = lb.fsi._Batch([params])
         assert np.all(batch.frame == 1.0)
-        assert np.array_equal(batch.xi_L, lb.fsi._xi_stack(params.grid)[:, 0])
+        assert np.array_equal(batch.xi_L, lb.fsi._xi_stack(params.grid)[batch.modes, 0])
         batch = lb.fsi._Batch([self._params(2.0**-3)])
         e0, e1 = batch.frame
         assert np.max(np.abs(np.einsum("ka,ka->k", e0, e1))) <= 1e-15
@@ -831,7 +846,8 @@ class TestStackedCartesianOracle:
 class TestBlockedRunOracle:
     """The blocked run against the per-step loop it replaced
     (`oracles.stepwise_run`: one `advance` and one forcing transform per
-    step, and another transform for each snapshot's pressure)."""
+    step, and another transform for each snapshot's pressure).  Both step
+    every mode, so the loads are plain callables."""
 
     @staticmethod
     def _compare(monkeypatch, params, nsteps, stride):
@@ -858,12 +874,10 @@ class TestBlockedRunOracle:
 
     @staticmethod
     def _block(solver):
-        from lubelastic.spectral import _steps_per_block
-
         return _steps_per_block(16 * solver.P * solver.K * solver.mi)
 
     def test_stride_across_blocks_and_partial_last_block(self, monkeypatch):
-        params = make_params(n=16, m=20, dt=2e-3, theta=0.5)
+        params = plain_params(n=16, m=20, dt=2e-3, theta=0.5)
         solver, traj = self._compare(monkeypatch, params, 60, 7)
         block = self._block(solver)
         assert block > 7 and block % 7 and 60 % block
@@ -872,7 +886,7 @@ class TestBlockedRunOracle:
     def test_snapshot_on_first_step_of_block(self, monkeypatch):
         # its second-order pressure quotient reaches two states back, into
         # the previous block
-        params = make_params(n=16, m=20, dt=2e-3)
+        params = plain_params(n=16, m=20, dt=2e-3)
         solver, traj = self._compare(monkeypatch, params, 52, 13)
         block = self._block(solver)
         steps = np.rint(traj.times / params.dt).astype(int)
@@ -881,7 +895,7 @@ class TestBlockedRunOracle:
     def test_snapshot_at_the_first_step(self, monkeypatch):
         # the first step has no state two back: its pressure takes the
         # first-order quotient
-        params = make_params(n=16, m=20, dt=2e-3)
+        params = plain_params(n=16, m=20, dt=2e-3)
         _, traj = self._compare(monkeypatch, params, 3, 1)
         assert traj.times[1] == params.dt
 
@@ -915,14 +929,15 @@ class TestRunBatch:
     """Ladder points stepped together in `fsi.run_batch` against each point
     run alone and against the one-solver loop it replaced
     (`oracles.single_run`: per-solver quadrature, ledger columns, pressures
-    and fields)."""
+    and fields), bit for bit when both step every mode, as under a plain
+    callable load."""
 
     @staticmethod
     def _ladder(dim):
         grid = lb.PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
         vn = lb.VerticalNodes(20 if dim == 1 else 10)
         if dim == 1:
-            forcing = lb.harmonic_ramp_forcing(grid, vn, component=1, ramp_time=0.02)
+            forcing = plain(lb.harmonic_ramp_forcing(grid, vn, component=1, ramp_time=0.02))
             eps_list = (2.0**-3, 2.0**-4, 2.0**-5)
         else:
             forcing = _loaded_bump_forcing(grid, vn)
@@ -960,8 +975,6 @@ class TestRunBatch:
 
     @staticmethod
     def _block(params):
-        from lubelastic.spectral import _steps_per_block
-
         solver = FsiSolver(params)
         return _steps_per_block(16 * solver.P * solver.K * solver.mi)
 
@@ -1047,8 +1060,10 @@ class TestRunBatch:
 
     def test_ladder_size_batch_matches_the_oracle(self):
         # the bench ladder's four thicknesses and setting (n = 16, m = 20,
-        # dt = 5e-4, 25-step blocks) at its snapshot stride of 20, which
-        # crosses the blocks, with a partial last block
+        # dt = 5e-4) at its snapshot stride of 20: the batch steps the load's
+        # one mode in one partial 227-step block, the oracle all 9 modes in
+        # 25-step blocks that the stride crosses; agreement is to roundoff,
+        # not bit for bit
         from oracles import single_run
 
         cfg = lb.verify.RateStudyConfig(kappa=Fraction(2), n=16, m=20, dt=5e-4,
@@ -1058,11 +1073,12 @@ class TestRunBatch:
                                forcing=forcing) for eps in cfg.eps_list]
         assert len(params) == 4
         assert self._block(params[0]) == 25
+        assert _steps_per_block(16 * len(forcing.support) * 18) == 227
         together = lb.fsi.run_batch(params, cfg.t_end, cfg.snapshot_stride)
         for p, traj in zip(params, together):
             oracle = single_run(FsiSolver(p), cfg.t_end, cfg.snapshot_stride)
-            self._assert_states_equal(traj, oracle)
             assert len(traj.states) == 1 + 110 // 20 + 1
+            _assert_fields_close(traj, oracle)
             for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
                          "viscoelastic_dissipation", "numerical_dissipation", "work"):
                 got, want = getattr(traj.ledger, name), getattr(oracle.ledger, name)
@@ -1082,6 +1098,132 @@ class TestRunBatch:
             lb.fsi.run_batch([base, other], 0.01)
 
 
+def _assert_fields_close(traj, ref, rtol=1e-12):
+    """Times equal, and every snapshot of each field kind within rtol of
+    the kind's largest value over the reference run."""
+    assert np.array_equal(traj.times, ref.times)
+    assert len(traj.states) == len(ref.states)
+    kinds = lambda s: (*s.v, s.p, s.eta, s.eta_t)
+    for i in range(len(kinds(ref.states[0]))):
+        got, want = (np.stack([kinds(s)[i].values for s in t.states]) for t in (traj, ref))
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), i
+
+
+class TestHarmonicLoad:
+    """The load held as coefficients, stepped on its support, against the
+    same load as a plain callable: sampled at the nodes every step,
+    transformed, and every mode stepped."""
+
+    @pytest.mark.parametrize("dim, wavevector, component, n_support", [
+        (1, (-3,), 0, 1), (2, (1, 2), 0, 1), (2, (2, -1), 1, 1), (2, (3, 0), 0, 2),
+        (2, (-1, 0), 1, 2), (2, (0, 3), 2, 1)])
+    def test_coefficients_are_the_sampled_sine(self, dim, wavevector, component, n_support):
+        grid, vn = lb.PeriodicGrid(dim=dim, n=16), lb.VerticalNodes(8)
+        load = lb.harmonic_ramp_forcing(grid, vn, amplitude=1.7, wavevector=wavevector,
+                                        component=component, ramp_time=0.1)
+        assert len(load.support) == n_support
+        phase = sum(2 * np.pi * k * x for k, x in zip(wavevector, grid.meshes))
+        sampled = 1.7 * np.sin(phase)[..., None] * np.ones(vn.m)
+        hat = grid.rfft(sampled)
+        # the transform of the sample is the load's coefficients to
+        # roundoff, which it leaves in the unloaded modes too
+        assert np.max(np.abs(hat - load.hat)) <= 1e-15
+        per_mode = np.abs(hat).reshape(-1, vn.m).max(axis=1)
+        assert np.array_equal(np.flatnonzero(per_mode > 1e-12), load.support)
+        r = lb.fsi.smooth_ramp(0.07, 0.1)
+        comps = load(0.07)
+        assert len(comps) == dim + 1
+        for i, comp in enumerate(comps):
+            want = r * sampled if i == component else np.zeros_like(sampled)
+            assert np.max(np.abs(comp - want)) <= 1e-14
+        [(a, coeffs)] = lb.fsi.sample_forcing(load, grid, [0.0, 0.07]).items()
+        assert a == component
+        assert np.array_equal(coeffs, np.stack([0.0 * load.hat, r * load.hat]))
+
+    def test_smooth_ramp_takes_arrays(self):
+        t = np.array([-0.1, 0.0, 0.03, 0.1, 0.25])
+        assert np.array_equal(lb.fsi.smooth_ramp(t, 0.1),
+                              [lb.fsi.smooth_ramp(float(x), 0.1) for x in t])
+        assert np.isnan(lb.fsi.smooth_ramp(np.nan, 0.1))
+
+    @staticmethod
+    def _pair(params, t_end, stride, rtol=1e-12):
+        """The runs of params under their load and under its plain callable."""
+        callable_load = plain(params[0].forcing)
+        modal = lb.fsi.run_batch(params, t_end, stride)
+        sampled = lb.fsi.run_batch([replace(p, forcing=callable_load) for p in params],
+                                   t_end, stride)
+        for a, b in zip(modal, sampled):
+            _assert_fields_close(a, b, rtol)
+            for traj in (a, b):
+                assert np.max(np.abs(traj.ledger.work)) > 0
+                assert np.max(traj.ledger.identity_residual_rel()) <= 1e-12
+        return modal, sampled
+
+    def test_ladder_setting(self, monkeypatch):
+        # the bench ladder's physics, mesh and step, across several blocks
+        cfg = lb.verify.RateStudyConfig(kappa=Fraction(2), n=16, m=20, dt=5e-4, t_end=0.25,
+                                        snapshot_stride=20, rho_f=40.0, rho_s=40.0,
+                                        theta=20.0, amplitude=2.3)
+        grid, vnodes, forcing = cfg.setting()
+        params = [lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
+                               forcing=forcing) for eps in cfg.eps_list]
+        batches = []
+        init = lb.fsi._Batch.__init__
+
+        def spy(batch, params):
+            init(batch, params)
+            batches.append(batch)
+
+        monkeypatch.setattr(lb.fsi._Batch, "__init__", spy)
+        self._pair(params, cfg.t_end, cfg.snapshot_stride)
+        # the load steps its one mode, the callable all 9 of the grid
+        assert [b.K for b in batches] == [1, 9]
+
+    @pytest.mark.parametrize("wavevector, component, n_support", [
+        ((1, 2), 1, 1),    # k2 > 0: one stored mode, loaded along and across xi
+        ((3, 0), 0, 2),    # k2 = 0: k and -k both stored
+        ((2, 1), 2, 1),    # the vertical component
+    ])
+    def test_two_dimensional_loads(self, wavevector, component, n_support):
+        # 2D fields hold 1e-11 of their run's largest value: the step
+        # operator's condition number reaches 2e7 here, and a one-ulp change
+        # of the amplitude alone moves the (3, 0) fields by up to 2.4e-12 of
+        # that scale within either path (measured at eps = 2^-6)
+        grid, vn = lb.PeriodicGrid(dim=2, n=16), lb.VerticalNodes(12)
+        load = lb.harmonic_ramp_forcing(grid, vn, wavevector=wavevector, component=component,
+                                        ramp_time=0.02)
+        assert len(load.support) == n_support
+        params = [lb.FsiParams(model=lb.ModelParams(eps=eps, kappa=Fraction(2), theta=1.0,
+                                                    dim=2),
+                               grid=grid, vnodes=vn, dt=2e-3, forcing=load)
+                  for eps in (2.0**-3, 2.0**-6)]
+        self._pair(params, 0.06, 7, rtol=1e-11)
+
+    def test_vertical_load(self):
+        params = make_params(n=16, m=16, dt=1e-3,
+                             forcing=lb.harmonic_ramp_forcing(
+                                 lb.PeriodicGrid(dim=1, n=16), lb.VerticalNodes(16),
+                                 wavevector=(2,), component=1, ramp_time=0.05))
+        self._pair([params, replace(params, model=replace(params.model, eps=2.0**-5))],
+                   0.08, 9)
+
+    def test_empty_support_runs(self):
+        # amplitude 0, or a zero wavevector, loads no mode: the run steps
+        # none and its ledger is zero
+        for kw in ({"amplitude": 0.0}, {"wavevector": (0,)}):
+            params = make_params(n=16, m=12, forcing=lb.harmonic_ramp_forcing(
+                lb.PeriodicGrid(dim=1, n=16), lb.VerticalNodes(12), **kw))
+            assert params.forcing.support.size == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj = lb.run_fsi(params, 0.01, snapshot_stride=5)
+            assert len(traj.states) == 3
+            for f in fields(traj.ledger)[1:]:
+                assert not np.any(getattr(traj.ledger, f.name)), f.name
+            assert not any(np.any(s.p.values) or np.any(s.eta.values) for s in traj.states)
+
+
 class TestForcingTransforms:
     @staticmethod
     def _count_transforms(monkeypatch, params, nsteps, stride=None):
@@ -1097,16 +1239,20 @@ class TestForcingTransforms:
         return len(calls), traj
 
     def test_only_loaded_component_transformed(self, monkeypatch):
-        from lubelastic.spectral import _steps_per_block
-
+        # a plain callable is transformed once per block, and snapshot
+        # pressures reuse the block's coefficients; the load it calls is
+        # held as coefficients and makes no transform
         params = make_params(dim=2, n=8, m=10, dt=1e-3)
         solver = FsiSolver(params)
         block = _steps_per_block(16 * solver.P * solver.K * solver.mi)
         assert 1 < block < 10
-        # one per block; snapshot pressures reuse the block's coefficients
         for stride in (10, 1):
-            count, traj = self._count_transforms(monkeypatch, params, 10, stride)
+            count, traj = self._count_transforms(
+                monkeypatch, replace(params, forcing=plain(params.forcing)), 10, stride)
             assert count == -(-10 // block)
+            assert traj.ledger.work[-1] > 0
+            count, traj = self._count_transforms(monkeypatch, params, 10, stride)
+            assert count == 0
             assert traj.ledger.work[-1] > 0
 
     def test_zero_forcing_makes_no_transform(self, monkeypatch):

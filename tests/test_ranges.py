@@ -73,8 +73,12 @@ SITES = {
         GRID, VNODES, ramp_time=x),
     "harmonic_ramp_forcing.component": lambda x: lb.harmonic_ramp_forcing(
         GRID, VNODES, component=x),
+    "harmonic_ramp_forcing.amplitude": lambda x: lb.harmonic_ramp_forcing(
+        GRID, VNODES, amplitude=x),
     "derivative_symbol.axis": lambda x: spectral.derivative_symbol(GRID, 1, axis=x),
     "VerticalNodes.m": lambda x: lb.VerticalNodes(x),
+    "PeriodicGrid.dim": lambda x: lb.PeriodicGrid(dim=x, n=16),
+    "PeriodicGrid.n": lambda x: lb.PeriodicGrid(dim=1, n=x),
     "run_rate_study.jobs": _ladder,
     **{f"RateStudyConfig.{k}": (lambda k: lambda x: verify.RateStudyConfig(**{k: x}))(k)
        for k in ("dt", "t_end", "ramp_time", "amplitude", "snapshot_stride", "component")},
@@ -93,8 +97,9 @@ def test_non_finite_value_rejected(site, value):
 # the sites that take a count, an index or a stride
 INTEGER_SITES = ["evolve.steps", "evolve.snapshot_stride", "solve_linear_sixth.snapshot_stride",
                  "run_fsi.snapshot_stride", "harmonic_ramp_forcing.component",
-                 "derivative_symbol.axis", "VerticalNodes.m", "run_rate_study.jobs",
-                 "RateStudyConfig.snapshot_stride", "RateStudyConfig.component"]
+                 "derivative_symbol.axis", "VerticalNodes.m", "PeriodicGrid.dim",
+                 "PeriodicGrid.n", "run_rate_study.jobs", "RateStudyConfig.snapshot_stride",
+                 "RateStudyConfig.component"]
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, 0.5])
@@ -104,6 +109,15 @@ def test_value_that_is_no_integer_rejected(site, value):
     # a stride of 2.5 kept every fifth step
     with pytest.raises(ParameterError, match="must be an integer"):
         SITES[site](value)
+
+
+@pytest.mark.parametrize("size", [{"dim": 1.0, "n": 16}, {"dim": 1, "n": 16.0}],
+                         ids=["dim", "n"])
+def test_grid_size_that_is_no_integer_rejected(size):
+    # dim = 1.0 used to be accepted and fail at the grid's first shape with
+    # a TypeError; n = 16.0 raised a bare TypeError
+    with pytest.raises(ParameterError, match="must be an integer"):
+        lb.PeriodicGrid(**size)
 
 
 @pytest.mark.parametrize("site", INTEGER_SITES)

@@ -327,8 +327,42 @@ class TestLadderConfig:
         assert len(lines) == 3
         for line, report in zip(lines, result.reports):
             assert line.startswith(f"ladder point eps = {report.eps:g}: ")
+            assert ", 1 of 5 modes stepped, " in line
             for err in (report.err_velocity, report.err_pressure, report.err_displacement):
                 assert f"{err:.6e}" in line
+
+    def test_ladder_steps_the_loaded_mode_only(self, monkeypatch):
+        # the bench's ladder-k2 study against the same load as a plain
+        # callable, which its run samples at every step and steps on all 9
+        # modes: slopes within the bench's 1e-9, every identity residual at
+        # roundoff, and the load itself called only by FsiParams' check
+        cfg = verify.RateStudyConfig(
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125, 0.015625), n=16, m=20,
+            dt=5e-4, t_end=0.5, snapshot_stride=20, ramp_time=0.1, rho_f=40.0, rho_s=40.0,
+            theta=20.0, amplitude=1.7)
+        stepped, calls = [], []
+        init, call = lb.fsi._Batch.__init__, lb.fsi.HarmonicLoad.__call__
+
+        def spy(batch, params):
+            init(batch, params)
+            stepped.append(batch.K)
+
+        monkeypatch.setattr(lb.fsi._Batch, "__init__", spy)
+        monkeypatch.setattr(lb.fsi.HarmonicLoad, "__call__",
+                            lambda load, t: calls.append(t) or call(load, t))
+        modal = verify.run_rate_study(cfg)
+        assert stepped == [1]
+        assert calls == [0.0] * 4
+        build = verify.harmonic_ramp_forcing
+        monkeypatch.setattr(verify, "harmonic_ramp_forcing",
+                            lambda *a, **kw: (lambda load: lambda t: load(t))(build(*a, **kw)))
+        sampled = verify.run_rate_study(cfg)
+        assert stepped == [1, 9]
+        for which, fit in modal.fits.items():
+            want = sampled.fits[which].slope
+            assert abs(fit.slope - want) <= 1e-9 * abs(want), which
+        for ledger in modal.ledgers + sampled.ledgers:
+            assert np.max(ledger.identity_residual_rel()) <= 1e-12
 
     def test_mini_ladder_pipeline(self, monkeypatch):
         cfg = verify.RateStudyConfig(
@@ -365,15 +399,17 @@ class TestLadderConfig:
 
     @staticmethod
     def _oracle_report(cfg, eps, reduced):
-        """One point's report from the one-solver run and the per-snapshot
-        reconstruction and norms (`oracles.single_run`,
-        `oracles.snapshot_assemble_approx`, `oracles.snapshot_compare`)."""
-        from oracles import FsiSolver, single_run, snapshot_assemble_approx, snapshot_compare
+        """One point's report from its run alone and the per-snapshot
+        reconstruction and norms (`oracles.snapshot_assemble_approx`,
+        `oracles.snapshot_compare`).  The run steps the load's support, as
+        the ladder's does; `test_fsi.py::TestHarmonicLoad` holds it against
+        a run of every mode."""
+        from oracles import snapshot_assemble_approx, snapshot_compare
 
         grid, vnodes, forcing = cfg.setting()
         params = lb.FsiParams(model=cfg.model_for(eps), grid=grid, vnodes=vnodes, dt=cfg.dt,
                               forcing=forcing)
-        traj = single_run(FsiSolver(params), cfg.t_end, cfg.snapshot_stride)
+        traj = lb.run_fsi(params, cfg.t_end, cfg.snapshot_stride)
         errs = snapshot_compare(traj, snapshot_assemble_approx(reduced, params.model, forcing,
                                                                vnodes))
         t_phys = cfg.t_end * lb.eps_power(eps, params.model.tau)
@@ -417,7 +453,7 @@ class TestLadderConfig:
         from lubelastic.spectral import _steps_per_block
 
         cfg = verify.RateStudyConfig(
-            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
+            kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=20,
             dt=1e-3, t_end=0.5, snapshot_stride=50, theta=1.0)
         counts = {}
 
@@ -434,9 +470,8 @@ class TestLadderConfig:
         count(lb.reconstruction, "_limit_map")
         for name in ("_quadrature", "_record", "pressure_hat", "materialize"):
             count(lb.fsi, name)
-        # the reduced displacement's transforms: those inside the limit map
-        # and the chain closure of arrays without a depth axis, which the
-        # forcing samples have
+        # the transforms inside the limit map and the chain closure: the
+        # load's coefficients need none, the displacement snapshots one
         inside = []
         for name in ("_limit_map", "_closure_from_limit"):
             fn = getattr(verify, name)
@@ -452,14 +487,14 @@ class TestLadderConfig:
         rfft = PeriodicGrid.rfft
 
         def counting_rfft(grid, values):
-            if inside and np.ndim(values) <= grid.dim + 1:
+            if inside:
                 counts["displacement rfft"] = counts.get("displacement rfft", 0) + 1
             return rfft(grid, values)
 
         monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
         result = verify.run_rate_study(cfg)
-        # 1D rows: K = n/2 + 1 modes of m - 2 interior coefficients
-        blocks = -(-500 // _steps_per_block(16 * (cfg.n // 2 + 1) * (cfg.m - 2)))
+        # 1D rows: the load's one mode of m - 2 interior coefficients
+        blocks = -(-500 // _steps_per_block(16 * (cfg.m - 2)))
         assert 1 < blocks < 500 // cfg.snapshot_stride
         # every block holds a snapshot, none of them at the first step; one
         # transform takes all 11 displacement snapshots, for the map and the
