@@ -38,23 +38,23 @@ print(f"derivation-chain closure error, flux rate against -c|xi|^6 eta + F "
       f"(L2 in time and space): {closure:.2e}")
 
 triple = assemble_approx(reduced, model, forcing, vnodes)
+# one array per field kind, the snapshots along the leading axis
+v1, v3 = triple.v[0], triple.v[-1]
 mid = len(triple.times) // 5  # mid-ramp, while the plate is still inflating
-v_mid = triple.v[mid]
 print(f"\nreconstructed triple at t = {triple.times[mid]:.2f} (mid-ramp):")
-print(f"  horizontal velocity amplitude {np.max(np.abs(v_mid[0].values)):.3e} "
+print(f"  horizontal velocity amplitude {np.max(np.abs(v1[mid])):.3e} "
       f"(carries the eps^2 channel scaling)")
-print(f"  vertical velocity amplitude   {np.max(np.abs(v_mid[-1].values)):.3e}")
-print(f"  pressure amplitude            {np.max(np.abs(triple.p[mid].values)):.3e}")
-print(f"  displacement amplitude        {np.max(np.abs(triple.eta[mid].values)):.3e} "
+print(f"  vertical velocity amplitude   {np.max(np.abs(v3[mid])):.3e}")
+print(f"  pressure amplitude            {np.max(np.abs(triple.p[mid])):.3e}")
+print(f"  displacement amplitude        {np.max(np.abs(triple.eta[mid])):.3e} "
       f"(eps^kappa times the reduced one)")
 
 # once the ramp saturates, the bending load exactly balances the
 # depth-constant force and the flow stops
-v_final = triple.v[-1]
 print(f"\nat the final time the velocity has died down to "
-      f"{np.max(np.abs(v_final[0].values)):.1e}: the pressure "
-      f"{np.max(np.abs(triple.p[-1].values)):.3f} carries the whole force")
+      f"{np.max(np.abs(v1[-1])):.1e}: the pressure "
+      f"{np.max(np.abs(triple.p[-1])):.3f} carries the whole force")
 
-top = np.max(np.abs(v_mid[0].values[..., -1]))
-bottom = np.max(np.abs(v_mid[0].values[..., 0]))
+top = np.max(np.abs(v1[mid][..., -1]))
+bottom = np.max(np.abs(v1[mid][..., 0]))
 print(f"horizontal velocity wall traces: bottom {bottom:.1e}, top {top:.1e}")

@@ -62,19 +62,14 @@ def write_grid(outdir, grid, vnodes=None) -> str:
     return path
 
 
-def velocity_named(v) -> list:
-    """(name, field) pairs v1[, v2], v3 of one velocity snapshot."""
-    return [(f"v{a + 1}" if a < len(v) - 1 else "v3", f) for a, f in enumerate(v)]
-
-
-def save_snapshots(outdir, grid, vnodes, snapshots) -> list[str]:
-    """Write the run's ``grid.csv`` (`write_grid`), then a snapshot series:
-    each snapshot is a sequence of (name, field) pairs, and field `name` of
-    snapshot i goes to ``<name>_<i:04d>.csv`` through its ``to_csv``.
-    Returns the paths in the order written."""
+def save_snapshots(outdir, grid, vnodes, named: dict) -> list[str]:
+    """Write the run's ``grid.csv`` (`write_grid`), then a snapshot series
+    held as one array per field name, the snapshots along its leading axis:
+    snapshot i of field `name` goes to ``<name>_<i:04d>.csv``.  Returns the
+    paths in the order written, snapshot by snapshot."""
     written = [write_grid(outdir, grid, vnodes)]
-    for idx, named in enumerate(snapshots):
-        for name, fld in named:
+    for idx, snapshot in enumerate(zip(*named.values())):
+        for name, values in zip(named, snapshot):
             written.append(os.path.join(outdir, f"{name}_{idx:04d}.csv"))
-            fld.to_csv(written[-1])
+            write_csv(written[-1], ["value"], [values])
     return written

@@ -421,7 +421,7 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         "terminal_energy": float(traj.ledger.total_energy()[-1]),
         "terminal_lhs": float(traj.ledger.lhs()[-1]),
         "terminal_work": float(traj.ledger.work[-1]),
-        "snapshots": len(traj.states),
+        "snapshots": len(traj.times),
         "steps": len(traj.ledger),
         "modes": int(np.prod(grid.spectral_shape)),
         "modes_stepped": len(stepped_modes(forcing, grid)),

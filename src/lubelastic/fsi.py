@@ -58,10 +58,11 @@ one pass over the stored states, forcing coefficients and the step loop's
 mass products, with the solvers' coefficients as columns; only the
 block's last states need a mass product of their own.  The block's
 snapshot pressures come from one `pressure_hat`, and `materialize` makes
-one inverse transform per field kind over every snapshot and solver,
-whose views the states hold.  The ledger holds one float array per entry,
-rows of one (8, steps) buffer per solver that the run fills in place:
-each block writes the integrals as per-step increments, and one
+one inverse transform per field kind over every snapshot and solver.  A
+trajectory holds one array per field kind, the snapshots along its leading
+axis; its `states` hold views of them.  The ledger holds one float array
+per entry, rows of one (8, steps) buffer per solver that the run fills in
+place: each block writes the integrals as per-step increments, and one
 cumulative sum in step order after the last block turns them into running
 integrals.
 """
@@ -70,11 +71,12 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .artifacts import save_snapshots, velocity_named, write_csv
+from .artifacts import save_snapshots, write_csv
 from .errors import AssemblyError, InvariantError, ParameterError, check_range
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
@@ -262,17 +264,37 @@ class EnergyLedger:
 
 @dataclass(frozen=True, eq=False)
 class FsiTrajectory:
+    """A run's N snapshots, one array per field kind with the snapshots along
+    its leading axis: the d = dim + 1 velocity components v and the pressure
+    p, (N,) + grid.shape + (m,) each, and the plate displacement eta and
+    velocity eta_t, (N,) + grid.shape each; and the run's energy ledger."""
+
     params: FsiParams
     times: np.ndarray
-    states: tuple[FsiState, ...]
+    v: tuple[np.ndarray, ...]
+    p: np.ndarray
+    eta: np.ndarray
+    eta_t: np.ndarray
     ledger: EnergyLedger
+
+    @cached_property
+    def states(self) -> tuple[FsiState, ...]:
+        """The snapshots as states whose fields are views of the arrays,
+        built when first read."""
+        grid, vn = self.params.grid, self.params.vnodes
+        return tuple(FsiState(v=tuple(ChannelField(grid, vn, comp[j]) for comp in self.v),
+                              p=ChannelField(grid, vn, self.p[j]),
+                              eta=PeriodicField(grid, self.eta[j]),
+                              eta_t=PeriodicField(grid, self.eta_t[j]), t=t)
+                     for j, t in enumerate(self.times.tolist()))
 
     def save(self, outdir) -> list[str]:
         """Write the grid, every snapshot's fields and the energy ledger as
         CSV files."""
-        written = save_snapshots(outdir, self.params.grid, self.params.vnodes, [
-            [("eta", s.eta), ("eta_t", s.eta_t), *velocity_named(s.v), ("p", s.p)]
-            for s in self.states])
+        *horizontal, v3 = self.v
+        written = save_snapshots(outdir, self.params.grid, self.params.vnodes, {
+            "eta": self.eta, "eta_t": self.eta_t,
+            **{f"v{a + 1}": comp for a, comp in enumerate(horizontal)}, "v3": v3, "p": self.p})
         path = os.path.join(outdir, "energy_ledger.csv")
         self.ledger.to_csv(path)
         return written + [path]
@@ -532,13 +554,13 @@ def pressure_hat(batch: _Batch, c_old: np.ndarray, c_new: np.ndarray, fhat: dict
 
 
 def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray,
-                times: Sequence[float], phat: np.ndarray) -> list[list[FsiState]]:
-    """The states with rows c (N, S, P*K, mi), plate harmonics eta, eta_t
-    (N, S, K) and pressure coefficients phat (N, S, K, m) of the stepped
-    modes at the N given times, one list per solver.  Each field kind is
-    scattered into the grid's full spectrum, every other mode 0, and takes
-    one transform over all N * S states; the states' fields are views of the
-    results."""
+                phat: np.ndarray) -> list[np.ndarray]:
+    """The fields of the states with rows c (N, S, P*K, mi), plate harmonics
+    eta, eta_t (N, S, K) and pressure coefficients phat (N, S, K, m) of the
+    stepped modes: the velocity components, the pressure, eta and eta_t, each
+    an array (S, N) + grid.shape, with (m,) behind it for the channel
+    fields.  Each field kind is scattered into the grid's full spectrum,
+    every other mode 0, and takes one transform over all N * S states."""
     grid, vn = batch.grid, batch.vnodes
     N, S = c.shape[:2]
     full = batch.profiles(c)
@@ -549,18 +571,14 @@ def materialize(batch: _Batch, c: np.ndarray, eta: np.ndarray, eta_t: np.ndarray
         spectrum = np.zeros((N, S) + grid.spectral_shape + hat.shape[3:], dtype=complex)
         spectrum.reshape((N, S, -1) + hat.shape[3:])[:, :, batch.modes] = hat
         # the horizontal axes lead the transform, the states follow them
-        return grid.irfft(np.moveaxis(spectrum, (0, 1), (grid.dim, grid.dim + 1)))
+        values = grid.irfft(np.moveaxis(spectrum, (0, 1), (grid.dim, grid.dim + 1)))
+        return np.moveaxis(values, (grid.dim + 1, grid.dim), (0, 1))
 
     v = [nodal(cart[..., a, :]) for a in range(grid.dim)]
     # the vertical velocity from the divergence xi . v' = xi_L v_L
     eps = batch.eps[:, None, None]
     v.append(nodal((-1j * eps) * vn.ops.antiderivative(batch.xi_L[:, None] * full[:, :, :batch.K])))
-    p, eta, eta_t = nodal(phat), nodal(eta), nodal(eta_t)
-    return [[FsiState(v=tuple(ChannelField(grid, vn, f[..., j, i, :]) for f in v),
-                      p=ChannelField(grid, vn, p[..., j, i, :]),
-                      eta=PeriodicField(grid, eta[..., j, i]),
-                      eta_t=PeriodicField(grid, eta_t[..., j, i]), t=t)
-             for j, t in enumerate(times)] for i in range(S)]
+    return [*v, nodal(phat), nodal(eta), nodal(eta_t)]
 
 
 def run_batch(params: Sequence[FsiParams], t_end: float,
@@ -596,9 +614,13 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     mass_c = np.zeros((block + 1, S, P * K, mi), dtype=complex)
     # one column per step, in EnergyLedger field order
     ledgers = np.empty((S, 8, nsteps))
-    states = materialize(batch, c[1:2], eta[1:2], eta_t[1:2], [0.0],
-                         np.zeros((1, S, K, batch.vnodes.m), dtype=complex))
-    times = [0.0]
+    steps = np.arange(1, nsteps + 1)
+    kept = steps[(steps % snapshot_stride == 0) | (steps == nsteps)]
+    times = np.concatenate([[0.0], dt * kept])
+    # one array per field kind, (S, snapshots) + the field's shape, in the
+    # order `materialize` gives them, every row the zero state until written
+    fields = [np.repeat(f, len(times), axis=1) for f in materialize(
+        batch, c[1:2], eta[1:2], eta_t[1:2], np.zeros((1, S, K, batch.vnodes.m), dtype=complex))]
     mass, inv, g = batch.mass, batch.inv, batch.g
     fluid = (batch.fluid_mass / dt)[:, None, None]
     eps = batch.eps[:, None, None]
@@ -627,27 +649,27 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
         span = slice(1, nb + 2)
         _record(batch, ledgers[:, :, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq,
                 mass_c[:nb + 1])
-        snaps = [j for j in range(nb)
-                 if (n0 + j + 1) % snapshot_stride == 0 or n0 + j + 1 == nsteps]
-        if snaps:
-            at = np.array(snaps)  # row j + 2 holds step j's state, j and j + 1 those before
+        # the block's snapshots, rows lo + 1 to hi of the fields, at its steps
+        # j: row j + 2 of c holds step j's state, j and j + 1 those before
+        lo, hi = np.searchsorted(kept, [n0 + 1, n0 + nb + 1])
+        at = kept[lo:hi] - (n0 + 1)
+        if at.size:
             phat = pressure_hat(batch, c[at + 1], c[at + 2],
                                 {a: h[at] for a, h in fhat.items()}, c[at])
-            if n0 + snaps[0] == 0:  # the first step has no state two back
+            if n0 + at[0] == 0:  # the first step has no state two back
                 phat[0] = pressure_hat(batch, c[1], c[2], {a: h[0] for a, h in fhat.items()})
-            t_snaps = [t[j] for j in snaps]
-            new = materialize(batch, c[at + 2], eta[at + 2], eta_t[at + 2], t_snaps, phat)
-            for st, more in zip(states, new):
-                st += more
-            times += t_snaps
+            for f, values in zip(fields, materialize(batch, c[at + 2], eta[at + 2],
+                                                     eta_t[at + 2], phat)):
+                f[:, lo + 1:hi + 1] = values
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
         mass_c[0] = mass_c[nb]
     # the integrals' increments summed in step order, in place
     np.cumsum(ledgers[:, 4:], axis=2, out=ledgers[:, 4:])
-    return [FsiTrajectory(params=p, times=np.array(times), states=tuple(st),
-                          ledger=EnergyLedger(*led))
-            for p, st, led in zip(params, states, ledgers)]
+    *v, p, eta, eta_t = fields
+    return [FsiTrajectory(params=params[i], times=times, v=tuple(comp[i] for comp in v),
+                          p=p[i], eta=eta[i], eta_t=eta_t[i], ledger=EnergyLedger(*ledgers[i]))
+            for i in range(S)]
 
 
 def run_fsi(params: FsiParams, t_end: float, snapshot_stride: int = 1) -> FsiTrajectory:

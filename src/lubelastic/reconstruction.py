@@ -15,11 +15,12 @@ snapshots, in one transform, and the forcing coefficients from
 coefficients.  It reads B and nu but not eps, so a ladder builds it once.
 `assemble_approx` scales it to one thickness (`_approx_from_limit`): it
 adds the vertical velocity and transforms each component of the triple to
-the nodes, all snapshots together.  `chain_closure_error` compares the
-flux rate of the same velocities with the right side of the reduced
-equation, -c |xi|^6 eta^ + F^, at every snapshot (`_closure_from_limit`
-on the same map).  Like the solver and the reduced source, both read the
-load without its Nyquist modes.
+the nodes, all snapshots together; the triple holds one array per field
+kind, the snapshots along its leading axis.  `chain_closure_error`
+compares the flux rate of the same velocities with the right side of the
+reduced equation, -c |xi|^6 eta^ + F^, at every snapshot
+(`_closure_from_limit` on the same map).  Like the solver and the reduced
+source, both read the load without its Nyquist modes.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .errors import ParameterError
 from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
-    ChannelField,
     PeriodicField,
     PeriodicGrid,
     VerticalNodes,
@@ -61,12 +61,15 @@ class ReducedSolution:
 
 @dataclass(frozen=True, eq=False)
 class ApproxTriple:
-    """Snapshots of the reconstructed velocity, pressure and displacement."""
+    """The N snapshots of the reconstructed velocity, pressure and
+    displacement, one array per field kind with the snapshots along its
+    leading axis: the d = dim + 1 velocity components v and the pressure p,
+    (N,) + grid.shape + (m,) each, and eta, (N,) + grid.shape."""
 
     times: np.ndarray
-    v: tuple[tuple[ChannelField, ...], ...]
-    p: tuple[ChannelField, ...]
-    eta: tuple[PeriodicField, ...]
+    v: tuple[np.ndarray, ...]
+    p: np.ndarray
+    eta: np.ndarray
 
 
 def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np.ndarray:
@@ -160,23 +163,18 @@ def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
                        vnodes: VerticalNodes) -> ApproxTriple:
     """The limit map's coefficients (`_limit_map`, which does not depend on
     eps) scaled back to the thin channel of params.eps, with one transform
-    per field component over all snapshots; each snapshot's fields are
-    views of the results."""
+    per field component over all snapshots."""
     eps = params.eps
     grid = reduced.eta[0].grid
     _, p_hat, v_hat = limit
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat = [*v_hat, -eps * vnodes.ops.antiderivative(div)]
     # snapshots behind the horizontal axes, which the transforms lead with
-    v = [grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)) for vh in v_hat]
-    p = np.repeat(grid.irfft(np.moveaxis(p_hat, 0, -1))[..., None], vnodes.m, axis=-1)
-    eps_kappa = eps_power(eps, params.kappa)
-    return ApproxTriple(
-        times=reduced.times,
-        v=tuple(tuple(ChannelField(grid, vnodes, vals[..., j, :]) for vals in v)
-                for j in range(len(reduced.times))),
-        p=tuple(ChannelField(grid, vnodes, p[..., j, :]) for j in range(len(reduced.times))),
-        eta=tuple(eps_kappa * eta for eta in reduced.eta))
+    v = [np.moveaxis(grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)), -2, 0) for vh in v_hat]
+    p = np.moveaxis(grid.irfft(np.moveaxis(p_hat, 0, -1)), -1, 0)
+    eta = eps_power(eps, params.kappa) * np.stack([f.values for f in reduced.eta])
+    return ApproxTriple(times=reduced.times, v=tuple(v),
+                        p=np.repeat(p[..., None], vnodes.m, axis=-1), eta=eta)
 
 
 def assemble_approx(reduced: ReducedSolution, params: ModelParams,

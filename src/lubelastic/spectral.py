@@ -186,8 +186,7 @@ def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> Periodic
 def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarray:
     """(i xi)**order along one axis; odd orders zero the Nyquist mode, whose
     imaginary part no real grid function has."""
-    if not (1 <= order <= 6):
-        raise ParameterError(f"derivative order must lie in [1, 6], got {order}")
+    check_range(1, 7, closed=True, integer=True, order=order)
     check_range(0, grid.dim, closed=True, integer=True, axis=axis)
     sym = (1j * grid.xi[axis]) ** order
     if order % 2 == 1:
@@ -229,12 +228,15 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
 
 
 def dealiased_product(*factors: PeriodicField) -> PeriodicField:
-    """Nodal product of fields on a 3/2 zero-padded 1D grid; a repeated factor is padded once."""
+    """Nodal product of fields on a 3/2 zero-padded 1D grid; a repeated factor is padded once.
+    GridMismatchError unless every factor has the first factor's grid shape."""
     if not factors:
         raise ParameterError("need at least one factor")
     grid = factors[0].grid
     if grid.dim != 1:
         raise ParameterError("the 3/2 dealiasing is one-dimensional")
+    if any(f.grid.shape != grid.shape for f in factors):
+        raise GridMismatchError("factors live on different grids")
     distinct = {id(f): f for f in factors}
     padded = {key: padded_values(grid, f.hat) for key, f in distinct.items()}
     prod = reduce(np.multiply, (padded[id(f)] for f in factors))
@@ -374,9 +376,3 @@ class ChannelField:
         return ChannelField(self.grid, self.vnodes, self.values * a)
 
     __rmul__ = __mul__
-
-    def to_csv(self, path) -> None:
-        """Write the values, one row per node in C order over (x[, x2], y3),
-        y3 fastest; the run's ``grid.csv`` holds the coordinates
-        (`artifacts.write_grid`)."""
-        write_csv(path, ["value"], [self.values])

@@ -84,6 +84,7 @@ class ThinFilmModel:
     linearized: bool = False
 
     def __post_init__(self):
+        check_range(1, 6, closed=True, integer=True, alpha=self.alpha)
         if self.alpha not in (1, 3, 5):
             raise ParameterError(f"alpha must be one of 1, 3, 5, got {self.alpha}")
         check_range(closed=True, c=self.c)
@@ -400,6 +401,7 @@ def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -
 
 def reynolds_residual(eta: PeriodicField, p: PeriodicField, v_D: float, nu: float = 1.0) -> float:
     """L2 residual of the stationary strong form for a candidate pressure."""
+    check_range(nu=nu)
     check_range(-np.inf, np.inf, v_D=v_D)
     dp = spectral_derivative(p, 1)
     flux = dealiased_product(eta, eta, eta, dp)

@@ -31,8 +31,7 @@ from .fsi import (
 from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit,
                              _closure_from_limit, _limit_map, solve_reduced)
 from .scaling import ModelParams, eps_power
-from .spectral import (ChannelField, PeriodicField, PeriodicGrid, VerticalNodes,
-                       laplacian_symbol)
+from .spectral import PeriodicGrid, VerticalNodes, laplacian_symbol
 
 logger = logging.getLogger("lubelastic.verify")
 
@@ -41,57 +40,48 @@ logger = logging.getLogger("lubelastic.verify")
 # norms
 # ----------------------------------------------------------------------
 
-def _channel_sq(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Integral of |.|^2 over the unit-depth reference channel for each of a
-    stack of channel fields' values (S,) + grid.shape + (m,), with the
-    vertical quadrature weights; shape (S,)."""
-    # equal-weight horizontal nodes: that integral is the mean
-    return np.mean(values**2 @ weights, axis=tuple(range(1, values.ndim - 1)))
-
-
-def _values(fields: Sequence) -> np.ndarray:
-    """The values of a sequence of fields, stacked along a new first axis."""
-    return np.stack([f.values for f in fields])
-
-
-def _l2l2(sq: np.ndarray, eps: float, times: np.ndarray) -> float:
-    """sqrt(eps * int |.|^2 dt), trapezoidal on the snapshot times."""
+def thin_norm_L2L2(components: Sequence[np.ndarray], vnodes: VerticalNodes, eps: float,
+                   times) -> float:
+    """L2(0,T; L2 of the thin channel) norm of a snapshot series: components
+    holds one array (N,) + grid.shape + (m,) per vector component (one for a
+    scalar), the N snapshots along its leading axis and m the vertical nodes'
+    count (GridMismatchError otherwise).  The thin-channel measure
+    contributes one factor eps.  Time integration is trapezoidal on the N
+    times, which must be finite and strictly increasing (ParameterError)."""
+    check_range(eps=eps)
+    times = np.asarray(times, dtype=float)
+    if len(times) < 2:
+        raise ParameterError("need at least two time samples")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ParameterError("snapshot times must be finite and strictly increasing")
+    shape = components[0].shape
+    if any(c.shape != shape for c in components) or not (
+            len(shape) > 2 and shape[0] == len(times) and shape[-1] == vnodes.m):
+        raise GridMismatchError(f"components of shapes {[c.shape for c in components]} do not "
+                                f"hold {len(times)} snapshots on {vnodes.m} vertical nodes")
+    # equal-weight horizontal nodes: the channel integral is their mean
+    sq = sum(np.mean(c**2 @ vnodes.weights, axis=tuple(range(1, c.ndim - 1)))
+             for c in components)
     return float(np.sqrt(eps * np.trapezoid(sq, times)))
 
 
-def thin_norm_L2L2(snapshots: Sequence, eps: float, times: np.ndarray) -> float:
-    """L2(0,T; L2 of the thin channel) norm of a snapshot sequence.
-
-    Each snapshot is a ChannelField on the reference domain, or a sequence
-    of them (vector components); the thin-channel measure contributes one
-    factor eps.  Time integration is trapezoidal on the snapshot grid.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(snapshots):
-        raise GridMismatchError("one snapshot per time sample is required")
-    if len(times) < 2:
-        raise ParameterError("need at least two time samples")
-    comps = [snapshots] if isinstance(snapshots[0], ChannelField) else list(zip(*snapshots))
-    return _l2l2(sum(_channel_sq(_values(c), c[0].vnodes.weights) for c in comps), eps, times)
-
-
-def _h2_norms(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Full H2 norms (L2 of the value, the gradient and all second
-    derivatives) of a stack of fields' values (S,) + grid.shape, shape (S,)."""
+def norm_LinfH2(grid: PeriodicGrid, values: np.ndarray) -> float:
+    """Max over a snapshot series, values (N,) + grid.shape with the N >= 1
+    snapshots along its leading axis, of the full H2 norm: L2 of the value,
+    the gradient and all second derivatives.  GridMismatchError unless the
+    trailing shape is the grid's."""
+    if values.shape[1:] != grid.shape:
+        raise GridMismatchError(f"snapshots of shape {values.shape[1:]} on a grid of shape "
+                                f"{grid.shape}")
+    if not len(values):
+        raise ParameterError("need at least one snapshot")
     xi2 = -laplacian_symbol(grid)
     sym = 1.0 + xi2 + xi2**2
-    # one transform, the horizontal axes leading; then each field's
+    # one transform, the horizontal axes leading; then each snapshot's
     # coefficients contiguous again
     hat = np.ascontiguousarray(np.moveaxis(grid.rfft(np.moveaxis(values, 0, -1)), -1, 0))
-    return np.sqrt(np.sum(grid.mode_weights * sym * np.abs(hat) ** 2,
-                          axis=tuple(range(1, hat.ndim))))
-
-
-def norm_LinfH2(snapshots: Sequence[PeriodicField]) -> float:
-    """Max over snapshots of the full H2 norm."""
-    if not snapshots:
-        raise ParameterError("need at least one snapshot")
-    return float(np.max(_h2_norms(snapshots[0].grid, _values(snapshots))))
+    return float(np.max(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(hat) ** 2,
+                                       axis=tuple(range(1, hat.ndim))))))
 
 
 # ----------------------------------------------------------------------
@@ -281,21 +271,16 @@ class RateStudyResult:
 
 def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[float, float, float]:
     """Error-norm distances between a full-order trajectory and a
-    reconstructed triple on matching snapshot times, each a reduction over
-    the stacked snapshots."""
-    if len(traj.states) != len(approx.times):
+    reconstructed triple on matching snapshot times: the norms of the
+    differences of their snapshot arrays."""
+    if len(traj.times) != len(approx.times):
         raise GridMismatchError("trajectories have different snapshot counts")
     if np.max(np.abs(traj.times - approx.times)) > 1e-8 * max(traj.times[-1], 1e-300):
         raise GridMismatchError("trajectories sample different times")
-    eps = traj.params.model.eps
-    states = traj.states
-    w = traj.params.vnodes.weights
-    v_sq = sum(_channel_sq(_values([s.v[a] for s in states]) - _values([v[a] for v in approx.v]),
-                           w) for a in range(len(approx.v[0])))
-    p_sq = _channel_sq(_values([s.p for s in states]) - _values(approx.p), w)
-    eta = _values([s.eta for s in states]) - _values(approx.eta)
-    return (_l2l2(v_sq, eps, traj.times), _l2l2(p_sq, eps, traj.times),
-            float(np.max(_h2_norms(traj.params.grid, eta))))
+    vnodes, eps, times = traj.params.vnodes, traj.params.model.eps, traj.times
+    return (thin_norm_L2L2([a - b for a, b in zip(traj.v, approx.v)], vnodes, eps, times),
+            thin_norm_L2L2([traj.p - approx.p], vnodes, eps, times),
+            norm_LinfH2(traj.params.grid, traj.eta - approx.eta))
 
 
 def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[float],

@@ -980,7 +980,7 @@ def stepwise_advance(solver, spec, t_new):
 def stepwise_run(solver, t_end, snapshot_stride=1):
     """Run step by step from the zero state; returns the trajectory and the
     spectral states of its snapshots after the initial one."""
-    from lubelastic.fsi import EnergyLedger, FsiTrajectory
+    from lubelastic.fsi import EnergyLedger
 
     dt = solver.params.dt
     nsteps = int(round(t_end / dt))
@@ -1006,8 +1006,32 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
             times.append(spec.t)
             spectral.append(spec)
         prev2 = prev
-    return FsiTrajectory(params=solver.params, times=np.array(times), states=tuple(states),
-                         ledger=EnergyLedger(*np.array(rows).T)), spectral
+    return (stacked_trajectory(solver.params, times, states, EnergyLedger(*np.array(rows).T)),
+            spectral)
+
+
+def stacked_trajectory(params, times, states, ledger):
+    """The trajectory of per-snapshot states, each field kind's values
+    stacked along a leading snapshot axis, as `fsi.run_batch` holds them."""
+    from lubelastic.fsi import FsiTrajectory
+
+    stack = lambda get: np.stack([get(s).values for s in states])
+    return FsiTrajectory(params=params, times=np.array(times),
+                         v=tuple(stack(lambda s: s.v[a]) for a in range(len(states[0].v))),
+                         p=stack(lambda s: s.p), eta=stack(lambda s: s.eta),
+                         eta_t=stack(lambda s: s.eta_t), ledger=ledger)
+
+
+def stacked_triple(times, v, p, eta):
+    """The reconstructed triple of per-snapshot fields (v: one tuple of
+    velocity components per snapshot), each field kind's values stacked
+    along a leading snapshot axis, as `reconstruction.ApproxTriple` holds
+    them."""
+    from lubelastic.reconstruction import ApproxTriple
+
+    stack = lambda fields: np.stack([f.values for f in fields])
+    return ApproxTriple(times=times, v=tuple(stack(comp) for comp in zip(*v)), p=stack(p),
+                        eta=stack(eta))
 
 
 # The per-solver work around the step loop as `fsi.FsiSolver` methods did
@@ -1139,7 +1163,7 @@ def pressure_hat(solver, c_old, c_new, fhat, dt, c_older=None):
 def single_run(solver, t_end, snapshot_stride=1, solve=None):
     """The blocked run of one solver; returns its trajectory."""
     from lubelastic.errors import check_range
-    from lubelastic.fsi import EnergyLedger, FsiTrajectory, _apply, sample_forcing
+    from lubelastic.fsi import EnergyLedger, _apply, sample_forcing
     from lubelastic.spectral import _step_count, _steps_per_block
 
     p = solver.params
@@ -1195,8 +1219,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
     np.cumsum(ledger[4:], axis=1, out=ledger[4:])
-    return FsiTrajectory(params=p, times=np.array(times),
-                         states=tuple(states), ledger=EnergyLedger(*ledger))
+    return stacked_trajectory(p, times, states, EnergyLedger(*ledger))
 
 
 # The reconstruction and error norms of one ladder point as `verify` took
@@ -1208,7 +1231,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
 
 def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one transform per snapshot and component."""
-    from lubelastic.reconstruction import ApproxTriple, _limit_map
+    from lubelastic.reconstruction import _limit_map
     from lubelastic.scaling import eps_power
     from lubelastic.spectral import ChannelField, derivative_symbol
 
@@ -1222,8 +1245,7 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
               for j in range(len(reduced.times)))
     p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
               for ph in p_hat)
-    return ApproxTriple(times=reduced.times, v=v, p=p,
-                        eta=tuple(eps_kappa * eta for eta in reduced.eta))
+    return stacked_triple(reduced.times, v, p, [eps_kappa * eta for eta in reduced.eta])
 
 
 def snapshot_channel_sq(snapshot):
@@ -1252,12 +1274,16 @@ def snapshot_h2_norm(field):
 def snapshot_compare(traj, approx):
     """The three error norms between a trajectory and a triple, snapshot by
     snapshot."""
+    from lubelastic.spectral import ChannelField, PeriodicField
+
     eps = traj.params.model.eps
+    grid, vnodes = traj.params.grid, traj.params.vnodes
     v_diffs, p_diffs, eta_diffs = [], [], []
-    for state, comps, p_ap, eta_ap in zip(traj.states, approx.v, approx.p, approx.eta):
-        v_diffs.append(tuple(sv - av for sv, av in zip(state.v, comps)))
-        p_diffs.append(state.p - p_ap)
-        eta_diffs.append(state.eta - eta_ap)
+    for j, state in enumerate(traj.states):
+        v_diffs.append(tuple(sv - ChannelField(grid, vnodes, av[j])
+                             for sv, av in zip(state.v, approx.v)))
+        p_diffs.append(state.p - ChannelField(grid, vnodes, approx.p[j]))
+        eta_diffs.append(state.eta - PeriodicField(grid, approx.eta[j]))
     l2l2 = lambda diffs: float(np.sqrt(eps * np.trapezoid(
         np.array([snapshot_channel_sq(d) for d in diffs]), traj.times)))
     return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(f) for f in eta_diffs)
@@ -1333,7 +1359,6 @@ def _nodal_horizontal(t, eta, params, forcing, vnodes):
 
 def nodal_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one snapshot at a time on the nodes."""
-    from lubelastic.reconstruction import ApproxTriple
     from lubelastic.scaling import eps_power
     from lubelastic.spectral import ChannelField
 
@@ -1347,8 +1372,7 @@ def nodal_assemble_approx(reduced, params, forcing, vnodes):
         p_all.append(ChannelField(eta.grid, vnodes,
                                   np.repeat(p.values[..., None], vnodes.m, axis=-1)))
         eta_all.append(eps_kappa * eta)
-    return ApproxTriple(times=reduced.times, v=tuple(v_all), p=tuple(p_all),
-                        eta=tuple(eta_all))
+    return stacked_triple(reduced.times, v_all, p_all, eta_all)
 
 
 def nodal_laplacian(f):

@@ -15,8 +15,8 @@ import lubelastic as lb
 from lubelastic.errors import InvariantError, ParameterError
 from lubelastic.spectral import _steps_per_block
 
-from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, to_cartesian,
-                     vertical_profile)
+from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, snapshot_channel_sq,
+                     to_cartesian, vertical_profile)
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -299,7 +299,7 @@ class TestInvariantsAndRuns:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_gradient_norm_matches_field_derivatives(self, dim):
         # the scale of the divergence bound, against derivatives of the
-        # materialized fields and the channel quadrature of `verify`
+        # materialized fields and the per-field channel quadrature
         params = make_params(dim=dim, n=8, m=10, dt=1e-3)
         state = lb.run_fsi(params, 0.01, snapshot_stride=10).states[-1]
         grid, vn, eps = params.grid, params.vnodes, params.model.eps
@@ -309,7 +309,7 @@ class TestInvariantsAndRuns:
             for b in range(dim):
                 sym = lb.spectral.derivative_symbol(grid, 1, b)[..., None]
                 parts.append(lb.ChannelField.from_hat(grid, vn, comp.hat * sym))
-        want = np.sqrt(sum(lb.verify._channel_sq(f.values[None], vn.weights)[0] for f in parts))
+        want = np.sqrt(sum(snapshot_channel_sq(f) for f in parts))
         assert state.check_invariants(params)["grad_norm"] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("kappa", [Fraction(5, 2), 3])
@@ -680,20 +680,29 @@ def _bump_forcing(grid, vn, component, ramp_time=0.02):
 def _record_spectral_states(monkeypatch, params):
     """The coefficients (c, eta, eta_t, t) of every state of the run of
     `params` that `fsi.materialize` builds, copied before the run's buffers
-    move on; the list fills as the run goes."""
+    move on; the list fills as the run goes, and the states' times come
+    from the trajectory's when `fsi.run_batch` returns."""
     from oracles import SpectralState
 
     seen = []
-    materialize = lb.fsi.materialize
+    materialize, run_batch = lb.fsi.materialize, lb.fsi.run_batch
 
-    def spy(batch, c, eta, eta_t, times, phat=None):
+    def spy(batch, c, eta, eta_t, phat):
         for i, p in enumerate(batch.params):
             if p is params:
-                seen.extend(SpectralState(c[j, i].copy(), eta[j, i].copy(), eta_t[j, i].copy(), t)
-                            for j, t in enumerate(times))
-        return materialize(batch, c, eta, eta_t, times, phat)
+                seen.extend(SpectralState(c[j, i].copy(), eta[j, i].copy(), eta_t[j, i].copy(),
+                                          None) for j in range(len(c)))
+        return materialize(batch, c, eta, eta_t, phat)
+
+    def timed(points, *args, **kwargs):
+        trajs = run_batch(points, *args, **kwargs)
+        for p, traj in zip(points, trajs):
+            if p is params:
+                seen[:] = [s._replace(t=t) for s, t in zip(seen, traj.times.tolist(), strict=True)]
+        return trajs
 
     monkeypatch.setattr(lb.fsi, "materialize", spy)
+    monkeypatch.setattr(lb.fsi, "run_batch", timed)
     return seen
 
 

@@ -128,3 +128,43 @@ def test_unread_state_lint_sees_each_form():
            "    return h.kept, h.x, h.w\n")
     assert _unread_private_attributes([ast.parse(src)]) == [
         "_Held.aug", "_Held.unread", "_Held.y", "_Held.z"]
+
+
+def _unused_imports(tree) -> list[str]:
+    """The names that a module's import statements bind (other than
+    `from __future__ import ...`) and that no expression of the module
+    reads: a dead import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name}:{line}" for name, line in bound.items() if name not in used)
+
+
+def test_library_modules_use_every_import():
+    # __init__.py imports to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{name}" for name in _unused_imports(tree)]
+    assert not found, f"imported but never used: {found}"
+
+
+def test_dead_import_lint_sees_each_form():
+    src = ("from __future__ import annotations\n"
+           "import os\n"
+           "import numpy as np\n"
+           "import a.b\n"
+           "import gone.sub\n"
+           "from .x import used, unused, other as renamed\n"
+           "from .y import (Annotated,\n"
+           "                Unread)\n"
+           "def f(p: Annotated) -> None:\n"
+           "    return used(os.path, np.zeros, a.b)\n")
+    assert _unused_imports(ast.parse(src)) == ["Unread:7", "gone:5", "renamed:6", "unused:6"]

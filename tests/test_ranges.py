@@ -53,6 +53,7 @@ SITES = {
     "eps_power.exponent": lambda x: scaling.eps_power(0.5, x),
     **{f"ThinFilmModel.{k}": (lambda k: lambda x: tf.ThinFilmModel(alpha=5, **{k: x}))(k)
        for k in ("c", "mobility_scale", "v_D", "drift_prefactor")},
+    "ThinFilmModel.alpha": lambda x: tf.ThinFilmModel(alpha=x),
     "PowerPotential.strength": lambda x: tf.PowerPotential("power", x, 1.0),
     "PowerPotential.exponent": lambda x: tf.PowerPotential("power", 1.0, x),
     "evolve.dt": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, x, 3),
@@ -67,6 +68,7 @@ SITES = {
                                                                            nu=x),
     "solve_reynolds_stationary.v_D": lambda x: tf.solve_reynolds_stationary(FILM.eta, x),
     "reynolds_residual.v_D": lambda x: tf.reynolds_residual(FILM.eta, ZERO, x),
+    "reynolds_residual.nu": lambda x: tf.reynolds_residual(FILM.eta, ZERO, 1.0, nu=x),
     "FsiParams.dt": _fsi_params,
     "run_fsi.snapshot_stride": lambda x: lb.run_fsi(_fsi_params(), 1e-3, snapshot_stride=x),
     "harmonic_ramp_forcing.ramp_time": lambda x: lb.harmonic_ramp_forcing(
@@ -76,10 +78,13 @@ SITES = {
     "harmonic_ramp_forcing.amplitude": lambda x: lb.harmonic_ramp_forcing(
         GRID, VNODES, amplitude=x),
     "derivative_symbol.axis": lambda x: spectral.derivative_symbol(GRID, 1, axis=x),
+    "derivative_symbol.order": lambda x: spectral.derivative_symbol(GRID, x),
     "VerticalNodes.m": lambda x: lb.VerticalNodes(x),
     "PeriodicGrid.dim": lambda x: lb.PeriodicGrid(dim=x, n=16),
     "PeriodicGrid.n": lambda x: lb.PeriodicGrid(dim=1, n=x),
     "run_rate_study.jobs": _ladder,
+    "thin_norm_L2L2.eps": lambda x: verify.thin_norm_L2L2(
+        [np.zeros((2,) + GRID.shape + (VNODES.m,))], VNODES, x, [0.0, 1.0]),
     **{f"RateStudyConfig.{k}": (lambda k: lambda x: verify.RateStudyConfig(**{k: x}))(k)
        for k in ("dt", "t_end", "ramp_time", "amplitude", "snapshot_stride", "component")},
     "ThinFilmRun.steps": lambda x: _film_run(steps=x),
@@ -95,9 +100,10 @@ def test_non_finite_value_rejected(site, value):
 
 
 # the sites that take a count, an index or a stride
-INTEGER_SITES = ["evolve.steps", "evolve.snapshot_stride", "solve_linear_sixth.snapshot_stride",
-                 "run_fsi.snapshot_stride", "harmonic_ramp_forcing.component",
-                 "derivative_symbol.axis", "VerticalNodes.m", "PeriodicGrid.dim",
+INTEGER_SITES = ["ThinFilmModel.alpha", "evolve.steps", "evolve.snapshot_stride",
+                 "solve_linear_sixth.snapshot_stride", "run_fsi.snapshot_stride",
+                 "harmonic_ramp_forcing.component", "derivative_symbol.axis",
+                 "derivative_symbol.order", "VerticalNodes.m", "PeriodicGrid.dim",
                  "PeriodicGrid.n", "run_rate_study.jobs", "RateStudyConfig.snapshot_stride",
                  "RateStudyConfig.component"]
 
@@ -131,7 +137,8 @@ def test_numpy_integer_accepted(site):
 @pytest.mark.parametrize("site", ["ModelParams.nu", "ModelParams.B", "LameParams.mu",
                                   "evolve.dt", "FsiParams.dt", "solve_linear_sixth.c",
                                   "RateStudyConfig.dt", "RateStudyConfig.t_end",
-                                  "RateStudyConfig.ramp_time"])
+                                  "RateStudyConfig.ramp_time", "reynolds_residual.nu",
+                                  "thin_norm_L2L2.eps"])
 def test_zero_rejected(site):
     with pytest.raises(ParameterError, match="must lie in \\(0, inf\\), got 0"):
         SITES[site](0.0)

@@ -49,17 +49,17 @@ class TestLimitPressure:
         eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         p = rebuilt(grid, vnodes, [eta], B=1.0).p[0]
         ref = (2 * np.pi) ** 4 * np.cos(2 * np.pi * grid.nodes[0])
-        assert np.max(np.abs(p.values - ref[:, None])) < 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(p - ref[:, None])) < 1e-9 * np.max(np.abs(ref))
 
     def test_zero(self, grid, vnodes):
         p = rebuilt(grid, vnodes, [PeriodicField.zeros(grid)], B=2.0).p[0]
-        assert np.max(np.abs(p.values)) == 0.0
+        assert np.max(np.abs(p)) == 0.0
 
     def test_weak_form_against_quadrature(self, grid, vnodes):
         rng = np.random.default_rng(21)
         eta = band_limited(grid, rng)
         B = 1.7
-        p = rebuilt(grid, vnodes, [eta], B=B).p[0].values[..., 0]
+        p = rebuilt(grid, vnodes, [eta], B=B).p[0][..., 0]
         lap_eta = lb.spectral_derivative(eta, 2)
         for _ in range(20):
             psi = band_limited(grid, rng)
@@ -83,7 +83,7 @@ class TestHorizontalVelocity:
         nu = 2.0
         eta = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         triple = rebuilt(grid, vnodes, [eta], nu=nu, B=(2 * np.pi) ** -4)
-        v1 = triple.v[0][0].values / 0.25
+        v1 = triple.v[0][0] / 0.25
         x = grid.nodes[0]
         y = vnodes.nodes
         ref = -(2 * np.pi / (2 * nu)) * np.sin(2 * np.pi * x)[:, None] * (y * (y + 1.0))
@@ -96,7 +96,7 @@ class TestHorizontalVelocity:
         f1 = np.full(grid.shape + (vnodes.m,), f_const)
         triple = rebuilt(grid, vnodes, [PeriodicField.zeros(grid)],
                          steady(f1, np.zeros_like(f1)), nu=nu)
-        v1 = triple.v[0][0].values / 0.25
+        v1 = triple.v[0][0] / 0.25
         y = vnodes.nodes
         ref = -(f_const / (2 * nu)) * y * (y + 1.0)
         assert np.max(np.abs(v1 - ref[None, :])) < 1e-13
@@ -106,7 +106,7 @@ class TestHorizontalVelocity:
         eta = band_limited(grid, rng)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
         triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), nu=1.0)
-        v1 = triple.v[0][0].values / 0.25
+        v1 = triple.v[0][0] / 0.25
         scale = max(1.0, np.max(np.abs(v1)))
         assert np.max(np.abs(v1[..., 0])) <= 1e-13 * scale
         assert np.max(np.abs(v1[..., -1])) <= 1e-13 * scale
@@ -127,14 +127,14 @@ class TestVerticalVelocity:
         f2 = (-2 * np.pi * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))[..., None] * prof
         triple = rebuilt(grid, vn, [PeriodicField.zeros(grid)],
                          steady(f1, f2, np.zeros_like(f1)))
-        assert np.max(np.abs(triple.v[0][-1].values / 0.25)) < 1e-10
+        assert np.max(np.abs(triple.v[-1][0] / 0.25)) < 1e-10
 
     def test_bottom_trace_zero(self, grid, vnodes):
         rng = np.random.default_rng(9)
         eta = band_limited(grid, rng)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
         triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), eps=0.25)
-        assert np.max(np.abs(triple.v[0][-1].values[..., 0])) == 0.0
+        assert np.max(np.abs(triple.v[-1][0][..., 0])) == 0.0
 
 
 def _loads(grid, vnodes, *profiles):
@@ -271,10 +271,10 @@ class TestNodalOracle:
             v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t, eta)
             # a forced run starts from rest under no load
             assert min(v_scales) > 0 or (forced and j == 0)
-            for g, w, scale in zip(got.v[j], want.v[j], v_scales):
-                assert np.max(np.abs(g.values - w.values)) <= 1e-13 * scale
-            assert np.max(np.abs(got.p[j].values - want.p[j].values)) <= 1e-13 * p_scale
-            assert np.array_equal(got.eta[j].values, want.eta[j].values)
+            for g, w, scale in zip(got.v, want.v, v_scales):
+                assert np.max(np.abs(g[j] - w[j])) <= 1e-13 * scale
+            assert np.max(np.abs(got.p[j] - want.p[j])) <= 1e-13 * p_scale
+            assert np.array_equal(got.eta[j], want.eta[j])
 
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -329,10 +329,10 @@ class TestAssembleApprox:
         zeros = tuple(PeriodicField.zeros(grid) for _ in times)
         red = rc.ReducedSolution(times=times, eta=zeros)
         triple = rc.assemble_approx(red, model, None, vnodes)
-        for comps, p, eta in zip(triple.v, triple.p, triple.eta):
-            assert all(np.max(np.abs(c.values)) == 0.0 for c in comps)
-            assert np.max(np.abs(p.values)) == 0.0
-            assert np.max(np.abs(eta.values)) == 0.0
+        for j in range(len(times)):
+            assert all(np.max(np.abs(c[j])) == 0.0 for c in triple.v)
+            assert np.max(np.abs(triple.p[j])) == 0.0
+            assert np.max(np.abs(triple.eta[j])) == 0.0
 
     def test_eps_squared_prefactor(self, vnodes):
         grid = PeriodicGrid(dim=1, n=16)
@@ -344,8 +344,8 @@ class TestAssembleApprox:
             model = lb.ModelParams(eps=eps, kappa=2, dim=1)
             red = rc.ReducedSolution(times=times, eta=etas)
             triples[eps] = rc.assemble_approx(red, model, None, vnodes)
-        v_small = triples[0.25].v[1][0].values
-        v_big = triples[0.5].v[1][0].values
+        v_small = triples[0.25].v[0][1]
+        v_big = triples[0.5].v[0][1]
         assert np.max(np.abs(v_big - 4.0 * v_small)) < 1e-13 * max(1, np.max(np.abs(v_big)))
 
     def test_displacement_scaling_and_mean(self, vnodes):
@@ -356,13 +356,13 @@ class TestAssembleApprox:
         red = rc.ReducedSolution(times=times, eta=(eta, eta, eta))
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
-        assert np.max(np.abs(triple.eta[0].values - 0.0625 * eta.values)) < 1e-15
+        assert np.max(np.abs(triple.eta[0] - 0.0625 * eta.values)) < 1e-15
         assert abs(triple.eta[0].mean()) < 1e-16
 
     def test_displacement_scaling_follows_kappa(self, grid, vnodes):
         eta = band_limited(grid, np.random.default_rng(13), kmax=4)
         triple = rebuilt(grid, vnodes, [eta], eps=0.25, kappa=Fraction(3, 2))
-        assert np.array_equal(triple.eta[0].values, 0.125 * eta.values)
+        assert np.array_equal(triple.eta[0], 0.125 * eta.values)
 
     def test_pressure_constant_in_vertical(self, vnodes):
         grid = PeriodicGrid(dim=1, n=16)
@@ -372,8 +372,8 @@ class TestAssembleApprox:
         red = rc.ReducedSolution(times=times, eta=(eta, eta))
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
-        spread = np.max(triple.p[0].values, axis=-1) - np.min(triple.p[0].values, axis=-1)
-        assert np.max(np.abs(spread)) < 1e-12 * max(1, np.max(np.abs(triple.p[0].values)))
+        spread = np.max(triple.p[0], axis=-1) - np.min(triple.p[0], axis=-1)
+        assert np.max(np.abs(spread)) < 1e-12 * max(1, np.max(np.abs(triple.p[0])))
 
 
 class TestChainClosure:
@@ -457,11 +457,12 @@ class TestChainClosure:
         red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-4,
                                snapshot_stride=1)
         triple = rc.assemble_approx(red, model, forcing, vnodes)
-        eta_dot = trajectory_time_derivative(triple.times, list(triple.eta))
+        eta_dot = trajectory_time_derivative(triple.times,
+                                             [PeriodicField(grid, eta) for eta in triple.eta])
         t_scale = lb.eps_power(model.eps, model.tau)
         worst = 0.0
         for j in range(len(triple.times)):
-            top = triple.v[j][-1].values[..., -1]
+            top = triple.v[-1][j][..., -1]
             ref = eta_dot[j].values / t_scale
             worst = max(worst, np.max(np.abs(top - ref)))
         assert worst <= 1e-8

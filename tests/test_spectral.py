@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lubelastic import spectral
-from lubelastic.artifacts import write_grid
+from lubelastic.artifacts import save_snapshots, write_grid
 from lubelastic.errors import GridMismatchError, ParameterError
 from lubelastic.spectral import (
     ChannelField,
@@ -17,7 +17,7 @@ from lubelastic.spectral import (
     spectral_derivative,
     truncated_hat,
 )
-from lubelastic.verify import _channel_sq
+from lubelastic.verify import thin_norm_L2L2
 
 from oracles import (
     LoopChebOps,
@@ -253,6 +253,16 @@ class TestDealiasing:
         with pytest.raises(ParameterError, match="one-dimensional"):
             dealiased_product(a, a)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_factors_on_other_grids_rejected(self, grid1, n):
+        # the rule of + and -: otherwise the product of a factor on n = 32
+        # and one on n = 16 is an n = 16 field from a truncated spectrum
+        a = band_limited(grid1, np.random.default_rng(19), kmax=3)
+        other = PeriodicField.zeros(PeriodicGrid(dim=1, n=n))
+        for factors in ((a, other), (other, a), (a, a, other)):
+            with pytest.raises(GridMismatchError, match="different grids"):
+                dealiased_product(*factors)
+
 
 class TestVerticalNodes:
     def test_endpoints_and_monotone(self):
@@ -318,17 +328,21 @@ def _oracle_bytes(oracle, fld, path):
 
 def _rebuilt_rows(fld, outdir, vnodes=None) -> bytes:
     """The old ``x[,x2][,y3],value`` rows of a field, rebuilt from the
-    ``grid.csv`` and the value file it writes now; every number keeps its
-    written text."""
-    write_grid(outdir, fld.grid, vnodes)
-    fld.to_csv(outdir / "value.csv")
+    ``grid.csv`` and the value file written now: `PeriodicField.to_csv` for
+    a plate field, `artifacts.save_snapshots` for a channel field, given
+    its vertical nodes; every number keeps its written text."""
+    if vnodes is None:
+        write_grid(outdir, fld.grid)
+        fld.to_csv(outdir / "value_0000.csv")
+    else:
+        save_snapshots(outdir, fld.grid, vnodes, {"value": fld.values[None]})
     grid_rows = (outdir / "grid.csv").read_text().splitlines()
     assert grid_rows[0] == "axis,coordinate"
     axes = {}
     for row in grid_rows[1:]:
         axis, coordinate = row.split(",")
         axes.setdefault(axis, []).append(coordinate)
-    values = (outdir / "value.csv").read_text().splitlines()
+    values = (outdir / "value_0000.csv").read_text().splitlines()
     assert values[0] == "value"
     rows = [",".join(coords + (v,))
             for coords, v in zip(itertools.product(*axes.values()), values[1:], strict=True)]
@@ -369,13 +383,13 @@ class TestChannelField:
         assert np.allclose(f.values[..., 0], 0.0)
         assert np.allclose(f.values[..., -1], 1.0)
         # integral of (y+1)^2 over (-1,0) is 1/3
-        assert _channel_sq(f.values[None], vn.weights)[0] == pytest.approx(1 / 3, rel=1e-12)
+        norm = thin_norm_L2L2([np.stack([vals, vals])], vn, 1.0, [0.0, 1.0])
+        assert norm**2 == pytest.approx(1 / 3, rel=1e-12)
 
     def test_csv(self, grid1, tmp_path):
         vn = VerticalNodes(8)
         f = ChannelField.zeros(grid1, vn)
-        path = tmp_path / "chan.csv"
-        f.to_csv(path)
-        with open(path) as fh:
+        save_snapshots(tmp_path, grid1, vn, {"chan": f.values[None]})
+        with open(tmp_path / "chan_0000.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["value"]

@@ -23,81 +23,100 @@ def vnodes():
     return VerticalNodes(12)
 
 
-def const_snapshot(grid, vnodes, value):
-    return ChannelField(grid, vnodes, np.full(grid.shape + (vnodes.m,), value))
+def const_series(grid, vnodes, value, count):
+    """A series of count channel snapshots, each of constant value."""
+    return np.full((count,) + grid.shape + (vnodes.m,), value)
 
 
 class TestThinNorm:
     def test_zero(self, grid, vnodes):
-        snaps = [const_snapshot(grid, vnodes, 0.0)] * 3
-        assert verify.thin_norm_L2L2(snaps, 0.25, [0.0, 0.5, 1.0]) == 0.0
+        snaps = const_series(grid, vnodes, 0.0, 3)
+        assert verify.thin_norm_L2L2([snaps], vnodes, 0.25, [0.0, 0.5, 1.0]) == 0.0
 
     def test_constant_difference(self, grid, vnodes):
-        snaps = [const_snapshot(grid, vnodes, 1.0)] * 5
+        snaps = const_series(grid, vnodes, 1.0, 5)
         eps = 0.125
-        val = verify.thin_norm_L2L2(snaps, eps, np.linspace(0, 1, 5))
+        val = verify.thin_norm_L2L2([snaps], vnodes, eps, np.linspace(0, 1, 5))
         assert val == pytest.approx(np.sqrt(eps), rel=1e-12)
 
     def test_sine_profile(self, grid, vnodes):
         x = grid.nodes[0]
         vals = np.sin(2 * np.pi * x)[:, None] * np.ones(vnodes.m)
-        snaps = [ChannelField(grid, vnodes, vals)] * 5
-        val = verify.thin_norm_L2L2(snaps, 1.0, np.linspace(0, 1, 5))
+        snaps = np.stack([vals] * 5)
+        val = verify.thin_norm_L2L2([snaps], vnodes, 1.0, np.linspace(0, 1, 5))
         assert val == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_component_sequences(self, grid, vnodes):
-        snaps = [(const_snapshot(grid, vnodes, 1.0), const_snapshot(grid, vnodes, 0.0))] * 3
-        val = verify.thin_norm_L2L2(snaps, 1.0, [0.0, 0.5, 1.0])
+        comps = [const_series(grid, vnodes, 1.0, 3), const_series(grid, vnodes, 0.0, 3)]
+        val = verify.thin_norm_L2L2(comps, vnodes, 1.0, [0.0, 0.5, 1.0])
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_two_samples(self, grid, vnodes):
-        snaps = [const_snapshot(grid, vnodes, 1.0)] * 2
-        assert verify.thin_norm_L2L2(snaps, 0.25, [0.0, 1.0]) == pytest.approx(0.5, rel=1e-15)
+        snaps = const_series(grid, vnodes, 1.0, 2)
+        assert verify.thin_norm_L2L2([snaps], vnodes, 0.25, [0.0, 1.0]) == pytest.approx(
+            0.5, rel=1e-15)
 
     def test_mismatched_lengths(self, grid, vnodes):
         with pytest.raises(GridMismatchError):
-            verify.thin_norm_L2L2([const_snapshot(grid, vnodes, 1.0)], 0.5, [0.0, 1.0])
+            verify.thin_norm_L2L2([const_series(grid, vnodes, 1.0, 1)], vnodes, 0.5, [0.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.25], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0],
+                                       [0.0, 0.5, np.inf]],
+                             ids=["decreasing", "repeated", "nan", "inf"])
+    def test_times_that_do_not_increase_rejected(self, grid, vnodes, times):
+        # on such times the trapezoid rule gives NaN, inf or a number that
+        # is no norm, without an error
+        with pytest.raises(ParameterError, match="finite and strictly increasing"):
+            verify.thin_norm_L2L2([const_series(grid, vnodes, 1.0, 3)], vnodes, 0.5, times)
+
+    @pytest.mark.parametrize("shapes", [[(3, 32, 11)], [(3, 32, 12), (3, 16, 12)],
+                                        [(3, 12)], [(2, 32, 12)]],
+                             ids=["vertical", "components", "no-horizontal", "count"])
+    def test_shape_that_is_not_the_series_rejected(self, vnodes, shapes):
+        with pytest.raises(GridMismatchError, match="vertical nodes"):
+            verify.thin_norm_L2L2([np.ones(shape) for shape in shapes], vnodes, 0.5,
+                                  [0.0, 0.5, 1.0])
 
     def test_triangle_and_homogeneity(self, grid, vnodes):
         rng = np.random.default_rng(17)
         times = np.linspace(0.0, 1.0, 4)
-        a = [ChannelField(grid, vnodes, rng.standard_normal(grid.shape + (vnodes.m,)))
-             for _ in times]
-        b = [ChannelField(grid, vnodes, rng.standard_normal(grid.shape + (vnodes.m,)))
-             for _ in times]
-        na = verify.thin_norm_L2L2(a, 0.25, times)
-        nb = verify.thin_norm_L2L2(b, 0.25, times)
-        nab = verify.thin_norm_L2L2([x + y for x, y in zip(a, b)], 0.25, times)
+        a = rng.standard_normal((len(times),) + grid.shape + (vnodes.m,))
+        b = rng.standard_normal((len(times),) + grid.shape + (vnodes.m,))
+        norm = lambda x: verify.thin_norm_L2L2([x], vnodes, 0.25, times)
+        na, nb = norm(a), norm(b)
+        nab = norm(a + b)
         assert nab <= na + nb + 1e-12 * (na + nb)
-        n3a = verify.thin_norm_L2L2([3.0 * x for x in a], 0.25, times)
+        n3a = norm(3.0 * a)
         assert n3a == pytest.approx(3.0 * na, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_reduction_is_the_per_snapshot_one(self, dim):
-        # the norms reduce the stacked snapshots; each snapshot's integral
+        # the norm reduces the stacked snapshots; each snapshot's integral
         # must be bitwise the per-field one (`oracles.snapshot_channel_sq`)
         from oracles import snapshot_channel_sq
 
         grid, vnodes = PeriodicGrid(dim=dim, n=16), VerticalNodes(12)
         rng = np.random.default_rng(23)
         values = rng.standard_normal((7,) + grid.shape + (vnodes.m,))
+        times = np.linspace(0.0, 0.6, 7)
         want = [snapshot_channel_sq(ChannelField(grid, vnodes, v)) for v in values]
-        assert verify._channel_sq(values, vnodes.weights).tolist() == want
+        assert verify.thin_norm_L2L2([values], vnodes, 0.25, times) == float(
+            np.sqrt(0.25 * np.trapezoid(np.array(want), times)))
 
 
 class TestH2Norm:
     def test_zero_trajectory(self, grid):
-        assert verify.norm_LinfH2([PeriodicField.zeros(grid)] * 3) == 0.0
+        assert verify.norm_LinfH2(grid, np.zeros((3,) + grid.shape)) == 0.0
 
     def test_single_cosine(self, grid):
-        f = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        f = np.cos(2 * np.pi * grid.meshes[0])
         ref = np.sqrt(0.5 * (1 + (2 * np.pi) ** 2 + (2 * np.pi) ** 4))
-        assert verify.norm_LinfH2([f]) == pytest.approx(ref, rel=1e-12)
+        assert verify.norm_LinfH2(grid, f[None]) == pytest.approx(ref, rel=1e-12)
 
     def test_monotone_under_more_snapshots(self, grid):
-        f1 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+        f1 = np.cos(2 * np.pi * grid.meshes[0])
         f2 = 2.0 * f1
-        assert verify.norm_LinfH2([f1, f2]) >= verify.norm_LinfH2([f1])
+        assert verify.norm_LinfH2(grid, np.stack([f1, f2])) >= verify.norm_LinfH2(grid, f1[None])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_norms_are_the_per_field_ones(self, dim):
@@ -106,17 +125,25 @@ class TestH2Norm:
         from oracles import snapshot_h2_norm
 
         grid = PeriodicGrid(dim=dim, n=32)
-        fields = [PeriodicField(grid, v)
-                  for v in np.random.default_rng(29).standard_normal((51,) + grid.shape)]
-        want = [snapshot_h2_norm(f) for f in fields]
-        assert verify._h2_norms(grid, np.stack([f.values for f in fields])).tolist() == want
-        assert verify.norm_LinfH2(fields) == max(want)
+        values = np.random.default_rng(29).standard_normal((51,) + grid.shape)
+        want = [snapshot_h2_norm(PeriodicField(grid, v)) for v in values]
+        assert [verify.norm_LinfH2(grid, v[None]) for v in values] == want
+        assert verify.norm_LinfH2(grid, values) == max(want)
+
+    @pytest.mark.parametrize("shape", [(3, 16), (3, 32, 32), (32,)])
+    def test_shape_that_is_not_the_grid_rejected(self, grid, shape):
+        with pytest.raises(GridMismatchError, match="grid of shape"):
+            verify.norm_LinfH2(grid, np.ones(shape))
+
+    def test_empty_series_rejected(self, grid):
+        with pytest.raises(ParameterError, match="at least one snapshot"):
+            verify.norm_LinfH2(grid, np.zeros((0,) + grid.shape))
 
     def test_triangle_and_homogeneity(self, grid):
         rng = np.random.default_rng(6)
-        a = PeriodicField(grid, rng.standard_normal(grid.shape))
-        b = PeriodicField(grid, rng.standard_normal(grid.shape))
-        h2 = lambda f: verify.norm_LinfH2([f])
+        a = rng.standard_normal(grid.shape)
+        b = rng.standard_normal(grid.shape)
+        h2 = lambda f: verify.norm_LinfH2(grid, f[None])
         na, nb = h2(a), h2(b)
         assert h2(a + b) <= na + nb + 1e-12 * (na + nb)
         assert h2(3.0 * a) == pytest.approx(3.0 * na, rel=1e-12)
@@ -447,9 +474,9 @@ class TestLadderConfig:
     def test_one_limit_map_and_one_pass_per_block(self, monkeypatch):
         # the bench times the ladder but cannot see inside `fsi.run_batch`:
         # a ladder builds one limit map, for its points and its chain
-        # closure, and each block of steps makes one quadrature, ledger,
+        # closure, each block of steps makes one quadrature, ledger,
         # pressure and field pass for all its points, as many as one point
-        # alone
+        # alone, and no field object is built outside the reduced solve
         from lubelastic.spectral import _steps_per_block
 
         cfg = verify.RateStudyConfig(
@@ -492,6 +519,26 @@ class TestLadderConfig:
             return rfft(grid, values)
 
         monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
+        # the field objects built: the coupled runs, the reconstruction and
+        # the norms hold one array per field kind and build none; only the
+        # reduced solve builds PeriodicFields, its snapshots'
+        solving, solve = [], verify.solve_reduced
+
+        def solve_counted(*args, **kwargs):
+            solving.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(verify, "solve_reduced", solve_counted)
+        for cls in (ChannelField, PeriodicField, lb.FsiState):
+            def built(obj, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+                key = name + (" in the reduced solve" if solving else "")
+                counts[key] = counts.get(key, 0) + 1
+                init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", built)
         result = verify.run_rate_study(cfg)
         # 1D rows: the load's one mode of m - 2 interior coefficients
         blocks = -(-500 // _steps_per_block(16 * (cfg.m - 2)))
@@ -501,7 +548,8 @@ class TestLadderConfig:
         # closure
         assert len(result.reduced.times) == 11
         want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
-                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1}
+                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1,
+                "PeriodicField in the reduced solve": 11}
         assert counts == want
         # the points take the ladder's map and build none of their own
         setting = cfg.setting()
@@ -510,7 +558,8 @@ class TestLadderConfig:
                                              vnodes)
         counts.clear()
         verify._ladder_points(cfg, setting, cfg.eps_list[:1], result.reduced, limit)
-        del want["_limit_map"], want["displacement rfft"]
+        for key in ("_limit_map", "displacement rfft", "PeriodicField in the reduced solve"):
+            del want[key]
         assert counts == want
 
     def test_one_setting_per_sequential_ladder(self, monkeypatch):
@@ -658,9 +707,7 @@ class TestCompareTrajectories:
 
     @staticmethod
     def own_triple(traj, times):
-        return lb.ApproxTriple(times=times, v=tuple(s.v for s in traj.states),
-                               p=tuple(s.p for s in traj.states),
-                               eta=tuple(s.eta for s in traj.states))
+        return lb.ApproxTriple(times=times, v=traj.v, p=traj.p, eta=traj.eta)
 
     def test_own_states_have_zero_distance(self, traj):
         assert verify.compare_trajectories(traj, self.own_triple(traj, traj.times)) == (0.0, 0.0, 0.0)
