@@ -27,19 +27,19 @@ settings = {
 for alpha, cfg in settings.items():
     model = tf.ThinFilmModel(alpha=alpha, v_D=1.0)
     run = tf.evolve(model, tf.FilmState(eta0, 0.0), cfg["dt"], 400, snapshot_stride=400)
-    state = run.snapshots.states[-1]
+    final = run.snapshots.eta[-1]  # the snapshots along the leading axis
     mass0 = eta0.mean()
-    drift = abs(state.eta.mean() - mass0) / (1 + abs(mass0))
+    drift = abs(final.mean() - mass0) / (1 + abs(mass0))
     print(f"alpha={alpha} ({cfg['label']})")
     print(f"  mass drift over 400 steps: {drift:.2e}")
     print(f"  energy: {run.energy[0]:.4f} -> {run.energy[-1]:.4f}")
-    print(f"  height range: [{state.eta.values.min():.4f}, {state.eta.values.max():.4f}]")
+    print(f"  height range: [{final.min():.4f}, {final.max():.4f}]")
 
 # the linearized sixth-order member decays each mode at exactly c * (2 pi k)^6
 c = 1e-6
 traj = tf.solve_linear_sixth(c, None, eta0 - PeriodicField(grid, np.full(grid.shape, eta0.mean())),
                              0.5, 1e-3, snapshot_stride=500)
-amp0 = abs(traj.states[0].eta.hat[1])
-amp1 = abs(traj.states[-1].eta.hat[1])
+amp0 = abs(traj.hat[0, 1])
+amp1 = abs(traj.hat[-1, 1])
 rate = -np.log(amp1 / amp0) / traj.times[-1]
 print(f"\nlinearized mode-1 decay rate {rate:.6f} vs symbol {c * (2 * np.pi) ** 6:.6f}")

@@ -31,7 +31,7 @@ print(f"reduced coefficient B/(12 nu) = {c:.6f}")
 reduced = solve_reduced(model, grid, vnodes, forcing, t_end=0.5, dt=1e-4,
                         snapshot_stride=10)
 print(f"reduced trajectory: {len(reduced.times)} snapshots, "
-      f"final displacement amplitude {np.max(np.abs(reduced.eta[-1].values)):.3e}")
+      f"final displacement amplitude {np.max(np.abs(reduced.eta[-1])):.3e}")
 
 closure = chain_closure_error(reduced, model, forcing, vnodes)
 print(f"derivation-chain closure error, flux rate against -c|xi|^6 eta + F "

@@ -369,18 +369,19 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     run = thinfilm.evolve(cfg.model, thinfilm.FilmState(eta0, 0.0), cfg.dt, cfg.steps,
                           snapshot_stride=cfg.snapshot_stride)
     mass0 = eta0.mean()
-    mass1 = run.snapshots.states[-1].eta.mean()
+    mass1 = float(run.snapshots.eta[-1].mean())
 
     traj_path = os.path.join(outdir, "trajectory.csv")
     write_csv(traj_path, ["t"] + [f"eta_{i:04d}" for i in range(grid.n)],
-              [run.snapshots.times, *np.array([f.values for f in run.snapshots.fields]).T])
+              [run.snapshots.times, *run.snapshots.eta.T])
+    energy_path = os.path.join(outdir, "energy.csv")
+    write_csv(energy_path, ["t", "energy"], [run.t, run.energy])
 
     summary = {
         "mass_initial": mass0,
         "mass_final": mass1,
         "mass_drift_rel": abs(mass1 - mass0) / (1.0 + abs(mass0)),
         "min_eta": run.min_eta,
-        "energy": {"t": run.t.tolist(), "value": run.energy.tolist()},
         "steps": len(run.t) - 1,
         "substeps": run.substeps,
     }
@@ -388,7 +389,7 @@ def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
         summary["scaling_targets"] = cfg.nonlinear_scaling.coefficients()
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, summary)
-    return [traj_path, summary_path]
+    return [traj_path, energy_path, summary_path]
 
 
 def _ledger_health(ledger) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GridMismatchError, ParameterError
 from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
@@ -44,19 +44,26 @@ from .thinfilm import solve_linear_sixth
 
 @dataclass(frozen=True, eq=False)
 class ReducedSolution:
-    """Snapshots of the reduced displacement."""
+    """N snapshots of the reduced displacement: finite, strictly increasing
+    times, (N,), and finite zero-mean values eta, (N,) + grid.shape."""
 
+    grid: PeriodicGrid
     times: np.ndarray
-    eta: tuple[PeriodicField, ...]
+    eta: np.ndarray
 
     def __post_init__(self):
-        if len(self.eta) != len(self.times):
-            raise ParameterError("one displacement snapshot per time is required")
-        if np.any(np.diff(self.times) <= 0):
-            raise ParameterError("snapshot times must be strictly increasing")
-        for f in self.eta:
-            if abs(f.mean()) > 1e-10 * np.max(np.abs(f.values)):
-                raise ParameterError("reduced displacement snapshots must have zero mean")
+        times, eta = np.asarray(self.times, dtype=float), np.asarray(self.eta, dtype=float)
+        if times.ndim != 1 or eta.shape != times.shape + self.grid.shape:
+            raise GridMismatchError(f"{eta.shape} displacement snapshots at {times.shape} "
+                                    f"times on a grid of shape {self.grid.shape}")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ParameterError("snapshot times must be finite and strictly increasing")
+        axes = tuple(range(1, eta.ndim))
+        if not (np.all(np.isfinite(eta)) and np.all(
+                np.abs(eta.mean(axis=axes)) <= 1e-10 * np.max(np.abs(eta), axis=axes))):
+            raise ParameterError("reduced displacement snapshots must be finite, of zero mean")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +110,9 @@ def _limit_map(reduced: ReducedSolution, params: ModelParams, forcing,
     `sample_forcing` (None: an unforced channel).  Shapes (S,) +
     spectral_shape for eta^ and p^, (S,) + spectral_shape + (m,) for v^_a.
     """
-    grid = reduced.eta[0].grid
+    grid = reduced.grid
     # one transform, the snapshots behind the horizontal axes
-    eta_hat = np.moveaxis(grid.rfft(np.stack([f.values for f in reduced.eta], axis=-1)), -1, 0)
+    eta_hat = np.moveaxis(grid.rfft(np.moveaxis(reduced.eta, 0, -1)), -1, 0)
     p_hat = params.B * laplacian_symbol(grid) ** 2 * eta_hat
     y = vnodes.nodes
     poise = y * (y + 1.0) / (2.0 * params.nu)
@@ -156,7 +163,7 @@ def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes
     source = reduced_source(forcing, params.nu, grid, vnodes)
     traj = solve_linear_sixth(params.reduced_coefficient, source, PeriodicField.zeros(grid),
                               t_end, dt, snapshot_stride=snapshot_stride)
-    return ReducedSolution(times=traj.times, eta=tuple(traj.fields))
+    return ReducedSolution(grid, traj.times, traj.eta)
 
 
 def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
@@ -165,16 +172,16 @@ def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
     eps) scaled back to the thin channel of params.eps, with one transform
     per field component over all snapshots."""
     eps = params.eps
-    grid = reduced.eta[0].grid
+    grid = reduced.grid
     _, p_hat, v_hat = limit
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat = [*v_hat, -eps * vnodes.ops.antiderivative(div)]
     # snapshots behind the horizontal axes, which the transforms lead with
     v = [np.moveaxis(grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)), -2, 0) for vh in v_hat]
     p = np.moveaxis(grid.irfft(np.moveaxis(p_hat, 0, -1)), -1, 0)
-    eta = eps_power(eps, params.kappa) * np.stack([f.values for f in reduced.eta])
     return ApproxTriple(times=reduced.times, v=tuple(v),
-                        p=np.repeat(p[..., None], vnodes.m, axis=-1), eta=eta)
+                        p=np.repeat(p[..., None], vnodes.m, axis=-1),
+                        eta=eps_power(eps, params.kappa) * reduced.eta)
 
 
 def assemble_approx(reduced: ReducedSolution, params: ModelParams,
@@ -193,7 +200,7 @@ def assemble_approx(reduced: ReducedSolution, params: ModelParams,
 def _closure_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
                         forcing, vnodes: VerticalNodes) -> float:
     """The chain closure from the limit map's coefficients (`_limit_map`)."""
-    grid = reduced.eta[0].grid
+    grid = reduced.grid
     eta_hat, _, v_hat = limit
     rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
                 for a, vh in enumerate(v_hat))

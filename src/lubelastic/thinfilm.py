@@ -15,11 +15,9 @@ frozen at its maximum is inverted through its Fourier symbol, everything
 else is explicit.  The divergence form is applied spectrally as the last
 operation, so the mean of eta is conserved to roundoff.  A `FilmState`
 carries the Fourier coefficients of eta beside its nodal values.  `evolve`
-integrates a whole run in one call: it builds the run's symbols once,
-steps raw (values, coefficients) arrays with three transforms per accepted
-sub-step, reads the finiteness of the height off the minimum and maximum
-that the positivity check and the frozen mobility take anyway, and makes a
-`FilmState` only for a snapshot.
+integrates a whole run in one call, on raw (values, coefficients) arrays,
+and returns its snapshots as a `FilmTrajectory`, one array per field with
+the snapshots along the leading axis.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -108,24 +106,21 @@ class FilmState:
     hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        check_range(-np.inf, np.inf, t=self.t)
         if self.hat is None:
             object.__setattr__(self, "hat", self.eta.hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilmTrajectory:
-    states: tuple[FilmState, ...]
+    """N snapshots of a film height, the snapshots along the leading axis:
+    times (N,), the nodal values eta, (N,) + grid.shape, and their
+    coefficients hat, (N,) + grid.spectral_shape."""
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
-    def fields(self) -> list[PeriodicField]:
-        return [s.eta for s in self.states]
-
-    def __len__(self) -> int:
-        return len(self.states)
+    grid: PeriodicGrid
+    times: np.ndarray
+    eta: np.ndarray
+    hat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     """Advance the state by steps semi-implicit steps of size dt.
 
     The run's symbols are built once; the loop carries raw (values,
-    coefficients) arrays and makes a `FilmState` only for a snapshot.  An
+    coefficients) arrays and stacks the snapshots' once, at the end.  An
     accepted sub-step makes three transforms (four with a potential): one
     stacked padded inverse transform of eta and d^alpha eta (and of the
     potential's gradient, after one forward transform of Phi'(eta)), one
@@ -243,7 +238,7 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     energy = np.empty(steps + 1)
     times[0], energy[0] = t, op.energy(hat)
     min_eta = float(lo)
-    snapshots = [state]
+    snapshots = [(t, values, hat)]
     substeps = 0
 
     def current():
@@ -280,8 +275,9 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
         times[i + 1], energy[i + 1] = t, op.energy(hat)
         min_eta = min(min_eta, float(lo))
         if (i + 1) % snapshot_stride == 0 or i == steps - 1:
-            snapshots.append(FilmState(PeriodicField(grid, values), t, hat))
-    return FilmRun(FilmTrajectory(tuple(snapshots)), times, energy, min_eta, substeps)
+            snapshots.append((t, values, hat))
+    return FilmRun(FilmTrajectory(grid, *map(np.array, zip(*snapshots))), times, energy,
+                   min_eta, substeps)
 
 
 def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
@@ -297,14 +293,8 @@ def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
     return grid.mode_weights * sym
 
 
-def solve_linear_sixth(
-    c: float,
-    F,
-    eta0: PeriodicField,
-    t_end: float,
-    dt: float,
-    snapshot_stride: int = 1,
-) -> FilmTrajectory:
+def solve_linear_sixth(c: float, F, eta0: PeriodicField, t_end: float, dt: float,
+                       snapshot_stride: int = 1) -> FilmTrajectory:
     """Integrate d/dt eta - c (Lap')^3 eta = F mode-exactly.
 
     Parameters
@@ -312,8 +302,8 @@ def solve_linear_sixth(
     c : positive coefficient of the sixth-order operator.
     F : source; None, or a callable mapping an array of times to the stack
         of the source's coefficients at those times, shape
-        (len(times),) + grid.spectral_shape.  Sampled at all step endpoints
-        in one call and integrated by the exponential
+        (len(times),) + grid.spectral_shape, finite.  Sampled at all step
+        endpoints in one call and integrated by the exponential
         trapezoidal rule, which is exact for sources at most linear in time
         at any stiffness, second-order accurate otherwise.
     eta0 : initial height.
@@ -331,45 +321,45 @@ def solve_linear_sixth(
     lam = c * (-laplacian_symbol(grid)) ** 3  # decay rate per mode, >= 0
     z = -lam * dt
     decay = np.exp(z)
-    phi1 = _phi1(z)
-    phi2 = _phi2(z)
+    phi1, phi2 = _phi1(z), _phi2(z)
 
-    states = [FilmState(eta0, 0.0)]
-    hat = states[0].hat
     times = dt * np.arange(nsteps + 1)
+    hat = eta0.hat
+    kept, hats = [0], [hat]
     gain = None
     if F is not None:
-        s = F(times)
+        s = np.asarray(F(times))
+        if s.shape != (len(times),) + grid.spectral_shape:
+            raise ParameterError(f"the source gives shape {s.shape} at {len(times)} times, "
+                                 f"not {(len(times),) + grid.spectral_shape}")
+        finite = np.isfinite(s).reshape(len(times), -1).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"the source is not finite at t = {times[np.argmin(finite)]}")
         gain = dt * ((phi1 - phi2) * s[:-1] + phi2 * s[1:])
     for i in range(nsteps):
         hat = decay * hat
         if gain is not None:
             hat = hat + gain[i]
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-            states.append(FilmState(PeriodicField.from_hat(grid, hat), float(times[i + 1]), hat))
-    return FilmTrajectory(tuple(states))
+            kept.append(i + 1)
+            hats.append(hat)
+    hats = np.array(hats)
+    # the initial height as given, one inverse transform for all the others
+    eta = np.concatenate([eta0.values[None],
+                          np.moveaxis(grid.irfft(np.moveaxis(hats[1:], 0, -1)), -1, 0)])
+    return FilmTrajectory(grid, times[kept], eta, hats)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1)/z, stable at z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
+    """(exp(z) - 1)/z, its Taylor polynomial near z = 0."""
     big = np.abs(z) > 1e-8
-    out[big] = np.expm1(z[big]) / z[big]
-    small = ~big
-    out[small] = 1.0 + 0.5 * z[small]
-    return out
+    return np.where(big, np.expm1(z) / np.where(big, z, 1.0), 1.0 + 0.5 * z)
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1 - z)/z**2, stable at z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.full_like(z, 0.5)
+    """(exp(z) - 1 - z)/z**2, its Taylor polynomial near z = 0."""
     big = np.abs(z) > 1e-6
-    out[big] = (np.expm1(z[big]) - z[big]) / z[big] ** 2
-    small = ~big
-    out[small] = 0.5 + z[small] / 6.0
-    return out
+    return np.where(big, (np.expm1(z) - z) / np.where(big, z, 1.0) ** 2, 0.5 + z / 6.0)
 
 
 def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -> PeriodicField:

@@ -897,6 +897,55 @@ def spectral_film_energy(model, state):
     return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(state.hat) ** 2))
 
 
+# The mode-exact sixth-order solve as it was before its snapshots were held
+# as arrays: one `PeriodicField.from_hat` and one `FilmState` per snapshot,
+# and the phi functions filled through boolean masks.
+
+def masked_phi1(z):
+    """(exp(z) - 1)/z, stable at z = 0."""
+    out = np.ones_like(z)
+    big = np.abs(z) > 1e-8
+    out[big] = np.expm1(z[big]) / z[big]
+    out[~big] = 1.0 + 0.5 * z[~big]
+    return out
+
+
+def masked_phi2(z):
+    """(exp(z) - 1 - z)/z**2, stable at z = 0."""
+    out = np.full_like(z, 0.5)
+    big = np.abs(z) > 1e-6
+    out[big] = (np.expm1(z[big]) - z[big]) / z[big] ** 2
+    out[~big] = 0.5 + z[~big] / 6.0
+    return out
+
+
+def snapshot_solve_linear_sixth(c, F, eta0, t_end, dt, snapshot_stride=1):
+    """The kept `FilmState`s of d/dt eta - c (Lap')^3 eta = F, integrated
+    mode-exactly by the exponential trapezoidal rule."""
+    from lubelastic.spectral import PeriodicField, _step_count, laplacian_symbol
+    from lubelastic.thinfilm import FilmState
+
+    nsteps = _step_count(t_end, dt)
+    grid = eta0.grid
+    lam = c * (-laplacian_symbol(grid)) ** 3
+    z = -lam * dt
+    decay, phi1, phi2 = np.exp(z), masked_phi1(z), masked_phi2(z)
+    states = [FilmState(eta0, 0.0)]
+    hat = states[0].hat
+    times = dt * np.arange(nsteps + 1)
+    gain = None
+    if F is not None:
+        s = F(times)
+        gain = dt * ((phi1 - phi2) * s[:-1] + phi2 * s[1:])
+    for i in range(nsteps):
+        hat = decay * hat
+        if gain is not None:
+            hat = hat + gain[i]
+        if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
+            states.append(FilmState(PeriodicField.from_hat(grid, hat), float(times[i + 1]), hat))
+    return states
+
+
 # `fsi.sample_forcing` zeroes a load's coefficients at index n/2 of every
 # horizontal axis.  The old coupled paths above transform the load
 # themselves, so they are fed a load filtered by the same rule.
@@ -1229,6 +1278,13 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
 # `compare_trajectories` takes the norms snapshot by snapshot on differences
 # of fields.
 
+def reduced_fields(reduced):
+    """The snapshots of a `reconstruction.ReducedSolution` as fields."""
+    from lubelastic.spectral import PeriodicField
+
+    return [PeriodicField(reduced.grid, eta) for eta in reduced.eta]
+
+
 def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one transform per snapshot and component."""
     from lubelastic.reconstruction import _limit_map
@@ -1237,7 +1293,7 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
 
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
-    grid = reduced.eta[0].grid
+    grid = reduced.grid
     _, p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat.append(-eps * vnodes.ops.antiderivative(div))
@@ -1245,7 +1301,8 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
               for j in range(len(reduced.times)))
     p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
               for ph in p_hat)
-    return stacked_triple(reduced.times, v, p, [eps_kappa * eta for eta in reduced.eta])
+    eta = [eps_kappa * f for f in reduced_fields(reduced)]
+    return stacked_triple(reduced.times, v, p, eta)
 
 
 def snapshot_channel_sq(snapshot):
@@ -1365,7 +1422,7 @@ def nodal_assemble_approx(reduced, params, forcing, vnodes):
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
     v_all, p_all, eta_all = [], [], []
-    for t, eta in zip(reduced.times, reduced.eta):
+    for t, eta in zip(reduced.times, reduced_fields(reduced)):
         p, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
         v3 = vertical_velocity(*v_h, eps=eps)
         v_all.append(tuple(eps**2 * c for c in v_h) + (eps**2 * v3,))
@@ -1390,7 +1447,7 @@ def nodal_chain_closure_error(reduced, params, forcing, vnodes):
     of the nodal velocities against the reduced equation's right side
     c (Lap')^3 eta + F, with F the nodal source `forcing_F`."""
     sq = np.empty(len(reduced.times))
-    for j, (t, eta) in enumerate(zip(reduced.times, reduced.eta)):
+    for j, (t, eta) in enumerate(zip(reduced.times, reduced_fields(reduced))):
         _, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
         f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
         rhs = (nodal_laplacian(nodal_laplacian(nodal_laplacian(eta))) * params.reduced_coefficient
@@ -1405,9 +1462,9 @@ def rhs_term_norms(red, model, forcing, vnodes):
     from lubelastic.reconstruction import reduced_source
     from lubelastic.spectral import laplacian_symbol
 
-    grid = red.eta[0].grid
+    grid = red.grid
     bending = model.reduced_coefficient * laplacian_symbol(grid) ** 3 * np.array(
-        [f.hat for f in red.eta])
+        [f.hat for f in reduced_fields(red)])
     source = (np.zeros_like(bending) if forcing is None
               else reduced_source(forcing, model.nu, grid, vnodes)(red.times))
     axes = tuple(range(1, bending.ndim))

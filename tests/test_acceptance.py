@@ -99,7 +99,7 @@ def test_criterion_3_exact_single_mode_decay():
         traj = tf.solve_linear_sixth(c, None, eta0, t_eval, 1e-3,
                                      snapshot_stride=10**9)
         ref = np.exp(-lam * t_eval) * eta0.values
-        rel = np.max(np.abs(traj.states[-1].eta.values - ref)) / np.max(np.abs(ref))
+        rel = np.max(np.abs(traj.eta[-1] - ref)) / np.max(np.abs(ref))
         worst = max(worst, rel)
     elapsed = time.time() - start
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -121,13 +121,13 @@ def test_criterion_4_conservation_and_dissipation():
             mass0 = eta0.mean()
             run = tf.evolve(model, tf.FilmState(eta0, 0.0), dts[alpha], 1000,
                             snapshot_stride=1000)
-            state = run.snapshots.states[-1]
+            final = run.snapshots.eta[-1]
             if alpha == 5 and v_D == 0.0:
                 energy = run.energy
                 assert np.all(energy[1:] <= energy[:-1] + 1e-10 * (1 + np.abs(energy[:-1]))), \
                     "energy increased at alpha=5, v_D=0"
                 assert run.min_eta >= 0.1
-            drift = abs(state.eta.mean() - mass0) / (1 + abs(mass0))
+            drift = abs(final.mean() - mass0) / (1 + abs(mass0))
             assert drift <= 1e-10, f"mass drift {drift} at alpha={alpha}, v_D={v_D}"
             details.append(f"a{alpha}/vD{v_D:g}: drift {drift:.1e}")
     elapsed = time.time() - start

@@ -423,7 +423,13 @@ class TestThinfilmCommand:
         assert summary["mass_drift_rel"] < 1e-10
         assert summary["min_eta"] > 0
         assert summary["steps"] == summary["substeps"] == 50  # no step halved
-        assert len(summary["energy"]["value"]) == 51
+        assert "energy" not in summary
+        # the energy series sits beside the trajectory, the initial row first
+        with open(out / "energy.csv") as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        assert rows[0] == ["t", "energy"]
+        assert len(rows) == 52 and float(rows[1][0]) == 0.0
+        assert "energy.csv" in json.loads((out / "manifest.json").read_text())["files"]
         with open(out / "trajectory.csv") as fh:
             header = fh.readline().split(",")
         assert header[0] == "t"
@@ -766,10 +772,21 @@ class TestArtifacts:
         # third one
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
         state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
-        states = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps).snapshots.states
+        snaps = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps).snapshots
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
-        assert len(states) == 7
-        rows = [(s.t, s.eta.values) for s in states[::3]]
+        assert len(snaps.times) == 7
+        rows = list(zip(snaps.times[::3].tolist(), snaps.eta[::3]))
         trajectory_csv(rows, 32, tmp_path / "oracle.csv")
         assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
                 == (tmp_path / "oracle.csv").read_bytes())
+
+    def test_energy_csv_holds_the_run_series(self, tmp_path):
+        # one row per step, the initial one first, each number as the run
+        # holds it
+        cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
+        state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
+        run = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps)
+        cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
+        lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+        assert lines == ["t,energy", *(f"{t!r},{e!r}" for t, e in
+                                       zip(run.t.tolist(), run.energy.tolist()))]

@@ -56,6 +56,7 @@ SITES = {
     "ThinFilmModel.alpha": lambda x: tf.ThinFilmModel(alpha=x),
     "PowerPotential.strength": lambda x: tf.PowerPotential("power", x, 1.0),
     "PowerPotential.exponent": lambda x: tf.PowerPotential("power", 1.0, x),
+    "FilmState.t": lambda x: tf.FilmState(FILM.eta, x),
     "evolve.dt": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, x, 3),
     "evolve.steps": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, x),
     "evolve.snapshot_stride": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, 3,

@@ -5,7 +5,7 @@ import pytest
 
 import lubelastic as lb
 from lubelastic import reconstruction as rc
-from lubelastic.errors import ParameterError
+from lubelastic.errors import GridMismatchError, ParameterError
 from lubelastic.spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
 
 from oracles import (horizontal_velocity, limit_pressure, nodal_assemble_approx,
@@ -29,12 +29,16 @@ def band_limited(grid, rng, kmax=6):
     return PeriodicField.from_hat(grid, hat)
 
 
+def reduced(times, etas):
+    """The reduced solution of the displacement fields etas at times."""
+    return rc.ReducedSolution(etas[0].grid, times, np.array([e.values for e in etas]))
+
+
 def rebuilt(grid, vnodes, etas, forcing=None, eps=0.5, kappa=2, **model_kw):
     """The reconstructed triple of the given displacement snapshots, taken
     0.1 apart; eps = 1/2, so dividing a velocity by eps^2 is exact."""
     model = lb.ModelParams(eps=eps, kappa=kappa, dim=grid.dim, **model_kw)
-    red = rc.ReducedSolution(times=0.1 * np.arange(len(etas)), eta=tuple(etas))
-    return rc.assemble_approx(red, model, forcing, vnodes)
+    return rc.assemble_approx(reduced(0.1 * np.arange(len(etas)), etas), model, forcing, vnodes)
 
 
 def steady(*comps):
@@ -234,7 +238,7 @@ class TestNodalOracle:
             for _ in range(5):
                 vals = without_nyquist(grid, rng.standard_normal(grid.shape))
                 etas.append(PeriodicField(grid, vals - vals.mean()))
-            red = rc.ReducedSolution(times=0.05 * np.arange(5), eta=tuple(etas))
+            red = reduced(0.05 * np.arange(5), etas)
         return grid, vnodes, model, forcing, red
 
     @staticmethod
@@ -268,7 +272,8 @@ class TestNodalOracle:
         want = nodal_assemble_approx(red, model, forcing, vnodes)
         assert np.array_equal(got.times, want.times)
         for j, (t, eta) in enumerate(zip(red.times, red.eta)):
-            v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t, eta)
+            v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t,
+                                                 PeriodicField(grid, eta))
             # a forced run starts from rest under no load
             assert min(v_scales) > 0 or (forced and j == 0)
             for g, w, scale in zip(got.v, want.v, v_scales):
@@ -302,24 +307,56 @@ def criterion_preset(eps=0.125):
 class TestReducedSolution:
     def test_repeated_time_rejected(self, grid):
         with pytest.raises(ParameterError, match="strictly increasing"):
-            rc.ReducedSolution(times=np.array([0.0, 0.1, 0.1]),
-                               eta=(PeriodicField.zeros(grid),) * 3)
+            reduced(np.array([0.0, 0.1, 0.1]), [PeriodicField.zeros(grid)] * 3)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]],
+                             ids=["nan-second", "nan-only", "inf", "-inf"])
+    def test_times_that_are_not_finite_rejected(self, grid, times):
+        # NaN used to pass: np.diff(times) <= 0 is False on it
+        with pytest.raises(ParameterError, match="finite and strictly increasing"):
+            reduced(np.array(times), [PeriodicField.zeros(grid)] * len(times))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_snapshot_that_is_not_finite_rejected(self, grid, bad):
+        # a NaN snapshot used to pass: the zero-mean test is False on NaN
+        eta = np.zeros((2,) + grid.shape)
+        eta[1, 3] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            rc.ReducedSolution(grid, np.array([0.0, 0.1]), eta)
+        eta[1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            rc.ReducedSolution(grid, np.array([0.0, 0.1]), eta)
+
+    @pytest.mark.parametrize("shape", [(3, 32), (2, 16), (2, 32, 1), (32,)],
+                             ids=["count", "grid", "extra-axis", "no-time-axis"])
+    def test_shape_that_is_not_the_series_rejected(self, grid, shape):
+        with pytest.raises(GridMismatchError):
+            rc.ReducedSolution(grid, np.array([0.0, 0.1]), np.zeros(shape))
+
+    def test_times_of_more_than_one_axis_rejected(self, grid):
+        with pytest.raises(GridMismatchError):
+            rc.ReducedSolution(grid, np.zeros((2, 1)), np.zeros((2,) + grid.shape))
+
+    def test_holds_float_arrays(self, grid):
+        red = rc.ReducedSolution(grid, [0, 1], [[0] * 32] * 2)
+        assert red.times.dtype == red.eta.dtype == float
+        assert red.eta.shape == (2,) + grid.shape
 
     def test_mean_tolerance_follows_the_size(self, grid):
         # the bound is 1e-10 of the size: on a displacement of size 1e3 a mean
         # of 1e-9 passes and one of 1e-6 does not
         wave = 1e3 * np.sin(2 * np.pi * grid.meshes[0])
-        rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 1e-9),))
+        reduced(np.array([0.0]), [PeriodicField(grid, wave + 1e-9)])
         with pytest.raises(ParameterError, match="zero mean"):
-            rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 1e-6),))
+            reduced(np.array([0.0]), [PeriodicField(grid, wave + 1e-6)])
 
     def test_mean_tolerance_is_relative_below_unit_size(self, grid):
         # reduced displacements are small: on a size of 1e-3 a mean of 9e-11
         # is 9e-8 of the size and is rejected, one of 9e-14 passes
         wave = 1e-3 * np.sin(2 * np.pi * grid.meshes[0])
-        rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 9e-14),))
+        reduced(np.array([0.0]), [PeriodicField(grid, wave + 9e-14)])
         with pytest.raises(ParameterError, match="zero mean"):
-            rc.ReducedSolution(times=np.array([0.0]), eta=(PeriodicField(grid, wave + 9e-11),))
+            reduced(np.array([0.0]), [PeriodicField(grid, wave + 9e-11)])
 
 
 class TestAssembleApprox:
@@ -327,7 +364,7 @@ class TestAssembleApprox:
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         times = np.array([0.0, 0.1, 0.2])
         zeros = tuple(PeriodicField.zeros(grid) for _ in times)
-        red = rc.ReducedSolution(times=times, eta=zeros)
+        red = reduced(times, zeros)
         triple = rc.assemble_approx(red, model, None, vnodes)
         for j in range(len(times)):
             assert all(np.max(np.abs(c[j])) == 0.0 for c in triple.v)
@@ -342,7 +379,7 @@ class TestAssembleApprox:
         triples = {}
         for eps in (0.25, 0.5):
             model = lb.ModelParams(eps=eps, kappa=2, dim=1)
-            red = rc.ReducedSolution(times=times, eta=etas)
+            red = reduced(times, etas)
             triples[eps] = rc.assemble_approx(red, model, None, vnodes)
         v_small = triples[0.25].v[0][1]
         v_big = triples[0.5].v[0][1]
@@ -353,7 +390,7 @@ class TestAssembleApprox:
         rng = np.random.default_rng(12)
         eta = band_limited(grid, rng, kmax=4)
         times = np.array([0.0, 0.1, 0.2])
-        red = rc.ReducedSolution(times=times, eta=(eta, eta, eta))
+        red = reduced(times, [eta, eta, eta])
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
         assert np.max(np.abs(triple.eta[0] - 0.0625 * eta.values)) < 1e-15
@@ -369,7 +406,7 @@ class TestAssembleApprox:
         rng = np.random.default_rng(14)
         eta = band_limited(grid, rng, kmax=4)
         times = np.array([0.0, 0.1])
-        red = rc.ReducedSolution(times=times, eta=(eta, eta))
+        red = reduced(times, [eta, eta])
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
         triple = rc.assemble_approx(red, model, None, vnodes)
         spread = np.max(triple.p[0], axis=-1) - np.min(triple.p[0], axis=-1)

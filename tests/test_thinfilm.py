@@ -8,10 +8,13 @@ from lubelastic.spectral import (PeriodicField, PeriodicGrid, dealiased_product,
                                  derivative_symbol, spectral_derivative)
 
 from oracles import (
+    masked_phi1,
+    masked_phi2,
     nodal_film_energy,
     nodal_film_step,
     reynolds_fixed_point,
     rfftn_rfft,
+    snapshot_solve_linear_sixth,
     spectral_film_energy,
     spectral_film_step,
 )
@@ -37,9 +40,9 @@ def film_energy(model, state):
     return tf._FilmOperator(model, state.eta.grid).energy(state.hat)
 
 
-def last_state(model, state, dt, steps=1):
-    """The state after steps steps of `evolve`."""
-    return tf.evolve(model, state, dt, steps).snapshots.states[-1]
+def snapshots(model, state, dt, steps=1):
+    """The snapshots of steps steps of `evolve`, one array per field."""
+    return tf.evolve(model, state, dt, steps).snapshots
 
 
 class TestModelValidation:
@@ -60,9 +63,8 @@ class TestModelValidation:
         model = tf.ThinFilmModel(alpha=5, c=0.0, linearized=True)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         run = tf.evolve(model, state, 1e-3, 5)
-        last = run.snapshots.states[-1]
-        assert np.array_equal(last.hat, state.hat)
-        assert np.max(np.abs(last.eta.values - state.eta.values)) <= 1e-15
+        assert np.array_equal(run.snapshots.hat[-1], state.hat)
+        assert np.max(np.abs(run.snapshots.eta[-1] - state.eta.values)) <= 1e-15
 
 
 class TestRhs:
@@ -108,23 +110,23 @@ class TestStep:
         c = 1e-5
         model = tf.ThinFilmModel(alpha=5, c=c, linearized=True)
         eta0 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
-        new = last_state(model, tf.FilmState(eta0, 0.0), dt)
+        new = snapshots(model, tf.FilmState(eta0, 0.0), dt)
         factor = np.exp(-c * (2 * np.pi) ** 6 * dt)
-        err = np.max(np.abs(new.eta.values - factor * eta0.values))
+        err = np.max(np.abs(new.eta[-1] - factor * eta0.values))
         assert err <= 10 * dt**2
 
     def test_zero_state_stays_zero(self, grid):
         model = tf.ThinFilmModel(alpha=5, c=1.0, linearized=True)
         state = tf.FilmState(PeriodicField.zeros(grid), 0.0)
-        state = last_state(model, state, 1e-3, 5)
-        assert np.max(np.abs(state.eta.values)) == 0.0
+        new = snapshots(model, state, 1e-3, 5)
+        assert np.max(np.abs(new.eta[-1])) == 0.0
 
     def test_mass_conserved_per_step(self, grid):
         model = tf.ThinFilmModel(alpha=5, v_D=1.0)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         m0 = state.eta.mean()
-        state = last_state(model, state, 1e-7)
-        assert abs(state.eta.mean() - m0) <= 1e-12 * (1 + abs(m0))
+        new = snapshots(model, state, 1e-7)
+        assert abs(new.eta[-1].mean() - m0) <= 1e-12 * (1 + abs(m0))
 
     def test_breakdown_reports_last_state(self, grid):
         model = tf.ThinFilmModel(alpha=5)
@@ -156,10 +158,12 @@ class TestStep:
         assert np.array_equal(run.snapshots.times, run.t[[0, 3, 6, 9, 10]])
         np.testing.assert_allclose(run.snapshots.times, dt * np.array([0, 3, 6, 9, 10]),
                                    rtol=1e-14)
-        last, want = run.snapshots.states[-1], every.snapshots.states[-1]
-        assert last.t == want.t
-        assert np.array_equal(last.eta.values, want.eta.values)
-        assert np.array_equal(last.hat, want.hat)
+        got, want = run.snapshots, every.snapshots
+        assert got.times[-1] == want.times[-1]
+        assert np.array_equal(got.eta[-1], want.eta[-1])
+        assert np.array_equal(got.hat[-1], want.hat[-1])
+        assert got.eta.shape == (5,) + grid.shape
+        assert got.hat.shape == (5,) + grid.spectral_shape
 
 
     def test_nonpositive_state_reports_its_time(self, grid):
@@ -179,9 +183,9 @@ class TestStep:
         # a step is the explicit Euler step of -P v_D d/dx eta
         model = tf.ThinFilmModel(alpha=5, c=0.0, v_D=0.5, drift_prefactor=6.0, linearized=True)
         state = tf.FilmState(one_plus_sin(grid), 0.0)
-        new = last_state(model, state, 1e-3)
+        new = snapshots(model, state, 1e-3)
         want = state.hat - 1e-3 * 3.0 * derivative_symbol(grid, 1) * state.hat
-        np.testing.assert_allclose(new.hat, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(new.hat[-1], want, rtol=0, atol=1e-15)
 
 
 def dipping_case():
@@ -247,50 +251,52 @@ class TestFilmStepOracle:
     def test_matches_nodal_step(self, label):
         model, eta0, dt, steps, floor = oracle_case(label)
         run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, steps, floor=floor)
+        snaps = run.snapshots
         eta, t = eta0, 0.0
-        for state, got_energy in zip(run.snapshots.states[1:], run.energy[1:]):
+        for j in range(1, len(snaps.times)):
             eta, t, _ = nodal_film_step(model, eta, t, dt, floor=floor)
-            assert state.t == t
+            assert snaps.times[j] == t
             scale = np.max(np.abs(eta.values))
-            assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12 * scale
+            assert np.max(np.abs(snaps.eta[j] - eta.values)) <= 1e-12 * scale
             energy = nodal_film_energy(model, eta)
-            assert abs(got_energy - energy) <= 1e-12 * abs(energy)
-            assert state.hat[0] == tf.FilmState(eta0).hat[0]
+            assert abs(run.energy[j] - energy) <= 1e-12 * abs(energy)
+            assert snaps.hat[j][0] == tf.FilmState(eta0).hat[0]
 
     @pytest.mark.parametrize("label", ORACLE_CASES)
     def test_integrator_bitwise_equal_to_spectral_step(self, label):
         model, eta0, dt, _, floor = oracle_case(label)
         steps = 200
         run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, steps, floor=floor)
-        assert len(run.snapshots) == steps + 1
+        snaps = run.snapshots
+        assert len(snaps.times) == len(snaps.eta) == len(snaps.hat) == steps + 1
         assert (run.substeps > steps) == (label == "halving")
         state = tf.FilmState(eta0, 0.0, rfftn_rfft(eta0.grid, eta0.values))
         times, energies, accepted = [0.0], [spectral_film_energy(model, state)], 0
-        for got in run.snapshots.states[1:]:
+        for j in range(1, steps + 1):
             state, n = spectral_film_step(model, state, dt, floor=floor)
             accepted += n
-            assert got.t == state.t
-            assert np.array_equal(got.eta.values, state.eta.values)
-            assert np.array_equal(got.hat, state.hat)
+            assert snaps.times[j] == state.t
+            assert np.array_equal(snaps.eta[j], state.eta.values)
+            assert np.array_equal(snaps.hat[j], state.hat)
             times.append(state.t)
             energies.append(spectral_film_energy(model, state))
         assert np.array_equal(run.t, times)
         assert np.array_equal(run.energy, energies)
         assert run.substeps == accepted
-        assert run.min_eta == min(s.eta.values.min() for s in run.snapshots.states)
+        assert run.min_eta == snaps.eta.min()
 
     def test_halving_reaches_the_horizon(self):
         model, eta0, dt = halving_case()
         run = tf.evolve(model, tf.FilmState(eta0, 0.0), dt, 3, floor=0.095)
-        state = run.snapshots.states[-1]
+        last = run.snapshots.eta[-1]
         eta, t, tried = eta0, 0.0, 0
         for _ in range(3):
             eta, t, n = nodal_film_step(model, eta, t, dt, floor=0.095)
             tried += n
         assert tried == 25  # 3 requested steps, each halved at least once
-        assert state.t == pytest.approx(3e-4, rel=1e-12)
-        assert state.eta.values.min() >= 0.095
-        assert np.max(np.abs(state.eta.values - eta.values)) <= 1e-12
+        assert run.snapshots.times[-1] == pytest.approx(3e-4, rel=1e-12)
+        assert last.min() >= 0.095
+        assert np.max(np.abs(last - eta.values)) <= 1e-12
         assert run.substeps > 3
 
 
@@ -321,7 +327,8 @@ class TestFilmTransforms:
         assert run.substeps == 10
         assert len(calls) == 10 * per_step
         del calls[:]
-        assert run.energy[-1] == film_energy(model, run.snapshots.states[-1])
+        last = tf.FilmState(PeriodicField(grid, run.snapshots.eta[-1]), hat=run.snapshots.hat[-1])
+        assert run.energy[-1] == film_energy(model, last)
         assert len(calls) == 0
 
 
@@ -339,8 +346,8 @@ class TestInvariants:
                                  potential=cfg["potential"])
         state = tf.FilmState(one_plus_sin(grid), 0.0)
         m0 = state.eta.mean()
-        state = last_state(model, state, cfg["dt"], 300)
-        assert abs(state.eta.mean() - m0) <= 1e-10 * (1 + abs(m0))
+        new = snapshots(model, state, cfg["dt"], 300)
+        assert abs(new.eta[-1].mean() - m0) <= 1e-10 * (1 + abs(m0))
 
     def test_dissipation_bending_regime(self, grid):
         model = tf.ThinFilmModel(alpha=5)
@@ -356,7 +363,7 @@ class TestInvariants:
         k = 2
         eta0 = PeriodicField(grid, np.cos(2 * np.pi * k * grid.meshes[0]))
         traj = tf.solve_linear_sixth(c, None, eta0, 0.5, 1e-3, snapshot_stride=100)
-        amps = [abs(s.eta.hat[k]) for s in traj.states]
+        amps = [abs(PeriodicField(grid, e).hat[k]) for e in traj.eta]
         times = traj.times
         rate = -np.log(amps[-1] / amps[0]) / (times[-1] - times[0])
         assert rate == pytest.approx(c * (2 * np.pi * k) ** 6, rel=1e-8)
@@ -370,7 +377,7 @@ class TestSolveLinearSixth:
         eta0 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
         traj = tf.solve_linear_sixth(c, None, eta0, 0.5, 1e-3, snapshot_stride=500)
         ref = np.exp(-lam * 0.5) * eta0.values
-        got = traj.states[-1].eta.values
+        got = traj.eta[-1]
         assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
     def test_steady_limit_under_constant_source(self):
@@ -381,10 +388,10 @@ class TestSolveLinearSixth:
         source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(c, source, PeriodicField.zeros(grid), 1.0,
                                      1e-3, snapshot_stride=100)
-        for state in traj.states[1:]:
+        for t, eta in zip(traj.times[1:], traj.eta[1:]):
             # scalar benchmark: y' = -lam y + 1, y(t) = (1 - exp(-lam t))/lam
-            ref = (1.0 - np.exp(-lam * state.t)) / lam
-            got = state.eta.hat[1] * 2.0  # cosine amplitude
+            ref = (1.0 - np.exp(-lam * t)) / lam
+            got = PeriodicField(grid, eta).hat[1] * 2.0  # cosine amplitude
             assert got.real == pytest.approx(ref, rel=1e-10)
 
     def test_linear_in_time_source_is_exact(self):
@@ -404,15 +411,14 @@ class TestSolveLinearSixth:
         traj = tf.solve_linear_sixth(c, source, PeriodicField.zeros(grid), 1.0,
                                      1e-3, snapshot_stride=7)
         assert calls == [1001]
-        for state in traj.states[1:]:
-            t = state.t
+        for t, eta in zip(traj.times[1:], traj.eta[1:]):
             ref = (a / lam - b / lam**2) * (1.0 - np.exp(-lam * t)) + b * t / lam
-            assert (state.eta.hat[1] * 2.0).real == pytest.approx(ref, rel=1e-11)
+            assert (PeriodicField(grid, eta).hat[1] * 2.0).real == pytest.approx(ref, rel=1e-11)
 
     def test_zero_data_zero_source(self):
         grid = PeriodicGrid(dim=1, n=32)
         traj = tf.solve_linear_sixth(0.5, None, PeriodicField.zeros(grid), 0.1, 1e-3)
-        assert all(np.max(np.abs(s.eta.values)) == 0.0 for s in traj.states)
+        assert np.max(np.abs(traj.eta)) == 0.0
 
     def test_rejects_zero_snapshot_stride(self):
         grid = PeriodicGrid(dim=1, n=32)
@@ -426,13 +432,20 @@ class TestSolveLinearSixth:
         source = lambda times: np.broadcast_to(hat, (len(times),) + hat.shape)
         traj = tf.solve_linear_sixth(1e-4, source, PeriodicField.zeros(grid), 0.2,
                                      1e-3, snapshot_stride=20)
-        for s in traj.states:
-            assert abs(s.eta.mean()) < 1e-15
+        for eta in traj.eta:
+            assert abs(eta.mean()) < 1e-15
 
     def test_rejects_zero_coefficient(self):
         grid = PeriodicGrid(dim=1, n=8)
         with pytest.raises(ParameterError, match=r"c must lie in \(0, inf\)"):
             tf.solve_linear_sixth(0.0, None, PeriodicField.zeros(grid), 0.1, 1e-3)
+
+    def test_phi_functions_equal_the_masked_ones(self):
+        # both branches and the thresholds between them, bitwise
+        z = np.concatenate([-np.logspace(-12, 3, 200), [0.0, -1e-8, 1e-8, -1e-6, 1e-6],
+                            np.logspace(-12, 1, 50)])
+        assert np.array_equal(tf._phi1(z), masked_phi1(z))
+        assert np.array_equal(tf._phi2(z), masked_phi2(z))
 
     def test_small_argument_branches_match_taylor(self):
         z = np.array([-1e-9, 1e-9])
@@ -454,6 +467,75 @@ class TestSolveLinearSixth:
         grid = PeriodicGrid(dim=1, n=8)
         with pytest.raises(ParameterError, match="positive and finite"):
             tf.solve_linear_sixth(1.0, None, PeriodicField.zeros(grid), t_end, dt)
+
+    def test_source_stack_of_another_shape_rejected(self):
+        # a source that leaves out the time axis used to fail with a bare
+        # broadcasting ValueError
+        grid = PeriodicGrid(dim=1, n=8)
+        hat = PeriodicField(grid, np.sin(2 * np.pi * grid.meshes[0])).hat
+        for source in (lambda times: hat, lambda times: np.zeros((len(times) - 1,) + hat.shape)):
+            with pytest.raises(ParameterError, match="the source gives shape"):
+                tf.solve_linear_sixth(1.0, source, PeriodicField.zeros(grid), 0.1, 1e-2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_source_that_is_not_finite_rejected(self, bad):
+        # the first bad time is named; the run used to return NaN snapshots
+        grid = PeriodicGrid(dim=1, n=8)
+
+        def source(times):
+            out = np.zeros((len(times),) + grid.spectral_shape, dtype=complex)
+            out[times >= 0.045, 1] = bad
+            return out
+
+        with pytest.raises(ParameterError, match=r"not finite at t = 0\.05$"):
+            tf.solve_linear_sixth(1.0, source, PeriodicField.zeros(grid), 0.1, 1e-2)
+
+
+class TestSnapshotArrays:
+    """The trajectory's arrays against the per-snapshot solve they replaced
+    (`oracles.snapshot_solve_linear_sixth`), and what a run builds."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_arrays_equal_the_per_snapshot_solve(self, dim, forced, stride):
+        grid = PeriodicGrid(dim=dim, n=16)
+        rng = np.random.default_rng(5 + dim)
+        eta0 = PeriodicField(grid, rng.standard_normal(grid.shape))
+        source = None
+        if forced:
+            shape = grid.spectral_shape
+            rate = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rate[(0,) * dim] = 0.0
+            source = lambda times: np.sin(7.0 * np.asarray(times))[(...,) + (None,) * dim] * rate
+        traj = tf.solve_linear_sixth(1e-5, source, eta0, 0.05, 1e-3, snapshot_stride=stride)
+        want = snapshot_solve_linear_sixth(1e-5, source, eta0, 0.05, 1e-3, snapshot_stride=stride)
+        assert traj.grid is grid
+        assert np.array_equal(traj.times, [s.t for s in want])
+        assert np.array_equal(traj.eta, np.array([s.eta.values for s in want]))
+        assert np.array_equal(traj.hat, np.array([s.hat for s in want]))
+        assert traj.eta.shape == (len(want),) + grid.shape
+
+    def test_runs_build_no_state_and_one_inverse_transform(self, grid, monkeypatch):
+        # the initial state is the only FilmState, made by the caller; the
+        # linear solve transforms every snapshot after its first in one call
+        state = tf.FilmState(one_plus_sin(grid), 0.0)
+        built, inverse = [], []
+        post_init = tf.FilmState.__post_init__
+        monkeypatch.setattr(tf.FilmState, "__post_init__",
+                            lambda s: (built.append(s), post_init(s)))
+        irfft = PeriodicGrid.irfft
+        monkeypatch.setattr(PeriodicGrid, "irfft",
+                            lambda g, coeffs: (inverse.append(coeffs.shape), irfft(g, coeffs))[1])
+        run = tf.evolve(tf.ThinFilmModel(alpha=3, v_D=1.0), state, 1e-6, 10, snapshot_stride=3)
+        assert len(run.snapshots.times) == 5
+        assert built == []
+        del inverse[:]
+        source = lambda times: np.zeros((len(times),) + grid.spectral_shape, dtype=complex)
+        traj = tf.solve_linear_sixth(1e-4, source, state.eta, 0.1, 1e-3, snapshot_stride=10)
+        assert len(traj.times) == 11
+        assert built == []
+        assert inverse == [(grid.spectral_shape[0], 10)]
 
 
 class TestStationaryPressure:

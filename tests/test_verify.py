@@ -476,7 +476,8 @@ class TestLadderConfig:
         # a ladder builds one limit map, for its points and its chain
         # closure, each block of steps makes one quadrature, ledger,
         # pressure and field pass for all its points, as many as one point
-        # alone, and no field object is built outside the reduced solve
+        # alone, and no field or state object is built but the reduced
+        # solve's zero initial height
         from lubelastic.spectral import _steps_per_block
 
         cfg = verify.RateStudyConfig(
@@ -519,9 +520,9 @@ class TestLadderConfig:
             return rfft(grid, values)
 
         monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
-        # the field objects built: the coupled runs, the reconstruction and
-        # the norms hold one array per field kind and build none; only the
-        # reduced solve builds PeriodicFields, its snapshots'
+        # the field objects built: the coupled runs, the reduced solve, the
+        # reconstruction and the norms hold one array per field kind and
+        # build none; the reduced solve starts from one zero PeriodicField
         solving, solve = [], verify.solve_reduced
 
         def solve_counted(*args, **kwargs):
@@ -532,7 +533,7 @@ class TestLadderConfig:
                 solving.pop()
 
         monkeypatch.setattr(verify, "solve_reduced", solve_counted)
-        for cls in (ChannelField, PeriodicField, lb.FsiState):
+        for cls in (ChannelField, PeriodicField, lb.FsiState, lb.FilmState):
             def built(obj, *args, init=cls.__init__, name=cls.__name__, **kwargs):
                 key = name + (" in the reduced solve" if solving else "")
                 counts[key] = counts.get(key, 0) + 1
@@ -549,7 +550,7 @@ class TestLadderConfig:
         assert len(result.reduced.times) == 11
         want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
                 "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1,
-                "PeriodicField in the reduced solve": 11}
+                "PeriodicField in the reduced solve": 1}
         assert counts == want
         # the points take the ladder's map and build none of their own
         setting = cfg.setting()
