@@ -334,8 +334,9 @@ class TestReducedSolution:
             rc.ReducedSolution(grid, np.array([0.0, 0.1]), np.zeros(shape))
 
     def test_times_of_more_than_one_axis_rejected(self, grid):
+        # even with snapshots behind both of their axes
         with pytest.raises(GridMismatchError):
-            rc.ReducedSolution(grid, np.zeros((2, 1)), np.zeros((2,) + grid.shape))
+            rc.ReducedSolution(grid, np.zeros((2, 1)), np.zeros((2, 1) + grid.shape))
 
     def test_holds_float_arrays(self, grid):
         red = rc.ReducedSolution(grid, [0, 1], [[0] * 32] * 2)
