@@ -29,9 +29,9 @@ import numpy as np
 
 from . import thinfilm, verify
 from .artifacts import write_atomic, write_csv, write_grid
-from .errors import (AssemblyError, DegenerateFitError, ParameterError,
+from .errors import (AssemblyError, DegenerateFitError, InvariantError, ParameterError,
                      PositivityError, UsageError, check_range)
-from .fsi import FsiParams, harmonic_ramp_forcing, run_fsi, stepped_modes
+from .fsi import FsiParams, check_invariants, harmonic_ramp_forcing, run_fsi, stepped_modes
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
 
@@ -413,6 +413,7 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         wavevector=(1,) * grid.dim if spec.wavevector is None else spec.wavevector)
     params = FsiParams(model=cfg.model, grid=grid, vnodes=vnodes, dt=cfg.dt, forcing=forcing)
     traj = run_fsi(params, cfg.t_end, snapshot_stride=cfg.snapshot_stride)
+    invariants = check_invariants(params, traj.times, traj.v, traj.eta, traj.eta_t)
     written = traj.save(outdir)
     audit = verify.energy_audit(traj.ledger, params)
     summary_path = os.path.join(outdir, "summary.json")
@@ -426,6 +427,7 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         "steps": len(traj.ledger),
         "modes": int(np.prod(grid.spectral_shape)),
         "modes_stepped": len(stepped_modes(forcing, grid)),
+        "invariants": {key: float(np.max(x)) for key, x in invariants.items()},
     })
     written.append(summary_path)
     return written
@@ -588,7 +590,7 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PositivityError, AssemblyError, DegenerateFitError) as exc:
+    except (PositivityError, AssemblyError, DegenerateFitError, InvariantError) as exc:
         outdir = _output_dir(doc, args.output)
         diag = {"error": "numerical breakdown", "detail": str(exc)}
         last_state = getattr(exc, "last_state", None)

@@ -40,7 +40,6 @@ __all__ = [
     "PeriodicGrid",
     "PeriodicField",
     "VerticalNodes",
-    "ChannelField",
     "spectral_derivative",
     "dealiased_product",
 ]
@@ -332,47 +331,3 @@ class ChebOps:
     def differentiate(self, profile: np.ndarray) -> np.ndarray:
         return np.asarray(profile) @ self.D.T
 
-
-# ----------------------------------------------------------------------
-# channel fields on the reference domain
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ChannelField:
-    """Real scalar field on the reference channel, horizontal grid times
-    vertical nodes; the last axis runs over the vertical profiles."""
-
-    grid: PeriodicGrid
-    vnodes: VerticalNodes
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        expected = self.grid.shape + (self.vnodes.m,)
-        if vals.shape != expected:
-            raise GridMismatchError(f"values shape {vals.shape}, expected {expected}")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def zeros(cls, grid: PeriodicGrid, vnodes: VerticalNodes) -> "ChannelField":
-        return cls(grid, vnodes, np.zeros(grid.shape + (vnodes.m,)))
-
-    @classmethod
-    def from_hat(cls, grid: PeriodicGrid, vnodes: VerticalNodes, hat: np.ndarray) -> "ChannelField":
-        return cls(grid, vnodes, grid.irfft(hat))
-
-    @property
-    def hat(self) -> np.ndarray:
-        """Per-mode vertical profiles, shape spectral_shape + (m,)."""
-        return self.grid.rfft(self.values)
-
-    def __sub__(self, other: "ChannelField") -> "ChannelField":
-        return ChannelField(self.grid, self.vnodes, self.values - other.values)
-
-    def __add__(self, other: "ChannelField") -> "ChannelField":
-        return ChannelField(self.grid, self.vnodes, self.values + other.values)
-
-    def __mul__(self, a: float) -> "ChannelField":
-        return ChannelField(self.grid, self.vnodes, self.values * a)
-
-    __rmul__ = __mul__

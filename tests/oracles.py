@@ -213,25 +213,26 @@ def periodic_field_csv(f, path) -> None:
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
 
 
-def channel_field_csv(f, path) -> None:
+def channel_field_csv(grid, vnodes, values, path) -> None:
+    """The old rows of a channel field of nodal values grid.shape + (m,)."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        y = f.vnodes.nodes
-        if f.grid.dim == 1:
+        y = vnodes.nodes
+        if grid.dim == 1:
             writer.writerow(["x", "y3", "value"])
-            for i, x in enumerate(f.grid.nodes[0]):
-                for k in range(f.vnodes.m):
-                    writer.writerow([repr(float(x)), repr(float(y[k])), repr(float(f.values[i, k]))])
+            for i, x in enumerate(grid.nodes[0]):
+                for k in range(vnodes.m):
+                    writer.writerow([repr(float(x)), repr(float(y[k])), repr(float(values[i, k]))])
         else:
             writer.writerow(["x1", "x2", "y3", "value"])
-            X, Y = f.grid.meshes
-            for idx in np.ndindex(*f.grid.shape):
-                for k in range(f.vnodes.m):
+            X, Y = grid.meshes
+            for idx in np.ndindex(*grid.shape):
+                for k in range(vnodes.m):
                     writer.writerow([
                         repr(float(X[idx])), repr(float(Y[idx])),
-                        repr(float(y[k])), repr(float(f.values[idx + (k,)])),
+                        repr(float(y[k])), repr(float(values[idx + (k,)])),
                     ])
 
 
@@ -402,6 +403,8 @@ class FsiSolver:
 # solver's row layout (P*K, mi) and plate harmonics (K,), as
 # `fsi.materialize` takes them.
 SpectralState = namedtuple("SpectralState", "c eta eta_t t")
+# a state's nodal fields: the velocity components, the pressure, eta and eta_t
+FieldState = namedtuple("FieldState", "v p eta eta_t")
 
 
 def zero_state(solver):
@@ -1035,7 +1038,7 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
     nsteps = int(round(t_end / dt))
     rows = []
     spec = zero_state(solver)
-    states = [materialize(solver, *spec)]
+    states = [materialize(solver, *spec[:3])]
     times = [0.0]
     spectral = []
     cum = dict(viscous=0.0, viscoelastic=0.0, numerical=0.0, work=0.0)
@@ -1051,7 +1054,7 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
             fhat = dict(enumerate(stepwise_forcing_hat(solver, spec.t)))
             phat = pressure_hat(solver, prev.c, spec.c, fhat, dt,
                                 None if prev2 is None else prev2.c)
-            states.append(materialize(solver, *spec, phat))
+            states.append(materialize(solver, *spec[:3], phat))
             times.append(spec.t)
             spectral.append(spec)
         prev2 = prev
@@ -1060,11 +1063,11 @@ def stepwise_run(solver, t_end, snapshot_stride=1):
 
 
 def stacked_trajectory(params, times, states, ledger):
-    """The trajectory of per-snapshot states, each field kind's values
+    """The trajectory of per-snapshot `FieldState`s, each field kind
     stacked along a leading snapshot axis, as `fsi.run_batch` holds them."""
     from lubelastic.fsi import FsiTrajectory
 
-    stack = lambda get: np.stack([get(s).values for s in states])
+    stack = lambda get: np.stack([get(s) for s in states])
     return FsiTrajectory(params=params, times=np.array(times),
                          v=tuple(stack(lambda s: s.v[a]) for a in range(len(states[0].v))),
                          p=stack(lambda s: s.p), eta=stack(lambda s: s.eta),
@@ -1072,15 +1075,13 @@ def stacked_trajectory(params, times, states, ledger):
 
 
 def stacked_triple(times, v, p, eta):
-    """The reconstructed triple of per-snapshot fields (v: one tuple of
-    velocity components per snapshot), each field kind's values stacked
-    along a leading snapshot axis, as `reconstruction.ApproxTriple` holds
-    them."""
+    """The reconstructed triple of per-snapshot nodal fields (v: one tuple
+    of velocity components per snapshot), each field kind stacked along a
+    leading snapshot axis, as `reconstruction.ApproxTriple` holds them."""
     from lubelastic.reconstruction import ApproxTriple
 
-    stack = lambda fields: np.stack([f.values for f in fields])
-    return ApproxTriple(times=times, v=tuple(stack(comp) for comp in zip(*v)), p=stack(p),
-                        eta=stack(eta))
+    return ApproxTriple(times=times, v=tuple(np.stack(comp) for comp in zip(*v)), p=np.stack(p),
+                        eta=np.stack(eta))
 
 
 # The per-solver work around the step loop as `fsi.FsiSolver` methods did
@@ -1097,28 +1098,21 @@ def vertical_profile(solver, c):
     return -1j * eps * ops.antiderivative(div_h)
 
 
-def materialize(solver, c, eta, eta_t, t, pressure_hat=None):
-    """The fields of the state with rows c (P*K, mi) and plate harmonics
-    eta, eta_t (K,) at time t."""
-    from lubelastic.fsi import FsiState
-    from lubelastic.spectral import ChannelField, PeriodicField
-
+def materialize(solver, c, eta, eta_t, pressure_hat=None):
+    """The `FieldState` of the state with rows c (P*K, mi) and plate
+    harmonics eta, eta_t (K,), one transform per field."""
     grid = solver.params.grid
     vn = solver.params.vnodes
     shape = grid.spectral_shape + (vn.m,)
     rows = solver._profiles(c).reshape(solver.P, solver.K, vn.m)
     # back to Cartesian components: v_a = sum_p (e_p)_a v_p
     cart = (solver.frame[..., None] * rows[:, :, None, :]).sum(axis=0)
-    comps = [ChannelField.from_hat(grid, vn, cart[:, a].reshape(shape))
-             for a in range(grid.dim)]
-    comps.append(ChannelField.from_hat(grid, vn, vertical_profile(solver, c).reshape(shape)))
-    if pressure_hat is None:
-        p = ChannelField.zeros(grid, vn)
-    else:
-        p = ChannelField.from_hat(grid, vn, pressure_hat.reshape(shape))
-    return FsiState(v=tuple(comps), p=p, t=t,
-                    eta=PeriodicField.from_hat(grid, eta.reshape(grid.spectral_shape)),
-                    eta_t=PeriodicField.from_hat(grid, eta_t.reshape(grid.spectral_shape)))
+    comps = [grid.irfft(cart[:, a].reshape(shape)) for a in range(grid.dim)]
+    comps.append(grid.irfft(vertical_profile(solver, c).reshape(shape)))
+    p = (np.zeros(grid.shape + (vn.m,)) if pressure_hat is None
+         else grid.irfft(pressure_hat.reshape(shape)))
+    return FieldState(v=tuple(comps), p=p, eta=grid.irfft(eta.reshape(grid.spectral_shape)),
+                      eta_t=grid.irfft(eta_t.reshape(grid.spectral_shape)))
 
 
 def quadrature(solver, fhat, nb):
@@ -1229,7 +1223,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
     eta_t = np.zeros((block + 2, K), dtype=complex)
     mass_old = np.zeros((block,) + rows, dtype=complex)
     ledger = np.empty((8, nsteps))
-    states = [materialize(solver, c[1], eta[1], eta_t[1], 0.0)]
+    states = [materialize(solver, c[1], eta[1], eta_t[1])]
     times = [0.0]
     mass, g = asm.mass, asm.g
     fluid = coef["fluid_mass"] / dt
@@ -1262,8 +1256,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
                 phat = pressure_hat(solver, c[j + 1], c[j + 2],
                                     {i: h[j] for i, h in fhat.items()}, dt,
                                     None if n == 1 else c[j])
-                states.append(materialize(solver, c[j + 2], eta[j + 2], eta_t[j + 2],
-                                          t[j], phat))
+                states.append(materialize(solver, c[j + 2], eta[j + 2], eta_t[j + 2], phat))
                 times.append(t[j])
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
@@ -1289,7 +1282,7 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one transform per snapshot and component."""
     from lubelastic.reconstruction import _limit_map
     from lubelastic.scaling import eps_power
-    from lubelastic.spectral import ChannelField, derivative_symbol
+    from lubelastic.spectral import derivative_symbol
 
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
@@ -1297,23 +1290,19 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     _, p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat.append(-eps * vnodes.ops.antiderivative(div))
-    v = tuple(tuple(ChannelField.from_hat(grid, vnodes, eps**2 * vh[j]) for vh in v_hat)
+    v = tuple(tuple(grid.irfft(eps**2 * vh[j]) for vh in v_hat)
               for j in range(len(reduced.times)))
-    p = tuple(ChannelField(grid, vnodes, np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1))
-              for ph in p_hat)
-    eta = [eps_kappa * f for f in reduced_fields(reduced)]
+    p = tuple(np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1) for ph in p_hat)
+    eta = [eps_kappa * f.values for f in reduced_fields(reduced)]
     return stacked_triple(reduced.times, v, p, eta)
 
 
-def snapshot_channel_sq(snapshot):
+def snapshot_channel_sq(comps, vnodes):
     """Integral of |.|^2 over the unit-depth reference channel, summed over
-    components when a snapshot is a sequence of fields."""
-    from lubelastic.spectral import ChannelField
-
-    comps = (snapshot,) if isinstance(snapshot, ChannelField) else tuple(snapshot)
+    a sequence of nodal fields, grid.shape + (m,) each."""
     total = 0.0
     for comp in comps:
-        vertical = comp.values**2 @ comp.vnodes.weights
+        vertical = comp**2 @ vnodes.weights
         total += float(np.mean(vertical))
     return total
 
@@ -1331,18 +1320,17 @@ def snapshot_h2_norm(field):
 def snapshot_compare(traj, approx):
     """The three error norms between a trajectory and a triple, snapshot by
     snapshot."""
-    from lubelastic.spectral import ChannelField, PeriodicField
+    from lubelastic.spectral import PeriodicField
 
     eps = traj.params.model.eps
     grid, vnodes = traj.params.grid, traj.params.vnodes
     v_diffs, p_diffs, eta_diffs = [], [], []
-    for j, state in enumerate(traj.states):
-        v_diffs.append(tuple(sv - ChannelField(grid, vnodes, av[j])
-                             for sv, av in zip(state.v, approx.v)))
-        p_diffs.append(state.p - ChannelField(grid, vnodes, approx.p[j]))
-        eta_diffs.append(state.eta - PeriodicField(grid, approx.eta[j]))
+    for j in range(len(traj.times)):
+        v_diffs.append(tuple(sv[j] - av[j] for sv, av in zip(traj.v, approx.v)))
+        p_diffs.append((traj.p[j] - approx.p[j],))
+        eta_diffs.append(PeriodicField(grid, traj.eta[j] - approx.eta[j]))
     l2l2 = lambda diffs: float(np.sqrt(eps * np.trapezoid(
-        np.array([snapshot_channel_sq(d) for d in diffs]), traj.times)))
+        np.array([snapshot_channel_sq(d, vnodes) for d in diffs]), traj.times)))
     return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(f) for f in eta_diffs)
 
 
@@ -1362,9 +1350,9 @@ def limit_pressure(eta, B):
 
 def horizontal_velocity(p, f_horizontal, nu, vnodes):
     """Limit horizontal velocity profiles v_a = y (y+1)/(2 nu) * d_a p + F_a,
-    from the nodal horizontal force components (None: unforced)."""
+    nodal, from the nodal horizontal force components (None: unforced)."""
     from lubelastic.reconstruction import _force_profiles
-    from lubelastic.spectral import ChannelField, spectral_derivative
+    from lubelastic.spectral import spectral_derivative
 
     grid = p.grid
     y = vnodes.nodes
@@ -1374,36 +1362,32 @@ def horizontal_velocity(p, f_horizontal, nu, vnodes):
         vals = spectral_derivative(p, 1, axis=a).values[..., None] * poise
         if f_horizontal is not None:
             vals = vals + _force_profiles(np.asarray(f_horizontal[a], dtype=float), nu, vnodes)
-        out.append(ChannelField(grid, vnodes, vals))
+        out.append(vals)
     return tuple(out)
 
 
-def vertical_velocity(v1, v2=None, eps=1.0):
-    """Inner vertical velocity -eps * int_{-1}^{y} div'(v') of the profile
-    pair; zero at the bottom wall by construction."""
+def vertical_velocity(grid, vnodes, *horizontal, eps=1.0):
+    """Inner vertical velocity -eps * int_{-1}^{y} div'(v') of the nodal
+    horizontal profiles; zero at the bottom wall by construction."""
     from lubelastic.errors import GridMismatchError
-    from lubelastic.spectral import ChannelField
 
-    grid = v1.grid
-    vnodes = v1.vnodes
-    comps = [v1] if v2 is None else [v1, v2]
-    if grid.dim != len(comps):
-        raise GridMismatchError(f"{len(comps)} horizontal components supplied for dim {grid.dim}")
+    if grid.dim != len(horizontal):
+        raise GridMismatchError(f"{len(horizontal)} horizontal components supplied for dim "
+                                f"{grid.dim}")
     div = np.zeros(grid.shape + (vnodes.m,))
-    for a, comp in enumerate(comps):
-        div += grid.irfft(1j * grid.xi[a][..., None] * comp.hat)
-    return ChannelField(grid, vnodes, -eps * vnodes.ops.antiderivative(div))
+    for a, comp in enumerate(horizontal):
+        div += grid.irfft(1j * grid.xi[a][..., None] * grid.rfft(comp))
+    return -eps * vnodes.ops.antiderivative(div)
 
 
-def flux_rate(v_components):
-    """Rate of displacement implied by the depth flux:
-    -sum_a d_a int_{-1}^0 v_a dy3."""
+def flux_rate(grid, vnodes, v_components):
+    """Rate of displacement implied by the depth flux of the nodal
+    horizontal velocities: -sum_a d_a int_{-1}^0 v_a dy3."""
     from lubelastic.spectral import PeriodicField, spectral_derivative
 
-    grid = v_components[0].grid
     out = np.zeros(grid.shape)
     for a, comp in enumerate(v_components):
-        depth = comp.values @ comp.vnodes.weights
+        depth = comp @ vnodes.weights
         out -= spectral_derivative(PeriodicField(grid, depth), 1, axis=a).values
     return PeriodicField(grid, out)
 
@@ -1417,18 +1401,16 @@ def _nodal_horizontal(t, eta, params, forcing, vnodes):
 def nodal_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one snapshot at a time on the nodes."""
     from lubelastic.scaling import eps_power
-    from lubelastic.spectral import ChannelField
 
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
     v_all, p_all, eta_all = [], [], []
     for t, eta in zip(reduced.times, reduced_fields(reduced)):
         p, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
-        v3 = vertical_velocity(*v_h, eps=eps)
+        v3 = vertical_velocity(eta.grid, vnodes, *v_h, eps=eps)
         v_all.append(tuple(eps**2 * c for c in v_h) + (eps**2 * v3,))
-        p_all.append(ChannelField(eta.grid, vnodes,
-                                  np.repeat(p.values[..., None], vnodes.m, axis=-1)))
-        eta_all.append(eps_kappa * eta)
+        p_all.append(np.repeat(p.values[..., None], vnodes.m, axis=-1))
+        eta_all.append(eps_kappa * eta.values)
     return stacked_triple(reduced.times, v_all, p_all, eta_all)
 
 
@@ -1452,7 +1434,7 @@ def nodal_chain_closure_error(reduced, params, forcing, vnodes):
         f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
         rhs = (nodal_laplacian(nodal_laplacian(nodal_laplacian(eta))) * params.reduced_coefficient
                + forcing_F(f_h, params.nu, eta.grid, vnodes))
-        sq[j] = np.mean((flux_rate(v_h).values - rhs.values) ** 2)
+        sq[j] = np.mean((flux_rate(eta.grid, vnodes, v_h).values - rhs.values) ** 2)
     return float(np.sqrt(np.trapezoid(sq, reduced.times)))
 
 
@@ -1507,9 +1489,72 @@ def forcing_F(f_horizontal, nu, grid, vnodes):
     """Zero-mean source F = -int_{-1}^0 div'(F_1, F_2) dy3 of the force
     profiles, as a PeriodicField."""
     from lubelastic.reconstruction import _force_profiles
-    from lubelastic.spectral import ChannelField, PeriodicField
+    from lubelastic.spectral import PeriodicField
 
     if f_horizontal is None:
         return PeriodicField.zeros(grid)
-    return flux_rate([ChannelField(grid, vnodes, _force_profiles(np.asarray(f), nu, vnodes))
-                      for f in f_horizontal])
+    return flux_rate(grid, vnodes, [_force_profiles(np.asarray(f), nu, vnodes)
+                                    for f in f_horizontal])
+
+
+# The invariants check as `fsi.FsiState.check_invariants` took it before
+# `fsi.check_invariants` checked every snapshot at once: one snapshot, one
+# transform per velocity component, a loop over the gradient's entries.
+
+def state_invariants(params, v, eta, eta_t):
+    """The five measurements of one snapshot, velocity components v
+    (grid.shape + (m,) each) and eta, eta_t (grid.shape), as floats; raises
+    InvariantError on the first bound it breaks."""
+    from lubelastic.errors import InvariantError
+    from lubelastic.fsi import _xi_stack
+    from lubelastic.scaling import eps_power
+
+    eps = params.model.eps
+    ops = params.vnodes.ops
+    grid = params.grid
+    dh = grid.dim
+    vhat = [grid.rfft(comp) for comp in v]
+    xi = _xi_stack(grid)  # (K, dh)
+    K = xi.shape[0]
+    m = params.vnodes.m
+    prof = [vh.reshape(K, m) for vh in vhat]
+    div_h = sum(1j * xi[:, a][:, None] * prof[a] for a in range(dh))
+    dv3 = ops.differentiate(prof[dh])
+    div_full = div_h + dv3 / eps
+    w = grid.mode_weights.ravel()
+    quad = params.vnodes.weights
+    div_norm = np.sqrt(np.sum(w * (np.abs(div_full) ** 2 @ quad)).real)
+    grad_sq = 0.0
+    for a in range(dh + 1):
+        dvert = ops.differentiate(prof[a]) / eps
+        grad_sq += np.sum(w * (np.abs(dvert) ** 2 @ quad)).real
+        for b in range(dh):
+            dh_ab = 1j * xi[:, b][:, None] * prof[a]
+            grad_sq += np.sum(w * (np.abs(dh_ab) ** 2 @ quad)).real
+    grad_norm = np.sqrt(grad_sq)
+    div_floor = 1e-9 * grad_norm + 1e-15 * max(1.0, grad_norm)
+    if not div_norm <= div_floor:
+        raise InvariantError(
+            f"scaled divergence {div_norm:.3e} exceeds 1.0e-09 * {grad_norm:.3e}"
+        )
+    v_scale = max(max(np.max(np.abs(c)) for c in v), 1e-300)
+    t_scale = eps_power(eps, -params.model.tau)
+    top = v[dh][..., -1]
+    kin_gap = np.max(np.abs(top - t_scale * eta_t))
+    kin_scale = max(np.max(np.abs(top)), v_scale)
+    if not kin_gap <= 1e-10 * kin_scale + 1e-300:
+        raise InvariantError(f"kinematic trace violated by {kin_gap:.3e}")
+    horiz_top = max(np.max(np.abs(v[a][..., -1])) for a in range(dh))
+    if not horiz_top <= 1e-13 * v_scale:
+        raise InvariantError(f"horizontal top trace {horiz_top:.3e} not zero")
+    mean_eta = abs(float(eta.mean()))
+    eta_scale = max(np.max(np.abs(eta)), 1e-300)
+    if not mean_eta <= 1e-12 * eta_scale:
+        raise InvariantError(f"eta mean {mean_eta:.3e} not zero")
+    return {
+        "div_norm": div_norm,
+        "grad_norm": grad_norm,
+        "kinematic_gap": kin_gap,
+        "horizontal_top_trace": horiz_top,
+        "eta_mean": mean_eta,
+    }

@@ -346,6 +346,28 @@ class TestBreakdownPath:
         assert diag["error"] == "numerical breakdown"
         assert "factorization" in diag["detail"]
 
+    def test_invariant_failure_exits_3(self, tmp_path, monkeypatch):
+        # a run whose plate has left its zero mean fails the invariants check
+        # before any artifact is written
+        run_fsi = cli.run_fsi
+
+        def lifted(*args, **kwargs):
+            traj = run_fsi(*args, **kwargs)
+            return replace(traj, eta=traj.eta + 1.0)
+
+        monkeypatch.setattr(cli, "run_fsi", lifted)
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"n": 8, "m": 12, "dt": 1e-3, "t_end": 0.01})
+        out = tmp_path / "out"
+        rc = cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 3
+        assert sorted(os.listdir(out)) == ["breakdown.json"]
+        diag = json.loads((out / "breakdown.json").read_text())
+        assert diag["error"] == "numerical breakdown"
+        assert diag["detail"].startswith("eta mean ")
+        assert diag["detail"].endswith(" at snapshot 0, t = 0.0")
+
     def test_degenerate_fit_exits_3(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise DegenerateFitError("all errors are exactly zero")
@@ -533,6 +555,34 @@ class TestFsiCommand:
         assert (summary["modes"], summary["modes_stepped"]) == (
             (5, 1) if doc["dim"] == 1 else (40, 1))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_summary_holds_the_largest_invariants(self, tmp_path, monkeypatch, dim):
+        # the run checks every snapshot once, and the summary holds each
+        # measurement's largest value
+        # the spy hands each measurement back sorted from the largest down
+        seen, check = [], cli.check_invariants
+
+        def spy(params, times, *fields):
+            found = {key: np.sort(x)[::-1] for key, x in check(params, times, *fields).items()}
+            seen.append((len(times), found))
+            return found
+
+        monkeypatch.setattr(cli, "check_invariants", spy)
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"dim": dim, "n": 8, "m": 12, "dt": 1e-3, "t_end": 0.01,
+                    "snapshot_stride": 5, "forcing": {"kind": "harmonic-ramp",
+                                                      "wavevector": [1] * dim}})
+        out = tmp_path / "out"
+        assert cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                         "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        [(snapshots, found)] = seen
+        assert snapshots == summary["snapshots"] == 3
+        assert summary["invariants"] == {key: float(np.max(x)) for key, x in found.items()}
+        assert set(summary["invariants"]) == {"div_norm", "grad_norm", "kinematic_gap",
+                                              "horizontal_top_trace", "eta_mean"}
+        assert found["grad_norm"][-1] == 0.0 < summary["invariants"]["grad_norm"]
+
     def test_unloaded_run_exits_0_with_zero_ledger(self, tmp_path):
         # amplitude 0 loads no mode: the run steps none and still writes
         # every artifact
@@ -547,6 +597,7 @@ class TestFsiCommand:
         assert summary["terminal_work"] == 0.0
         assert summary["terminal_energy"] == 0.0
         assert (summary["modes"], summary["modes_stepped"]) == (9, 0)
+        assert not any(summary["invariants"].values())
         assert summary["energy_audit_ok"]
 
 

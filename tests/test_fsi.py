@@ -16,7 +16,7 @@ from lubelastic.errors import InvariantError, ParameterError
 from lubelastic.spectral import _steps_per_block
 
 from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, snapshot_channel_sq,
-                     to_cartesian, vertical_profile)
+                     state_invariants, to_cartesian, vertical_profile)
 
 # the directory lubelastic was imported from, for subprocess tests
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lb.__file__)))
@@ -38,6 +38,18 @@ def make_params(eps=0.125, kappa=2, n=16, m=16, dt=1e-3, dim=1, theta=1.0,
         forcing = lb.harmonic_ramp_forcing(grid, vnodes, wavevector=(1,) * dim,
                                            ramp_time=0.05)
     return lb.FsiParams(model=model, grid=grid, vnodes=vnodes, dt=dt, forcing=forcing)
+
+
+def check(params, traj):
+    """`fsi.check_invariants` over every snapshot of a trajectory."""
+    return lb.fsi.check_invariants(params, traj.times, traj.v, traj.eta, traj.eta_t)
+
+
+def last_snapshot(traj):
+    """The arrays `fsi.check_invariants` takes, of a trajectory's last
+    snapshot alone: copies, with a snapshot axis of one."""
+    return (traj.times[-1:], tuple(c[-1:].copy() for c in traj.v), traj.eta[-1:].copy(),
+            traj.eta_t[-1:].copy())
 
 
 def plain(forcing):
@@ -176,8 +188,8 @@ class TestModeOperator:
         # zero-horizontal-mean forcing never moves the mean plate harmonic
         params = make_params(dt=1e-3)
         traj = lb.run_fsi(params, 0.02, snapshot_stride=5)
-        for state in traj.states:
-            assert abs(state.eta.hat[0]) < 1e-20
+        for eta in traj.eta:
+            assert abs(params.grid.rfft(eta)[0]) < 1e-20
 
 
 class TestStep:
@@ -188,40 +200,38 @@ class TestStep:
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3,
                               forcing=unloaded_forcing(grid, vn))
         traj = lb.run_fsi(params, 0.01, snapshot_stride=1)
-        for state in traj.states:
-            assert all(np.max(np.abs(c.values)) == 0.0 for c in state.v)
-            assert np.max(np.abs(state.eta.values)) == 0.0
+        assert not any(np.any(c) for c in traj.v)
+        assert not np.any(traj.eta)
         assert np.all(traj.ledger.lhs() == 0.0)
 
     def test_mode_locality(self):
         params = make_params(dt=1e-3)
         traj = lb.run_fsi(params, 0.05, snapshot_stride=50)
-        state = traj.states[-1]
-        eh = np.abs(state.eta.hat)
+        eh = np.abs(params.grid.rfft(traj.eta[-1]))
         active = eh[1]
         others = np.delete(eh, 1)
         assert active > 0
         assert np.max(others) < 1e-12 * active
-        vh = np.abs(state.v[0].hat)
+        vh = np.abs(params.grid.rfft(traj.v[0][-1]))
         assert np.max(np.delete(vh, 1, axis=0)) < 1e-12 * np.max(vh)
 
     def test_linearity_in_forcing(self):
         grid = lb.PeriodicGrid(dim=1, n=16)
         vn = lb.VerticalNodes(12)
         scale = 3.0
-        states = []
+        runs = []
         for amp in (1.0, scale):
             model = lb.ModelParams(eps=0.125, kappa=2, theta=1.0, dim=1)
             forcing = lb.harmonic_ramp_forcing(grid, vn, amplitude=amp, ramp_time=0.05)
             params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3,
                                   forcing=forcing)
-            states.append(lb.run_fsi(params, 0.02, snapshot_stride=20).states[-1])
-        a, b = states
+            runs.append(lb.run_fsi(params, 0.02, snapshot_stride=20))
+        a, b = runs
         for ca, cb in zip(a.v, b.v):
-            ref = np.max(np.abs(cb.values))
-            assert np.max(np.abs(scale * ca.values - cb.values)) <= 1e-12 * max(ref, 1e-300)
-        assert np.max(np.abs(scale * a.eta.values - b.eta.values)) <= 1e-12 * np.max(np.abs(b.eta.values))
-        assert np.max(np.abs(scale * a.p.values - b.p.values)) <= 1e-11 * np.max(np.abs(b.p.values))
+            ref = np.max(np.abs(cb[-1]))
+            assert np.max(np.abs(scale * ca[-1] - cb[-1])) <= 1e-12 * max(ref, 1e-300)
+        assert np.max(np.abs(scale * a.eta[-1] - b.eta[-1])) <= 1e-12 * np.max(np.abs(b.eta[-1]))
+        assert np.max(np.abs(scale * a.p[-1] - b.p[-1])) <= 1e-11 * np.max(np.abs(b.p[-1]))
 
     def test_depth_varying_vertical_force_gives_hydrostatic_pressure(self):
         # a horizontally uniform vertical force drives no flow; the recovered
@@ -238,11 +248,10 @@ class TestStep:
         params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3,
                               forcing=forcing)
         traj = lb.run_fsi(params, 0.01, snapshot_stride=10)
-        state = traj.states[-1]
-        assert all(np.max(np.abs(c.values)) < 1e-18 for c in state.v)
+        assert all(np.max(np.abs(c[-1])) < 1e-18 for c in traj.v)
         # d/dy p = eps * y^2 with p(0) = 0 gives p = eps * (y^3 + 1)/3 - eps/3
         ref = model.eps * (vn.nodes**3) / 3.0
-        got = state.p.values[0]
+        got = traj.p[-1][0]
         assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_energy_identity_each_step(self):
@@ -280,37 +289,105 @@ class TestCollocationCrossCheck:
             oracle.step(mode_coeff * smooth_ramp(t_new, 0.05) * np.ones(vn.m))
             eta_oracle[round(t_new, 9)] = oracle.eta
 
-        for state in traj.states[1:]:
-            ref = eta_oracle[round(state.t, 9)]
-            got = state.eta.hat[1]
+        for t, eta in zip(traj.times[1:], traj.eta[1:]):
+            ref = eta_oracle[round(t, 9)]
+            got = grid.rfft(eta)[1]
             assert abs(got - ref) <= 1e-8 * abs(ref)
-        v1_final = traj.states[-1].v[0].hat[1]
+        v1_final = grid.rfft(traj.v[0][-1])[1]
         rel = np.max(np.abs(v1_final - oracle.v1)) / np.max(np.abs(oracle.v1))
         assert rel <= 1e-8
 
 
 class TestInvariantsAndRuns:
     def test_state_invariants(self):
+        # a trajectory's states are records of views of its arrays, and a
+        # state's check is the function's on its snapshot alone
         params = make_params(dt=1e-3, theta=1.0)
         traj = lb.run_fsi(params, 0.05, snapshot_stride=10)
-        info = traj.states[-1].check_invariants(params)
-        assert info["horizontal_top_trace"] == 0.0
+        found = check(params, traj)
+        assert len(traj.states) == len(traj.times) == 6
+        for j, state in enumerate(traj.states):
+            assert state.t == traj.times[j]
+            for got, want in zip((*state.v, state.p, state.eta, state.eta_t),
+                                 (*traj.v, traj.p, traj.eta, traj.eta_t)):
+                assert np.shares_memory(got, want) and np.array_equal(got, want[j])
+            info = state.check_invariants(params)
+            assert all(type(x) is float for x in info.values())
+            assert info == pytest.approx({key: x[j] for key, x in found.items()}, rel=1e-13,
+                                         abs=0.0)
+        assert not np.any(found["horizontal_top_trace"])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_gradient_norm_matches_field_derivatives(self, dim):
         # the scale of the divergence bound, against derivatives of the
         # materialized fields and the per-field channel quadrature
         params = make_params(dim=dim, n=8, m=10, dt=1e-3)
-        state = lb.run_fsi(params, 0.01, snapshot_stride=10).states[-1]
+        traj = lb.run_fsi(params, 0.01, snapshot_stride=10)
         grid, vn, eps = params.grid, params.vnodes, params.model.eps
         parts = []
-        for comp in state.v:
-            parts.append(lb.ChannelField(grid, vn, vn.ops.differentiate(comp.values) / eps))
+        for comp in traj.v:
+            parts.append(vn.ops.differentiate(comp[-1]) / eps)
             for b in range(dim):
                 sym = lb.spectral.derivative_symbol(grid, 1, b)[..., None]
-                parts.append(lb.ChannelField.from_hat(grid, vn, comp.hat * sym))
-        want = np.sqrt(sum(snapshot_channel_sq(f) for f in parts))
-        assert state.check_invariants(params)["grad_norm"] == pytest.approx(want, rel=1e-10)
+                parts.append(grid.irfft(grid.rfft(comp[-1]) * sym))
+        want = np.sqrt(snapshot_channel_sq(parts, vn))
+        assert check(params, traj)["grad_norm"][-1] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_check_equals_the_per_state_one(self, dim):
+        # every snapshot of a run against the per-state check it replaced
+        # (`oracles.state_invariants`): the gradient's norm to 1e-13, the
+        # maxima and the mean exactly.  The divergence is now integrated up
+        # from the bottom wall, not differentiated: both read roundoff here
+        if dim == 1:
+            params = make_params(dt=1e-3, theta=0.5)
+            traj = lb.run_fsi(params, 0.06, snapshot_stride=10)
+        else:
+            # every mode loaded; m = 16 resolves the vertical velocity, whose
+            # divergence reads 7e-7 of the gradient at m = 10
+            grid, vn = lb.PeriodicGrid(dim=2, n=8), lb.VerticalNodes(16)
+            model = lb.ModelParams(eps=2.0**-3, kappa=Fraction(2), theta=1.0, dim=2)
+            params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=4e-3,
+                                  forcing=nyquist_free(grid, _loaded_bump_forcing(grid, vn)))
+            traj = lb.run_fsi(params, 0.12, snapshot_stride=10)
+        found = check(params, traj)
+        assert all(x.shape == traj.times.shape for x in found.values())
+        for j in range(len(traj.times)):
+            want = state_invariants(params, tuple(c[j] for c in traj.v), traj.eta[j],
+                                    traj.eta_t[j])
+            assert want["grad_norm"] > 0 or j == 0
+            assert abs(found["grad_norm"][j] - want["grad_norm"]) <= 1e-13 * want["grad_norm"]
+            for key in ("kinematic_gap", "horizontal_top_trace", "eta_mean"):
+                assert found[key][j] == want[key], key
+            assert found["div_norm"][j] <= 1e-15 * want["grad_norm"]
+            assert want["div_norm"] <= 1e-12 * want["grad_norm"]
+
+    def test_divergence_holds_where_its_nodal_derivative_does_not(self):
+        # at m = 10 the nodal v3 of this 2D run, a profile of degree m on m
+        # nodes, differentiates to a divergence above the bound in the
+        # per-state check; integrated up from the wall it reads roundoff
+        params = make_params(dim=2, n=8, m=10, dt=1e-3, forcing=lb.harmonic_ramp_forcing(
+            lb.PeriodicGrid(dim=2, n=8), lb.VerticalNodes(10), wavevector=(1, 2), component=2,
+            ramp_time=0.02))
+        traj = lb.run_fsi(params, 0.01, snapshot_stride=5)
+        with pytest.raises(InvariantError, match="scaled divergence"):
+            state_invariants(params, tuple(c[-1] for c in traj.v), traj.eta[-1], traj.eta_t[-1])
+        found = check(params, traj)
+        assert np.all(found["div_norm"] <= 1e-15 * found["grad_norm"])
+
+    def test_first_bad_snapshot_is_named(self):
+        # snapshots 2 and 3 both break a bound: the message names snapshot 2,
+        # its time and its own bound
+        params = make_params(dt=1e-3)
+        traj = lb.run_fsi(params, 0.02, snapshot_stride=5)
+        eta, v1 = traj.eta.copy(), traj.v[0].copy()
+        eta[2:] += 1.0
+        v1[3] += 1.0
+        with pytest.raises(InvariantError,
+                           match=r"^eta mean .* at snapshot 2, t = 0\.01$"):
+            lb.fsi.check_invariants(params, traj.times, (v1, traj.v[1]), eta, traj.eta_t)
+        with pytest.raises(InvariantError, match=r"^horizontal top trace .* at snapshot 3, "):
+            lb.fsi.check_invariants(params, traj.times, (v1, traj.v[1]), traj.eta, traj.eta_t)
 
     @pytest.mark.parametrize("kappa", [Fraction(5, 2), 3])
     def test_energy_identity_away_from_kappa_two(self, kappa, caplog):
@@ -320,6 +397,34 @@ class TestInvariantsAndRuns:
         ledger = lb.run_fsi(params, 0.05, snapshot_stride=50).ledger
         assert np.max(ledger.identity_residual_rel()) <= 1e-12
         assert lb.verify.energy_audit(ledger, params).ok
+
+    def test_negative_energy_guard_bound(self):
+        # one energy term at -1e-13 of the largest passes the guard, at
+        # -1e-6 it raises: the plate's kinetic coefficient turned negative
+        # and sized against the fluid energy of a random state
+        params = make_params(dt=1e-3)
+        batch = lb.fsi._Batch([params])
+        rng = np.random.default_rng(7)
+        shape = (2, 1, batch.P * batch.K, batch.mi)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        eta = np.zeros((2, 1, batch.K), dtype=complex)
+        eta_t = np.ones((2, 1, batch.K), dtype=complex)
+        Fq = np.zeros((1,) + shape[1:], dtype=complex)
+
+        def record():
+            columns = np.empty((1, 8, 1))
+            lb.fsi._record(batch, columns, [params.dt], c, eta, eta_t, Fq, np.zeros_like(c))
+            return columns[0, 1:4, 0]
+
+        batch.plate_kin = np.zeros(1)
+        fluid = record()[0]
+        assert fluid > 0
+        plate = 0.5 * np.sum(batch.w * np.abs(eta_t[1, 0]) ** 2)
+        batch.plate_kin = np.array([-1e-13 * fluid / plate])
+        assert record()[1] < 0
+        batch.plate_kin = np.array([-1e-6 * fluid / plate])
+        with pytest.raises(lb.AssemblyError, match="negative energy"):
+            record()
 
     def test_negative_energy_raises(self, monkeypatch):
         # a mass operator of the wrong sign makes the fluid energy negative
@@ -338,7 +443,7 @@ class TestInvariantsAndRuns:
         for dt in (2e-3, 1e-3, 5e-4):
             params = make_params(dt=dt, theta=1.0)
             traj = lb.run_fsi(params, 0.1, snapshot_stride=10**9)
-            results.append(traj.states[-1].eta.values)
+            results.append(traj.eta[-1])
         d1 = np.max(np.abs(results[0] - results[1]))
         d2 = np.max(np.abs(results[1] - results[2]))
         assert 1.7 <= d1 / d2 <= 2.3
@@ -359,7 +464,7 @@ class TestInvariantsAndRuns:
     def test_three_dimensional_step(self):
         params = make_params(dim=2, n=8, m=10, dt=1e-3)
         traj = lb.run_fsi(params, 0.01, snapshot_stride=5)
-        traj.states[-1].check_invariants(params)
+        check(params, traj)
         assert len(traj.ledger) == 10
 
     def test_run_requires_integer_steps(self):
@@ -410,66 +515,73 @@ class TestInvariantsAndRuns:
         # measured against the whole velocity field, not the vanishing trace
         params = make_params(dim=2, n=8, m=10, dt=4e-3)
         traj = lb.run_fsi(params, 0.36, snapshot_stride=30)
-        assert len(traj.states) == 4
-        for state in traj.states:
-            state.check_invariants(params)
+        assert len(traj.times) == 4
+        check(params, traj)
 
     def test_corrupted_state_raises(self):
         params = make_params(dt=1e-3)
-        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
-        bad = replace(state, eta=lb.PeriodicField(params.grid, state.eta.values + 1.0))
+        traj = lb.run_fsi(params, 0.005, snapshot_stride=5)
         with pytest.raises(InvariantError, match="eta mean"):
-            bad.check_invariants(params)
+            lb.fsi.check_invariants(params, traj.times, traj.v, traj.eta + 1.0, traj.eta_t)
 
-    # the state of test_corrupted_state_raises has a velocity scale of
-    # 4.5e-7 and max|eta| 3.9e-9: both bounds are relative to those scales,
-    # so a corruption far below 1 still trips them
+    # the last snapshot of test_corrupted_state_raises has a velocity scale
+    # of 4.5e-7 and max|eta| 3.9e-9: both bounds are relative to those
+    # scales, so a corruption far below 1 still trips them
     def test_small_horizontal_top_trace_raises(self):
         params = make_params(dt=1e-3)
-        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
-        v1, v3 = state.v
-        bad = replace(state, v=(replace(v1, values=v1.values + 0.9e-13), v3))
-        state.check_invariants(params)
+        times, v, eta, eta_t = last_snapshot(lb.run_fsi(params, 0.005, snapshot_stride=5))
+        lb.fsi.check_invariants(params, times, v, eta, eta_t)
+        v[0][:] += 0.9e-13
         with pytest.raises(InvariantError, match="horizontal top trace"):
-            bad.check_invariants(params)
+            lb.fsi.check_invariants(params, times, v, eta, eta_t)
 
     def test_small_eta_mean_raises(self):
         params = make_params(dt=1e-3)
-        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
-        bad = replace(state, eta=lb.PeriodicField(params.grid, state.eta.values + 0.9e-12))
+        times, v, eta, eta_t = last_snapshot(lb.run_fsi(params, 0.005, snapshot_stride=5))
         with pytest.raises(InvariantError, match="eta mean"):
-            bad.check_invariants(params)
+            lb.fsi.check_invariants(params, times, v, eta + 0.9e-12, eta_t)
 
     @pytest.mark.parametrize("branch", ["scaled divergence", "kinematic trace",
-                                        "horizontal top trace"])
+                                        "horizontal top trace", "eta mean"])
     def test_corrupted_velocity_raises(self, branch):
-        # each corruption is 1e-6 of the velocity scale and trips only its own
-        # bound: a wall-free horizontal wave breaks the divergence, a plate
-        # velocity off the top trace breaks the kinematic condition, and a
-        # uniform horizontal shift moves only the horizontal top trace
-        params = make_params(dt=1e-3)
-        state = lb.run_fsi(params, 0.005, snapshot_stride=5).states[-1]
-        grid, vn = params.grid, params.vnodes
-        x, y = grid.meshes[0][:, None], vn.nodes
-        v_scale = max(np.max(np.abs(c.values)) for c in state.v)
-        v1, v3 = state.v
-        if branch == "scaled divergence":
-            wave = np.sin(2 * np.pi * x) * y * (1.0 + y)
-            bad = replace(state, v=(replace(v1, values=v1.values + 1e-6 * v_scale * wave), v3))
-        elif branch == "kinematic trace":
-            lift = 1e-6 * v_scale / lb.eps_power(params.model.eps, -params.model.tau)
-            eta_t = state.eta_t.values + lift * np.cos(2 * np.pi * grid.meshes[0])
-            bad = replace(state, eta_t=lb.PeriodicField(grid, eta_t))
-        else:
-            shift = 1e-6 * max(v_scale, 1.0)
-            bad = replace(state, v=(replace(v1, values=v1.values + shift), v3))
-        state.check_invariants(params)
+        # each corruption trips only its own bound and is sized against it:
+        # at half the bound the check passes, at twice it raises.  A
+        # wall-free horizontal wave breaks the divergence, a plate velocity
+        # off the top trace the kinematic condition, a uniform horizontal
+        # shift only the horizontal top trace, a uniform lift of the plate
+        # only its mean.  In this 2D state the horizontal components set
+        # the velocity scale, 160 times the vertical one
+        params = make_params(dim=2, n=8, m=10, dt=1e-3)
+        traj = lb.run_fsi(params, 0.005, snapshot_stride=5)
+        grid, vn, model = params.grid, params.vnodes, params.model
+        x, y = grid.meshes[0][..., None], vn.nodes
+        grad_norm = lb.fsi.check_invariants(params, *last_snapshot(traj))["grad_norm"][0]
+        v_scale = max(np.max(np.abs(c[-1])) for c in traj.v)
+        assert grad_norm > 0 and v_scale > 100 * np.max(np.abs(traj.v[-1][-1]))
+
+        def corrupted(factor):
+            times, v, eta, eta_t = last_snapshot(traj)
+            if branch == "scaled divergence":
+                # the wave's divergence 2 pi cos(2 pi x) y (1 + y),
+                # integrated up from the wall, is 2 pi cos(2 pi x) (y^3 / 3 +
+                # y^2 / 2 - 1 / 6), whose channel norm is 2 pi sqrt(13 / 2520)
+                amp = factor * 1e-9 * grad_norm / (2 * np.pi * np.sqrt(13 / 2520))
+                v[0][:] += amp * np.sin(2 * np.pi * x) * y * (1.0 + y)
+            elif branch == "kinematic trace":
+                lift = factor * 1e-10 * v_scale / lb.eps_power(model.eps, -model.tau)
+                eta_t[:] += lift * np.cos(2 * np.pi * grid.meshes[0])
+            elif branch == "horizontal top trace":
+                v[0][:] += factor * 1e-13 * v_scale
+            else:
+                eta[:] += factor * 1e-12 * np.max(np.abs(eta))
+            return times, v, eta, eta_t
+
+        lb.fsi.check_invariants(params, *corrupted(0.5))
         with pytest.raises(InvariantError, match=branch):
-            bad.check_invariants(params)
+            lb.fsi.check_invariants(params, *corrupted(2.0))
 
     def test_invariant_checks_survive_optimize_flag(self):
         script = textwrap.dedent("""
-            import dataclasses
             import numpy as np
             import lubelastic as lb
             from lubelastic.errors import InvariantError
@@ -478,10 +590,9 @@ class TestInvariantsAndRuns:
             model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
             params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=1e-3,
                                   forcing=lambda t: (np.zeros((8, 8)),) * 2)
-            state = lb.run_fsi(params, 1e-3).states[-1]
-            bad = dataclasses.replace(state, eta=lb.PeriodicField(grid, state.eta.values + 1.0))
+            traj = lb.run_fsi(params, 1e-3)
             try:
-                bad.check_invariants(params)
+                lb.fsi.check_invariants(params, traj.times, traj.v, traj.eta + 1.0, traj.eta_t)
             except InvariantError:
                 print("raised")
         """)
@@ -532,19 +643,19 @@ class TestNyquistLoad:
         solver = FsiSolver(params)
         spectral = _record_spectral_states(monkeypatch, params)
         traj = lb.run_fsi(params, 10 * params.dt, snapshot_stride=1)
-        assert len(traj.states) == len(spectral) == 11
+        assert len(traj.times) == len(spectral) == 11
         shape = grid.spectral_shape + (vn.m,)
         frame = cartesian_frame(grid)
-        for state, spec in zip(traj.states[1:], spectral[1:]):
+        for j, spec in enumerate(spectral[1:], 1):
             profiles = np.zeros((solver.K, grid.dim, vn.m), dtype=complex)
             profiles[..., 1:-1] = to_cartesian(frame, spec.c).reshape(solver.K, grid.dim, -1)
             want = [profiles[:, a] for a in range(grid.dim)] + [vertical_profile(solver, spec.c)]
             scale = max(np.max(np.abs(w)) for w in want)
             assert scale > 0
-            for field, coeffs in zip(state.v, want):
-                assert np.max(np.abs(field.hat - coeffs.reshape(shape))) <= 1e-12 * scale
+            for field, coeffs in zip(traj.v, want):
+                assert np.max(np.abs(grid.rfft(field[j]) - coeffs.reshape(shape))) <= 1e-12 * scale
             eta = spec.eta.reshape(grid.spectral_shape)
-            assert np.max(np.abs(state.eta.hat - eta)) <= 1e-12 * np.max(np.abs(eta))
+            assert np.max(np.abs(grid.rfft(traj.eta[j]) - eta)) <= 1e-12 * np.max(np.abs(eta))
 
 
 class TestPressureRecovery:
@@ -593,8 +704,8 @@ class TestPressureRecovery:
             p = self._pressure(params, states[i].c, states[i + 1].c, fhat).reshape(shape)
             balance, scale = 0.0, 0.0
             for a in range(dim):
-                v = traj.states[i + 1].v[a].hat
-                v_old = traj.states[i].v[a].hat
+                v = grid.rfft(traj.v[a][i + 1])
+                v_old = grid.rfft(traj.v[a][i])
                 f = fhat[a].reshape(shape) if a in fhat else np.zeros(shape)
                 terms = (f, -model.nu * xi2 * v, model.nu * (v @ D2.T) / model.eps**2,
                          -inert * (v - v_old))
@@ -648,18 +759,18 @@ class TestSparseLuOracle:
             led = traj.ledger
             scale = np.maximum(np.abs(led.lhs(include_numerical=True)), np.abs(led.work))
             assert np.max(np.abs(led.identity_residual()) / scale) <= 1e-12
-        for a, b in zip(old.states[1:], new.states[1:]):
-            v_scale = max(np.max(np.abs(c.values)) for c in a.v)
+        for j in range(1, len(old.times)):
+            v_scale = max(np.max(np.abs(c[j])) for c in old.v)
             assert v_scale > 0
-            for ca, cb in zip(a.v, b.v):
-                assert np.max(np.abs(ca.values - cb.values)) <= 1e-12 * v_scale
-            assert (np.max(np.abs(a.eta.values - b.eta.values))
-                    <= 1e-12 * np.max(np.abs(a.eta.values)))
+            for ca, cb in zip(old.v, new.v):
+                assert np.max(np.abs(ca[j] - cb[j])) <= 1e-12 * v_scale
+            assert (np.max(np.abs(old.eta[j] - new.eta[j]))
+                    <= 1e-12 * np.max(np.abs(old.eta[j])))
             # the plate velocity is a velocity trace: top v3 = t_scale * eta_t
-            assert (t_scale * np.max(np.abs(a.eta_t.values - b.eta_t.values))
+            assert (t_scale * np.max(np.abs(old.eta_t[j] - new.eta_t[j]))
                     <= 1e-12 * v_scale)
-            assert (np.max(np.abs(a.p.values - b.p.values))
-                    <= 1e-11 * np.max(np.abs(a.p.values)))
+            assert (np.max(np.abs(old.p[j] - new.p[j]))
+                    <= 1e-11 * np.max(np.abs(old.p[j])))
 
 
 def _bump_forcing(grid, vn, component, ramp_time=0.02):
@@ -870,10 +981,10 @@ class TestBlockedRunOracle:
         assert len(states) == len(ref_states) + 1
         for got, want in zip(states[1:], ref_states):
             _assert_state_matches(solver, got, want)
-        for state, want in zip(traj.states[1:], ref.states[1:]):
-            p_scale = np.max(np.abs(want.p.values))
+        for got, want in zip(traj.p[1:], ref.p[1:]):
+            p_scale = np.max(np.abs(want))
             assert p_scale > 0
-            assert np.max(np.abs(state.p.values - want.p.values)) <= 1e-12 * p_scale
+            assert np.max(np.abs(got - want)) <= 1e-12 * p_scale
         for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
                      "viscoelastic_dissipation", "numerical_dissipation", "work"):
             got, want = np.array(getattr(traj.ledger, name)), np.array(getattr(ref.ledger, name))
@@ -890,7 +1001,7 @@ class TestBlockedRunOracle:
         solver, traj = self._compare(monkeypatch, params, 60, 7)
         block = self._block(solver)
         assert block > 7 and block % 7 and 60 % block
-        assert len(traj.states) == 1 + 60 // 7 + 1
+        assert len(traj.times) == 1 + 60 // 7 + 1
 
     def test_snapshot_on_first_step_of_block(self, monkeypatch):
         # its second-order pressure quotient reaches two states back, into
@@ -960,17 +1071,15 @@ class TestRunBatch:
     def _assert_states_equal(traj, ref):
         """Times and every snapshot field, all bit for bit."""
         assert np.array_equal(traj.times, ref.times)
-        assert len(traj.states) == len(ref.states)
-        for a, b in zip(traj.states, ref.states):
-            assert a.t == b.t
-            for x, y in zip((*a.v, a.p, a.eta, a.eta_t), (*b.v, b.p, b.eta, b.eta_t)):
-                assert np.array_equal(x.values, y.values)
+        for x, y in zip((*traj.v, traj.p, traj.eta, traj.eta_t),
+                        (*ref.v, ref.p, ref.eta, ref.eta_t), strict=True):
+            assert np.array_equal(x, y)
 
     @classmethod
     def _assert_equal(cls, got, want):
         (traj, spectral), (ref, ref_spectral) = got, want
         cls._assert_states_equal(traj, ref)
-        assert len(spectral) == len(ref_spectral) == len(traj.states)
+        assert len(spectral) == len(ref_spectral) == len(traj.times)
         for a, b in zip(spectral, ref_spectral):
             assert a.t == b.t
             for x, y in zip(a[:3], b[:3]):
@@ -1086,7 +1195,7 @@ class TestRunBatch:
         together = lb.fsi.run_batch(params, cfg.t_end, cfg.snapshot_stride)
         for p, traj in zip(params, together):
             oracle = single_run(FsiSolver(p), cfg.t_end, cfg.snapshot_stride)
-            assert len(traj.states) == 1 + 110 // 20 + 1
+            assert len(traj.times) == 1 + 110 // 20 + 1
             _assert_fields_close(traj, oracle)
             for name in ("fluid_kinetic", "plate_kinetic", "bending", "viscous_dissipation",
                          "viscoelastic_dissipation", "numerical_dissipation", "work"):
@@ -1111,10 +1220,8 @@ def _assert_fields_close(traj, ref, rtol=1e-12):
     """Times equal, and every snapshot of each field kind within rtol of
     the kind's largest value over the reference run."""
     assert np.array_equal(traj.times, ref.times)
-    assert len(traj.states) == len(ref.states)
-    kinds = lambda s: (*s.v, s.p, s.eta, s.eta_t)
-    for i in range(len(kinds(ref.states[0]))):
-        got, want = (np.stack([kinds(s)[i].values for s in t.states]) for t in (traj, ref))
+    kinds = lambda t: (*t.v, t.p, t.eta, t.eta_t)
+    for i, (got, want) in enumerate(zip(kinds(traj), kinds(ref), strict=True)):
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), i
 
 
@@ -1227,10 +1334,10 @@ class TestHarmonicLoad:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 traj = lb.run_fsi(params, 0.01, snapshot_stride=5)
-            assert len(traj.states) == 3
+            assert len(traj.times) == 3
             for f in fields(traj.ledger)[1:]:
                 assert not np.any(getattr(traj.ledger, f.name)), f.name
-            assert not any(np.any(s.p.values) or np.any(s.eta.values) for s in traj.states)
+            assert not np.any(traj.p) and not np.any(traj.eta)
 
 
 class TestForcingTransforms:

@@ -8,7 +8,6 @@ from lubelastic import spectral
 from lubelastic.artifacts import save_snapshots, write_grid
 from lubelastic.errors import GridMismatchError, ParameterError
 from lubelastic.spectral import (
-    ChannelField,
     PeriodicField,
     PeriodicGrid,
     VerticalNodes,
@@ -321,21 +320,22 @@ class TestChebOpsOracle:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def _oracle_bytes(oracle, fld, path):
-    oracle(fld, path)
+def _oracle_bytes(oracle, *args, path):
+    oracle(*args, path)
     return path.read_bytes().replace(b"\r\n", b"\n")
 
 
-def _rebuilt_rows(fld, outdir, vnodes=None) -> bytes:
+def _rebuilt_rows(grid, values, outdir, vnodes=None) -> bytes:
     """The old ``x[,x2][,y3],value`` rows of a field, rebuilt from the
     ``grid.csv`` and the value file written now: `PeriodicField.to_csv` for
-    a plate field, `artifacts.save_snapshots` for a channel field, given
-    its vertical nodes; every number keeps its written text."""
+    a plate field, `artifacts.save_snapshots` for a channel field of nodal
+    values grid.shape + (m,), given its vertical nodes; every number keeps
+    its written text."""
     if vnodes is None:
-        write_grid(outdir, fld.grid)
-        fld.to_csv(outdir / "value_0000.csv")
+        write_grid(outdir, grid)
+        PeriodicField(grid, values).to_csv(outdir / "value_0000.csv")
     else:
-        save_snapshots(outdir, fld.grid, vnodes, {"value": fld.values[None]})
+        save_snapshots(outdir, grid, vnodes, {"value": values[None]})
     grid_rows = (outdir / "grid.csv").read_text().splitlines()
     assert grid_rows[0] == "axis,coordinate"
     axes = {}
@@ -354,42 +354,33 @@ class TestCsvOracle:
     def test_periodic_field(self, dim, n, tmp_path):
         rng = np.random.default_rng(3)
         f = PeriodicField(PeriodicGrid(dim=dim, n=n), rng.standard_normal((n,) * dim))
-        want = _oracle_bytes(periodic_field_csv, f, tmp_path / "old.csv")
-        assert _rebuilt_rows(f, tmp_path) == want
+        want = _oracle_bytes(periodic_field_csv, f, path=tmp_path / "old.csv")
+        assert _rebuilt_rows(f.grid, f.values, tmp_path) == want
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_channel_field(self, dim, n, tmp_path):
         rng = np.random.default_rng(4)
         grid, vn = PeriodicGrid(dim=dim, n=n), VerticalNodes(6)
-        f = ChannelField(grid, vn, rng.standard_normal(grid.shape + (vn.m,)))
-        want = _oracle_bytes(channel_field_csv, f, tmp_path / "old.csv")
-        assert _rebuilt_rows(f, tmp_path, vn) == want
+        values = rng.standard_normal(grid.shape + (vn.m,))
+        want = _oracle_bytes(channel_field_csv, grid, vn, values, path=tmp_path / "old.csv")
+        assert _rebuilt_rows(grid, values, tmp_path, vn) == want
 
 
 class TestChannelField:
-    def test_arithmetic(self, grid1):
-        vn = VerticalNodes(8)
-        rng = np.random.default_rng(11)
-        a, b = (ChannelField(grid1, vn, rng.standard_normal(grid1.shape + (vn.m,)))
-                for _ in range(2))
-        assert np.array_equal((a + b).values, a.values + b.values)
-        assert np.array_equal((a - b).values, a.values - b.values)
-        assert np.array_equal((2.5 * a).values, 2.5 * a.values)
+    """Channel fields held as nodal arrays, grid.shape + (m,)."""
 
     def test_traces_and_norm(self, grid1):
         vn = VerticalNodes(12)
         vals = np.ones(grid1.shape + (vn.m,)) * (vn.nodes + 1.0)
-        f = ChannelField(grid1, vn, vals)
-        assert np.allclose(f.values[..., 0], 0.0)
-        assert np.allclose(f.values[..., -1], 1.0)
+        assert np.allclose(vals[..., 0], 0.0)
+        assert np.allclose(vals[..., -1], 1.0)
         # integral of (y+1)^2 over (-1,0) is 1/3
         norm = thin_norm_L2L2([np.stack([vals, vals])], vn, 1.0, [0.0, 1.0])
         assert norm**2 == pytest.approx(1 / 3, rel=1e-12)
 
     def test_csv(self, grid1, tmp_path):
         vn = VerticalNodes(8)
-        f = ChannelField.zeros(grid1, vn)
-        save_snapshots(tmp_path, grid1, vn, {"chan": f.values[None]})
+        save_snapshots(tmp_path, grid1, vn, {"chan": np.zeros((1,) + grid1.shape + (vn.m,))})
         with open(tmp_path / "chan_0000.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["value"]

@@ -10,7 +10,7 @@ import lubelastic as lb
 from lubelastic import verify
 from lubelastic.errors import DegenerateFitError, GridMismatchError, ParameterError
 from lubelastic.fsi import EnergyLedger
-from lubelastic.spectral import ChannelField, PeriodicField, PeriodicGrid, VerticalNodes
+from lubelastic.spectral import PeriodicField, PeriodicGrid, VerticalNodes
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ class TestThinNorm:
         rng = np.random.default_rng(23)
         values = rng.standard_normal((7,) + grid.shape + (vnodes.m,))
         times = np.linspace(0.0, 0.6, 7)
-        want = [snapshot_channel_sq(ChannelField(grid, vnodes, v)) for v in values]
+        want = [snapshot_channel_sq([v], vnodes) for v in values]
         assert verify.thin_norm_L2L2([values], vnodes, 0.25, times) == float(
             np.sqrt(0.25 * np.trapezoid(np.array(want), times)))
 
@@ -533,7 +533,7 @@ class TestLadderConfig:
                 solving.pop()
 
         monkeypatch.setattr(verify, "solve_reduced", solve_counted)
-        for cls in (ChannelField, PeriodicField, lb.FsiState, lb.FilmState):
+        for cls in (PeriodicField, lb.FsiState, lb.FilmState):
             def built(obj, *args, init=cls.__init__, name=cls.__name__, **kwargs):
                 key = name + (" in the reduced solve" if solving else "")
                 counts[key] = counts.get(key, 0) + 1
