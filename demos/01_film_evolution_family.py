@@ -11,12 +11,12 @@ Run as:  python3 demos/01_film_evolution_family.py
 """
 import numpy as np
 
-from lubelastic import PeriodicField, PeriodicGrid
+from lubelastic import PeriodicGrid
 from lubelastic import thinfilm as tf
 
 grid = PeriodicGrid(dim=1, n=128)
 x = grid.nodes[0]
-eta0 = PeriodicField(grid, 1.0 + 0.3 * np.sin(2 * np.pi * x) + 0.05 * np.cos(6 * np.pi * x))
+eta0 = 1.0 + 0.3 * np.sin(2 * np.pi * x) + 0.05 * np.cos(6 * np.pi * x)  # nodal values
 
 settings = {
     1: dict(dt=1e-5, label="gravity balance (porous-medium form)"),
@@ -26,7 +26,7 @@ settings = {
 
 for alpha, cfg in settings.items():
     model = tf.ThinFilmModel(alpha=alpha, v_D=1.0)
-    run = tf.evolve(model, tf.FilmState(eta0, 0.0), cfg["dt"], 400, snapshot_stride=400)
+    run = tf.evolve(model, tf.FilmState(grid, eta0), cfg["dt"], 400, snapshot_stride=400)
     final = run.snapshots.eta[-1]  # the snapshots along the leading axis
     mass0 = eta0.mean()
     drift = abs(final.mean() - mass0) / (1 + abs(mass0))
@@ -37,8 +37,7 @@ for alpha, cfg in settings.items():
 
 # the linearized sixth-order member decays each mode at exactly c * (2 pi k)^6
 c = 1e-6
-traj = tf.solve_linear_sixth(c, None, eta0 - PeriodicField(grid, np.full(grid.shape, eta0.mean())),
-                             0.5, 1e-3, snapshot_stride=500)
+traj = tf.solve_linear_sixth(c, None, grid, eta0 - eta0.mean(), 0.5, 1e-3, snapshot_stride=500)
 amp0 = abs(traj.hat[0, 1])
 amp1 = abs(traj.hat[-1, 1])
 rate = -np.log(amp1 / amp0) / traj.times[-1]

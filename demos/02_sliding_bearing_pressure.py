@@ -11,28 +11,28 @@ Run as:  python3 demos/02_sliding_bearing_pressure.py
 """
 import numpy as np
 
-from lubelastic import PeriodicField, PeriodicGrid
+from lubelastic import PeriodicGrid
 from lubelastic import thinfilm as tf
-from lubelastic.artifacts import write_grid
+from lubelastic.artifacts import write_csv, write_grid
 
 grid = PeriodicGrid(dim=1, n=256)
 x = grid.nodes[0]
 
 for amp in (0.2, 0.5, 0.8):
-    eta = PeriodicField(grid, 1.0 + amp * np.sin(2 * np.pi * x))
-    p = tf.solve_reynolds_stationary(eta, v_D=1.0, nu=1.0)
-    residual = tf.reynolds_residual(eta, p, v_D=1.0, nu=1.0)
+    eta = 1.0 + amp * np.sin(2 * np.pi * x)  # the gap's nodal values
+    p = tf.solve_reynolds_stationary(grid, eta, v_D=1.0, nu=1.0)
+    residual = tf.reynolds_residual(grid, eta, p, v_D=1.0, nu=1.0)
     # the load metric: peak-to-peak pressure swing
-    swing = p.values.max() - p.values.min()
+    swing = p.max() - p.min()
     print(f"gap amplitude {amp:3.1f}: pressure swing {swing:8.3f}, "
           f"strong-form residual {residual:.2e}")
 
-eta = PeriodicField(grid, 1.0 + 0.5 * np.sin(2 * np.pi * x))
-p = tf.solve_reynolds_stationary(eta, v_D=1.0, nu=1.0)
-p.to_csv("bearing_pressure.csv")
+eta = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+p = tf.solve_reynolds_stationary(grid, eta, v_D=1.0, nu=1.0)
+write_csv("bearing_pressure.csv", ["value"], [p])
 write_grid(".", grid)
 print("\nwrote bearing_pressure.csv: the pressure under the 0.5-amplitude gap, "
       "one value per node in the order of grid.csv")
 print("wrote grid.csv: the coordinate x of each node, one row per node")
 print("doubling the sliding speed doubles the pressure:",
-      np.allclose(tf.solve_reynolds_stationary(eta, v_D=2.0).values, 2.0 * p.values))
+      np.allclose(tf.solve_reynolds_stationary(grid, eta, v_D=2.0), 2.0 * p))

@@ -31,7 +31,6 @@ from .scaling import (
     validate_theorem_regime,
 )
 from .spectral import (
-    PeriodicField,
     PeriodicGrid,
     VerticalNodes,
     dealiased_product,

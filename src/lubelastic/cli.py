@@ -33,7 +33,7 @@ from .errors import (AssemblyError, DegenerateFitError, InvariantError, Paramete
                      PositivityError, UsageError, check_range)
 from .fsi import FsiParams, check_invariants, harmonic_ramp_forcing, run_fsi, stepped_modes
 from .scaling import ModelParams, NonlinearScalingPreset
-from .spectral import PeriodicField, PeriodicGrid, VerticalNodes
+from .spectral import PeriodicGrid, VerticalNodes
 
 CONFIG_VERSION = 1
 INLINE = {"inline": True}  # field metadata: the field's dataclass keys sit in the same object
@@ -152,14 +152,14 @@ class WaveProfile:
     amplitude: float
     wavenumber: int = 1
 
-    def sample(self, grid: PeriodicGrid) -> PeriodicField:
+    def sample(self, grid: PeriodicGrid) -> np.ndarray:
         if abs(self.wavenumber) >= grid.n // 2:  # the same rule as a forcing wavevector
             raise ParameterError(f"wavenumber {self.wavenumber} is not resolved on "
                                  f"n = {grid.n}: |k| must be below {grid.n // 2}")
         arg = 2.0 * np.pi * self.wavenumber * grid.meshes[0]
         if self.kind == "cosine":
-            return PeriodicField(grid, self.amplitude * np.cos(arg))
-        return PeriodicField(grid, 1.0 + self.amplitude * np.sin(arg))
+            return self.amplitude * np.cos(arg)
+        return 1.0 + self.amplitude * np.sin(arg)
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ class ConstantProfile:
     kind: Literal["constant"]
     value: float
 
-    def sample(self, grid: PeriodicGrid) -> PeriodicField:
-        return PeriodicField(grid, np.full(grid.shape, self.value))
+    def sample(self, grid: PeriodicGrid) -> np.ndarray:
+        return np.full(grid.shape, self.value)
 
 
 @dataclass(frozen=True)
@@ -363,12 +363,12 @@ def _write_json(path: str, payload) -> None:
 def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     grid = PeriodicGrid(dim=1, n=cfg.n)
     eta0 = cfg.eta0.sample(grid)
-    if not cfg.model.linearized and eta0.values.min() <= 0.0:
+    if not cfg.model.linearized and eta0.min() <= 0.0:
         raise ParameterError("initial height must be positive under cubic mobility, "
-                             f"min is {eta0.values.min():.3e}")
-    run = thinfilm.evolve(cfg.model, thinfilm.FilmState(eta0, 0.0), cfg.dt, cfg.steps,
+                             f"min is {eta0.min():.3e}")
+    run = thinfilm.evolve(cfg.model, thinfilm.FilmState(grid, eta0), cfg.dt, cfg.steps,
                           snapshot_stride=cfg.snapshot_stride)
-    mass0 = eta0.mean()
+    mass0 = float(eta0.mean())
     mass1 = float(run.snapshots.eta[-1].mean())
 
     traj_path = os.path.join(outdir, "trajectory.csv")
@@ -436,14 +436,14 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
 def _run_reynolds(cfg: ReynoldsRun, outdir: str) -> list[str]:
     grid = PeriodicGrid(dim=1, n=cfg.n)
     eta = cfg.eta0.sample(grid)
-    p = thinfilm.solve_reynolds_stationary(eta, cfg.v_D, cfg.nu)
-    residual = thinfilm.reynolds_residual(eta, p, cfg.v_D, cfg.nu)
+    p = thinfilm.solve_reynolds_stationary(grid, eta, cfg.v_D, cfg.nu)
+    residual = thinfilm.reynolds_residual(grid, eta, p, cfg.v_D, cfg.nu)
     grid_path = write_grid(outdir, grid)
     p_path = os.path.join(outdir, "pressure.csv")
-    p.to_csv(p_path)
+    write_csv(p_path, ["value"], [p])
     summary_path = os.path.join(outdir, "summary.json")
     _write_json(summary_path, {"residual_l2": residual,
-                               "pressure_mean": p.mean(),
+                               "pressure_mean": float(p.mean()),
                                "v_D": cfg.v_D, "nu": cfg.nu})
     return [grid_path, p_path, summary_path]
 

@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .artifacts import save_snapshots, write_csv
-from .errors import AssemblyError, InvariantError, ParameterError, check_range
+from .errors import AssemblyError, GridMismatchError, InvariantError, ParameterError, check_range
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import (PeriodicGrid, VerticalNodes, _step_count, _steps_per_block,
                        nyquist_index)
@@ -741,9 +741,10 @@ def smooth_ramp(t, ramp_time: float):
 class HarmonicLoad:
     """A volume force held as data: one velocity component whose
     coefficients are hat, shape grid.spectral_shape + (m,), times the
-    envelope smooth_ramp(t, ramp_time).  support holds the flat indices of
-    the modes whose coefficients are not all zero.  Called at t, the load
-    gives its d = dim + 1 nodal components, as any forcing callable does."""
+    envelope smooth_ramp(t, ramp_time); it checks all three and freezes a
+    copy of hat.  support holds the flat indices of the modes whose
+    coefficients are not all zero.  Called at t, the load gives its
+    d = dim + 1 nodal components, as any forcing callable does."""
 
     grid: PeriodicGrid
     component: int
@@ -752,8 +753,15 @@ class HarmonicLoad:
     support: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.hat.flags.writeable = False
-        per_mode = self.hat.reshape(-1, self.hat.shape[-1])
+        check_range(0, self.grid.dim + 1, closed=True, integer=True, component=self.component)
+        check_range(ramp_time=self.ramp_time)
+        hat = np.array(self.hat, dtype=complex)
+        if hat.shape[:-1] != self.grid.spectral_shape:
+            raise GridMismatchError(f"load coefficients of shape {hat.shape} are not "
+                                    f"{self.grid.spectral_shape} plus one vertical axis")
+        hat.flags.writeable = False
+        object.__setattr__(self, "hat", hat)
+        per_mode = hat.reshape(-1, hat.shape[-1])
         object.__setattr__(self, "support", np.flatnonzero(per_mode.any(axis=1)))
 
     def __call__(self, t: float) -> tuple[np.ndarray, ...]:
@@ -775,8 +783,6 @@ def harmonic_ramp_forcing(grid: PeriodicGrid, vnodes: VerticalNodes,
     wavevector = tuple(wavevector)
     if len(wavevector) != grid.dim:
         raise ParameterError(f"wavevector must have {grid.dim} entries")
-    check_range(0, grid.dim + 1, closed=True, integer=True, component=component)
-    check_range(ramp_time=ramp_time)
     check_range(-np.inf, np.inf, amplitude=amplitude)
     if any(abs(k) >= grid.n // 2 or not hasattr(type(k), "__index__") for k in wavevector):
         # |k| > n/2 aliases, k = n/2 samples sin to zero, a fractional k is not periodic

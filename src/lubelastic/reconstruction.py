@@ -32,7 +32,6 @@ from .errors import GridMismatchError, ParameterError
 from .fsi import sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
-    PeriodicField,
     PeriodicGrid,
     VerticalNodes,
     _steps_per_block,
@@ -161,7 +160,7 @@ def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes
     """Drive the reduced evolution d/dt eta - c (Lap')^3 eta = F(t) by the
     depth-integrated force of the full-order problem."""
     source = reduced_source(forcing, params.nu, grid, vnodes)
-    traj = solve_linear_sixth(params.reduced_coefficient, source, PeriodicField.zeros(grid),
+    traj = solve_linear_sixth(params.reduced_coefficient, source, grid, np.zeros(grid.shape),
                               t_end, dt, snapshot_stride=snapshot_stride)
     return ReducedSolution(grid, traj.times, traj.eta)
 

@@ -2,7 +2,9 @@
 
 Horizontal directions live on the unit torus (0,1)^dim sampled at n uniform
 nodes per direction, with derivatives applied through the Fourier symbol
-(2*pi*i*k)**order.  The vertical direction lives on (-1, 0) sampled at
+(2*pi*i*k)**order.  A horizontal field is a plain array of nodal values,
+shape grid.shape; `PeriodicGrid.check` is the one shape rule of every
+function that takes one.  The vertical direction lives on (-1, 0) sampled at
 Chebyshev-Gauss-Lobatto points.  `ChebOps` inverts the Vandermonde matrix
 once, differentiates and integrates all cardinal polynomials together in
 Chebyshev coefficient space, and evaluates the results through Vandermonde
@@ -33,12 +35,10 @@ from functools import cached_property, reduce
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .artifacts import write_csv
 from .errors import GridMismatchError, ParameterError, check_range
 
 __all__ = [
     "PeriodicGrid",
-    "PeriodicField",
     "VerticalNodes",
     "spectral_derivative",
     "dealiased_product",
@@ -46,7 +46,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# horizontal grids and fields
+# horizontal grids
 # ----------------------------------------------------------------------
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -108,6 +108,15 @@ class PeriodicGrid:
     def spectral_shape(self) -> tuple[int, ...]:
         return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
+    def check(self, values) -> np.ndarray:
+        """values as a float array; GridMismatchError unless it has the grid's shape."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.shape:
+            raise GridMismatchError(
+                f"values shape {values.shape} does not match grid shape {self.shape}"
+            )
+        return values
+
     def rfft(self, values: np.ndarray) -> np.ndarray:
         """Forward real transform over the horizontal axes, normalized."""
         if self.dim == 1:
@@ -120,66 +129,14 @@ class PeriodicGrid:
         return np.fft.irfftn(coeffs * self.n**2, s=self.shape, axes=(0, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicField:
-    """Real scalar field on a periodic horizontal grid."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_hat(cls, grid: PeriodicGrid, coeffs: np.ndarray) -> "PeriodicField":
-        return cls(grid, grid.irfft(coeffs))
-
-    @classmethod
-    def zeros(cls, grid: PeriodicGrid) -> "PeriodicField":
-        return cls(grid, np.zeros(grid.shape))
-
-    @property
-    def hat(self) -> np.ndarray:
-        return self.grid.rfft(self.values)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def __add__(self, other):
-        self._check(other)
-        return PeriodicField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PeriodicField(self.grid, self.values - other.values)
-
-    def __mul__(self, a: float):
-        return PeriodicField(self.grid, self.values * a)
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if not (isinstance(other, PeriodicField) and other.grid.shape == self.grid.shape):
-            raise GridMismatchError("fields live on different grids")
-
-    def to_csv(self, path) -> None:
-        """Write the values, one row per node in C order over (x[, x2]); the
-        run's ``grid.csv`` holds the coordinates (`artifacts.write_grid`)."""
-        write_csv(path, ["value"], [self.values])
-
-
-def spectral_derivative(f: PeriodicField, order: int, axis: int = 0) -> PeriodicField:
-    """Differentiate through the Fourier symbol; exact for band-limited fields.
+def spectral_derivative(grid: PeriodicGrid, values, order: int, axis: int = 0) -> np.ndarray:
+    """Nodal derivative of nodal values through the Fourier symbol; exact for
+    band-limited values.
 
     Odd orders zero the Nyquist mode (its derivative is not representable on
-    the grid) and always return a zero-mean field.
+    the grid) and always return zero-mean values.
     """
-    return PeriodicField.from_hat(f.grid, f.hat * derivative_symbol(f.grid, order, axis))
+    return grid.irfft(grid.rfft(grid.check(values)) * derivative_symbol(grid, order, axis))
 
 
 def derivative_symbol(grid: PeriodicGrid, order: int, axis: int = 0) -> np.ndarray:
@@ -226,20 +183,17 @@ def laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
     return -sum(x**2 for x in grid.xi)
 
 
-def dealiased_product(*factors: PeriodicField) -> PeriodicField:
-    """Nodal product of fields on a 3/2 zero-padded 1D grid; a repeated factor is padded once.
-    GridMismatchError unless every factor has the first factor's grid shape."""
+def dealiased_product(grid: PeriodicGrid, *factors) -> np.ndarray:
+    """Nodal product of nodal values on a 3/2 zero-padded 1D grid; a factor
+    passed more than once (the same object) is padded once."""
     if not factors:
         raise ParameterError("need at least one factor")
-    grid = factors[0].grid
     if grid.dim != 1:
         raise ParameterError("the 3/2 dealiasing is one-dimensional")
-    if any(f.grid.shape != grid.shape for f in factors):
-        raise GridMismatchError("factors live on different grids")
     distinct = {id(f): f for f in factors}
-    padded = {key: padded_values(grid, f.hat) for key, f in distinct.items()}
+    padded = {key: padded_values(grid, grid.rfft(grid.check(f))) for key, f in distinct.items()}
     prod = reduce(np.multiply, (padded[id(f)] for f in factors))
-    return PeriodicField.from_hat(grid, truncated_hat(grid, prod))
+    return grid.irfft(truncated_hat(grid, prod))
 
 
 def padded_values(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:

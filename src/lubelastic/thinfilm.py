@@ -13,11 +13,12 @@ the cubic mobility by the constant coefficient c.
 Time stepping is semi-implicit: the leading operator with the mobility
 frozen at its maximum is inverted through its Fourier symbol, everything
 else is explicit.  The divergence form is applied spectrally as the last
-operation, so the mean of eta is conserved to roundoff.  A `FilmState`
-carries the Fourier coefficients of eta beside its nodal values.  `evolve`
-integrates a whole run in one call, on raw (values, coefficients) arrays,
-and returns its snapshots as a `FilmTrajectory`, one array per field with
-the snapshots along the leading axis.
+operation, so the mean of eta is conserved to roundoff.  Heights and
+pressures are plain arrays of nodal values on a `PeriodicGrid`, passed with
+the grid.  A `FilmState` holds one height's nodal values and Fourier
+coefficients.  `evolve` integrates a whole run in one call, on raw (values,
+coefficients) arrays, and returns its snapshots as a `FilmTrajectory`, one
+array per field with the snapshots along the leading axis.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -26,14 +27,13 @@ closed form through the periodic flux balance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
 
 from .errors import ParameterError, PositivityError, check_range
 from .spectral import (
-    PeriodicField,
     PeriodicGrid,
     _step_count,
     dealiased_product,
@@ -96,19 +96,21 @@ class ThinFilmModel:
         return (-1.0) ** ((self.alpha - 1) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilmState:
-    """Film height at time t; hat holds its coefficients, computed from eta
-    when omitted."""
+    """Film height at time t: nodal values eta, grid.shape, and their
+    coefficients hat, computed from eta when omitted."""
 
-    eta: PeriodicField
+    grid: PeriodicGrid
+    eta: np.ndarray
     t: float = 0.0
-    hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "eta", self.grid.check(self.eta))
         check_range(-np.inf, np.inf, t=self.t)
         if self.hat is None:
-            object.__setattr__(self, "hat", self.eta.hat)
+            object.__setattr__(self, "hat", self.grid.rfft(self.eta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +232,9 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
     check_range(dt=dt)
     check_range(1, closed=True, integer=True, steps=steps, snapshot_stride=snapshot_stride)
     check_range(-np.inf, np.inf, floor=floor)
-    grid = state.eta.grid
+    grid = state.grid
     op = _FilmOperator(model, grid)
-    values, hat, t = state.eta.values, state.hat, state.t
+    values, hat, t = state.eta, state.hat, state.t
     lo, hi = values.min(), values.max()
     times = np.empty(steps + 1)
     energy = np.empty(steps + 1)
@@ -243,9 +245,7 @@ def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
 
     def current():
         """The last accepted state, for an error report."""
-        if substeps == 0:
-            return state
-        return FilmState(PeriodicField(grid, values), t + (dt - remaining), hat)
+        return FilmState(grid, values, t + (dt - remaining), hat)
 
     for i in range(steps):
         remaining = sub = dt
@@ -293,7 +293,7 @@ def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
     return grid.mode_weights * sym
 
 
-def solve_linear_sixth(c: float, F, eta0: PeriodicField, t_end: float, dt: float,
+def solve_linear_sixth(c: float, F, grid: PeriodicGrid, eta0, t_end: float, dt: float,
                        snapshot_stride: int = 1) -> FilmTrajectory:
     """Integrate d/dt eta - c (Lap')^3 eta = F mode-exactly.
 
@@ -306,7 +306,7 @@ def solve_linear_sixth(c: float, F, eta0: PeriodicField, t_end: float, dt: float
         endpoints in one call and integrated by the exponential
         trapezoidal rule, which is exact for sources at most linear in time
         at any stiffness, second-order accurate otherwise.
-    eta0 : initial height.
+    grid, eta0 : the grid and the initial height's nodal values on it.
     t_end, dt : horizon and step; t_end must be an integer number of steps.
     snapshot_stride : keep every stride-th state (the initial and final states
         are always kept).
@@ -317,14 +317,14 @@ def solve_linear_sixth(c: float, F, eta0: PeriodicField, t_end: float, dt: float
     check_range(c=c)
     nsteps = _step_count(t_end, dt)
     check_range(1, closed=True, integer=True, snapshot_stride=snapshot_stride)
-    grid = eta0.grid
+    eta0 = grid.check(eta0)
     lam = c * (-laplacian_symbol(grid)) ** 3  # decay rate per mode, >= 0
     z = -lam * dt
     decay = np.exp(z)
     phi1, phi2 = _phi1(z), _phi2(z)
 
     times = dt * np.arange(nsteps + 1)
-    hat = eta0.hat
+    hat = grid.rfft(eta0)
     kept, hats = [0], [hat]
     gain = None
     if F is not None:
@@ -345,7 +345,7 @@ def solve_linear_sixth(c: float, F, eta0: PeriodicField, t_end: float, dt: float
             hats.append(hat)
     hats = np.array(hats)
     # the initial height as given, one inverse transform for all the others
-    eta = np.concatenate([eta0.values[None],
+    eta = np.concatenate([eta0[None],
                           np.moveaxis(grid.irfft(np.moveaxis(hats[1:], 0, -1)), -1, 0)])
     return FilmTrajectory(grid, times[kept], eta, hats)
 
@@ -362,39 +362,38 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(big, (np.expm1(z) - z) / np.where(big, z, 1.0) ** 2, 0.5 + z / 6.0)
 
 
-def solve_reynolds_stationary(eta: PeriodicField, v_D: float, nu: float = 1.0) -> PeriodicField:
+def solve_reynolds_stationary(grid: PeriodicGrid, eta, v_D: float, nu: float = 1.0) -> np.ndarray:
     """Stationary pressure under a profile eta sliding over a wall at speed v_D.
 
     Solves -d/dx(eta**3 dp/dx) = -6 nu v_D d/dx eta on the periodic line in
     closed form: integrating once gives eta**3 p' = 6 nu v_D eta + const,
     and the constant is fixed by requiring p' to have zero mean so that p is
     periodic.  nu = 1 recovers the classical normalized equation.  Returns
-    the unique zero-mean pressure.
+    the nodal values of the unique zero-mean pressure.
     """
-    if eta.grid.dim != 1:
+    if grid.dim != 1:
         raise ParameterError("the stationary pressure problem is one-dimensional")
     check_range(nu=nu)
     check_range(-np.inf, np.inf, v_D=v_D)
-    h = eta.values
+    h = grid.check(eta)
     if not h.min() > 0.0:
         raise ParameterError(f"profile must be strictly positive, min is {h.min():.3e}")
     inv2 = h**-2
     inv3 = h**-3
     flux_const = -6.0 * nu * v_D * inv2.mean() / inv3.mean()
     dp = (6.0 * nu * v_D * h + flux_const) * inv3
-    dp_hat = eta.grid.rfft(dp)
-    xi = eta.grid.xi[0]
+    dp_hat = grid.rfft(dp)
     p_hat = np.zeros_like(dp_hat)
-    p_hat[1:] = dp_hat[1:] / (1j * xi[1:])
-    return PeriodicField.from_hat(eta.grid, p_hat)
+    p_hat[1:] = dp_hat[1:] / (1j * grid.xi[0][1:])
+    return grid.irfft(p_hat)
 
 
-def reynolds_residual(eta: PeriodicField, p: PeriodicField, v_D: float, nu: float = 1.0) -> float:
-    """L2 residual of the stationary strong form for a candidate pressure."""
+def reynolds_residual(grid: PeriodicGrid, eta, p, v_D: float, nu: float = 1.0) -> float:
+    """L2 residual of the stationary strong form for a candidate pressure,
+    both given as nodal values on the grid."""
     check_range(nu=nu)
     check_range(-np.inf, np.inf, v_D=v_D)
-    dp = spectral_derivative(p, 1)
-    flux = dealiased_product(eta, eta, eta, dp)
-    lhs = -spectral_derivative(flux, 1).values
-    rhs_ = -6.0 * nu * v_D * spectral_derivative(eta, 1).values
+    flux = dealiased_product(grid, eta, eta, eta, spectral_derivative(grid, p, 1))
+    lhs = -spectral_derivative(grid, flux, 1)
+    rhs_ = -6.0 * nu * v_D * spectral_derivative(grid, eta, 1)
     return float(np.sqrt(np.mean((lhs - rhs_) ** 2)))

@@ -197,19 +197,19 @@ class LoopChebOps:
 # The row-loop CSV writers the field, ledger and CLI artifacts used before
 # they shared one writer.  The `csv` module ends rows with "\r\n".
 
-def periodic_field_csv(f, path) -> None:
+def periodic_field_csv(grid, values, path) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if f.grid.dim == 1:
+        if grid.dim == 1:
             writer.writerow(["x", "value"])
-            for x, v in zip(f.grid.nodes[0], f.values):
+            for x, v in zip(grid.nodes[0], values):
                 writer.writerow([repr(float(x)), repr(float(v))])
         else:
             writer.writerow(["x1", "x2", "value"])
-            X, Y = f.grid.meshes
-            for x, y, v in zip(X.ravel(), Y.ravel(), f.values.ravel()):
+            X, Y = grid.meshes
+            for x, y, v in zip(X.ravel(), Y.ravel(), values.ravel()):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
 
 
@@ -665,55 +665,51 @@ class StackedStep:
 
 # The film step as it was taken before the state carried its
 # Fourier coefficients: every sub-step transforms the nodal height afresh,
-# differentiates through a nodal field, and pads every factor of a product
-# separately; every `.hat` is a new forward transform.
+# differentiates through nodal values, and pads every factor of a product
+# separately; every coefficient is a new forward transform.
 
-def nodal_dealiased_product(*factors):
-    """1D product of fields on the 3/2 grid, each factor padded on its own."""
-    from lubelastic.spectral import PeriodicField
-
-    grid = factors[0].grid
+def nodal_dealiased_product(grid, *factors):
+    """1D product of nodal values on the 3/2 grid, each factor padded on its own."""
     n = grid.n
     npad = 3 * n // 2
     prod = np.ones(npad)
     for f in factors:
         pad = np.zeros(npad // 2 + 1, dtype=complex)
-        pad[: n // 2 + 1] = np.fft.rfft(f.values) / n
+        pad[: n // 2 + 1] = np.fft.rfft(f) / n
         prod = prod * np.fft.irfft(pad * npad, npad)
     hat = np.fft.rfft(prod)[: n // 2 + 1] / npad
-    return PeriodicField.from_hat(grid, hat)
+    return grid.irfft(hat)
 
 
-def nodal_film_rhs(model, eta):
-    from lubelastic.spectral import PeriodicField, spectral_derivative
+def nodal_film_rhs(model, grid, eta):
+    from lubelastic.spectral import spectral_derivative
 
-    xi = eta.grid.xi[0]
-    hat = eta.hat
+    xi = grid.xi[0]
+    hat = grid.rfft(eta)
     out = np.zeros_like(hat)
     if model.linearized:
         out += model.sign * model.c * (1j * xi) ** (model.alpha + 1) * hat
     else:
-        if eta.values.min() <= 0.0:
+        if eta.min() <= 0.0:
             raise ValueError("nonpositive film height under cubic mobility")
-        d_alpha = spectral_derivative(eta, model.alpha)
-        flux = nodal_dealiased_product(eta, eta, eta, d_alpha)
-        out += model.sign * model.mobility_scale * (1j * xi) * flux.hat
+        d_alpha = spectral_derivative(grid, eta, model.alpha)
+        flux = nodal_dealiased_product(grid, eta, eta, eta, d_alpha)
+        out += model.sign * model.mobility_scale * (1j * xi) * grid.rfft(flux)
         if model.potential is not None:
-            dphi = PeriodicField(eta.grid, np.asarray(model.potential(eta.values), dtype=float))
-            dphi_x = spectral_derivative(dphi, 1)
-            pot_flux = nodal_dealiased_product(eta, eta, eta, dphi_x)
-            out += (1j * xi) * pot_flux.hat
+            dphi = np.asarray(model.potential(eta), dtype=float)
+            dphi_x = spectral_derivative(grid, dphi, 1)
+            pot_flux = nodal_dealiased_product(grid, eta, eta, eta, dphi_x)
+            out += (1j * xi) * grid.rfft(pot_flux)
     if model.v_D != 0.0:
         out -= model.drift_prefactor * model.v_D * (1j * xi) * hat
     out[0] = 0.0
-    return PeriodicField.from_hat(eta.grid, out)
+    return grid.irfft(out)
 
 
-def nodal_film_step(model, eta, t, dt, floor=1e-6, max_halvings=20):
-    """Advance (eta, t) by dt; returns (eta, t, number of sub-steps tried)."""
-    from lubelastic.spectral import PeriodicField
-
-    xi = eta.grid.xi[0]
+def nodal_film_step(model, grid, eta, t, dt, floor=1e-6, max_halvings=20):
+    """Advance the nodal height eta at t by dt; returns (eta, t, number of
+    sub-steps tried)."""
+    xi = grid.xi[0]
     remaining = dt
     sub = dt
     halvings = 0
@@ -721,12 +717,13 @@ def nodal_film_step(model, eta, t, dt, floor=1e-6, max_halvings=20):
     while remaining > 1e-14 * dt:
         tried += 1
         sub = min(sub, remaining)
-        gain = model.c if model.linearized else model.mobility_scale * float(eta.values.max()) ** 3
+        gain = model.c if model.linearized else model.mobility_scale * float(eta.max()) ** 3
         L = -gain * xi ** (model.alpha + 1)
-        hat = eta.hat
-        new_hat = (hat + sub * (nodal_film_rhs(model, eta).hat - L * hat)) / (1.0 - sub * L)
-        candidate = PeriodicField.from_hat(eta.grid, new_hat)
-        if not model.linearized and candidate.values.min() < floor:
+        hat = grid.rfft(eta)
+        rhs = grid.rfft(nodal_film_rhs(model, grid, eta))
+        new_hat = (hat + sub * (rhs - L * hat)) / (1.0 - sub * L)
+        candidate = grid.irfft(new_hat)
+        if not model.linearized and candidate.min() < floor:
             halvings += 1
             if halvings > max_halvings:
                 raise ValueError("positivity floor unreachable")
@@ -737,16 +734,16 @@ def nodal_film_step(model, eta, t, dt, floor=1e-6, max_halvings=20):
     return eta, t + dt, tried
 
 
-def nodal_film_energy(model, eta):
-    w = eta.grid.mode_weights
-    xi2 = eta.grid.xi[0] ** 2
+def nodal_film_energy(model, grid, eta):
+    w = grid.mode_weights
+    xi2 = grid.xi[0] ** 2
     if model.linearized or model.alpha == 1:
         sym = np.ones_like(xi2)
     elif model.alpha == 3:
         sym = xi2
     else:
         sym = xi2**2
-    return float(0.5 * np.sum(w * sym * np.abs(eta.hat) ** 2))
+    return float(0.5 * np.sum(w * sym * np.abs(grid.rfft(eta)) ** 2))
 
 
 # The transforms as `spectral` made them before 1D grids called
@@ -822,29 +819,28 @@ def branched_grid_arrays(grid):
 # The film step as it was taken before runs were integrated in
 # one call: every sub-step rebuilds the symbols, transforms through the
 # `rfftn` helpers above, pads each factor into a fresh buffer and makes a
-# new `PeriodicField` and `FilmState`; the energy is a separate call.
+# new `FilmState`; the energy is a separate call.
 
 def spectral_film_rhs_hat(model, state):
     from lubelastic.errors import ParameterError, PositivityError
     from lubelastic.spectral import derivative_symbol
 
-    eta, hat = state.eta, state.hat
-    if eta.grid.dim != 1:
+    grid, eta, hat = state.grid, state.eta, state.hat
+    if grid.dim != 1:
         raise ParameterError("the film family is one-dimensional")
-    if not np.all(np.isfinite(eta.values)):
+    if not np.all(np.isfinite(eta)):
         raise ParameterError("film height contains non-finite values")
-    grid = eta.grid
     div = derivative_symbol(grid, 1)
     if model.linearized:
         out = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) * hat
     else:
-        if eta.values.min() <= 0.0:
+        if eta.min() <= 0.0:
             raise PositivityError("nonpositive film height under cubic mobility",
                                   last_state=state)
         gain = model.sign * model.mobility_scale
         slope = gain * rfftn_padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
         if model.potential is not None:
-            dphi = rfftn_rfft(grid, np.asarray(model.potential(eta.values), dtype=float))
+            dphi = rfftn_rfft(grid, np.asarray(model.potential(eta), dtype=float))
             slope = slope + rfftn_padded_values(grid, div * dphi)
         e = rfftn_padded_values(grid, hat)
         out = div * rfftn_truncated_hat(grid, e * e * e * slope)
@@ -857,10 +853,9 @@ def spectral_film_rhs_hat(model, state):
 def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
     """Advance a `FilmState` by dt; returns (new state, accepted sub-steps)."""
     from lubelastic.errors import PositivityError
-    from lubelastic.spectral import PeriodicField
     from lubelastic.thinfilm import FilmState
 
-    grid = state.eta.grid
+    grid = state.grid
     xi = grid.xi[0]
     cur = state
     remaining = dt
@@ -872,11 +867,11 @@ def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
         if model.linearized:
             gain = model.c
         else:
-            gain = model.mobility_scale * float(cur.eta.values.max()) ** 3
+            gain = model.mobility_scale * float(cur.eta.max()) ** 3
         L = -gain * xi ** (model.alpha + 1)
         hat = (cur.hat + sub * (spectral_film_rhs_hat(model, cur) - L * cur.hat)) / (1.0 - sub * L)
-        eta = PeriodicField(grid, rfftn_irfft(grid, hat))
-        if not model.linearized and eta.values.min() < floor:
+        eta = rfftn_irfft(grid, hat)
+        if not model.linearized and eta.min() < floor:
             halvings += 1
             if halvings > max_halvings:
                 raise PositivityError("positivity floor unreachable", last_state=cur)
@@ -884,12 +879,12 @@ def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
             continue
         remaining -= sub
         accepted += 1
-        cur = FilmState(eta, state.t + (dt - remaining), hat)
-    return FilmState(cur.eta, state.t + dt, cur.hat), accepted
+        cur = FilmState(grid, eta, state.t + (dt - remaining), hat)
+    return FilmState(grid, cur.eta, state.t + dt, cur.hat), accepted
 
 
 def spectral_film_energy(model, state):
-    grid = state.eta.grid
+    grid = state.grid
     xi2 = grid.xi[0] ** 2
     if model.linearized or model.alpha == 1:
         sym = np.ones_like(xi2)
@@ -901,7 +896,7 @@ def spectral_film_energy(model, state):
 
 
 # The mode-exact sixth-order solve as it was before its snapshots were held
-# as arrays: one `PeriodicField.from_hat` and one `FilmState` per snapshot,
+# as arrays: one inverse transform and one `FilmState` per snapshot,
 # and the phi functions filled through boolean masks.
 
 def masked_phi1(z):
@@ -922,18 +917,17 @@ def masked_phi2(z):
     return out
 
 
-def snapshot_solve_linear_sixth(c, F, eta0, t_end, dt, snapshot_stride=1):
+def snapshot_solve_linear_sixth(c, F, grid, eta0, t_end, dt, snapshot_stride=1):
     """The kept `FilmState`s of d/dt eta - c (Lap')^3 eta = F, integrated
     mode-exactly by the exponential trapezoidal rule."""
-    from lubelastic.spectral import PeriodicField, _step_count, laplacian_symbol
+    from lubelastic.spectral import _step_count, laplacian_symbol
     from lubelastic.thinfilm import FilmState
 
     nsteps = _step_count(t_end, dt)
-    grid = eta0.grid
     lam = c * (-laplacian_symbol(grid)) ** 3
     z = -lam * dt
     decay, phi1, phi2 = np.exp(z), masked_phi1(z), masked_phi2(z)
-    states = [FilmState(eta0, 0.0)]
+    states = [FilmState(grid, eta0, 0.0)]
     hat = states[0].hat
     times = dt * np.arange(nsteps + 1)
     gain = None
@@ -945,7 +939,7 @@ def snapshot_solve_linear_sixth(c, F, eta0, t_end, dt, snapshot_stride=1):
         if gain is not None:
             hat = hat + gain[i]
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-            states.append(FilmState(PeriodicField.from_hat(grid, hat), float(times[i + 1]), hat))
+            states.append(FilmState(grid, grid.irfft(hat), float(times[i + 1]), hat))
     return states
 
 
@@ -1271,13 +1265,6 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
 # `compare_trajectories` takes the norms snapshot by snapshot on differences
 # of fields.
 
-def reduced_fields(reduced):
-    """The snapshots of a `reconstruction.ReducedSolution` as fields."""
-    from lubelastic.spectral import PeriodicField
-
-    return [PeriodicField(reduced.grid, eta) for eta in reduced.eta]
-
-
 def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one transform per snapshot and component."""
     from lubelastic.reconstruction import _limit_map
@@ -1293,7 +1280,7 @@ def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     v = tuple(tuple(grid.irfft(eps**2 * vh[j]) for vh in v_hat)
               for j in range(len(reduced.times)))
     p = tuple(np.repeat(grid.irfft(ph)[..., None], vnodes.m, axis=-1) for ph in p_hat)
-    eta = [eps_kappa * f.values for f in reduced_fields(reduced)]
+    eta = [eps_kappa * e for e in reduced.eta]
     return stacked_triple(reduced.times, v, p, eta)
 
 
@@ -1307,31 +1294,28 @@ def snapshot_channel_sq(comps, vnodes):
     return total
 
 
-def snapshot_h2_norm(field):
-    """Full H2 norm of one field."""
+def snapshot_h2_norm(grid, values):
+    """Full H2 norm of one field's nodal values."""
     from lubelastic.spectral import laplacian_symbol
 
-    grid = field.grid
     xi2 = -laplacian_symbol(grid)
     sym = 1.0 + xi2 + xi2**2
-    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(field.hat) ** 2)))
+    return float(np.sqrt(np.sum(grid.mode_weights * sym * np.abs(grid.rfft(values)) ** 2)))
 
 
 def snapshot_compare(traj, approx):
     """The three error norms between a trajectory and a triple, snapshot by
     snapshot."""
-    from lubelastic.spectral import PeriodicField
-
     eps = traj.params.model.eps
     grid, vnodes = traj.params.grid, traj.params.vnodes
     v_diffs, p_diffs, eta_diffs = [], [], []
     for j in range(len(traj.times)):
         v_diffs.append(tuple(sv[j] - av[j] for sv, av in zip(traj.v, approx.v)))
         p_diffs.append((traj.p[j] - approx.p[j],))
-        eta_diffs.append(PeriodicField(grid, traj.eta[j] - approx.eta[j]))
+        eta_diffs.append(traj.eta[j] - approx.eta[j])
     l2l2 = lambda diffs: float(np.sqrt(eps * np.trapezoid(
         np.array([snapshot_channel_sq(d, vnodes) for d in diffs]), traj.times)))
-    return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(f) for f in eta_diffs)
+    return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(grid, e) for e in eta_diffs)
 
 
 # The reconstruction as `reconstruction.assemble_approx` and
@@ -1340,26 +1324,24 @@ def snapshot_compare(traj, approx):
 # sampled again, nodal force profiles and spectral derivatives of each
 # nodal field.
 
-def limit_pressure(eta, B):
+def limit_pressure(grid, eta, B):
     """Limit pressure B * (Lap')^2 eta; independent of the vertical variable."""
-    from lubelastic.spectral import PeriodicField, laplacian_symbol
+    from lubelastic.spectral import laplacian_symbol
 
-    grid = eta.grid
-    return PeriodicField.from_hat(grid, B * laplacian_symbol(grid) ** 2 * eta.hat)
+    return grid.irfft(B * laplacian_symbol(grid) ** 2 * grid.rfft(eta))
 
 
-def horizontal_velocity(p, f_horizontal, nu, vnodes):
+def horizontal_velocity(grid, p, f_horizontal, nu, vnodes):
     """Limit horizontal velocity profiles v_a = y (y+1)/(2 nu) * d_a p + F_a,
     nodal, from the nodal horizontal force components (None: unforced)."""
     from lubelastic.reconstruction import _force_profiles
     from lubelastic.spectral import spectral_derivative
 
-    grid = p.grid
     y = vnodes.nodes
     poise = y * (y + 1.0) / (2.0 * nu)
     out = []
     for a in range(grid.dim):
-        vals = spectral_derivative(p, 1, axis=a).values[..., None] * poise
+        vals = spectral_derivative(grid, p, 1, axis=a)[..., None] * poise
         if f_horizontal is not None:
             vals = vals + _force_profiles(np.asarray(f_horizontal[a], dtype=float), nu, vnodes)
         out.append(vals)
@@ -1383,19 +1365,18 @@ def vertical_velocity(grid, vnodes, *horizontal, eps=1.0):
 def flux_rate(grid, vnodes, v_components):
     """Rate of displacement implied by the depth flux of the nodal
     horizontal velocities: -sum_a d_a int_{-1}^0 v_a dy3."""
-    from lubelastic.spectral import PeriodicField, spectral_derivative
+    from lubelastic.spectral import spectral_derivative
 
     out = np.zeros(grid.shape)
     for a, comp in enumerate(v_components):
-        depth = comp @ vnodes.weights
-        out -= spectral_derivative(PeriodicField(grid, depth), 1, axis=a).values
-    return PeriodicField(grid, out)
+        out -= spectral_derivative(grid, comp @ vnodes.weights, 1, axis=a)
+    return out
 
 
-def _nodal_horizontal(t, eta, params, forcing, vnodes):
-    p = limit_pressure(eta, params.B)
-    f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
-    return p, horizontal_velocity(p, f_h, params.nu, vnodes)
+def _nodal_horizontal(t, grid, eta, params, forcing, vnodes):
+    p = limit_pressure(grid, eta, params.B)
+    f_h = None if forcing is None else forcing(float(t))[: grid.dim]
+    return p, horizontal_velocity(grid, p, f_h, params.nu, vnodes)
 
 
 def nodal_assemble_approx(reduced, params, forcing, vnodes):
@@ -1404,23 +1385,24 @@ def nodal_assemble_approx(reduced, params, forcing, vnodes):
 
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
+    grid = reduced.grid
     v_all, p_all, eta_all = [], [], []
-    for t, eta in zip(reduced.times, reduced_fields(reduced)):
-        p, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
-        v3 = vertical_velocity(eta.grid, vnodes, *v_h, eps=eps)
+    for t, eta in zip(reduced.times, reduced.eta):
+        p, v_h = _nodal_horizontal(t, grid, eta, params, forcing, vnodes)
+        v3 = vertical_velocity(grid, vnodes, *v_h, eps=eps)
         v_all.append(tuple(eps**2 * c for c in v_h) + (eps**2 * v3,))
-        p_all.append(np.repeat(p.values[..., None], vnodes.m, axis=-1))
-        eta_all.append(eps_kappa * eta.values)
+        p_all.append(np.repeat(p[..., None], vnodes.m, axis=-1))
+        eta_all.append(eps_kappa * eta)
     return stacked_triple(reduced.times, v_all, p_all, eta_all)
 
 
-def nodal_laplacian(f):
+def nodal_laplacian(grid, f):
     """Lap' f, one spectral second derivative per horizontal axis."""
     from lubelastic.spectral import spectral_derivative
 
-    out = spectral_derivative(f, 2, axis=0)
-    for a in range(1, f.grid.dim):
-        out = out + spectral_derivative(f, 2, axis=a)
+    out = spectral_derivative(grid, f, 2, axis=0)
+    for a in range(1, grid.dim):
+        out = out + spectral_derivative(grid, f, 2, axis=a)
     return out
 
 
@@ -1428,13 +1410,14 @@ def nodal_chain_closure_error(reduced, params, forcing, vnodes):
     """The chain closure on the nodes, one snapshot at a time: the flux rate
     of the nodal velocities against the reduced equation's right side
     c (Lap')^3 eta + F, with F the nodal source `forcing_F`."""
+    grid = reduced.grid
     sq = np.empty(len(reduced.times))
-    for j, (t, eta) in enumerate(zip(reduced.times, reduced_fields(reduced))):
-        _, v_h = _nodal_horizontal(t, eta, params, forcing, vnodes)
-        f_h = None if forcing is None else forcing(float(t))[: eta.grid.dim]
-        rhs = (nodal_laplacian(nodal_laplacian(nodal_laplacian(eta))) * params.reduced_coefficient
-               + forcing_F(f_h, params.nu, eta.grid, vnodes))
-        sq[j] = np.mean((flux_rate(eta.grid, vnodes, v_h).values - rhs.values) ** 2)
+    for j, (t, eta) in enumerate(zip(reduced.times, reduced.eta)):
+        _, v_h = _nodal_horizontal(t, grid, eta, params, forcing, vnodes)
+        f_h = None if forcing is None else forcing(float(t))[: grid.dim]
+        bending = nodal_laplacian(grid, nodal_laplacian(grid, nodal_laplacian(grid, eta)))
+        rhs = bending * params.reduced_coefficient + forcing_F(f_h, params.nu, grid, vnodes)
+        sq[j] = np.mean((flux_rate(grid, vnodes, v_h) - rhs) ** 2)
     return float(np.sqrt(np.trapezoid(sq, reduced.times)))
 
 
@@ -1446,7 +1429,7 @@ def rhs_term_norms(red, model, forcing, vnodes):
 
     grid = red.grid
     bending = model.reduced_coefficient * laplacian_symbol(grid) ** 3 * np.array(
-        [f.hat for f in reduced_fields(red)])
+        [grid.rfft(eta) for eta in red.eta])
     source = (np.zeros_like(bending) if forcing is None
               else reduced_source(forcing, model.nu, grid, vnodes)(red.times))
     axes = tuple(range(1, bending.ndim))
@@ -1460,10 +1443,10 @@ def rhs_term_norms(red, model, forcing, vnodes):
 # finite differences of the snapshots.
 
 def trajectory_time_derivative(times, fields):
-    """Second-order finite-difference time derivative of a snapshot sequence
-    (central inside, one-sided at the ends); uniform spacing required."""
+    """Second-order finite-difference time derivative of a sequence of nodal
+    snapshots (central inside, one-sided at the ends); uniform spacing
+    required."""
     from lubelastic.errors import ParameterError
-    from lubelastic.spectral import PeriodicField
 
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
@@ -1472,13 +1455,12 @@ def trajectory_time_derivative(times, fields):
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise ParameterError("snapshots must be uniformly spaced in time")
     h = float(dts[0])
-    grid = fields[0].grid
-    vals = np.stack([f.values for f in fields], axis=0)
+    vals = np.stack(fields, axis=0)
     out = np.empty_like(vals)
     out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
     out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
     out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return [PeriodicField(grid, out[j]) for j in range(len(fields))]
+    return out
 
 
 # The reduced source as `reconstruction.forcing_F` built it at every step:
@@ -1487,12 +1469,11 @@ def trajectory_time_derivative(times, fields):
 
 def forcing_F(f_horizontal, nu, grid, vnodes):
     """Zero-mean source F = -int_{-1}^0 div'(F_1, F_2) dy3 of the force
-    profiles, as a PeriodicField."""
+    profiles, as nodal values."""
     from lubelastic.reconstruction import _force_profiles
-    from lubelastic.spectral import PeriodicField
 
     if f_horizontal is None:
-        return PeriodicField.zeros(grid)
+        return np.zeros(grid.shape)
     return flux_rate(grid, vnodes, [_force_profiles(np.asarray(f), nu, vnodes)
                                     for f in f_horizontal])
 

@@ -13,7 +13,7 @@ import pytest
 import lubelastic as lb
 from lubelastic import cli, thinfilm as tf, verify
 from lubelastic.reconstruction import chain_closure_error, solve_reduced
-from lubelastic.spectral import PeriodicField, PeriodicGrid, VerticalNodes
+from lubelastic.spectral import PeriodicGrid, VerticalNodes
 
 from oracles import reynolds_fixed_point
 
@@ -93,12 +93,12 @@ def test_criterion_3_exact_single_mode_decay():
     c = lb.reduced_coefficient_e0(B, nu)
     lam = c * (2 * np.pi) ** 6
     grid = PeriodicGrid(dim=1, n=32)
-    eta0 = PeriodicField(grid, np.cos(2 * np.pi * grid.meshes[0]))
+    eta0 = np.cos(2 * np.pi * grid.meshes[0])
     worst = 0.0
     for t_eval in (0.1, 1.0):
-        traj = tf.solve_linear_sixth(c, None, eta0, t_eval, 1e-3,
+        traj = tf.solve_linear_sixth(c, None, grid, eta0, t_eval, 1e-3,
                                      snapshot_stride=10**9)
-        ref = np.exp(-lam * t_eval) * eta0.values
+        ref = np.exp(-lam * t_eval) * eta0
         rel = np.max(np.abs(traj.eta[-1] - ref)) / np.max(np.abs(ref))
         worst = max(worst, rel)
     elapsed = time.time() - start
@@ -112,14 +112,14 @@ def test_criterion_3_exact_single_mode_decay():
 def test_criterion_4_conservation_and_dissipation():
     start = time.time()
     grid = PeriodicGrid(dim=1, n=64)
-    eta0 = PeriodicField(grid, 1.0 + 0.3 * np.sin(2 * np.pi * grid.meshes[0]))
+    eta0 = 1.0 + 0.3 * np.sin(2 * np.pi * grid.meshes[0])
     dts = {1: 1e-5, 3: 1e-6, 5: 1e-7}
     details = []
     for alpha in (1, 3, 5):
         for v_D in (0.0, 1.0):
             model = tf.ThinFilmModel(alpha=alpha, v_D=v_D)
             mass0 = eta0.mean()
-            run = tf.evolve(model, tf.FilmState(eta0, 0.0), dts[alpha], 1000,
+            run = tf.evolve(model, tf.FilmState(grid, eta0), dts[alpha], 1000,
                             snapshot_stride=1000)
             final = run.snapshots.eta[-1]
             if alpha == 5 and v_D == 0.0:
@@ -139,13 +139,13 @@ def test_criterion_4_conservation_and_dissipation():
 def test_criterion_5_reynolds_oracle_equivalence():
     start = time.time()
     grid = PeriodicGrid(dim=1, n=256)
-    eta = PeriodicField(grid, 1.0 + 0.5 * np.sin(2 * np.pi * grid.meshes[0]))
-    p = tf.solve_reynolds_stationary(eta, v_D=1.0, nu=1.0)
+    eta = 1.0 + 0.5 * np.sin(2 * np.pi * grid.meshes[0])
+    p = tf.solve_reynolds_stationary(grid, eta, v_D=1.0, nu=1.0)
     n_fine = 4096
     x = np.arange(n_fine) / n_fine
     oracle = reynolds_fixed_point(1.0 + 0.5 * np.sin(2 * np.pi * x), v_D=1.0, nu=1.0)
     sub = oracle[:: n_fine // grid.n]
-    rel = float(np.sqrt(np.mean((p.values - sub) ** 2) / np.mean(sub**2)))
+    rel = float(np.sqrt(np.mean((p - sub) ** 2) / np.mean(sub**2)))
     elapsed = time.time() - start
     ok = rel <= 1e-6 and elapsed < 5.0
     _report(5, ok, f"relative L2 difference {rel:.2e} (<= 1e-6), {elapsed:.2f}s (< 5s)")

@@ -282,9 +282,9 @@ class TestWaveProfile:
     def test_samples_follow_their_formula(self):
         grid = PeriodicGrid(dim=1, n=16)
         arg = 2.0 * np.pi * 3 * grid.meshes[0]
-        one_plus_sin = cli.WaveProfile("one-plus-sin", 0.3, 3).sample(grid).values
+        one_plus_sin = cli.WaveProfile("one-plus-sin", 0.3, 3).sample(grid)
         assert np.array_equal(one_plus_sin, 1.0 + 0.3 * np.sin(arg))
-        cosine = cli.WaveProfile("cosine", 0.3, 3).sample(grid).values
+        cosine = cli.WaveProfile("cosine", 0.3, 3).sample(grid)
         assert np.array_equal(cosine, 0.3 * np.cos(arg))
 
     def test_wavenumber_below_half_the_grid(self):
@@ -822,7 +822,8 @@ class TestArtifacts:
         # step, then rebuild the rows the way the CLI selects them: every
         # third one
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
-        state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
+        grid = PeriodicGrid(1, cfg.n)
+        state = thinfilm.FilmState(grid, cfg.eta0.sample(grid))
         snaps = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps).snapshots
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         assert len(snaps.times) == 7
@@ -835,7 +836,8 @@ class TestArtifacts:
         # one row per step, the initial one first, each number as the run
         # holds it
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
-        state = thinfilm.FilmState(cfg.eta0.sample(PeriodicGrid(1, cfg.n)), 0.0)
+        grid = PeriodicGrid(1, cfg.n)
+        state = thinfilm.FilmState(grid, cfg.eta0.sample(grid))
         run = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps)
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()

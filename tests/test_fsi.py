@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lubelastic as lb
-from lubelastic.errors import InvariantError, ParameterError
+from lubelastic.errors import GridMismatchError, InvariantError, ParameterError
 from lubelastic.spectral import _steps_per_block
 
 from oracles import (FsiSolver, cartesian_frame, ledger_csv, nyquist_free, snapshot_channel_sq,
@@ -1255,6 +1255,44 @@ class TestHarmonicLoad:
         [(a, coeffs)] = lb.fsi.sample_forcing(load, grid, [0.0, 0.07]).items()
         assert a == component
         assert np.array_equal(coeffs, np.stack([0.0 * load.hat, r * load.hat]))
+
+    @staticmethod
+    def _load_parts(dim=1):
+        grid, vn = lb.PeriodicGrid(dim=dim, n=16), lb.VerticalNodes(8)
+        return grid, vn, lb.harmonic_ramp_forcing(grid, vn, wavevector=(1,) * dim).hat.copy()
+
+    @pytest.mark.parametrize("dim, component", [(1, -1), (1, 2), (1, 5), (1, 0.5), (2, 3)])
+    def test_component_that_is_no_velocity_component_rejected(self, dim, component):
+        # component 5 of a 1D load used to run with no load at all
+        grid, _, hat = self._load_parts(dim)
+        with pytest.raises(ParameterError, match="component"):
+            lb.fsi.HarmonicLoad(grid, component, hat, 0.1)
+
+    @pytest.mark.parametrize("ramp_time", [np.nan, -1.0, 0.0, np.inf])
+    def test_ramp_time_that_is_not_positive_and_finite_rejected(self, ramp_time):
+        # NaN used to run to NaN fields, and -1 was accepted
+        grid, _, hat = self._load_parts()
+        with pytest.raises(ParameterError, match="ramp_time"):
+            lb.fsi.HarmonicLoad(grid, 0, hat, ramp_time)
+
+    @pytest.mark.parametrize("dim, shape", [(1, (9,)), (1, (9, 8, 1)), (1, (8, 8)), (1, (17, 8)),
+                                            (2, (16, 9)), (2, (9, 16, 8)), (2, (16, 8))])
+    def test_coefficients_of_another_shape_rejected(self, dim, shape):
+        grid, _, _ = self._load_parts(dim)
+        with pytest.raises(GridMismatchError, match="plus one vertical axis"):
+            lb.fsi.HarmonicLoad(grid, 0, np.zeros(shape, dtype=complex), 0.1)
+
+    def test_holds_a_read_only_copy_of_its_coefficients(self):
+        # the caller's array stays writeable, and a write to it leaves the load as built
+        grid, _, hat = self._load_parts()
+        want = hat.copy()
+        load = lb.fsi.HarmonicLoad(grid, 0, hat, 0.1)
+        assert load.hat is not hat and np.array_equal(load.hat, want)
+        assert not load.hat.flags.writeable and hat.flags.writeable
+        hat[...] = 0.0
+        assert np.array_equal(load.hat, want) and np.array_equal(load.support, [1])
+        with pytest.raises(ValueError):
+            load.hat[1] = 0.0
 
     def test_smooth_ramp_takes_arrays(self):
         t = np.array([-0.1, 0.0, 0.03, 0.1, 0.25])

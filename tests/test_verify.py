@@ -10,7 +10,7 @@ import lubelastic as lb
 from lubelastic import verify
 from lubelastic.errors import DegenerateFitError, GridMismatchError, ParameterError
 from lubelastic.fsi import EnergyLedger
-from lubelastic.spectral import PeriodicField, PeriodicGrid, VerticalNodes
+from lubelastic.spectral import PeriodicGrid, VerticalNodes
 
 
 @pytest.fixture
@@ -126,7 +126,7 @@ class TestH2Norm:
 
         grid = PeriodicGrid(dim=dim, n=32)
         values = np.random.default_rng(29).standard_normal((51,) + grid.shape)
-        want = [snapshot_h2_norm(PeriodicField(grid, v)) for v in values]
+        want = [snapshot_h2_norm(grid, v) for v in values]
         assert [verify.norm_LinfH2(grid, v[None]) for v in values] == want
         assert verify.norm_LinfH2(grid, values) == max(want)
 
@@ -476,8 +476,7 @@ class TestLadderConfig:
         # a ladder builds one limit map, for its points and its chain
         # closure, each block of steps makes one quadrature, ledger,
         # pressure and field pass for all its points, as many as one point
-        # alone, and no field or state object is built but the reduced
-        # solve's zero initial height
+        # alone, and no state record is built
         from lubelastic.spectral import _steps_per_block
 
         cfg = verify.RateStudyConfig(
@@ -520,23 +519,12 @@ class TestLadderConfig:
             return rfft(grid, values)
 
         monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
-        # the field objects built: the coupled runs, the reduced solve, the
+        # the state records built: the coupled runs, the reduced solve, the
         # reconstruction and the norms hold one array per field kind and
-        # build none; the reduced solve starts from one zero PeriodicField
-        solving, solve = [], verify.solve_reduced
-
-        def solve_counted(*args, **kwargs):
-            solving.append(True)
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                solving.pop()
-
-        monkeypatch.setattr(verify, "solve_reduced", solve_counted)
-        for cls in (PeriodicField, lb.FsiState, lb.FilmState):
+        # build no FsiState and no FilmState
+        for cls in (lb.FsiState, lb.FilmState):
             def built(obj, *args, init=cls.__init__, name=cls.__name__, **kwargs):
-                key = name + (" in the reduced solve" if solving else "")
-                counts[key] = counts.get(key, 0) + 1
+                counts[name] = counts.get(name, 0) + 1
                 init(obj, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", built)
@@ -549,8 +537,7 @@ class TestLadderConfig:
         # closure
         assert len(result.reduced.times) == 11
         want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
-                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1,
-                "PeriodicField in the reduced solve": 1}
+                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1}
         assert counts == want
         # the points take the ladder's map and build none of their own
         setting = cfg.setting()
@@ -559,7 +546,7 @@ class TestLadderConfig:
                                              vnodes)
         counts.clear()
         verify._ladder_points(cfg, setting, cfg.eps_list[:1], result.reduced, limit)
-        for key in ("_limit_map", "displacement rfft", "PeriodicField in the reduced solve"):
+        for key in ("_limit_map", "displacement rfft"):
             del want[key]
         assert counts == want
 
