@@ -26,7 +26,7 @@ settings = {
 
 for alpha, cfg in settings.items():
     model = tf.ThinFilmModel(alpha=alpha, v_D=1.0)
-    run = tf.evolve(model, tf.FilmState(grid, eta0), cfg["dt"], 400, snapshot_stride=400)
+    run = tf.evolve(model, grid, eta0, cfg["dt"], 400, snapshot_stride=400)
     final = run.snapshots.eta[-1]  # the snapshots along the leading axis
     mass0 = eta0.mean()
     drift = abs(final.mean() - mass0) / (1 + abs(mass0))

@@ -14,11 +14,7 @@ Run as:  python3 demos/04_reduced_model_reconstruction.py
 import numpy as np
 
 import lubelastic as lb
-from lubelastic.reconstruction import (
-    assemble_approx,
-    chain_closure_error,
-    solve_reduced,
-)
+from lubelastic.reconstruction import LimitFields, solve_reduced
 
 grid = lb.PeriodicGrid(dim=1, n=32)
 vnodes = lb.VerticalNodes(20)
@@ -33,11 +29,13 @@ reduced = solve_reduced(model, grid, vnodes, forcing, t_end=0.5, dt=1e-4,
 print(f"reduced trajectory: {len(reduced.times)} snapshots, "
       f"final displacement amplitude {np.max(np.abs(reduced.eta[-1])):.3e}")
 
-closure = chain_closure_error(reduced, model, forcing, vnodes)
+# the limit fields depend on B and nu but not on eps: build them once
+limit = LimitFields(reduced, model, forcing, vnodes)
+closure = limit.closure_error()
 print(f"derivation-chain closure error, flux rate against -c|xi|^6 eta + F "
       f"(L2 in time and space): {closure:.2e}")
 
-triple = assemble_approx(reduced, model, forcing, vnodes)
+triple = limit.approx(model)  # scaled to the channel of thickness model.eps
 # one array per field kind, the snapshots along the leading axis
 v1, v3 = triple.v[0], triple.v[-1]
 mid = len(triple.times) // 5  # mid-ramp, while the plate is still inflating

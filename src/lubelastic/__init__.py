@@ -38,7 +38,6 @@ from .spectral import (
 )
 from .thinfilm import (
     FilmRun,
-    FilmState,
     FilmTrajectory,
     ThinFilmModel,
     evolve,
@@ -55,9 +54,7 @@ from .fsi import (
 )
 from .reconstruction import (
     ApproxTriple,
-    ReducedSolution,
-    assemble_approx,
-    chain_closure_error,
+    LimitFields,
     solve_reduced,
 )
 from .verify import (

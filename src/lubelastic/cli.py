@@ -363,10 +363,7 @@ def _write_json(path: str, payload) -> None:
 def _run_thinfilm(cfg: ThinFilmRun, outdir: str) -> list[str]:
     grid = PeriodicGrid(dim=1, n=cfg.n)
     eta0 = cfg.eta0.sample(grid)
-    if not cfg.model.linearized and eta0.min() <= 0.0:
-        raise ParameterError("initial height must be positive under cubic mobility, "
-                             f"min is {eta0.min():.3e}")
-    run = thinfilm.evolve(cfg.model, thinfilm.FilmState(grid, eta0), cfg.dt, cfg.steps,
+    run = thinfilm.evolve(cfg.model, grid, eta0, cfg.dt, cfg.steps,
                           snapshot_stride=cfg.snapshot_stride)
     mass0 = float(eta0.mean())
     mass1 = float(run.snapshots.eta[-1].mean())
@@ -595,7 +592,7 @@ def main(argv=None) -> int:
         diag = {"error": "numerical breakdown", "detail": str(exc)}
         last_state = getattr(exc, "last_state", None)
         if last_state is not None:
-            diag["last_valid_time"] = last_state.t
+            diag["last_valid_time"] = last_state.times[-1]
         _write_json(os.path.join(outdir, "breakdown.json"), diag)
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3

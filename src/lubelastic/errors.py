@@ -45,8 +45,8 @@ class InvariantError(AssertionError):
 
 
 class PositivityError(RuntimeError):
-    """Film height dropped below the positivity floor and internal time-step
-    halving could not recover.  Carries the last valid state."""
+    """A film step stayed non-finite, or below the positivity floor, through
+    every halving.  last_state: the last valid height, a one-snapshot trajectory."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

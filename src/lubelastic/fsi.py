@@ -81,7 +81,7 @@ from .artifacts import save_snapshots, write_csv
 from .errors import AssemblyError, GridMismatchError, InvariantError, ParameterError, check_range
 from .scaling import ModelParams, eps_power, validate_theorem_regime
 from .spectral import (PeriodicGrid, VerticalNodes, _step_count, _steps_per_block,
-                       nyquist_index)
+                       drop_nyquist)
 
 logger = logging.getLogger("lubelastic.fsi")
 
@@ -724,9 +724,7 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
     finite = np.isfinite(hats).reshape(-1, len(times)).all(axis=0)
     if not finite.all():
         raise ParameterError(f"forcing is not finite at t = {times[np.argmin(finite)]}")
-    for axis in range(grid.dim):
-        hats[nyquist_index(grid, axis)] = 0.0
-    hats = np.moveaxis(hats, (-2, -1), (0, 1))
+    hats = np.moveaxis(drop_nyquist(grid, hats), (-2, -1), (0, 1))
     return dict(zip(loaded, hats))
 
 
@@ -742,8 +740,9 @@ class HarmonicLoad:
     """A volume force held as data: one velocity component whose
     coefficients are hat, shape grid.spectral_shape + (m,), times the
     envelope smooth_ramp(t, ramp_time); it checks all three and freezes a
-    copy of hat.  support holds the flat indices of the modes whose
-    coefficients are not all zero.  Called at t, the load gives its
+    copy of hat less its Nyquist coefficients, which `sample_forcing` drops
+    from a sampled load too.  support holds the flat indices of the modes
+    whose coefficients are not all zero.  Called at t, the load gives its
     d = dim + 1 nodal components, as any forcing callable does."""
 
     grid: PeriodicGrid
@@ -759,6 +758,7 @@ class HarmonicLoad:
         if hat.shape[:-1] != self.grid.spectral_shape:
             raise GridMismatchError(f"load coefficients of shape {hat.shape} are not "
                                     f"{self.grid.spectral_shape} plus one vertical axis")
+        drop_nyquist(self.grid, hat)
         hat.flags.writeable = False
         object.__setattr__(self, "hat", hat)
         per_mode = hat.reshape(-1, hat.shape[-1])

@@ -9,27 +9,27 @@ triple scaled back to the thin channel,
     v = eps^2 * (v_1, v_2, v3_inner),   p(x) = p(x'),   eta_eps = eps^kappa * eta,
 
 is the object whose distance to the full-order solution the rate study
-measures.  One map in coefficient space, `_limit_map`, takes the displacement
-snapshots, in one transform, and the forcing coefficients from
-`fsi.sample_forcing` to the displacement, pressure and horizontal velocity
-coefficients.  It reads B and nu but not eps, so a ladder builds it once.
-`assemble_approx` scales it to one thickness (`_approx_from_limit`): it
-adds the vertical velocity and transforms each component of the triple to
-the nodes, all snapshots together; the triple holds one array per field
-kind, the snapshots along its leading axis.  `chain_closure_error`
+measures.  `solve_reduced` returns the reduced displacement as a
+`thinfilm.FilmTrajectory`, its coefficients as the solve made them.
+`LimitFields` takes those coefficients and the forcing coefficients from
+`fsi.sample_forcing` to the limit pressure and horizontal velocity
+coefficients at every snapshot.  It reads B and nu but not eps, so a ladder
+builds it once.  `LimitFields.approx` scales it to one thickness: it adds
+the vertical velocity and transforms each component of the triple to the
+nodes, all snapshots together; the triple holds one array per field kind,
+the snapshots along its leading axis.  `LimitFields.closure_error`
 compares the flux rate of the same velocities with the right side of the
-reduced equation, -c |xi|^6 eta^ + F^, at every snapshot
-(`_closure_from_limit` on the same map).  Like the solver and the reduced
-source, both read the load without its Nyquist modes.
+reduced equation, -c |xi|^6 eta^ + F^, at every snapshot.  Like the solver
+and the reduced source, both read the load without its Nyquist modes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
-from .fsi import sample_forcing
+from .errors import ParameterError
+from .fsi import Forcing, sample_forcing
 from .scaling import ModelParams, eps_power
 from .spectral import (
     PeriodicGrid,
@@ -38,31 +38,7 @@ from .spectral import (
     derivative_symbol,
     laplacian_symbol,
 )
-from .thinfilm import solve_linear_sixth
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSolution:
-    """N snapshots of the reduced displacement: finite, strictly increasing
-    times, (N,), and finite zero-mean values eta, (N,) + grid.shape."""
-
-    grid: PeriodicGrid
-    times: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        times, eta = np.asarray(self.times, dtype=float), np.asarray(self.eta, dtype=float)
-        if times.ndim != 1 or eta.shape != times.shape + self.grid.shape:
-            raise GridMismatchError(f"{eta.shape} displacement snapshots at {times.shape} "
-                                    f"times on a grid of shape {self.grid.shape}")
-        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
-            raise ParameterError("snapshot times must be finite and strictly increasing")
-        axes = tuple(range(1, eta.ndim))
-        if not (np.all(np.isfinite(eta)) and np.all(
-                np.abs(eta.mean(axis=axes)) <= 1e-10 * np.max(np.abs(eta), axis=axes))):
-            raise ParameterError("reduced displacement snapshots must be finite, of zero mean")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "eta", eta)
+from .thinfilm import FilmTrajectory, solve_linear_sixth
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,33 +74,6 @@ def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np
     return -((y + 1.0) * moment[..., None] + ops.second_antiderivative(f)) / nu
 
 
-def _limit_map(reduced: ReducedSolution, params: ModelParams, forcing,
-               vnodes: VerticalNodes) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Coefficients of the displacement, the limit pressure and the horizontal
-    velocity profiles at every snapshot of the reduced solution:
-
-        eta^,   p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
-
-    with f^_a the coefficients of the horizontal force components from
-    `sample_forcing` (None: an unforced channel).  Shapes (S,) +
-    spectral_shape for eta^ and p^, (S,) + spectral_shape + (m,) for v^_a.
-    """
-    grid = reduced.grid
-    # one transform, the snapshots behind the horizontal axes
-    eta_hat = np.moveaxis(grid.rfft(np.moveaxis(reduced.eta, 0, -1)), -1, 0)
-    p_hat = params.B * laplacian_symbol(grid) ** 2 * eta_hat
-    y = vnodes.nodes
-    poise = y * (y + 1.0) / (2.0 * params.nu)
-    fhat = {} if forcing is None else sample_forcing(forcing, grid, reduced.times)
-    v_hat = []
-    for a in range(grid.dim):
-        vh = (derivative_symbol(grid, 1, axis=a) * p_hat)[..., None] * poise
-        if a in fhat:
-            vh = vh + _force_profiles(fhat[a], params.nu, vnodes)
-        v_hat.append(vh)
-    return eta_hat, p_hat, v_hat
-
-
 def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
     """Zero-mean source of the reduced evolution, the flux rate of the force
     profiles F = -int_{-1}^0 div'(F_1, F_2) dy3, as a map from an array of
@@ -156,70 +105,91 @@ def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes
 
 def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes,
                   forcing, t_end: float, dt: float,
-                  snapshot_stride: int = 1) -> ReducedSolution:
+                  snapshot_stride: int = 1) -> FilmTrajectory:
     """Drive the reduced evolution d/dt eta - c (Lap')^3 eta = F(t) by the
-    depth-integrated force of the full-order problem."""
+    depth-integrated force of the full-order problem, from rest."""
     source = reduced_source(forcing, params.nu, grid, vnodes)
-    traj = solve_linear_sixth(params.reduced_coefficient, source, grid, np.zeros(grid.shape),
+    return solve_linear_sixth(params.reduced_coefficient, source, grid, np.zeros(grid.shape),
                               t_end, dt, snapshot_stride=snapshot_stride)
-    return ReducedSolution(grid, traj.times, traj.eta)
 
 
-def _approx_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
-                       vnodes: VerticalNodes) -> ApproxTriple:
-    """The limit map's coefficients (`_limit_map`, which does not depend on
-    eps) scaled back to the thin channel of params.eps, with one transform
-    per field component over all snapshots."""
-    eps = params.eps
-    grid = reduced.grid
-    _, p_hat, v_hat = limit
-    div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
-    v_hat = [*v_hat, -eps * vnodes.ops.antiderivative(div)]
-    # snapshots behind the horizontal axes, which the transforms lead with
-    v = [np.moveaxis(grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)), -2, 0) for vh in v_hat]
-    p = np.moveaxis(grid.irfft(np.moveaxis(p_hat, 0, -1)), -1, 0)
-    return ApproxTriple(times=reduced.times, v=tuple(v),
-                        p=np.repeat(p[..., None], vnodes.m, axis=-1),
-                        eta=eps_power(eps, params.kappa) * reduced.eta)
+@dataclass(frozen=True, eq=False)
+class LimitFields:
+    """The limit fields at every snapshot of a reduced solution, in
+    coefficient space:
 
+        p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
 
-def assemble_approx(reduced: ReducedSolution, params: ModelParams,
-                    forcing, vnodes: VerticalNodes) -> ApproxTriple:
-    """Scale the reduced solution back to the thin channel.
-
-    Velocity components carry the common eps^2 prefactor, the vertical one
-    is v^_3 = -eps * int_{-1}^{y} sum_a (i xi_a v^_a), the pressure is
-    extended constant in the vertical, and the displacement is eps^kappa
-    times the reduced one.
+    with eta^ the reduced solution's coefficients, taken as they are, and
+    f^_a the coefficients of the horizontal force components from
+    `sample_forcing` (forcing None: an unforced channel).  p_hat has shape
+    (N,) + spectral_shape, each of the dim arrays of v_hat (N,) +
+    spectral_shape + (m,).  The reduced displacement must be of zero mean,
+    each snapshot's mean within 1e-10 of its largest value (ParameterError).
+    params gives B, nu and the reduced coefficient; eps plays no part.
     """
-    return _approx_from_limit(reduced, _limit_map(reduced, params, forcing, vnodes), params,
-                              vnodes)
 
+    reduced: FilmTrajectory
+    params: ModelParams
+    forcing: Forcing | None
+    vnodes: VerticalNodes
+    p_hat: np.ndarray = field(init=False)
+    v_hat: tuple[np.ndarray, ...] = field(init=False)
 
-def _closure_from_limit(reduced: ReducedSolution, limit, params: ModelParams,
-                        forcing, vnodes: VerticalNodes) -> float:
-    """The chain closure from the limit map's coefficients (`_limit_map`)."""
-    grid = reduced.grid
-    eta_hat, _, v_hat = limit
-    rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
-                for a, vh in enumerate(v_hat))
-    rhs = params.reduced_coefficient * laplacian_symbol(grid) ** 3 * eta_hat
-    if forcing is not None:
-        rhs = rhs + reduced_source(forcing, params.nu, grid, vnodes)(reduced.times)
-    # Parseval: the nodal mean of each snapshot's squared difference
-    sq = np.sum(grid.mode_weights * np.abs(rate - rhs) ** 2, axis=tuple(range(1, rate.ndim)))
-    return float(np.sqrt(np.trapezoid(sq, reduced.times)))
+    def __post_init__(self):
+        grid, eta, params = self.reduced.grid, self.reduced.eta, self.params
+        axes = tuple(range(1, eta.ndim))
+        if not np.all(np.abs(eta.mean(axis=axes)) <= 1e-10 * np.max(np.abs(eta), axis=axes)):
+            raise ParameterError("reduced displacement snapshots must be of zero mean")
+        p_hat = params.B * laplacian_symbol(grid) ** 2 * self.reduced.hat
+        y = self.vnodes.nodes
+        poise = y * (y + 1.0) / (2.0 * params.nu)
+        fhat = ({} if self.forcing is None
+                else sample_forcing(self.forcing, grid, self.reduced.times))
+        v_hat = []
+        for a in range(grid.dim):
+            vh = (derivative_symbol(grid, 1, axis=a) * p_hat)[..., None] * poise
+            if a in fhat:
+                vh = vh + _force_profiles(fhat[a], params.nu, self.vnodes)
+            v_hat.append(vh)
+        object.__setattr__(self, "p_hat", p_hat)
+        object.__setattr__(self, "v_hat", tuple(v_hat))
 
+    def approx(self, params: ModelParams) -> ApproxTriple:
+        """The limit scaled back to the thin channel of params.eps, with one
+        transform per field component over all snapshots.
 
-def chain_closure_error(reduced: ReducedSolution, params: ModelParams,
-                        forcing, vnodes: VerticalNodes) -> float:
-    """Distance, in L2 of time and space, between the displacement rate
-    implied by pressure -> velocity -> flux, -sum_a i xi_a int_{-1}^0 v^_a dy3,
-    and the right side of the reduced equation at the same snapshots,
-    -c |xi|^6 eta^ + F^(t), with c = B/(12 nu) and F the reduced source:
-    the rate that the reduced equation gives each snapshot.  It is roundoff
-    exactly when c and F are the flux of the limit velocity, and it reads no
-    time differences, so any snapshot times will do.  Closes the derivation
-    loop of the reduced model."""
-    return _closure_from_limit(reduced, _limit_map(reduced, params, forcing, vnodes), params,
-                               forcing, vnodes)
+        Velocity components carry the common eps^2 prefactor, the vertical
+        one is v^_3 = -eps * int_{-1}^{y} sum_a (i xi_a v^_a), the pressure
+        is extended constant in the vertical, and the displacement is
+        eps^kappa times the reduced one.
+        """
+        eps, grid, vnodes = params.eps, self.reduced.grid, self.vnodes
+        div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh
+                  for a, vh in enumerate(self.v_hat))
+        v_hat = [*self.v_hat, -eps * vnodes.ops.antiderivative(div)]
+        # snapshots behind the horizontal axes, which the transforms lead with
+        v = [np.moveaxis(grid.irfft(np.moveaxis(eps**2 * vh, 0, -2)), -2, 0) for vh in v_hat]
+        p = np.moveaxis(grid.irfft(np.moveaxis(self.p_hat, 0, -1)), -1, 0)
+        return ApproxTriple(times=self.reduced.times, v=tuple(v),
+                            p=np.repeat(p[..., None], vnodes.m, axis=-1),
+                            eta=eps_power(eps, params.kappa) * self.reduced.eta)
+
+    def closure_error(self) -> float:
+        """Distance, in L2 of time and space, between the displacement rate
+        implied by pressure -> velocity -> flux, -sum_a i xi_a int_{-1}^0
+        v^_a dy3, and the right side of the reduced equation at the same
+        snapshots, -c |xi|^6 eta^ + F^(t), with c = B/(12 nu) and F the
+        reduced source: the rate that the reduced equation gives each
+        snapshot.  It is roundoff exactly when c and F are the flux of the
+        limit velocity, and it reads no time differences, so any snapshot
+        times will do.  Closes the derivation loop of the reduced model."""
+        grid, vnodes, times = self.reduced.grid, self.vnodes, self.reduced.times
+        rate = -sum(derivative_symbol(grid, 1, axis=a) * (vh @ vnodes.weights)
+                    for a, vh in enumerate(self.v_hat))
+        rhs = self.params.reduced_coefficient * laplacian_symbol(grid) ** 3 * self.reduced.hat
+        if self.forcing is not None:
+            rhs = rhs + reduced_source(self.forcing, self.params.nu, grid, vnodes)(times)
+        # Parseval: the nodal mean of each snapshot's squared difference
+        sq = np.sum(grid.mode_weights * np.abs(rate - rhs) ** 2, axis=tuple(range(1, rate.ndim)))
+        return float(np.sqrt(np.trapezoid(sq, times)))

@@ -156,6 +156,14 @@ def nyquist_index(grid: PeriodicGrid, axis: int) -> tuple:
     return (slice(None),) * axis + (grid.n // 2,)
 
 
+def drop_nyquist(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
+    """Zero, in place, the coefficients at index n/2 of every horizontal
+    axis of hat, whose horizontal axes lead; returns hat."""
+    for axis in range(grid.dim):
+        hat[nyquist_index(grid, axis)] = 0.0
+    return hat
+
+
 _BLOCK_BYTES = 64 * 1024
 
 

@@ -12,13 +12,16 @@ the cubic mobility by the constant coefficient c.
 
 Time stepping is semi-implicit: the leading operator with the mobility
 frozen at its maximum is inverted through its Fourier symbol, everything
-else is explicit.  The divergence form is applied spectrally as the last
-operation, so the mean of eta is conserved to roundoff.  Heights and
-pressures are plain arrays of nodal values on a `PeriodicGrid`, passed with
-the grid.  A `FilmState` holds one height's nodal values and Fourier
-coefficients.  `evolve` integrates a whole run in one call, on raw (values,
-coefficients) arrays, and returns its snapshots as a `FilmTrajectory`, one
-array per field with the snapshots along the leading axis.
+else is explicit; a step whose new height is not finite, or dips below the
+positivity floor under cubic mobility, is halved.  The divergence form is
+applied spectrally as the last operation, so the mean of eta is conserved
+to roundoff.  Heights and pressures are plain arrays of nodal values on a
+`PeriodicGrid`, passed with the grid.  A `FilmTrajectory` is the one record
+of a height series: the grid, the times and the nodal values and Fourier
+coefficients of every snapshot, one array per field with the snapshots
+along the leading axis.  `evolve` integrates a whole run in one call, on
+raw (values, coefficients) arrays, and returns its snapshots as one; so
+does the mode-exact solve.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -32,7 +35,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PositivityError, check_range
+from .errors import GridMismatchError, ParameterError, PositivityError, check_range
 from .spectral import (
     PeriodicGrid,
     _step_count,
@@ -97,32 +100,32 @@ class ThinFilmModel:
 
 
 @dataclass(frozen=True, eq=False)
-class FilmState:
-    """Film height at time t: nodal values eta, grid.shape, and their
-    coefficients hat, computed from eta when omitted."""
-
-    grid: PeriodicGrid
-    eta: np.ndarray
-    t: float = 0.0
-    hat: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", self.grid.check(self.eta))
-        check_range(-np.inf, np.inf, t=self.t)
-        if self.hat is None:
-            object.__setattr__(self, "hat", self.grid.rfft(self.eta))
-
-
-@dataclass(frozen=True, eq=False)
 class FilmTrajectory:
-    """N snapshots of a film height, the snapshots along the leading axis:
-    times (N,), the nodal values eta, (N,) + grid.shape, and their
-    coefficients hat, (N,) + grid.spectral_shape."""
+    """N snapshots of a periodic height, the snapshots along the leading
+    axis: finite, strictly increasing times (N,), finite nodal values eta,
+    (N,) + grid.shape, and their coefficients hat, (N,) + grid.spectral_shape,
+    computed from eta when omitted.  Times and values are held as floats."""
 
     grid: PeriodicGrid
     times: np.ndarray
     eta: np.ndarray
-    hat: np.ndarray
+    hat: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        times, eta = np.asarray(self.times, dtype=float), np.asarray(self.eta, dtype=float)
+        if times.ndim != 1 or eta.shape != times.shape + self.grid.shape:
+            raise GridMismatchError(f"{eta.shape} height snapshots at {times.shape} times "
+                                    f"on a grid of shape {self.grid.shape}")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ParameterError("snapshot times must be finite and strictly increasing")
+        if not np.all(np.isfinite(eta)):
+            raise ParameterError("height snapshots must be finite")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "eta", eta)
+        if self.hat is None:
+            # one transform, the snapshots behind the horizontal axes
+            object.__setattr__(self, "hat",
+                               np.moveaxis(self.grid.rfft(np.moveaxis(eta, 0, -1)), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,8 @@ class FilmRun:
     1/2 |d/dx eta|^2 for alpha = 3, 1/2 |eta|^2 for alpha = 1 and linearized
     runs.  min_eta is the smallest height at the initial state and the step
     ends; substeps counts accepted sub-steps, which exceed the steps exactly
-    when the positivity floor halved a step.
+    when the height rule (finite, and above the positivity floor under cubic
+    mobility) halved a step.
     """
 
     snapshots: FilmTrajectory
@@ -201,76 +205,70 @@ class _FilmOperator:
         return 0.5 * np.sum(self.energy_weights * np.abs(hat) ** 2)
 
 
-def _check_height(model: ThinFilmModel, lo, hi, current) -> None:
-    """Reject a height whose smallest and largest values are lo and hi:
-    non-finite, or nonpositive under cubic mobility (current() gives the
-    state to report)."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ParameterError("film height contains non-finite values")
-    if not model.linearized and lo <= 0.0:
-        raise PositivityError(
-            f"nonpositive film height (min {lo:.3e}) under cubic mobility",
-            last_state=current(),
-        )
+# a candidate height that overflows is rejected and halved: nothing to warn of
+@np.errstate(over="ignore", invalid="ignore")
+def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int,
+           snapshot_stride: int = 1) -> FilmRun:
+    """Advance the height eta0 (nodal values on grid) from t = 0 by steps
+    semi-implicit steps of size dt.
 
-
-def evolve(model: ThinFilmModel, state: FilmState, dt: float, steps: int,
-           snapshot_stride: int = 1, floor: float = POSITIVITY_FLOOR) -> FilmRun:
-    """Advance the state by steps semi-implicit steps of size dt.
-
-    The run's symbols are built once; the loop carries raw (values,
-    coefficients) arrays and stacks the snapshots' once, at the end.  An
-    accepted sub-step makes three transforms (four with a potential): one
-    stacked padded inverse transform of eta and d^alpha eta (and of the
-    potential's gradient, after one forward transform of Phi'(eta)), one
-    forward transform of the padded flux, and one inverse transform of the
-    new coefficients for the positivity check.  If the candidate height
-    dips below the positivity floor the sub-step is halved (at most 20
-    times within a step) and integration continues from the last valid
-    height until the step's end is reached.
+    The initial height must be finite, and positive under cubic mobility
+    (ParameterError).  The run's symbols are built once; the loop carries
+    raw (values, coefficients) arrays and stacks the snapshots' once, at the
+    end.  An accepted sub-step makes three transforms (four with a
+    potential): one stacked padded inverse transform of eta and d^alpha eta
+    (and of the potential's gradient, after one forward transform of
+    Phi'(eta)), one forward transform of the padded flux, and one inverse
+    transform of the new coefficients for the height check.  If the
+    candidate height is not finite, or dips below `POSITIVITY_FLOOR` under
+    cubic mobility, the sub-step is halved (at most `MAX_HALVINGS` times
+    within a step; PositivityError after that) and integration continues
+    from the last valid height until the step's end is reached.
     """
     check_range(dt=dt)
     check_range(1, closed=True, integer=True, steps=steps, snapshot_stride=snapshot_stride)
-    check_range(-np.inf, np.inf, floor=floor)
-    grid = state.grid
-    op = _FilmOperator(model, grid)
-    values, hat, t = state.eta, state.hat, state.t
+    values = grid.check(eta0)
     lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ParameterError("initial film height contains non-finite values")
+    if not model.linearized and lo <= 0.0:
+        raise ParameterError(f"initial film height must be positive under cubic mobility, "
+                             f"min is {lo:.3e}")
+    floor = POSITIVITY_FLOOR
+    op = _FilmOperator(model, grid)
+    hat, t = grid.rfft(values), 0.0
     times = np.empty(steps + 1)
     energy = np.empty(steps + 1)
     times[0], energy[0] = t, op.energy(hat)
     min_eta = float(lo)
     snapshots = [(t, values, hat)]
     substeps = 0
-
-    def current():
-        """The last accepted state, for an error report."""
-        return FilmState(grid, values, t + (dt - remaining), hat)
-
     for i in range(steps):
         remaining = sub = dt
         halvings = 0
         while remaining > 1e-14 * dt:
-            _check_height(model, lo, hi, current)
             L = op.frozen_symbol(hi)
             drive = op.rhs(values, hat) - L * hat
             sub = min(sub, remaining)
             while True:
                 new_hat = (hat + sub * drive) / (1.0 - sub * L)
                 new_values = grid.irfft(new_hat)
-                new_lo = new_values.min()
-                if model.linearized or not new_lo < floor:
+                new_lo, new_hi = new_values.min(), new_values.max()
+                if (np.isfinite(new_lo) and np.isfinite(new_hi)
+                        and (model.linearized or not new_lo < floor)):
                     break
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise PositivityError(
-                        f"positivity floor {floor} unreachable after {MAX_HALVINGS} halvings",
-                        last_state=current(),
+                        f"finite height (above the positivity floor {floor} under cubic "
+                        f"mobility) unreachable after {MAX_HALVINGS} halvings",
+                        last_state=FilmTrajectory(grid, [t + (dt - remaining)], values[None],
+                                                  hat[None]),
                     )
                 sub *= 0.5
             remaining -= sub
             substeps += 1
-            values, hat, lo, hi = new_values, new_hat, new_lo, new_values.max()
+            values, hat, lo, hi = new_values, new_hat, new_lo, new_hi
         t = t + dt
         times[i + 1], energy[i + 1] = t, op.energy(hat)
         min_eta = min(min_eta, float(lo))

@@ -28,10 +28,10 @@ from .fsi import (
     run_batch,
     stepped_modes,
 )
-from .reconstruction import (ApproxTriple, ReducedSolution, _approx_from_limit,
-                             _closure_from_limit, _limit_map, solve_reduced)
+from .reconstruction import ApproxTriple, LimitFields, solve_reduced
 from .scaling import ModelParams, eps_power
 from .spectral import PeriodicGrid, VerticalNodes, laplacian_symbol
+from .thinfilm import FilmTrajectory
 
 logger = logging.getLogger("lubelastic.verify")
 
@@ -265,7 +265,7 @@ class RateStudyResult:
     fits: dict
     audits: tuple[AuditResult, ...]
     ledgers: tuple[EnergyLedger, ...]
-    reduced: ReducedSolution
+    reduced: FilmTrajectory
     chain_closure_error: float
 
 
@@ -283,21 +283,21 @@ def compare_trajectories(traj: FsiTrajectory, approx: ApproxTriple) -> tuple[flo
             norm_LinfH2(traj.params.grid, traj.eta - approx.eta))
 
 
-def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[float],
-                   reduced: ReducedSolution, limit) -> list:
+def _ladder_points(config: RateStudyConfig, limit: LimitFields,
+                   eps_list: Sequence[float]) -> list:
     """(report, ledger, audit) per thickness: the coupled runs step together
-    on the study's setting (`RateStudyConfig.setting`), then each point is
-    reconstructed from the shared reduced solution and the ladder's limit
-    map, limit (`_limit_map`)."""
+    on the setting of the ladder's limit fields (the grid, vertical nodes and
+    forcing of `RateStudyConfig.setting`), then each point is reconstructed
+    from those limit fields."""
     start = time.perf_counter()
-    grid, vnodes, forcing = setting
+    grid, vnodes, forcing = limit.reduced.grid, limit.vnodes, limit.forcing
     params = [FsiParams(model=config.model_for(eps), grid=grid, vnodes=vnodes, dt=config.dt,
                         forcing=forcing) for eps in eps_list]
     trajs = run_batch(params, config.t_end, config.snapshot_stride)
     modes = f"{len(stepped_modes(forcing, grid))} of {np.prod(grid.spectral_shape)} modes"
     outcomes = []
     for eps, p, traj in zip(eps_list, params, trajs):
-        errs = compare_trajectories(traj, _approx_from_limit(reduced, limit, p.model, vnodes))
+        errs = compare_trajectories(traj, limit.approx(p.model))
         t_phys = config.t_end * eps_power(eps, p.model.tau)
         ratio = float(traj.ledger.lhs()[-1] / (t_phys * eps**3))
         report = ErrorReport(eps, float(p.model.kappa), *errs, energy_ratio=ratio)
@@ -312,11 +312,11 @@ def _ladder_points(config: RateStudyConfig, setting: tuple, eps_list: Sequence[f
 def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     """Run the full ladder, fit the three rates and take the chain closure.
 
-    The setting, the reduced problem and its limit map do not depend on
+    The setting, the reduced problem and its limit fields do not depend on
     eps, so each is built once, for every point and the closure.  With
     jobs = 1 the points' coupled runs step together in one loop
     (`fsi.run_batch`); with jobs > 1 each point runs in its own process,
-    which takes the same setting, pickled.  Results are ordered by the
+    which takes the same limit fields, pickled.  Results are ordered by the
     configured ladder either way.
     """
     if len(config.eps_list) < 3:
@@ -327,19 +327,18 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
     model = config.model_for(config.eps_list[0])
     reduced = solve_reduced(model, *setting, config.t_end, config.dt,
                             snapshot_stride=config.snapshot_stride)
-    limit = _limit_map(reduced, model, forcing, vnodes)
+    limit = LimitFields(reduced, model, forcing, vnodes)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
-            futures = [pool.submit(_ladder_points, config, setting, (eps,), reduced, limit)
+            futures = [pool.submit(_ladder_points, config, limit, (eps,))
                        for eps in config.eps_list]
             outcomes = [o for f in futures for o in f.result()]
     else:
-        outcomes = _ladder_points(config, setting, config.eps_list, reduced, limit)
+        outcomes = _ladder_points(config, limit, config.eps_list)
     reports = tuple(o[0] for o in outcomes)
     ledgers = tuple(o[1] for o in outcomes)
     audits = tuple(o[2] for o in outcomes)
     fits = {which: fit_rate(reports, which) for which in _NORM_FIELDS}
     return RateStudyResult(config=config, reports=reports, fits=fits, audits=audits,
-                           ledgers=ledgers, reduced=reduced,
-                           chain_closure_error=_closure_from_limit(reduced, limit, model,
-                                                                   forcing, vnodes))
+                           ledgers=ledgers, reduced=limit.reduced,
+                           chain_closure_error=limit.closure_error())

@@ -818,14 +818,15 @@ def branched_grid_arrays(grid):
 
 # The film step as it was taken before runs were integrated in
 # one call: every sub-step rebuilds the symbols, transforms through the
-# `rfftn` helpers above, pads each factor into a fresh buffer and makes a
-# new `FilmState`; the energy is a separate call.
+# `rfftn` helpers above, pads each factor into a fresh buffer and checks
+# the height it starts from; the energy is a separate call.
 
-def spectral_film_rhs_hat(model, state):
+def spectral_film_rhs_hat(model, grid, eta, hat):
+    """Coefficients of the right-hand side at the height of nodal values
+    eta and coefficients hat."""
     from lubelastic.errors import ParameterError, PositivityError
     from lubelastic.spectral import derivative_symbol
 
-    grid, eta, hat = state.grid, state.eta, state.hat
     if grid.dim != 1:
         raise ParameterError("the film family is one-dimensional")
     if not np.all(np.isfinite(eta)):
@@ -835,8 +836,7 @@ def spectral_film_rhs_hat(model, state):
         out = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) * hat
     else:
         if eta.min() <= 0.0:
-            raise PositivityError("nonpositive film height under cubic mobility",
-                                  last_state=state)
+            raise PositivityError("nonpositive film height under cubic mobility")
         gain = model.sign * model.mobility_scale
         slope = gain * rfftn_padded_values(grid, derivative_symbol(grid, model.alpha) * hat)
         if model.potential is not None:
@@ -850,14 +850,12 @@ def spectral_film_rhs_hat(model, state):
     return out
 
 
-def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
-    """Advance a `FilmState` by dt; returns (new state, accepted sub-steps)."""
+def spectral_film_step(model, grid, t, eta, hat, dt, floor=1e-6, max_halvings=20):
+    """Advance the height at t, nodal values eta and coefficients hat, by
+    dt; returns (t + dt, eta, hat, accepted sub-steps)."""
     from lubelastic.errors import PositivityError
-    from lubelastic.thinfilm import FilmState
 
-    grid = state.grid
     xi = grid.xi[0]
-    cur = state
     remaining = dt
     sub = dt
     halvings = 0
@@ -867,24 +865,24 @@ def spectral_film_step(model, state, dt, floor=1e-6, max_halvings=20):
         if model.linearized:
             gain = model.c
         else:
-            gain = model.mobility_scale * float(cur.eta.max()) ** 3
+            gain = model.mobility_scale * float(eta.max()) ** 3
         L = -gain * xi ** (model.alpha + 1)
-        hat = (cur.hat + sub * (spectral_film_rhs_hat(model, cur) - L * cur.hat)) / (1.0 - sub * L)
-        eta = rfftn_irfft(grid, hat)
-        if not model.linearized and eta.min() < floor:
+        new_hat = (hat + sub * (spectral_film_rhs_hat(model, grid, eta, hat) - L * hat)) / (
+            1.0 - sub * L)
+        new_eta = rfftn_irfft(grid, new_hat)
+        if not model.linearized and new_eta.min() < floor:
             halvings += 1
             if halvings > max_halvings:
-                raise PositivityError("positivity floor unreachable", last_state=cur)
+                raise PositivityError("positivity floor unreachable")
             sub *= 0.5
             continue
         remaining -= sub
         accepted += 1
-        cur = FilmState(grid, eta, state.t + (dt - remaining), hat)
-    return FilmState(grid, cur.eta, state.t + dt, cur.hat), accepted
+        eta, hat = new_eta, new_hat
+    return t + dt, eta, hat, accepted
 
 
-def spectral_film_energy(model, state):
-    grid = state.grid
+def spectral_film_energy(model, grid, hat):
     xi2 = grid.xi[0] ** 2
     if model.linearized or model.alpha == 1:
         sym = np.ones_like(xi2)
@@ -892,11 +890,11 @@ def spectral_film_energy(model, state):
         sym = xi2
     else:
         sym = xi2**2
-    return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(state.hat) ** 2))
+    return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(hat) ** 2))
 
 
 # The mode-exact sixth-order solve as it was before its snapshots were held
-# as arrays: one inverse transform and one `FilmState` per snapshot,
+# as arrays: one inverse transform and one (t, eta, hat) tuple per snapshot,
 # and the phi functions filled through boolean masks.
 
 def masked_phi1(z):
@@ -918,17 +916,17 @@ def masked_phi2(z):
 
 
 def snapshot_solve_linear_sixth(c, F, grid, eta0, t_end, dt, snapshot_stride=1):
-    """The kept `FilmState`s of d/dt eta - c (Lap')^3 eta = F, integrated
-    mode-exactly by the exponential trapezoidal rule."""
+    """The kept snapshots (t, eta, hat) of d/dt eta - c (Lap')^3 eta = F,
+    integrated mode-exactly by the exponential trapezoidal rule."""
     from lubelastic.spectral import _step_count, laplacian_symbol
-    from lubelastic.thinfilm import FilmState
 
     nsteps = _step_count(t_end, dt)
     lam = c * (-laplacian_symbol(grid)) ** 3
     z = -lam * dt
     decay, phi1, phi2 = np.exp(z), masked_phi1(z), masked_phi2(z)
-    states = [FilmState(grid, eta0, 0.0)]
-    hat = states[0].hat
+    eta0 = np.asarray(eta0, dtype=float)
+    hat = grid.rfft(eta0)
+    states = [(0.0, eta0, hat)]
     times = dt * np.arange(nsteps + 1)
     gain = None
     if F is not None:
@@ -939,7 +937,7 @@ def snapshot_solve_linear_sixth(c, F, grid, eta0, t_end, dt, snapshot_stride=1):
         if gain is not None:
             hat = hat + gain[i]
         if (i + 1) % snapshot_stride == 0 or i == nsteps - 1:
-            states.append(FilmState(grid, grid.irfft(hat), float(times[i + 1]), hat))
+            states.append((float(times[i + 1]), grid.irfft(hat), hat))
     return states
 
 
@@ -1260,21 +1258,22 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
 
 # The reconstruction and error norms of one ladder point as `verify` took
 # them before the limit map was built once per ladder and the norms became
-# reductions over the stacked snapshots: `assemble_approx` builds its own
-# limit map and transforms every snapshot's components one by one, and
+# reductions over the stacked snapshots: each point builds its own
+# `LimitFields` and transforms every snapshot's components one by one, and
 # `compare_trajectories` takes the norms snapshot by snapshot on differences
 # of fields.
 
 def snapshot_assemble_approx(reduced, params, forcing, vnodes):
     """The reconstructed triple, one transform per snapshot and component."""
-    from lubelastic.reconstruction import _limit_map
+    from lubelastic.reconstruction import LimitFields
     from lubelastic.scaling import eps_power
     from lubelastic.spectral import derivative_symbol
 
     eps = params.eps
     eps_kappa = eps_power(eps, params.kappa)
     grid = reduced.grid
-    _, p_hat, v_hat = _limit_map(reduced, params, forcing, vnodes)
+    limit = LimitFields(reduced, params, forcing, vnodes)
+    p_hat, v_hat = limit.p_hat, list(limit.v_hat)
     div = sum(derivative_symbol(grid, 1, axis=a)[..., None] * vh for a, vh in enumerate(v_hat))
     v_hat.append(-eps * vnodes.ops.antiderivative(div))
     v = tuple(tuple(grid.irfft(eps**2 * vh[j]) for vh in v_hat)
@@ -1318,8 +1317,8 @@ def snapshot_compare(traj, approx):
     return l2l2(v_diffs), l2l2(p_diffs), max(snapshot_h2_norm(grid, e) for e in eta_diffs)
 
 
-# The reconstruction as `reconstruction.assemble_approx` and
-# `chain_closure_error` built it before they worked in coefficient space:
+# The reconstruction as `LimitFields.approx` and `LimitFields.closure_error`
+# built it before they worked in coefficient space:
 # per snapshot, the limit pressure on the nodes, the forcing callable
 # sampled again, nodal force profiles and spectral derivatives of each
 # nodal field.
@@ -1438,7 +1437,7 @@ def rhs_term_norms(red, model, forcing, vnodes):
             for term in (bending, source)]
 
 
-# The time derivative `reconstruction.chain_closure_error` compared the flux
+# The time derivative `LimitFields.closure_error` compared the flux
 # rate with before it read the reduced equation's right side: second-order
 # finite differences of the snapshots.
 

@@ -12,7 +12,7 @@ import pytest
 
 import lubelastic as lb
 from lubelastic import cli, thinfilm as tf, verify
-from lubelastic.reconstruction import chain_closure_error, solve_reduced
+from lubelastic.reconstruction import LimitFields, solve_reduced
 from lubelastic.spectral import PeriodicGrid, VerticalNodes
 
 from oracles import reynolds_fixed_point
@@ -119,8 +119,7 @@ def test_criterion_4_conservation_and_dissipation():
         for v_D in (0.0, 1.0):
             model = tf.ThinFilmModel(alpha=alpha, v_D=v_D)
             mass0 = eta0.mean()
-            run = tf.evolve(model, tf.FilmState(grid, eta0), dts[alpha], 1000,
-                            snapshot_stride=1000)
+            run = tf.evolve(model, grid, eta0, dts[alpha], 1000, snapshot_stride=1000)
             final = run.snapshots.eta[-1]
             if alpha == 5 and v_D == 0.0:
                 energy = run.energy
@@ -162,7 +161,7 @@ def test_criterion_6_derivation_chain_closure():
                                        ramp_time=cfg.ramp_time)
     reduced = solve_reduced(model, grid, vnodes, forcing, cfg.t_end, 1e-4,
                             snapshot_stride=10)
-    err = chain_closure_error(reduced, model, forcing, vnodes)
+    err = LimitFields(reduced, model, forcing, vnodes).closure_error()
     ok = err <= 1e-6
     _report(6, ok, f"pressure->velocity->flux loop reproduces the displacement "
                    f"rate to {err:.2e} (<= 1e-6)")

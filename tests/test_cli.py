@@ -330,6 +330,22 @@ class TestBreakdownPath:
                        "--output", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_height_that_overflows_exits_3(self, tmp_path, steps, capsys):
+        # a drift of 1e300 overflows the second step: the run used to exit 0
+        # with NaN in summary.json (2 steps) or exit 2 (3 steps)
+        doc = cli.preset_config("stf-bending")
+        doc.update({"n": 32, "steps": steps, "snapshot_stride": 1, "linearized": True,
+                    "v_D": 1e300, "dt": 1e-3})
+        out = tmp_path / "out"
+        rc = cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 3
+        assert "finite height" in capsys.readouterr().err
+        diag = json.loads((out / "breakdown.json").read_text())
+        assert diag["last_valid_time"] == 1e-3
+        assert not (out / "summary.json").exists()
+
 
     def test_factorization_failure_exits_3(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -680,15 +696,15 @@ class TestRatesCommand:
         forcing = lb.harmonic_ramp_forcing(grid, vn, ramp_time=0.1)
         reduced = lb.solve_reduced(model, grid, vn, forcing, 0.05, 1e-3,
                                    snapshot_stride=stride)
-        want = lb.chain_closure_error(reduced, model, forcing, vn)
+        want = lb.LimitFields(reduced, model, forcing, vn).closure_error()
         _, source = rhs_term_norms(reduced, model, forcing, vn)
         assert want <= 1e-12 * source
         return want
 
     def test_one_setting_and_one_limit_map_per_ladder(self, tmp_path, monkeypatch):
         # a jobs = 1 ladder's points, reduced solve and chain closure share
-        # one set of vertical operators and one limit map
-        counts = {"ChebOps": 0, "_limit_map": 0}
+        # one set of vertical operators and one set of limit fields
+        counts = {"ChebOps": 0, "LimitFields": 0}
         init = lb.spectral.ChebOps.__init__
 
         def counting_init(ops, *args, **kwargs):
@@ -696,18 +712,17 @@ class TestRatesCommand:
             init(ops, *args, **kwargs)
 
         monkeypatch.setattr(lb.spectral.ChebOps, "__init__", counting_init)
-        for holder in (verify, lb.reconstruction):
-            build = holder._limit_map
+        post_init = lb.LimitFields.__post_init__
 
-            def counting_map(*args, build=build):
-                counts["_limit_map"] += 1
-                return build(*args)
+        def counting_limit(limit):
+            counts["LimitFields"] += 1
+            post_init(limit)
 
-            monkeypatch.setattr(holder, "_limit_map", counting_map)
+        monkeypatch.setattr(lb.LimitFields, "__post_init__", counting_limit)
         doc = preset_with("theorem-e0-kappa2", eps_list=[0.125, 0.0625, 0.03125], n=8, m=10,
                           dt=1e-3, t_end=0.05, snapshot_stride=10)
         cli.run(doc, output_dir=str(tmp_path / "out"), jobs=1)
-        assert counts == {"ChebOps": 1, "_limit_map": 1}
+        assert counts == {"ChebOps": 1, "LimitFields": 1}
 
     @pytest.mark.parametrize("velocity, audit_ok, passes", [
         ((9.0, 0.5), True, [False, True, True]),  # steep enough, but r^2 too low
@@ -823,8 +838,8 @@ class TestArtifacts:
         # third one
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
         grid = PeriodicGrid(1, cfg.n)
-        state = thinfilm.FilmState(grid, cfg.eta0.sample(grid))
-        snaps = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps).snapshots
+        snaps = thinfilm.evolve(cfg.model, grid, cfg.eta0.sample(grid), cfg.dt,
+                                cfg.steps).snapshots
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         assert len(snaps.times) == 7
         rows = list(zip(snaps.times[::3].tolist(), snaps.eta[::3]))
@@ -837,8 +852,7 @@ class TestArtifacts:
         # holds it
         cfg = cli.parse_config(ARTIFACT_DOCUMENTS["thinfilm"])[1]
         grid = PeriodicGrid(1, cfg.n)
-        state = thinfilm.FilmState(grid, cfg.eta0.sample(grid))
-        run = thinfilm.evolve(cfg.model, state, cfg.dt, cfg.steps)
+        run = thinfilm.evolve(cfg.model, grid, cfg.eta0.sample(grid), cfg.dt, cfg.steps)
         cli.run(ARTIFACT_DOCUMENTS["thinfilm"], output_dir=str(tmp_path / "out"))
         lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
         assert lines == ["t,energy", *(f"{t!r},{e!r}" for t, e in

@@ -1294,6 +1294,30 @@ class TestHarmonicLoad:
         with pytest.raises(ValueError):
             load.hat[1] = 0.0
 
+    @pytest.mark.parametrize("value", [1.0, -0.5j])
+    @pytest.mark.parametrize("dim, nyquist", [(1, [(8,)]), (2, [(8, 1), (3, 8), (8, 8)])],
+                             ids=["1d", "2d"])
+    def test_nyquist_coefficients_run_as_the_callable_does(self, dim, nyquist, value):
+        # the load drops its coefficients at index n/2 of every horizontal
+        # axis, as `sample_forcing` drops a sampled load's.  As data they
+        # used to be stepped (work 2.3e-14, |v| up to 1.7e-11 on a lone 1D
+        # Nyquist mode, and a failed divergence invariant), while through
+        # the load's own call they were not
+        grid, vn, hat = self._load_parts(dim)
+        support = lb.harmonic_ramp_forcing(grid, vn, wavevector=(1,) * dim).support
+        for index in nyquist:
+            hat[index] = value
+        load = lb.fsi.HarmonicLoad(grid, 0, hat, 0.1)
+        assert not any(load.hat[index].any() for index in nyquist)
+        assert np.array_equal(load.support, support)
+        params = make_params(dim=dim, n=16, m=8, forcing=load)
+        data = lb.run_fsi(params, 0.02, snapshot_stride=5)
+        called = lb.run_fsi(replace(params, forcing=plain(load)), 0.02, snapshot_stride=5)
+        for traj in (data, called):
+            check(params, traj)
+            assert traj.ledger.work[-1] > 0
+        _assert_fields_close(data, called, 1e-12)
+
     def test_smooth_ramp_takes_arrays(self):
         t = np.array([-0.1, 0.0, 0.03, 0.1, 0.25])
         assert np.array_equal(lb.fsi.smooth_ramp(t, 0.1),

@@ -82,11 +82,11 @@ def test_nan_guard_lint_sees_each_form():
 
 
 def test_library_stays_within_the_round_line_budget():
-    # ROADMAP item 10: the library holds no more than the 3046 lines it had
-    # once the film, reduced-plate and Reynolds code took plain arrays,
-    # counted as `wc -l src/lubelastic/*.py` does
+    # ROADMAP item 10: the library holds no more than the 3015 lines it had
+    # once every height series became one record and the reduced limit one
+    # object, counted as `wc -l src/lubelastic/*.py` does
     total = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
-    assert total <= 3046, f"src/lubelastic/*.py holds {total} lines"
+    assert total <= 3015, f"src/lubelastic/*.py holds {total} lines"
 
 
 def _unread_private_attributes(trees) -> list[str]:

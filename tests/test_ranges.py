@@ -11,7 +11,7 @@ from lubelastic.errors import ParameterError, check_range
 
 GRID = lb.PeriodicGrid(dim=1, n=16)
 VNODES = lb.VerticalNodes(8)
-FILM = tf.FilmState(GRID, 1.0 + 0.3 * np.sin(2 * np.pi * GRID.meshes[0]))
+FILM = 1.0 + 0.3 * np.sin(2 * np.pi * GRID.meshes[0])
 ZERO = np.zeros(GRID.shape)
 
 
@@ -56,20 +56,18 @@ SITES = {
     "ThinFilmModel.alpha": lambda x: tf.ThinFilmModel(alpha=x),
     "PowerPotential.strength": lambda x: tf.PowerPotential("power", x, 1.0),
     "PowerPotential.exponent": lambda x: tf.PowerPotential("power", 1.0, x),
-    "FilmState.t": lambda x: tf.FilmState(GRID, FILM.eta, x),
-    "evolve.dt": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, x, 3),
-    "evolve.steps": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, x),
-    "evolve.snapshot_stride": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, 3,
-                                                  snapshot_stride=x),
+    "evolve.dt": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), GRID, FILM, x, 3),
+    "evolve.steps": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), GRID, FILM, 1e-6, x),
+    "evolve.snapshot_stride": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), GRID, FILM, 1e-6,
+                                                  3, snapshot_stride=x),
     "solve_linear_sixth.c": lambda x: tf.solve_linear_sixth(x, None, GRID, ZERO, 0.1, 1e-2),
     "solve_linear_sixth.snapshot_stride": lambda x: tf.solve_linear_sixth(
         1.0, None, GRID, ZERO, 0.1, 1e-2, snapshot_stride=x),
-    "evolve.floor": lambda x: tf.evolve(tf.ThinFilmModel(alpha=1), FILM, 1e-6, 3, floor=x),
-    "solve_reynolds_stationary.nu": lambda x: tf.solve_reynolds_stationary(GRID, FILM.eta, 1.0,
+    "solve_reynolds_stationary.nu": lambda x: tf.solve_reynolds_stationary(GRID, FILM, 1.0,
                                                                            nu=x),
-    "solve_reynolds_stationary.v_D": lambda x: tf.solve_reynolds_stationary(GRID, FILM.eta, x),
-    "reynolds_residual.v_D": lambda x: tf.reynolds_residual(GRID, FILM.eta, ZERO, x),
-    "reynolds_residual.nu": lambda x: tf.reynolds_residual(GRID, FILM.eta, ZERO, 1.0, nu=x),
+    "solve_reynolds_stationary.v_D": lambda x: tf.solve_reynolds_stationary(GRID, FILM, x),
+    "reynolds_residual.v_D": lambda x: tf.reynolds_residual(GRID, FILM, ZERO, x),
+    "reynolds_residual.nu": lambda x: tf.reynolds_residual(GRID, FILM, ZERO, 1.0, nu=x),
     "FsiParams.dt": _fsi_params,
     "run_fsi.snapshot_stride": lambda x: lb.run_fsi(_fsi_params(), 1e-3, snapshot_stride=x),
     "harmonic_ramp_forcing.ramp_time": lambda x: lb.harmonic_ramp_forcing(

@@ -7,6 +7,7 @@ import lubelastic as lb
 from lubelastic import reconstruction as rc
 from lubelastic.errors import GridMismatchError, ParameterError
 from lubelastic.spectral import PeriodicGrid, VerticalNodes
+from lubelastic.thinfilm import FilmTrajectory
 
 from oracles import (horizontal_velocity, limit_pressure, nodal_assemble_approx,
                      nodal_chain_closure_error, quadrature_inner, rhs_term_norms,
@@ -31,7 +32,17 @@ def band_limited(grid, rng, kmax=6):
 
 def reduced(grid, times, etas):
     """The reduced solution of the nodal displacements etas at times."""
-    return rc.ReducedSolution(grid, times, np.array(etas))
+    return FilmTrajectory(grid, times, np.array(etas))
+
+
+def limit(red, model, vnodes, forcing=None):
+    """The limit fields of the reduced solution red, checked for zero mean."""
+    return rc.LimitFields(red, model, forcing, vnodes)
+
+
+def approx(red, model, forcing, vnodes):
+    """The triple of red at the thickness of model."""
+    return rc.LimitFields(red, model, forcing, vnodes).approx(model)
 
 
 def rebuilt(grid, vnodes, etas, forcing=None, eps=0.5, kappa=2, **model_kw):
@@ -39,7 +50,12 @@ def rebuilt(grid, vnodes, etas, forcing=None, eps=0.5, kappa=2, **model_kw):
     0.1 apart; eps = 1/2, so dividing a velocity by eps^2 is exact."""
     model = lb.ModelParams(eps=eps, kappa=kappa, dim=grid.dim, **model_kw)
     red = reduced(grid, 0.1 * np.arange(len(etas)), etas)
-    return rc.assemble_approx(red, model, forcing, vnodes)
+    return approx(red, model, forcing, vnodes)
+
+
+def closure(red, model, forcing, vnodes):
+    """The chain closure of red's limit fields."""
+    return rc.LimitFields(red, model, forcing, vnodes).closure_error()
 
 
 def steady(*comps):
@@ -218,7 +234,7 @@ class TestForcingSource:
 
 
 class TestNodalOracle:
-    """assemble_approx and chain_closure_error against the per-snapshot
+    """`LimitFields.approx` and `.closure_error` against the per-snapshot
     nodal rebuild they replaced (`oracles.nodal_assemble_approx`)."""
 
     @staticmethod
@@ -231,7 +247,11 @@ class TestNodalOracle:
             profiles = [without_nyquist(grid, rng.standard_normal(grid.shape + (vnodes.m,)))
                         for _ in range(dim)]
             forcing = _loads(grid, vnodes, *profiles)
-            red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-3, snapshot_stride=20)
+            solved = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-3, snapshot_stride=20)
+            # the solve's coefficients are not bitwise the transform of its
+            # nodal values, which the nodal rebuild reads: both rebuilds take
+            # the nodal values
+            red = reduced(grid, solved.times, solved.eta)
         else:
             forcing = None
             etas = []
@@ -268,7 +288,7 @@ class TestNodalOracle:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_triple_matches_nodal_rebuild(self, dim, forced):
         grid, vnodes, model, forcing, red = self.case(dim, forced)
-        got = rc.assemble_approx(red, model, forcing, vnodes)
+        got = approx(red, model, forcing, vnodes)
         want = nodal_assemble_approx(red, model, forcing, vnodes)
         assert np.array_equal(got.times, want.times)
         for j, (t, eta) in enumerate(zip(red.times, red.eta)):
@@ -286,7 +306,7 @@ class TestNodalOracle:
         # both sides are an identity, so both read roundoff of the right
         # side's larger term
         grid, vnodes, model, forcing, red = self.case(dim, forced)
-        got = rc.chain_closure_error(red, model, forcing, vnodes)
+        got = closure(red, model, forcing, vnodes)
         want = nodal_chain_closure_error(red, model, forcing, vnodes)
         scale = max(rhs_term_norms(red, model, forcing, vnodes))
         assert scale > 0
@@ -304,6 +324,9 @@ def criterion_preset(eps=0.125):
 
 
 class TestReducedSolution:
+    """A reduced solution is a `FilmTrajectory`: its checks of shapes, times
+    and values, and the zero-mean rule that `LimitFields` adds."""
+
     def test_repeated_time_rejected(self, grid):
         with pytest.raises(ParameterError, match="strictly increasing"):
             reduced(grid, np.array([0.0, 0.1, 0.1]), [np.zeros(grid.shape)] * 3)
@@ -321,42 +344,102 @@ class TestReducedSolution:
         eta = np.zeros((2,) + grid.shape)
         eta[1, 3] = bad
         with pytest.raises(ParameterError, match="finite"):
-            rc.ReducedSolution(grid, np.array([0.0, 0.1]), eta)
+            FilmTrajectory(grid, np.array([0.0, 0.1]), eta)
         eta[1] = bad
         with pytest.raises(ParameterError, match="finite"):
-            rc.ReducedSolution(grid, np.array([0.0, 0.1]), eta)
+            FilmTrajectory(grid, np.array([0.0, 0.1]), eta)
 
     @pytest.mark.parametrize("shape", [(3, 32), (2, 16), (2, 32, 1), (32,)],
                              ids=["count", "grid", "extra-axis", "no-time-axis"])
     def test_shape_that_is_not_the_series_rejected(self, grid, shape):
         with pytest.raises(GridMismatchError):
-            rc.ReducedSolution(grid, np.array([0.0, 0.1]), np.zeros(shape))
+            FilmTrajectory(grid, np.array([0.0, 0.1]), np.zeros(shape))
 
     def test_times_of_more_than_one_axis_rejected(self, grid):
         # even with snapshots behind both of their axes
         with pytest.raises(GridMismatchError):
-            rc.ReducedSolution(grid, np.zeros((2, 1)), np.zeros((2, 1) + grid.shape))
+            FilmTrajectory(grid, np.zeros((2, 1)), np.zeros((2, 1) + grid.shape))
 
     def test_holds_float_arrays(self, grid):
-        red = rc.ReducedSolution(grid, [0, 1], [[0] * 32] * 2)
+        red = FilmTrajectory(grid, [0, 1], [[0] * 32] * 2)
         assert red.times.dtype == red.eta.dtype == float
         assert red.eta.shape == (2,) + grid.shape
 
     def test_mean_tolerance_follows_the_size(self, grid):
         # the bound is 1e-10 of the size: on a displacement of size 1e3 a mean
         # of 1e-9 passes and one of 1e-6 does not
+        model = lb.ModelParams(eps=0.5, kappa=2, dim=1)
         wave = 1e3 * np.sin(2 * np.pi * grid.meshes[0])
-        reduced(grid, np.array([0.0]), [wave + 1e-9])
+        limit(reduced(grid, np.array([0.0]), [wave + 1e-9]), model, VerticalNodes(8))
         with pytest.raises(ParameterError, match="zero mean"):
-            reduced(grid, np.array([0.0]), [wave + 1e-6])
+            limit(reduced(grid, np.array([0.0]), [wave + 1e-6]), model, VerticalNodes(8))
 
     def test_mean_tolerance_is_relative_below_unit_size(self, grid):
         # reduced displacements are small: on a size of 1e-3 a mean of 9e-11
         # is 9e-8 of the size and is rejected, one of 9e-14 passes
+        model = lb.ModelParams(eps=0.5, kappa=2, dim=1)
         wave = 1e-3 * np.sin(2 * np.pi * grid.meshes[0])
-        reduced(grid, np.array([0.0]), [wave + 9e-14])
+        limit(reduced(grid, np.array([0.0]), [wave + 9e-14]), model, VerticalNodes(8))
         with pytest.raises(ParameterError, match="zero mean"):
-            reduced(grid, np.array([0.0]), [wave + 9e-11])
+            limit(reduced(grid, np.array([0.0]), [wave + 9e-11]), model, VerticalNodes(8))
+
+
+class TestLimitFields:
+    """The eps-free limit of one reduced solution, built once."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_takes_the_reduced_coefficients_with_no_transform(self, dim, monkeypatch):
+        grid = PeriodicGrid(dim=dim, n=8)
+        vnodes = VerticalNodes(10)
+        model = lb.ModelParams(eps=0.125, kappa=2, dim=dim, nu=0.7, B=1.3)
+        forcing = lb.harmonic_ramp_forcing(grid, vnodes, wavevector=(1,) * dim, ramp_time=0.05)
+        red = rc.solve_reduced(model, grid, vnodes, forcing, 0.05, 1e-3, snapshot_stride=10)
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(PeriodicGrid, name)
+            monkeypatch.setattr(PeriodicGrid, name,
+                                lambda g, a, fn=fn: calls.append(1) or fn(g, a))
+        limit = rc.LimitFields(red, model, forcing, vnodes)
+        assert calls == []
+        monkeypatch.undo()
+        assert limit.reduced is red and limit.forcing is forcing and limit.vnodes is vnodes
+        assert np.array_equal(limit.p_hat, model.B * lb.spectral.laplacian_symbol(grid) ** 2
+                              * red.hat)
+        assert len(limit.v_hat) == dim
+        for vh in limit.v_hat:
+            assert vh.shape == red.hat.shape + (vnodes.m,)
+        # the pressure gradient and the load both drive the velocity
+        unforced = rc.LimitFields(red, model, None, vnodes)
+        assert np.array_equal(unforced.p_hat, limit.p_hat)
+        assert np.max(np.abs(unforced.v_hat[0] - limit.v_hat[0])) > 0
+        assert np.max(np.abs(unforced.v_hat[0])) > 0
+
+    def test_one_limit_serves_every_thickness(self):
+        # a ladder builds one: its triple at any eps is the one of limit
+        # fields built at that eps, bitwise
+        grid, vnodes, model, forcing = criterion_preset()
+        red = rc.solve_reduced(model, grid, vnodes, forcing, 0.05, 1e-3, snapshot_stride=10)
+        limit = rc.LimitFields(red, model, forcing, vnodes)
+        for eps in (0.25, 0.03125):
+            thin = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=20.0, rho_f=40.0,
+                                  rho_s=40.0, dim=1)
+            got = limit.approx(thin)
+            want = rc.LimitFields(red, thin, forcing, vnodes).approx(thin)
+            assert np.array_equal(got.times, want.times)
+            for g, w in zip((*got.v, got.p, got.eta), (*want.v, want.p, want.eta), strict=True):
+                assert np.array_equal(g, w)
+
+    def test_pickles_to_the_same_fields(self):
+        # a --jobs worker takes the ladder's limit fields, pickled
+        import pickle
+
+        grid, vnodes, model, forcing = criterion_preset()
+        red = rc.solve_reduced(model, grid, vnodes, forcing, 0.05, 1e-3, snapshot_stride=10)
+        limit = rc.LimitFields(red, model, forcing, vnodes)
+        again = pickle.loads(pickle.dumps(limit))
+        assert np.array_equal(again.p_hat, limit.p_hat)
+        assert np.array_equal(again.approx(model).v[0], limit.approx(model).v[0])
+        assert again.closure_error() == limit.closure_error()
 
 
 class TestAssembleApprox:
@@ -365,7 +448,7 @@ class TestAssembleApprox:
         times = np.array([0.0, 0.1, 0.2])
         zeros = tuple(np.zeros(grid.shape) for _ in times)
         red = reduced(grid, times, zeros)
-        triple = rc.assemble_approx(red, model, None, vnodes)
+        triple = approx(red, model, None, vnodes)
         for j in range(len(times)):
             assert all(np.max(np.abs(c[j])) == 0.0 for c in triple.v)
             assert np.max(np.abs(triple.p[j])) == 0.0
@@ -380,7 +463,7 @@ class TestAssembleApprox:
         for eps in (0.25, 0.5):
             model = lb.ModelParams(eps=eps, kappa=2, dim=1)
             red = reduced(grid, times, etas)
-            triples[eps] = rc.assemble_approx(red, model, None, vnodes)
+            triples[eps] = approx(red, model, None, vnodes)
         v_small = triples[0.25].v[0][1]
         v_big = triples[0.5].v[0][1]
         assert np.max(np.abs(v_big - 4.0 * v_small)) < 1e-13 * max(1, np.max(np.abs(v_big)))
@@ -392,7 +475,7 @@ class TestAssembleApprox:
         times = np.array([0.0, 0.1, 0.2])
         red = reduced(grid, times, [eta, eta, eta])
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
-        triple = rc.assemble_approx(red, model, None, vnodes)
+        triple = approx(red, model, None, vnodes)
         assert np.max(np.abs(triple.eta[0] - 0.0625 * eta)) < 1e-15
         assert abs(triple.eta[0].mean()) < 1e-16
 
@@ -408,7 +491,7 @@ class TestAssembleApprox:
         times = np.array([0.0, 0.1])
         red = reduced(grid, times, [eta, eta])
         model = lb.ModelParams(eps=0.25, kappa=2, dim=1)
-        triple = rc.assemble_approx(red, model, None, vnodes)
+        triple = approx(red, model, None, vnodes)
         spread = np.max(triple.p[0], axis=-1) - np.min(triple.p[0], axis=-1)
         assert np.max(np.abs(spread)) < 1e-12 * max(1, np.max(np.abs(triple.p[0])))
 
@@ -448,7 +531,7 @@ class TestChainClosure:
         grid, vnodes, model, forcing = criterion_preset()
         red = rc.solve_reduced(model, grid, vnodes, forcing, 0.25, 1e-4,
                                snapshot_stride=10)
-        err = rc.chain_closure_error(red, model, forcing, vnodes)
+        err = closure(red, model, forcing, vnodes)
         assert err <= 1e-6
 
     def test_closure_with_two_horizontal_dimensions(self):
@@ -459,7 +542,7 @@ class TestChainClosure:
                                            ramp_time=0.1)
         red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-4,
                                snapshot_stride=10)
-        assert rc.chain_closure_error(red, model, forcing, vnodes) <= 1e-5
+        assert closure(red, model, forcing, vnodes) <= 1e-5
 
     @pytest.mark.parametrize("stride", [10, 7], ids=["even", "uneven"])
     def test_closure_is_roundoff_at_any_stride(self, stride):
@@ -469,7 +552,7 @@ class TestChainClosure:
                                snapshot_stride=stride)
         _, source = rhs_term_norms(red, model, forcing, vnodes)
         assert source > 0
-        assert rc.chain_closure_error(red, model, forcing, vnodes) <= 1e-12 * source
+        assert closure(red, model, forcing, vnodes) <= 1e-12 * source
 
     @pytest.mark.parametrize("flaw", ["coefficient", "source"])
     def test_closure_sees_a_wrong_coefficient_or_source(self, flaw, monkeypatch):
@@ -484,7 +567,7 @@ class TestChainClosure:
             build = rc.reduced_source
             monkeypatch.setattr(rc, "reduced_source",
                                 lambda *args: lambda times: 0.5 * build(*args)(times))
-        assert rc.chain_closure_error(red, model, forcing, vnodes) >= 1e-3 * source
+        assert closure(red, model, forcing, vnodes) >= 1e-3 * source
 
     def test_top_trace_matches_displacement_rate(self):
         # the reconstructed vertical velocity at the plate equals the slow-time
@@ -492,7 +575,7 @@ class TestChainClosure:
         grid, vnodes, model, forcing = criterion_preset()
         red = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-4,
                                snapshot_stride=1)
-        triple = rc.assemble_approx(red, model, forcing, vnodes)
+        triple = approx(red, model, forcing, vnodes)
         eta_dot = trajectory_time_derivative(triple.times, triple.eta)
         t_scale = lb.eps_power(model.eps, model.tau)
         worst = 0.0

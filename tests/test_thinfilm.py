@@ -38,13 +38,14 @@ def film_rhs(model, grid, eta):
     return grid.irfft(op.rhs(eta, grid.rfft(eta)))
 
 
-def film_energy(model, state):
-    return tf._FilmOperator(model, state.grid).energy(state.hat)
+def film_energy(model, grid, eta):
+    """The model's film energy of the nodal height eta."""
+    return tf._FilmOperator(model, grid).energy(grid.rfft(eta))
 
 
-def snapshots(model, state, dt, steps=1):
+def snapshots(model, grid, eta0, dt, steps=1):
     """The snapshots of steps steps of `evolve`, one array per field."""
-    return tf.evolve(model, state, dt, steps).snapshots
+    return tf.evolve(model, grid, eta0, dt, steps).snapshots
 
 
 class TestModelValidation:
@@ -63,28 +64,36 @@ class TestModelValidation:
             tf.ThinFilmModel(alpha=5, c=-1e-12, linearized=True)
         # with c = 0 and no drift the linearized right-hand side vanishes
         model = tf.ThinFilmModel(alpha=5, c=0.0, linearized=True)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
-        run = tf.evolve(model, state, 1e-3, 5)
-        assert np.array_equal(run.snapshots.hat[-1], state.hat)
-        assert np.max(np.abs(run.snapshots.eta[-1] - state.eta)) <= 1e-15
+        eta0 = one_plus_sin(grid)
+        run = tf.evolve(model, grid, eta0, 1e-3, 5)
+        assert np.array_equal(run.snapshots.hat[-1], run.snapshots.hat[0])
+        assert np.array_equal(run.snapshots.hat[0], grid.rfft(eta0))
+        assert np.max(np.abs(run.snapshots.eta[-1] - eta0)) <= 1e-15
 
 
-class TestFilmState:
+class TestFilmTrajectory:
+    """The one record of a height series; `test_reconstruction.py::
+    TestReducedSolution` holds its checks of shapes, times and values."""
+
     def test_a_frozen_record_of_plain_arrays(self, grid):
-        eta = one_plus_sin(grid)
-        state = tf.FilmState(grid, eta, 0.5)
-        assert state.grid is grid and state.eta is eta and state.t == 0.5
-        assert np.array_equal(state.hat, grid.rfft(eta))
+        eta = np.array([one_plus_sin(grid), one_plus_sin(grid, k=2)])
+        traj = tf.FilmTrajectory(grid, np.array([0.0, 0.5]), eta)
+        assert traj.grid is grid and traj.eta is eta
+        # the coefficients of every snapshot, computed when omitted
+        assert traj.hat.shape == (2,) + grid.spectral_shape
+        for e, h in zip(eta, traj.hat):
+            np.testing.assert_allclose(h, grid.rfft(e), rtol=0, atol=1e-16)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            state.t = 1.0
+            traj.times = np.array([0.0, 1.0])
         # equality is identity, so no array is ever compared
-        assert state == state and state != tf.FilmState(grid, eta.copy(), 0.5)
+        assert traj == traj and traj != tf.FilmTrajectory(grid, traj.times, eta.copy())
 
     def test_values_become_floats_and_given_coefficients_are_kept(self, grid):
-        hat = np.zeros(grid.spectral_shape, dtype=complex)
-        state = tf.FilmState(grid, [1] * grid.n, hat=hat)
-        assert state.eta.dtype == float and np.array_equal(state.eta, np.ones(grid.shape))
-        assert state.hat is hat and state.t == 0.0
+        hat = np.zeros((1,) + grid.spectral_shape, dtype=complex)
+        traj = tf.FilmTrajectory(grid, [0], [[1] * grid.n], hat=hat)
+        assert traj.eta.dtype == traj.times.dtype == float
+        assert np.array_equal(traj.eta, np.ones((1,) + grid.shape))
+        assert traj.hat is hat and np.array_equal(traj.times, [0.0])
 
 
 class TestRhs:
@@ -119,8 +128,9 @@ class TestRhs:
     def test_positivity_guard(self, grid):
         model = tf.ThinFilmModel(alpha=3)
         eta = np.sin(2 * np.pi * grid.meshes[0])
-        with pytest.raises(PositivityError):
-            tf.evolve(model, tf.FilmState(grid, eta), 1e-6, 1)
+        # a nonpositive initial height is bad input, not a breakdown
+        with pytest.raises(ParameterError, match="must be positive"):
+            tf.evolve(model, grid, eta, 1e-6, 1)
 
 
 class TestStep:
@@ -130,51 +140,53 @@ class TestStep:
         c = 1e-5
         model = tf.ThinFilmModel(alpha=5, c=c, linearized=True)
         eta0 = np.cos(2 * np.pi * grid.meshes[0])
-        new = snapshots(model, tf.FilmState(grid, eta0, 0.0), dt)
+        new = snapshots(model, grid, eta0, dt)
         factor = np.exp(-c * (2 * np.pi) ** 6 * dt)
         err = np.max(np.abs(new.eta[-1] - factor * eta0))
         assert err <= 10 * dt**2
 
     def test_zero_state_stays_zero(self, grid):
         model = tf.ThinFilmModel(alpha=5, c=1.0, linearized=True)
-        state = tf.FilmState(grid, np.zeros(grid.shape), 0.0)
-        new = snapshots(model, state, 1e-3, 5)
+        new = snapshots(model, grid, np.zeros(grid.shape), 1e-3, 5)
         assert np.max(np.abs(new.eta[-1])) == 0.0
 
     def test_mass_conserved_per_step(self, grid):
         model = tf.ThinFilmModel(alpha=5, v_D=1.0)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
-        m0 = state.eta.mean()
-        new = snapshots(model, state, 1e-7)
+        eta0 = one_plus_sin(grid)
+        m0 = eta0.mean()
+        new = snapshots(model, grid, eta0, 1e-7)
         assert abs(new.eta[-1].mean() - m0) <= 1e-12 * (1 + abs(m0))
 
-    def test_breakdown_reports_last_state(self, grid):
+    def test_breakdown_reports_last_state(self, grid, monkeypatch):
         model = tf.ThinFilmModel(alpha=5)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
+        eta0 = one_plus_sin(grid)
         # a floor above the profile minimum can never be honored
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", 0.9)
         with pytest.raises(PositivityError) as ei:
-            tf.evolve(model, state, 1e-6, 1, floor=0.9)
-        assert ei.value.last_state is not None
-        assert ei.value.last_state.eta.min() >= 0.5
+            tf.evolve(model, grid, eta0, 1e-6, 1)
+        # the initial height, as a one-snapshot trajectory
+        last = ei.value.last_state
+        assert isinstance(last, tf.FilmTrajectory)
+        assert np.array_equal(last.times, [0.0]) and np.array_equal(last.eta, eta0[None])
+        assert np.array_equal(last.hat, grid.rfft(eta0)[None])
 
     def test_dt_must_be_positive(self, grid):
         model = tf.ThinFilmModel(alpha=1)
         with pytest.raises(ParameterError):
-            tf.evolve(model, tf.FilmState(grid, one_plus_sin(grid), 0.0), 0.0, 1)
+            tf.evolve(model, grid, one_plus_sin(grid), 0.0, 1)
 
     @pytest.mark.parametrize("steps, stride", [(0, 1), (3, 0)])
     def test_run_counts_must_be_positive(self, grid, steps, stride):
         model = tf.ThinFilmModel(alpha=1)
         with pytest.raises(ParameterError):
-            tf.evolve(model, tf.FilmState(grid, one_plus_sin(grid), 0.0), 1e-5, steps,
-                      snapshot_stride=stride)
+            tf.evolve(model, grid, one_plus_sin(grid), 1e-5, steps, snapshot_stride=stride)
 
     def test_last_step_is_a_snapshot_off_the_stride(self, grid):
         model = tf.ThinFilmModel(alpha=5, c=1e-5, linearized=True)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
+        eta0 = one_plus_sin(grid)
         dt = 1e-3
-        run = tf.evolve(model, state, dt, 10, snapshot_stride=3)
-        every = tf.evolve(model, state, dt, 10)
+        run = tf.evolve(model, grid, eta0, dt, 10, snapshot_stride=3)
+        every = tf.evolve(model, grid, eta0, dt, 10)
         assert np.array_equal(run.snapshots.times, run.t[[0, 3, 6, 9, 10]])
         np.testing.assert_allclose(run.snapshots.times, dt * np.array([0, 3, 6, 9, 10]),
                                    rtol=1e-14)
@@ -184,40 +196,82 @@ class TestStep:
         assert np.array_equal(got.hat[-1], want.hat[-1])
         assert got.eta.shape == (5,) + grid.shape
         assert got.hat.shape == (5,) + grid.spectral_shape
+        # at a stride of 4 too: the kept steps are the multiples of the stride
+        fours = tf.evolve(model, grid, eta0, dt, 10, snapshot_stride=4).snapshots
+        assert np.array_equal(fours.times, want.times[[0, 4, 8, 10]])
+        assert np.array_equal(fours.eta, want.eta[[0, 4, 8, 10]])
 
 
-    def test_nonpositive_state_reports_its_time(self, grid):
+    def test_nonpositive_initial_height_names_its_minimum(self, grid):
         eta = np.sin(2 * np.pi * grid.meshes[0])
-        with pytest.raises(PositivityError) as ei:
-            tf.evolve(tf.ThinFilmModel(alpha=3), tf.FilmState(grid, eta, 2.0), 1e-6, 1)
-        assert ei.value.last_state.t == 2.0
-        assert ei.value.last_state.eta is eta
+        with pytest.raises(ParameterError, match=r"must be positive .* min is -1\.000e\+00$"):
+            tf.evolve(tf.ThinFilmModel(alpha=3), grid, eta, 1e-6, 1)
 
     def test_zero_height_counts_as_nonpositive(self, grid):
         eta = 1.0 - np.cos(2 * np.pi * grid.meshes[0])  # exactly 0 at x = 0
-        with pytest.raises(PositivityError, match="nonpositive film height"):
-            tf.evolve(tf.ThinFilmModel(alpha=3), tf.FilmState(grid, eta), 1e-6, 1)
+        with pytest.raises(ParameterError, match="must be positive under cubic mobility"):
+            tf.evolve(tf.ThinFilmModel(alpha=3), grid, eta, 1e-6, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("linearized", [False, True], ids=["cubic", "linearized"])
+    def test_initial_height_that_is_not_finite_rejected(self, grid, bad, linearized):
+        eta = one_plus_sin(grid)
+        eta[5] = bad
+        model = tf.ThinFilmModel(alpha=5, linearized=linearized)
+        with pytest.raises(ParameterError, match="initial film height contains non-finite"):
+            tf.evolve(model, grid, eta, 1e-6, 1)
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_height_that_is_not_finite_is_a_breakdown(self, grid, steps):
+        # a drift of 1e300 overflows the second step; such a run used to
+        # return NaN snapshots (2 steps) or raise ParameterError (3 steps).
+        # Now the step is halved like one below the floor, and the last
+        # valid height, finite, is reported
+        model = tf.ThinFilmModel(alpha=5, linearized=True, v_D=1e300)
+        with pytest.raises(PositivityError, match="finite height .* unreachable after 20") as ei:
+            tf.evolve(model, grid, one_plus_sin(grid), 1e-3, steps)
+        last = ei.value.last_state
+        assert np.array_equal(last.times, [1e-3]) and np.all(np.isfinite(last.eta))
+
+    def test_halved_step_that_is_finite_again_is_accepted(self, grid, monkeypatch):
+        # a candidate that overflows only at the full step is halved, and
+        # the run goes on from the halves
+        model = tf.ThinFilmModel(alpha=5, linearized=True, c=0.0, v_D=1.0)
+        eta0 = one_plus_sin(grid)
+        halves = tf.evolve(model, grid, eta0, 5e-4, 2)
+        irfft, calls = PeriodicGrid.irfft, []
+
+        def overflowing_once(g, coeffs):
+            calls.append(1)
+            out = irfft(g, coeffs)
+            return np.full_like(out, np.inf) if len(calls) == 1 else out
+
+        monkeypatch.setattr(PeriodicGrid, "irfft", overflowing_once)
+        run = tf.evolve(model, grid, eta0, 1e-3, 1)
+        assert run.substeps == 2 and len(calls) == 3
+        assert np.array_equal(run.snapshots.eta[-1], halves.snapshots.eta[-1])
 
     def test_drift_speed_is_prefactor_times_v_D(self, grid):
         # with c = 0 the linearized right-hand side is the drift alone, and
         # a step is the explicit Euler step of -P v_D d/dx eta
         model = tf.ThinFilmModel(alpha=5, c=0.0, v_D=0.5, drift_prefactor=6.0, linearized=True)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
-        new = snapshots(model, state, 1e-3)
-        want = state.hat - 1e-3 * 3.0 * derivative_symbol(grid, 1) * state.hat
+        hat = grid.rfft(one_plus_sin(grid))
+        new = snapshots(model, grid, one_plus_sin(grid), 1e-3)
+        want = hat - 1e-3 * 3.0 * derivative_symbol(grid, 1) * hat
         np.testing.assert_allclose(new.hat[-1], want, rtol=0, atol=1e-15)
 
 
-    def test_height_exactly_at_the_floor_is_accepted(self, grid):
+    def test_height_exactly_at_the_floor_is_accepted(self, grid, monkeypatch):
         # only a height below the floor halves the step: with the floor set
         # to the smallest height of a first run's step, the same step is
         # taken whole again
         model = tf.ThinFilmModel(alpha=3, v_D=1.0)
-        state = tf.FilmState(grid, one_plus_sin(grid, amp=0.6))
-        first = tf.evolve(model, state, 1e-4, 1)
+        eta0 = one_plus_sin(grid, amp=0.6)
+        first = tf.evolve(model, grid, eta0, 1e-4, 1)
         floor = first.snapshots.eta[-1].min()
         assert floor > 0.4 and first.substeps == 1
-        again = tf.evolve(model, state, 1e-4, 1, floor=floor)
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", floor)
+        again = tf.evolve(model, grid, eta0, 1e-4, 1)
         assert again.substeps == 1
         assert np.array_equal(again.snapshots.eta, first.snapshots.eta)
 
@@ -229,23 +283,25 @@ def dipping_case():
     grid = PeriodicGrid(dim=1, n=64)
     x = grid.meshes[0]
     eta0 = 1.0 - 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
-    return tf.ThinFilmModel(alpha=5), tf.FilmState(grid, eta0), 1e-7
+    return tf.ThinFilmModel(alpha=5), grid, eta0, 1e-7
 
 
 class TestHalvingBudget:
     def test_a_step_may_halve_max_halvings_times(self, monkeypatch):
-        model, state, dt = dipping_case()
+        model, grid, eta0, dt = dipping_case()
         monkeypatch.setattr(tf, "MAX_HALVINGS", 3)
-        run = tf.evolve(model, state, dt, 40, floor=0.35)
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", 0.35)
+        run = tf.evolve(model, grid, eta0, dt, 40)
         assert run.substeps > 40 and run.min_eta >= 0.35
 
     def test_breakdown_mid_step_reports_the_accepted_time(self, monkeypatch):
-        model, state, dt = dipping_case()
+        model, grid, eta0, dt = dipping_case()
         monkeypatch.setattr(tf, "MAX_HALVINGS", 2)
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", 0.35)
         with pytest.raises(PositivityError, match="unreachable") as ei:
-            tf.evolve(model, state, dt, 40, floor=0.35)
+            tf.evolve(model, grid, eta0, dt, 40)
         # the second step accepted a quarter step, then ran out of halvings
-        assert ei.value.last_state.t == pytest.approx(1.25 * dt, rel=1e-12)
+        assert ei.value.last_state.times[-1] == pytest.approx(1.25 * dt, rel=1e-12)
         assert ei.value.last_state.eta.min() >= 0.35
 
 
@@ -253,23 +309,23 @@ def halving_case():
     # a deep trough under a floor close to its minimum forces step halving
     grid = PeriodicGrid(dim=1, n=64)
     eta0 = 1.0 - 0.9 * np.exp(-(((grid.meshes[0] - 0.5) / 0.1) ** 2))
-    return tf.ThinFilmModel(alpha=3, v_D=1.0), tf.FilmState(grid, eta0), 1e-4
+    return tf.ThinFilmModel(alpha=3, v_D=1.0), grid, eta0, 1e-4
 
 
 def oracle_case(label):
     grid = PeriodicGrid(dim=1, n=64)
     if label == "alpha3-potential":
         model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential=tf.PowerPotential("power", 0.3, 2.0))
-        return model, tf.FilmState(grid, one_plus_sin(grid)), 1e-6, 200, tf.POSITIVITY_FLOOR
+        return model, grid, one_plus_sin(grid), 1e-6, 200, tf.POSITIVITY_FLOOR
     if label == "linearized-alpha5":
         x = grid.meshes[0]
         eta0 = 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x)
         model = tf.ThinFilmModel(alpha=5, c=1.0, v_D=1.0, linearized=True)
-        return model, tf.FilmState(grid, eta0), 1e-7, 200, tf.POSITIVITY_FLOOR
+        return model, grid, eta0, 1e-7, 200, tf.POSITIVITY_FLOOR
     if label == "halving":
         return (*halving_case(), 3, 0.095)
     cfg = cli.parse_config(cli.preset_config(label))[1]  # a film preset at n = 64
-    return cfg.model, tf.FilmState(grid, cfg.eta0.sample(grid)), cfg.dt, 200, tf.POSITIVITY_FLOOR
+    return cfg.model, grid, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
 
 
 ORACLE_CASES = ["pm-paper", "tf-surface-tension", "stf-bending", "nonlinear-3.3",
@@ -282,11 +338,12 @@ class TestFilmStepOracle:
     replaced (`oracles.spectral_film_step`)."""
 
     @pytest.mark.parametrize("label", ORACLE_CASES)
-    def test_matches_nodal_step(self, label):
-        model, state, dt, steps, floor = oracle_case(label)
-        run = tf.evolve(model, state, dt, steps, floor=floor)
+    def test_matches_nodal_step(self, label, monkeypatch):
+        model, grid, eta0, dt, steps, floor = oracle_case(label)
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", floor)
+        run = tf.evolve(model, grid, eta0, dt, steps)
         snaps = run.snapshots
-        grid, eta, t = state.grid, state.eta, 0.0
+        eta, t = eta0, 0.0
         for j in range(1, len(snaps.times)):
             eta, t, _ = nodal_film_step(model, grid, eta, t, dt, floor=floor)
             assert snaps.times[j] == t
@@ -294,38 +351,40 @@ class TestFilmStepOracle:
             assert np.max(np.abs(snaps.eta[j] - eta)) <= 1e-12 * scale
             energy = nodal_film_energy(model, grid, eta)
             assert abs(run.energy[j] - energy) <= 1e-12 * abs(energy)
-            assert snaps.hat[j][0] == state.hat[0]
+            assert snaps.hat[j][0] == snaps.hat[0][0]
 
     @pytest.mark.parametrize("label", ORACLE_CASES)
-    def test_integrator_bitwise_equal_to_spectral_step(self, label):
-        model, state, dt, _, floor = oracle_case(label)
+    def test_integrator_bitwise_equal_to_spectral_step(self, label, monkeypatch):
+        model, grid, eta0, dt, _, floor = oracle_case(label)
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", floor)
         steps = 200
-        run = tf.evolve(model, state, dt, steps, floor=floor)
+        run = tf.evolve(model, grid, eta0, dt, steps)
         snaps = run.snapshots
         assert len(snaps.times) == len(snaps.eta) == len(snaps.hat) == steps + 1
         assert (run.substeps > steps) == (label == "halving")
-        state = tf.FilmState(state.grid, state.eta, 0.0, rfftn_rfft(state.grid, state.eta))
-        times, energies, accepted = [0.0], [spectral_film_energy(model, state)], 0
+        t, eta, hat = 0.0, eta0, rfftn_rfft(grid, eta0)
+        times, energies, accepted = [0.0], [spectral_film_energy(model, grid, hat)], 0
         for j in range(1, steps + 1):
-            state, n = spectral_film_step(model, state, dt, floor=floor)
+            t, eta, hat, n = spectral_film_step(model, grid, t, eta, hat, dt, floor=floor)
             accepted += n
-            assert snaps.times[j] == state.t
-            assert np.array_equal(snaps.eta[j], state.eta)
-            assert np.array_equal(snaps.hat[j], state.hat)
-            times.append(state.t)
-            energies.append(spectral_film_energy(model, state))
+            assert snaps.times[j] == t
+            assert np.array_equal(snaps.eta[j], eta)
+            assert np.array_equal(snaps.hat[j], hat)
+            times.append(t)
+            energies.append(spectral_film_energy(model, grid, hat))
         assert np.array_equal(run.t, times)
         assert np.array_equal(run.energy, energies)
         assert run.substeps == accepted
         assert run.min_eta == snaps.eta.min()
 
-    def test_halving_reaches_the_horizon(self):
-        model, state, dt = halving_case()
-        run = tf.evolve(model, state, dt, 3, floor=0.095)
+    def test_halving_reaches_the_horizon(self, monkeypatch):
+        model, grid, eta0, dt = halving_case()
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", 0.095)
+        run = tf.evolve(model, grid, eta0, dt, 3)
         last = run.snapshots.eta[-1]
-        eta, t, tried = state.eta, 0.0, 0
+        eta, t, tried = eta0, 0.0, 0
         for _ in range(3):
-            eta, t, n = nodal_film_step(model, state.grid, eta, t, dt, floor=0.095)
+            eta, t, n = nodal_film_step(model, grid, eta, t, dt, floor=0.095)
             tried += n
         assert tried == 25  # 3 requested steps, each halved at least once
         assert run.snapshots.times[-1] == pytest.approx(3e-4, rel=1e-12)
@@ -355,14 +414,14 @@ class TestFilmTransforms:
                                                       id="power-4")])
     def test_transforms_per_step(self, grid, monkeypatch, potential, per_step):
         model = tf.ThinFilmModel(alpha=3, v_D=1.0, potential=potential)
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
+        eta0 = one_plus_sin(grid)
         calls = self._counting(monkeypatch)
-        run = tf.evolve(model, state, 1e-6, 10)
+        run = tf.evolve(model, grid, eta0, 1e-6, 10)
+        # one more transform: the initial height's coefficients
         assert run.substeps == 10
-        assert len(calls) == 10 * per_step
+        assert len(calls) == 10 * per_step + 1
         del calls[:]
-        last = tf.FilmState(grid, run.snapshots.eta[-1], hat=run.snapshots.hat[-1])
-        assert run.energy[-1] == film_energy(model, last)
+        assert run.energy[-1] == tf._FilmOperator(model, grid).energy(run.snapshots.hat[-1])
         assert len(calls) == 0
 
 
@@ -378,14 +437,14 @@ class TestInvariants:
     def test_mass_conservation_along_run(self, grid, cfg):
         model = tf.ThinFilmModel(alpha=cfg["alpha"], v_D=cfg["v_D"],
                                  potential=cfg["potential"])
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
-        m0 = state.eta.mean()
-        new = snapshots(model, state, cfg["dt"], 300)
+        eta0 = one_plus_sin(grid)
+        m0 = eta0.mean()
+        new = snapshots(model, grid, eta0, cfg["dt"], 300)
         assert abs(new.eta[-1].mean() - m0) <= 1e-10 * (1 + abs(m0))
 
     def test_dissipation_bending_regime(self, grid):
         model = tf.ThinFilmModel(alpha=5)
-        run = tf.evolve(model, tf.FilmState(grid, one_plus_sin(grid), 0.0), 1e-7, 200)
+        run = tf.evolve(model, grid, one_plus_sin(grid), 1e-7, 200)
         energy = run.energy
         assert np.all(energy[1:] <= energy[:-1] + 1e-10 * (1 + np.abs(energy[:-1])))
         assert run.min_eta >= 0.1
@@ -554,30 +613,31 @@ class TestSnapshotArrays:
         want = snapshot_solve_linear_sixth(1e-5, source, grid, eta0, 0.05, 1e-3,
                                            snapshot_stride=stride)
         assert traj.grid is grid
-        assert np.array_equal(traj.times, [s.t for s in want])
-        assert np.array_equal(traj.eta, np.array([s.eta for s in want]))
-        assert np.array_equal(traj.hat, np.array([s.hat for s in want]))
+        assert np.array_equal(traj.times, [t for t, _, _ in want])
+        assert np.array_equal(traj.eta, np.array([eta for _, eta, _ in want]))
+        assert np.array_equal(traj.hat, np.array([hat for _, _, hat in want]))
         assert traj.eta.shape == (len(want),) + grid.shape
 
     def test_runs_build_no_state_and_one_inverse_transform(self, grid, monkeypatch):
-        # the initial state is the only FilmState, made by the caller; the
+        # a run builds one trajectory record, of all its snapshots; the
         # linear solve transforms every snapshot after its first in one call
-        state = tf.FilmState(grid, one_plus_sin(grid), 0.0)
+        eta0 = one_plus_sin(grid)
         built, inverse = [], []
-        post_init = tf.FilmState.__post_init__
-        monkeypatch.setattr(tf.FilmState, "__post_init__",
+        post_init = tf.FilmTrajectory.__post_init__
+        monkeypatch.setattr(tf.FilmTrajectory, "__post_init__",
                             lambda s: (built.append(s), post_init(s)))
         irfft = PeriodicGrid.irfft
         monkeypatch.setattr(PeriodicGrid, "irfft",
                             lambda g, coeffs: (inverse.append(coeffs.shape), irfft(g, coeffs))[1])
-        run = tf.evolve(tf.ThinFilmModel(alpha=3, v_D=1.0), state, 1e-6, 10, snapshot_stride=3)
+        run = tf.evolve(tf.ThinFilmModel(alpha=3, v_D=1.0), grid, eta0, 1e-6, 10,
+                        snapshot_stride=3)
         assert len(run.snapshots.times) == 5
-        assert built == []
-        del inverse[:]
+        assert built == [run.snapshots]
+        del inverse[:], built[:]
         source = lambda times: np.zeros((len(times),) + grid.spectral_shape, dtype=complex)
-        traj = tf.solve_linear_sixth(1e-4, source, grid, state.eta, 0.1, 1e-3, snapshot_stride=10)
+        traj = tf.solve_linear_sixth(1e-4, source, grid, eta0, 0.1, 1e-3, snapshot_stride=10)
         assert len(traj.times) == 11
-        assert built == []
+        assert built == [traj]
         assert inverse == [(grid.spectral_shape[0], 10)]
 
 
@@ -646,26 +706,24 @@ class TestStationaryPressure:
 
 class TestFilmEnergy:
     def test_zero_field(self, grid):
-        state = tf.FilmState(grid, np.zeros(grid.shape))
-        assert film_energy(tf.ThinFilmModel(alpha=5), state) == 0.0
+        assert film_energy(tf.ThinFilmModel(alpha=5), grid, np.zeros(grid.shape)) == 0.0
 
     def test_bending_energy_of_cosine(self, grid):
         model = tf.ThinFilmModel(alpha=5)
         eta = np.cos(2 * np.pi * grid.meshes[0])
-        assert film_energy(model, tf.FilmState(grid, eta)) == pytest.approx((2 * np.pi) ** 4 / 4,
-                                                                          rel=1e-12)
+        assert film_energy(model, grid, eta) == pytest.approx((2 * np.pi) ** 4 / 4, rel=1e-12)
 
     def test_translation_invariance(self, grid):
         model = tf.ThinFilmModel(alpha=3)
         x = grid.nodes[0]
-        e1 = film_energy(model, tf.FilmState(grid, np.sin(2 * np.pi * x)))
-        e2 = film_energy(model, tf.FilmState(grid, np.sin(2 * np.pi * (x - 0.3))))
+        e1 = film_energy(model, grid, np.sin(2 * np.pi * x))
+        e2 = film_energy(model, grid, np.sin(2 * np.pi * (x - 0.3)))
         assert e1 == pytest.approx(e2, rel=1e-12)
 
 
 # every boundary that takes nodal values applies `PeriodicGrid.check`
 SHAPE_SITES = {
-    "FilmState": lambda grid, bad: tf.FilmState(grid, bad),
+    "evolve": lambda grid, bad: tf.evolve(tf.ThinFilmModel(alpha=1), grid, 1.0 + bad, 1e-6, 1),
     "solve_linear_sixth": lambda grid, bad: tf.solve_linear_sixth(1.0, None, grid, bad, 0.1, 1e-2),
     "solve_reynolds_stationary": lambda grid, bad: tf.solve_reynolds_stationary(grid, 1.0 + bad,
                                                                                 1.0),

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 from concurrent.futures import Future
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,8 +474,8 @@ class TestLadderConfig:
 
     def test_one_limit_map_and_one_pass_per_block(self, monkeypatch):
         # the bench times the ladder but cannot see inside `fsi.run_batch`:
-        # a ladder builds one limit map, for its points and its chain
-        # closure, each block of steps makes one quadrature, ledger,
+        # a ladder builds one set of limit fields, for its points and its
+        # chain closure, each block of steps makes one quadrature, ledger,
         # pressure and field pass for all its points, as many as one point
         # alone, and no state record is built
         from lubelastic.spectral import _steps_per_block
@@ -493,36 +494,36 @@ class TestLadderConfig:
 
             monkeypatch.setattr(holder, name, counted)
 
-        count(verify, "_limit_map")
-        count(lb.reconstruction, "_limit_map")
         for name in ("_quadrature", "_record", "pressure_hat", "materialize"):
             count(lb.fsi, name)
-        # the transforms inside the limit map and the chain closure: the
-        # load's coefficients need none, the displacement snapshots one
+        # the forward transforms inside the limit fields and the chain
+        # closure: the load's coefficients need none, and the displacement's
+        # come with the reduced solution
         inside = []
-        for name in ("_limit_map", "_closure_from_limit"):
-            fn = getattr(verify, name)
+        for name in ("__post_init__", "closure_error"):
+            fn = getattr(lb.LimitFields, name)
 
-            def during(*args, fn=fn, **kwargs):
+            def during(*args, fn=fn, name=name, **kwargs):
+                counts[f"LimitFields.{name}"] = counts.get(f"LimitFields.{name}", 0) + 1
                 inside.append(fn)
                 try:
                     return fn(*args, **kwargs)
                 finally:
                     inside.pop()
 
-            monkeypatch.setattr(verify, name, during)
+            monkeypatch.setattr(lb.LimitFields, name, during)
         rfft = PeriodicGrid.rfft
 
         def counting_rfft(grid, values):
             if inside:
-                counts["displacement rfft"] = counts.get("displacement rfft", 0) + 1
+                counts["limit rfft"] = counts.get("limit rfft", 0) + 1
             return rfft(grid, values)
 
         monkeypatch.setattr(PeriodicGrid, "rfft", counting_rfft)
-        # the state records built: the coupled runs, the reduced solve, the
-        # reconstruction and the norms hold one array per field kind and
-        # build no FsiState and no FilmState
-        for cls in (lb.FsiState, lb.FilmState):
+        # the state records built: the coupled runs hold one array per field
+        # kind and build no FsiState; the reduced solve builds the one
+        # trajectory it returns
+        for cls in (lb.FsiState, lb.FilmTrajectory):
             def built(obj, *args, init=cls.__init__, name=cls.__name__, **kwargs):
                 counts[name] = counts.get(name, 0) + 1
                 init(obj, *args, **kwargs)
@@ -532,21 +533,18 @@ class TestLadderConfig:
         # 1D rows: the load's one mode of m - 2 interior coefficients
         blocks = -(-500 // _steps_per_block(16 * (cfg.m - 2)))
         assert 1 < blocks < 500 // cfg.snapshot_stride
-        # every block holds a snapshot, none of them at the first step; one
-        # transform takes all 11 displacement snapshots, for the map and the
-        # closure
+        # every block holds a snapshot, none of them at the first step
         assert len(result.reduced.times) == 11
-        want = {"_limit_map": 1, "_quadrature": blocks, "_record": blocks,
-                "pressure_hat": blocks, "materialize": 1 + blocks, "displacement rfft": 1}
+        want = {"LimitFields.__post_init__": 1, "LimitFields.closure_error": 1,
+                "FilmTrajectory": 1, "_quadrature": blocks, "_record": blocks,
+                "pressure_hat": blocks, "materialize": 1 + blocks}
         assert counts == want
-        # the points take the ladder's map and build none of their own
-        setting = cfg.setting()
-        _, vnodes, forcing = setting
-        limit = lb.reconstruction._limit_map(result.reduced, cfg.model_for(0.125), forcing,
-                                             vnodes)
+        # the points take the ladder's limit fields and build none of their own
+        _, vnodes, forcing = cfg.setting()
+        limit = lb.LimitFields(result.reduced, cfg.model_for(0.125), forcing, vnodes)
         counts.clear()
-        verify._ladder_points(cfg, setting, cfg.eps_list[:1], result.reduced, limit)
-        for key in ("_limit_map", "displacement rfft"):
+        verify._ladder_points(cfg, limit, cfg.eps_list[:1])
+        for key in ("LimitFields.__post_init__", "LimitFields.closure_error", "FilmTrajectory"):
             del want[key]
         assert counts == want
 
@@ -569,17 +567,15 @@ class TestLadderConfig:
 
     @staticmethod
     def _points(cfg, eps_list, reduced):
-        """`verify._ladder_points` with the limit map that `run_rate_study`
+        """`verify._ladder_points` with the limit fields that `run_rate_study`
         builds for the ladder."""
-        setting = cfg.setting()
-        _, vnodes, forcing = setting
-        limit = lb.reconstruction._limit_map(reduced, cfg.model_for(cfg.eps_list[0]), forcing,
-                                             vnodes)
-        return verify._ladder_points(cfg, setting, eps_list, reduced, limit)
+        _, vnodes, forcing = cfg.setting()
+        limit = lb.LimitFields(reduced, cfg.model_for(cfg.eps_list[0]), forcing, vnodes)
+        return verify._ladder_points(cfg, limit, eps_list)
 
     @staticmethod
-    def _fake_points(config, setting, eps_list, reduced, limit):
-        assert (reduced, limit) == ("reduced", "limit")
+    def _fake_points(config, limit, eps_list):
+        assert limit.reduced == "reduced"
         return [(verify.ErrorReport(eps=eps, kappa=2.0, err_velocity=eps**3,
                                     err_pressure=eps, err_displacement=eps**2.5,
                                     energy_ratio=1.0),
@@ -614,8 +610,8 @@ class TestLadderConfig:
         monkeypatch.setattr(verify, "ProcessPoolExecutor", self._in_process_pool(started, []))
         monkeypatch.setattr(verify, "_ladder_points", self._fake_points)
         monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: "reduced")
-        monkeypatch.setattr(verify, "_limit_map", lambda *args: "limit")
-        monkeypatch.setattr(verify, "_closure_from_limit", lambda *args: 0.0)
+        monkeypatch.setattr(verify, "LimitFields", lambda reduced, *args: SimpleNamespace(
+            reduced=reduced, closure_error=lambda: 0.0))
         cfg = verify.RateStudyConfig(eps_list=(0.125, 0.0625, 0.03125))
         result = verify.run_rate_study(cfg, jobs=jobs)
         assert started == [workers]
@@ -623,9 +619,10 @@ class TestLadderConfig:
         assert result.reduced == "reduced"
 
     def test_pool_workers_take_the_study_setting(self, monkeypatch):
-        # every call submitted to the pool carries the setting that the
-        # reduced solve used, so a jobs = 2 ladder builds its vertical
-        # operators once, and its reports are the jobs = 1 ones
+        # every call submitted to the pool carries the ladder's one set of
+        # limit fields, on the setting that the reduced solve used, so a
+        # jobs = 2 ladder builds its vertical operators once, and its
+        # reports are the jobs = 1 ones
         builds, settings, submitted = [], [], []
         init, setting = lb.spectral.ChebOps.__init__, verify.RateStudyConfig.setting
 
@@ -645,7 +642,10 @@ class TestLadderConfig:
         assert len(builds) == 1
         [study_setting] = settings
         assert len(submitted) == 3
-        assert all(any(arg is study_setting for arg in args) for args in submitted)
+        limit = submitted[0][1]
+        assert all(args[1] is limit for args in submitted)
+        assert limit.reduced is result.reduced
+        assert (limit.reduced.grid, limit.vnodes, limit.forcing) == study_setting
         assert result.reports == verify.run_rate_study(cfg, jobs=1).reports
 
     def test_pickled_forcing_samples_bitwise(self):
