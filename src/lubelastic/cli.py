@@ -31,7 +31,8 @@ from . import thinfilm, verify
 from .artifacts import write_atomic, write_csv, write_grid
 from .errors import (AssemblyError, DegenerateFitError, InvariantError, ParameterError,
                      PositivityError, UsageError, check_range)
-from .fsi import FsiParams, check_invariants, harmonic_ramp_forcing, run_fsi, stepped_modes
+from .fsi import (FsiParams, check_invariants, factored_operators, harmonic_ramp_forcing,
+                  run_fsi, stepped_modes)
 from .scaling import ModelParams, NonlinearScalingPreset
 from .spectral import PeriodicGrid, VerticalNodes
 
@@ -424,6 +425,7 @@ def _run_fsi(cfg: FsiRun, outdir: str) -> list[str]:
         "steps": len(traj.ledger),
         "modes": int(np.prod(grid.spectral_shape)),
         "modes_stepped": len(stepped_modes(forcing, grid)),
+        "operators_factored": factored_operators(forcing, grid),
         "invariants": {key: float(np.max(x)) for key, x in invariants.items()},
     })
     written.append(summary_path)

@@ -28,9 +28,7 @@ xi is the 1D problem at xi_L = e0 . xi and alone meets the plate, the
 pressure and the vertical load, while the part across xi is a decoupled
 diffusion.  A state is P*K rows of mi interior coefficients (P = dim): rows
 :K hold the parts along xi, in 2D rows K: those across.  The forcing rotates
-into the frame in the quadrature, the velocity back in `materialize`.  Mass
-products and the ledger's quadratic forms are batched real products of the
-per-row matrices with the coefficients' real and imaginary parts.  The
+into the frame in the quadrature, the velocity back in `materialize`.  The
 pressure is not a primal unknown; it comes from the along-xi momentum
 balance, and for the zero mode from the vertical balance pinned by the
 plate row.
@@ -42,30 +40,28 @@ no sampling, no transform.  `materialize` scatters those modes back into
 the full spectra.  Any other callable is sampled at every step time, its
 loaded components transformed together, and all K stored modes stepped.
 
-A run advances in blocks of steps whose stacked states take about 64 KiB
-(25 steps at K = 9 modes with 18 unknowns, 227 at K = 1, one step in 2D
-at n = 32 with every mode stepped).  Parameter sets that share the grid,
-dt and forcing, such as a thickness ladder's points, step together in
-`run_batch`, which builds their batch once per call: the grid's geometry
-once, each eps-dependent coefficient as an array over the points, and
-their matrices from one assembly stacked along a leading solver axis.  A
-run alone is a batch of one.  The step loop runs the steps one after
-another in the order of a single step; everything around it is one pass
-per block for all the solvers.  The load quadrature is taken once, since
-the frame and the Gram matrices are the grid's; only the vertical load
-carries each solver's eps.  The ledger columns of every solver come from
-one pass over the stored states, forcing coefficients and the step loop's
-mass products, with the solvers' coefficients as columns; only the
-block's last states need a mass product of their own.  The block's
-snapshot pressures come from one `pressure_hat`, and `materialize` makes
-one inverse transform per field kind over every snapshot and solver.  A
-trajectory holds one array per field kind, the snapshots along its leading
-axis, and `check_invariants` checks all its snapshots at once, with one
-transform of the velocity.  The ledger holds one float array
-per entry, rows of one (8, steps) buffer per solver that the run fills in
-place: each block writes the integrals as per-step increments, and one
-cumulative sum in step order after the last block turns them into running
-integrals.
+The step.  Every operator meets a mode through |xi|^2 alone (xi_L = |xi|),
+so a batch builds one per distinct |xi|^2 it steps (146 for the 544 modes
+at n = 32) and gathers the rows.  On x = (c, i eta, 0) a step is two real
+products per row: w = Maug x + load = (M c + load, i eta, i eta_t), then
+x_new = Gh w.  Gh = A^-1 [fluid_mass/dt I | bending g | plate inertia g]
+comes from the Cholesky factor as L^-T (L^-1 X), which keeps the energy
+identity at roundoff (a stored A^-1 biased it to 6e-11 on the kappa = 5/2
+ladder); fields differ from that older step at roundoff.  Maug's last two
+rows give eta by Euler and eta_t = trace g . c; the load is prescaled by
+dt / fluid_mass once per block.
+
+A run advances in blocks of about 64 KiB of states (227 steps at K = 1,
+one step in 2D at n = 32).  Points that share the grid, dt and forcing (a
+ladder's) step together in `run_batch`, their coefficients arrays over
+the points and their matrices stacked on a leading axis; a run alone is
+one.  Around the step loop everything is one pass per block for all the
+points: the load quadrature, the ledger columns (from the stored states
+and the loop's M c), the snapshot pressures, and one inverse transform per
+field kind in `materialize`.  A trajectory holds one array per field kind,
+the snapshots leading; `check_invariants` checks them at once.  The ledger
+is one (8, steps) buffer per point of per-step increments, summed in step
+order after the last block.
 """
 from __future__ import annotations
 
@@ -159,9 +155,8 @@ def check_invariants(params: "FsiParams", times, v: Sequence[np.ndarray], eta: n
     gradient's norm; the top vertical velocity matches eps**-tau * eta_t
     within 1e-10 of the largest velocity value; the horizontal top traces
     and the mean of eta are within 1e-13 and 1e-12 of their scales.  The
-    integral is the constraint as the solver holds it; the nodal v3 samples
-    a profile of degree m, whose derivative on the m nodes reads its
-    interpolation error (7e-7 of the gradient in 2D at m = 10).
+    integral is the constraint as the solver holds it; the derivative of the
+    nodal v3 reads its interpolation error (7e-7 of the gradient at m = 10).
     """
     eps = params.model.eps
     grid, ops, quad = params.grid, params.vnodes.ops, params.vnodes.weights
@@ -285,15 +280,13 @@ class FsiTrajectory:
 
     @cached_property
     def states(self) -> tuple[FsiState, ...]:
-        """The snapshots as `FsiState` records of views of the arrays, built
-        when first read."""
+        """The snapshots as `FsiState` records of views, built when first read."""
         return tuple(FsiState(v=tuple(comp[j] for comp in self.v), p=self.p[j],
                               eta=self.eta[j], eta_t=self.eta_t[j], t=t)
                      for j, t in enumerate(self.times.tolist()))
 
     def save(self, outdir) -> list[str]:
-        """Write the grid, every snapshot's fields and the energy ledger as
-        CSV files."""
+        """Write the grid, every snapshot's fields and the ledger as CSV files."""
         *horizontal, v3 = self.v
         written = save_snapshots(outdir, self.params.grid, self.params.vnodes, {
             "eta": self.eta, "eta_t": self.eta_t,
@@ -321,8 +314,7 @@ def _real(c: np.ndarray) -> np.ndarray:
 
 def _apply(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real stacked matrices (..., K, r, s) times complex vectors (..., K, s):
-    one real matmul on the interleaved real and imaginary parts, without
-    copies."""
+    one real matmul on the interleaved parts, without copies."""
     return (mats @ _real(c)).view(complex)[..., 0]
 
 
@@ -339,14 +331,11 @@ class _Batch:
     solver axis.
 
     The batch steps the K modes `stepped_modes` names, modes (their flat
-    indices, or slice(None) for all), and every per-mode array covers those
-    modes only.  frame[p, k] is stepped mode k's unit vector e_p, row p*K + k of a
-    state holds e_p . v', and xi_L = e0 . xi.  The coefficients are (S,)
-    arrays.  mass, visc and inv, the inverse of the step operator A for dt,
-    are per-row matrices (S, P*K, mi, mi): lam is |xi|^2 on the along-xi
-    rows and 0 on the across-xi rows, and the plate's rank-one term g g^T
-    enters A's rows :K only.  A dt so small that A overflows at any mode of
-    the grid raises ParameterError.
+    indices, or slice(None) for all); every per-mode array covers those
+    only.  frame[p, k] is stepped mode k's unit vector e_p, row p*K + k of a
+    state holds e_p . v', and xi_L = e0 . xi.  Coefficients are (S,) arrays,
+    and Gh, Maug (the module docstring's step) and visc (S, P*K, ...) stacks.
+    A dt so small that A overflows at any mode raises ParameterError.
     """
 
     def __init__(self, params: Sequence[FsiParams]):
@@ -370,13 +359,12 @@ class _Batch:
         modes = self.modes = slice(None) if self.K == Kg else modes
         mi = self.mi = self.vnodes.m - 2
         xi2 = np.einsum("ka,ka->k", xi, xi)
-        xi4 = xi2**2
         e0 = np.zeros_like(xi)
         e0[:, 0] = 1.0
         np.divide(xi, np.sqrt(xi2)[:, None], out=e0, where=xi2[:, None] > 0)
         across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if P == 2 else []
         frame = np.stack([e0, *across])
-        xi_L = np.einsum("ka,ka->k", e0, xi)
+        xi_L = np.sqrt(xi2)  # e0 . xi, a function of |xi|^2 alone as rounded
 
         models = [p.model for p in params]
         col = lambda value: np.array([value(mdl) for mdl in models])
@@ -405,38 +393,53 @@ class _Batch:
         self.Mint, self.MAint = ops.M[sl, :], ops.M_Al[sl, :]
         Mi, Ki, MAi, Ci = ops.M[sl, sl], ops.K[sl, sl], ops.MA[sl, sl], ops.C_dA[sl, sl]
         Csym = Ci + Ci.T
-        xi2_rows = np.tile(xi2, P)[:, None, None]   # |xi|^2 on every row
-        lam = np.zeros_like(xi2_rows)
-        lam[:Kg] = xi2_rows[:Kg]
-        # the coefficients scale the solver axis of (S, P*K, mi, mi) stacks
+        # a mode enters every operator through |xi|^2 alone (xi_L = |xi|):
+        # assemble one per distinct value u of the grid's, rows p*U + u
+        u, rep, group = np.unique(xi2, return_index=True, return_inverse=True)
+        U = len(u)
+        u_rows = np.tile(u, P)[:, None, None]   # |xi|^2 on every row
+        lam = np.zeros_like(u_rows)
+        lam[:U] = u_rows[:U]
+        # the coefficients scale the solver axis of (S, P*U, mi, mi) stacks
         eps, eps2 = self.eps[:, None, None, None], self.eps2[:, None, None, None]
         mass = Mi + eps2 * (lam * MAi)
-        visc = (0.5 * xi2_rows) * Mi + (1.5 * lam) * Mi + 0.5 * (
-            Ki / eps2 + lam * Csym + eps2 * ((xi2_rows * lam) * MAi))
+        visc = (0.5 * u_rows) * Mi + (1.5 * lam) * Mi + 0.5 * (
+            Ki / eps2 + lam * Csym + eps2 * ((u_rows * lam) * MAi))
         visc *= (2.0 * self.nu)[:, None, None, None]
         g = xi_L[:, None] * ops.weights[sl]
-        dt = self.dt
+        gu, u4, dt = g[rep], u**2, self.dt
         with np.errstate(over="ignore", invalid="ignore"):  # a tiny dt: checked below
-            plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * xi4
-                     + (self.bending_rank1 * dt)[:, None] * xi4)
+            plate = ((self.rho_s_mass / dt)[:, None] + self.theta_rank1[:, None] * u4
+                     + (self.bending_rank1 * dt)[:, None] * u4)
             A = (self.fluid_mass / dt)[:, None, None, None] * mass + eps * visc
-            A[:, :Kg] += plate[:, :, None, None] * (g[:, :, None] * g[:, None, :])
+            A[:, :U] += plate[:, :, None, None] * (gu[:, :, None] * gu[:, None, :])
         # whether dt is refused does not depend on the modes stepped
         if not np.isfinite(A).all():
             raise ParameterError(f"dt = {dt} is so small that the step operator overflows")
-        # the stepped modes' rows p*Kg + k of each stack, and their vectors
-        rows = lambda x: x.reshape(len(x), P, Kg, mi, mi)[:, :, modes].reshape(len(x), -1, mi, mi)
-        self.mass, self.visc = rows(mass), rows(visc)
-        self.xi2, self.xi4, self.xi_L, self.g = xi2[modes], xi4[modes], xi_L[modes], g[modes]
+        # the step of the module docstring, on the values the stepped modes take
+        used, pick = np.unique(group[modes], return_inverse=True)
+        part = lambda x: x.reshape((len(x), P, U) + x.shape[2:])[:, :, used]
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(part(A)))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
+            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
+        gu, tg = gu[used], self.trace[:, None, None] * gu[used]
+        X = np.zeros(Linv.shape[:-1] + (mi + 2,))
+        X[..., :mi] = (self.fluid_mass / dt)[:, None, None, None, None] * np.eye(mi)
+        X[:, 0, :, :, mi] = (-self.eps * self.bend)[:, None, None] * (u4[used, None] * gu)
+        X[:, 0, :, :, mi + 1] = (self.eps / dt * self.plate_kin)[:, None, None] * gu
+        Gh = np.zeros(X.shape[:-2] + (mi + 2, mi + 2))  # square: faster; row mi + 1 idle
+        Gh[..., :mi, :], Gh[..., mi, mi] = np.swapaxes(Linv, -1, -2) @ (Linv @ X), 1.0
+        Maug = np.zeros_like(Gh)
+        Maug[..., :mi, :mi], Maug[..., mi, mi] = part(mass), 1.0
+        Maug[:, 0, :, mi, :mi], Maug[:, 0, :, mi + 1, :mi] = dt * tg, tg
+        # the stepped modes' rows p*K + k of each stack, and their vectors
+        rows = lambda x: x[:, :, pick].reshape((len(x), P * self.K) + x.shape[3:])
+        self.Gh, self.Maug, self.visc = rows(Gh), rows(Maug), rows(part(visc))
+        self.xi2, self.xi4, self.xi_L = xi2[modes], xi2[modes]**2, xi_L[modes]
         self.frame = frame[:, modes]
         self.w = self.grid.mode_weights.ravel()[modes]
         self.wr = np.tile(self.w, P)  # the rows' weights
-        try:
-            L = np.linalg.cholesky(rows(A))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
-            raise AssemblyError(f"step operator factorization failed: {exc}") from exc
-        Linv = np.linalg.inv(L)
-        self.inv = np.swapaxes(Linv, -1, -2) @ Linv   # A^-1 = L^-T L^-1
 
     def profiles(self, c: np.ndarray) -> np.ndarray:
         """Embed interior coefficients (..., mi) into full vertical profiles
@@ -486,8 +489,7 @@ def _record(batch: _Batch, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_c) ->
     `EnergyLedger` field order, with the viscous, viscoelastic, numerical
     and work integrals as per-step increments.  c, eta, eta_t and mass_c
     stack the state before the block and the block's B states, (B + 1, S,
-    ...); mass_c holds their M c, which the step loop computed for all but
-    the last state, written here."""
+    ...); mass_c holds their M c, from the step loop."""
     w, wr = batch.w, batch.wr
     wx = w * batch.xi4
     dt = batch.dt
@@ -496,7 +498,6 @@ def _record(batch: _Batch, columns: np.ndarray, t, c, eta, eta_t, Fq, mass_c) ->
     work, viscoelastic = dt * batch.trace[:, None], dt * batch.viscoelastic[:, None]
     # sum_k weights_k |x_k|^2 per step and solver, as (S, B)
     sq = lambda weights, x: np.sum(weights * np.abs(x) ** 2, axis=-1).T
-    np.matmul(batch.mass, _real(c[-1]), out=_real(mass_c[-1]))
     ef = fluid * _re_inner(wr, c[1:], mass_c[1:])
     epk = plate_kin * sq(w, eta_t[1:])
     eb = bend * sq(wx, eta[1:])
@@ -591,15 +592,11 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     ledger; each trajectory is bitwise the one its parameters make alone.
     The parameter sets must share the grid, dt and forcing objects
     (ParameterError otherwise).  Each step solves, row by row,
-
-        A c_new = (fluid_mass / dt) M c + eps Fq + plate_rhs g,
-
-    where plate_rhs carries the plate's velocity and bending terms and
-    enters the along-xi rows only, then sets eta_t from g . c_new and eta
-    by one Euler step.  Only the modes `stepped_modes` names are stepped,
-    and each block's load comes from one `sample_forcing` call.  A forcing
-    that is not finite at some step time raises ParameterError naming that
-    time.
+    A c_new = (fluid_mass / dt) M c + eps Fq + plate_rhs g by the augmented
+    product pair of the module docstring.  Only the modes `stepped_modes`
+    names are stepped, and each block's load comes from one `sample_forcing`
+    call.  A forcing that is not finite at some step time raises
+    ParameterError naming that time.
     """
     nsteps = _step_count(t_end, params[0].dt)
     check_range(1, closed=True, integer=True, snapshot_stride=snapshot_stride)
@@ -607,14 +604,15 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     dt, forcing = batch.dt, params[0].forcing
     S, K, P, mi = len(params), batch.K, batch.P, batch.mi
     block = _steps_per_block(16 * P * max(K, 1) * mi)  # an unloaded run steps no mode
-    # rows 0 and 1 hold the solvers' two states before a block, row j + 1
-    # their j-th states
+    # the loop's x[j - 1] and w[j] of the block's j-th states, w[0] of the
+    # state before the block, and the prescaled load on c's entries
+    x = np.zeros((block, S, P * K, mi + 2), dtype=complex)
+    w = np.zeros((block + 1, S, P * K, mi + 2), dtype=complex)
+    load, rhs = np.zeros_like(w[1:]), np.zeros_like(w[0])
+    # the stored states: rows 0 and 1 hold the solvers' two states before a
+    # block, row j + 1 their j-th states
     c = np.zeros((block + 2, S, P * K, mi), dtype=complex)
-    eta = np.zeros((block + 2, S, K), dtype=complex)
-    eta_t = np.zeros((block + 2, S, K), dtype=complex)
-    # M c of the state before a block (row 0) and of its states; the step
-    # loop fills all rows but the last, which the ledger pass writes
-    mass_c = np.zeros((block + 1, S, P * K, mi), dtype=complex)
+    eta, eta_t = np.zeros((2, block + 2, S, K), dtype=complex)
     # one column per step, in EnergyLedger field order
     ledgers = np.empty((S, 8, nsteps))
     steps = np.arange(1, nsteps + 1)
@@ -624,34 +622,28 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     # order `materialize` gives them, every row the zero state until written
     fields = [np.repeat(f, len(times), axis=1) for f in materialize(
         batch, c[1:2], eta[1:2], eta_t[1:2], np.zeros((1, S, K, batch.vnodes.m), dtype=complex))]
-    mass, inv, g = batch.mass, batch.inv, batch.g
-    fluid = (batch.fluid_mass / dt)[:, None, None]
-    eps = batch.eps[:, None, None]
-    plate_test = 1j * batch.eps[:, None]  # the plate test function's eps^1
-    plate_kin = batch.plate_kin[:, None]
-    bend = batch.bend[:, None] * batch.xi4
-    trace = -1j * batch.trace[:, None]
+    Gh, Maug = batch.Gh, batch.Maug
+    scale = (batch.eps * dt / batch.fluid_mass)[:, None, None]
     # the step's products write their results in place
-    c_re, mass_c_re = _real(c), _real(mass_c)
+    x_re, w_re, rhs_re = _real(x), _real(w), _real(rhs)
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
         fhat = {i: h.reshape(nb, -1, batch.vnodes.m)[:, batch.modes]
                 for i, h in sample_forcing(forcing, batch.grid, t).items()}
         Fq = _quadrature(batch, fhat, nb)
-        load = eps * Fq
-        for j in range(1, nb + 1):
-            if j > 1:
-                np.matmul(mass, c_re[j], out=mass_c_re[j - 1])
-            plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
-            rhs = fluid * mass_c[j - 1] + load[j - 1]
-            rhs[:, :K] += plate_rhs[..., None] * g
-            np.matmul(inv, _real(rhs), out=c_re[j + 1])
-            eta_t[j + 1] = trace * (g * c[j + 1, :, :K]).sum(axis=-1)
-            eta[j + 1] = eta[j] + dt * eta_t[j + 1]
+        np.multiply(scale, Fq, out=load[:nb, ..., :mi])
+        for j in range(nb):
+            np.add(w[j], load[j], out=rhs)
+            np.matmul(Gh, rhs_re, out=x_re[j])
+            np.matmul(Maug, x_re[j], out=w_re[j + 1])
+        # the stored states, and M c, as contiguous copies: the passes below
+        # are faster on them
+        c[2:nb + 2] = x[:nb, ..., :mi]
+        eta[2:nb + 2], eta_t[2:nb + 2] = np.moveaxis(-1j * w[1:nb + 1, :, :K, mi:], -1, 0)
         span = slice(1, nb + 2)
         _record(batch, ledgers[:, :, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq,
-                mass_c[:nb + 1])
+                w[:nb + 1, ..., :mi].copy())
         # the block's snapshots, rows lo + 1 to hi of the fields, at its steps
         # j: row j + 2 of c holds step j's state, j and j + 1 those before
         lo, hi = np.searchsorted(kept, [n0 + 1, n0 + nb + 1])
@@ -666,7 +658,7 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
                 f[:, lo + 1:hi + 1] = values
         for buf in (c, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
-        mass_c[0] = mass_c[nb]
+        w[0] = w[nb]
     # the integrals' increments summed in step order, in place
     np.cumsum(ledgers[:, 4:], axis=2, out=ledgers[:, 4:])
     *v, p, eta, eta_t = fields
@@ -692,6 +684,12 @@ def stepped_modes(forcing: Forcing, grid: PeriodicGrid) -> np.ndarray:
     if isinstance(forcing, HarmonicLoad):
         return forcing.support
     return np.arange(np.prod(grid.spectral_shape))
+
+
+def factored_operators(forcing: Forcing, grid: PeriodicGrid) -> int:
+    """The step operators a run under this forcing factors, one per |xi|^2 it steps."""
+    xi = _xi_stack(grid)[stepped_modes(forcing, grid)]
+    return len(np.unique(np.einsum("ka,ka->k", xi, xi)))
 
 
 def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.ndarray]:

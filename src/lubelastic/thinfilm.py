@@ -205,7 +205,7 @@ class _FilmOperator:
         return 0.5 * np.sum(self.energy_weights * np.abs(hat) ** 2)
 
 
-# a candidate height that overflows is rejected and halved: nothing to warn of
+# a candidate whose height or energy overflows is halved: nothing to warn of
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int,
            snapshot_stride: int = 1) -> FilmRun:
@@ -217,13 +217,12 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
     raw (values, coefficients) arrays and stacks the snapshots' once, at the
     end.  An accepted sub-step makes three transforms (four with a
     potential): one stacked padded inverse transform of eta and d^alpha eta
-    (and of the potential's gradient, after one forward transform of
-    Phi'(eta)), one forward transform of the padded flux, and one inverse
-    transform of the new coefficients for the height check.  If the
-    candidate height is not finite, or dips below `POSITIVITY_FLOOR` under
-    cubic mobility, the sub-step is halved (at most `MAX_HALVINGS` times
-    within a step; PositivityError after that) and integration continues
-    from the last valid height until the step's end is reached.
+    (and of the potential's gradient), one forward transform of the padded
+    flux, and one inverse transform of the new coefficients.  If the
+    candidate height or its film energy is not finite, or the height dips
+    below `POSITIVITY_FLOOR` under cubic mobility, the sub-step is halved (at
+    most `MAX_HALVINGS` times in a step; PositivityError after that) and the
+    run goes on from the last valid height until the step's end.
     """
     check_range(dt=dt)
     check_range(1, closed=True, integer=True, steps=steps, snapshot_stride=snapshot_stride)
@@ -254,23 +253,24 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
                 new_hat = (hat + sub * drive) / (1.0 - sub * L)
                 new_values = grid.irfft(new_hat)
                 new_lo, new_hi = new_values.min(), new_values.max()
-                if (np.isfinite(new_lo) and np.isfinite(new_hi)
+                new_e = op.energy(new_hat)
+                if (np.isfinite([new_lo, new_hi, new_e]).all()
                         and (model.linearized or not new_lo < floor)):
                     break
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise PositivityError(
-                        f"finite height (above the positivity floor {floor} under cubic "
-                        f"mobility) unreachable after {MAX_HALVINGS} halvings",
+                        f"finite height and energy (the height above the floor {floor} "
+                        f"under cubic mobility) unreachable after {MAX_HALVINGS} halvings",
                         last_state=FilmTrajectory(grid, [t + (dt - remaining)], values[None],
                                                   hat[None]),
                     )
                 sub *= 0.5
             remaining -= sub
             substeps += 1
-            values, hat, lo, hi = new_values, new_hat, new_lo, new_hi
+            values, hat, lo, hi, e_now = new_values, new_hat, new_lo, new_hi, new_e
         t = t + dt
-        times[i + 1], energy[i + 1] = t, op.energy(hat)
+        times[i + 1], energy[i + 1] = t, e_now
         min_eta = min(min_eta, float(lo))
         if (i + 1) % snapshot_stride == 0 or i == steps - 1:
             snapshots.append((t, values, hat))

@@ -281,13 +281,14 @@ def reports_csv(reports, path) -> None:
 
 class Assembled:
     """Per-row matrices (P*K, mi, mi) of the step operator for params.dt,
-    with their inverses.  lam is |xi|^2 on the along-xi rows and 0 on the
-    across-xi rows; the plate's rank-one term g g^T enters rows :K only."""
+    with their inverses, and every row's augmented step (Gh, Maug).  lam is
+    |xi|^2 on the along-xi rows and 0 on the across-xi rows; the plate's
+    rank-one term g g^T enters rows :K only."""
 
     def __init__(self, solver):
         p = solver.params
         dt = p.dt
-        K, P = solver.K, solver.P
+        K, P, mi = solver.K, solver.P, solver.mi
         ops = p.vnodes.ops
         sl = slice(1, -1)
         Mi = ops.M[sl, sl]
@@ -325,6 +326,26 @@ class Assembled:
         self.xi4 = xi4
         self.inv = np.swapaxes(Linv, 1, 2) @ Linv   # A^-1 = L^-T L^-1
 
+        # the augmented step of every row, built as `fsi._Batch` builds it per
+        # distinct |xi|^2: w = Maug x + the prescaled load = (M c + load, i eta,
+        # i eta_t) goes to x = Gh w = (c_new, i eta, 0), c_new = A^-1 X w by
+        # the triangular inverses, X = [fluid_mass/dt I | bending g | plate
+        # inertia g]; Maug x = (M c, i eta + dt trace g . c, trace g . c)
+        coef = solver.coef
+        tg = coef["trace"] * g
+        X = np.zeros((P * K, mi, mi + 2))
+        X[..., :mi] = (coef["fluid_mass"] / dt) * np.eye(mi)
+        X[:K, :, mi] = (-eps * coef["bend"]) * (xi4[:, None] * g)
+        X[:K, :, mi + 1] = (eps / dt * coef["plate_kin"]) * g
+        Gh = np.zeros((P * K, mi + 2, mi + 2))
+        Gh[:, :mi] = np.swapaxes(Linv, 1, 2) @ (Linv @ X)
+        Gh[:, mi, mi] = 1.0
+        Maug = np.zeros_like(Gh)
+        Maug[:, :mi, :mi] = mass
+        Maug[:, mi, mi] = 1.0
+        Maug[:K, mi, :mi], Maug[:K, mi + 1, :mi] = dt * tg, tg
+        self.Gh, self.Maug = Gh, Maug
+
 
 class FsiSolver:
     """One solver's frame, coefficients and step operator.  frame[p, k] is
@@ -346,7 +367,7 @@ class FsiSolver:
         np.divide(xi, np.sqrt(self.xi2)[:, None], out=e0, where=self.xi2[:, None] > 0)
         across = [np.stack([-e0[:, 1], e0[:, 0]], axis=1)] if self.P == 2 else []
         self.frame = np.stack([e0, *across])
-        self.xi_L = np.einsum("ka,ka->k", e0, xi)
+        self.xi_L = np.sqrt(self.xi2)  # e0 . xi, as `fsi._Batch` takes it
         mdl = params.model
         eps, kappa, tau = mdl.eps, mdl.kappa, mdl.tau
         e = lambda expo: eps_power(eps, expo)
@@ -505,6 +526,36 @@ def einsum_ledger_increments(solver, asm, old, new, Fq, dt):
     )
 
 
+def augmented_rhs(solver, mass_c, Fq, eta, eta_t):
+    """The right side (P*K, mi + 2) that the augmented step operator
+    `Assembled.Gh` takes from a state's M c, its plate harmonics and the
+    step's forcing quadrature: (M c + eps dt / fluid_mass Fq, i eta, i eta_t),
+    the plate entries on the along-xi rows."""
+    p = solver.params
+    K, mi = solver.K, solver.mi
+    rhs = np.zeros((len(mass_c), mi + 2), dtype=complex)
+    rhs[:, :mi] = mass_c + (p.model.eps * p.dt / solver.coef["fluid_mass"]) * Fq
+    rhs[:K, mi], rhs[:K, mi + 1] = 1j * eta, 1j * eta_t
+    return rhs
+
+
+def augmented_step(solver, c, eta, eta_t, Fq):
+    """One step of the augmented operator from the state (c, eta, eta_t)
+    under the forcing quadrature Fq, as `fsi.run_batch` takes it: M c from
+    the rows of `Assembled.Maug` that read c alone, x = Gh (M c + load, i eta,
+    i eta_t) = (c_new, i eta, 0), and eta and eta_t of the new state from
+    Maug x.  Returns (c_new, eta_new, eta_t_new)."""
+    from lubelastic.fsi import _apply
+
+    asm = solver.assembled()
+    K, mi = solver.K, solver.mi
+    x = np.zeros((len(c), mi + 2), dtype=complex)
+    x[:, :mi] = c
+    x = _apply(asm.Gh, augmented_rhs(solver, _apply(asm.Maug, x)[:, :mi], Fq, eta, eta_t))
+    w = _apply(asm.Maug, x)
+    return x[:, :mi], -1j * w[:K, mi], -1j * w[:K, mi + 1]
+
+
 def einsum_advance(solver, spec, t_new):
     """One backward-Euler step of `solver` from `spec`; returns
     (new_state, ledger_increments) like `FsiSolver.advance`."""
@@ -515,12 +566,9 @@ def einsum_advance(solver, spec, t_new):
     fhat = einsum_forcing_hat(solver, t_new)
     Fq = to_rows(cartesian_frame(solver.params.grid), cartesian_quadrature(solver, fhat))
     mass_cn = np.einsum("kij,kj->ki", asm.mass, spec.c)
-    plate_rhs = (1j * coef["plate_test"]) * (
-        coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
-    rhs = (coef["fluid_mass"] / dt) * mass_cn + solver.params.model.eps * Fq
-    rhs[:K] += plate_rhs[:, None] * asm.g
-    sol = asm.inv @ np.stack([rhs.real, rhs.imag], axis=2)
-    c_new = sol[:, :, 0] + 1j * sol[:, :, 1]
+    rhs = augmented_rhs(solver, mass_cn, Fq, spec.eta, spec.eta_t)
+    sol = asm.Gh @ np.stack([rhs.real, rhs.imag], axis=2)
+    c_new = sol[:, :solver.mi, 0] + 1j * sol[:, :solver.mi, 1]
     eta_t_new = -1j * coef["trace"] * np.einsum("ks,ks->k", asm.g, c_new[:K])
     new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
     return new, einsum_ledger_increments(solver, asm, spec, new, Fq, dt)
@@ -986,20 +1034,13 @@ def stepwise_advance(solver, spec, t_new):
     p = solver.params
     dt = p.dt
     asm = solver.assembled()
-    K = solver.K
     eps = p.model.eps
     coef = solver.coef
     fhat = stepwise_forcing_hat(solver, t_new)
     Fq = to_rows(cartesian_frame(p.grid), cartesian_quadrature(solver, fhat))
     mass_old = _apply(asm.mass, spec.c)
-    plate_rhs = (1j * coef["plate_test"]) * (
-        coef["plate_kin"] * spec.eta_t / dt - coef["bend"] * asm.xi4 * spec.eta)
-    rhs = (coef["fluid_mass"] / dt) * mass_old + eps * Fq
-    rhs[:K] += plate_rhs[:, None] * asm.g
-    c_new = _apply(asm.inv, rhs)
-    eta_t_new = -1j * coef["trace"] * (asm.g * c_new[:K]).sum(axis=1)
-    new = SpectralState(c_new, spec.eta + dt * eta_t_new, eta_t_new, t_new)
-    mass_new, visc_new = _apply(np.stack([asm.mass, asm.visc]), c_new)
+    new = SpectralState(*augmented_step(solver, spec.c, spec.eta, spec.eta_t, Fq), t_new)
+    mass_new, visc_new = _apply(np.stack([asm.mass, asm.visc]), new.c)
 
     w = solver._w
     wr = np.tile(w, solver.P)
@@ -1120,10 +1161,10 @@ def quadrature(solver, fhat, nb):
     return Fq
 
 
-def record(solver, columns, t, c, eta, eta_t, Fq, mass_old):
+def record(solver, columns, t, c, eta, eta_t, Fq, mass_c):
     """Write a block's ledger columns (8, B), with the integrals as per-step
-    increments, from the state before the block and the block's B states;
-    returns M c of the block's last state."""
+    increments, from the state before the block and the block's B states,
+    and their M c, mass_c."""
     from lubelastic.errors import AssemblyError
     from lubelastic.fsi import _apply
 
@@ -1137,7 +1178,7 @@ def record(solver, columns, t, c, eta, eta_t, Fq, mass_old):
     coef = solver.coef
     dt = solver.params.dt
     fluid = 0.5 * solver.params.model.rho_f * solver.params.model.eps
-    mass, visc = _apply(np.stack([asm.mass, asm.visc])[:, None], c[1:])
+    mass, visc = mass_c[1:], _apply(asm.visc, c[1:])
     ef = fluid * re_inner(wr, c[1:], mass)
     epk = 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:]) ** 2, axis=-1)
     eb = 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:]) ** 2, axis=-1)
@@ -1150,14 +1191,13 @@ def record(solver, columns, t, c, eta, eta_t, Fq, mass_old):
             f"plate {epk[i]:.3e}, bending {eb[i]:.3e}); quadratic-form "
             f"assembly is inconsistent"
         )
-    dn = (fluid * re_inner(wr, c[1:] - c[:-1], mass - mass_old)
+    dn = (fluid * re_inner(wr, c[1:] - c[:-1], mass - mass_c[:-1])
           + 0.5 * coef["plate_kin"] * np.sum(w * np.abs(eta_t[1:] - eta_t[:-1]) ** 2, axis=-1)
           + 0.5 * coef["bend"] * np.sum(wx * np.abs(eta[1:] - eta[:-1]) ** 2, axis=-1))
     dv = dt * coef["work"] * re_inner(wr, c[1:], visc)
     dve = dt * coef["viscoelastic"] * np.sum(wx * np.abs(eta_t[1:]) ** 2, axis=-1)
     work = dt * coef["work"] * re_inner(wr, c[1:], Fq)
     columns[:] = t, ef, epk, eb, dv, dve, dn, work
-    return mass[-1]
 
 
 def pressure_hat(solver, c_old, c_new, fhat, dt, c_older=None):
@@ -1192,8 +1232,22 @@ def pressure_hat(solver, c_old, c_new, fhat, dt, c_older=None):
 
 # The coupled run of one solver as `fsi.FsiSolver.run` took it before the
 # points of a thickness ladder stepped together in `fsi.run_batch`: the same
-# blocks, with one solver's matrices and Python scalar coefficients.  The
-# solve is a parameter, so a test can swap in another factorization.
+# blocks, with one solver's matrices and Python scalar coefficients.  By
+# default a step applies the augmented operator as `fsi.run_batch` does
+# (`Assembled.Gh` and `Assembled.Maug`).  Given a solve, it takes the step
+# as `fsi.run_batch` did before that operator: the right side assembled
+# from M c, the load and the plate terms, solved by `solve`, then eta_t
+# from g . c_new and eta by one Euler step.  `stored_inverse` is the solve
+# it had, the product with A^-1 = L^-T L^-1; a test can swap in another
+# factorization.
+
+def stored_inverse(solver):
+    """The solve that multiplies a right side by the stored A^-1."""
+    from lubelastic.fsi import _apply
+
+    inv = solver.assembled().inv
+    return lambda rhs: _apply(inv, rhs)
+
 
 def single_run(solver, t_end, snapshot_stride=1, solve=None):
     """The blocked run of one solver; returns its trajectory."""
@@ -1206,14 +1260,13 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
     nsteps = _step_count(t_end, dt)
     check_range(1, closed=True, snapshot_stride=snapshot_stride)
     asm = solver.assembled()
-    solve = solve or (lambda rhs: _apply(asm.inv, rhs))
-    K, coef = solver.K, solver.coef
-    rows = (solver.P * K, solver.mi)
+    K, coef, mi = solver.K, solver.coef, solver.mi
+    rows = (solver.P * K, mi)
     block = _steps_per_block(16 * rows[0] * rows[1])
     c = np.zeros((block + 2,) + rows, dtype=complex)
+    x = np.zeros((block + 2, rows[0], mi + 2), dtype=complex)  # rows as c's
     eta = np.zeros((block + 2, K), dtype=complex)
     eta_t = np.zeros((block + 2, K), dtype=complex)
-    mass_old = np.zeros((block,) + rows, dtype=complex)
     ledger = np.empty((8, nsteps))
     states = [materialize(solver, c[1], eta[1], eta_t[1])]
     times = [0.0]
@@ -1229,19 +1282,27 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
         fhat = {i: h.reshape(nb, K, -1)
                 for i, h in sample_forcing(p.forcing, p.grid, t).items()}
         Fq = quadrature(solver, fhat, nb)
-        load = p.model.eps * Fq
-        for j in range(1, nb + 1):
-            if j > 1:
-                mass_old[j - 1] = _apply(mass, c[j])
-            plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
-            rhs = fluid * mass_old[j - 1] + load[j - 1]
-            rhs[:K] += plate_rhs[:, None] * g
-            c[j + 1] = solve(rhs)
-            eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
-            eta[j + 1] = eta[j] + dt * eta_t[j + 1]
         span = slice(1, nb + 2)
-        mass_old[0] = record(solver, ledger[:, n0:n0 + nb], t, c[span], eta[span],
-                             eta_t[span], Fq, mass_old[:nb])
+        if solve is None:
+            for j in range(1, nb + 1):
+                rhs = _apply(asm.Maug, x[j])
+                rhs[:, :mi] += (p.model.eps * dt / coef["fluid_mass"]) * Fq[j - 1]
+                x[j + 1] = _apply(asm.Gh, rhs)
+            w = _apply(asm.Maug, x[span])
+            c[2:nb + 2] = x[2:nb + 2, :, :mi]
+            eta[2:nb + 2], eta_t[2:nb + 2] = -1j * w[1:, :K, mi], -1j * w[1:, :K, mi + 1]
+            mass_c = w[..., :mi]
+        else:
+            load = p.model.eps * Fq
+            for j in range(1, nb + 1):
+                plate_rhs = plate_test * (plate_kin * eta_t[j] / dt - bend * eta[j])
+                rhs = fluid * _apply(mass, c[j]) + load[j - 1]
+                rhs[:K] += plate_rhs[:, None] * g
+                c[j + 1] = solve(rhs)
+                eta_t[j + 1] = trace * (g * c[j + 1, :K]).sum(axis=1)
+                eta[j + 1] = eta[j] + dt * eta_t[j + 1]
+            mass_c = _apply(mass, c[span])
+        record(solver, ledger[:, n0:n0 + nb], t, c[span], eta[span], eta_t[span], Fq, mass_c)
         for j in range(nb):
             n = n0 + j + 1
             if n % snapshot_stride == 0 or n == nsteps:
@@ -1250,7 +1311,7 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
                                     None if n == 1 else c[j])
                 states.append(materialize(solver, c[j + 2], eta[j + 2], eta_t[j + 2], phat))
                 times.append(t[j])
-        for buf in (c, eta, eta_t):
+        for buf in (c, x, eta, eta_t):
             buf[:2] = buf[nb:nb + 2]
     np.cumsum(ledger[4:], axis=1, out=ledger[4:])
     return stacked_trajectory(p, times, states, EnergyLedger(*ledger))

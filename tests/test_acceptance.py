@@ -57,13 +57,19 @@ def test_criterion_1_rate_reproduction(ladder_result):
     assert elapsed <= 600.0
 
 
-def test_criterion_1_rates_at_the_boundary_exponent(tmp_path):
+@pytest.fixture(scope="module")
+def boundary_rates(tmp_path_factory):
+    """rates.json of the theorem-e0-kappa52 preset, and the run's wall time."""
+    out = tmp_path_factory.mktemp("kappa52")
+    start = time.time()
+    cli.run({"version": 1, "preset": "theorem-e0-kappa52"}, output_dir=str(out))
+    return json.loads((out / "rates.json").read_text()), time.time() - start
+
+
+def test_criterion_1_rates_at_the_boundary_exponent(boundary_rates):
     # kappa = 5/2 closes the theorem regime; its preset gates with the
     # kappa = 2 velocity and pressure thresholds
-    start = time.time()
-    cli.run({"version": 1, "preset": "theorem-e0-kappa52"}, output_dir=str(tmp_path))
-    elapsed = time.time() - start
-    rates = json.loads((tmp_path / "rates.json").read_text())
+    rates, elapsed = boundary_rates
     detail = "; ".join(f"{which} slope {r['slope']:.3f} (>= {r['threshold']}), r2 {r['r2']:.4f}"
                        for which, r in rates["rates"].items())
     _report("1 (kappa = 5/2)", rates["pass"], detail + f"; wall time {elapsed:.1f}s")
@@ -84,6 +90,20 @@ def test_criterion_2_energy_inequality(ladder_result):
     ok = spread <= 3.0
     _report(2, ok, f"terminal energy/(t*eps^3) spread {spread:.3f} (<= 3) across "
                    f"{[r.eps for r in result.reports]}")
+    assert ok
+
+
+def test_criterion_2_identity_residual_at_roundoff(ladder_result, boundary_rates):
+    # the discrete energy identity holds to roundoff at every point of the
+    # kappa = 2 and kappa = 5/2 ladders: each point's largest per-step
+    # |residual| over its scale, as rates.json reports it
+    result, _ = ladder_result
+    worst = {"kappa = 2": [float(np.max(led.identity_residual_rel())) for led in result.ledgers],
+             "kappa = 5/2": [p["max_identity_residual_rel"] for p in boundary_rates[0]["points"]]}
+    ok = max(max(r) for r in worst.values()) <= 1e-12
+    _report("2 (identity residual)", ok, "; ".join(
+        f"{k}: largest per point {max(r):.2e} (<= 1e-12)" for k, r in worst.items()))
+    assert all(len(r) >= 4 for r in worst.values())
     assert ok
 
 

@@ -309,6 +309,22 @@ class TestBreakdownPath:
         assert diag["last_valid_time"] == 0.0
         assert not (out / "manifest.json").exists()
 
+    def test_film_energy_that_overflows_exits_3(self, tmp_path):
+        # the height stays finite, of order 1e296, but its film energy
+        # overflows: a breakdown, not an energy.csv holding inf
+        doc = cli.preset_config("stf-bending")
+        doc.update({"n": 32, "steps": 1, "snapshot_stride": 1, "dt": 1e-3, "linearized": True,
+                    "v_D": 1e300})
+        out = tmp_path / "out"
+        rc = cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 3
+        assert sorted(os.listdir(out)) == ["breakdown.json"]
+        diag = json.loads((out / "breakdown.json").read_text())
+        assert diag["error"] == "numerical breakdown"
+        assert "finite height and energy" in diag["detail"]
+        assert diag["last_valid_time"] == 0.0
+
     def test_breakdown_goes_to_document_output_dir(self, tmp_path, monkeypatch):
         # without --output, breakdown.json lands where the artifacts would
         monkeypatch.chdir(tmp_path)
@@ -332,8 +348,10 @@ class TestBreakdownPath:
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_height_that_overflows_exits_3(self, tmp_path, steps, capsys):
-        # a drift of 1e300 overflows the second step: the run used to exit 0
-        # with NaN in summary.json (2 steps) or exit 2 (3 steps)
+        # a drift of 1e300 overflows the second step's height and already the
+        # first step's film energy: the run used to exit 0 with NaN in
+        # summary.json (2 steps) or exit 2 (3 steps), and then broke down
+        # only at the second step, after a first one of infinite energy
         doc = cli.preset_config("stf-bending")
         doc.update({"n": 32, "steps": steps, "snapshot_stride": 1, "linearized": True,
                     "v_D": 1e300, "dt": 1e-3})
@@ -343,7 +361,7 @@ class TestBreakdownPath:
         assert rc == 3
         assert "finite height" in capsys.readouterr().err
         diag = json.loads((out / "breakdown.json").read_text())
-        assert diag["last_valid_time"] == 1e-3
+        assert diag["last_valid_time"] == 0.0
         assert not (out / "summary.json").exists()
 
 
@@ -567,9 +585,23 @@ class TestFsiCommand:
         assert summary["terminal_lhs"] == (energy + last["viscous_dissipation"]
                                            + last["viscoelastic_dissipation"])
         assert summary["terminal_work"] == last["work"]
-        # the harmonic load steps its one stored mode of the grid's
-        assert (summary["modes"], summary["modes_stepped"]) == (
-            (5, 1) if doc["dim"] == 1 else (40, 1))
+        # the harmonic load steps its one stored mode of the grid's, and
+        # factors that mode's one operator
+        assert (summary["modes"], summary["modes_stepped"], summary["operators_factored"]) == (
+            (5, 1, 1) if doc["dim"] == 1 else (40, 1, 1))
+
+    def test_summary_counts_one_operator_per_distinct_wavenumber(self, tmp_path):
+        # a 2D wavevector whose last entry is 0 loads both stored modes +-k,
+        # which share |xi|^2 and so one factored operator
+        doc = cli.preset_config("fsi-single-mode")
+        doc.update({"dim": 2, "n": 8, "m": 10, "dt": 1e-3, "t_end": 0.005, "snapshot_stride": 5,
+                    "forcing": {"kind": "harmonic-ramp", "wavevector": [1, 0]}})
+        out = tmp_path / "out"
+        assert cli.main(["fsi", "run", "--config", write_config(tmp_path, doc),
+                         "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["modes"], summary["modes_stepped"], summary["operators_factored"]) == (
+            40, 2, 1)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_summary_holds_the_largest_invariants(self, tmp_path, monkeypatch, dim):
@@ -612,7 +644,8 @@ class TestFsiCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["terminal_work"] == 0.0
         assert summary["terminal_energy"] == 0.0
-        assert (summary["modes"], summary["modes_stepped"]) == (9, 0)
+        assert (summary["modes"], summary["modes_stepped"], summary["operators_factored"]) == (
+            9, 0, 0)
         assert not any(summary["invariants"].values())
         assert summary["energy_audit_ok"]
 

@@ -103,8 +103,8 @@ class TestParams:
 
 class TestModeOperator:
     def test_symmetric_positive_definite(self):
-        # the batch keeps only the inverse; the operator is the oracle's
-        # assembly, whose inverse the batch holds bit for bit
+        # the batch keeps only the augmented step; the operator is the
+        # oracle's assembly, from whose factor the batch builds it bit for bit
         params = make_params(m=12)
         A = FsiSolver(params).assembled().A[2]
         assert np.max(np.abs(A - A.T)) < 1e-10 * np.max(np.abs(A))
@@ -128,9 +128,11 @@ class TestModeOperator:
         gaps = []
         for dt in (1e-4, 1e-5, 1e-6):
             batch = lb.fsi._Batch([replace(params, dt=dt)])
-            limit = (batch.fluid_mass[0] * batch.mass[0, 2]
-                     + batch.rho_s_mass[0] * np.outer(batch.g[2], batch.g[2]))
-            A = FsiSolver(replace(params, dt=dt)).assembled().A[2]
+            asm = FsiSolver(replace(params, dt=dt)).assembled()
+            mass = batch.Maug[0, 2, :batch.mi, :batch.mi]  # M c on the c rows
+            limit = (batch.fluid_mass[0] * mass
+                     + batch.rho_s_mass[0] * np.outer(asm.g[2], asm.g[2]))
+            A = asm.A[2]
             gaps.append(np.linalg.norm(dt * A - limit) / np.linalg.norm(limit))
         assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.1)
         assert gaps[1] / gaps[2] == pytest.approx(10.0, rel=0.1)
@@ -152,9 +154,11 @@ class TestModeOperator:
         [batch] = built
         assert batch.modes.tolist() == [1]
         A = np.stack([FsiSolver(p).assembled().A[batch.modes] for p in points])
-        assert batch.inv.shape == A.shape
-        eye = np.broadcast_to(np.eye(batch.mi), A.shape)
-        assert np.max(np.abs(batch.inv @ A - eye)) < 1e-10
+        mi = batch.mi
+        assert batch.Gh.shape == A.shape[:2] + (mi + 2, mi + 2)
+        # the c rows of the augmented step solve A c = fluid_mass/dt M c + ...
+        eye = (batch.fluid_mass / params.dt)[:, None, None, None] * np.eye(mi)
+        assert np.max(np.abs(A @ batch.Gh[..., :mi, :mi] - eye)) < 1e-10 * np.max(eye)
 
     def test_wavenumber_outside_lattice(self):
         # |k| >= n/2 aliases on the grid, and k = n/2 samples sin to zero
@@ -411,9 +415,11 @@ class TestInvariantsAndRuns:
         eta_t = np.ones((2, 1, batch.K), dtype=complex)
         Fq = np.zeros((1,) + shape[1:], dtype=complex)
 
+        mass_c = lb.fsi._apply(batch.Maug[..., :batch.mi, :batch.mi], c)
+
         def record():
             columns = np.empty((1, 8, 1))
-            lb.fsi._record(batch, columns, [params.dt], c, eta, eta_t, Fq, np.zeros_like(c))
+            lb.fsi._record(batch, columns, [params.dt], c, eta, eta_t, Fq, mass_c)
             return columns[0, 1:4, 0]
 
         batch.plate_kin = np.zeros(1)
@@ -432,7 +438,7 @@ class TestInvariantsAndRuns:
 
         def flipped(batch, params):
             init(batch, params)
-            batch.mass *= -1.0
+            batch.Maug[..., :batch.mi, :batch.mi] *= -1.0
 
         monkeypatch.setattr(lb.fsi._Batch, "__init__", flipped)
         with pytest.raises(lb.AssemblyError, match="negative energy"):
@@ -918,8 +924,8 @@ class TestStackedCartesianOracle:
         # R maps the rows of one mode, (along, across), to Cartesian
         # components, so R^T X R is the stacked matrix X in the frame
         R = np.einsum("pka,ij->kaipj", stacked.frame, np.eye(mi)).reshape(K, 2 * mi, 2 * mi)
-        split_A = FsiSolver(params).assembled().A  # the batch keeps only its inverse
-        for mat, split in ((stacked.A, split_A), (stacked.mass, batch.mass[0]),
+        split_A = FsiSolver(params).assembled().A  # the batch keeps only its step
+        for mat, split in ((stacked.A, split_A), (stacked.mass, batch.Maug[0, :, :mi, :mi]),
                            (stacked.visc, batch.visc[0])):
             rot = (np.swapaxes(R, 1, 2) @ mat @ R).reshape(K, 2, mi, 2, mi)
             scale = np.max(np.abs(mat), axis=(1, 2))[:, None, None]
@@ -1171,9 +1177,9 @@ class TestRunBatch:
             assert (batch.eps[i], batch.eps2[i], batch.nu[i]) == (mdl.eps, mdl.eps**2, mdl.nu)
             assert batch.inert[i] == mdl.rho_f * lb.eps_power(mdl.eps, -mdl.tau)
             assert batch.fluid_kin[i] == mdl.rho_f * mdl.eps
-            assert np.array_equal(batch.g, asm.g)
             assert np.array_equal(batch.xi4, asm.xi4)
-            for name in ("mass", "visc", "inv"):
+            # built once per distinct |xi|^2 and gathered, against every row's own
+            for name in ("Gh", "Maug", "visc"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(asm, name)), name
 
     def test_ladder_size_batch_matches_the_oracle(self):
@@ -1214,6 +1220,84 @@ class TestRunBatch:
                      base.grid, base.vnodes, ramp_time=0.05))}[change]()
         with pytest.raises(ParameterError, match="must share"):
             lb.fsi.run_batch([base, other], 0.01)
+
+
+class TestAugmentedStep:
+    """The step as one augmented product pair per row, built once per
+    distinct |xi|^2 from the Cholesky factor's triangular inverses."""
+
+    @pytest.mark.parametrize("dim, eps, component", [
+        (1, 2.0**-3, 0), (1, 2.0**-3, 1), (1, 2.0**-6, 0), (1, 2.0**-6, 1),
+        (2, 2.0**-3, 0), (2, 2.0**-3, 2), (2, 2.0**-6, 0), (2, 2.0**-6, 2)])
+    def test_matches_the_stored_inverse_loop(self, dim, eps, component):
+        # against the per-step loop that multiplied each right side by the
+        # stored A^-1 (`oracles.single_run` with `oracles.stored_inverse`),
+        # all modes stepped under a plain callable: each field kind within
+        # 2e-13 of its largest value over the run and each ledger entry
+        # within 1e-13 of its largest (measured: 9.7e-14 and 3.8e-14)
+        from oracles import single_run, stored_inverse
+
+        grid = lb.PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
+        vn = lb.VerticalNodes(20 if dim == 1 else 10)
+        load = lb.harmonic_ramp_forcing(grid, vn, wavevector=(1,) * dim, component=component,
+                                        ramp_time=0.02)
+        model = lb.ModelParams(eps=eps, kappa=Fraction(2), theta=0.5, dim=dim)
+        params = lb.FsiParams(model=model, grid=grid, vnodes=vn, dt=2e-3, forcing=plain(load))
+        nsteps, stride = (60, 7) if eps == 2.0**-3 else (200, 20)
+        traj = lb.run_fsi(params, nsteps * params.dt, snapshot_stride=stride)
+        solver = FsiSolver(params)
+        ref = single_run(solver, nsteps * params.dt, stride, solve=stored_inverse(solver))
+        _assert_fields_close(traj, ref, rtol=2e-13)
+        for f in fields(traj.ledger)[1:]:
+            got, want = getattr(traj.ledger, f.name), getattr(ref.ledger, f.name)
+            assert np.max(np.abs(want)) > 0, f.name
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), f.name
+        assert np.array_equal(traj.ledger.t, ref.ledger.t)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_factorization_per_distinct_wavenumber(self, dim, monkeypatch):
+        # every mode enters the operator through |xi|^2 alone, so a plain
+        # callable that steps all the grid's modes factors one operator per
+        # distinct |xi|^2 (per row kind), fewer than the modes in 2D
+        factored, cholesky = [], np.linalg.cholesky
+
+        def counting(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        params = plain_params(n=16, m=10, dim=dim)
+        lb.run_fsi(params, 2 * params.dt)
+        xi = lb.fsi._xi_stack(params.grid)
+        modes = len(xi)
+        distinct = len(np.unique(np.einsum("ka,ka->k", xi, xi)))
+        [shape] = factored
+        assert shape[:3] == (1, dim, distinct)
+        assert lb.fsi.factored_operators(params.forcing, params.grid) == distinct
+        assert distinct == modes if dim == 1 else distinct < modes // 3
+        # a harmonic load steps its support alone: one mode, one operator
+        assert lb.fsi.factored_operators(make_params(dim=dim).forcing, params.grid) == 1
+
+    def test_step_loop_makes_two_products_per_step(self, monkeypatch):
+        # np.matmul as `lubelastic.fsi` sees it, counted: a run of N steps in
+        # B blocks makes at most two products per step plus a constant per
+        # block, so that the per-step calls cannot creep back unnoticed
+        class Counting:
+            products = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                Counting.products += 1
+                return np.matmul(*args, **kwargs)
+
+        params = make_params(n=16, m=12, dt=1e-3)
+        block = _steps_per_block(16 * 1 * 10)  # the load steps one mode
+        nsteps = 2 * block + 5
+        monkeypatch.setattr(lb.fsi, "np", Counting())
+        lb.run_fsi(params, nsteps * params.dt, snapshot_stride=nsteps)
+        assert nsteps <= Counting.products <= 2 * nsteps + 4 * 3
 
 
 def _assert_fields_close(traj, ref, rtol=1e-12):

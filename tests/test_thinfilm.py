@@ -223,15 +223,16 @@ class TestStep:
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_height_that_is_not_finite_is_a_breakdown(self, grid, steps):
-        # a drift of 1e300 overflows the second step; such a run used to
-        # return NaN snapshots (2 steps) or raise ParameterError (3 steps).
-        # Now the step is halved like one below the floor, and the last
-        # valid height, finite, is reported
+        # a drift of 1e300 overflows the second step's height; such a run
+        # used to return NaN snapshots (2 steps) or raise ParameterError (3
+        # steps).  The first step's height is finite, of order 1e296, but its
+        # film energy overflows, so that step is halved like one below the
+        # floor, and the last valid height, the initial one, is reported
         model = tf.ThinFilmModel(alpha=5, linearized=True, v_D=1e300)
         with pytest.raises(PositivityError, match="finite height .* unreachable after 20") as ei:
             tf.evolve(model, grid, one_plus_sin(grid), 1e-3, steps)
         last = ei.value.last_state
-        assert np.array_equal(last.times, [1e-3]) and np.all(np.isfinite(last.eta))
+        assert np.array_equal(last.times, [0.0]) and np.all(np.isfinite(last.eta))
 
     def test_halved_step_that_is_finite_again_is_accepted(self, grid, monkeypatch):
         # a candidate that overflows only at the full step is halved, and
