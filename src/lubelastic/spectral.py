@@ -16,8 +16,8 @@ Nonlinear products of the 1D film and pressure models are formed nodally on
 a 3/2 zero-padded grid (Orszag's rule); the cubic mobility of the film models
 aliases badly at marginal resolution otherwise.  `padded_values` and
 `truncated_hat` are the two halves of that rule and work on the coefficients
-of a 1D grid, so a caller that holds a field's coefficients pads each
-distinct factor once, with one transform each way.
+of a 1D grid; `dealiased_product` pads each distinct factor once through
+them.  The film step applies the same rule with its own unscaled transforms.
 
 A grid transforms along the leading (horizontal) axes of an array; trailing
 axes, such as the vertical nodes of a channel field, are transformed

@@ -12,16 +12,20 @@ the cubic mobility by the constant coefficient c.
 
 Time stepping is semi-implicit: the leading operator with the mobility
 frozen at its maximum is inverted through its Fourier symbol, everything
-else is explicit; a step whose new height is not finite, or dips below the
-positivity floor under cubic mobility, is halved.  The divergence form is
-applied spectrally as the last operation, so the mean of eta is conserved
-to roundoff.  Heights and pressures are plain arrays of nodal values on a
-`PeriodicGrid`, passed with the grid.  A `FilmTrajectory` is the one record
-of a height series: the grid, the times and the nodal values and Fourier
-coefficients of every snapshot, one array per field with the snapshots
-along the leading axis.  `evolve` integrates a whole run in one call, on
-raw (values, coefficients) arrays, and returns its snapshots as one; so
-does the mode-exact solve.
+else is explicit; a step whose new height or film energy is not finite, or
+whose height dips below the positivity floor under cubic mobility, is
+halved.  A sub-step is a short fixed sequence of array operations on the
+height's coefficients, every scaling folded into symbols built once per run
+(`evolve` lists them); the tests hold it, at roundoff, to the same scheme
+written operation by operation.  The divergence form is applied spectrally
+as the last operation and the mean coefficient is never updated, so it
+stays exactly that of the initial height.  Heights and pressures are plain
+arrays of nodal values on a `PeriodicGrid`, passed with the grid.  A
+`FilmTrajectory` is the one record of a height series: the grid, the times
+and the nodal values and Fourier coefficients of every snapshot, one array
+per field with the snapshots along the leading axis.  `evolve` integrates a
+whole run in one call, on raw (values, coefficients) arrays, and returns
+its snapshots as one; so does the mode-exact solve.
 
 A mode-exact exponential integrator is provided for the linear sixth-order
 evolution d/dt eta - c (Lap')^3 eta = F, and the classical stationary
@@ -30,6 +34,7 @@ closed form through the periodic flux balance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -42,9 +47,7 @@ from .spectral import (
     dealiased_product,
     derivative_symbol,
     laplacian_symbol,
-    padded_values,
     spectral_derivative,
-    truncated_hat,
 )
 
 POSITIVITY_FLOOR = 1e-6
@@ -149,62 +152,6 @@ class FilmRun:
     substeps: int
 
 
-class _FilmOperator:
-    """The symbols of one model on one grid, built once per run, and the
-    spatial right-hand side on raw (values, coefficients) arrays."""
-
-    def __init__(self, model: ThinFilmModel, grid: PeriodicGrid):
-        if grid.dim != 1:
-            raise ParameterError("the film family is one-dimensional")
-        self.model, self.grid = model, grid
-        xi = grid.xi[0]
-        self.div = derivative_symbol(grid, 1)  # d/dx with the Nyquist mode zeroed
-        self.xi_power = xi ** (model.alpha + 1)
-        self.drift = None
-        if model.v_D != 0.0:
-            self.drift = model.drift_prefactor * model.v_D * self.div
-        self.energy_weights = _energy_weights(model, grid)
-        if model.linearized:
-            self.leading = model.sign * model.c * (1j * xi) ** (model.alpha + 1)
-            self.linear_L = -model.c * self.xi_power
-        else:
-            self.d_alpha = derivative_symbol(grid, model.alpha)
-            # rows: eta, d^alpha eta[, d/dx Phi'(eta)], padded in one transform
-            rows = 2 if model.potential is None else 3
-            self.stack = np.empty((rows, len(xi)), dtype=complex)
-
-    def frozen_symbol(self, hi: float) -> np.ndarray:
-        """Fourier symbol of the leading operator with the mobility frozen
-        at the largest height hi."""
-        if self.model.linearized:
-            return self.linear_L
-        return -(self.model.mobility_scale * float(hi) ** 3) * self.xi_power
-
-    def rhs(self, values: np.ndarray, hat: np.ndarray) -> np.ndarray:
-        """Coefficients of the right-hand side; zero mean by divergence form."""
-        model, grid = self.model, self.grid
-        if model.linearized:
-            out = self.leading * hat
-        else:
-            stack = self.stack
-            stack[0] = hat
-            np.multiply(self.d_alpha, hat, out=stack[1])
-            if model.potential is not None:
-                stack[2] = self.div * grid.rfft(model.potential(values))
-            e, slope, *potential = padded_values(grid, stack.T).T
-            slope = model.sign * model.mobility_scale * slope
-            if potential:
-                slope = slope + potential[0]
-            out = self.div * truncated_hat(grid, e * e * e * slope)
-        if self.drift is not None:
-            out -= self.drift * hat
-        out[0] = 0.0
-        return out
-
-    def energy(self, hat: np.ndarray) -> float:
-        return 0.5 * np.sum(self.energy_weights * np.abs(hat) ** 2)
-
-
 # a candidate whose height or energy overflows is halved: nothing to warn of
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int,
@@ -213,49 +160,89 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
     semi-implicit steps of size dt.
 
     The initial height must be finite, and positive under cubic mobility
-    (ParameterError).  The run's symbols are built once; the loop carries
-    raw (values, coefficients) arrays and stacks the snapshots' once, at the
-    end.  An accepted sub-step makes three transforms (four with a
-    potential): one stacked padded inverse transform of eta and d^alpha eta
-    (and of the potential's gradient), one forward transform of the padded
-    flux, and one inverse transform of the new coefficients.  If the
-    candidate height or its film energy is not finite, or the height dips
-    below `POSITIVITY_FLOOR` under cubic mobility, the sub-step is halved (at
-    most `MAX_HALVINGS` times in a step; PositivityError after that) and the
-    run goes on from the last valid height until the step's end.
+    (ParameterError).  The run's symbols are built once, every scaling
+    folded in, and the loop carries raw (values, coefficients) arrays,
+    stacking the snapshots' once, at the end.  A sub-step of size sub from
+    the height (values, hat), whose largest value is hi:
+
+    1. R, the right-hand side's coefficients.  Under cubic mobility one
+       padded inverse transform of the rows hat and sign * mobility_scale *
+       d^alpha hat (plus the potential's d/dx Phi'(values), one forward
+       transform) gives e and the slope s on the 3/2 grid, and R is d/dx of
+       the truncated forward transform of the flux e (e^2 s - P v_D), with
+       1/npad folded into the d/dx symbol.  Linearized, R is one symbol
+       times hat.  R[0] = 0.
+    2. The candidate hat + sub R / (1 + sub lam), formed as
+       hat + R / (1/sub + lam), where lam = mobility_scale hi^3 xi^(alpha+1)
+       (c xi^(alpha+1) linearized) is the frozen leading symbol; this is
+       algebraically the scheme's (hat + sub (R - L hat)) / (1 - sub L),
+       L = -lam.
+    3. One inverse transform to the candidate's nodal values, their min and
+       max, and its film energy 1/2 |root * hat|^2 (`_energy`).
+
+    So an accepted sub-step makes three transforms (four with a potential),
+    the inverse ones unscaled (norm="forward").  If the candidate height or
+    its film energy is not finite, or the height dips below
+    `POSITIVITY_FLOOR` under cubic mobility, the sub-step is halved (at most
+    `MAX_HALVINGS` times in a step; PositivityError after that) and the run
+    goes on from the last valid height until the step's end.  Against the
+    scheme written operation by operation (the tests' oracle), times,
+    sub-step counts and the mean coefficient agree exactly, heights and
+    energies at roundoff.
     """
+    if grid.dim != 1:
+        raise ParameterError("the film family is one-dimensional")
     check_range(dt=dt)
     check_range(1, closed=True, integer=True, steps=steps, snapshot_stride=snapshot_stride)
     values = grid.check(eta0)
-    lo, hi = values.min(), values.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError("initial film height contains non-finite values")
     if not model.linearized and lo <= 0.0:
         raise ParameterError(f"initial film height must be positive under cubic mobility, "
                              f"min is {lo:.3e}")
-    floor = POSITIVITY_FLOOR
-    op = _FilmOperator(model, grid)
+    floor, linear, potential = POSITIVITY_FLOOR, model.linearized, model.potential
+    n, npad, m = grid.n, 3 * grid.n // 2, grid.n // 2 + 1
+    xi_power = grid.xi[0] ** (model.alpha + 1)
+    div = derivative_symbol(grid, 1)  # d/dx with the Nyquist mode zeroed
+    drift = model.drift_prefactor * model.v_D
+    root = _energy_root(model, grid)
+    if linear:
+        symbol = model.sign * model.c * (1j * grid.xi[0]) ** (model.alpha + 1) - drift * div
+        lam = model.c * xi_power
+    else:
+        rows = np.stack([np.ones(m), model.sign * model.mobility_scale
+                         * derivative_symbol(grid, model.alpha)])
+        div_pad, div_n = div / npad, div / n
     hat, t = grid.rfft(values), 0.0
     times = np.empty(steps + 1)
     energy = np.empty(steps + 1)
-    times[0], energy[0] = t, op.energy(hat)
-    min_eta = float(lo)
+    times[0], energy[0] = t, _energy(root, hat)
+    min_eta = lo
     snapshots = [(t, values, hat)]
     substeps = 0
     for i in range(steps):
         remaining = sub = dt
         halvings = 0
         while remaining > 1e-14 * dt:
-            L = op.frozen_symbol(hi)
-            drive = op.rhs(values, hat) - L * hat
+            if linear:
+                R = symbol * hat
+            else:
+                stack = rows * hat
+                if potential is not None:
+                    stack[1] += div_n * np.fft.rfft(potential(values))
+                e, s = np.fft.irfft(stack, npad, norm="forward")
+                R = div_pad * np.fft.rfft(e * (e * e * s - drift))[:m]
+                lam = (model.mobility_scale * hi * hi * hi) * xi_power
+            R[0] = 0.0
             sub = min(sub, remaining)
             while True:
-                new_hat = (hat + sub * drive) / (1.0 - sub * L)
-                new_values = grid.irfft(new_hat)
-                new_lo, new_hi = new_values.min(), new_values.max()
-                new_e = op.energy(new_hat)
-                if (np.isfinite([new_lo, new_hi, new_e]).all()
-                        and (model.linearized or not new_lo < floor)):
+                new_hat = hat + R / (1.0 / sub + lam)
+                new_values = np.fft.irfft(new_hat, n, norm="forward")
+                new_lo, new_hi = float(new_values.min()), float(new_values.max())
+                new_e = _energy(root, new_hat)
+                if (math.isfinite(new_lo) and math.isfinite(new_hi) and math.isfinite(new_e)
+                        and (linear or not new_lo < floor)):
                     break
                 halvings += 1
                 if halvings > MAX_HALVINGS:
@@ -271,24 +258,25 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
             values, hat, lo, hi, e_now = new_values, new_hat, new_lo, new_hi, new_e
         t = t + dt
         times[i + 1], energy[i + 1] = t, e_now
-        min_eta = min(min_eta, float(lo))
+        min_eta = min(min_eta, lo)
         if (i + 1) % snapshot_stride == 0 or i == steps - 1:
             snapshots.append((t, values, hat))
     return FilmRun(FilmTrajectory(grid, *map(np.array, zip(*snapshots))), times, energy,
                    min_eta, substeps)
 
 
-def _energy_weights(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
-    """Parseval weights times the energy symbol |xi|^(alpha-1); 1 for
-    linearized runs."""
-    xi2 = -laplacian_symbol(grid)
-    if model.linearized or model.alpha == 1:
-        sym = np.ones_like(xi2)
-    elif model.alpha == 3:
-        sym = xi2
-    else:
-        sym = xi2**2
-    return grid.mode_weights * sym
+def _energy_root(model: ThinFilmModel, grid: PeriodicGrid) -> np.ndarray:
+    """Square roots of the Parseval weights times the energy symbol
+    |xi|^(alpha-1), which is 1 for linearized runs."""
+    power = 0 if model.linearized else (model.alpha - 1) // 2
+    return np.sqrt(grid.mode_weights) * grid.xi[0] ** power
+
+
+def _energy(root: np.ndarray, hat: np.ndarray) -> float:
+    """The film energy 1/2 |root * hat|^2 of the coefficients hat, root from
+    `_energy_root`."""
+    v = root * hat
+    return 0.5 * np.vdot(v, v).real
 
 
 def solve_linear_sixth(c: float, F, grid: PeriodicGrid, eta0, t_end: float, dt: float,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -329,6 +328,9 @@ def run_rate_study(config: RateStudyConfig, jobs: int = 1) -> RateStudyResult:
                             snapshot_stride=config.snapshot_stride)
     limit = LimitFields(reduced, model, forcing, vnodes)
     if jobs > 1:
+        # imported on use: it pulls in multiprocessing, which `import lubelastic` need not
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.eps_list))) as pool:
             futures = [pool.submit(_ladder_points, config, limit, (eps,))
                        for eps in config.eps_list]

@@ -941,6 +941,125 @@ def spectral_film_energy(model, grid, hat):
     return float(0.5 * np.sum(grid.mode_weights * sym * np.abs(hat) ** 2))
 
 
+# `thinfilm.evolve` as it was before its sub-step became the shortest
+# sequence of array operations: the symbols held by an operator object, the
+# spatial right-hand side through `padded_values`/`truncated_hat`, the
+# candidate (hat + sub (R - L hat)) / (1 - sub L), and the energy as a
+# weighted sum.  It is bit for bit the per-step `spectral_film_step` above.
+
+class SteppedFilmOperator:
+    """The symbols of one model on one grid and the spatial right-hand side
+    on raw (values, coefficients) arrays."""
+
+    def __init__(self, model, grid):
+        from lubelastic.spectral import derivative_symbol, laplacian_symbol
+
+        self.model, self.grid = model, grid
+        xi = grid.xi[0]
+        self.div = derivative_symbol(grid, 1)
+        self.xi_power = xi ** (model.alpha + 1)
+        self.drift = None
+        if model.v_D != 0.0:
+            self.drift = model.drift_prefactor * model.v_D * self.div
+        xi2 = -laplacian_symbol(grid)
+        if model.linearized or model.alpha == 1:
+            sym = np.ones_like(xi2)
+        elif model.alpha == 3:
+            sym = xi2
+        else:
+            sym = xi2**2
+        self.energy_weights = grid.mode_weights * sym
+        if model.linearized:
+            self.leading = model.sign * model.c * (1j * xi) ** (model.alpha + 1)
+            self.linear_L = -model.c * self.xi_power
+        else:
+            self.d_alpha = derivative_symbol(grid, model.alpha)
+            rows = 2 if model.potential is None else 3
+            self.stack = np.empty((rows, len(xi)), dtype=complex)
+
+    def frozen_symbol(self, hi):
+        if self.model.linearized:
+            return self.linear_L
+        return -(self.model.mobility_scale * float(hi) ** 3) * self.xi_power
+
+    def rhs(self, values, hat):
+        from lubelastic.spectral import padded_values, truncated_hat
+
+        model, grid = self.model, self.grid
+        if model.linearized:
+            out = self.leading * hat
+        else:
+            stack = self.stack
+            stack[0] = hat
+            np.multiply(self.d_alpha, hat, out=stack[1])
+            if model.potential is not None:
+                stack[2] = self.div * grid.rfft(model.potential(values))
+            e, slope, *potential = padded_values(grid, stack.T).T
+            slope = model.sign * model.mobility_scale * slope
+            if potential:
+                slope = slope + potential[0]
+            out = self.div * truncated_hat(grid, e * e * e * slope)
+        if self.drift is not None:
+            out -= self.drift * hat
+        out[0] = 0.0
+        return out
+
+    def energy(self, hat):
+        return 0.5 * np.sum(self.energy_weights * np.abs(hat) ** 2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def stepped_evolve(model, grid, eta0, dt, steps, snapshot_stride=1, floor=1e-6,
+                   max_halvings=20):
+    """A whole film run from the nodal height eta0 at t = 0, as a
+    `thinfilm.FilmRun`; a finite and, under cubic mobility, positive eta0."""
+    from lubelastic.errors import PositivityError
+    from lubelastic.thinfilm import FilmRun, FilmTrajectory
+
+    values = np.asarray(eta0, dtype=float)
+    lo, hi = values.min(), values.max()
+    op = SteppedFilmOperator(model, grid)
+    hat, t = grid.rfft(values), 0.0
+    times = np.empty(steps + 1)
+    energy = np.empty(steps + 1)
+    times[0], energy[0] = t, op.energy(hat)
+    min_eta = float(lo)
+    snapshots = [(t, values, hat)]
+    substeps = 0
+    for i in range(steps):
+        remaining = sub = dt
+        halvings = 0
+        while remaining > 1e-14 * dt:
+            L = op.frozen_symbol(hi)
+            drive = op.rhs(values, hat) - L * hat
+            sub = min(sub, remaining)
+            while True:
+                new_hat = (hat + sub * drive) / (1.0 - sub * L)
+                new_values = grid.irfft(new_hat)
+                new_lo, new_hi = new_values.min(), new_values.max()
+                new_e = op.energy(new_hat)
+                if (np.isfinite([new_lo, new_hi, new_e]).all()
+                        and (model.linearized or not new_lo < floor)):
+                    break
+                halvings += 1
+                if halvings > max_halvings:
+                    raise PositivityError(
+                        "finite height and energy unreachable",
+                        last_state=FilmTrajectory(grid, [t + (dt - remaining)], values[None],
+                                                  hat[None]))
+                sub *= 0.5
+            remaining -= sub
+            substeps += 1
+            values, hat, lo, hi, e_now = new_values, new_hat, new_lo, new_hi, new_e
+        t = t + dt
+        times[i + 1], energy[i + 1] = t, e_now
+        min_eta = min(min_eta, float(lo))
+        if (i + 1) % snapshot_stride == 0 or i == steps - 1:
+            snapshots.append((t, values, hat))
+    return FilmRun(FilmTrajectory(grid, *map(np.array, zip(*snapshots))), times, energy,
+                   min_eta, substeps)
+
+
 # The mode-exact sixth-order solve as it was before its snapshots were held
 # as arrays: one inverse transform and one (t, eta, hat) tuple per snapshot,
 # and the phi functions filled through boolean masks.

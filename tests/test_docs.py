@@ -13,6 +13,12 @@ from lubelastic import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 FILE_SUFFIXES = (".csv", ".json")
+UNESCAPED_PIPE = re.compile(r"(?<!\\)\|")
+
+
+def row_cells(line: str) -> list[str]:
+    """The cells of a Markdown table row; an escaped pipe, \\|, stays in its cell."""
+    return [c.strip() for c in UNESCAPED_PIPE.split(line.strip().strip("|"))]
 
 
 def layout_rows():
@@ -21,7 +27,7 @@ def layout_rows():
     section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        cells = row_cells(line)
         if len(cells) == 2 and cells[0].startswith("`lubelastic."):
             rows.append((cells[0].strip("`"), re.findall(r"`([^`]+)`", cells[1])))
     return rows
@@ -36,6 +42,12 @@ def resolves(obj, dotted: str) -> bool:
 
 
 ROWS = layout_rows()
+
+
+def test_an_escaped_pipe_does_not_split_a_row():
+    line = r"| `lubelastic.fsi` | `run_batch` (one operator per \|ξ\|², not per mode) |"
+    assert row_cells(line) == ["`lubelastic.fsi`",
+                               r"`run_batch` (one operator per \|ξ\|², not per mode)"]
 
 
 def test_layout_table_has_every_module():

@@ -619,6 +619,17 @@ class TestDependencies:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_the_process_pool(self):
+        # concurrent.futures.process pulls in multiprocessing and socket;
+        # only a verify run with jobs > 1 needs it
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lubelastic; print('concurrent.futures.process' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 def _loaded_bump_forcing(grid, vn):
     """A localized 2D load with depth-varying profiles in all three components."""

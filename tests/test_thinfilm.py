@@ -10,6 +10,7 @@ from lubelastic.spectral import (PeriodicGrid, dealiased_product, derivative_sym
                                  spectral_derivative)
 
 from oracles import (
+    SteppedFilmOperator,
     masked_phi1,
     masked_phi2,
     nodal_film_energy,
@@ -19,6 +20,7 @@ from oracles import (
     snapshot_solve_linear_sixth,
     spectral_film_energy,
     spectral_film_step,
+    stepped_evolve,
 )
 
 
@@ -33,14 +35,16 @@ def one_plus_sin(grid, amp=0.3, k=1):
 
 
 def film_rhs(model, grid, eta):
-    """The model's spatial right-hand side at the nodal height eta, nodal."""
-    op = tf._FilmOperator(model, grid)
+    """The model's spatial right-hand side at the nodal height eta, nodal, as
+    the oracle loop forms it; `evolve` matches that loop at roundoff
+    (`TestFilmStepOracle`)."""
+    op = SteppedFilmOperator(model, grid)
     return grid.irfft(op.rhs(eta, grid.rfft(eta)))
 
 
 def film_energy(model, grid, eta):
     """The model's film energy of the nodal height eta."""
-    return tf._FilmOperator(model, grid).energy(grid.rfft(eta))
+    return tf._energy(tf._energy_root(model, grid), grid.rfft(eta))
 
 
 def snapshots(model, grid, eta0, dt, steps=1):
@@ -234,20 +238,32 @@ class TestStep:
         last = ei.value.last_state
         assert np.array_equal(last.times, [0.0]) and np.all(np.isfinite(last.eta))
 
+    def test_film_energy_that_overflows_to_infinity_is_a_breakdown(self, grid):
+        # with c = 0 and no drift every candidate is the initial height, whose
+        # heights and coefficients are finite and whose bending energy is
+        # +inf, not NaN
+        model = tf.ThinFilmModel(alpha=5, linearized=True, c=0.0)
+        eta0 = 1e160 * np.cos(2 * np.pi * grid.meshes[0])
+        assert tf._energy(tf._energy_root(model, grid), grid.rfft(eta0)) == np.inf
+        with pytest.raises(PositivityError, match="unreachable") as ei:
+            tf.evolve(model, grid, eta0, 1e-3, 1)
+        assert np.array_equal(ei.value.last_state.eta, eta0[None])
+
     def test_halved_step_that_is_finite_again_is_accepted(self, grid, monkeypatch):
         # a candidate that overflows only at the full step is halved, and
         # the run goes on from the halves
         model = tf.ThinFilmModel(alpha=5, linearized=True, c=0.0, v_D=1.0)
         eta0 = one_plus_sin(grid)
         halves = tf.evolve(model, grid, eta0, 5e-4, 2)
-        irfft, calls = PeriodicGrid.irfft, []
+        irfft, calls = np.fft.irfft, []
 
-        def overflowing_once(g, coeffs):
+        def overflowing_once(*args, **kwargs):
             calls.append(1)
-            out = irfft(g, coeffs)
+            out = irfft(*args, **kwargs)
             return np.full_like(out, np.inf) if len(calls) == 1 else out
 
-        monkeypatch.setattr(PeriodicGrid, "irfft", overflowing_once)
+        # a linearized run's only inverse transform is the candidate's
+        monkeypatch.setattr(np.fft, "irfft", overflowing_once)
         run = tf.evolve(model, grid, eta0, 1e-3, 1)
         assert run.substeps == 2 and len(calls) == 3
         assert np.array_equal(run.snapshots.eta[-1], halves.snapshots.eta[-1])
@@ -305,6 +321,44 @@ class TestHalvingBudget:
         assert ei.value.last_state.times[-1] == pytest.approx(1.25 * dt, rel=1e-12)
         assert ei.value.last_state.eta.min() >= 0.35
 
+    def test_a_step_halved_ten_times_runs_to_its_end(self, monkeypatch):
+        # ten overflowing candidates leave sub = dt/1024, and the step goes
+        # on to its end: the last sub-step starts with dt/1024 remaining
+        model = tf.ThinFilmModel(alpha=5, linearized=True, c=0.0, v_D=1.0)
+        grid = PeriodicGrid(dim=1, n=64)
+        eta0, dt = one_plus_sin(grid), 2.0**-10
+        small = tf.evolve(model, grid, eta0, dt / 1024, 1024)
+        irfft, calls = np.fft.irfft, []
+
+        def overflowing(*args, **kwargs):
+            calls.append(1)
+            out = irfft(*args, **kwargs)
+            return np.full_like(out, np.inf) if len(calls) <= 10 else out
+
+        monkeypatch.setattr(np.fft, "irfft", overflowing)
+        run = tf.evolve(model, grid, eta0, dt, 1)
+        assert run.substeps == 1024 and len(calls) == 10 + 1024
+        assert run.t[-1] == dt
+        assert np.array_equal(run.snapshots.eta[-1], small.snapshots.eta[-1])
+
+    def test_time_rescaled_by_a_power_of_two_is_exact(self, monkeypatch):
+        # dt times 2^30, the mobility and the drift over 2^30: every product
+        # in a sub-step scales exactly, and so does the step's end tolerance,
+        # relative to dt, so the halved run is the same bit for bit, sub-steps
+        # included (an absolute tolerance would take the roundoff left of a
+        # halved step, about 1e-11 here, as one more sub-step)
+        scale = 2.0**30
+        model, grid, eta0, dt = halving_case()
+        monkeypatch.setattr(tf, "POSITIVITY_FLOOR", 0.095)
+        run = tf.evolve(model, grid, eta0, dt, 200)
+        slow = dataclasses.replace(model, mobility_scale=model.mobility_scale / scale,
+                                   v_D=model.v_D / scale)
+        scaled = tf.evolve(slow, grid, eta0, dt * scale, 200)
+        assert run.substeps > 200 and scaled.substeps == run.substeps
+        assert np.array_equal(scaled.t, run.t * scale)
+        assert np.array_equal(scaled.snapshots.eta, run.snapshots.eta)
+        assert np.array_equal(scaled.energy, run.energy)
+
 
 def halving_case():
     # a deep trough under a floor close to its minimum forces step halving
@@ -329,14 +383,20 @@ def oracle_case(label):
     return cfg.model, grid, cfg.eta0.sample(grid), cfg.dt, 200, tf.POSITIVITY_FLOOR
 
 
-ORACLE_CASES = ["pm-paper", "tf-surface-tension", "stf-bending", "nonlinear-3.3",
-                "alpha3-potential", "linearized-alpha5", "halving"]
+FILM_PRESETS = ["pm-paper", "tf-surface-tension", "stf-bending", "nonlinear-3.3"]
+ORACLE_CASES = FILM_PRESETS + ["alpha3-potential", "linearized-alpha5", "halving"]
+
+# `evolve` against the `stepped_evolve` oracle: the largest gaps measured,
+# over every case below, are 9.9e-15 of a snapshot's largest height
+# (linearized-alpha5) and 1.0e-13 of an energy (halving)
+HEIGHT_GAP, ENERGY_GAP = 2e-14, 2e-13
 
 
 class TestFilmStepOracle:
-    """The coefficient-carrying step against the nodal step it replaced, and
-    the run-level integrator against the per-step spectral-state step it
-    replaced (`oracles.spectral_film_step`)."""
+    """The coefficient-carrying step against the nodal step it replaced; the
+    run-level integrator against the operation-by-operation loop it replaced
+    (`oracles.stepped_evolve`), and that loop against the per-step
+    spectral-state step before it (`oracles.spectral_film_step`)."""
 
     @pytest.mark.parametrize("label", ORACLE_CASES)
     def test_matches_nodal_step(self, label, monkeypatch):
@@ -354,12 +414,37 @@ class TestFilmStepOracle:
             assert abs(run.energy[j] - energy) <= 1e-12 * abs(energy)
             assert snaps.hat[j][0] == snaps.hat[0][0]
 
-    @pytest.mark.parametrize("label", ORACLE_CASES)
-    def test_integrator_bitwise_equal_to_spectral_step(self, label, monkeypatch):
-        model, grid, eta0, dt, _, floor = oracle_case(label)
+    @pytest.mark.parametrize("label, steps", [(label, 200) for label in ORACLE_CASES]
+                             + [(label, 1000) for label in FILM_PRESETS],
+                             ids=ORACLE_CASES + [f"preset-{label}" for label in FILM_PRESETS])
+    def test_integrator_matches_the_stepped_loop(self, label, steps, monkeypatch):
+        if steps == 200:
+            model, grid, eta0, dt, _, floor = oracle_case(label)
+        else:  # the preset as `thinfilm run` takes it, every step kept
+            cfg = cli.parse_config(cli.preset_config(label))[1]
+            assert cfg.steps == steps
+            grid = PeriodicGrid(dim=1, n=cfg.n)
+            model, eta0, dt, floor = cfg.model, cfg.eta0.sample(grid), cfg.dt, tf.POSITIVITY_FLOOR
         monkeypatch.setattr(tf, "POSITIVITY_FLOOR", floor)
-        steps = 200
         run = tf.evolve(model, grid, eta0, dt, steps)
+        ref = stepped_evolve(model, grid, eta0, dt, steps, floor=floor)
+        got, want = run.snapshots, ref.snapshots
+        assert np.array_equal(run.t, ref.t) and np.array_equal(got.times, want.times)
+        assert run.substeps == ref.substeps
+        assert (run.substeps > steps) == (label == "halving")
+        assert np.array_equal(got.hat[:, 0], want.hat[:, 0])
+        assert run.min_eta == got.eta.min()
+        scale = np.max(np.abs(want.eta), axis=1)
+        assert np.all(np.max(np.abs(got.eta - want.eta), axis=1) <= HEIGHT_GAP * scale)
+        assert np.all(np.max(np.abs(got.hat - want.hat), axis=1) <= HEIGHT_GAP * scale)
+        assert abs(run.min_eta - ref.min_eta) <= HEIGHT_GAP * np.max(scale)
+        assert np.all(np.abs(run.energy - ref.energy) <= ENERGY_GAP * np.abs(ref.energy))
+
+    @pytest.mark.parametrize("label", ORACLE_CASES)
+    def test_integrator_bitwise_equal_to_spectral_step(self, label):
+        model, grid, eta0, dt, _, floor = oracle_case(label)
+        steps = 200
+        run = stepped_evolve(model, grid, eta0, dt, steps, floor=floor)
         snaps = run.snapshots
         assert len(snaps.times) == len(snaps.eta) == len(snaps.hat) == steps + 1
         assert (run.substeps > steps) == (label == "halving")
@@ -422,7 +507,8 @@ class TestFilmTransforms:
         assert run.substeps == 10
         assert len(calls) == 10 * per_step + 1
         del calls[:]
-        assert run.energy[-1] == tf._FilmOperator(model, grid).energy(run.snapshots.hat[-1])
+        root = tf._energy_root(model, grid)
+        assert run.energy[-1] == tf._energy(root, run.snapshots.hat[-1])
         assert len(calls) == 0
 
 

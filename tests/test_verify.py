@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import logging
 from concurrent.futures import Future
@@ -607,7 +608,9 @@ class TestLadderConfig:
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (4096, 3)])
     def test_pool_capped_at_ladder_length(self, jobs, workers, monkeypatch):
         started = []
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", self._in_process_pool(started, []))
+        # run_rate_study imports the pool class from concurrent.futures when it is called
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self._in_process_pool(started, []))
         monkeypatch.setattr(verify, "_ladder_points", self._fake_points)
         monkeypatch.setattr(verify, "solve_reduced", lambda *args, **kwargs: "reduced")
         monkeypatch.setattr(verify, "LimitFields", lambda reduced, *args: SimpleNamespace(
@@ -633,7 +636,7 @@ class TestLadderConfig:
         monkeypatch.setattr(lb.spectral.ChebOps, "__init__", counting)
         monkeypatch.setattr(verify.RateStudyConfig, "setting",
                             lambda cfg: settings.append(setting(cfg)) or settings[-1])
-        monkeypatch.setattr(verify, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             self._in_process_pool([], submitted))
         cfg = verify.RateStudyConfig(
             kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125), n=8, m=10,
