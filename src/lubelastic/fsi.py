@@ -629,8 +629,7 @@ def run_batch(params: Sequence[FsiParams], t_end: float,
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
-        fhat = {i: h.reshape(nb, -1, batch.vnodes.m)[:, batch.modes]
-                for i, h in sample_forcing(forcing, batch.grid, t).items()}
+        fhat = sample_forcing(forcing, batch.grid, t)
         Fq = _quadrature(batch, fhat, nb)
         np.multiply(scale, Fq, out=load[:nb, ..., :mi])
         for j in range(nb):
@@ -694,23 +693,22 @@ def factored_operators(forcing: Forcing, grid: PeriodicGrid) -> int:
 
 def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.ndarray]:
     """Coefficients of the loaded forcing components at each of the given
-    times: component index -> array (len(times),) + grid.spectral_shape + (m,).
-
-    A `HarmonicLoad` gives its envelope at the times times its coefficients
-    (nothing when its support is empty).  Any other forcing is called once
-    per time.  The components that carry load at any of the times, found by
-    one reduction over the stacked samples, are transformed together, in one
-    batched transform; the others are left out.  The coefficients at the
-    Nyquist index n/2 of every horizontal axis are zeroed: the solver steps
-    each stored mode on its own, and only a load without them keeps the
-    stored (k1, n/2) and (n - k1, n/2) pairs complex conjugate.  Raises
-    ParameterError naming the first time whose forcing is not finite.
+    times on the K modes `stepped_modes` names: component index -> array
+    (len(times), K, m).  A `HarmonicLoad` gives its envelope times its
+    support's coefficients (nothing for an empty support).  Any other
+    forcing is called once per time, and the components that carry load at
+    any of the times are transformed together, the others left out.  The
+    coefficients at the Nyquist index n/2 of every horizontal axis are
+    zeroed: the solver steps each stored mode on its own, and only a load
+    without them keeps the stored (k1, n/2) and (n - k1, n/2) pairs complex
+    conjugate.  Raises ParameterError naming the first time whose forcing
+    is not finite.
     """
     if isinstance(forcing, HarmonicLoad):
         if not forcing.support.size:
             return {}
-        r = smooth_ramp(np.asarray(times, dtype=float), forcing.ramp_time)
-        return {forcing.component: r.reshape((-1,) + (1,) * forcing.hat.ndim) * forcing.hat}
+        rows = forcing.hat.reshape(-1, forcing.hat.shape[-1])[forcing.support]
+        return {forcing.component: forcing.envelope(times)[:, None, None] * rows}
     times = [float(t) for t in times]
     samples = np.array([forcing(t) for t in times], dtype=float)
     loaded = np.flatnonzero(samples.any(axis=(0, *range(2, samples.ndim)))).tolist()
@@ -723,7 +721,7 @@ def sample_forcing(forcing: Forcing, grid: PeriodicGrid, times) -> dict[int, np.
     if not finite.all():
         raise ParameterError(f"forcing is not finite at t = {times[np.argmin(finite)]}")
     hats = np.moveaxis(drop_nyquist(grid, hats), (-2, -1), (0, 1))
-    return dict(zip(loaded, hats))
+    return dict(zip(loaded, hats.reshape(len(loaded), len(times), -1, hats.shape[-1])))
 
 
 def smooth_ramp(t, ramp_time: float):
@@ -737,7 +735,7 @@ def smooth_ramp(t, ramp_time: float):
 class HarmonicLoad:
     """A volume force held as data: one velocity component whose
     coefficients are hat, shape grid.spectral_shape + (m,), times the
-    envelope smooth_ramp(t, ramp_time); it checks all three and freezes a
+    `envelope` smooth_ramp(t, ramp_time); it checks all three and freezes a
     copy of hat less its Nyquist coefficients, which `sample_forcing` drops
     from a sampled load too.  support holds the flat indices of the modes
     whose coefficients are not all zero.  Called at t, the load gives its
@@ -762,8 +760,11 @@ class HarmonicLoad:
         per_mode = hat.reshape(-1, hat.shape[-1])
         object.__setattr__(self, "support", np.flatnonzero(per_mode.any(axis=1)))
 
+    def envelope(self, times) -> np.ndarray:
+        return smooth_ramp(times, self.ramp_time)
+
     def __call__(self, t: float) -> tuple[np.ndarray, ...]:
-        profile = smooth_ramp(t, self.ramp_time) * self.grid.irfft(self.hat)
+        profile = self.envelope(t) * self.grid.irfft(self.hat)
         zero = np.zeros_like(profile)
         return tuple(profile if i == self.component else zero
                      for i in range(self.grid.dim + 1))

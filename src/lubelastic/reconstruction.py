@@ -9,18 +9,20 @@ triple scaled back to the thin channel,
     v = eps^2 * (v_1, v_2, v3_inner),   p(x) = p(x'),   eta_eps = eps^kappa * eta,
 
 is the object whose distance to the full-order solution the rate study
-measures.  `solve_reduced` returns the reduced displacement as a
+measures.  The load is a `fsi.HarmonicLoad`: one component's coefficients
+times an envelope.  Each map from it is linear, so `reduced_source` and
+`LimitFields` apply theirs once, to the coefficients, and scale the result
+by the envelope.  `solve_reduced` returns the reduced displacement as a
 `thinfilm.FilmTrajectory`, its coefficients as the solve made them.
-`LimitFields` takes those coefficients and the forcing coefficients from
-`fsi.sample_forcing` to the limit pressure and horizontal velocity
-coefficients at every snapshot.  It reads B and nu but not eps, so a ladder
-builds it once.  `LimitFields.approx` scales it to one thickness: it adds
-the vertical velocity and transforms each component of the triple to the
-nodes, all snapshots together; the triple holds one array per field kind,
-the snapshots along its leading axis.  `LimitFields.closure_error`
-compares the flux rate of the same velocities with the right side of the
-reduced equation, -c |xi|^6 eta^ + F^, at every snapshot.  Like the solver
-and the reduced source, both read the load without its Nyquist modes.
+`LimitFields` takes those coefficients and the load to the limit pressure
+and horizontal velocity coefficients at every snapshot.  It reads B and nu
+but not eps, so a ladder builds it once.  `LimitFields.approx` scales it to
+one thickness: it adds the vertical velocity and transforms each component
+of the triple to the nodes, all snapshots together; the triple holds one
+array per field kind, the snapshots along its leading axis.
+`LimitFields.closure_error` compares the flux rate of the same velocities
+with the right side of the reduced equation, -c |xi|^6 eta^ + F^, at every
+snapshot.
 """
 from __future__ import annotations
 
@@ -28,16 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .fsi import Forcing, sample_forcing
+from .errors import GridMismatchError, ParameterError
+from .fsi import HarmonicLoad
 from .scaling import ModelParams, eps_power
-from .spectral import (
-    PeriodicGrid,
-    VerticalNodes,
-    _steps_per_block,
-    derivative_symbol,
-    laplacian_symbol,
-)
+from .spectral import PeriodicGrid, VerticalNodes, derivative_symbol, laplacian_symbol
 from .thinfilm import FilmTrajectory, solve_linear_sixth
 
 
@@ -74,37 +70,36 @@ def _force_profiles(f_alpha: np.ndarray, nu: float, vnodes: VerticalNodes) -> np
     return -((y + 1.0) * moment[..., None] + ops.second_antiderivative(f)) / nu
 
 
-def reduced_source(forcing, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
+def _check_load(load, grid: PeriodicGrid, vnodes: VerticalNodes) -> None:
+    """ParameterError unless load is a `fsi.HarmonicLoad`, GridMismatchError
+    unless its coefficients have shape grid.spectral_shape + (vnodes.m,)."""
+    if not isinstance(load, HarmonicLoad):
+        raise ParameterError(f"the reduced model takes a HarmonicLoad, not {type(load)}")
+    if load.hat.shape != grid.spectral_shape + (vnodes.m,):
+        raise GridMismatchError(f"load coefficients of shape {load.hat.shape} do not fit "
+                                f"the grid and {vnodes.m} vertical nodes")
+
+
+def reduced_source(load: HarmonicLoad, nu: float, grid: PeriodicGrid, vnodes: VerticalNodes):
     """Zero-mean source of the reduced evolution, the flux rate of the force
     profiles F = -int_{-1}^0 div'(F_1, F_2) dy3, as a map from an array of
     times to its coefficients, shape (len(times),) + grid.spectral_shape.
 
-    The profile map is linear along the depth, so F^ = -sum_a (i xi_a)
-    (f^_a . u), where u holds the depth integrals of the profiles of the
-    nodal basis vectors and f^_a the coefficients of the horizontal force
-    components from `sample_forcing`: for a `fsi.HarmonicLoad` its envelope
-    times its coefficients, with no sampling; a callable is sampled and
-    transformed, a block of times per call.
+    The profile map is linear along the depth, so a load in horizontal
+    component a gives F^ = envelope(t) * (-i xi_a (hat . u)), where u holds
+    the depth integrals of the profiles of the nodal basis vectors; a
+    vertical load gives none.  The load is checked as `LimitFields` does.
     """
-    u = _force_profiles(np.eye(vnodes.m), nu, vnodes) @ vnodes.weights
-    symbols = [derivative_symbol(grid, 1, axis=a) for a in range(grid.dim)]
-    # one call transforms as many times as one component's coefficients
-    # fill a block
-    chunk = _steps_per_block(16 * vnodes.m * int(np.prod(grid.spectral_shape)))
-
-    def source(times) -> np.ndarray:
-        out = np.zeros((len(times),) + grid.spectral_shape, dtype=complex)
-        for lo in range(0, len(times), chunk):
-            for a, fhat in sample_forcing(forcing, grid, times[lo:lo + chunk]).items():
-                if a < grid.dim:
-                    out[lo:lo + chunk] -= symbols[a] * (fhat @ u)
-        return out
-
-    return source
+    _check_load(load, grid, vnodes)
+    source = np.zeros(grid.spectral_shape, dtype=complex)
+    if load.component < grid.dim:
+        u = _force_profiles(np.eye(vnodes.m), nu, vnodes) @ vnodes.weights
+        source = -derivative_symbol(grid, 1, axis=load.component) * (load.hat @ u)
+    return lambda times: np.multiply.outer(load.envelope(times), source)
 
 
 def solve_reduced(params: ModelParams, grid: PeriodicGrid, vnodes: VerticalNodes,
-                  forcing, t_end: float, dt: float,
+                  forcing: HarmonicLoad, t_end: float, dt: float,
                   snapshot_stride: int = 1) -> FilmTrajectory:
     """Drive the reduced evolution d/dt eta - c (Lap')^3 eta = F(t) by the
     depth-integrated force of the full-order problem, from rest."""
@@ -121,37 +116,38 @@ class LimitFields:
         p^ = B |xi|^4 eta^,   v^_a = y (y+1)/(2 nu) * (i xi_a p^) + F_a(f^_a),
 
     with eta^ the reduced solution's coefficients, taken as they are, and
-    f^_a the coefficients of the horizontal force components from
-    `sample_forcing` (forcing None: an unforced channel).  p_hat has shape
-    (N,) + spectral_shape, each of the dim arrays of v_hat (N,) +
-    spectral_shape + (m,).  The reduced displacement must be of zero mean,
-    each snapshot's mean within 1e-10 of its largest value (ParameterError).
-    params gives B, nu and the reduced coefficient; eps plays no part.
+    F_a(f^_a) the load's envelope times its coefficients' profiles, in its
+    one component (forcing None: an unforced channel; checked as
+    `reduced_source` checks it).  p_hat has shape (N,) + spectral_shape,
+    each of the dim arrays of v_hat (N,) + spectral_shape + (m,).  The
+    reduced displacement must be of zero mean, each snapshot's mean within
+    1e-10 of its largest value (ParameterError).  params gives B, nu and
+    the reduced coefficient; eps plays no part.
     """
 
     reduced: FilmTrajectory
     params: ModelParams
-    forcing: Forcing | None
+    forcing: HarmonicLoad | None
     vnodes: VerticalNodes
     p_hat: np.ndarray = field(init=False)
     v_hat: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        grid, eta, params = self.reduced.grid, self.reduced.eta, self.params
+        grid, eta, params, load = self.reduced.grid, self.reduced.eta, self.params, self.forcing
+        if load is not None:
+            _check_load(load, grid, self.vnodes)
         axes = tuple(range(1, eta.ndim))
         if not np.all(np.abs(eta.mean(axis=axes)) <= 1e-10 * np.max(np.abs(eta), axis=axes)):
             raise ParameterError("reduced displacement snapshots must be of zero mean")
         p_hat = params.B * laplacian_symbol(grid) ** 2 * self.reduced.hat
         y = self.vnodes.nodes
         poise = y * (y + 1.0) / (2.0 * params.nu)
-        fhat = ({} if self.forcing is None
-                else sample_forcing(self.forcing, grid, self.reduced.times))
-        v_hat = []
-        for a in range(grid.dim):
-            vh = (derivative_symbol(grid, 1, axis=a) * p_hat)[..., None] * poise
-            if a in fhat:
-                vh = vh + _force_profiles(fhat[a], params.nu, self.vnodes)
-            v_hat.append(vh)
+        v_hat = [(derivative_symbol(grid, 1, axis=a) * p_hat)[..., None] * poise
+                 for a in range(grid.dim)]
+        if load is not None and load.component < grid.dim:
+            v_hat[load.component] += np.multiply.outer(
+                load.envelope(self.reduced.times),
+                _force_profiles(load.hat, params.nu, self.vnodes))
         object.__setattr__(self, "p_hat", p_hat)
         object.__setattr__(self, "v_hat", tuple(v_hat))
 

@@ -159,11 +159,11 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
     """Advance the height eta0 (nodal values on grid) from t = 0 by steps
     semi-implicit steps of size dt.
 
-    The initial height must be finite, and positive under cubic mobility
-    (ParameterError).  The run's symbols are built once, every scaling
-    folded in, and the loop carries raw (values, coefficients) arrays,
-    stacking the snapshots' once, at the end.  A sub-step of size sub from
-    the height (values, hat), whose largest value is hi:
+    The initial height and its film energy must be finite, the height positive
+    under cubic mobility (ParameterError).  The run's symbols are built once,
+    every scaling folded in, and the loop carries raw (values, coefficients)
+    arrays, stacking the snapshots' once, at the end.  A sub-step of size sub
+    from the height (values, hat), whose largest value is hi:
 
     1. R, the right-hand side's coefficients.  Under cubic mobility one
        padded inverse transform of the rows hat and sign * mobility_scale *
@@ -218,6 +218,8 @@ def evolve(model: ThinFilmModel, grid: PeriodicGrid, eta0, dt: float, steps: int
     times = np.empty(steps + 1)
     energy = np.empty(steps + 1)
     times[0], energy[0] = t, _energy(root, hat)
+    if not math.isfinite(energy[0]):
+        raise ParameterError(f"initial film energy is not finite: {energy[0]}")
     min_eta = lo
     snapshots = [(t, values, hat)]
     substeps = 0

@@ -1371,8 +1371,8 @@ def stored_inverse(solver):
 def single_run(solver, t_end, snapshot_stride=1, solve=None):
     """The blocked run of one solver; returns its trajectory."""
     from lubelastic.errors import check_range
-    from lubelastic.fsi import EnergyLedger, _apply, sample_forcing
-    from lubelastic.spectral import _step_count, _steps_per_block
+    from lubelastic.fsi import EnergyLedger, _apply
+    from lubelastic.spectral import _step_count, _steps_per_block, drop_nyquist
 
     p = solver.params
     dt = p.dt
@@ -1398,8 +1398,14 @@ def single_run(solver, t_end, snapshot_stride=1, solve=None):
     for n0 in range(0, nsteps, block):
         nb = min(block, nsteps - n0)
         t = (dt * np.arange(n0 + 1, n0 + nb + 1)).tolist()
-        fhat = {i: h.reshape(nb, K, -1)
-                for i, h in sample_forcing(p.forcing, p.grid, t).items()}
+        # the loaded components, sampled and transformed together, less
+        # their Nyquist coefficients, on all K modes
+        samples = np.array([p.forcing(tt) for tt in t], dtype=float)
+        loaded = [i for i in range(samples.shape[1]) if samples[:, i].any()]
+        hats = drop_nyquist(p.grid, p.grid.rfft(np.moveaxis(samples[:, loaded], (0, 1),
+                                                            (-1, -2))))
+        fhat = {i: np.moveaxis(hats[..., j, :], -1, 0).reshape(nb, K, -1)
+                for j, i in enumerate(loaded)}
         Fq = quadrature(solver, fhat, nb)
         span = slice(1, nb + 2)
         if solve is None:

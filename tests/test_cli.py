@@ -325,6 +325,20 @@ class TestBreakdownPath:
         assert "finite height and energy" in diag["detail"]
         assert diag["last_valid_time"] == 0.0
 
+    def test_initial_film_energy_that_overflows_exits_2(self, tmp_path, capsys):
+        # finite heights of order 1e160 whose film energy is +inf: the input
+        # is refused, where the run used to halve to a breakdown (exit 3)
+        doc = cli.preset_config("stf-bending")
+        doc.update({"n": 64, "steps": 1, "snapshot_stride": 1, "linearized": True, "c": 0.0,
+                    "v_D": 0.0, "eta0": {"kind": "cosine", "amplitude": 1e160, "wavenumber": 1}})
+        out = tmp_path / "out"
+        rc = cli.main(["thinfilm", "run", "--config", write_config(tmp_path, doc),
+                       "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: initial film energy is not finite")
+        assert not out.exists()
+
     def test_breakdown_goes_to_document_output_dir(self, tmp_path, monkeypatch):
         # without --output, breakdown.json lands where the artifacts would
         monkeypatch.chdir(tmp_path)

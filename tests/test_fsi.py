@@ -1347,9 +1347,15 @@ class TestHarmonicLoad:
         for i, comp in enumerate(comps):
             want = r * sampled if i == component else np.zeros_like(sampled)
             assert np.max(np.abs(comp - want)) <= 1e-14
+        # sampled, the load gives its support's rows, and a callable every mode's
+        rows = load.hat.reshape(-1, vn.m)
         [(a, coeffs)] = lb.fsi.sample_forcing(load, grid, [0.0, 0.07]).items()
-        assert a == component
-        assert np.array_equal(coeffs, np.stack([0.0 * load.hat, r * load.hat]))
+        assert a == component and coeffs.shape == (2, n_support, vn.m)
+        assert np.array_equal(coeffs, np.stack([0.0 * rows[load.support],
+                                                r * rows[load.support]]))
+        [(a, coeffs)] = lb.fsi.sample_forcing(plain(load), grid, [0.07]).items()
+        assert a == component and coeffs.shape == (1,) + rows.shape
+        assert np.max(np.abs(coeffs[0] - r * rows)) <= 1e-15
 
     @staticmethod
     def _load_parts(dim=1):

@@ -47,9 +47,9 @@ def approx(red, model, forcing, vnodes):
 
 def rebuilt(grid, vnodes, etas, forcing=None, eps=0.5, kappa=2, **model_kw):
     """The reconstructed triple of the given displacement snapshots, taken
-    0.1 apart; eps = 1/2, so dividing a velocity by eps^2 is exact."""
+    0.1 apart from t = 1; eps = 1/2, so dividing a velocity by eps^2 is exact."""
     model = lb.ModelParams(eps=eps, kappa=kappa, dim=grid.dim, **model_kw)
-    red = reduced(grid, 0.1 * np.arange(len(etas)), etas)
+    red = reduced(grid, 1.0 + 0.1 * np.arange(len(etas)), etas)
     return approx(red, model, forcing, vnodes)
 
 
@@ -58,9 +58,16 @@ def closure(red, model, forcing, vnodes):
     return rc.LimitFields(red, model, forcing, vnodes).closure_error()
 
 
-def steady(*comps):
-    """A forcing constant in time with the given components."""
-    return lambda t: comps
+def load(grid, component, profile, ramp_time=0.1):
+    """The one-component `fsi.HarmonicLoad` of the nodal profile's coefficients."""
+    return lb.fsi.HarmonicLoad(grid, component, grid.rfft(profile), ramp_time)
+
+
+def steady(grid, component, profile):
+    """The load of the nodal profile whose envelope is exactly 1.0 at the
+    snapshots of `rebuilt`: from t = 1 on, exp(-(t / 1e-3)^2) underflows."""
+    assert lb.fsi.smooth_ramp(1.0, 1e-3) == 1.0
+    return load(grid, component, profile, ramp_time=1e-3)
 
 
 class TestLimitPressure:
@@ -114,8 +121,7 @@ class TestHorizontalVelocity:
         nu = 0.5
         f_const = 2.0
         f1 = np.full(grid.shape + (vnodes.m,), f_const)
-        triple = rebuilt(grid, vnodes, [np.zeros(grid.shape)],
-                         steady(f1, np.zeros_like(f1)), nu=nu)
+        triple = rebuilt(grid, vnodes, [np.zeros(grid.shape)], steady(grid, 0, f1), nu=nu)
         v1 = triple.v[0][0] / 0.25
         y = vnodes.nodes
         ref = -(f_const / (2 * nu)) * y * (y + 1.0)
@@ -125,7 +131,7 @@ class TestHorizontalVelocity:
         rng = np.random.default_rng(3)
         eta = band_limited(grid, rng)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
-        triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), nu=1.0)
+        triple = rebuilt(grid, vnodes, [eta], steady(grid, 0, f1), nu=1.0)
         v1 = triple.v[0][0] / 0.25
         scale = max(1.0, np.max(np.abs(v1)))
         assert np.max(np.abs(v1[..., 0])) <= 1e-13 * scale
@@ -138,37 +144,34 @@ class TestVerticalVelocity:
 
     def test_divergence_free_pair_gives_zero(self):
         # with no pressure, a horizontally divergence-free force
-        # (d2 psi, -d1 psi) drives a divergence-free pair
+        # (d2 psi, -d1 psi) drives a divergence-free pair: a load holds one
+        # component, and the vertical velocity is linear in the load, so
+        # the two loads' vertical velocities cancel
         grid = PeriodicGrid(dim=2, n=16)
         vn = VerticalNodes(10)
         x1, x2 = grid.meshes
         prof = np.ones(vn.m)
         f1 = (2 * np.pi * np.sin(2 * np.pi * x1) * -np.sin(2 * np.pi * x2))[..., None] * prof
         f2 = (-2 * np.pi * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))[..., None] * prof
-        triple = rebuilt(grid, vn, [np.zeros(grid.shape)],
-                         steady(f1, f2, np.zeros_like(f1)))
-        assert np.max(np.abs(triple.v[-1][0] / 0.25)) < 1e-10
+        v3 = [rebuilt(grid, vn, [np.zeros(grid.shape)], steady(grid, a, f)).v[-1][0] / 0.25
+              for a, f in enumerate((f1, f2))]
+        assert min(np.max(np.abs(w)) for w in v3) > 1.0
+        assert np.max(np.abs(v3[0] + v3[1])) < 1e-10
 
     def test_bottom_trace_zero(self, grid, vnodes):
         rng = np.random.default_rng(9)
         eta = band_limited(grid, rng)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
-        triple = rebuilt(grid, vnodes, [eta], steady(f1, np.zeros_like(f1)), eps=0.25)
+        triple = rebuilt(grid, vnodes, [eta], steady(grid, 0, f1), eps=0.25)
         assert np.max(np.abs(triple.v[-1][0][..., 0])) == 0.0
-
-
-def _loads(grid, vnodes, *profiles):
-    """A forcing with the given horizontal profiles, in order, times a ramp."""
-    zero = np.zeros(grid.shape + (vnodes.m,))
-    comps = list(profiles) + [zero] * (grid.dim + 1 - len(profiles))
-    return lambda t: tuple(lb.fsi.smooth_ramp(t, 0.1) * c for c in comps)
 
 
 class TestForcingSource:
     times = np.array([0.0, 0.05, 0.1, 0.3])
 
     def test_zero_force(self, grid, vnodes):
-        source = rc.reduced_source(_loads(grid, vnodes), 1.0, grid, vnodes)
+        zero = lb.fsi.HarmonicLoad(grid, 0, np.zeros(grid.spectral_shape + (vnodes.m,)), 0.1)
+        source = rc.reduced_source(zero, 1.0, grid, vnodes)
         assert np.max(np.abs(source(self.times))) == 0.0
 
     def test_single_harmonic_value(self, grid, vnodes):
@@ -176,7 +179,7 @@ class TestForcingSource:
         nu = 1.5
         x = grid.nodes[0]
         f1 = np.sin(2 * np.pi * x)[:, None] * np.ones(vnodes.m)
-        hat = rc.reduced_source(_loads(grid, vnodes, f1), nu, grid, vnodes)(np.array([1.0]))[0]
+        hat = rc.reduced_source(load(grid, 0, f1), nu, grid, vnodes)(np.array([1.0]))[0]
         F = grid.irfft(hat)
         ref = -(2 * np.pi / (12 * nu)) * np.cos(2 * np.pi * x) * lb.fsi.smooth_ramp(1.0, 0.1)
         assert np.max(np.abs(F - ref)) < 1e-12
@@ -185,52 +188,81 @@ class TestForcingSource:
     def test_linearity(self, grid, vnodes):
         rng = np.random.default_rng(4)
         f1 = rng.standard_normal(grid.shape + (vnodes.m,))
-        Fa = rc.reduced_source(_loads(grid, vnodes, f1), 1.0, grid, vnodes)(self.times)
-        Fb = rc.reduced_source(_loads(grid, vnodes, 2.5 * f1), 1.0, grid, vnodes)(self.times)
+        Fa = rc.reduced_source(load(grid, 0, f1), 1.0, grid, vnodes)(self.times)
+        Fb = rc.reduced_source(load(grid, 0, 2.5 * f1), 1.0, grid, vnodes)(self.times)
         assert np.max(np.abs(Fb - 2.5 * Fa)) < 1e-12 * max(1, np.max(np.abs(Fb)))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_nodal_flux_rate(self, dim):
         # the source used to be rebuilt at every step as the flux rate of
-        # the nodal force profiles (`oracles.forcing_F`)
-        from oracles import forcing_F, without_nyquist
+        # the nodal force profiles (`oracles.forcing_F`); here of a load in
+        # each horizontal component
+        from oracles import forcing_F
 
         grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
         vnodes = VerticalNodes(12)
         rng = np.random.default_rng(11 + dim)
-        profiles = [without_nyquist(grid, rng.standard_normal(grid.shape + (vnodes.m,)))
-                    for _ in range(dim)]
-        forcing = _loads(grid, vnodes, *profiles)
         nu = 0.7
-        # more times than one transform takes, so the source works in chunks
         times = np.linspace(0.0, 0.5, 301)
-        got = rc.reduced_source(forcing, nu, grid, vnodes)(times)
-        assert got.shape == (len(times),) + grid.spectral_shape
-        want = np.array([grid.rfft(forcing_F(forcing(t)[:dim], nu, grid, vnodes)) for t in times])
-        assert np.max(np.abs(want)) > 0
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
+        for a in range(dim):
+            forcing = load(grid, a, rng.standard_normal(grid.shape + (vnodes.m,)))
+            got = rc.reduced_source(forcing, nu, grid, vnodes)(times)
+            assert got.shape == (len(times),) + grid.spectral_shape
+            want = np.array([grid.rfft(forcing_F(forcing(t)[:dim], nu, grid, vnodes))
+                             for t in times])
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_vertical_load_adds_no_source(self, dim):
-        # F comes from the horizontal components only: a load in f3 next to
-        # them leaves it unchanged, and a load in f3 alone gives none
+        # F comes from the horizontal components only: a load in f3 gives
+        # none, and leaves the limit velocities as an unforced channel's,
+        # while a load in each horizontal component gives one
         grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
         vnodes = VerticalNodes(12)
         rng = np.random.default_rng(5 + dim)
-        horizontal = [rng.standard_normal(grid.shape + (vnodes.m,)) for _ in range(dim)]
-        f3 = rng.standard_normal(grid.shape + (vnodes.m,))
-        zero = np.zeros_like(f3)
+        source = lambda a: rc.reduced_source(
+            load(grid, a, rng.standard_normal(grid.shape + (vnodes.m,))), 0.7, grid,
+            vnodes)(self.times)
+        for a in range(dim):
+            assert np.max(np.abs(source(a))) > 0
+        assert np.max(np.abs(source(dim))) == 0.0
+        model = lb.ModelParams(eps=0.5, kappa=2, dim=dim, nu=0.7)
+        etas = [without_nyquist(grid, rng.standard_normal(grid.shape)) for _ in self.times]
+        red = reduced(grid, self.times, [eta - eta.mean() for eta in etas])
+        vertical = load(grid, dim, rng.standard_normal(grid.shape + (vnodes.m,)))
+        for got, want in zip(limit(red, model, vnodes, vertical).v_hat,
+                             limit(red, model, vnodes).v_hat, strict=True):
+            assert np.array_equal(got, want)
 
-        def source(*comps):
-            forcing = lambda t: tuple(lb.fsi.smooth_ramp(t, 0.1) * c for c in comps)
-            return rc.reduced_source(forcing, 0.7, grid, vnodes)(self.times)
 
-        want = source(*horizontal, zero)
-        assert np.max(np.abs(want)) > 0
-        got = source(*horizontal, f3)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        assert np.max(np.abs(source(*[zero] * dim, f3))) == 0.0
+class TestLoadChecks:
+    """The reduced side takes a `fsi.HarmonicLoad` that fits its grid and
+    vertical nodes, and refuses any other load up front."""
+
+    @staticmethod
+    def entries(grid, vnodes):
+        model = lb.ModelParams(eps=0.5, kappa=2, dim=grid.dim)
+        red = reduced(grid, np.array([0.0, 0.1]), np.zeros((2,) + grid.shape))
+        return {"solve_reduced": lambda forcing: rc.solve_reduced(model, grid, vnodes, forcing,
+                                                                  0.01, 1e-3),
+                "LimitFields": lambda forcing: rc.LimitFields(red, model, forcing, vnodes)}
+
+    @pytest.mark.parametrize("entry", ["solve_reduced", "LimitFields"])
+    def test_callable_load_refused(self, grid, vnodes, entry):
+        # the reduced side reads the load's coefficients: unchecked, a
+        # callable would fail with an AttributeError deep inside
+        called = lb.harmonic_ramp_forcing(grid, vnodes)
+        with pytest.raises(ParameterError, match="HarmonicLoad"):
+            self.entries(grid, vnodes)[entry](lambda t: called(t))
+
+    @pytest.mark.parametrize("other", ["grid", "vertical"])
+    @pytest.mark.parametrize("entry", ["solve_reduced", "LimitFields"])
+    def test_load_of_another_shape_refused(self, grid, vnodes, entry, other):
+        forcing = {"grid": lambda: lb.harmonic_ramp_forcing(PeriodicGrid(dim=1, n=16), vnodes),
+                   "vertical": lambda: lb.harmonic_ramp_forcing(grid, VerticalNodes(12))}[other]()
+        with pytest.raises(GridMismatchError, match="do not fit"):
+            self.entries(grid, vnodes)[entry](forcing)
 
 
 class TestNodalOracle:
@@ -238,28 +270,27 @@ class TestNodalOracle:
     nodal rebuild they replaced (`oracles.nodal_assemble_approx`)."""
 
     @staticmethod
-    def case(dim, forced):
+    def cases(dim, forced):
+        """The unforced case, or one forced case per horizontal component."""
         grid = PeriodicGrid(dim=dim, n=16 if dim == 1 else 8)
         vnodes = VerticalNodes(12)
         model = lb.ModelParams(eps=0.125, kappa=2, dim=dim, nu=0.7, B=1.3)
         rng = np.random.default_rng(31 + dim)
-        if forced:
-            profiles = [without_nyquist(grid, rng.standard_normal(grid.shape + (vnodes.m,)))
-                        for _ in range(dim)]
-            forcing = _loads(grid, vnodes, *profiles)
-            solved = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-3, snapshot_stride=20)
-            # the solve's coefficients are not bitwise the transform of its
-            # nodal values, which the nodal rebuild reads: both rebuilds take
-            # the nodal values
-            red = reduced(grid, solved.times, solved.eta)
-        else:
-            forcing = None
+        if not forced:
             etas = []
             for _ in range(5):
                 vals = without_nyquist(grid, rng.standard_normal(grid.shape))
                 etas.append(vals - vals.mean())
-            red = reduced(grid, 0.05 * np.arange(5), etas)
-        return grid, vnodes, model, forcing, red
+            return [(grid, vnodes, model, None, reduced(grid, 0.05 * np.arange(5), etas))]
+        out = []
+        for a in range(dim):
+            forcing = load(grid, a, rng.standard_normal(grid.shape + (vnodes.m,)))
+            solved = rc.solve_reduced(model, grid, vnodes, forcing, 0.2, 1e-3, snapshot_stride=20)
+            # the solve's coefficients are not bitwise the transform of its
+            # nodal values, which the nodal rebuild reads: both rebuilds take
+            # the nodal values
+            out.append((grid, vnodes, model, forcing, reduced(grid, solved.times, solved.eta)))
+        return out
 
     @staticmethod
     def term_scales(grid, vnodes, model, forcing, t, eta):
@@ -287,31 +318,31 @@ class TestNodalOracle:
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_triple_matches_nodal_rebuild(self, dim, forced):
-        grid, vnodes, model, forcing, red = self.case(dim, forced)
-        got = approx(red, model, forcing, vnodes)
-        want = nodal_assemble_approx(red, model, forcing, vnodes)
-        assert np.array_equal(got.times, want.times)
-        for j, (t, eta) in enumerate(zip(red.times, red.eta)):
-            v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t, eta)
-            # a forced run starts from rest under no load
-            assert min(v_scales) > 0 or (forced and j == 0)
-            for g, w, scale in zip(got.v, want.v, v_scales):
-                assert np.max(np.abs(g[j] - w[j])) <= 1e-13 * scale
-            assert np.max(np.abs(got.p[j] - want.p[j])) <= 1e-13 * p_scale
-            assert np.array_equal(got.eta[j], want.eta[j])
+        for grid, vnodes, model, forcing, red in self.cases(dim, forced):
+            got = approx(red, model, forcing, vnodes)
+            want = nodal_assemble_approx(red, model, forcing, vnodes)
+            assert np.array_equal(got.times, want.times)
+            for j, (t, eta) in enumerate(zip(red.times, red.eta)):
+                v_scales, p_scale = self.term_scales(grid, vnodes, model, forcing, t, eta)
+                # a forced run starts from rest under no load
+                assert min(v_scales) > 0 or (forced and j == 0)
+                for g, w, scale in zip(got.v, want.v, v_scales):
+                    assert np.max(np.abs(g[j] - w[j])) <= 1e-13 * scale
+                assert np.max(np.abs(got.p[j] - want.p[j])) <= 1e-13 * p_scale
+                assert np.array_equal(got.eta[j], want.eta[j])
 
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_closure_matches_nodal_rebuild(self, dim, forced):
         # both sides are an identity, so both read roundoff of the right
         # side's larger term
-        grid, vnodes, model, forcing, red = self.case(dim, forced)
-        got = closure(red, model, forcing, vnodes)
-        want = nodal_chain_closure_error(red, model, forcing, vnodes)
-        scale = max(rhs_term_norms(red, model, forcing, vnodes))
-        assert scale > 0
-        assert got <= 1e-12 * scale
-        assert want <= 1e-12 * scale
+        for _, vnodes, model, forcing, red in self.cases(dim, forced):
+            got = closure(red, model, forcing, vnodes)
+            want = nodal_chain_closure_error(red, model, forcing, vnodes)
+            scale = max(rhs_term_norms(red, model, forcing, vnodes))
+            assert scale > 0
+            assert got <= 1e-12 * scale
+            assert want <= 1e-12 * scale
 
 
 def criterion_preset(eps=0.125):

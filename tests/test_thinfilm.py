@@ -238,16 +238,15 @@ class TestStep:
         last = ei.value.last_state
         assert np.array_equal(last.times, [0.0]) and np.all(np.isfinite(last.eta))
 
-    def test_film_energy_that_overflows_to_infinity_is_a_breakdown(self, grid):
-        # with c = 0 and no drift every candidate is the initial height, whose
-        # heights and coefficients are finite and whose bending energy is
-        # +inf, not NaN
+    def test_initial_film_energy_that_overflows_to_infinity_is_refused(self, grid):
+        # finite heights and coefficients whose energy is +inf, not NaN: with
+        # c = 0 and no drift every candidate was the initial height, so the
+        # run used to halve to a PositivityError instead of refusing the input
         model = tf.ThinFilmModel(alpha=5, linearized=True, c=0.0)
         eta0 = 1e160 * np.cos(2 * np.pi * grid.meshes[0])
         assert tf._energy(tf._energy_root(model, grid), grid.rfft(eta0)) == np.inf
-        with pytest.raises(PositivityError, match="unreachable") as ei:
+        with pytest.raises(ParameterError, match="initial film energy is not finite"):
             tf.evolve(model, grid, eta0, 1e-3, 1)
-        assert np.array_equal(ei.value.last_state.eta, eta0[None])
 
     def test_halved_step_that_is_finite_again_is_accepted(self, grid, monkeypatch):
         # a candidate that overflows only at the full step is halved, and

@@ -362,9 +362,10 @@ class TestLadderConfig:
 
     def test_ladder_steps_the_loaded_mode_only(self, monkeypatch):
         # the bench's ladder-k2 study against the same load as a plain
-        # callable, which its run samples at every step and steps on all 9
-        # modes: slopes within the bench's 1e-9, every identity residual at
-        # roundoff, and the load itself called only by FsiParams' check
+        # callable in the coupled runs, which sample it at every step and
+        # step all 9 modes (the reduced side takes the load itself): slopes
+        # within the bench's 1e-9, every identity residual at roundoff, and
+        # the load itself called only by FsiParams' check
         cfg = verify.RateStudyConfig(
             kappa=Fraction(2), eps_list=(0.125, 0.0625, 0.03125, 0.015625), n=16, m=20,
             dt=5e-4, t_end=0.5, snapshot_stride=20, ramp_time=0.1, rho_f=40.0, rho_s=40.0,
@@ -382,9 +383,13 @@ class TestLadderConfig:
         modal = verify.run_rate_study(cfg)
         assert stepped == [1]
         assert calls == [0.0] * 4
-        build = verify.harmonic_ramp_forcing
-        monkeypatch.setattr(verify, "harmonic_ramp_forcing",
-                            lambda *a, **kw: (lambda load: lambda t: load(t))(build(*a, **kw)))
+        run_batch = verify.run_batch
+
+        def sampled_batch(params, *args):
+            called = (lambda load: lambda t: load(t))(params[0].forcing)
+            return run_batch([dataclasses.replace(p, forcing=called) for p in params], *args)
+
+        monkeypatch.setattr(verify, "run_batch", sampled_batch)
         sampled = verify.run_rate_study(cfg)
         assert stepped == [1, 9]
         for which, fit in modal.fits.items():
